@@ -25,7 +25,7 @@ from ._version import __version__
 from .config import build_problem, config_digest, load_config, preset, validate_config
 from .errors import AuditError, ConfigError, SolverFailure
 from .rng import sample_path
-from .solver import save_trajectory, simulate
+from .solver import dyadic_level, save_trajectory, simulate
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -69,17 +69,14 @@ def _write_config_copy(out: Path, cfg: dict) -> None:
         json.dump(cfg, fh, sort_keys=True, indent=1)
 
 
-def _make_path_for(cfg: dict, problem, solver_cfg, path_index: int):
+def _path_resolution(cfg: dict, solver_cfg) -> tuple[int, float]:
+    """(n_fine, dt_fine) of the Wiener paths that drive the configured run."""
     dt_fine = cfg["noise"].get("dt_fine") or solver_cfg.dt
-    ratio = solver_cfg.dt / dt_fine
-    j = round(np.log2(ratio)) if ratio >= 1 else -1
-    if j < 0 or abs(ratio - 2.0**j) > 1e-9 * ratio:
-        raise ConfigError("noise",
-                          f"dt={solver_cfg.dt} must be a power-of-two multiple "
-                          f"of dt_fine={dt_fine}")
-    n_fine = solver_cfg.n_steps * (1 << j)
-    return sample_path(cfg["master_seed"], problem.r, problem.noise.modes,
-                       n_fine, dt_fine, path_index=path_index)
+    try:
+        j = dyadic_level(solver_cfg.dt, dt_fine)
+    except ValueError as exc:
+        raise ConfigError("noise", str(exc)) from None
+    return solver_cfg.n_steps * (1 << j), dt_fine
 
 
 def cmd_simulate(args) -> int:
@@ -90,7 +87,9 @@ def cmd_simulate(args) -> int:
     if out_stride is None:
         out_stride = max(1, solver_cfg.n_steps // 64)
     solver_cfg = replace(solver_cfg, store_stride=int(out_stride))
-    path = _make_path_for(cfg, problem, solver_cfg, path_index=args.path_index)
+    n_fine, dt_fine = _path_resolution(cfg, solver_cfg)
+    path = sample_path(cfg["master_seed"], problem.r, problem.noise.modes,
+                       n_fine, dt_fine, path_index=args.path_index)
     traj = simulate(problem, solver_cfg, path, initial)
     out = _out_dir(args, cfg, "simulate")
     _write_config_copy(out, cfg)
@@ -137,14 +136,11 @@ def _cached_problem(cfg_blob: str):
     return build_problem(json.loads(cfg_blob))
 
 
-def _path_stats(cfg_blob: str, path_index: int) -> dict:
+def _path_stats(cfg_blob: str, master_seed: int, n_fine: int, dt_fine: float,
+                path_index: int) -> dict:
     problem, initial, solver_cfg = _cached_problem(cfg_blob)
-    cfg = json.loads(cfg_blob)
-    dt_fine = cfg["noise"].get("dt_fine") or solver_cfg.dt
-    j = round(np.log2(solver_cfg.dt / dt_fine))
-    path = sample_path(cfg["master_seed"], problem.r, problem.noise.modes,
-                       solver_cfg.n_steps * (1 << j), dt_fine,
-                       path_index=path_index)
+    path = sample_path(master_seed, problem.r, problem.noise.modes, n_fine,
+                       dt_fine, path_index=path_index)
     traj = simulate(problem, solver_cfg, path, initial)
     e = traj.e_norms()
     return {
@@ -161,14 +157,17 @@ def cmd_ensemble(args) -> int:
     cfg = _load(args)
     if args.paths < 1:
         raise ConfigError("flags", "--paths must be >= 1")
-    build_problem(cfg)  # run all audits before spawning workers
-    cfg_blob = json.dumps(cfg, sort_keys=True)
+    # audit the config and resolve the paths once, before any worker starts
+    _, _, solver_cfg = build_problem(cfg)
+    n_fine, dt_fine = _path_resolution(cfg, solver_cfg)
+    path_stats = functools.partial(_path_stats, json.dumps(cfg, sort_keys=True),
+                                   cfg["master_seed"], n_fine, dt_fine)
     indices = list(range(args.paths))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            stats = list(pool.map(functools.partial(_path_stats, cfg_blob), indices))
+            stats = list(pool.map(path_stats, indices))
     else:
-        stats = [_path_stats(cfg_blob, i) for i in indices]
+        stats = [path_stats(i) for i in indices]
     stats.sort(key=lambda s: s["path"])  # order-independent aggregation
 
     out = _out_dir(args, cfg, "ensemble")

@@ -13,7 +13,8 @@ import json
 
 import numpy as np
 
-from .errors import AuditError, ConfigError
+from .errors import ConfigError
+from .experiments import check_positivity_preconditions
 from .grid import DomainGrid, build_grid
 from .noise import (NoiseModel, build_noise, cosine_neumann_basis, named_g)
 from .operators import (CoefficientField, assemble_operator,
@@ -170,7 +171,6 @@ def _build_solver_config(block: dict) -> SolverConfig:
             scheme=block.get("scheme", "semi-implicit"),
             sup_cap=block.get("sup_cap"),
             store_stride=int(block.get("store_stride", 1)),
-            cg_rtol=float(block.get("cg_rtol", 1e-10)),
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError("solver", str(exc))
@@ -195,15 +195,8 @@ def build_problem(cfg: dict):
     solver_cfg = _build_solver_config(cfg["solver"])
     initial = _build_initial(cfg["initial"], grid, r)
 
-    experiment = cfg.get("experiment", {})
-    if experiment.get("name") == "positivity":
-        for l, comp in enumerate(noise.components):
-            g0 = float(comp.g(np.asarray([0.0]))[0])
-            if g0 != 0.0:
-                raise AuditError("g(0)!=0", f"component {l}: g(0) = {g0:.6g}")
-        if np.any(initial < 0):
-            raise AuditError("negative-initial",
-                             "positivity experiment needs nonnegative initials")
+    if cfg.get("experiment", {}).get("name") == "positivity":
+        check_positivity_preconditions(noise, initial, "positivity experiment")
 
     problem = Problem(grid=grid, operators=operators, reaction=reaction,
                       noise=noise)

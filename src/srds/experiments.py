@@ -20,7 +20,7 @@ import numpy as np
 from ._version import __version__ as _version
 from .errors import AuditError, SolverFailure
 from .reaction import ReactionSystem, check_quasi_positive, coupling_linear, coupling_none
-from .noise import ComponentNoise, NoiseModel
+from .noise import NoiseModel
 from .rng import sample_path
 from .solver import (Problem, SolverConfig, Trajectory, mild_residual,
                      simulate, truncate_problem)
@@ -252,10 +252,24 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
 # positivity
 
 
-def _zero_noise_like(noise: NoiseModel) -> NoiseModel:
-    comps = [ComponentNoise(basis=c.basis, lambdas=np.zeros(c.modes), g=c.g)
-             for c in noise.components]
-    return NoiseModel(components=tuple(comps))
+def _zero_noise(problem: Problem) -> Problem:
+    """The problem with every noise coefficient lambda_k set to zero."""
+    noise = NoiseModel(tuple(replace(c, lambdas=np.zeros(c.modes))
+                             for c in problem.noise.components))
+    return replace(problem, noise=noise)
+
+
+def check_positivity_preconditions(noise: NoiseModel, initial: np.ndarray,
+                                   subject: str = "positivity") -> None:
+    """Raise AuditError unless every amplitude vanishes at zero and the
+    initial fields are nonnegative; ``subject`` names the caller in the
+    negative-initial message."""
+    for l, comp in enumerate(noise.components):
+        g0 = float(comp.g(np.asarray([0.0]))[0])
+        if g0 != 0.0:
+            raise AuditError("g(0)!=0", f"component {l}: g(0) = {g0:.6g}")
+    if np.any(initial < 0):
+        raise AuditError("negative-initial", f"{subject} needs nonnegative initials")
 
 
 def negative_control_problem(problem: Problem) -> Problem:
@@ -268,8 +282,7 @@ def negative_control_problem(problem: Problem) -> Problem:
     row[1] = -1.0
     couplings = [coupling_linear(row)] + [coupling_none(r) for _ in range(r - 1)]
     reaction = ReactionSystem([None] * r, couplings, audit=False)
-    return Problem(grid=problem.grid, operators=problem.operators,
-                   reaction=reaction, noise=_zero_noise_like(problem.noise))
+    return replace(_zero_noise(problem), reaction=reaction)
 
 
 def positivity_experiment(problem: Problem, config: SolverConfig,
@@ -288,13 +301,8 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     qp = check_quasi_positive(problem.reaction, grid_samples=2000, range_m=5.0)
     if not qp.passed:
         raise AuditError("quasi-positivity", f"witness {qp.witness}")
-    for l, comp in enumerate(problem.noise.components):
-        g0 = float(comp.g(np.asarray([0.0]))[0])
-        if g0 != 0.0:
-            raise AuditError("g(0)!=0", f"component {l}: g(0) = {g0:.6g}")
     initial = np.asarray(initial, dtype=float)
-    if np.any(initial < 0):
-        raise AuditError("negative-initial", "positivity needs nonnegative initials")
+    check_positivity_preconditions(problem.noise, initial)
 
     if c_tol is None:
         c_tol = 5.0 * max(c.g.growth_a + c.g.growth_b

@@ -132,9 +132,6 @@ class WienerPath:
         r, K, n = self.increments.shape
         return self.increments.reshape(r, K, n // group, group).sum(axis=3)
 
-    def coarse_dt(self, j: int) -> float:
-        return self.dt_fine * (1 << j)
-
 
 def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
                 dt_fine: float, path_index: int = 0) -> WienerPath:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SolverFailure
 from .grid import DomainGrid
-from .noise import ComponentNoise, HolderFunction, NoiseModel
+from .noise import NoiseModel
 from .operators import EllipticOperator
 from .reaction import ReactionSystem, TruncatedCoupling, TruncatedDrift
 from .rng import WienerPath
@@ -77,7 +77,6 @@ class SolverConfig:
     scheme: str = "semi-implicit"
     sup_cap: float | None = None
     store_stride: int = 1
-    cg_rtol: float = 1e-10
 
     def __post_init__(self):
         if not self.dt > 0 or not self.t_end > 0:
@@ -143,14 +142,20 @@ class Trajectory:
         return self.states[step // self.store_stride]
 
 
-def _resolve_increments(config: SolverConfig, path: WienerPath) -> np.ndarray:
-    """Coarsen the path to the scheme resolution; dt must be 2^j * dt_fine."""
-    ratio = config.dt / path.dt_fine
+def dyadic_level(dt: float, dt_fine: float) -> int:
+    """The j >= 0 with dt = 2^j * dt_fine (to a relative 1e-9); raises
+    ValueError when there is none."""
+    ratio = dt / dt_fine
     j = round(np.log2(ratio)) if ratio > 0 else -1
     if j < 0 or abs(ratio - 2.0**j) > 1e-9 * ratio:
         raise ValueError(
-            f"dt={config.dt} is not a power-of-two multiple of dt_fine={path.dt_fine}")
-    inc = path.coarse(j)
+            f"dt={dt} must be a power-of-two multiple of dt_fine={dt_fine}")
+    return j
+
+
+def _resolve_increments(config: SolverConfig, path: WienerPath) -> np.ndarray:
+    """Coarsen the path to the scheme resolution; dt must be 2^j * dt_fine."""
+    inc = path.coarse(dyadic_level(config.dt, path.dt_fine))
     if inc.shape[2] < config.n_steps:
         raise ValueError(
             f"path covers {inc.shape[2]} coarse steps, need {config.n_steps}")
@@ -158,19 +163,29 @@ def _resolve_increments(config: SolverConfig, path: WienerPath) -> np.ndarray:
 
 
 def step(problem: Problem, config: SolverConfig, u: np.ndarray,
-         increments: np.ndarray, steppers=None) -> np.ndarray:
-    """Advance one step; ``increments`` has shape (r, K)."""
+         increments: np.ndarray, steppers=None, *, drift_at=None,
+         noise_at=None) -> np.ndarray:
+    """Advance one step; ``increments`` has shape (r, K).
+
+    The reaction is evaluated at ``drift_at`` and the noise amplitude g at
+    ``noise_at``; both default to the state ``u`` (the scheme's left
+    endpoint).
+    """
     if steppers is None:
         steppers = [op.stepper(config.dt) for op in problem.operators]
+    if drift_at is None:
+        drift_at = u
+    if noise_at is None:
+        noise_at = u
     dt = config.dt
-    F = problem.reaction.evaluate(u)
+    F = problem.reaction.evaluate(drift_at)
     out = np.empty_like(u)
     for l in range(problem.r):
         Fl = F[l]
         if config.scheme == "tamed-semi-implicit":
             Fl = Fl / (1.0 + dt * np.max(np.abs(Fl)))
         comp = problem.noise.components[l]
-        rhs = u[l] + dt * Fl + comp.g(u[l]) * comp.modal_field(increments[l][:comp.modes])
+        rhs = u[l] + dt * Fl + comp.g(noise_at[l]) * comp.modal_field(increments[l][:comp.modes])
         out[l] = steppers[l].solve(rhs)
     if not np.all(np.isfinite(out)):
         raise SolverFailure("non-finite-state")
@@ -245,18 +260,6 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
 # truncation ladder
 
 
-def _truncate_noise(noise: NoiseModel, level: float) -> NoiseModel:
-    comps = []
-    for c in noise.components:
-        g = c.g
-        frozen = HolderFunction(
-            fn=_FrozenAmplitude(g.fn, level),
-            growth_a=g.growth_a, growth_b=g.growth_b, holder_c=g.holder_c,
-            name=f"{g.name}|trunc:{level}")
-        comps.append(ComponentNoise(basis=c.basis, lambdas=c.lambdas, g=frozen))
-    return NoiseModel(components=tuple(comps))
-
-
 class _FrozenAmplitude:
     def __init__(self, fn, level: float):
         self.fn = fn
@@ -279,8 +282,11 @@ def truncate_problem(problem: Problem, level: float) -> Problem:
                                    level)
                  for k in problem.reaction.couplings]
     reaction = ReactionSystem(drifts, couplings, audit=False)
-    return Problem(grid=problem.grid, operators=problem.operators,
-                   reaction=reaction, noise=_truncate_noise(problem.noise, level))
+    noise = NoiseModel(tuple(
+        replace(c, g=replace(c.g, fn=_FrozenAmplitude(c.g.fn, level),
+                             name=f"{c.g.name}|trunc:{level}"))
+        for c in problem.noise.components))
+    return replace(problem, reaction=reaction, noise=noise)
 
 
 def exit_index(traj: Trajectory, level: float) -> int:
@@ -378,7 +384,8 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
     at the right endpoint (a Riemann quadrature of the same integral,
     differing at first order in dt) and the stochastic integrand at the
     previous step's state (still adapted, hence a valid Ito quadrature,
-    differing at order 1/2 with zero mean).  The residual therefore
+    differing at order 1/2 with zero mean), passed to ``step`` as its
+    evaluation points.  The residual therefore
     measures the quadrature sensitivity of the discrete mild form: zero to
     round-off for F = 0, G = 0, first order in dt deterministically, order
     1/2 in the noise.
@@ -401,16 +408,9 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
     if 0 in probe_steps:
         residuals[0] = 0.0
     for i in range(max(probe_steps)):
-        u_right = traj.states[i + 1]
-        u_lag = traj.states[max(i - 1, 0)]
-        F = problem.reaction.evaluate(u_right)
-        nxt = np.empty_like(recon)
-        for l in range(problem.r):
-            comp = problem.noise.components[l]
-            nxt[l] = steppers[l].solve(
-                recon[l] + traj.dt * F[l]
-                + comp.g(u_lag[l]) * comp.modal_field(inc[l, :comp.modes, i]))
-        recon = nxt
+        recon = step(problem, config, recon, inc[:, :, i], steppers,
+                     drift_at=traj.states[i + 1],
+                     noise_at=traj.states[max(i - 1, 0)])
         if i + 1 in probe_steps:
             residuals[i + 1] = float(np.max(np.abs(traj.states[i + 1] - recon)))
     return np.asarray([residuals[ps] for ps in probe_steps])

@@ -6,14 +6,16 @@ returns an ExperimentReport whose verdict drives the process exit code.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import AuditError
-from .experiments import (ExperimentReport, _provenance, moment_experiment,
-                          positivity_experiment, residual_refinement,
-                          uniqueness_experiment)
+from .experiments import (ExperimentReport, _provenance, _zero_noise,
+                          moment_experiment, positivity_experiment,
+                          residual_refinement, uniqueness_experiment)
 from .mollifier import build_mollifier
-from .noise import ComponentNoise, NoiseModel, named_g, osgood_check
+from .noise import NoiseModel, named_g, osgood_check
 from .operators import apply_resolvent, smoothing_profile
 from .reaction import check_quasi_positive, dissipativity_gap
 from .rng import gaussian_entry, sample_path
@@ -189,19 +191,9 @@ def suite_mollifier(problem: Problem, config: SolverConfig, initial, params,
 
 
 def _with_named_g(problem: Problem, name: str) -> Problem:
-    comps = tuple(ComponentNoise(basis=c.basis, lambdas=c.lambdas, g=named_g(name))
-                  for c in problem.noise.components)
-    return Problem(grid=problem.grid, operators=problem.operators,
-                   reaction=problem.reaction,
-                   noise=NoiseModel(components=comps))
-
-
-def _zero_noise(problem: Problem) -> Problem:
-    comps = tuple(ComponentNoise(basis=c.basis, lambdas=np.zeros(c.modes), g=c.g)
-                  for c in problem.noise.components)
-    return Problem(grid=problem.grid, operators=problem.operators,
-                   reaction=problem.reaction,
-                   noise=NoiseModel(components=comps))
+    noise = NoiseModel(tuple(replace(c, g=named_g(name))
+                             for c in problem.noise.components))
+    return replace(problem, noise=noise)
 
 
 def suite_residual(problem: Problem, config: SolverConfig, initial, params,
@@ -231,42 +223,48 @@ def suite_residual(problem: Problem, config: SolverConfig, initial, params,
     return report
 
 
+def suite_uniqueness(problem: Problem, config: SolverConfig, initial, params,
+                     master_seed: int) -> ExperimentReport:
+    return uniqueness_experiment(
+        problem, config, initial, master_seed=master_seed,
+        n_paths=int(params.get("n_paths", 64)),
+        eps_list=params.get("eps_list", (1e-1, 1e-2, 1e-3)),
+        slack=float(params.get("slack", 0.1)),
+        cauchy_paths=int(params.get("cauchy_paths", 32)),
+        cauchy_refinements=int(params.get("cauchy_refinements", 3)))
+
+
+def suite_positivity(problem: Problem, config: SolverConfig, initial, params,
+                     master_seed: int) -> ExperimentReport:
+    return positivity_experiment(
+        problem, config, initial, master_seed=master_seed,
+        n_paths=int(params.get("n_paths", 64)),
+        c_tol=params.get("c_tol"),
+        dt_halving=bool(params.get("dt_halving", True)),
+        run_control=bool(params.get("control", True)))
+
+
+def suite_moments(problem: Problem, config: SolverConfig, initial, params,
+                  master_seed: int) -> ExperimentReport:
+    return moment_experiment(
+        problem, config, float(params.get("p", 4.0)),
+        params.get("levels", (4.0, 8.0, 16.0, 32.0)),
+        int(params.get("n_paths", 32)), initial, master_seed=master_seed)
+
+
+# suite name -> suite; `verify <suite>` takes its choices from the keys
+SUITES = {
+    "operator": suite_operator, "reaction": suite_reaction,
+    "noise": suite_noise, "mollifier": suite_mollifier,
+    "uniqueness": suite_uniqueness, "positivity": suite_positivity,
+    "moments": suite_moments, "residual": suite_residual,
+}
+
+
 def run_suite(name: str, problem: Problem, config: SolverConfig,
               initial: np.ndarray, params: dict, master_seed: int) -> ExperimentReport:
+    if name not in SUITES:
+        raise AuditError("suite", f"unknown suite {name!r}")
     params = dict(params)
     params.pop("name", None)
-    if name == "operator":
-        return suite_operator(problem, config, initial, params, master_seed)
-    if name == "reaction":
-        return suite_reaction(problem, config, initial, params, master_seed)
-    if name == "noise":
-        return suite_noise(problem, config, initial, params, master_seed)
-    if name == "mollifier":
-        return suite_mollifier(problem, config, initial, params, master_seed)
-    if name == "residual":
-        return suite_residual(problem, config, initial, params, master_seed)
-    if name == "uniqueness":
-        return uniqueness_experiment(
-            problem, config, initial, master_seed=master_seed,
-            n_paths=int(params.get("n_paths", 64)),
-            eps_list=params.get("eps_list", (1e-1, 1e-2, 1e-3)),
-            slack=float(params.get("slack", 0.1)),
-            cauchy_paths=int(params.get("cauchy_paths", 32)),
-            cauchy_refinements=int(params.get("cauchy_refinements", 3)))
-    if name == "positivity":
-        return positivity_experiment(
-            problem, config, initial, master_seed=master_seed,
-            n_paths=int(params.get("n_paths", 64)),
-            c_tol=params.get("c_tol"),
-            dt_halving=bool(params.get("dt_halving", True)),
-            run_control=bool(params.get("control", True)))
-    if name == "moments":
-        return moment_experiment(
-            problem, config, float(params.get("p", 4.0)),
-            params.get("levels", (4.0, 8.0, 16.0, 32.0)),
-            int(params.get("n_paths", 32)), initial, master_seed=master_seed)
-    raise AuditError("suite", f"unknown suite {name!r}")
-
-
-SUITES = ("operator", "reaction", "noise", "mollifier", "uniqueness",
-          "positivity", "moments", "residual")
+    return SUITES[name](problem, config, initial, params, master_seed)

@@ -1,0 +1,51 @@
+"""The benchmark's tracer counts work through module-level names it patches
+(``benchmarks/tracer.py``); every path and member step must still pass
+through them, or the benchmark's throughput metrics read zero."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from srds import preset_fhn
+from srds.cli import main
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_tracer", Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py")
+_tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_tracer)
+
+
+def _config(tmp_path, name, experiment):
+    cfg = preset_fhn(3)
+    cfg["solver"].update({"dt": 1e-3, "t_end": 0.02})  # 20 steps
+    cfg["experiment"] = experiment
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_tracer_sees_every_path_and_step(tmp_path):
+    ensemble = _config(tmp_path, "ensemble", {"name": "positivity", "n_paths": 2})
+    moments = _config(tmp_path, "moments",
+                      {"name": "moments", "n_paths": 2, "levels": [4, 8]})
+    tracer = _tracer.Tracer()
+    tracer.install()
+    try:
+        assert main(["ensemble", "--config", ensemble, "--paths", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        s = tracer.summary()
+        assert s["calls"]["rng.sample_path"] == 2
+        assert s["counts"]["solver.member_steps"] == 2 * 20
+        assert s["calls"]["solver.step"] == 2 * 20
+        assert s["calls"]["config.build_problem"] >= 1
+
+        tracer.clear()
+        assert main(["verify", "moments", "--config", moments,
+                     "--out", str(tmp_path / "out")]) == 0
+        s = tracer.summary()
+        assert s["calls"]["experiments"] == 1
+        assert s["calls"]["rng.sample_path"] == 2  # the levels share each path
+        assert s["counts"]["solver.member_steps"] == 2 * 2 * 20
+        assert s["calls"]["solver.step"] == 2 * 2 * 20
+    finally:
+        tracer.restore()

@@ -179,6 +179,18 @@ def test_runtime_failure_exit_code(tmp_path, out_root, capsys):
     assert "kind=runtime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+@pytest.mark.parametrize("dt_fine", [1e-3 / 3, 2e-3])  # dt is 1e-3
+def test_non_dyadic_dt_fine_exit_code(tmp_path, out_root, capsys, command, dt_fine):
+    cfg = quick_preset()
+    cfg["noise"]["dt_fine"] = dt_fine
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert "code=2 kind=config reason=noise" in err
+
+
 # --- verify ------------------------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from srds import (SolverConfig, build_grid, cosine_neumann_basis, build_noise,
                   exit_index, fhn_system, glue_ladder, mild_residual, named_g,
                   sample_path, simulate, step, truncate_problem)
 from srds.errors import SolverFailure
-from srds.solver import Problem
+from srds.solver import Problem, _resolve_increments, dyadic_level
 
 from conftest import build_fhn_problem, build_scalar_heat_problem
 
@@ -386,3 +388,25 @@ def test_common_path_refinement_gap_shrinks():
     g01 = np.max(np.abs(finals[0] - finals[1]))
     g12 = np.max(np.abs(finals[1] - finals[2]))
     assert g12 < g01
+
+
+DT_FINE = st.floats(1e-6, 1e2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(0, 6), dt_fine=DT_FINE)
+def test_dyadic_level_matches_coarsening(j, dt_fine):
+    dt = dt_fine * 2.0**j
+    assert dyadic_level(dt, dt_fine) == j
+    path = sample_path(9, 1, 2, 2 * 2**6, dt_fine)  # two steps at j = 6
+    inc = _resolve_increments(SolverConfig(dt=dt, t_end=2 * dt), path)
+    assert np.array_equal(inc, path.coarse(j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratio=st.floats(1e-3, 64.0), dt_fine=DT_FINE)
+def test_dyadic_level_rejects_other_ratios(ratio, dt_fine):
+    near = 2.0 ** round(np.log2(ratio))
+    assume(ratio < 1.0 - 1e-6 or abs(ratio - near) > 1e-6 * ratio)
+    with pytest.raises(ValueError, match="power-of-two"):
+        dyadic_level(ratio * dt_fine, dt_fine)
