@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import build_problem, config_digest, load_config, preset, validate_config
+from .config import (build_problem, config_block, config_digest, load_config,
+                     preset, validate_config)
 from .errors import AuditError, ConfigError, SolverFailure
 from .rng import sample_path
 from .solver import dyadic_level, save_trajectory, simulate
@@ -56,10 +57,11 @@ def _load(args) -> dict:
 
 
 def _out_dir(args, cfg: dict, command: str) -> Path:
-    root = (args.out or cfg.get("output", {}).get("dir")
-            or os.environ.get("SRDS_OUT") or "srds-out")
+    with config_block("output"):
+        root = Path(args.out or cfg.get("output", {}).get("dir")
+                    or os.environ.get("SRDS_OUT") or "srds-out")
     digest = config_digest(cfg)
-    d = Path(root) / f"{command}-{digest[:12]}-seed{cfg['master_seed']}"
+    d = root / f"{command}-{digest[:12]}-seed{cfg['master_seed']}"
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -72,28 +74,27 @@ def _write_config_copy(out: Path, cfg: dict) -> None:
 def _path_resolution(cfg: dict, solver_cfg) -> tuple[int, float]:
     """(n_fine, dt_fine) of the Wiener paths that drive the configured run."""
     dt_fine = cfg["noise"].get("dt_fine") or solver_cfg.dt
-    try:
+    with config_block("noise"):
         j = dyadic_level(solver_cfg.dt, dt_fine)
-    except ValueError as exc:
-        raise ConfigError("noise", str(exc)) from None
     return solver_cfg.n_steps * (1 << j), dt_fine
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     problem, initial, solver_cfg = build_problem(cfg)
-    # snapshot stride: about 64 stored samples per run unless configured
-    out_stride = cfg.get("output", {}).get("stride")
-    if out_stride is None:
-        out_stride = max(1, solver_cfg.n_steps // 64)
-    solver_cfg = replace(solver_cfg, store_stride=int(out_stride))
+    with config_block("output"):
+        # snapshot stride: about 64 stored samples per run unless configured
+        out_stride = cfg.get("output", {}).get("stride")
+        if out_stride is None:
+            out_stride = max(1, solver_cfg.n_steps // 64)
+        solver_cfg = replace(solver_cfg, store_stride=int(out_stride))
+        fmt = (cfg.get("output", {}).get("formats") or ["auto"])[0]
     n_fine, dt_fine = _path_resolution(cfg, solver_cfg)
     path = sample_path(cfg["master_seed"], problem.r, problem.noise.modes,
                        n_fine, dt_fine, path_index=args.path_index)
     traj = simulate(problem, solver_cfg, path, initial)
     out = _out_dir(args, cfg, "simulate")
     _write_config_copy(out, cfg)
-    fmt = (cfg.get("output", {}).get("formats") or ["auto"])[0]
     save_trajectory(traj, out, fmt=fmt, grid=problem.grid)
     manifest_extra = {
         "config_digest": config_digest(cfg),
@@ -157,11 +158,13 @@ def cmd_ensemble(args) -> int:
     cfg = _load(args)
     if args.paths < 1:
         raise ConfigError("flags", "--paths must be >= 1")
-    # audit the config and resolve the paths once, before any worker starts
-    _, _, solver_cfg = build_problem(cfg)
+    # audit the config and resolve the paths once, before any worker starts;
+    # the problem stays cached for the paths run here and in forked workers
+    blob = json.dumps(cfg, sort_keys=True)
+    _, _, solver_cfg = _cached_problem(blob)
     n_fine, dt_fine = _path_resolution(cfg, solver_cfg)
-    path_stats = functools.partial(_path_stats, json.dumps(cfg, sort_keys=True),
-                                   cfg["master_seed"], n_fine, dt_fine)
+    path_stats = functools.partial(_path_stats, blob, cfg["master_seed"],
+                                   n_fine, dt_fine)
     indices = list(range(args.paths))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

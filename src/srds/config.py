@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AuditError, ConfigError
 from .experiments import check_positivity_preconditions
 from .grid import DomainGrid, build_grid
 from .noise import (NoiseModel, build_noise, cosine_neumann_basis, named_g)
@@ -21,6 +22,7 @@ from .operators import (CoefficientField, assemble_operator,
                         coefficient_field_from_csv)
 from .reaction import (PolynomialDrift, ReactionSystem, coupling_linear,
                        coupling_none, fhn_system)
+from .rng import valid_seed
 from .solver import Problem, SolverConfig
 
 CONFIG_VERSION = 1
@@ -53,18 +55,31 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("schema", f"missing block {block!r}")
     if "master_seed" not in cfg:
         raise ConfigError("schema", "missing master_seed")
+    if not valid_seed(cfg["master_seed"]):
+        raise ConfigError("master_seed", "must be an integer in [0, 2^64), "
+                                         f"got {cfg['master_seed']!r}")
+    for block in ("experiment", "output"):
+        if not isinstance(cfg.get(block, {}), dict):
+            raise ConfigError(block, "must be a JSON object")
     return cfg
+
+
+@contextmanager
+def config_block(name: str):
+    """Report a value of the wrong type or shape met while reading config
+    block ``name`` as ConfigError(name); the ConfigError and AuditError
+    raised inside pass through unchanged."""
+    try:
+        yield
+    except (ConfigError, AuditError):
+        raise
+    except (ArithmeticError, AttributeError, LookupError, TypeError,
+            ValueError) as exc:
+        raise ConfigError(name, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # block builders
-
-
-def _build_grid(block: dict) -> DomainGrid:
-    try:
-        return build_grid(block["dim"], block["extents"], block["n_cells"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("grid", str(exc))
 
 
 def _build_operator(grid: DomainGrid, block: dict):
@@ -165,35 +180,43 @@ def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
 
 
 def _build_solver_config(block: dict) -> SolverConfig:
-    try:
-        return SolverConfig(
-            dt=float(block["dt"]), t_end=float(block["t_end"]),
-            scheme=block.get("scheme", "semi-implicit"),
-            sup_cap=block.get("sup_cap"),
-            store_stride=int(block.get("store_stride", 1)),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("solver", str(exc))
+    sup_cap = block.get("sup_cap")
+    if sup_cap is not None and (isinstance(sup_cap, bool)
+                                or not isinstance(sup_cap, (int, float))):
+        raise ConfigError("solver", f"sup_cap must be a number or null, got {sup_cap!r}")
+    return SolverConfig(
+        dt=float(block["dt"]), t_end=float(block["t_end"]),
+        scheme=block.get("scheme", "semi-implicit"), sup_cap=sup_cap,
+        store_stride=int(block.get("store_stride", 1)),
+    )
 
 
 def build_problem(cfg: dict):
     """Assemble (problem, initial, solver_config) from a validated config.
 
-    Raises ConfigError for schema problems and AuditError when a declared
-    assumption fails its build-time audit.
+    Raises ConfigError(<block>) for schema problems and values of the wrong
+    type, and AuditError when a declared assumption fails its build-time
+    audit.
     """
-    grid = _build_grid(cfg["grid"])
+    with config_block("grid"):
+        block = cfg["grid"]
+        grid = build_grid(block["dim"], block["extents"], block["n_cells"])
     op_blocks = cfg["operators"]
     if not isinstance(op_blocks, list) or not op_blocks:
         raise ConfigError("operators", "need a nonempty per-component list")
-    operators = tuple(_build_operator(grid, b) for b in op_blocks)
+    with config_block("operators"):
+        operators = tuple(_build_operator(grid, b) for b in op_blocks)
     r = len(operators)
-    reaction = _build_reaction(cfg["reaction"], r)
+    with config_block("reaction"):
+        reaction = _build_reaction(cfg["reaction"], r)
     if reaction.r != r:
         raise ConfigError("reaction", f"{reaction.r} components vs {r} operators")
-    noise = _build_noise(cfg["noise"], grid, r)
-    solver_cfg = _build_solver_config(cfg["solver"])
-    initial = _build_initial(cfg["initial"], grid, r)
+    with config_block("noise"):
+        noise = _build_noise(cfg["noise"], grid, r)
+    with config_block("solver"):
+        solver_cfg = _build_solver_config(cfg["solver"])
+    with config_block("initial"):
+        initial = _build_initial(cfg["initial"], grid, r)
 
     if cfg.get("experiment", {}).get("name") == "positivity":
         check_positivity_preconditions(noise, initial, "positivity experiment")

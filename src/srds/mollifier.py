@@ -134,21 +134,21 @@ class OneSidedMollifier:
         return np.where(t > 0, self.family.big_psi(self.level, t), 0.0)
 
 
-def build_mollifier(rho, n_max: int, a0: float = 1.0,
-                    table_points: int = 4097) -> MollifierFamily:
-    """Construct levels 1..n_max by root-solving the Osgood integral.
+def build_mollifier(rho, n_max: int) -> MollifierFamily:
+    """Construct levels 1..n_max from a_0 = 1 by root-solving the Osgood integral.
 
     a_n solves int_{a_n}^{a_{n-1}} ds/rho(s) = n (adaptive quadrature plus
-    bracketed root finding, relative tolerance well below 1e-10).  Raises
-    MollifierRangeError with the largest feasible level if a_n underflows.
+    bracketed root finding, relative tolerance well below 1e-10); each
+    level's table has 4097 log-spaced nodes.  Raises MollifierRangeError
+    with the largest feasible level if a_n underflows.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    probe = rho(np.asarray([a0 / 2, a0]))
+    probe = rho(np.asarray([0.5, 1.0]))
     if np.any(probe <= 0) or probe[1] < probe[0]:
-        raise AuditError("modulus", "rho must be positive and increasing on (0, a0]")
+        raise AuditError("modulus", "rho must be positive and increasing on (0, 1]")
 
-    a = [float(a0)]
+    a = [1.0]
     tables: list[_LevelTable] = []
     for n in range(1, n_max + 1):
         hi = a[-1]
@@ -167,7 +167,7 @@ def build_mollifier(rho, n_max: int, a0: float = 1.0,
         a_n = math.exp(y_n)
         a.append(float(a_n))
 
-        y = np.linspace(math.log(a_n), math.log(hi), table_points)
+        y = np.linspace(math.log(a_n), math.log(hi), 4097)
         s = np.exp(y)
         s[0], s[-1] = a_n, hi
         psi = 1.0 / (n * rho(s))
@@ -180,7 +180,7 @@ def build_mollifier(rho, n_max: int, a0: float = 1.0,
     return MollifierFamily(rho, np.asarray(a), tables)
 
 
-def positivity_mollifier(rho, n: int, a0: float = 1.0) -> OneSidedMollifier:
+def positivity_mollifier(rho, n: int) -> OneSidedMollifier:
     """One-sided family for the positivity argument: phi_n(t) increases to t^+."""
-    family = build_mollifier(rho, n, a0=a0)
+    family = build_mollifier(rho, n)
     return OneSidedMollifier(family, n)

@@ -26,14 +26,11 @@ from .errors import AuditError
 
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Evaluate sum_j coeffs[j-1] * s^j; coeffs is (q,) or (n, q) row-per-cell."""
-    if coeffs.ndim == 1:
-        r = np.full_like(np.asarray(s, dtype=float), coeffs[-1])
-        for c in coeffs[-2::-1]:
-            r = r * s + c
-        return r * s
-    r = np.broadcast_to(coeffs[:, -1], np.shape(s)).copy()
-    for j in range(coeffs.shape[1] - 2, -1, -1):
-        r = r * s + coeffs[:, j]
+    cols = coeffs.T  # cols[j - 1]: w_j, a scalar or one value per cell
+    r = np.empty(np.shape(s))
+    r[...] = cols[-1]
+    for c in cols[-2::-1]:
+        r = r * s + c
     return r * s
 
 
@@ -112,10 +109,6 @@ class PolynomialDrift:
         self.epsilon_lead = float(epsilon_lead)
 
     @property
-    def n_poly(self) -> int:
-        return (self.degree - 1) // 2
-
-    @property
     def per_cell(self) -> bool:
         return self.coeffs.ndim == 2
 
@@ -145,10 +138,6 @@ class TruncatedDrift:
         self.base = base
         self.level = float(level)
         self.degree = base.degree
-
-    @property
-    def n_poly(self) -> int:
-        return self.base.n_poly
 
     def evaluate(self, s, cells=None):
         return self.base.evaluate(np.clip(s, -self.level, self.level), cells)
@@ -185,10 +174,6 @@ class F1F2Certificate:
     a_prime: float
     a_dd: float
     b_dd: float
-
-    @property
-    def n_poly(self) -> int:
-        return (self.degree - 1) // 2
 
 
 ZERO_CERTIFICATE = F1F2Certificate(degree=1, a=0.0, a_sym=0.0, a1=0.0, a2=0.0,
@@ -241,6 +226,8 @@ class CouplingTerm:
     """k_l(x, s_1..s_r) with declared growth and local Lipschitz constants.
 
     ``fn`` is vectorized: it maps a state block of shape (r, n) to (n,).
+    ``audit`` checks the declared constants on 2048 seeded sample pairs in
+    each of the boxes [-m, m]^r, m = 1, 10, 100, to absolute tolerance 1e-9.
     """
 
     def __init__(self, fn, c1: float, c2: float, lipschitz, name: str = "custom"):
@@ -256,22 +243,21 @@ class CouplingTerm:
     def lipschitz(self, m: float) -> float:
         return float(self._lipschitz(m))
 
-    def audit(self, r: int, radii=(1.0, 10.0, 100.0), n_samples: int = 2048,
-              seed: int = 99, tol: float = 1e-9) -> None:
-        rng = np.random.default_rng(seed)
-        for m in radii:
-            s = rng.uniform(-m, m, size=(r, n_samples))
-            t = rng.uniform(-m, m, size=(r, n_samples))
+    def audit(self, r: int) -> None:
+        rng = np.random.default_rng(99)
+        for m in (1.0, 10.0, 100.0):
+            s = rng.uniform(-m, m, size=(r, 2048))
+            t = rng.uniform(-m, m, size=(r, 2048))
             ks, kt = self.fn(s), self.fn(t)
             growth = self.c1 + self.c2 * np.sum(np.abs(s), axis=0)
-            if np.any(np.abs(ks) > growth + tol):
+            if np.any(np.abs(ks) > growth + 1e-9):
                 i = int(np.argmax(np.abs(ks) - growth))
                 raise AuditError("growth",
                                  f"coupling |k|={abs(ks[i]):.6g} exceeds "
                                  f"{self.c1}+{self.c2}*sum|s| at sample {i}")
             L = self.lipschitz(m)
             lip = L * np.sum(np.abs(s - t), axis=0)
-            if np.any(np.abs(ks - kt) > lip + tol):
+            if np.any(np.abs(ks - kt) > lip + 1e-9):
                 i = int(np.argmax(np.abs(ks - kt) - lip))
                 raise AuditError("lipschitz",
                                  f"coupling increment {abs(ks[i]-kt[i]):.6g} exceeds "
@@ -322,8 +308,7 @@ def coupling_linear(row: np.ndarray) -> CouplingTerm:
 class ReactionSystem:
     """F_l(u)(x) = h_l(x, u_l(x)) + k_l(x, u_1(x), ..., u_r(x))."""
 
-    def __init__(self, drifts, couplings, audit: bool = True,
-                 audit_radii=(1.0, 10.0, 100.0)):
+    def __init__(self, drifts, couplings, audit: bool = True):
         if len(drifts) != len(couplings):
             raise AuditError("component-count",
                              f"{len(drifts)} drifts vs {len(couplings)} couplings")
@@ -342,7 +327,7 @@ class ReactionSystem:
         if audit:
             for k in self.couplings:
                 base = k.base if isinstance(k, TruncatedCoupling) else k
-                base.audit(self.r, radii=audit_radii)
+                base.audit(self.r)
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -430,19 +415,16 @@ class QuasiPositivityReport:
     passed: bool
     witness: tuple | None
     audit_margin_min: float
-    lipschitz_used: float
-    samples: int
 
 
 def check_quasi_positive(sys: ReactionSystem, grid_samples: int = 10_000,
                          range_m: float = 1.0, seed: int = 2024,
-                         lipschitz_m: float | None = None,
-                         tol: float = 1e-9) -> QuasiPositivityReport:
+                         lipschitz_m: float | None = None) -> QuasiPositivityReport:
     """Sample-based quasi-positivity check plus its Lipschitz consequence.
 
     Phase 1 samples states with s_l = 0 and s_j >= 0 elsewhere and requires
     F_l >= 0 (witness returned on failure).  Phase 2 samples s_l <= 0 in
-    [-m, m]^r and audits -F_l <= L_m * sum_j s_j^- + tol.
+    [-m, m]^r and audits -F_l <= L_m * sum_j s_j^- + 1e-9.
     """
     if not range_m > 0:
         raise ValueError("range_m must be positive")
@@ -461,15 +443,15 @@ def check_quasi_positive(sys: ReactionSystem, grid_samples: int = 10_000,
         if np.any(vals < -1e-12):
             i = int(np.argmin(vals))
             return QuasiPositivityReport(False, (l, s[:, i].copy(), float(vals[i])),
-                                         float("nan"), L, grid_samples)
+                                         float("nan"))
         t = rng.uniform(-range_m, range_m, size=(sys.r, grid_samples))
         t[l] = -np.abs(t[l])
         neg_part = np.sum(np.maximum(-t, 0.0), axis=0)
-        margins = L * neg_part + tol - (-sys.evaluate_samples(l, t, cells))
+        margins = L * neg_part + 1e-9 - (-sys.evaluate_samples(l, t, cells))
         margin_min = min(margin_min, float(np.min(margins)))
         if margin_min < 0:
-            return QuasiPositivityReport(False, None, margin_min, L, grid_samples)
-    return QuasiPositivityReport(True, None, margin_min, L, grid_samples)
+            return QuasiPositivityReport(False, None, margin_min)
+    return QuasiPositivityReport(True, None, margin_min)
 
 
 # ---------------------------------------------------------------------------

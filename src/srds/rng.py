@@ -78,7 +78,15 @@ _MAX_MODE = 1 << 16
 _MAX_PATH = 1 << 32
 
 
+def valid_seed(master_seed) -> bool:
+    """True for an integer (not a bool) in [0, 2^64), the Philox key range."""
+    return (isinstance(master_seed, (int, np.integer))
+            and not isinstance(master_seed, bool) and 0 <= master_seed < 1 << 64)
+
+
 def _stream_key(master_seed: int, path_index: int, component: int, mode: int) -> np.ndarray:
+    if not valid_seed(master_seed):
+        raise ValueError(f"master_seed {master_seed!r} is not an integer in [0, 2^64)")
     if not 0 <= component < _MAX_MODE:
         raise ValueError(f"component {component} outside [0, {_MAX_MODE})")
     if not 0 <= mode < _MAX_MODE:
@@ -86,7 +94,7 @@ def _stream_key(master_seed: int, path_index: int, component: int, mode: int) ->
     if not 0 <= path_index < _MAX_PATH:
         raise ValueError(f"path_index {path_index} outside [0, {_MAX_PATH})")
     lane = (path_index << 32) | (component << 16) | mode
-    return np.array([master_seed & 0xFFFFFFFFFFFFFFFF, lane], dtype=np.uint64)
+    return np.array([master_seed, lane], dtype=np.uint64)
 
 
 def uniform_stream(master_seed: int, path_index: int, component: int, mode: int,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SolverFailure
 from .grid import DomainGrid
-from .noise import NoiseModel
+from .noise import HolderFunction, NoiseModel
 from .operators import EllipticOperator
 from .reaction import ReactionSystem, TruncatedCoupling, TruncatedDrift
 from .rng import WienerPath
@@ -135,11 +135,6 @@ class Trajectory:
     def e_norms(self) -> np.ndarray:
         """Full-resolution E-norm history sum_l ||u_l||_inf."""
         return self.sup_norms.sum(axis=1)
-
-    def state_at_step(self, step: int) -> np.ndarray:
-        if step % self.store_stride:
-            raise ValueError(f"step {step} not stored at stride {self.store_stride}")
-        return self.states[step // self.store_stride]
 
 
 def dyadic_level(dt: float, dt_fine: float) -> int:
@@ -261,12 +256,20 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
 
 
 class _FrozenAmplitude:
-    def __init__(self, fn, level: float):
-        self.fn = fn
+    def __init__(self, base: HolderFunction, level: float):
+        self.base = base  # the untruncated amplitude
         self.level = float(level)
 
     def __call__(self, s):
-        return self.fn(np.clip(s, -self.level, self.level))
+        return self.base.fn(np.clip(s, -self.level, self.level))
+
+
+def _truncate_amplitude(g: HolderFunction, level: float) -> HolderFunction:
+    """g frozen beyond |s| = level; an already truncated g is re-levelled
+    from its untruncated amplitude, as drifts and couplings are."""
+    base = g.fn.base if isinstance(g.fn, _FrozenAmplitude) else g
+    return replace(base, fn=_FrozenAmplitude(base, level),
+                   name=f"{base.name}|trunc:{level}")
 
 
 def truncate_problem(problem: Problem, level: float) -> Problem:
@@ -282,10 +285,8 @@ def truncate_problem(problem: Problem, level: float) -> Problem:
                                    level)
                  for k in problem.reaction.couplings]
     reaction = ReactionSystem(drifts, couplings, audit=False)
-    noise = NoiseModel(tuple(
-        replace(c, g=replace(c.g, fn=_FrozenAmplitude(c.g.fn, level),
-                             name=f"{c.g.name}|trunc:{level}"))
-        for c in problem.noise.components))
+    noise = NoiseModel(tuple(replace(c, g=_truncate_amplitude(c.g, level))
+                             for c in problem.noise.components))
     return replace(problem, reaction=reaction, noise=noise)
 
 
@@ -303,7 +304,6 @@ class LadderReport:
     exit_steps: list[int]
     exit_times: list[float]
     consistent: bool
-    first_disagreement: tuple[float, float, int] | None  # (level_a, level_b, step)
 
 
 def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
@@ -322,28 +322,18 @@ def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
              for n in levels]
     exits = [exit_index(t, n) for t, n in zip(trajs, levels)]
 
-    consistent = True
-    disagreement = None
     stride = run_cfg.store_stride
     for (na, ta, ea), (nb, tb, eb) in zip(zip(levels, trajs, exits),
                                           zip(levels[1:], trajs[1:], exits[1:])):
         upto = min(ea, eb)
-        if not np.array_equal(ta.sup_norms[:upto + 1], tb.sup_norms[:upto + 1]):
-            diff = np.nonzero(np.any(ta.sup_norms[:upto + 1] != tb.sup_norms[:upto + 1],
-                                     axis=1))[0]
-            consistent = False
-            disagreement = (na, nb, int(diff[0]))
-            break
         n_stored = upto // stride + 1
-        if not np.array_equal(ta.states[:n_stored], tb.states[:n_stored]):
-            consistent = False
-            disagreement = (na, nb, -1)
-            break
-
-    if not consistent:
-        raise SolverFailure("ladder-inconsistency",
-                            f"levels {disagreement[0]}/{disagreement[1]} disagree "
-                            f"at step {disagreement[2]}")
+        differs = np.nonzero(np.any(ta.sup_norms[:upto + 1] != tb.sup_norms[:upto + 1],
+                                    axis=1))[0]
+        if differs.size or not np.array_equal(ta.states[:n_stored], tb.states[:n_stored]):
+            # step -1: equal norms, different stored states
+            at = int(differs[0]) if differs.size else -1
+            raise SolverFailure("ladder-inconsistency",
+                                f"levels {na}/{nb} disagree at step {at}")
 
     top = trajs[-1]
     cut = exits[-1]
@@ -363,7 +353,7 @@ def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
     )
     report = LadderReport(levels=levels, exit_steps=exits,
                           exit_times=[e * config.dt for e in exits],
-                          consistent=True, first_disagreement=None)
+                          consistent=True)
     return glued, report
 
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .config import config_block
 from .errors import AuditError
 from .experiments import (ExperimentReport, _provenance, _zero_noise,
                           moment_experiment, positivity_experiment,
@@ -267,4 +268,5 @@ def run_suite(name: str, problem: Problem, config: SolverConfig,
         raise AuditError("suite", f"unknown suite {name!r}")
     params = dict(params)
     params.pop("name", None)
-    return SUITES[name](problem, config, initial, params, master_seed)
+    with config_block("experiment"):
+        return SUITES[name](problem, config, initial, params, master_seed)

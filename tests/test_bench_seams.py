@@ -49,3 +49,29 @@ def test_tracer_sees_every_path_and_step(tmp_path):
         assert s["calls"]["solver.step"] == 2 * 2 * 20
     finally:
         tracer.restore()
+
+
+def test_shared_work_is_done_once(tmp_path):
+    import srds.cli
+
+    uniqueness = _config(tmp_path, "uniqueness",
+                         {"name": "uniqueness", "n_paths": 3, "eps_list": [1e-1],
+                          "cauchy_paths": 2, "cauchy_refinements": 1})
+    ensemble = _config(tmp_path, "ensemble-once", {})
+    srds.cli._cached_problem.cache_clear()  # an earlier in-process run may have built it
+    tracer = _tracer.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "uniqueness", "--config", uniqueness,
+                     "--out", str(tmp_path / "out")]) in (0, 1)  # any verdict
+        s = tracer.summary()
+        assert s["calls"]["experiments"] == 1
+        # each twin path is sampled once and shared by base, twin and eps runs
+        assert s["calls"]["rng.sample_path"] == 3 + 2
+
+        tracer.clear()
+        assert main(["ensemble", "--config", ensemble, "--paths", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert tracer.summary()["calls"]["config.build_problem"] == 1
+    finally:
+        tracer.restore()

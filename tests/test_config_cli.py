@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srds import build_problem, config_digest, preset, preset_fhn, validate_config
 from srds.cli import main
@@ -370,3 +377,87 @@ def test_ensemble_seed_recorded(tmp_path, out_root):
     assert run["master_seed"] == 5
     assert run["n_paths"] == 2
     assert "config_digest" in run and "tool_version" in run
+
+
+# --- values of the wrong type or out of range ------------------------------------------
+
+
+BAD_VALUES = [
+    ("simulate", ("noise", "modes"), "eight", "noise"),
+    ("simulate", ("noise", "scale"), "big", "noise"),
+    ("simulate", ("noise", "lambdas"), "power:x", "noise"),
+    ("simulate", ("grid", "n_cells"), None, "grid"),
+    ("simulate", ("operators", 0, "a"), "x", "operators"),
+    ("simulate", ("initial", "values"), ["a", "b"], "initial"),
+    ("simulate", ("solver", "sup_cap"), "x", "solver"),
+    ("simulate", ("master_seed",), "x", "master_seed"),
+    ("simulate", ("master_seed",), -1, "master_seed"),
+    ("simulate", ("master_seed",), 1 << 64, "master_seed"),
+    ("verify uniqueness", ("experiment",), {"name": "uniqueness", "n_paths": "many"},
+     "experiment"),
+    ("verify moments", ("experiment",), {"name": "moments", "levels": "x"}, "experiment"),
+    ("verify uniqueness", ("experiment",), {"name": "uniqueness", "eps_list": ["a"]},
+     "experiment"),
+    ("verify uniqueness", ("experiment",), {"name": "uniqueness", "n_paths": 0},
+     "experiment"),
+]
+
+
+def _set(cfg, keys, value):
+    for k in keys[:-1]:
+        cfg = cfg[k]
+    cfg[keys[-1]] = value
+
+
+@pytest.mark.parametrize("command,keys,value,reason", BAD_VALUES,
+                         ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}={c[2]!r}"
+                              for c in BAD_VALUES])
+def test_bad_value_exits_two(tmp_path, out_root, capsys, command, keys, value,
+                             reason):
+    cfg = quick_preset()
+    _set(cfg, keys, value)
+    assert main([*command.split(), "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert f"code=2 kind=config reason={reason} " in err
+
+
+def test_negative_seed_flag_exits_two(tmp_path, out_root, capsys):
+    cfg_path = write_config(tmp_path, quick_preset())
+    assert main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 2
+    assert "reason=master_seed" in capsys.readouterr().err
+
+
+# every leaf and every block of the quick preset, as key paths
+def _key_paths(node, prefix=()):
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield from _key_paths(v, prefix + (k,))
+
+
+FUZZ_KEYS = [p for p in _key_paths(quick_preset(t_end=0.01)) if p]
+# small values only: a mutated grid, mode count or step count stays cheap
+FUZZ_VALUES = [None, True, False, -1, 0, 0.5, 2, "", "x", [], {}, ["x"], [2, 2]]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutations=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
+                                    st.sampled_from(FUZZ_VALUES)),
+                          min_size=1, max_size=3))
+def test_mutated_preset_ends_in_the_exit_taxonomy(mutations):
+    cfg = quick_preset(t_end=0.01)
+    for keys, value in mutations:
+        try:
+            _set(cfg, keys, copy.deepcopy(value))
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation replaced a block on this key path
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        cfg_path = write_config(Path(tmp), cfg)
+        code = main(["simulate", "--config", cfg_path, "--out", tmp])
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("srds-error:") == (code != 0)
+    assert "Traceback" not in err.getvalue()

@@ -99,3 +99,17 @@ def test_binary_header_layout(tmp_path):
     assert np.frombuffer(raw[:32], dtype="<u8").tolist() == [1, 1, 1, 2]
     assert np.frombuffer(raw[32:40], dtype="<f8")[0] == 0.5
     assert len(raw) == 40 + 2 * 8
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 2.0, "7", True, None])
+def test_master_seed_outside_key_range_rejected(seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        sample_path(seed, 1, 1, 4, 1e-2)
+    with pytest.raises(ValueError, match="master_seed"):
+        uniform_stream(seed, 0, 0, 0, 4)
+
+
+def test_largest_master_seed_accepted():
+    top = sample_path((1 << 64) - 1, 1, 2, 4, 1e-2)
+    assert top.master_seed == (1 << 64) - 1
+    assert not np.array_equal(top.increments, sample_path(0, 1, 2, 4, 1e-2).increments)

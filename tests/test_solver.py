@@ -410,3 +410,19 @@ def test_dyadic_level_rejects_other_ratios(ratio, dt_fine):
     assume(ratio < 1.0 - 1e-6 or abs(ratio - near) > 1e-6 * ratio)
     with pytest.raises(ValueError, match="power-of-two"):
         dyadic_level(ratio * dt_fine, dt_fine)
+
+
+def test_retruncation_relevels_every_term():
+    from srds import build_problem, preset_fhn
+
+    prob, _, _ = build_problem(preset_fhn())
+    direct = truncate_problem(prob, 8.0)
+    again = truncate_problem(truncate_problem(prob, 4.0), 8.0)
+    assert again.digest() == direct.digest()
+    s = np.array([0.5, 3.0, 6.0, 12.0])
+    for a, b in zip(again.noise.components, direct.noise.components):
+        assert np.array_equal(a.g(s), b.g(s))
+        assert a.g.name == b.g.name
+    assert again.noise.components[0].g(np.array([6.0]))[0] == np.sqrt(6.0)
+    u = np.array([[6.0, -7.0], [1.0, 0.5]])
+    assert np.array_equal(again.reaction.evaluate(u), direct.reaction.evaluate(u))
