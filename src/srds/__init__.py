@@ -19,7 +19,7 @@ from .rng import (WienerPath, gaussian_entry, load_path, normal_inverse,
 from .noise import (ComponentNoise, HolderFunction, LinearModulus, NoiseModel,
                     SpectralBasis, apply_noise, build_noise,
                     cosine_neumann_basis, named_g, osgood_check,
-                    osgood_check_model, table_basis)
+                    osgood_check_model)
 from .reaction import (CouplingTerm, F1F2Certificate, PolynomialDrift,
                        ReactionSystem, check_f1_f2, check_quasi_positive,
                        coupling_linear, coupling_none, dissipativity_gap,

@@ -25,8 +25,8 @@ from ._version import __version__
 from .config import (build_problem, config_block, config_digest, load_config,
                      preset, validate_config)
 from .errors import AuditError, ConfigError, SolverFailure
-from .rng import sample_path
-from .solver import dyadic_level, save_trajectory, simulate
+from .rng import MAX_PATH, sample_path
+from .solver import TRAJECTORY_FORMATS, dyadic_level, save_trajectory, simulate
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -81,6 +81,8 @@ def _path_resolution(cfg: dict, solver_cfg) -> tuple[int, float]:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    if not 0 <= args.path_index < MAX_PATH:
+        raise ConfigError("flags", f"--path-index must be in [0, {MAX_PATH})")
     problem, initial, solver_cfg = build_problem(cfg)
     with config_block("output"):
         # snapshot stride: about 64 stored samples per run unless configured
@@ -88,7 +90,14 @@ def cmd_simulate(args) -> int:
         if out_stride is None:
             out_stride = max(1, solver_cfg.n_steps // 64)
         solver_cfg = replace(solver_cfg, store_stride=int(out_stride))
-        fmt = (cfg.get("output", {}).get("formats") or ["auto"])[0]
+        formats = cfg.get("output", {}).get("formats")
+        if formats is None:
+            formats = ["auto"]
+        if not (isinstance(formats, list) and formats
+                and formats[0] in TRAJECTORY_FORMATS):
+            raise ConfigError("output", "formats must be a list whose first entry is "
+                                        f"one of {TRAJECTORY_FORMATS}, got {formats!r}")
+        fmt = formats[0]
     n_fine, dt_fine = _path_resolution(cfg, solver_cfg)
     path = sample_path(cfg["master_seed"], problem.r, problem.noise.modes,
                        n_fine, dt_fine, path_index=args.path_index)

@@ -21,7 +21,7 @@ from .noise import (NoiseModel, build_noise, cosine_neumann_basis, named_g)
 from .operators import (CoefficientField, assemble_operator,
                         coefficient_field_from_csv)
 from .reaction import (PolynomialDrift, ReactionSystem, coupling_linear,
-                       coupling_none, fhn_system)
+                       coupling_none, fhn_couplings, fhn_system)
 from .rng import valid_seed
 from .solver import Problem, SolverConfig
 
@@ -121,8 +121,8 @@ def _build_reaction(block: dict, r: int) -> ReactionSystem:
     elif name == "fhn":
         if r != 2:
             raise ConfigError("reaction", "fhn coupling needs exactly 2 components")
-        return fhn_system(a=float(coupling_cfg.get("a", 1.0)),
-                          b=float(coupling_cfg.get("b", 1.0)))
+        couplings = fhn_couplings(float(coupling_cfg.get("a", 1.0)),
+                                  float(coupling_cfg.get("b", 1.0)))
     else:
         raise ConfigError("reaction", f"unknown coupling {name!r}")
     return ReactionSystem(drifts, couplings)

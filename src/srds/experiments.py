@@ -372,6 +372,8 @@ def moment_experiment(problem: Problem, config: SolverConfig, p: float,
     """
     if not p > 2:
         raise ValueError("moment exponent must satisfy p > 2")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     levels = [float(n) for n in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be increasing")

@@ -1,4 +1,4 @@
-"""Sparse symmetric solves: Jacobi-preconditioned CG and cached direct factors."""
+"""Sparse symmetric solves: prefactorized SuperLU, and Jacobi-CG as a reference."""
 
 from __future__ import annotations
 
@@ -12,7 +12,9 @@ from .errors import SolverFailure
 def jacobi_cg(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     """Conjugate gradient with diagonal preconditioning for SPD ``A``.
 
-    Converges when ||r||_2 <= 1e-10 * ||b||_2 within 10 n + 100 iterations.
+    Not used by the library's solves; kept as the independent reference
+    the tests check the SuperLU factor against.  Converges when
+    ||r||_2 <= 1e-10 * ||b||_2 within 10 n + 100 iterations.
     Deterministic: fixed iteration order, no randomness.
     """
     maxiter = 10 * A.shape[0] + 100
@@ -50,17 +52,13 @@ class ShiftedSolve:
 
     The factorization is computed once; `solve` is then a deterministic
     direct triangular solve, reused across all time steps of a simulation.
-    A `cg` method with the same matrix is kept for cross-checking.
     """
 
     def __init__(self, A: sp.spmatrix, dt: float):
         self.dt = float(dt)
         n = A.shape[0]
-        self.matrix = (sp.identity(n, format="csr") - dt * A).tocsr()
-        self._lu = spla.splu(self.matrix.tocsc())
+        matrix = (sp.identity(n, format="csr") - dt * A).tocsr()
+        self._lu = spla.splu(matrix.tocsc())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(b)
-
-    def cg(self, b: np.ndarray) -> np.ndarray:
-        return jacobi_cg(self.matrix, b)

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AuditError
 from .grid import DomainGrid
+from .mollifier import _osgood_integral
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +84,6 @@ def cosine_neumann_basis(grid: DomainGrid, modes: int) -> SpectralBasis:
             vals[i] = np.outer(rows0[k0], rows1[k1]).ravel()
             sup[i] = axis_sup(0, k0) * axis_sup(1, k1)
     return SpectralBasis(kind="cosine-neumann", grid=grid, values=vals, sup_norms=sup)
-
-
-def table_basis(grid: DomainGrid, values: np.ndarray) -> SpectralBasis:
-    values = np.asarray(values, dtype=float)
-    sup = np.max(np.abs(values), axis=1)
-    return SpectralBasis(kind="user-table", grid=grid, values=values, sup_norms=sup)
 
 
 # ---------------------------------------------------------------------------
@@ -286,31 +280,17 @@ class NoiseModel:
         return b"|".join(c.descriptor() for c in self.components)
 
 
-def build_noise(basis, lambdas, g, audit: bool = True) -> NoiseModel:
-    """Assemble a NoiseModel; arguments may be singletons or per-component lists.
+def build_noise(bases, lambdas, gs, audit: bool = True) -> NoiseModel:
+    """Assemble a NoiseModel from per-component bases, lambdas and amplitudes.
 
     The declared growth/Hölder constants of each amplitude are audited on
     seeded samples unless ``audit=False``.
     """
-    def listify(x):
-        return list(x) if isinstance(x, (list, tuple)) else [x]
-
-    bases = listify(basis)
-    if isinstance(lambdas, (list, tuple)) and len(lambdas) \
-            and isinstance(lambdas[0], (list, tuple, np.ndarray)):
-        lams = list(lambdas)
-    else:
-        lams = [lambdas]
-    gs = listify(g)
-    r = max(len(bases), len(lams), len(gs))
-    if len(bases) == 1:
-        bases = bases * r
-    if len(lams) == 1:
-        lams = lams * r
-    if len(gs) == 1:
-        gs = gs * r
+    if not len(bases) == len(lambdas) == len(gs):
+        raise ValueError(f"need one basis, lambda vector and amplitude per component, "
+                         f"got {len(bases)}, {len(lambdas)} and {len(gs)}")
     comps = []
-    for b, lam, gg in zip(bases, lams, gs):
+    for b, lam, gg in zip(bases, lambdas, gs):
         if audit:
             gg.audit()
         comps.append(ComponentNoise(basis=b, lambdas=np.asarray(lam, dtype=float), g=gg))
@@ -348,16 +328,7 @@ def osgood_check(rho, eps_grid) -> dict:
     if np.any(~np.isfinite(probe)) or np.any(probe <= 0):
         raise ValueError("rho must be positive and finite on (0, 1]")
 
-    def integrand(y):
-        s = math.exp(y)
-        return s / float(rho(np.asarray(s)))
-
-    values = []
-    for e in eps:
-        # integrate 1/rho in log space: s = e^y
-        val, _ = quad(integrand, math.log(e), 0.0, limit=400)
-        values.append(val)
-    values = np.asarray(values)
+    values = np.asarray([_osgood_integral(rho, e, 1.0) for e in eps])
     x = np.log(1.0 / eps)
     increasing = bool(np.all(np.diff(values) > -1e-12))
     slopes = np.diff(values) / np.diff(x)

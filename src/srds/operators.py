@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .errors import AuditError
 from .grid import DomainGrid
-from .linalg import ShiftedSolve, jacobi_cg
+from .linalg import ShiftedSolve
 
 
 @dataclass(frozen=True)
@@ -193,33 +193,22 @@ def assemble_operator(grid: DomainGrid, coeffs: CoefficientField) -> EllipticOpe
     return EllipticOperator(grid, coeffs, matrix)
 
 
-def apply_resolvent(op: EllipticOperator, lam: float, f: np.ndarray,
-                    method: str = "cg") -> np.ndarray:
-    """Return lam*(lam*I - A)^{-1} f.
+def apply_resolvent(op: EllipticOperator, lam: float, f: np.ndarray) -> np.ndarray:
+    """Return lam*(lam*I - A)^{-1} f = (I - A/lam)^{-1} f.
 
-    For c >= 0 and lam > 0 the shifted matrix is SPD and the output sup norm
-    never exceeds that of f.
+    For c >= 0 and lam > 0 the output sup norm never exceeds that of f.  The
+    factor is not cached, so a sweep over lam leaves none behind.
     """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    n = op.matrix.shape[0]
-    M = (lam * sp.identity(n, format="csr") - op.matrix).tocsr()
-    if method == "cg":
-        return lam * jacobi_cg(M, np.asarray(f, dtype=float))
-    import scipy.sparse.linalg as spla
-
-    return lam * spla.spsolve(M.tocsc(), np.asarray(f, dtype=float))
+    return ShiftedSolve(op.matrix, 1.0 / lam).solve(np.asarray(f, dtype=float))
 
 
-def semigroup_step(op: EllipticOperator, dt: float, u: np.ndarray,
-                   method: str = "cg") -> np.ndarray:
+def semigroup_step(op: EllipticOperator, dt: float, u: np.ndarray) -> np.ndarray:
     """One backward-Euler semigroup step: (I - dt*A)^{-1} u."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    st = op.stepper(dt)
-    if method == "cg":
-        return st.cg(np.asarray(u, dtype=float))
-    return st.solve(np.asarray(u, dtype=float))
+    return op.stepper(dt).solve(np.asarray(u, dtype=float))
 
 
 def evolve_semigroup(op: EllipticOperator, t: float, u: np.ndarray,

@@ -471,18 +471,22 @@ class _FhnK2:
         return self.a * s[0] - self.b * s[1]
 
 
+def fhn_couplings(a: float, b: float) -> list[CouplingTerm]:
+    """The FitzHugh-Nagumo couplings k1 = v and k2 = a*u - b*v."""
+    if not (a > 0 and b > 0):
+        raise AuditError("fhn-parameters", f"a={a}, b={b} must be positive")
+    return [CouplingTerm(_fhn_k1, 0.0, 1.0, 1.0, name="fhn-k1"),
+            CouplingTerm(_FhnK2(a, b), 0.0, max(a, b), max(a, b), name="fhn-k2")]
+
+
 def fhn_system(a: float = 1.0, b: float = 1.0) -> ReactionSystem:
     """FitzHugh-Nagumo reaction: f1 = u - u^3 + v, f2 = a*u - b*v.
 
     Split as h1(s) = s - s^3 with coupling v, h2 = 0 with coupling a*u - b*v.
     Quasi-positivity is certified at construction.
     """
-    if not (a > 0 and b > 0):
-        raise AuditError("fhn-parameters", f"a={a}, b={b} must be positive")
     h1 = PolynomialDrift([1.0, 0.0, -1.0], epsilon_lead=1.0)
-    k1 = CouplingTerm(_fhn_k1, 0.0, 1.0, 1.0, name="fhn-k1")
-    k2 = CouplingTerm(_FhnK2(a, b), 0.0, max(a, b), max(a, b), name="fhn-k2")
-    sys = ReactionSystem([h1, None], [k1, k2])
+    sys = ReactionSystem([h1, None], fhn_couplings(a, b))
     report = check_quasi_positive(sys, grid_samples=2000, range_m=5.0,
                                   lipschitz_m=max(1.0, a, b) * sys.r)
     if not report.passed:

@@ -75,7 +75,7 @@ def normal_inverse(p: np.ndarray) -> np.ndarray:
 
 
 _MAX_MODE = 1 << 16
-_MAX_PATH = 1 << 32
+MAX_PATH = 1 << 32
 
 
 def valid_seed(master_seed) -> bool:
@@ -91,8 +91,8 @@ def _stream_key(master_seed: int, path_index: int, component: int, mode: int) ->
         raise ValueError(f"component {component} outside [0, {_MAX_MODE})")
     if not 0 <= mode < _MAX_MODE:
         raise ValueError(f"mode {mode} outside [0, {_MAX_MODE})")
-    if not 0 <= path_index < _MAX_PATH:
-        raise ValueError(f"path_index {path_index} outside [0, {_MAX_PATH})")
+    if not 0 <= path_index < MAX_PATH:
+        raise ValueError(f"path_index {path_index} outside [0, {MAX_PATH})")
     lane = (path_index << 32) | (component << 16) | mode
     return np.array([master_seed, lane], dtype=np.uint64)
 

@@ -410,6 +410,9 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
 # snapshot output
 
 
+TRAJECTORY_FORMATS = ("auto", "csv", "raw")
+
+
 def save_trajectory(traj: Trajectory, out_dir, fmt: str = "auto",
                     grid: DomainGrid | None = None) -> dict:
     """Write snapshots plus a JSON manifest sufficient to reproduce the run.
@@ -419,6 +422,8 @@ def save_trajectory(traj: Trajectory, out_dir, fmt: str = "auto",
     """
     from pathlib import Path
 
+    if fmt not in TRAJECTORY_FORMATS:
+        raise ValueError(f"unknown trajectory format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_cells = traj.states.shape[2]

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from srds import build_problem, config_digest, preset, preset_fhn, validate_config
 from srds.cli import main
 from srds.errors import ConfigError
+from srds.rng import MAX_PATH
+from srds.verify import run_suite
 
 
 @pytest.fixture()
@@ -106,6 +108,15 @@ def test_general_reaction_block():
     out = problem.reaction.evaluate(np.array([[1.0], [0.0]]))
     assert out[0, 0] == pytest.approx(0.0)
     assert out[1, 0] == pytest.approx(1.0)
+
+
+def test_fhn_coupling_keeps_configured_drifts():
+    cfg = quick_preset()
+    cfg["reaction"] = {"drifts": [[1.0, 0.0, -3.0], []], "coupling": {"name": "fhn"}}
+    problem, _, _ = build_problem(cfg)
+    out = problem.reaction.evaluate(np.array([[2.0], [2.0]]))
+    assert out[0, 0] == pytest.approx(-20.0)  # 2 - 3 * 2^3 + 2
+    assert out[1, 0] == pytest.approx(0.0)  # 2 - 2
 
 
 def test_cosine_initial():
@@ -220,6 +231,13 @@ def test_verify_operator_pass(tmp_path, out_root):
     cfg["experiment"] = {"name": "operator", "trials": 50}
     cfg_path = write_config(tmp_path, cfg)
     assert main(["verify", "operator", "--config", cfg_path]) == 0
+
+
+def test_verify_operator_keeps_no_trial_factors():
+    problem, initial, solver_cfg = build_problem(quick_preset())
+    report = run_suite("operator", problem, solver_cfg, initial, {"trials": 100}, 42)
+    assert report.verdict
+    assert all(len(op._steppers) < 50 for op in problem.operators)
 
 
 def test_verify_noise_pass(tmp_path, out_root):
@@ -400,6 +418,9 @@ BAD_VALUES = [
      "experiment"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "n_paths": 0},
      "experiment"),
+    ("simulate", ("output", "formats"), "csv", "output"),
+    ("simulate", ("output", "formats"), ["xml"], "output"),
+    ("verify moments", ("experiment",), {"name": "moments", "n_paths": 0}, "experiment"),
 ]
 
 
@@ -426,6 +447,21 @@ def test_negative_seed_flag_exits_two(tmp_path, out_root, capsys):
     cfg_path = write_config(tmp_path, quick_preset())
     assert main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 2
     assert "reason=master_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [-1, MAX_PATH])
+def test_path_index_flag_outside_key_range_exits_two(tmp_path, out_root, capsys, index):
+    cfg_path = write_config(tmp_path, quick_preset())
+    assert main(["simulate", "--config", cfg_path, "--path-index", str(index)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert "code=2 kind=config reason=flags " in err
+
+
+def test_largest_path_index_flag_accepted(tmp_path, out_root):
+    cfg_path = write_config(tmp_path, quick_preset())
+    assert main(["simulate", "--config", cfg_path,
+                 "--path-index", str(MAX_PATH - 1)]) == 0
 
 
 # every leaf and every block of the quick preset, as key paths

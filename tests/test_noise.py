@@ -140,6 +140,13 @@ def test_mode_count_mismatch():
         build_noise([basis], [np.ones(5)], [named_g("sqrt-abs")])
 
 
+def test_component_count_mismatch_rejected():
+    grid = build_grid(1, [1.0], [16])
+    basis = cosine_neumann_basis(grid, 4)
+    with pytest.raises(ValueError, match="per component"):
+        build_noise([basis] * 2, [np.ones(4)] * 2, [named_g("sqrt-abs")])
+
+
 # --- Osgood verdicts --------------------------------------------------------
 
 EPS_GRID = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]

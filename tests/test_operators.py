@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srds import (CoefficientField, apply_resolvent, assemble_operator,
                   build_grid, coefficient_field_from_csv, dump_spectrum_csv,
                   evolve_semigroup, semigroup_step, smoothing_profile)
 from srds.errors import AuditError
+from srds.linalg import jacobi_cg
 
 
 def poisson_1d(n, a=1.0, c=0.0):
@@ -165,14 +169,15 @@ def test_semigroup_maximum_principle():
 
 def test_cg_and_direct_agree():
     op = poisson_1d(48)
+    eye = sp.identity(48, format="csr")
     rng = np.random.default_rng(5)
     u = rng.standard_normal(48)
-    a = semigroup_step(op, 0.05, u, method="cg")
-    b = op.stepper(0.05).solve(u)
+    a = jacobi_cg((eye - 0.05 * op.matrix).tocsr(), u)
+    b = semigroup_step(op, 0.05, u)
     assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(b)))
     f = rng.standard_normal(48)
-    rc = apply_resolvent(op, 7.0, f, method="cg")
-    rd = apply_resolvent(op, 7.0, f, method="direct")
+    rc = 7.0 * jacobi_cg((7.0 * eye - op.matrix).tocsr(), f)
+    rd = apply_resolvent(op, 7.0, f)
     assert np.max(np.abs(rc - rd)) <= 1e-9 * max(1.0, np.max(np.abs(rd)))
 
 
@@ -224,3 +229,45 @@ def test_2d_operator_kernel_and_contraction():
     u = rng.uniform(-1, 1, size=g.n_total)
     v = op.stepper(0.05).solve(u)
     assert np.max(np.abs(v)) <= np.max(np.abs(u)) * (1 + 1e-12)
+
+
+# --- properties of the one (I - dt A) solver on random diagonal fields -------------
+
+
+@st.composite
+def random_operators(draw):
+    """1D or 2D grid of at most 16^2 cells, a in [eta, M] per cell and axis, c >= 0."""
+    dim = draw(st.sampled_from([1, 2]))
+    n_cells = draw(st.lists(st.integers(2, 16), min_size=dim, max_size=dim))
+    extents = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    eta = draw(st.floats(0.1, 1.0))
+    m_bound = eta * draw(st.floats(1.0, 10.0))
+    c_max = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = build_grid(dim, extents, n_cells)
+    a = rng.uniform(eta, m_bound, size=(grid.n_total, dim))
+    c = rng.uniform(0.0, c_max, size=grid.n_total)
+    op = assemble_operator(grid, CoefficientField.from_arrays(grid, a, c, eta, m_bound))
+    return op, rng
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=random_operators(), dt=st.floats(1e-4, 1.0))
+def test_semigroup_step_is_sup_contractive_and_positive(case, dt):
+    op, rng = case
+    u = rng.uniform(-1.0, 1.0, size=op.grid.n_total)
+    v = semigroup_step(op, dt, u)
+    assert np.max(np.abs(v)) <= np.max(np.abs(u)) * (1 + 1e-12)
+    w = semigroup_step(op, dt, np.abs(u))
+    assert w.min() >= -1e-13
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=random_operators(), lam=st.floats(1.0, 1e3))
+def test_resolvent_matches_cg_reference(case, lam):
+    op, rng = case
+    f = rng.uniform(-1.0, 1.0, size=op.grid.n_total)
+    shifted = (lam * sp.identity(op.grid.n_total, format="csr") - op.matrix).tocsr()
+    ref = lam * jacobi_cg(shifted, f)
+    out = apply_resolvent(op, lam, f)
+    assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
