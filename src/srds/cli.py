@@ -253,7 +253,8 @@ def main(argv=None) -> int:
     except AuditError as exc:
         return _fail(EXIT_AUDIT, "audit", exc.reason, exc.detail)
     except SolverFailure as exc:
-        return _fail(EXIT_RUNTIME, "runtime", exc.reason, exc.detail)
+        where = "" if exc.step is None else f"step {exc.step} "
+        return _fail(EXIT_RUNTIME, "runtime", exc.reason, (where + exc.detail).rstrip())
 
 
 if __name__ == "__main__":

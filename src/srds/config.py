@@ -205,7 +205,13 @@ def build_problem(cfg: dict):
     if not isinstance(op_blocks, list) or not op_blocks:
         raise ConfigError("operators", "need a nonempty per-component list")
     with config_block("operators"):
-        operators = tuple(_build_operator(grid, b) for b in op_blocks)
+        # equal blocks share one operator: one assembly, one stepper cache
+        keys = [json.dumps(b, sort_keys=True) for b in op_blocks]
+        built = {}
+        for key, b in zip(keys, op_blocks):
+            if key not in built:
+                built[key] = _build_operator(grid, b)
+        operators = tuple(built[key] for key in keys)
     r = len(operators)
     with config_block("reaction"):
         reaction = _build_reaction(cfg["reaction"], r)

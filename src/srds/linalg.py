@@ -1,8 +1,10 @@
-"""Sparse symmetric solves: prefactorized SuperLU, and Jacobi-CG as a reference."""
+"""Symmetric (I - dt*A) solves: prefactorized SuperLU, a DCT-II diagonal
+solve for constant-coefficient 2D operators, and Jacobi-CG as a reference."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -62,3 +64,24 @@ class ShiftedSolve:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(b)
+
+
+class SpectralSolve:
+    """Solver for (I - dt*A) x = b where the orthonormal DCT-II diagonalizes A.
+
+    ``spectrum`` holds the eigenvalue of A for each DCT-II mode, shape equal
+    to the cell grid's (C order, the cells' numbering).  A solve is one
+    forward and one inverse transform around a division by 1 - dt*spectrum;
+    nothing is factorized.  It agrees with the SuperLU solve to rounding,
+    not bitwise, and keeps the sign of a nonnegative right-hand side only
+    to rounding (about 1e-16 relative).
+    """
+
+    def __init__(self, spectrum: np.ndarray, dt: float):
+        self.dt = float(dt)
+        self._shape = spectrum.shape
+        self._denom = 1.0 - self.dt * spectrum
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        coef = fft.dctn(b.reshape(self._shape), type=2, norm="ortho")
+        return fft.idctn(coef / self._denom, type=2, norm="ortho").reshape(-1)

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .errors import AuditError
 from .grid import DomainGrid
-from .linalg import ShiftedSolve
+from .linalg import ShiftedSolve, SpectralSolve
 
 
 @dataclass(frozen=True)
@@ -118,17 +118,25 @@ class EllipticOperator:
         self.grid = grid
         self.coeffs = coeffs
         self.matrix = matrix
-        self._steppers: dict[float, ShiftedSolve] = {}
+        self._steppers: dict[float, ShiftedSolve | SpectralSolve] = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u
 
-    def stepper(self, dt: float) -> ShiftedSolve:
-        """Cached prefactorized solver for (I - dt*A)."""
+    def solver(self, dt: float) -> ShiftedSolve | SpectralSolve:
+        """A new, uncached solver for (I - dt*A): the DCT-II diagonal solve
+        when `cosine_spectrum` diagonalizes A, else a SuperLU factor."""
+        spectrum = cosine_spectrum(self.grid, self.coeffs)
+        if spectrum is not None:
+            return SpectralSolve(spectrum, dt)
+        return ShiftedSolve(self.matrix, dt)
+
+    def stepper(self, dt: float) -> ShiftedSolve | SpectralSolve:
+        """Cached `solver` for (I - dt*A), one per dt."""
         key = float(dt)
         st = self._steppers.get(key)
         if st is None:
-            st = ShiftedSolve(self.matrix, key)
+            st = self.solver(key)
             self._steppers[key] = st
         return st
 
@@ -140,6 +148,26 @@ class EllipticOperator:
 
     def descriptor(self) -> bytes:
         return b"elliptic:" + self.coeffs.descriptor()
+
+
+def cosine_spectrum(grid: DomainGrid, coeffs: CoefficientField) -> np.ndarray | None:
+    """Eigenvalues of the assembled A per orthonormal DCT-II mode, shape
+    ``grid.n_cells``, when the grid is 2D and every cell has the same ``a``
+    and ``c``; otherwise None.
+
+    Each axis contributes -2 t (1 - cos(pi k / n)) with t the assembler's
+    face transmissibility.  1D grids return None: their tridiagonal LU
+    factor has no fill and solves faster than a transform of the same length.
+    """
+    if grid.dim != 2 or not (np.all(coeffs.a == coeffs.a[0])
+                             and np.all(coeffs.c == coeffs.c[0])):
+        return None
+    axes = []
+    for axis, (n, h) in enumerate(zip(grid.n_cells, grid.spacing)):
+        a = coeffs.a[0, axis, axis]
+        t = 2.0 * a * a / (a + a) / h**2  # as assemble_operator's face average
+        axes.append(-2.0 * t * (1.0 - np.cos(np.pi * np.arange(n) / n)))
+    return axes[0][:, None] + axes[1][None, :] - coeffs.c[0]
 
 
 def assemble_operator(grid: DomainGrid, coeffs: CoefficientField) -> EllipticOperator:

@@ -183,7 +183,8 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
         rhs = u[l] + dt * Fl + comp.g(noise_at[l]) * comp.modal_field(increments[l][:comp.modes])
         out[l] = steppers[l].solve(rhs)
     if not np.all(np.isfinite(out)):
-        raise SolverFailure("non-finite-state")
+        l, cell = np.argwhere(~np.isfinite(out))[0]
+        raise SolverFailure("non-finite-state", f"component {l} cell {cell}")
     return out
 
 
@@ -229,7 +230,7 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
                 stopping = StoppingRecord(True, cap, i * config.dt, i, "component-max")
                 break
     except SolverFailure as exc:
-        raise SolverFailure(exc.reason, exc.detail, step=i) from None
+        raise SolverFailure(exc.reason, exc.detail, step=i + 1) from None
 
     if stored_idx[-1] != i:
         stored.append(u.copy())

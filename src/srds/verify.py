@@ -18,10 +18,15 @@ from .experiments import (ExperimentReport, _provenance, _zero_noise,
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
 from .noise import NoiseModel, named_g, osgood_check
-from .operators import apply_resolvent, smoothing_profile
+from .operators import apply_resolvent, cosine_spectrum, smoothing_profile
 from .reaction import check_quasi_positive, dissipativity_gap
 from .rng import gaussian_entry, sample_path
 from .solver import Problem, SolverConfig
+
+
+# trials of the DCT-vs-LU cross-check; each builds a SuperLU factor
+# (about 66 ms on a 128^2 grid)
+SPECTRAL_LU_TRIALS = 5
 
 
 def suite_operator(problem: Problem, config: SolverConfig, initial, params,
@@ -53,9 +58,9 @@ def suite_operator(problem: Problem, config: SolverConfig, initial, params,
         for _ in range(trials):
             dt = float(rng.uniform(1e-4, 1.0))
             u = rng.uniform(-1.0, 1.0, size=n)
-            # one uncached factor per trial: the operator's cache would keep
+            # one uncached solver per trial: the operator's cache would keep
             # every random dt's factor alive
-            st = ShiftedSolve(A, dt)
+            st = op.solver(dt)
             v = st.solve(u)
             if np.max(np.abs(v)) > np.max(np.abs(u)) * (1 + 1e-12):
                 contract_ok = False
@@ -66,6 +71,16 @@ def suite_operator(problem: Problem, config: SolverConfig, initial, params,
                 break
         report.add_check(f"{tag}-sup-contraction", contract_ok, f"{trials} trials")
         report.add_check(f"{tag}-positivity", positive_ok, f"{trials} trials")
+
+        if cosine_spectrum(op.grid, op.coeffs) is not None:
+            gap = 0.0
+            for _ in range(SPECTRAL_LU_TRIALS):
+                dt = float(rng.uniform(1e-4, 1.0))
+                u = rng.uniform(-1.0, 1.0, size=n)
+                diff = op.solver(dt).solve(u) - ShiftedSolve(A, dt).solve(u)
+                gap = max(gap, float(np.max(np.abs(diff)) / np.max(np.abs(u))))
+            report.add_check(f"{tag}-spectral-matches-lu", gap <= 1e-12,
+                             f"{SPECTRAL_LU_TRIALS} trials, max gap {gap:.2e} x max|u|")
 
         prof = smoothing_profile(op)
         report.add_check(f"{tag}-smoothing-bounded", prof["bounded"],

@@ -75,3 +75,27 @@ def test_shared_work_is_done_once(tmp_path):
         assert tracer.summary()["calls"]["config.build_problem"] == 1
     finally:
         tracer.restore()
+
+
+def test_tracer_counts_spectral_steps(tmp_path):
+    # a 2D constant-coefficient grid steps with the DCT: no LU factor exists,
+    # yet every path and member step must still be counted
+    cfg = preset_fhn(3)
+    cfg["grid"] = {"dim": 2, "extents": [1.0, 1.0], "n_cells": [24, 16]}
+    cfg["noise"]["modes"] = 4
+    cfg["solver"].update({"dt": 1e-3, "t_end": 0.02})  # 20 steps
+    cfg.pop("experiment")
+    path = tmp_path / "ensemble-2d.json"
+    path.write_text(json.dumps(cfg))
+    tracer = _tracer.Tracer()
+    tracer.install()
+    try:
+        assert main(["ensemble", "--config", str(path), "--paths", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        s = tracer.summary()
+        assert s["calls"]["rng.sample_path"] == 2
+        assert s["counts"]["solver.member_steps"] == 2 * 20
+        assert s["calls"]["linalg.factor"] == 0
+        assert s["counts"]["linalg.lu_nnz_total"] == 0
+    finally:
+        tracer.restore()

@@ -48,6 +48,21 @@ def test_preset_builds():
     assert solver_cfg.sup_cap == 8.0
 
 
+def test_equal_operator_blocks_share_one_operator():
+    cfg = preset_fhn()
+    problem, _, _ = build_problem(cfg)
+    assert problem.operators[0] is problem.operators[1]
+    assert problem.digest() == ("586f7b2d500d980db1f516f1a05c29b1"
+                                "fb0983e3d337810d847fc1235fa2a87a")
+    cfg["operators"][1] = dict(reversed(cfg["operators"][1].items()))
+    problem, _, _ = build_problem(cfg)
+    assert problem.operators[0] is problem.operators[1]  # key order does not matter
+    cfg["operators"][1]["a"] = 1.5
+    problem, _, _ = build_problem(cfg)
+    assert problem.operators[0] is not problem.operators[1]
+    assert problem.operators[1].coeffs.a[0, 0, 0] == 1.5
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         preset("nope")
@@ -197,6 +212,20 @@ def test_runtime_failure_exit_code(tmp_path, out_root, capsys):
     assert "kind=runtime" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+def test_runtime_failure_names_step_component_and_cell(tmp_path, out_root, capsys,
+                                                       command):
+    cfg = quick_preset(sup_cap=None)
+    cfg["reaction"] = {"drifts": [[], [0.0, 0.0, -1.0]]}  # u_1' = -u_1^3
+    cfg["initial"]["values"] = [0.2, 1e100]  # overflows in the second step
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "srds-error: code=4 kind=runtime reason=non-finite-state "
+        "detail=step 2 component 1 cell 0"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "ensemble"])
 @pytest.mark.parametrize("dt_fine", [1e-3 / 3, 2e-3])  # dt is 1e-3
 def test_non_dyadic_dt_fine_exit_code(tmp_path, out_root, capsys, command, dt_fine):
@@ -238,6 +267,24 @@ def test_verify_operator_keeps_no_trial_factors():
     report = run_suite("operator", problem, solver_cfg, initial, {"trials": 100}, 42)
     assert report.verdict
     assert all(len(op._steppers) < 50 for op in problem.operators)
+
+
+def test_verify_operator_checks_the_stepping_solver():
+    cfg = quick_preset()
+    problem, initial, solver_cfg = build_problem(cfg)
+    names = [c["name"] for c in
+             run_suite("operator", problem, solver_cfg, initial, {"trials": 20}, 42).checks]
+    assert not any("spectral" in name for name in names)  # 1D steps with LU
+
+    cfg["grid"] = {"dim": 2, "extents": [1.0, 2.0], "n_cells": [12, 10]}
+    cfg["operators"][1]["a"] = 1.5
+    problem, initial, solver_cfg = build_problem(cfg)
+    report = run_suite("operator", problem, solver_cfg, initial, {"trials": 20}, 42)
+    checks = {c["name"]: c for c in report.checks}
+    assert report.verdict
+    for tag in ("op0", "op1"):
+        assert checks[f"{tag}-spectral-matches-lu"]["passed"]
+        assert checks[f"{tag}-spectral-matches-lu"]["detail"].startswith("5 trials")
 
 
 def test_verify_noise_pass(tmp_path, out_root):
@@ -373,6 +420,24 @@ def test_ensemble_worker_count_invariance(tmp_path, out_root):
     pa = sorted((tmp_path / "w1").rglob("paths.csv"))[0].read_bytes()
     pb = sorted((tmp_path / "w3").rglob("paths.csv"))[0].read_bytes()
     assert pa == pb
+
+
+def test_2d_spectral_ensemble_reproducible(tmp_path):
+    # criterion 11 on the DCT-stepped path: a 2D constant-coefficient grid
+    cfg = quick_preset()
+    cfg["grid"] = {"dim": 2, "extents": [1.0, 1.0], "n_cells": [24, 16]}
+    cfg["noise"]["modes"] = 4
+    cfg.pop("experiment")
+    cfg_path = write_config(tmp_path, cfg)
+    artifacts = {}
+    for run, workers in (("w1", "1"), ("w2", "2"), ("rerun", "1")):
+        root = tmp_path / run
+        assert main(["ensemble", "--config", cfg_path, "--paths", "4",
+                     "--workers", workers, "--out", str(root)]) == 0
+        artifacts[run] = {str(p.relative_to(root)): p.read_bytes()
+                          for p in sorted(root.rglob("*")) if p.is_file()}
+    assert len(artifacts["w1"]) == 4
+    assert artifacts["w1"] == artifacts["w2"] == artifacts["rerun"]
 
 
 def test_ensemble_single_path_matches_simulation(tmp_path, out_root):

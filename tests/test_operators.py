@@ -8,7 +8,7 @@ from srds import (CoefficientField, apply_resolvent, assemble_operator,
                   build_grid, coefficient_field_from_csv, dump_spectrum_csv,
                   evolve_semigroup, semigroup_step, smoothing_profile)
 from srds.errors import AuditError
-from srds.linalg import jacobi_cg
+from srds.linalg import ShiftedSolve, SpectralSolve, jacobi_cg
 
 
 def poisson_1d(n, a=1.0, c=0.0):
@@ -231,22 +231,25 @@ def test_2d_operator_kernel_and_contraction():
     assert np.max(np.abs(v)) <= np.max(np.abs(u)) * (1 + 1e-12)
 
 
-# --- properties of the one (I - dt A) solver on random diagonal fields -------------
+# --- properties of the (I - dt A) solvers on random diagonal fields ----------------
 
 
 @st.composite
 def random_operators(draw):
-    """1D or 2D grid of at most 16^2 cells, a in [eta, M] per cell and axis, c >= 0."""
+    """1D or 2D grid of at most 16^2 cells, a in [eta, M] per axis, c >= 0,
+    either drawn per cell or constant (the 2D constant case steps with the DCT)."""
     dim = draw(st.sampled_from([1, 2]))
     n_cells = draw(st.lists(st.integers(2, 16), min_size=dim, max_size=dim))
     extents = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
     eta = draw(st.floats(0.1, 1.0))
     m_bound = eta * draw(st.floats(1.0, 10.0))
     c_max = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    constant = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = build_grid(dim, extents, n_cells)
-    a = rng.uniform(eta, m_bound, size=(grid.n_total, dim))
-    c = rng.uniform(0.0, c_max, size=grid.n_total)
+    n_drawn = 1 if constant else grid.n_total
+    a = rng.uniform(eta, m_bound, size=(n_drawn, dim)).repeat(grid.n_total // n_drawn, 0)
+    c = rng.uniform(0.0, c_max, size=n_drawn).repeat(grid.n_total // n_drawn)
     op = assemble_operator(grid, CoefficientField.from_arrays(grid, a, c, eta, m_bound))
     return op, rng
 
@@ -271,3 +274,38 @@ def test_resolvent_matches_cg_reference(case, lam):
     ref = lam * jacobi_cg(shifted, f)
     out = apply_resolvent(op, lam, f)
     assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=random_operators(), dt=st.floats(1e-4, 1.0))
+def test_stepper_matches_lu_factor(case, dt):
+    op, rng = case
+    b = rng.uniform(-1.0, 1.0, size=op.grid.n_total)
+    ref = ShiftedSolve(op.matrix, dt).solve(b)
+    assert np.max(np.abs(op.stepper(dt).solve(b) - ref)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_stepper_selection(tmp_path):
+    g1 = build_grid(1, [1.0], [32])
+    g2 = build_grid(2, [1.0, 2.0], [12, 10])
+    const_1d = assemble_operator(g1, CoefficientField.constant(g1, a=1.5, c=0.5))
+    anisotropic = assemble_operator(g2, CoefficientField.from_arrays(
+        g2, np.tile([0.7, 1.9], (g2.n_total, 1)), np.full(g2.n_total, 0.3), 0.5, 2.0))
+    assert isinstance(anisotropic.stepper(1e-3), SpectralSolve)
+    assert isinstance(const_1d.stepper(1e-3), ShiftedSolve)
+
+    a = np.ones((g2.n_total, 2))
+    a[37, 1] = 1.5
+    one_cell_a = CoefficientField.from_arrays(g2, a, np.zeros(g2.n_total), 0.5, 2.0)
+    c = np.zeros(g2.n_total)
+    c[37] = 0.1
+    one_cell_c = CoefficientField.from_arrays(g2, np.ones((g2.n_total, 2)), c, 0.5, 2.0)
+    path = tmp_path / "coeffs.csv"
+    rng = np.random.default_rng(17)
+    with open(path, "w") as fh:
+        for i in range(g2.n_total):
+            a_ii = rng.uniform(0.6, 1.8)
+            fh.write(f"{i},{a_ii!r},0.0,0.0,{a_ii!r},0.0\n")
+    from_csv = coefficient_field_from_csv(g2, path, eta=0.5, m_bound=2.0)
+    for cf in (one_cell_a, one_cell_c, from_csv):
+        assert isinstance(assemble_operator(g2, cf).stepper(1e-3), ShiftedSolve)
