@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -104,7 +105,15 @@ def cmd_simulate(args) -> int:
     traj = simulate(problem, solver_cfg, path, initial)
     out = _out_dir(args, cfg, "simulate")
     _write_config_copy(out, cfg)
-    save_trajectory(traj, out, fmt=fmt, grid=problem.grid)
+    run_descriptor = solver_cfg.descriptor()
+    provenance = {
+        "master_seed": path.master_seed,
+        "path_index": path.path_index,
+        "config": run_descriptor,
+        "config_digest": hashlib.sha256(run_descriptor.encode()).hexdigest(),
+        "problem_digest": problem.digest(),
+    }
+    save_trajectory(traj, out, problem.grid, provenance, fmt=fmt)
     manifest_extra = {
         "config_digest": config_digest(cfg),
         "master_seed": cfg["master_seed"],

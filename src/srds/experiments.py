@@ -233,7 +233,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         mono_path = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
         mono_count += mono_path
         cauchy_rows.append([p] + [float(g) for g in gaps] + [int(mono_path)])
-    frac = mono_count / cauchy_paths if cauchy_paths else 1.0
+    frac = mono_count / max(cauchy_paths, 1)  # no paths, no evidence: 0
     report.tables["cauchy_gaps"] = (
         ["path"] + [f"gap_dt/{1 << j}" for j in range(n_ref)] + ["monotone"],
         cauchy_rows)
@@ -411,11 +411,8 @@ def moment_experiment(problem: Problem, config: SolverConfig, p: float,
                      ", ".join(f"{lv:g}:{m:.4g}" for lv, m in zip(levels, m_n)))
 
     never_exit = ~exited[:, 0]
-    if np.any(never_exit):
-        rows = sup_vals[never_exit]
-        bitwise = bool(np.all(rows == rows[:, :1]))
-    else:
-        bitwise = True
+    rows = sup_vals[never_exit]
+    bitwise = bool(np.any(never_exit) and np.all(rows == rows[:, :1]))
     report.aggregates["never_exit_smallest"] = int(never_exit.sum())
     report.add_check("common-path-bitwise-on-core", bitwise,
                      f"{int(never_exit.sum())}/{n_paths} paths never exit "

@@ -56,21 +56,16 @@ def normal_inverse(p: np.ndarray) -> np.ndarray:
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("normal_inverse requires p strictly inside (0,1)")
     q = p - 0.5
-    out = np.empty_like(p)
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * _poly(_A, r) / _poly(_B, r)
-    tail = ~central
-    if np.any(tail):
-        qt = q[tail]
-        r = np.where(qt < 0, p[tail], 1.0 - p[tail])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        x = np.empty_like(r)
-        x[near] = _poly(_C, r[near] - 1.6) / _poly(_D, r[near] - 1.6)
-        x[~near] = _poly(_E, r[~near] - 5.0) / _poly(_F, r[~near] - 5.0)
-        out[tail] = np.where(qt < 0, -x, x)
+    # the central rational function on every element (its denominator has
+    # no zero for |q| < 0.5), then the |q| > 0.425 tails overwritten
+    r = 0.180625 - q ** 2
+    out = q * _poly(_A, r) / _poly(_B, r)
+    tail = np.abs(q) > 0.425
+    qt = q[tail]
+    r = np.sqrt(-np.log(np.where(qt < 0, p[tail], 1.0 - p[tail])))
+    x = np.where(r <= 5.0, _poly(_C, r - 1.6) / _poly(_D, r - 1.6),
+                 _poly(_E, r - 5.0) / _poly(_F, r - 5.0))
+    out[tail] = np.where(qt < 0, -x, x)
     return out[0] if scalar else out
 
 
@@ -148,12 +143,11 @@ def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
         raise ValueError("n_fine must be >= 1")
     if not dt_fine > 0:
         raise ValueError("dt_fine must be positive")
-    sqrt_dt = np.sqrt(dt_fine)
-    inc = np.empty((components, modes, n_fine))
+    u = np.empty((components, modes, n_fine))
     for l in range(components):
         for k in range(modes):
-            u = uniform_stream(master_seed, path_index, l, k, n_fine)
-            inc[l, k] = normal_inverse(u) * sqrt_dt
+            u[l, k] = uniform_stream(master_seed, path_index, l, k, n_fine)
+    inc = normal_inverse(u) * np.sqrt(dt_fine)
     inc.setflags(write=False)
     return WienerPath(master_seed=int(master_seed), path_index=int(path_index),
                       components=components, modes=modes, n_fine=n_fine,

@@ -122,7 +122,6 @@ class Trajectory:
     dt: float
     store_stride: int
     stopping: StoppingRecord
-    provenance: dict
 
     @property
     def r(self) -> int:
@@ -218,17 +217,19 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
 
     i = 0
     try:
-        while i < n_steps:
-            u = step(problem, config, u, inc[:, :, i], steppers)
-            i += 1
-            norms.append(np.max(np.abs(u), axis=1))
-            mins.append(np.min(u, axis=1))
-            if i % stride == 0:
-                stored.append(u.copy())
-                stored_idx.append(i)
-            if cap is not None and float(norms[-1].max()) > cap:
-                stopping = StoppingRecord(True, cap, i * config.dt, i, "component-max")
-                break
+        # an overflow surfaces as step's located non-finite-state failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            while i < n_steps:
+                u = step(problem, config, u, inc[:, :, i], steppers)
+                i += 1
+                norms.append(np.max(np.abs(u), axis=1))
+                mins.append(np.min(u, axis=1))
+                if i % stride == 0:
+                    stored.append(u.copy())
+                    stored_idx.append(i)
+                if cap is not None and float(norms[-1].max()) > cap:
+                    stopping = StoppingRecord(True, cap, i * config.dt, i, "component-max")
+                    break
     except SolverFailure as exc:
         raise SolverFailure(exc.reason, exc.detail, step=i + 1) from None
 
@@ -238,18 +239,10 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     if stopping is None:
         stopping = StoppingRecord(False, cap if cap is not None else np.inf,
                                   n_steps * config.dt, n_steps, "component-max")
-    provenance = {
-        "master_seed": path.master_seed,
-        "path_index": path.path_index,
-        "config": config.descriptor(),
-        "config_digest": hashlib.sha256(config.descriptor().encode()).hexdigest(),
-        "problem_digest": problem.digest(),
-    }
     return Trajectory(times=np.asarray(stored_idx, dtype=float) * config.dt,
                       states=np.stack(stored), sup_norms=np.asarray(norms),
                       min_values=np.asarray(mins), dt=config.dt,
-                      store_stride=stride, stopping=stopping,
-                      provenance=provenance)
+                      store_stride=stride, stopping=stopping)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +343,6 @@ def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
         dt=top.dt, store_stride=stride,
         stopping=StoppingRecord(triggered, levels[-1], cut * config.dt, cut,
                                 "e-norm-sum"),
-        provenance=top.provenance,
     )
     report = LadderReport(levels=levels, exit_steps=exits,
                           exit_times=[e * config.dt for e in exits],
@@ -398,12 +390,13 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
     residuals = {}
     if 0 in probe_steps:
         residuals[0] = 0.0
-    for i in range(max(probe_steps)):
-        recon = step(problem, config, recon, inc[:, :, i], steppers,
-                     drift_at=traj.states[i + 1],
-                     noise_at=traj.states[max(i - 1, 0)])
-        if i + 1 in probe_steps:
-            residuals[i + 1] = float(np.max(np.abs(traj.states[i + 1] - recon)))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in simulate
+        for i in range(max(probe_steps)):
+            recon = step(problem, config, recon, inc[:, :, i], steppers,
+                         drift_at=traj.states[i + 1],
+                         noise_at=traj.states[max(i - 1, 0)])
+            if i + 1 in probe_steps:
+                residuals[i + 1] = float(np.max(np.abs(traj.states[i + 1] - recon)))
     return np.asarray([residuals[ps] for ps in probe_steps])
 
 
@@ -414,9 +407,10 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
 TRAJECTORY_FORMATS = ("auto", "csv", "raw")
 
 
-def save_trajectory(traj: Trajectory, out_dir, fmt: str = "auto",
-                    grid: DomainGrid | None = None) -> dict:
-    """Write snapshots plus a JSON manifest sufficient to reproduce the run.
+def save_trajectory(traj: Trajectory, out_dir, grid: DomainGrid,
+                    provenance: dict, fmt: str = "auto") -> dict:
+    """Write snapshots plus a JSON manifest sufficient to reproduce the run;
+    ``provenance`` is recorded in the manifest as given.
 
     CSV for small 1D runs ("csv"), raw little-endian float64 blocks with a
     JSON sidecar otherwise ("raw"); "auto" picks csv when r*n_cells <= 256.
@@ -434,9 +428,8 @@ def save_trajectory(traj: Trajectory, out_dir, fmt: str = "auto",
         "format": fmt,
         "times": [repr(float(t)) for t in traj.times],
         "shape": list(traj.states.shape),
-        "grid": None if grid is None else {
-            "dim": grid.dim, "extents": list(grid.extents),
-            "n_cells": list(grid.n_cells)},
+        "grid": {"dim": grid.dim, "extents": list(grid.extents),
+                 "n_cells": list(grid.n_cells)},
         "dt": repr(traj.dt),
         "store_stride": traj.store_stride,
         "stopping": {
@@ -445,7 +438,7 @@ def save_trajectory(traj: Trajectory, out_dir, fmt: str = "auto",
             "time": repr(float(traj.stopping.time)),
             "criterion": traj.stopping.criterion,
         },
-        "provenance": traj.provenance,
+        "provenance": provenance,
     }
     if fmt == "csv":
         with open(out / "trajectory.csv", "w", newline="") as fh:

@@ -36,7 +36,11 @@ def suite_operator(problem: Problem, config: SolverConfig, initial, params,
     trials = int(params.get("trials", 1000))
     rng = np.random.default_rng(master_seed)
     for idx, op in enumerate(problem.operators):
+        sharing = [j for j, other in enumerate(problem.operators) if other is op]
+        if sharing[0] < idx:
+            continue  # equal config blocks share one operator: checked once
         tag = f"op{idx}"
+        report.aggregates[tag] = sharing
         A = op.matrix
         scale = np.abs(A).max()
         sym = float(np.abs(A - A.T).max()) / scale

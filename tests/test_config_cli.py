@@ -14,6 +14,7 @@ from srds import build_problem, config_digest, preset, preset_fhn, validate_conf
 from srds.cli import main
 from srds.errors import ConfigError
 from srds.rng import MAX_PATH
+from srds.solver import Problem
 from srds.verify import run_suite
 
 
@@ -200,8 +201,6 @@ def test_g0_audit_exit_code(tmp_path, out_root, capsys):
     assert "reason=g(0)!=0" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_runtime_failure_exit_code(tmp_path, out_root, capsys):
     cfg = quick_preset()
     cfg["initial"] = {"kind": "constant", "values": [1e308, 1e308]}
@@ -212,18 +211,21 @@ def test_runtime_failure_exit_code(tmp_path, out_root, capsys):
     assert "kind=runtime" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("command", ["simulate", "ensemble"])
 def test_runtime_failure_names_step_component_and_cell(tmp_path, out_root, capsys,
                                                        command):
-    cfg = quick_preset(sup_cap=None)
-    cfg["reaction"] = {"drifts": [[], [0.0, 0.0, -1.0]]}  # u_1' = -u_1^3
-    cfg["initial"]["values"] = [0.2, 1e100]  # overflows in the second step
-    cfg_path = write_config(tmp_path, cfg)
-    assert main([command, "--config", cfg_path]) == 4
-    assert capsys.readouterr().err.splitlines() == [
-        "srds-error: code=4 kind=runtime reason=non-finite-state "
-        "detail=step 2 component 1 cell 0"]
+    # the overflow is the one error line, with no numpy RuntimeWarning first
+    cubic = quick_preset(sup_cap=None)
+    cubic["reaction"] = {"drifts": [[], [0.0, 0.0, -1.0]]}  # u_1' = -u_1^3
+    cubic["initial"]["values"] = [0.2, 1e100]  # overflows in the second step
+    fhn = quick_preset(sup_cap=None)
+    fhn["initial"]["values"] = [1e100, 0.2]  # overflows in the FHN coupling
+    for cfg, component in ((cubic, 1), (fhn, 0)):
+        cfg_path = write_config(tmp_path, cfg)
+        assert main([command, "--config", cfg_path]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "srds-error: code=4 kind=runtime reason=non-finite-state "
+            f"detail=step 2 component {component} cell 0"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "ensemble"])
@@ -272,9 +274,12 @@ def test_verify_operator_keeps_no_trial_factors():
 def test_verify_operator_checks_the_stepping_solver():
     cfg = quick_preset()
     problem, initial, solver_cfg = build_problem(cfg)
-    names = [c["name"] for c in
-             run_suite("operator", problem, solver_cfg, initial, {"trials": 20}, 42).checks]
+    report = run_suite("operator", problem, solver_cfg, initial, {"trials": 20}, 42)
+    names = [c["name"] for c in report.checks]
     assert not any("spectral" in name for name in names)  # 1D steps with LU
+    # the two equal blocks share one operator, checked once
+    assert not any(name.startswith("op1-") for name in names)
+    assert report.aggregates == {"op0": [0, 1]}
 
     cfg["grid"] = {"dim": 2, "extents": [1.0, 2.0], "n_cells": [12, 10]}
     cfg["operators"][1]["a"] = 1.5
@@ -282,6 +287,7 @@ def test_verify_operator_checks_the_stepping_solver():
     report = run_suite("operator", problem, solver_cfg, initial, {"trials": 20}, 42)
     checks = {c["name"]: c for c in report.checks}
     assert report.verdict
+    assert report.aggregates == {"op0": [0], "op1": [1]}
     for tag in ("op0", "op1"):
         assert checks[f"{tag}-spectral-matches-lu"]["passed"]
         assert checks[f"{tag}-spectral-matches-lu"]["detail"].startswith("5 trials")
@@ -325,6 +331,17 @@ def test_verify_uniqueness_quick(tmp_path, out_root):
                          "cauchy_refinements": 2}
     cfg_path = write_config(tmp_path, cfg)
     assert main(["verify", "uniqueness", "--config", cfg_path]) == 0
+
+
+def test_verify_uniqueness_without_cauchy_paths_fails(tmp_path, out_root, capsys):
+    cfg = quick_preset()
+    cfg["noise"].update({"g": "sqrt-abs", "scale": 0.1})
+    cfg["experiment"] = {"name": "uniqueness", "n_paths": 2,
+                         "eps_list": [1e-1, 1e-2], "cauchy_paths": 0}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["verify", "uniqueness", "--config", cfg_path]) == 1
+    assert ("[FAIL] uniqueness: refinement-cauchy (monotone on 0/0 paths)"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_verify_moments_quick(tmp_path, out_root):
@@ -402,6 +419,21 @@ def test_raw_snapshot_format(tmp_path, out_root):
     assert np.all(np.isfinite(data))
     assert manifest["dtype"] == "<f8"
     assert "config_digest" in manifest["provenance"] or "problem_digest" in manifest["provenance"]
+
+
+def test_problem_digest_only_for_the_simulate_manifest(tmp_path, out_root, monkeypatch):
+    digest = Problem.digest
+    calls = []
+    monkeypatch.setattr(Problem, "digest",
+                        lambda self: calls.append(self) or digest(self))
+    cfg = quick_preset()
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["ensemble", "--config", cfg_path, "--paths", "2"]) == 0
+    assert calls == []  # no hash per trajectory
+    assert main(["simulate", "--config", cfg_path]) == 0
+    manifest = json.loads(sorted(out_root.rglob("manifest.json"))[0].read_text())
+    problem, _, _ = build_problem(cfg)
+    assert manifest["provenance"]["problem_digest"] == digest(problem)
 
 
 # --- ensemble ----------------------------------------------------------------------

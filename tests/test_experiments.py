@@ -169,6 +169,10 @@ def test_moment_immediate_exit_reported():
     rep = moment_experiment(prob, cfg, 4.0, [1.0], 4,
                             const_init(prob, 2.0, 2.0), master_seed=2)
     assert rep.aggregates["exit_fractions"]["1.0"] == 1.0
+    # no path stays inside level 1, so the core check has no evidence
+    core = [c for c in rep.checks if c["name"] == "common-path-bitwise-on-core"]
+    assert core == [{"name": "common-path-bitwise-on-core", "passed": False,
+                     "detail": "0/4 paths never exit level 1"}]
 
 
 def test_moment_requires_p_above_two():

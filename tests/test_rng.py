@@ -4,6 +4,7 @@ from scipy.stats import norm
 
 from srds import (gaussian_entry, load_path, normal_inverse, sample_path,
                   save_path, uniform_stream)
+from srds.rng import _A, _B, _C, _D, _E, _F, _poly
 
 
 def test_normal_inverse_accuracy():
@@ -113,3 +114,59 @@ def test_largest_master_seed_accepted():
     top = sample_path((1 << 64) - 1, 1, 2, 4, 1e-2)
     assert top.master_seed == (1 << 64) - 1
     assert not np.array_equal(top.increments, sample_path(0, 1, 2, 4, 1e-2).increments)
+
+
+# --- bits of the sampler ----------------------------------------------------------
+# The reference evaluates AS241 branch by branch and calls it once per
+# (component, mode) stream; the sampler must reproduce it bit for bit.
+
+
+def _reference_normal_inverse(p):
+    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    r = 0.180625 - q[central] ** 2
+    out[central] = q[central] * _poly(_A, r) / _poly(_B, r)
+    tail = ~central
+    qt = q[tail]
+    r = np.sqrt(-np.log(np.where(qt < 0, p[tail], 1.0 - p[tail])))
+    near = r <= 5.0
+    x = np.empty_like(r)
+    x[near] = _poly(_C, r[near] - 1.6) / _poly(_D, r[near] - 1.6)
+    x[~near] = _poly(_E, r[~near] - 5.0) / _poly(_F, r[~near] - 5.0)
+    out[tail] = np.where(qt < 0, -x, x)
+    return out
+
+
+def _reference_increments(master_seed, components, modes, n_fine, dt_fine, path_index):
+    inc = np.empty((components, modes, n_fine))
+    for l in range(components):
+        for k in range(modes):
+            u = uniform_stream(master_seed, path_index, l, k, n_fine)
+            inc[l, k] = _reference_normal_inverse(u) * np.sqrt(dt_fine)
+    return inc
+
+
+def test_normal_inverse_bits_match_branchwise_reference():
+    # |q| = 0.425 and r = 5 with their neighbours, the extreme 52-bit uniforms
+    branches = np.array([0.075, 0.925, np.exp(-25.0), 1.0 - np.exp(-25.0)])
+    draws = np.concatenate([uniform_stream(3, 0, 0, 0, 200_000),
+                            np.random.default_rng(3).random(200_000) + 2.0**-60,
+                            branches, np.nextafter(branches, 0.0),
+                            np.nextafter(branches, 1.0),
+                            [0.5 * 2.0**-52, (2.0**52 - 0.5) * 2.0**-52, 0.5]])
+    assert normal_inverse(draws).tobytes() == _reference_normal_inverse(draws).tobytes()
+    for p in (0.3, 0.075, np.exp(-25.0)):
+        z = normal_inverse(p)
+        assert np.ndim(z) == 0 and z == _reference_normal_inverse(p)[0]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 8, 32), (2, 16, 250), (3, 5, 1),
+                                   (1, 2, 2000)])
+def test_sample_path_bits_match_per_stream_reference(shape):
+    r, K, n_fine = shape
+    path = sample_path(11, r, K, n_fine, 1e-3, path_index=4)
+    assert (path.increments.tobytes()
+            == _reference_increments(11, r, K, n_fine, 1e-3, 4).tobytes())
+    assert not path.increments.flags.writeable
