@@ -133,8 +133,8 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     SolverFailure.
     """
     eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be nonempty and strictly decreasing")
     cap = config.sup_cap if config.sup_cap is not None else 8.0
     run_cfg = replace(config, sup_cap=cap)
     m_radius = cap
@@ -202,7 +202,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
 
     means_T = [terminal[e][0] for e in eps_list]
     mono = all(means_T[i + 1] <= means_T[i] * (1.0 + slack) for i in range(len(eps_list) - 1))
-    vanishing = len(means_T) < 2 or means_T[-1] < means_T[0]
+    vanishing = means_T[-1] < means_T[0]
     report.add_check("gap-monotone-in-eps", bool(mono and vanishing),
                      "mean D(T) = " + ", ".join(f"{e:g}:{m:.3e}"
                                                 for e, m in zip(eps_list, means_T)))
@@ -230,7 +230,8 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         for a, b in zip(trajs, trajs[1:]):
             coarse_on_fine = b.states[::2][:len(a.states)]
             gaps.append(float(np.max(np.abs(a.states - coarse_on_fine))))
-        mono_path = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+        # fewer than two gaps compare nothing: no evidence of monotonicity
+        mono_path = len(gaps) >= 2 and all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
         mono_count += mono_path
         cauchy_rows.append([p] + [float(g) for g in gaps] + [int(mono_path)])
     frac = mono_count / max(cauchy_paths, 1)  # no paths, no evidence: 0

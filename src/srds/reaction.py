@@ -131,24 +131,6 @@ class PolynomialDrift:
         return b"poly:" + self.coeffs.tobytes() + repr(self.degree).encode()
 
 
-class TruncatedDrift:
-    """Drift frozen beyond |s| = level: h^(n)(x, s) = h(x, clip(s, -n, n))."""
-
-    def __init__(self, base: PolynomialDrift, level: float):
-        self.base = base
-        self.level = float(level)
-        self.degree = base.degree
-
-    def evaluate(self, s, cells=None):
-        return self.base.evaluate(np.clip(s, -self.level, self.level), cells)
-
-    def lipschitz_bound(self, m: float) -> float:
-        return self.base.lipschitz_bound(min(m, self.level))
-
-    def descriptor(self) -> bytes:
-        return self.base.descriptor() + f"|trunc:{self.level!r}".encode()
-
-
 # ---------------------------------------------------------------------------
 # (F1)/(F2) certificates
 
@@ -267,29 +249,6 @@ class CouplingTerm:
         return f"coupling:{self.name}:{self.c1!r}:{self.c2!r}".encode()
 
 
-class TruncatedCoupling:
-    """Coupling frozen beyond the l1-ball: k^(n)(x,s) = k(x, n s / ||s||_1)."""
-
-    def __init__(self, base: CouplingTerm, level: float):
-        self.base = base
-        self.level = float(level)
-        self.c1 = base.c1
-        self.c2 = base.c2
-        self.name = f"{base.name}|trunc:{level}"
-
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        norms = np.sum(np.abs(states), axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(norms > self.level, self.level / norms, 1.0)
-        return self.base.fn(states * scale)
-
-    def lipschitz(self, m: float) -> float:
-        return self.base.lipschitz(min(m, self.level))
-
-    def descriptor(self) -> bytes:
-        return self.base.descriptor() + f"|trunc:{self.level!r}".encode()
-
-
 def coupling_none(r: int) -> CouplingTerm:
     return CouplingTerm(lambda s: np.zeros(s.shape[1]), 0.0, 0.0, 0.0, name="none")
 
@@ -315,29 +274,30 @@ class ReactionSystem:
         self.r = len(drifts)
         self.drifts = list(drifts)
         self.couplings = list(couplings)
-        self.certificates = []
-        for h in self.drifts:
-            if h is None:
-                self.certificates.append(ZERO_CERTIFICATE)
-            elif isinstance(h, TruncatedDrift):
-                # truncation preserves (F1) with the original constants
-                self.certificates.append(check_f1_f2(h.base))
-            else:
-                self.certificates.append(check_f1_f2(h))
+        self.certificates = [ZERO_CERTIFICATE if h is None else check_f1_f2(h)
+                             for h in self.drifts]
         if audit:
             for k in self.couplings:
-                base = k.base if isinstance(k, TruncatedCoupling) else k
-                base.audit(self.r)
+                k.audit(self.r)
 
-    def evaluate(self, u: np.ndarray) -> np.ndarray:
+    def evaluate(self, u: np.ndarray, level: float | None = None) -> np.ndarray:
+        """F(u); at a truncation level n the drifts read clip(u, -n, n) and
+        the couplings the radial projection of each cell's state onto the
+        l1-ball of radius n, so inside the ball F^(n)(u) = F(u) bitwise."""
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[0] != self.r:
             raise ValueError(f"state must have shape ({self.r}, n), got {u.shape}")
+        drift_at = coupling_at = u
+        if level is not None:
+            drift_at = np.clip(u, -level, level)
+            norms = np.sum(np.abs(u), axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coupling_at = u * np.where(norms > level, level / norms, 1.0)
         out = np.empty_like(u)
         for l in range(self.r):
             drift = self.drifts[l]
-            out[l] = 0.0 if drift is None else drift.evaluate(u[l])
-            out[l] += self.couplings[l](u)
+            out[l] = 0.0 if drift is None else drift.evaluate(drift_at[l])
+            out[l] += self.couplings[l](coupling_at)
         return out
 
     def evaluate_samples(self, component: int, samples: np.ndarray,

@@ -21,22 +21,29 @@ import numpy as np
 
 from .errors import SolverFailure
 from .grid import DomainGrid
-from .noise import HolderFunction, NoiseModel
+from .noise import NoiseModel
 from .operators import EllipticOperator
-from .reaction import ReactionSystem, TruncatedCoupling, TruncatedDrift
+from .reaction import ReactionSystem
 from .rng import WienerPath
 
 
 @dataclass(frozen=True)
 class Problem:
-    """A full system: shared grid, per-component operators, reaction, noise."""
+    """A full system: shared grid, per-component operators, reaction, noise.
+
+    ``level`` is the truncation level n of the ladder (None: untruncated);
+    ``step`` applies it to the reaction and the noise amplitudes.
+    """
 
     grid: DomainGrid
     operators: tuple[EllipticOperator, ...]
     reaction: ReactionSystem
     noise: NoiseModel
+    level: float | None = None
 
     def __post_init__(self):
+        if self.level is not None and not self.level >= 1:
+            raise ValueError("truncation level must be >= 1")
         r = len(self.operators)
         if self.reaction.r != r or self.noise.r != r:
             raise ValueError(
@@ -60,6 +67,8 @@ class Problem:
             h.update(op.descriptor())
         h.update(self.reaction.descriptor())
         h.update(self.noise.descriptor())
+        if self.level is not None:
+            h.update(f"|trunc:{self.level!r}".encode())
         return h.hexdigest()
 
 
@@ -163,7 +172,8 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
 
     The reaction is evaluated at ``drift_at`` and the noise amplitude g at
     ``noise_at``; both default to the state ``u`` (the scheme's left
-    endpoint).
+    endpoint).  On a truncated problem the reaction is evaluated at its
+    level and g reads ``noise_at`` clipped to [-level, level].
     """
     if steppers is None:
         steppers = [op.stepper(config.dt) for op in problem.operators]
@@ -172,7 +182,10 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     if noise_at is None:
         noise_at = u
     dt = config.dt
-    F = problem.reaction.evaluate(drift_at)
+    level = problem.level
+    F = problem.reaction.evaluate(drift_at, level)
+    if level is not None:
+        noise_at = np.clip(noise_at, -level, level)
     out = np.empty_like(u)
     for l in range(problem.r):
         Fl = F[l]
@@ -249,39 +262,17 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
 # truncation ladder
 
 
-class _FrozenAmplitude:
-    def __init__(self, base: HolderFunction, level: float):
-        self.base = base  # the untruncated amplitude
-        self.level = float(level)
-
-    def __call__(self, s):
-        return self.base.fn(np.clip(s, -self.level, self.level))
-
-
-def _truncate_amplitude(g: HolderFunction, level: float) -> HolderFunction:
-    """g frozen beyond |s| = level; an already truncated g is re-levelled
-    from its untruncated amplitude, as drifts and couplings are."""
-    base = g.fn.base if isinstance(g.fn, _FrozenAmplitude) else g
-    return replace(base, fn=_FrozenAmplitude(base, level),
-                   name=f"{base.name}|trunc:{level}")
-
-
 def truncate_problem(problem: Problem, level: float) -> Problem:
-    """Freeze drift beyond |s| = level, coupling and noise beyond the
-    l1-ball of radius level; inside the ball everything evaluates bitwise
-    identically to the original."""
-    if not level >= 1:
-        raise ValueError("truncation level must be >= 1")
-    drifts = [None if h is None
-              else TruncatedDrift(h.base if isinstance(h, TruncatedDrift) else h, level)
-              for h in problem.reaction.drifts]
-    couplings = [TruncatedCoupling(k.base if isinstance(k, TruncatedCoupling) else k,
-                                   level)
-                 for k in problem.reaction.couplings]
-    reaction = ReactionSystem(drifts, couplings, audit=False)
-    noise = NoiseModel(tuple(replace(c, g=_truncate_amplitude(c.g, level))
-                             for c in problem.noise.components))
-    return replace(problem, reaction=reaction, noise=noise)
+    """The problem at truncation level n = ``level``: drifts frozen beyond
+    |s| = n, couplings beyond the l1-ball of radius n (radial projection of
+    each cell's state), each noise amplitude g_l frozen beyond |s| = n.
+
+    The truncated problem shares the untruncated ``reaction`` and ``noise``
+    objects; only ``step`` applies the level, so inside the ball every term
+    evaluates bitwise identically to the original.  Truncating a truncated
+    problem replaces its level.
+    """
+    return replace(problem, level=float(level))
 
 
 def exit_index(traj: Trajectory, level: float) -> int:
@@ -334,7 +325,8 @@ def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
     # keep the appended final state when the run never exits and n_steps is
     # not stride-aligned
     n_stored = len(top.times) if cut == config.n_steps else cut // stride + 1
-    triggered = cut < config.n_steps
+    # an exit at the final step still triggers: rho_n = T either way
+    triggered = bool(top.e_norms()[cut] > levels[-1])
     glued = Trajectory(
         times=top.times[:n_stored],
         states=top.states[:n_stored],

@@ -47,6 +47,10 @@ def test_tracer_sees_every_path_and_step(tmp_path):
         assert s["calls"]["rng.sample_path"] == 2  # the levels share each path
         assert s["counts"]["solver.member_steps"] == 2 * 2 * 20
         assert s["calls"]["solver.step"] == 2 * 2 * 20
+        # a truncated step evaluates the reaction once and each of the r = 2
+        # amplitudes once, through the patched names
+        assert s["calls"]["reaction.evaluate"] == 2 * 2 * 20
+        assert s["calls"]["noise.g"] == 2 * 2 * 2 * 20
     finally:
         tracer.restore()
 

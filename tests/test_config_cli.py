@@ -344,6 +344,33 @@ def test_verify_uniqueness_without_cauchy_paths_fails(tmp_path, out_root, capsys
             in capsys.readouterr().out.splitlines())
 
 
+@pytest.mark.parametrize("refinements", [0, 1])
+def test_verify_uniqueness_without_two_gaps_fails(tmp_path, out_root, capsys,
+                                                  refinements):
+    # at most one refinement gap per path: no pair to compare, no evidence
+    cfg = quick_preset()
+    cfg["noise"].update({"g": "sqrt-abs", "scale": 0.1})
+    cfg["experiment"] = {"name": "uniqueness", "n_paths": 2,
+                         "eps_list": [1e-1, 1e-2], "cauchy_paths": 2,
+                         "cauchy_refinements": refinements}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["verify", "uniqueness", "--config", cfg_path]) == 1
+    assert ("[FAIL] uniqueness: refinement-cauchy (monotone on 0/2 paths)"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_verify_uniqueness_single_eps_fails(tmp_path, out_root, capsys):
+    # one epsilon compares nothing: the gap cannot be seen to shrink
+    cfg = quick_preset()
+    cfg["noise"].update({"g": "sqrt-abs", "scale": 0.1})
+    cfg["experiment"] = {"name": "uniqueness", "n_paths": 2, "eps_list": [1e-1],
+                         "cauchy_paths": 2, "cauchy_refinements": 2}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["verify", "uniqueness", "--config", cfg_path]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] uniqueness: gap-monotone-in-eps" in out
+
+
 def test_verify_moments_quick(tmp_path, out_root):
     cfg = quick_preset()
     cfg["experiment"] = {"name": "moments", "n_paths": 2, "levels": [4, 8]}
@@ -514,6 +541,8 @@ BAD_VALUES = [
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "eps_list": ["a"]},
      "experiment"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "n_paths": 0},
+     "experiment"),
+    ("verify uniqueness", ("experiment",), {"name": "uniqueness", "eps_list": []},
      "experiment"),
     ("simulate", ("output", "formats"), "csv", "output"),
     ("simulate", ("output", "formats"), ["xml"], "output"),

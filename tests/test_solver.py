@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srds import (SolverConfig, build_grid, cosine_neumann_basis, build_noise,
-                  exit_index, fhn_system, glue_ladder, mild_residual, named_g,
-                  sample_path, simulate, step, truncate_problem)
+from srds import (CoefficientField, SolverConfig, assemble_operator, build_grid,
+                  cosine_neumann_basis, build_noise, exit_index, fhn_system,
+                  glue_ladder, mild_residual, named_g, sample_path, simulate, step,
+                  truncate_problem)
 from srds.errors import SolverFailure
 from srds.solver import Problem, _resolve_increments, dyadic_level
 
@@ -188,37 +189,55 @@ def test_apriori_sup_bound_zero_noise_zero_coupling():
 # --- truncation -----------------------------------------------------------------
 
 
+def _one_step(problem, u, dt=1e-3, seed=0):
+    """One step of ``problem`` from state u on a fixed path."""
+    cfg = SolverConfig(dt=dt, t_end=dt)
+    path = sample_path(seed, problem.r, problem.noise.modes, 1, dt)
+    return step(problem, cfg, u, path.coarse(0)[:, :, 0])
+
+
 def test_truncated_drift_freezes_beyond_level():
     prob = zero_noise_fhn()
-    trunc = truncate_problem(prob, 2.0)
-    h = trunc.reaction.drifts[0]
-    # base drift s - s^3 frozen at |s| = 2: h(3) = h(2) = 2 - 8 = -6
-    assert h.evaluate(np.array([3.0]))[0] == pytest.approx(2.0 - 8.0)
-    # pure cubic check from a fresh drift
-    from srds.reaction import PolynomialDrift, TruncatedDrift
+    # base drift s - s^3 frozen at |s| = 2: h(3) = h(2) = 2 - 8 = -6; the
+    # coupling k1 = v reads the radial projection (2, 0) of (3, 0), so 0
+    u = const_init(prob, 3.0, 0.0)
+    assert np.all(prob.reaction.evaluate(u, 2.0)[0] == 2.0 - 8.0)
+    # constants are fixed by the implicit solve, so one step is explicit Euler
+    trunc = _one_step(truncate_problem(prob, 2.0), u)
+    plain = _one_step(prob, u)
+    assert trunc[0] == pytest.approx(np.full(32, 3.0 + 1e-3 * (2.0 - 8.0)), abs=1e-12)
+    assert plain[0] == pytest.approx(np.full(32, 3.0 + 1e-3 * (3.0 - 27.0)), abs=1e-12)
+    # pure cubic from a fresh one-component system
+    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_none
 
-    cubic = TruncatedDrift(PolynomialDrift([0.0, 0.0, -1.0], epsilon_lead=1.0), 2.0)
-    assert cubic.evaluate(np.array([3.0]))[0] == pytest.approx(-8.0)
+    cubic = ReactionSystem([PolynomialDrift([0.0, 0.0, -1.0], epsilon_lead=1.0)],
+                           [coupling_none(1)])
+    assert cubic.evaluate(np.array([[3.0]]), 2.0)[0, 0] == pytest.approx(-8.0)
 
 
 def test_truncation_identity_inside_ball_bitwise():
     prob = build_fhn_problem()
     trunc = truncate_problem(prob, 4.0)
+    assert trunc.reaction is prob.reaction and trunc.noise is prob.noise
     rng = np.random.default_rng(0)
     u = rng.uniform(-1.9, 1.9, size=(2, 32))  # l1 column norms < 4
-    assert np.array_equal(prob.reaction.evaluate(u), trunc.reaction.evaluate(u))
-    g0 = prob.noise.components[0].g(u[0])
-    g1 = trunc.noise.components[0].g(u[0])
-    assert np.array_equal(g0, g1)
+    assert np.array_equal(prob.reaction.evaluate(u), prob.reaction.evaluate(u, 4.0))
+    assert np.array_equal(_one_step(prob, u), _one_step(trunc, u))
+    # the level is live: just outside the ball the step differs
+    assert not np.array_equal(_one_step(prob, 2.2 * u), _one_step(trunc, 2.2 * u))
 
 
 def test_truncated_coupling_radial_projection():
     prob = build_fhn_problem()
-    trunc = truncate_problem(prob, 1.0)
     s = np.array([[0.0], [3.0]])
     # k1(u, v) = v frozen on the l1-ball: ||s||_1 = 3 -> evaluate at (0, 1)
-    out = trunc.reaction.couplings[0](s)
-    assert out[0] == pytest.approx(1.0)
+    assert prob.reaction.evaluate(s, 1.0)[0, 0] == pytest.approx(1.0)
+    # through step: h1(0) = 0, so u+ = dt * k1 on constants without noise
+    zero = zero_noise_fhn()
+    u = const_init(zero, 0.0, 3.0)
+    assert _one_step(truncate_problem(zero, 1.0), u)[0] == pytest.approx(
+        np.full(32, 1e-3 * 1.0), abs=1e-12)
+    assert _one_step(zero, u)[0] == pytest.approx(np.full(32, 1e-3 * 3.0), abs=1e-12)
 
 
 def test_truncation_insensitivity_bitwise():
@@ -276,6 +295,19 @@ def test_ladder_immediate_exit():
     assert len(glued.times) == 1
     assert glued.stopping.triggered
     assert glued.stopping.criterion == "e-norm-sum"
+
+
+def test_ladder_exit_at_final_step_triggers():
+    # the E-norm first exceeds the top level at the last step: rho_n = T, as
+    # for a run that never exits, but the stopping record must say it exited
+    prob = build_fhn_problem(scale=1.0)
+    cfg = SolverConfig(dt=1e-3, t_end=2e-3)
+    path = sample_path(29, 2, 8, 250, 1e-3)
+    glued, report = glue_ladder(prob, cfg, path, const_init(prob, 0.5, 0.5), [1.0])
+    assert report.exit_steps == [2]
+    assert glued.e_norms()[-1] > 1.0
+    assert glued.stopping.triggered
+    assert glued.stopping.step_index == 2
 
 
 def test_exit_index_sum_criterion():
@@ -415,11 +447,90 @@ def test_retruncation_relevels_every_term():
     prob, _, _ = build_problem(preset_fhn())
     direct = truncate_problem(prob, 8.0)
     again = truncate_problem(truncate_problem(prob, 4.0), 8.0)
-    assert again.digest() == direct.digest()
-    s = np.array([0.5, 3.0, 6.0, 12.0])
-    for a, b in zip(again.noise.components, direct.noise.components):
-        assert np.array_equal(a.g(s), b.g(s))
-        assert a.g.name == b.g.name
-    assert again.noise.components[0].g(np.array([6.0]))[0] == np.sqrt(6.0)
-    u = np.array([[6.0, -7.0], [1.0, 0.5]])
-    assert np.array_equal(again.reaction.evaluate(u), direct.reaction.evaluate(u))
+    assert again.level == direct.level == 8.0
+    assert again.digest() == direct.digest() != prob.digest()
+    assert truncate_problem(prob, 4.0).digest() != direct.digest()
+    # states between the levels and beyond both: drift, coupling and g all
+    # read the level-8 ball, not the level-4 one
+    u = np.resize(np.array([[6.0, -7.0, 0.5, 12.0], [1.0, 0.5, 3.0, -2.0]]),
+                  (2, prob.grid.n_total))
+    assert np.array_equal(_one_step(again, u), _one_step(direct, u))
+    assert not np.array_equal(_one_step(again, u),
+                              _one_step(truncate_problem(prob, 4.0), u))
+    assert not np.array_equal(_one_step(again, u), _one_step(prob, u))
+
+
+def test_truncation_level_is_checked():
+    prob = zero_noise_fhn()
+    for bad in (0.5, 0.0, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="truncation level must be >= 1"):
+            truncate_problem(prob, bad)
+    assert truncate_problem(prob, 1).level == 1.0
+
+
+# random odd-degree drifts with a negative lead, linear coupling rows, a
+# named amplitude, a level and states on a fixed grid and noise basis
+_PROP_GRID = build_grid(1, [1.0], [8])
+_PROP_OP = assemble_operator(_PROP_GRID, CoefficientField.constant(_PROP_GRID, a=1.0))
+
+
+def _prop_problem(drifts, rows, g_name, lam):
+    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_linear
+
+    basis = cosine_neumann_basis(_PROP_GRID, 4)
+    reaction = ReactionSystem([PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
+                              [coupling_linear(r) for r in rows])
+    noise = build_noise([basis] * 2, [np.asarray(lam)] * 2, [named_g(g_name)] * 2,
+                        audit=False)
+    return Problem(grid=_PROP_GRID, operators=(_PROP_OP, _PROP_OP),
+                   reaction=reaction, noise=noise)
+
+
+def _eighths(lo, hi):
+    # multiples of 1/8: no tiny coefficients whose spurious critical points
+    # overflow the certificate's root finding
+    return st.integers(lo, hi).map(lambda k: k / 8)
+
+
+_COEF = _eighths(-16, 16)
+_DRIFT = st.integers(0, 2).flatmap(
+    lambda n: st.tuples(st.lists(_COEF, min_size=2 * n, max_size=2 * n),
+                        _eighths(-16, -1))
+).map(lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(drifts=st.lists(_DRIFT, min_size=2, max_size=2),
+       rows=st.lists(st.lists(_COEF, min_size=2, max_size=2), min_size=2, max_size=2),
+       g_name=st.sampled_from(["sqrt-abs", "sqrt-pos", "sqrt-clipped-01",
+                               "lipschitz:1"]),
+       lam=st.lists(_eighths(0, 8), min_size=4, max_size=4),
+       level=st.floats(1.0, 64.0),
+       unit=st.lists(st.integers(-1000, 1000), min_size=16, max_size=16),
+       spread=_eighths(0, 32),
+       seed=st.integers(0, 2**16))
+def test_truncation_property(drifts, rows, g_name, lam, level, unit, spread, seed):
+    prob = _prop_problem(drifts, rows, g_name, lam)
+    trunc = truncate_problem(prob, level)
+    unit = np.reshape(unit, (2, 8)) / 1000
+    # inside the ball (l1 column norms below the level) the truncated step
+    # is the plain step, bitwise
+    inside = unit * (0.499 * level)
+    assert np.array_equal(_one_step(trunc, inside, seed=seed),
+                          _one_step(prob, inside, seed=seed))
+    # anywhere: F^(n) is h(clip(u)) + k(radial projection of u), built from
+    # the untruncated pieces, and step uses F^(n) and g(clip(u))
+    u = unit * (level * spread)
+    norms = np.sum(np.abs(u), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero columns
+        radial = u * np.where(norms > level, level / norms, 1.0)
+    F = prob.reaction.evaluate(u, level)
+    for l in range(2):
+        h = prob.reaction.drifts[l].evaluate(np.clip(u[l], -level, level))
+        assert np.array_equal(F[l], h + prob.reaction.couplings[l](radial))
+    out = _one_step(trunc, u, seed=seed)
+    inc = sample_path(seed, 2, 4, 1, 1e-3).coarse(0)[:, :, 0]  # as _one_step's
+    clipped = np.clip(u, -level, level)
+    for l, comp in enumerate(prob.noise.components):
+        rhs = u[l] + 1e-3 * F[l] + comp.g(clipped[l]) * comp.modal_field(inc[l])
+        assert np.array_equal(out[l], prob.operators[l].stepper(1e-3).solve(rhs))
