@@ -63,7 +63,11 @@ class ShiftedSolve:
         self._lu = spla.splu(matrix.tocsc())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(b)
+        """Solve for ``b`` of shape (n,) or a C-ordered block of right-hand
+        side rows (m, n); each row's result is bitwise that of its own
+        solve.  The block goes to SuperLU as its Fortran-ordered transpose,
+        a view, and the result's transpose is C-ordered again."""
+        return self._lu.solve(b.T).T
 
 
 class SpectralSolve:
@@ -83,5 +87,10 @@ class SpectralSolve:
         self._denom = 1.0 - self.dt * spectrum
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        coef = fft.dctn(b.reshape(self._shape), type=2, norm="ortho")
-        return fft.idctn(coef / self._denom, type=2, norm="ortho").reshape(-1)
+        """Solve for ``b`` of shape (n,) or a block of right-hand-side rows
+        (m, n): one transform pair over the grid axes of the whole block."""
+        axes = tuple(range(-len(self._shape), 0))
+        coef = fft.dctn(b.reshape(b.shape[:-1] + self._shape), type=2,
+                        norm="ortho", axes=axes)
+        return fft.idctn(coef / self._denom, type=2, norm="ortho",
+                         axes=axes).reshape(b.shape)

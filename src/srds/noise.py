@@ -214,6 +214,7 @@ class ComponentNoise:
     basis: SpectralBasis
     lambdas: np.ndarray
     g: HolderFunction
+    modes: int = field(init=False)  # K, read on every step
     mode_fields: np.ndarray = field(init=False)  # (n_total, K): lambda_k e_k columns
     sup_lambda_e: np.ndarray = field(init=False)
 
@@ -224,13 +225,10 @@ class ComponentNoise:
                              f"{lam.shape[0] if lam.ndim else 0} lambdas for "
                              f"{self.basis.modes} modes")
         object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "modes", self.basis.modes)
         object.__setattr__(self, "mode_fields",
                            (self.basis.values * lam[:, None]).T.copy())
         object.__setattr__(self, "sup_lambda_e", np.abs(lam) * self.basis.sup_norms)
-
-    @property
-    def modes(self) -> int:
-        return self.basis.modes
 
     @property
     def alpha(self) -> np.ndarray:

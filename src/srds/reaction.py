@@ -27,11 +27,11 @@ from .errors import AuditError
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Evaluate sum_j coeffs[j-1] * s^j; coeffs is (q,) or (n, q) row-per-cell."""
     cols = coeffs.T  # cols[j - 1]: w_j, a scalar or one value per cell
-    r = np.empty(np.shape(s))
-    r[...] = cols[-1]
+    r = s * cols[-1]
     for c in cols[-2::-1]:
-        r = r * s + c
-    return r * s
+        r += c
+        r *= s
+    return r
 
 
 def _with_constant(coeffs: np.ndarray) -> np.ndarray:
@@ -69,8 +69,21 @@ def _ratio_sup_nonneg(asc: np.ndarray, q: int) -> float:
     for z in num.roots():
         if abs(z.imag) < 1e-9 and z.real > 0:
             cands.append(float(z.real))
-    best = max(float(P(c)) / (1.0 + c**q) for c in cands)
+    best = max(_ratio_at(P, q, c) for c in cands)
     return max(best, float(asc[-1]))
+
+
+def _ratio_at(P: np.polynomial.Polynomial, q: int, c: float) -> float:
+    """P(c) / (1 + c^q).  Where P(c) or c^q overflows (a spurious huge
+    critical point, from cancelling top coefficients of the stationarity
+    polynomial), the same ratio in the rescaled form
+    sum_j a_j c^(j-q) / (1 + c^-q), which tends to the leading coefficient."""
+    try:
+        with np.errstate(over="raise"):
+            return float(P(c)) / (1.0 + c**q)
+    except (OverflowError, FloatingPointError):
+        j = np.arange(len(P.coef))
+        return float(np.sum(P.coef * c ** (j - q))) / (1.0 + c**-q)
 
 
 def _flip(coeffs: np.ndarray) -> np.ndarray:
@@ -289,15 +302,19 @@ class ReactionSystem:
             raise ValueError(f"state must have shape ({self.r}, n), got {u.shape}")
         drift_at = coupling_at = u
         if level is not None:
-            drift_at = np.clip(u, -level, level)
-            norms = np.sum(np.abs(u), axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # np.clip's bits, NaN and signed zeros included, at half its cost
+            drift_at = np.minimum(np.maximum(u, -level), level)
+            norms = np.abs(u).sum(axis=0)
+            # level / norms may overflow or divide by zero where np.where
+            # discards it (norms <= level)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 coupling_at = u * np.where(norms > level, level / norms, 1.0)
         out = np.empty_like(u)
         for l in range(self.r):
             drift = self.drifts[l]
-            out[l] = 0.0 if drift is None else drift.evaluate(drift_at[l])
-            out[l] += self.couplings[l](coupling_at)
+            h = 0.0 if drift is None else drift.evaluate(drift_at[l])
+            # h + k, so a missing drift gives 0.0 + k (no negative zeros)
+            np.add(h, self.couplings[l](coupling_at), out=out[l])
         return out
 
     def evaluate_samples(self, component: int, samples: np.ndarray,

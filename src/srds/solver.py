@@ -5,9 +5,10 @@ One step per component:
     u_l+ = (I - dt*A_l)^{-1} [ u_l + dt*F_l(u) + g_l(u_l) * M_l ]
 
 with M_l the per-step modal field of the component's spectral noise
-(Ito left-endpoint evaluation).  The linear part is exact backward Euler,
-so sup-norm contraction and positivity of the semigroup factor are
-inherited from the M-matrix structure of the operator.
+(Ito left-endpoint evaluation).  Components that share an operator are
+solved together, as one block of right-hand-side rows.  The linear part is
+exact backward Euler, so sup-norm contraction and positivity of the
+semigroup factor are inherited from the M-matrix structure of the operator.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -165,6 +167,18 @@ def _resolve_increments(config: SolverConfig, path: WienerPath) -> np.ndarray:
     return inc
 
 
+def _solve_groups(steppers) -> list:
+    """(stepper, rows) per distinct stepper object, in order of first use;
+    rows are the components it solves, a slice when they are contiguous,
+    else a list."""
+    groups = {}
+    for l, stepper in enumerate(steppers):
+        groups.setdefault(id(stepper), (stepper, []))[1].append(l)
+    return [(stepper, slice(rows[0], rows[-1] + 1)
+             if rows[-1] - rows[0] == len(rows) - 1 else rows)
+            for stepper, rows in groups.values()]
+
+
 def step(problem: Problem, config: SolverConfig, u: np.ndarray,
          increments: np.ndarray, steppers=None, *, drift_at=None,
          noise_at=None) -> np.ndarray:
@@ -184,17 +198,18 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     dt = config.dt
     level = problem.level
     F = problem.reaction.evaluate(drift_at, level)
+    if config.scheme == "tamed-semi-implicit":
+        F = F / (1.0 + dt * np.abs(F).max(axis=1, keepdims=True))
     if level is not None:
-        noise_at = np.clip(noise_at, -level, level)
+        noise_at = np.minimum(np.maximum(noise_at, -level), level)  # as in evaluate
+    rhs = u + dt * F
+    for l, comp in enumerate(problem.noise.components):
+        rhs[l] += comp.g(noise_at[l]) * comp.modal_field(increments[l, :comp.modes])
+    # components sharing a stepper object are solved as one block of rows
     out = np.empty_like(u)
-    for l in range(problem.r):
-        Fl = F[l]
-        if config.scheme == "tamed-semi-implicit":
-            Fl = Fl / (1.0 + dt * np.max(np.abs(Fl)))
-        comp = problem.noise.components[l]
-        rhs = u[l] + dt * Fl + comp.g(noise_at[l]) * comp.modal_field(increments[l][:comp.modes])
-        out[l] = steppers[l].solve(rhs)
-    if not np.all(np.isfinite(out)):
+    for stepper, rows in _solve_groups(steppers):
+        out[rows] = stepper.solve(rhs[rows])
+    if not math.isfinite(np.abs(out).max()):
         l, cell = np.argwhere(~np.isfinite(out))[0]
         raise SolverFailure("non-finite-state", f"component {l} cell {cell}")
     return out
@@ -213,18 +228,22 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
                          f"{(problem.r, problem.grid.n_total)}")
     if not np.all(np.isfinite(u)):
         raise SolverFailure("non-finite-state", "initial field", step=0)
-    inc = _resolve_increments(config, path)
     n_steps = config.n_steps
+    # one contiguous (r, K) block of increments per step
+    inc = np.ascontiguousarray(
+        _resolve_increments(config, path)[:, :, :n_steps].transpose(2, 0, 1))
     stride = config.store_stride
     steppers = [op.stepper(config.dt) for op in problem.operators]
     cap = config.sup_cap
 
-    norms = [np.max(np.abs(u), axis=1)]
-    mins = [np.min(u, axis=1)]
-    stored = [u.copy()]
+    norms = np.empty((n_steps + 1, problem.r))
+    mins = np.empty((n_steps + 1, problem.r))
+    np.abs(u).max(axis=1, out=norms[0])
+    u.min(axis=1, out=mins[0])
+    stored = [u]  # step returns a fresh array: no state is copied
     stored_idx = [0]
     stopping = None
-    if cap is not None and float(norms[0].max()) > cap:
+    if cap is not None and norms[0].max() > cap:
         stopping = StoppingRecord(True, cap, 0.0, 0, "component-max")
         n_steps = 0
 
@@ -233,28 +252,28 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
         # an overflow surfaces as step's located non-finite-state failure
         with np.errstate(over="ignore", invalid="ignore"):
             while i < n_steps:
-                u = step(problem, config, u, inc[:, :, i], steppers)
+                u = step(problem, config, u, inc[i], steppers)
                 i += 1
-                norms.append(np.max(np.abs(u), axis=1))
-                mins.append(np.min(u, axis=1))
+                np.abs(u).max(axis=1, out=norms[i])
+                u.min(axis=1, out=mins[i])
                 if i % stride == 0:
-                    stored.append(u.copy())
+                    stored.append(u)
                     stored_idx.append(i)
-                if cap is not None and float(norms[-1].max()) > cap:
+                if cap is not None and norms[i].max() > cap:
                     stopping = StoppingRecord(True, cap, i * config.dt, i, "component-max")
                     break
     except SolverFailure as exc:
         raise SolverFailure(exc.reason, exc.detail, step=i + 1) from None
 
     if stored_idx[-1] != i:
-        stored.append(u.copy())
+        stored.append(u)
         stored_idx.append(i)
     if stopping is None:
         stopping = StoppingRecord(False, cap if cap is not None else np.inf,
                                   n_steps * config.dt, n_steps, "component-max")
     return Trajectory(times=np.asarray(stored_idx, dtype=float) * config.dt,
-                      states=np.stack(stored), sup_norms=np.asarray(norms),
-                      min_values=np.asarray(mins), dt=config.dt,
+                      states=np.stack(stored), sup_norms=norms[:i + 1],
+                      min_values=mins[:i + 1], dt=config.dt,
                       store_stride=stride, stopping=stopping)
 
 

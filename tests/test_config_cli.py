@@ -159,6 +159,15 @@ def test_simulate_runs_and_reproduces(tmp_path, out_root, capsys):
     assert first == second  # byte-identical artifacts on rerun
 
 
+def test_simulate_drift_with_tiny_interior_coefficient(tmp_path, out_root, capsys):
+    cfg = quick_preset()
+    cfg["reaction"] = {"drifts": [[1.3302823026997865, -3.6445333157304613e-119,
+                                   -1.2250470603341364], []],
+                       "coupling": {"name": "none"}}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+    assert "srds-error" not in capsys.readouterr().err
+
+
 def test_simulate_seed_changes_artifacts(tmp_path, out_root):
     cfg_path = write_config(tmp_path, quick_preset())
     assert main(["simulate", "--config", cfg_path, "--seed", "1"]) == 0

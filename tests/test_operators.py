@@ -285,6 +285,19 @@ def test_stepper_matches_lu_factor(case, dt):
     assert np.max(np.abs(op.stepper(dt).solve(b) - ref)) <= 1e-12 * np.max(np.abs(b))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=random_operators(), dt=st.floats(1e-4, 1.0), m=st.integers(1, 5),
+       scale=st.sampled_from([1e-5, 1.0, 1e4]))
+def test_block_solve_matches_row_solves_bitwise(case, dt, m, scale):
+    # LU on 1D and per-cell 2D operators, the DCT on constant 2D ones
+    op, rng = case
+    solver = op.solver(dt)
+    block = rng.normal(size=(m, op.grid.n_total)) * scale
+    out = solver.solve(block)
+    assert out.shape == block.shape and out.flags.c_contiguous
+    assert np.array_equal(out, np.stack([solver.solve(row) for row in block]))
+
+
 def test_stepper_selection(tmp_path):
     g1 = build_grid(1, [1.0], [32])
     g2 = build_grid(2, [1.0, 2.0], [12, 10])

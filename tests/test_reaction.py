@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,31 @@ def test_coupling_audit_catches_bad_constants():
                        name="bad")
     with pytest.raises(AuditError):
         bad.audit(r=1)
+
+
+def test_truncated_evaluate_subnormal_norms_do_not_warn():
+    # level / norms overflows in cells whose l1 norm is subnormal; np.where
+    # discards those quotients, inside the ball the state is read unchanged
+    sys = fhn_system()
+    u = np.array([[1e-310, 0.0], [0.0, 2e-320]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sys.evaluate(u, 4.0)
+    assert np.array_equal(out, sys.evaluate(u))
+
+
+_TINY_INTERIOR = [1.3302823026997865, -3.6445333157304613e-119, -1.2250470603341364]
+
+
+def test_certificate_with_tiny_interior_coefficient():
+    # the stationarity polynomial of -h/(1+s^3) has cancelling top
+    # coefficients, so a spurious critical point near 1e118 overflows s^3;
+    # the ratio there is evaluated in its rescaled form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = check_f1_f2(PolynomialDrift(_TINY_INTERIOR))
+    values = [getattr(cert, f) for f in ("a", "a_sym", "a1", "a2", "b1", "b2",
+                                         "a_prime", "a_dd", "b_dd")]
+    assert all(np.isfinite(values))
+    # the t -> infinity limit of -h/(1+t^3) is the lead's magnitude
+    assert cert.a_sym == -_TINY_INTERIOR[-1]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from srds import (gaussian_entry, load_path, normal_inverse, sample_path,
@@ -55,14 +59,25 @@ def test_sample_moments():
     assert abs(x.var() - dt) <= 0.01 * dt
 
 
-def test_coarsening_consistency():
-    path = sample_path(5, 2, 3, 64, 1e-3)
-    c1 = path.coarse(1)
-    manual = path.increments[:, :, 0::2] + path.increments[:, :, 1::2]
-    assert np.array_equal(c1, manual)
-    c3 = path.coarse(3)
-    assert c3.shape == (2, 3, 8)
-    assert np.allclose(c3.sum(axis=2), path.increments.sum(axis=2), atol=1e-12)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(r=st.integers(1, 3), K=st.integers(1, 4), n_coarse=st.integers(1, 24),
+       j=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_coarsening_consistency(r, K, n_coarse, j, seed):
+    n_fine = n_coarse << j
+    path = sample_path(seed, r, K, n_fine, 1e-3)
+    fine = path.increments
+    c = path.coarse(j)
+    assert c.shape == (r, K, n_fine >> j)
+    assert np.array_equal(path.coarse(0), fine)
+    for l, k, i in np.ndindex(c.shape):
+        block = fine[l, k, i << j:(i + 1) << j]
+        assert abs(c[l, k, i] - math.fsum(block)) <= 1e-12
+    assert np.allclose(c.sum(axis=2), fine.sum(axis=2), rtol=0, atol=1e-12)
+    # 2^(j + t + 1) does not divide n_fine when 2^t is n_coarse's largest
+    # power-of-two factor
+    t = (n_coarse & -n_coarse).bit_length() - 1
+    with pytest.raises(ValueError, match="not divisible"):
+        path.coarse(j + t + 1)
 
 
 def test_coarsening_requires_divisibility():

@@ -1,6 +1,9 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from srds import (CoefficientField, SolverConfig, assemble_operator, build_grid,
@@ -534,3 +537,202 @@ def test_truncation_property(drifts, rows, g_name, lam, level, unit, spread, see
     for l, comp in enumerate(prob.noise.components):
         rhs = u[l] + 1e-3 * F[l] + comp.g(clipped[l]) * comp.modal_field(inc[l])
         assert np.array_equal(out[l], prob.operators[l].stepper(1e-3).solve(rhs))
+
+
+# --- block stepping against the per-component reference -----------------------
+# A test-local copy of the per-component scheme the block step replaced: one
+# reaction term, one right-hand side u_l + dt*F_l + g_l*M_l and one solve per
+# component, then a full isfinite pass, with norms and minima kept in lists.
+
+
+def _reference_reaction(reaction, u, level):
+    def horner(coeffs, s):
+        cols = coeffs.T
+        r = np.empty(np.shape(s))
+        r[...] = cols[-1]
+        for c in cols[-2::-1]:
+            r = r * s + c
+        return r * s
+
+    drift_at = coupling_at = u
+    if level is not None:
+        drift_at = np.clip(u, -level, level)
+        norms = np.sum(np.abs(u), axis=0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            coupling_at = u * np.where(norms > level, level / norms, 1.0)
+    out = np.empty_like(u)
+    for l, (drift, k) in enumerate(zip(reaction.drifts, reaction.couplings)):
+        out[l] = 0.0 if drift is None else horner(drift.coeffs, drift_at[l])
+        out[l] += k(coupling_at)
+    return out
+
+
+def _reference_step(problem, config, u, increments, steppers, drift_at=None,
+                    noise_at=None):
+    drift_at = u if drift_at is None else drift_at
+    noise_at = u if noise_at is None else noise_at
+    dt, level = config.dt, problem.level
+    F = _reference_reaction(problem.reaction, drift_at, level)
+    if level is not None:
+        noise_at = np.clip(noise_at, -level, level)
+    out = np.empty_like(u)
+    for l in range(problem.r):
+        Fl = F[l]
+        if config.scheme == "tamed-semi-implicit":
+            Fl = Fl / (1.0 + dt * np.max(np.abs(Fl)))
+        comp = problem.noise.components[l]
+        rhs = u[l] + dt * Fl + comp.g(noise_at[l]) * comp.modal_field(
+            increments[l][:comp.modes])
+        out[l] = steppers[l].solve(rhs)
+    if not np.all(np.isfinite(out)):
+        l, cell = np.argwhere(~np.isfinite(out))[0]
+        raise SolverFailure("non-finite-state", f"component {l} cell {cell}")
+    return out
+
+
+def _reference_simulate(problem, config, path, initial):
+    from srds.solver import StoppingRecord, Trajectory
+
+    u = np.array(initial, dtype=float)
+    inc = _resolve_increments(config, path)
+    n_steps, stride, cap = config.n_steps, config.store_stride, config.sup_cap
+    steppers = [op.stepper(config.dt) for op in problem.operators]
+    norms, mins = [np.max(np.abs(u), axis=1)], [np.min(u, axis=1)]
+    stored, stored_idx = [u.copy()], [0]
+    stopping = None
+    if cap is not None and float(norms[0].max()) > cap:
+        stopping = StoppingRecord(True, cap, 0.0, 0, "component-max")
+        n_steps = 0
+    i = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while i < n_steps:
+                u = _reference_step(problem, config, u, inc[:, :, i], steppers)
+                i += 1
+                norms.append(np.max(np.abs(u), axis=1))
+                mins.append(np.min(u, axis=1))
+                if i % stride == 0:
+                    stored.append(u.copy())
+                    stored_idx.append(i)
+                if cap is not None and float(norms[-1].max()) > cap:
+                    stopping = StoppingRecord(True, cap, i * config.dt, i,
+                                              "component-max")
+                    break
+    except SolverFailure as exc:
+        raise SolverFailure(exc.reason, exc.detail, step=i + 1) from None
+    if stored_idx[-1] != i:
+        stored.append(u.copy())
+        stored_idx.append(i)
+    if stopping is None:
+        stopping = StoppingRecord(False, cap if cap is not None else np.inf,
+                                  n_steps * config.dt, n_steps, "component-max")
+    return Trajectory(times=np.asarray(stored_idx, dtype=float) * config.dt,
+                      states=np.stack(stored), sup_norms=np.asarray(norms),
+                      min_values=np.asarray(mins), dt=config.dt,
+                      store_stride=stride, stopping=stopping)
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except SolverFailure as exc:
+        return (exc.reason, exc.detail, exc.step)
+
+
+@st.composite
+def _block_cases(draw):
+    """A random problem: r = 1-3 components on a 1D grid (LU) or a 2D grid
+    (constant coefficients: DCT; per-cell: LU), each component picking one
+    of two operators (shared or distinct, contiguous or not), drifts,
+    linear couplings, amplitudes and per-component mode counts; both
+    schemes, a truncation level or none, a store stride, initial states up
+    to overflowing sizes and the step a sup cap is set at, or none."""
+    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_linear
+
+    r = draw(st.integers(1, 3))
+    dim = draw(st.sampled_from([1, 2]))
+    n_cells = draw(st.lists(st.integers(3, 12 if dim == 1 else 6),
+                            min_size=dim, max_size=dim))
+    grid = build_grid(dim, [1.0] * dim, n_cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [assemble_operator(grid, CoefficientField.constant(grid, a=1.0)),
+            assemble_operator(grid, CoefficientField.from_arrays(
+                grid, rng.uniform(0.6, 1.8, size=(grid.n_total, dim)),
+                rng.uniform(0.0, 1.0, size=grid.n_total), 0.5, 2.0))]
+    ops = tuple(pool[i] for i in draw(st.sampled_from(
+        list(itertools.product((0, 1), repeat=r)))))
+    drifts = draw(st.lists(st.one_of(st.none(), _DRIFT), min_size=r, max_size=r))
+    rows = draw(st.lists(st.lists(_COEF, min_size=r, max_size=r), min_size=r,
+                         max_size=r))
+    reaction = ReactionSystem(
+        [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
+        [coupling_linear(row) for row in rows], audit=False)
+    modes = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    g_names = draw(st.lists(st.sampled_from(["sqrt-abs", "sqrt-pos", "lipschitz:1"]),
+                            min_size=r, max_size=r))
+    noise = build_noise([cosine_neumann_basis(grid, k) for k in modes],
+                        [rng.uniform(0.0, 8.0, size=k) for k in modes],
+                        [named_g(name) for name in g_names], audit=False)
+    level = draw(st.one_of(st.none(), st.floats(1.0, 8.0)))
+    problem = Problem(grid=grid, operators=ops, reaction=reaction, noise=noise,
+                      level=level)
+    n_steps = draw(st.integers(1, 12))
+    j = draw(st.integers(0, 2))
+    config = SolverConfig(
+        dt=1e-3 * 2**j, t_end=1e-3 * 2**j * n_steps,
+        scheme=draw(st.sampled_from(["semi-implicit", "tamed-semi-implicit"])),
+        store_stride=draw(st.integers(1, 4)))
+    path = sample_path(draw(st.integers(0, 2**16)), r, max(modes), n_steps * 2**j, 1e-3)
+    scale = draw(st.sampled_from([0.5, 1e120, 4.0]))  # 1e120: cubes overflow
+    # signed fields, or nearly flat ones whose sup norm the noise can raise
+    lo = draw(st.sampled_from([-1.0, 0.9]))
+    initial = rng.uniform(lo, 1.0, size=(r, grid.n_total)) * scale
+    cap_at = draw(st.one_of(st.none(), st.integers(0, n_steps)))
+    return problem, config, path, initial, cap_at, rng
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_block_cases())
+def test_block_step_matches_per_component_reference(case):
+    problem, config, path, initial, cap_at, rng = case
+    exit_at = None
+    if cap_at is not None:
+        # a cap between the uncapped run's running maximum of the sup norm
+        # before a step where it sets a new record and that record: the
+        # capped run exits at that step
+        free = _outcome(_reference_simulate, problem, config, path, initial)
+        if not isinstance(free, tuple):
+            m = free.sup_norms.max(axis=1)
+            running = np.maximum.accumulate(m)
+            records = [0] + [i for i in range(1, len(m)) if m[i] > running[i - 1]]
+            exit_at = records[-1 - cap_at % len(records)]
+            cap = 0.5 * m[0] if exit_at == 0 else 0.5 * (running[exit_at - 1] + m[exit_at])
+            config = replace(config, sup_cap=float(cap))
+    got = _outcome(simulate, problem, config, path, initial)
+    ref = _outcome(_reference_simulate, problem, config, path, initial)
+    ids = [id(op) for op in problem.operators]
+    event(f"dim {problem.grid.dim}, {type(problem.operators[0].stepper(config.dt)).__name__}")
+    event(f"{len(set(ids))} of {len(ids)} operators distinct"
+          + (", shared apart" if len(ids) == 3 and ids[0] == ids[2] != ids[1] else ""))
+    event("failure" if isinstance(ref, tuple) else
+          f"cap exit at step {'0' if ref.stopping.step_index == 0 else '> 0'}"
+          if ref.stopping.triggered else "ran to t_end")
+    if isinstance(ref, tuple):
+        assert got == ref  # same reason, detail and step
+        return
+    assert not isinstance(got, tuple), got
+    assert np.array_equal(got.times, ref.times)
+    assert np.array_equal(got.states, ref.states)
+    assert np.array_equal(got.sup_norms, ref.sup_norms)
+    assert np.array_equal(got.min_values, ref.min_values)
+    assert got.stopping == ref.stopping
+    if exit_at is not None:
+        assert got.stopping.triggered and got.stopping.step_index == exit_at
+    # one step at separate drift and noise evaluation points, as
+    # mild_residual takes them
+    u, v, w = rng.uniform(-2.0, 2.0, size=(3,) + initial.shape)
+    inc = path.coarse(dyadic_level(config.dt, path.dt_fine))[:, :, 0]
+    steppers = [op.stepper(config.dt) for op in problem.operators]
+    assert np.array_equal(
+        step(problem, config, u, inc, steppers, drift_at=v, noise_at=w),
+        _reference_step(problem, config, u, inc, steppers, drift_at=v, noise_at=w))
