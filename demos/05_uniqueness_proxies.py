@@ -20,8 +20,8 @@ problem = srds.Problem(grid=grid, operators=(op, op),
 cfg = srds.SolverConfig(dt=1.0 / 256, t_end=0.25, sup_cap=8.0, store_stride=16)
 report = srds.uniqueness_experiment(
     problem, cfg, np.full((2, 32), 0.2), n_paths=24,
-    eps_list=(1e-1, 1e-2, 1e-3), master_seed=7, bitwise_paths=4,
-    cauchy_paths=12, cauchy_refinements=3, cauchy_dt=1.0 / 16)
+    eps_list=(1e-1, 1e-2, 1e-3), master_seed=7, cauchy_paths=12,
+    cauchy_refinements=3)
 
 report.print_summary()
 

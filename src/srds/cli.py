@@ -160,7 +160,9 @@ def _path_stats(cfg_blob: str, master_seed: int, n_fine: int, dt_fine: float,
     problem, initial, solver_cfg = _cached_problem(cfg_blob)
     path = sample_path(master_seed, problem.r, problem.noise.modes, n_fine,
                        dt_fine, path_index=path_index)
-    traj = simulate(problem, solver_cfg, path, initial)
+    # the statistics read per-step norms and minima only: store no other states
+    traj = simulate(problem, replace(solver_cfg, store_stride=solver_cfg.n_steps),
+                    path, initial)
     e = traj.e_norms()
     return {
         "path": path_index,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,6 +37,14 @@ def mean_upper_ci(values: np.ndarray) -> tuple[float, float]:
         return m, m
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
     return m, m + Z95 * sem
+
+
+def require_positive(**counts) -> None:
+    """Raise ValueError for the first count below one: a check run on zero
+    samples would pass without evidence."""
+    for key, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1")
 
 
 @dataclass
@@ -114,14 +123,15 @@ def _l1_gap(a: Trajectory, b: Trajectory, cell_volume: float) -> np.ndarray:
 
 
 CAUCHY_OFFSET = 1 << 20
+# the eps = 0 twins run on the first BITWISE_PATHS paths
+BITWISE_PATHS = 8
 
 
 def uniqueness_experiment(problem: Problem, config: SolverConfig,
                           initial: np.ndarray, n_paths: int = 64,
                           eps_list=(1e-1, 1e-2, 1e-3), master_seed: int = 0,
-                          slack: float = 0.1, bitwise_paths: int = 8,
-                          cauchy_paths: int = 32, cauchy_refinements: int = 3,
-                          cauchy_dt: float | None = None) -> ExperimentReport:
+                          slack: float = 0.1, cauchy_paths: int = 32,
+                          cauchy_refinements: int = 3) -> ExperimentReport:
     """Twin-run perturbation study against the Gronwall envelope.
 
     For each path and epsilon, the same Wiener path drives two runs started
@@ -132,9 +142,14 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     Cauchy at t_end.  More than half the base runs leaving the cap raise
     SolverFailure.
     """
+    require_positive(n_paths=n_paths)
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be nonempty and strictly decreasing")
+    # first used after the twin runs: a wrong type must fail before any path
+    slack_factor = 1.0 + slack
+    cauchy_paths = operator.index(cauchy_paths)
+    n_ref = operator.index(cauchy_refinements)
     cap = config.sup_cap if config.sup_cap is not None else 8.0
     run_cfg = replace(config, sup_cap=cap)
     m_radius = cap
@@ -152,7 +167,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         provenance=_provenance(problem, config, master_seed),
     )
 
-    # (i) zero-perturbation twins on the first bitwise_paths paths, (ii)+(iii)
+    # (i) zero-perturbation twins on the first BITWISE_PATHS paths, (ii)+(iii)
     # perturbation decay and envelope, all on common random numbers
     gap_series: dict[float, list[np.ndarray]] = {e: [] for e in eps_list}
     stored_times = None
@@ -161,7 +176,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     for p in range(n_paths):
         path = _make_path(problem, master_seed, p, n_steps, run_cfg.dt)
         base = simulate(problem, run_cfg, path, initial)
-        if p < bitwise_paths:
+        if p < BITWISE_PATHS:
             twin = simulate(problem, run_cfg, path, initial)
             bitwise_ok &= (np.array_equal(base.states, twin.states)
                            and np.array_equal(base.sup_norms, twin.sup_norms))
@@ -176,7 +191,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         raise SolverFailure("excessive-cap-exits",
                             f"{exits}/{n_paths} paths left the cap radius")
     report.add_check("twin-bitwise-identity", bitwise_ok,
-                     f"{min(bitwise_paths, n_paths)} paths")
+                     f"{min(BITWISE_PATHS, n_paths)} paths")
     report.aggregates["cap_exit_fraction"] = exits / n_paths
 
     envelope_ok = True
@@ -189,7 +204,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         times = stored_times[:n_common]
         means = gaps.mean(axis=0)
         uppers = np.array([mean_upper_ci(gaps[:, i])[1] for i in range(n_common)])
-        env = d0 * np.exp(rate * times) * (1.0 + slack)
+        env = d0 * np.exp(rate * times) * slack_factor
         ok = bool(np.all(uppers <= env + 1e-300))
         envelope_ok = envelope_ok and ok
         terminal[e] = mean_upper_ci(gaps[:, -1])
@@ -201,7 +216,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
                      f"rate r*L_m={rate:.4g}, slack {slack}")
 
     means_T = [terminal[e][0] for e in eps_list]
-    mono = all(means_T[i + 1] <= means_T[i] * (1.0 + slack) for i in range(len(eps_list) - 1))
+    mono = all(means_T[i + 1] <= means_T[i] * slack_factor for i in range(len(eps_list) - 1))
     vanishing = means_T[-1] < means_T[0]
     report.add_check("gap-monotone-in-eps", bool(mono and vanishing),
                      "mean D(T) = " + ", ".join(f"{e:g}:{m:.3e}"
@@ -212,8 +227,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     # deliberately coarse: pathwise monotonicity of the gaps is only
     # observable while the systematic refinement error dominates the
     # per-path noise of the strong error.
-    n_ref = cauchy_refinements
-    dt0 = cauchy_dt if cauchy_dt is not None else max(run_cfg.dt, 1.0 / 16)
+    dt0 = max(run_cfg.dt, 1.0 / 16)
     base_steps = max(1, round(run_cfg.t_end / dt0))
     dt0 = run_cfg.t_end / base_steps
     fine_steps = base_steps * (1 << n_ref)
@@ -284,8 +298,7 @@ def negative_control_problem(problem: Problem) -> Problem:
 def positivity_experiment(problem: Problem, config: SolverConfig,
                           initial: np.ndarray, n_paths: int = 64,
                           master_seed: int = 0, c_tol: float | None = None,
-                          dt_halving: bool = True,
-                          run_control: bool = True) -> ExperimentReport:
+                          control: bool = True) -> ExperimentReport:
     """Sign preservation under quasi-positive reaction and g(0) = 0 noise.
 
     The recorded global minimum over components, cells and steps must stay
@@ -295,6 +308,7 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     non-quasi-positive control must go genuinely
     negative for the verdict to have power.
     """
+    require_positive(n_paths=n_paths)
     qp = check_quasi_positive(problem.reaction, grid_samples=2000, range_m=5.0)
     if not qp.passed:
         raise AuditError("quasi-positivity", f"witness {qp.witness}")
@@ -309,7 +323,7 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     report = ExperimentReport(
         name="positivity",
         parameters={"n_paths": n_paths, "c_tol": c_tol, "tolerance": tol,
-                    "dt": config.dt, "dt_halving": dt_halving},
+                    "dt": config.dt},
         provenance=_provenance(problem, config, master_seed),
     )
 
@@ -322,34 +336,30 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     for p in range(n_paths):
         path = _make_path(problem, master_seed, p, n_fine, dt_fine)
         min_coarse[p] = simulate(problem, cfg_coarse, path, initial).min_values.min()
-        if dt_halving:
-            min_fine[p] = simulate(problem, cfg_fine, path, initial).min_values.min()
+        min_fine[p] = simulate(problem, cfg_fine, path, initial).min_values.min()
     global_min = float(min_coarse.min())
     report.aggregates["global_min"] = global_min
     report.add_check("minimum-above-tolerance", global_min >= -tol,
                      f"min {global_min:.3e} vs -{tol:.3e}")
-    rows = [[p, float(min_coarse[p])] + ([float(min_fine[p])] if dt_halving else [])
-            for p in range(n_paths)]
-    report.tables["minima"] = (
-        ["path", "min_dt"] + (["min_dt_half"] if dt_halving else []), rows)
+    rows = [[p, float(min_coarse[p]), float(min_fine[p])] for p in range(n_paths)]
+    report.tables["minima"] = (["path", "min_dt", "min_dt_half"], rows)
 
-    if dt_halving:
-        over_c = max(0.0, -global_min)
-        over_f = max(0.0, -float(min_fine.min()))
-        report.aggregates["overshoot_dt"] = over_c
-        report.aggregates["overshoot_dt_half"] = over_f
-        report.add_check("overshoot-monotone-in-dt",
-                         over_f <= over_c + 0.25 * tol,
-                         f"{over_f:.3e} vs {over_c:.3e} + slack")
+    over_c = max(0.0, -global_min)
+    over_f = max(0.0, -float(min_fine.min()))
+    report.aggregates["overshoot_dt"] = over_c
+    report.aggregates["overshoot_dt_half"] = over_f
+    report.add_check("overshoot-monotone-in-dt",
+                     over_f <= over_c + 0.25 * tol,
+                     f"{over_f:.3e} vs {over_c:.3e} + slack")
 
-    if run_control:
+    if control:
         # canonical control initial (u, v) = (0, 1): u' ~ -v drives the first
         # component to about -t_end, decisively below the tolerance
-        control = negative_control_problem(problem)
+        ctrl_problem = negative_control_problem(problem)
         ctrl_init = np.zeros_like(initial)
         ctrl_init[1] = 1.0
-        path = _make_path(control, master_seed, 0, n_fine, dt_fine)
-        ctrl_min = float(simulate(control, cfg_coarse, path, ctrl_init)
+        path = _make_path(ctrl_problem, master_seed, 0, n_fine, dt_fine)
+        ctrl_min = float(simulate(ctrl_problem, cfg_coarse, path, ctrl_init)
                          .min_values.min())
         report.aggregates["control_min"] = ctrl_min
         report.add_check("negative-control-trips", ctrl_min < -tol,
@@ -361,8 +371,9 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
 # moment bounds along the truncation ladder
 
 
-def moment_experiment(problem: Problem, config: SolverConfig, p: float,
-                      levels, n_paths: int, initial: np.ndarray,
+def moment_experiment(problem: Problem, config: SolverConfig,
+                      initial: np.ndarray, p: float = 4.0,
+                      levels=(4.0, 8.0, 16.0, 32.0), n_paths: int = 32,
                       master_seed: int = 0) -> ExperimentReport:
     """Estimate m_n = (E sup_t ||u^(n)||_E^p)^(1/p) across truncation levels.
 
@@ -373,11 +384,10 @@ def moment_experiment(problem: Problem, config: SolverConfig, p: float,
     """
     if not p > 2:
         raise ValueError("moment exponent must satisfy p > 2")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    require_positive(n_paths=n_paths)
     levels = [float(n) for n in levels]
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be increasing")
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be a nonempty increasing list")
     run_cfg = replace(config, sup_cap=None, store_stride=max(1, config.n_steps))
     n_steps = run_cfg.n_steps
 

@@ -307,7 +307,6 @@ class LadderReport:
     levels: list[float]
     exit_steps: list[int]
     exit_times: list[float]
-    consistent: bool
 
 
 def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
@@ -356,8 +355,7 @@ def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
                                 "e-norm-sum"),
     )
     report = LadderReport(levels=levels, exit_steps=exits,
-                          exit_times=[e * config.dt for e in exits],
-                          consistent=True)
+                          exit_times=[e * config.dt for e in exits])
     return glued, report
 
 

@@ -1,7 +1,8 @@
 """Named verification suites behind `verify <suite>`.
 
 Each suite exercises one module's invariants on the configured problem and
-returns an ExperimentReport whose verdict drives the process exit code.
+returns an ExperimentReport whose verdict drives the process exit code.  The
+`experiment` config block is passed through as the suite's keyword arguments.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from .config import config_block
 from .errors import AuditError
 from .experiments import (ExperimentReport, _provenance, _zero_noise,
                           moment_experiment, positivity_experiment,
-                          residual_refinement, uniqueness_experiment)
+                          require_positive, residual_refinement,
+                          uniqueness_experiment)
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
 from .noise import NoiseModel, named_g, osgood_check
@@ -29,11 +31,11 @@ from .solver import Problem, SolverConfig
 SPECTRAL_LU_TRIALS = 5
 
 
-def suite_operator(problem: Problem, config: SolverConfig, initial, params,
-                   master_seed: int) -> ExperimentReport:
-    report = ExperimentReport(name="operator", parameters=dict(params),
+def suite_operator(problem: Problem, config: SolverConfig, initial,
+                   master_seed: int, trials: int = 1000) -> ExperimentReport:
+    require_positive(trials=trials)
+    report = ExperimentReport(name="operator", parameters={"trials": trials},
                               provenance=_provenance(problem, config, master_seed))
-    trials = int(params.get("trials", 1000))
     rng = np.random.default_rng(master_seed)
     for idx, op in enumerate(problem.operators):
         sharing = [j for j, other in enumerate(problem.operators) if other is op]
@@ -100,19 +102,24 @@ def suite_operator(problem: Problem, config: SolverConfig, initial, params,
     return report
 
 
-def suite_reaction(problem: Problem, config: SolverConfig, initial, params,
-                   master_seed: int) -> ExperimentReport:
+def suite_reaction(problem: Problem, config: SolverConfig, initial,
+                   master_seed: int, radii=(1.0, 10.0, 100.0),
+                   samples: int = 10_000, dissipativity_trials: int = 300,
+                   quasi_positive: bool = True) -> ExperimentReport:
+    require_positive(samples=samples, dissipativity_trials=dissipativity_trials)
     sys = problem.reaction
-    report = ExperimentReport(name="reaction", parameters=dict(params),
-                              provenance=_provenance(problem, config, master_seed))
+    report = ExperimentReport(
+        name="reaction",
+        parameters={"radii": radii, "samples": samples,
+                    "dissipativity_trials": dissipativity_trials,
+                    "quasi_positive": quasi_positive},
+        provenance=_provenance(problem, config, master_seed))
     rng = np.random.default_rng(master_seed + 1)
-    radii = params.get("radii", (1.0, 10.0, 100.0))
-    n_samples = int(params.get("samples", 10_000))
 
     lip_ok = True
     for m in radii:
-        s = rng.uniform(-m, m, size=(sys.r, n_samples))
-        t = rng.uniform(-m, m, size=(sys.r, n_samples))
+        s = rng.uniform(-m, m, size=(sys.r, samples))
+        t = rng.uniform(-m, m, size=(sys.r, samples))
         for k in sys.couplings:
             lhs = np.abs(k(s) - k(t))
             rhs = k.lipschitz(m) * np.sum(np.abs(s - t), axis=0)
@@ -121,10 +128,9 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial, params,
     report.add_check("coupling-lipschitz", lip_ok, f"radii {tuple(radii)}")
 
     margin_min = np.inf
-    n_fields = int(params.get("dissipativity_trials", 300))
     n_cells = problem.grid.n_total
     for m in radii:
-        for _ in range(n_fields):
+        for _ in range(dissipativity_trials):
             u = rng.uniform(-m, m, size=n_cells)
             v = rng.uniform(-m, m, size=n_cells)
             if np.all(u == 0.0):
@@ -136,18 +142,17 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial, params,
     report.add_check("dissipativity-margins", margin_min >= -1e-9,
                      f"min margin {margin_min:.3e}")
 
-    qp = check_quasi_positive(sys, grid_samples=n_samples, range_m=max(radii[0], 1.0),
+    qp = check_quasi_positive(sys, grid_samples=samples, range_m=max(radii[0], 1.0),
                               seed=master_seed + 2)
-    expect_qp = bool(params.get("quasi_positive", True))
-    report.add_check("quasi-positivity", qp.passed == expect_qp,
+    report.add_check("quasi-positivity", qp.passed == bool(quasi_positive),
                      f"audit margin {qp.audit_margin_min:.3e}" if qp.passed
                      else f"witness {qp.witness}")
     return report
 
 
-def suite_noise(problem: Problem, config: SolverConfig, initial, params,
+def suite_noise(problem: Problem, config: SolverConfig, initial,
                 master_seed: int) -> ExperimentReport:
-    report = ExperimentReport(name="noise", parameters=dict(params),
+    report = ExperimentReport(name="noise", parameters={},
                               provenance=_provenance(problem, config, master_seed))
     for idx, comp in enumerate(problem.noise.components):
         tag = f"comp{idx}"
@@ -177,13 +182,16 @@ def suite_noise(problem: Problem, config: SolverConfig, initial, params,
     return report
 
 
-def suite_mollifier(problem: Problem, config: SolverConfig, initial, params,
-                    master_seed: int) -> ExperimentReport:
-    report = ExperimentReport(name="mollifier", parameters=dict(params),
-                              provenance=_provenance(problem, config, master_seed))
-    n_max = int(params.get("n_max", 5))
-    if "C" in params:
-        constants = [float(params["C"])]
+def suite_mollifier(problem: Problem, config: SolverConfig, initial,
+                    master_seed: int, n_max: int = 5, C: float | None = None,
+                    probe_points: int = 10_001) -> ExperimentReport:
+    require_positive(probe_points=probe_points)
+    report = ExperimentReport(
+        name="mollifier",
+        parameters={"n_max": n_max, "C": C, "probe_points": probe_points},
+        provenance=_provenance(problem, config, master_seed))
+    if C is not None:
+        constants = [C]
     else:
         seen = []
         for comp in problem.noise.components:
@@ -192,7 +200,7 @@ def suite_mollifier(problem: Problem, config: SolverConfig, initial, params,
                 if c not in seen:
                     seen.append(c)
         constants = seen or [1.0]
-    probe = np.linspace(-2.0, 2.0, int(params.get("probe_points", 10_001)))
+    probe = np.linspace(-2.0, 2.0, probe_points)
     for C in constants:
         rho = lambda s, C=C: C * np.asarray(s, dtype=float)
         fam = build_mollifier(rho, n_max)
@@ -220,13 +228,14 @@ def _with_named_g(problem: Problem, name: str) -> Problem:
     return replace(problem, noise=noise)
 
 
-def suite_residual(problem: Problem, config: SolverConfig, initial, params,
-                   master_seed: int) -> ExperimentReport:
-    report = ExperimentReport(name="residual", parameters=dict(params),
-                              provenance=_provenance(problem, config, master_seed))
-    t_end = float(params.get("t_end", 0.25))
-    dt = float(params.get("dt", 1.0 / 256))
-    n_paths = int(params.get("n_paths", 32))
+def suite_residual(problem: Problem, config: SolverConfig, initial,
+                   master_seed: int, t_end: float = 0.25, dt: float = 1.0 / 256,
+                   n_paths: int = 32) -> ExperimentReport:
+    require_positive(n_paths=n_paths)
+    report = ExperimentReport(
+        name="residual",
+        parameters={"t_end": t_end, "dt": dt, "n_paths": n_paths},
+        provenance=_provenance(problem, config, master_seed))
     cfg = SolverConfig(dt=dt, t_end=t_end, store_stride=1)
 
     det = residual_refinement(_zero_noise(problem), cfg, initial,
@@ -247,33 +256,23 @@ def suite_residual(problem: Problem, config: SolverConfig, initial, params,
     return report
 
 
-def suite_uniqueness(problem: Problem, config: SolverConfig, initial, params,
-                     master_seed: int) -> ExperimentReport:
-    return uniqueness_experiment(
-        problem, config, initial, master_seed=master_seed,
-        n_paths=int(params.get("n_paths", 64)),
-        eps_list=params.get("eps_list", (1e-1, 1e-2, 1e-3)),
-        slack=float(params.get("slack", 0.1)),
-        cauchy_paths=int(params.get("cauchy_paths", 32)),
-        cauchy_refinements=int(params.get("cauchy_refinements", 3)))
+# the experiments are looked up by name per call: a patched name sees every run
+def suite_uniqueness(problem: Problem, config: SolverConfig, initial,
+                     master_seed: int, **params) -> ExperimentReport:
+    return uniqueness_experiment(problem, config, initial,
+                                 master_seed=master_seed, **params)
 
 
-def suite_positivity(problem: Problem, config: SolverConfig, initial, params,
-                     master_seed: int) -> ExperimentReport:
-    return positivity_experiment(
-        problem, config, initial, master_seed=master_seed,
-        n_paths=int(params.get("n_paths", 64)),
-        c_tol=params.get("c_tol"),
-        dt_halving=bool(params.get("dt_halving", True)),
-        run_control=bool(params.get("control", True)))
+def suite_positivity(problem: Problem, config: SolverConfig, initial,
+                     master_seed: int, **params) -> ExperimentReport:
+    return positivity_experiment(problem, config, initial,
+                                 master_seed=master_seed, **params)
 
 
-def suite_moments(problem: Problem, config: SolverConfig, initial, params,
-                  master_seed: int) -> ExperimentReport:
-    return moment_experiment(
-        problem, config, float(params.get("p", 4.0)),
-        params.get("levels", (4.0, 8.0, 16.0, 32.0)),
-        int(params.get("n_paths", 32)), initial, master_seed=master_seed)
+def suite_moments(problem: Problem, config: SolverConfig, initial,
+                  master_seed: int, **params) -> ExperimentReport:
+    return moment_experiment(problem, config, initial,
+                             master_seed=master_seed, **params)
 
 
 # suite name -> suite; `verify <suite>` takes its choices from the keys
@@ -289,7 +288,6 @@ def run_suite(name: str, problem: Problem, config: SolverConfig,
               initial: np.ndarray, params: dict, master_seed: int) -> ExperimentReport:
     if name not in SUITES:
         raise AuditError("suite", f"unknown suite {name!r}")
-    params = dict(params)
-    params.pop("name", None)
+    params = {k: v for k, v in params.items() if k != "name"}
     with config_block("experiment"):
-        return SUITES[name](problem, config, initial, params, master_seed)
+        return SUITES[name](problem, config, initial, master_seed, **params)

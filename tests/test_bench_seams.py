@@ -55,6 +55,23 @@ def test_tracer_sees_every_path_and_step(tmp_path):
         tracer.restore()
 
 
+def test_tracer_sees_the_positivity_suite(tmp_path):
+    positivity = _config(tmp_path, "positivity", {"name": "positivity", "n_paths": 2})
+    tracer = _tracer.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "positivity", "--config", positivity,
+                     "--out", str(tmp_path / "out")]) == 0
+        s = tracer.summary()
+        assert s["calls"]["experiments"] == 1
+        # each path drives its dt and dt/2 runs; the control samples one more
+        assert s["calls"]["rng.sample_path"] == 2 + 1
+        assert s["calls"]["solver.simulate"] == 2 * 2 + 1
+        assert s["counts"]["solver.member_steps"] == 2 * (20 + 40) + 20
+    finally:
+        tracer.restore()
+
+
 def test_shared_work_is_done_once(tmp_path):
     import srds.cli
 

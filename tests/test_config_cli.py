@@ -302,6 +302,13 @@ def test_verify_operator_checks_the_stepping_solver():
         assert checks[f"{tag}-spectral-matches-lu"]["detail"].startswith("5 trials")
 
 
+def test_native_suite_report_records_effective_parameters():
+    problem, initial, solver_cfg = build_problem(quick_preset())
+    report = run_suite("mollifier", problem, solver_cfg, initial, {"n_max": 2}, 42)
+    assert report.to_dict()["parameters"] == {"n_max": 2, "C": None,
+                                              "probe_points": 10001}
+
+
 def test_verify_noise_pass(tmp_path, out_root):
     cfg = quick_preset()
     cfg["experiment"] = {"name": "noise"}
@@ -530,6 +537,25 @@ def test_ensemble_seed_recorded(tmp_path, out_root):
     assert "config_digest" in run and "tool_version" in run
 
 
+def test_ensemble_stores_no_intermediate_states(tmp_path, monkeypatch):
+    import srds.cli
+
+    strides = []
+    simulate = srds.cli.simulate
+    monkeypatch.setattr(srds.cli, "simulate", lambda problem, config, *args: (
+        strides.append(config.store_stride) or simulate(problem, config, *args)))
+    csvs = {}
+    for stride in (1, 5):
+        cfg = quick_preset(store_stride=stride)
+        root = tmp_path / f"stride{stride}"
+        assert main(["ensemble", "--config", write_config(tmp_path, cfg),
+                     "--paths", "3", "--out", str(root)]) == 0
+        csvs[stride] = [p.read_bytes() for name in ("paths.csv", "aggregate.csv")
+                        for p in root.rglob(name)]
+    assert len(csvs[1]) == 2 and csvs[1] == csvs[5]
+    assert strides == [20] * 6  # n_steps, whatever the configured stride
+
+
 # --- values of the wrong type or out of range ------------------------------------------
 
 
@@ -550,12 +576,46 @@ BAD_VALUES = [
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "eps_list": ["a"]},
      "experiment"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "n_paths": 0},
-     "experiment"),
+     "experiment", "n_paths must be >= 1"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "eps_list": []},
      "experiment"),
     ("simulate", ("output", "formats"), "csv", "output"),
     ("simulate", ("output", "formats"), ["xml"], "output"),
-    ("verify moments", ("experiment",), {"name": "moments", "n_paths": 0}, "experiment"),
+    ("verify moments", ("experiment",), {"name": "moments", "n_paths": 0}, "experiment",
+     "n_paths must be >= 1"),
+    # a count of zero would let a check pass on no samples
+    ("verify operator", ("experiment",), {"name": "operator", "trials": 0},
+     "experiment", "trials must be >= 1"),
+    ("verify reaction", ("experiment",),
+     {"name": "reaction", "dissipativity_trials": 0}, "experiment",
+     "dissipativity_trials must be >= 1"),
+    ("verify reaction", ("experiment",), {"name": "reaction", "samples": 0},
+     "experiment", "samples must be >= 1"),
+    ("verify mollifier", ("experiment",), {"name": "mollifier", "probe_points": 0},
+     "experiment", "probe_points must be >= 1"),
+    ("verify residual", ("experiment",), {"name": "residual", "n_paths": 0},
+     "experiment", "n_paths must be >= 1"),
+    ("verify positivity", ("experiment",), {"name": "positivity", "n_paths": 0},
+     "experiment", "n_paths must be >= 1"),
+    ("verify moments", ("experiment",), {"name": "moments", "levels": []},
+     "experiment", "levels must be a nonempty increasing list"),
+    # the block's keys are the suite's keyword arguments: nothing else passes
+    ("verify positivity", ("experiment",), {"name": "positivity", "n_path": 2},
+     "experiment",
+     "positivity_experiment() got an unexpected keyword argument 'n_path'"),
+    ("verify moments", ("experiment",), {"name": "moments", "level": [4]},
+     "experiment", "moment_experiment() got an unexpected keyword argument 'level'"),
+    ("verify uniqueness", ("experiment",), {"name": "uniqueness", "eps": [0.1]},
+     "experiment", "uniqueness_experiment() got an unexpected keyword argument 'eps'"),
+    ("verify operator", ("experiment",), {"name": "operator", "trial": 5},
+     "experiment", "suite_operator() got an unexpected keyword argument 'trial'"),
+    ("verify positivity", ("experiment",), {"name": "positivity", "dt_halving": False},
+     "experiment",
+     "positivity_experiment() got an unexpected keyword argument 'dt_halving'"),
+    ("verify operator", ("experiment",), {"name": "operator", "trials": "50"},
+     "experiment", "'<' not supported between instances of 'str' and 'int'"),
+    ("verify uniqueness", ("experiment",), {"name": "uniqueness", "slack": "0.1"},
+     "experiment", "unsupported operand type(s) for +: 'float' and 'str'"),
 ]
 
 
@@ -565,17 +625,19 @@ def _set(cfg, keys, value):
     cfg[keys[-1]] = value
 
 
-@pytest.mark.parametrize("command,keys,value,reason", BAD_VALUES,
+# a row's optional fifth entry is the expected start of the detail
+@pytest.mark.parametrize("command,keys,value,reason,detail",
+                         [(*c, "")[:5] for c in BAD_VALUES],
                          ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}={c[2]!r}"
                               for c in BAD_VALUES])
 def test_bad_value_exits_two(tmp_path, out_root, capsys, command, keys, value,
-                             reason):
+                             reason, detail):
     cfg = quick_preset()
     _set(cfg, keys, value)
     assert main([*command.split(), "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("srds-error:") == 1
-    assert f"code=2 kind=config reason={reason} " in err
+    assert f"code=2 kind=config reason={reason} detail={detail}" in err
 
 
 def test_negative_seed_flag_exits_two(tmp_path, out_root, capsys):

@@ -25,9 +25,8 @@ def small_uniqueness_report():
     cfg = SolverConfig(dt=1.0 / 128, t_end=0.25, sup_cap=8.0, store_stride=4)
     return uniqueness_experiment(prob, cfg, const_init(prob, 0.2, 0.2),
                                  n_paths=16, eps_list=(1e-1, 1e-2),
-                                 master_seed=5, bitwise_paths=4,
-                                 cauchy_paths=8, cauchy_refinements=2,
-                                 cauchy_dt=1.0 / 16)
+                                 master_seed=5, cauchy_paths=8,
+                                 cauchy_refinements=2)
 
 
 def test_uniqueness_verdict(small_uniqueness_report):
@@ -55,8 +54,8 @@ def test_uniqueness_initial_gap_is_exact(small_uniqueness_report):
 def test_uniqueness_report_deterministic():
     prob = build_fhn_problem(g_name="sqrt-abs", scale=0.1)
     cfg = SolverConfig(dt=1.0 / 128, t_end=0.125, sup_cap=8.0, store_stride=4)
-    kw = dict(n_paths=4, eps_list=(1e-1,), master_seed=9, bitwise_paths=2,
-              cauchy_paths=2, cauchy_refinements=2, cauchy_dt=1.0 / 16)
+    kw = dict(n_paths=4, eps_list=(1e-1,), master_seed=9, cauchy_paths=2,
+              cauchy_refinements=2)
     a = uniqueness_experiment(prob, cfg, const_init(prob, 0.2, 0.2), **kw)
     b = uniqueness_experiment(prob, cfg, const_init(prob, 0.2, 0.2), **kw)
     assert a.to_dict() == b.to_dict()
@@ -70,8 +69,8 @@ def test_lipschitz_noise_gap_scales_linearly():
     cfg = SolverConfig(dt=1.0 / 128, t_end=0.25, sup_cap=8.0, store_stride=8)
     rep = uniqueness_experiment(prob, cfg, const_init(prob, 0.2, 0.2),
                                 n_paths=16, eps_list=(1e-1, 1e-2, 1e-3),
-                                master_seed=3, bitwise_paths=2,
-                                cauchy_paths=0, cauchy_refinements=2)
+                                master_seed=3, cauchy_paths=0,
+                                cauchy_refinements=2)
     means = [rep.aggregates["terminal_gap_means"][repr(e)]
              for e in (1e-1, 1e-2, 1e-3)]
     for a, b in zip(means, means[1:]):
@@ -145,8 +144,7 @@ def test_exact_linear_positivity_zero_noise():
     prob = _zero_noise(build_fhn_problem(g_name="sqrt-pos", scale=0.0))
     cfg = SolverConfig(dt=1e-3, t_end=0.1, sup_cap=8.0)
     rep = positivity_experiment(prob, cfg, const_init(prob, 0.3, 0.1),
-                                n_paths=1, master_seed=0, dt_halving=False,
-                                run_control=False)
+                                n_paths=1, master_seed=0, control=False)
     assert rep.aggregates["global_min"] >= -1e-13
 
 
@@ -156,8 +154,8 @@ def test_exact_linear_positivity_zero_noise():
 def test_moment_stabilization_and_bitwise_core():
     prob = build_fhn_problem(g_name="sqrt-abs", scale=0.5)
     cfg = SolverConfig(dt=2e-3, t_end=0.25)
-    rep = moment_experiment(prob, cfg, 4.0, [4.0, 8.0, 16.0], 8,
-                            const_init(prob, 0.5, 0.5), master_seed=2)
+    rep = moment_experiment(prob, cfg, const_init(prob, 0.5, 0.5), 4.0,
+                            [4.0, 8.0, 16.0], 8, master_seed=2)
     assert rep.verdict, rep.checks
     m = rep.aggregates["m_n"]
     assert m["4.0"] == m["8.0"] == m["16.0"]  # no path leaves level 4
@@ -166,8 +164,8 @@ def test_moment_stabilization_and_bitwise_core():
 def test_moment_immediate_exit_reported():
     prob = build_fhn_problem(g_name="sqrt-abs", scale=0.5)
     cfg = SolverConfig(dt=2e-3, t_end=0.05)
-    rep = moment_experiment(prob, cfg, 4.0, [1.0], 4,
-                            const_init(prob, 2.0, 2.0), master_seed=2)
+    rep = moment_experiment(prob, cfg, const_init(prob, 2.0, 2.0), 4.0, [1.0], 4,
+                            master_seed=2)
     assert rep.aggregates["exit_fractions"]["1.0"] == 1.0
     # no path stays inside level 1, so the core check has no evidence
     core = [c for c in rep.checks if c["name"] == "common-path-bitwise-on-core"]
@@ -179,8 +177,7 @@ def test_moment_requires_p_above_two():
     prob = build_fhn_problem()
     cfg = SolverConfig(dt=2e-3, t_end=0.05)
     with pytest.raises(ValueError):
-        moment_experiment(prob, cfg, 2.0, [4.0], 2,
-                          const_init(prob, 0.2, 0.2))
+        moment_experiment(prob, cfg, const_init(prob, 0.2, 0.2), 2.0, [4.0], 2)
 
 
 def test_moment_deterministic_independent_of_level():
@@ -188,8 +185,8 @@ def test_moment_deterministic_independent_of_level():
     # exceeds the deterministic sup bound
     prob = _zero_noise(build_fhn_problem(scale=0.0))
     cfg = SolverConfig(dt=2e-3, t_end=0.25)
-    rep = moment_experiment(prob, cfg, 4.0, [4.0, 8.0], 2,
-                            const_init(prob, 0.5, 0.5), master_seed=0)
+    rep = moment_experiment(prob, cfg, const_init(prob, 0.5, 0.5), 4.0, [4.0, 8.0], 2,
+                            master_seed=0)
     m = rep.aggregates["m_n"]
     assert m["4.0"] == m["8.0"]
 

@@ -265,7 +265,28 @@ def test_inactive_truncation_matches_plain_run():
     plain = simulate(prob, cfg, path, init)
     glued, report = glue_ladder(prob, cfg, path, init, [64.0])
     assert np.array_equal(glued.states, plain.states)
-    assert report.consistent
+
+
+def test_ladder_disagreement_raises(monkeypatch):
+    import srds.solver
+
+    k = 5
+    simulate_level = srds.solver.simulate
+
+    def perturbed(problem, *args):
+        traj = simulate_level(problem, *args)
+        if problem.level == 2.0:
+            traj.sup_norms[k, 0] = np.nextafter(traj.sup_norms[k, 0], np.inf)
+        return traj
+
+    monkeypatch.setattr(srds.solver, "simulate", perturbed)
+    prob = build_fhn_problem(scale=0.5)
+    cfg = SolverConfig(dt=1e-3, t_end=0.1)
+    path = sample_path(23, 2, 8, 100, 1e-3)
+    with pytest.raises(SolverFailure) as err:
+        glue_ladder(prob, cfg, path, const_init(prob, 0.2, 0.2), [1.0, 2.0])
+    assert err.value.reason == "ladder-inconsistency"
+    assert err.value.detail == f"levels 1.0/2.0 disagree at step {k}"
 
 
 def test_ladder_exit_times_nondecreasing():
@@ -276,7 +297,6 @@ def test_ladder_exit_times_nondecreasing():
         path = sample_path(29, 2, 8, 250, 1e-3, path_index=p)
         glued, report = glue_ladder(prob, cfg, path, init, [1.0, 2.0, 4.0, 8.0])
         assert report.exit_steps == sorted(report.exit_steps)
-        assert report.consistent
 
 
 def test_glued_trajectory_keeps_final_state_at_coarse_stride():
