@@ -47,6 +47,22 @@ def require_positive(**counts) -> None:
             raise ValueError(f"{key} must be >= 1")
 
 
+def require_flag(**flags) -> None:
+    """Raise ValueError for the first value that is not a boolean: a string
+    such as "false" would be read by its truthiness."""
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false")
+
+
+def require_list(**values) -> None:
+    """Raise ValueError for the first value that is not a list: a string
+    would be iterated per character."""
+    for key, value in values.items():
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list")
+
+
 @dataclass
 class ExperimentReport:
     """Verdicted experiment summary, reproducible from (config, master seed)."""
@@ -143,6 +159,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     SolverFailure.
     """
     require_positive(n_paths=n_paths)
+    require_list(eps_list=eps_list)
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be nonempty and strictly decreasing")
@@ -309,6 +326,7 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     negative for the verdict to have power.
     """
     require_positive(n_paths=n_paths)
+    require_flag(control=control)
     qp = check_quasi_positive(problem.reaction, grid_samples=2000, range_m=5.0)
     if not qp.passed:
         raise AuditError("quasi-positivity", f"witness {qp.witness}")
@@ -385,6 +403,7 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     if not p > 2:
         raise ValueError("moment exponent must satisfy p > 2")
     require_positive(n_paths=n_paths)
+    require_list(levels=levels)
     levels = [float(n) for n in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be a nonempty increasing list")

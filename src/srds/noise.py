@@ -274,6 +274,19 @@ class NoiseModel:
     def modes(self) -> int:
         return max(c.modes for c in self.components)
 
+    def modal_fields(self, increments: np.ndarray) -> np.ndarray:
+        """The modal fields of a block of m steps: ``increments`` is
+        (m, r, K), the result (m, r, n_total).  Each component is one stacked
+        matmul, which numpy runs as one matrix-vector product per step, so
+        entry [i, l] is bitwise ``components[l].modal_field(increments[i, l,
+        :K_l])`` for any strides of ``increments``."""
+        out = np.empty((increments.shape[0], self.r,
+                        self.components[0].mode_fields.shape[0]))
+        for l, c in enumerate(self.components):
+            np.matmul(c.mode_fields, increments[:, l, :c.modes, None],
+                      out=out[:, l, :, None])
+        return out
+
     def descriptor(self) -> bytes:
         return b"|".join(c.descriptor() for c in self.components)
 

@@ -24,9 +24,9 @@ from .errors import AuditError
 # polynomial helpers (coefficients ascending, constant term omitted: j = 1..q)
 
 
-def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j coeffs[j-1] * s^j; coeffs is (q,) or (n, q) row-per-cell."""
-    cols = coeffs.T  # cols[j - 1]: w_j, a scalar or one value per cell
+def _horner(cols, s: np.ndarray) -> np.ndarray:
+    """Evaluate sum_j cols[j-1] * s^j; cols[j - 1] is w_j, a float or one
+    value per cell."""
     r = s * cols[-1]
     for c in cols[-2::-1]:
         r += c
@@ -120,16 +120,20 @@ class PolynomialDrift:
         self.coeffs = coeffs
         self.degree = q
         self.epsilon_lead = float(epsilon_lead)
+        # constant coefficients as Python floats: the same products and
+        # sums, without a numpy scalar per operation
+        self._floats = None if self.per_cell else tuple(map(float, coeffs))
 
     @property
     def per_cell(self) -> bool:
         return self.coeffs.ndim == 2
 
     def evaluate(self, s: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
-        c = self.coeffs
-        if self.per_cell and cells is not None:
-            c = c[cells]
-        return _horner(c, np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        if self._floats is not None:
+            return _horner(self._floats, s)
+        c = self.coeffs if cells is None else self.coeffs[cells]
+        return _horner(c.T, s)
 
     def lipschitz_bound(self, m: float) -> float:
         """sup_{|s|<=m} |h'| bounded by sum_j j |w_j| m^{j-1}."""
@@ -296,19 +300,23 @@ class ReactionSystem:
     def evaluate(self, u: np.ndarray, level: float | None = None) -> np.ndarray:
         """F(u); at a truncation level n the drifts read clip(u, -n, n) and
         the couplings the radial projection of each cell's state onto the
-        l1-ball of radius n, so inside the ball F^(n)(u) = F(u) bitwise."""
+        l1-ball of radius n, so inside the ball F^(n)(u) = F(u) bitwise.
+        When every cell is inside the ball both are skipped: they are then
+        the identity, bit for bit."""
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[0] != self.r:
             raise ValueError(f"state must have shape ({self.r}, n), got {u.shape}")
         drift_at = coupling_at = u
         if level is not None:
-            # np.clip's bits, NaN and signed zeros included, at half its cost
-            drift_at = np.minimum(np.maximum(u, -level), level)
             norms = np.abs(u).sum(axis=0)
-            # level / norms may overflow or divide by zero where np.where
-            # discards it (norms <= level)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                coupling_at = u * np.where(norms > level, level / norms, 1.0)
+            # a NaN norm compares false and takes the clipped path
+            if not norms.max() <= level:
+                # np.clip's bits, NaN and signed zeros included, at half its cost
+                drift_at = np.minimum(np.maximum(u, -level), level)
+                # level / norms may overflow or divide by zero where np.where
+                # discards it (norms <= level)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    coupling_at = u * np.where(norms > level, level / norms, 1.0)
         out = np.empty_like(u)
         for l in range(self.r):
             drift = self.drifts[l]

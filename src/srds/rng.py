@@ -6,11 +6,13 @@ stream via the 128-bit key
 
     key = [master_seed, path_index * 2^32 + component * 2^16 + mode]
 
-and the step indexes into that stream.  Uniforms are built from 52-bit
-integers as u = (n + 0.5) * 2^-52 (strictly inside (0,1), one 64-bit word
-per draw), and mapped to normals with Wichura's AS241 rational
+and the step indexes into that stream.  Uniforms are built from the top
+52 bits n of each raw 64-bit Philox word as u = (n + 0.5) * 2^-52 (strictly
+inside (0,1)), and mapped to normals with Wichura's AS241 rational
 approximation of the inverse normal CDF so the bit pattern does not depend
-on any library's sampling internals.
+on any library's sampling internals.  (The 52-bit integers equal numpy's
+``Generator.integers(0, 2**52)`` on the same stream: its Lemire bound for a
+power of two is that shift.)
 """
 
 from __future__ import annotations
@@ -92,13 +94,26 @@ def _stream_key(master_seed: int, path_index: int, component: int, mode: int) ->
     return np.array([master_seed, lane], dtype=np.uint64)
 
 
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def _uniforms(bg: np.random.Philox, master_seed: int, path_index: int,
+              component: int, mode: int, n: int) -> np.ndarray:
+    """Re-key ``bg`` to the start of the (seed, path, component, mode) stream
+    (counter zero, empty buffer: a fresh ``Philox(key=...)``) and return its
+    first n uniforms."""
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": _ZERO_WORDS,
+                          "key": _stream_key(master_seed, path_index, component, mode)},
+                "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return ((bg.random_raw(n) >> 12).astype(np.float64) + 0.5) * 2.0**-52
+
+
 def uniform_stream(master_seed: int, path_index: int, component: int, mode: int,
                    n: int) -> np.ndarray:
     """First n uniforms of the (seed, path, component, mode) stream, in (0,1)."""
-    key = _stream_key(master_seed, path_index, component, mode)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    ints = gen.integers(0, 1 << 52, dtype=np.int64, size=n)
-    return (ints.astype(np.float64) + 0.5) * 2.0**-52
+    return _uniforms(np.random.Philox(key=0), master_seed, path_index, component,
+                     mode, n)
 
 
 def gaussian_entry(master_seed: int, path_index: int, component: int, mode: int,
@@ -143,10 +158,11 @@ def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
         raise ValueError("n_fine must be >= 1")
     if not dt_fine > 0:
         raise ValueError("dt_fine must be positive")
+    bg = np.random.Philox(key=0)  # re-keyed per stream
     u = np.empty((components, modes, n_fine))
     for l in range(components):
         for k in range(modes):
-            u[l, k] = uniform_stream(master_seed, path_index, l, k, n_fine)
+            u[l, k] = _uniforms(bg, master_seed, path_index, l, k, n_fine)
     inc = normal_inverse(u) * np.sqrt(dt_fine)
     inc.setflags(write=False)
     return WienerPath(master_seed=int(master_seed), path_index=int(path_index),
@@ -154,24 +170,42 @@ def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
                       dt_fine=float(dt_fine), increments=inc)
 
 
-_HEADER = struct.Struct("<QQQQd")  # seed, r, K, n_fine, dt_fine (little-endian 64-bit)
+# magic, format version, seed, path_index, r, K, n_fine (little-endian
+# uint64), dt_fine (little-endian float64): 64 bytes
+_MAGIC = b"SRDSPATH"
+_VERSION = 1
+_HEADER = struct.Struct("<8sQQQQQQd")
 
 
 def save_path(path: WienerPath, file) -> None:
     """Binary export: header then raw little-endian float64 increments in
     (component, mode, step) C order, for cross-implementation replay."""
     with open(file, "wb") as fh:
-        fh.write(_HEADER.pack(path.master_seed, path.components, path.modes,
-                              path.n_fine, path.dt_fine))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, path.master_seed, path.path_index,
+                              path.components, path.modes, path.n_fine, path.dt_fine))
         fh.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
 
 
 def load_path(file) -> WienerPath:
+    """Read a file written by ``save_path``.  A short or foreign file, another
+    format version, or a size the header does not account for raises
+    ValueError."""
     with open(file, "rb") as fh:
-        seed, r, K, n_fine, dt_fine = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(int(r), int(K), int(n_fine))
+        raw = fh.read()
+    if len(raw) < _HEADER.size or not raw.startswith(_MAGIC):
+        raise ValueError(f"{file} is not an srds path file "
+                         f"({len(raw)} bytes, no {_MAGIC.decode()} header)")
+    _, version, seed, path_index, r, K, n_fine, dt_fine = _HEADER.unpack_from(raw)
+    if version != _VERSION:
+        raise ValueError(f"{file}: path file version {version}, expected {_VERSION}")
+    body = len(raw) - _HEADER.size
+    if (min(r, K, n_fine) < 1 or body != 8 * r * K * n_fine
+            or path_index >= MAX_PATH or not dt_fine > 0):
+        raise ValueError(f"{file}: corrupt srds path file (r={r}, K={K}, "
+                         f"n_fine={n_fine}, path_index={path_index}, dt_fine={dt_fine}, "
+                         f"{body} bytes of increments)")
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(r, K, n_fine)
     data = data.astype(np.float64)
     data.setflags(write=False)
-    return WienerPath(master_seed=int(seed), path_index=0, components=int(r),
-                      modes=int(K), n_fine=int(n_fine), dt_fine=float(dt_fine),
-                      increments=data)
+    return WienerPath(master_seed=seed, path_index=path_index, components=r,
+                      modes=K, n_fine=n_fine, dt_fine=dt_fine, increments=data)

@@ -179,18 +179,34 @@ def _solve_groups(steppers) -> list:
             for stepper, rows in groups.values()]
 
 
+# modal fields are built for blocks of at most this many floats (512 KiB)
+MODAL_BLOCK_FLOATS = 1 << 16
+
+
+def _step_fields(noise: NoiseModel, inc: np.ndarray):
+    """Yield the (r, n) modal fields of each step of an (n_steps, r, K)
+    increment array, built a block of steps at a time."""
+    n_cells = noise.components[0].mode_fields.shape[0]
+    block = max(1, MODAL_BLOCK_FLOATS // (noise.r * n_cells))
+    for a in range(0, len(inc), block):
+        yield from noise.modal_fields(inc[a:a + block])
+
+
 def step(problem: Problem, config: SolverConfig, u: np.ndarray,
-         increments: np.ndarray, steppers=None, *, drift_at=None,
-         noise_at=None) -> np.ndarray:
-    """Advance one step; ``increments`` has shape (r, K).
+         fields: np.ndarray, groups=None, *, drift_at=None, noise_at=None,
+         norms=None) -> np.ndarray:
+    """Advance one step; ``fields`` has shape (r, n), one modal field per
+    component (a row of ``NoiseModel.modal_fields``), and ``groups`` is
+    ``_solve_groups`` of the steppers at ``config.dt``.
 
     The reaction is evaluated at ``drift_at`` and the noise amplitude g at
     ``noise_at``; both default to the state ``u`` (the scheme's left
     endpoint).  On a truncated problem the reaction is evaluated at its
-    level and g reads ``noise_at`` clipped to [-level, level].
+    level and g reads ``noise_at`` clipped to [-level, level].  The new
+    state's per-component sup norms are written to ``norms`` when given.
     """
-    if steppers is None:
-        steppers = [op.stepper(config.dt) for op in problem.operators]
+    if groups is None:
+        groups = _solve_groups([op.stepper(config.dt) for op in problem.operators])
     if drift_at is None:
         drift_at = u
     if noise_at is None:
@@ -204,12 +220,16 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
         noise_at = np.minimum(np.maximum(noise_at, -level), level)  # as in evaluate
     rhs = u + dt * F
     for l, comp in enumerate(problem.noise.components):
-        rhs[l] += comp.g(noise_at[l]) * comp.modal_field(increments[l, :comp.modes])
+        rhs[l] += comp.g(noise_at[l]) * fields[l]
     # components sharing a stepper object are solved as one block of rows
-    out = np.empty_like(u)
-    for stepper, rows in _solve_groups(steppers):
-        out[rows] = stepper.solve(rhs[rows])
-    if not math.isfinite(np.abs(out).max()):
+    if len(groups) == 1:
+        out = groups[0][0].solve(rhs)
+    else:
+        out = np.empty_like(u)
+        for stepper, rows in groups:
+            out[rows] = stepper.solve(rhs[rows])
+    norms = np.abs(out).max(axis=1, out=norms)
+    if not math.isfinite(norms.max()):
         l, cell = np.argwhere(~np.isfinite(out))[0]
         raise SolverFailure("non-finite-state", f"component {l} cell {cell}")
     return out
@@ -233,7 +253,7 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     inc = np.ascontiguousarray(
         _resolve_increments(config, path)[:, :, :n_steps].transpose(2, 0, 1))
     stride = config.store_stride
-    steppers = [op.stepper(config.dt) for op in problem.operators]
+    groups = _solve_groups([op.stepper(config.dt) for op in problem.operators])
     cap = config.sup_cap
 
     norms = np.empty((n_steps + 1, problem.r))
@@ -251,10 +271,9 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     try:
         # an overflow surfaces as step's located non-finite-state failure
         with np.errstate(over="ignore", invalid="ignore"):
-            while i < n_steps:
-                u = step(problem, config, u, inc[i], steppers)
+            for fields in _step_fields(problem.noise, inc[:n_steps]):
+                u = step(problem, config, u, fields, groups, norms=norms[i + 1])
                 i += 1
-                np.abs(u).max(axis=1, out=norms[i])
                 u.min(axis=1, out=mins[i])
                 if i % stride == 0:
                     stored.append(u)
@@ -394,14 +413,16 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
         if ps > reached:
             raise ValueError(f"probe time {t} beyond the stopping time")
 
-    steppers = [op.stepper(traj.dt) for op in problem.operators]
+    groups = _solve_groups([op.stepper(traj.dt) for op in problem.operators])
+    # the (n_steps, r, K) view keeps each step's increment strides
+    per_step = inc[:, :, :max(probe_steps)].transpose(2, 0, 1)
     recon = traj.states[0].copy()
     residuals = {}
     if 0 in probe_steps:
         residuals[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # as in simulate
-        for i in range(max(probe_steps)):
-            recon = step(problem, config, recon, inc[:, :, i], steppers,
+        for i, fields in enumerate(_step_fields(problem.noise, per_step)):
+            recon = step(problem, config, recon, fields, groups,
                          drift_at=traj.states[i + 1],
                          noise_at=traj.states[max(i - 1, 0)])
             if i + 1 in probe_steps:

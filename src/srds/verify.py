@@ -15,8 +15,8 @@ from .config import config_block
 from .errors import AuditError
 from .experiments import (ExperimentReport, _provenance, _zero_noise,
                           moment_experiment, positivity_experiment,
-                          require_positive, residual_refinement,
-                          uniqueness_experiment)
+                          require_flag, require_list, require_positive,
+                          residual_refinement, uniqueness_experiment)
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
 from .noise import NoiseModel, named_g, osgood_check
@@ -107,6 +107,10 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
                    samples: int = 10_000, dissipativity_trials: int = 300,
                    quasi_positive: bool = True) -> ExperimentReport:
     require_positive(samples=samples, dissipativity_trials=dissipativity_trials)
+    require_flag(quasi_positive=quasi_positive)
+    require_list(radii=radii)
+    if not radii:
+        raise ValueError("radii must be a nonempty list")
     sys = problem.reaction
     report = ExperimentReport(
         name="reaction",
@@ -144,7 +148,7 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
 
     qp = check_quasi_positive(sys, grid_samples=samples, range_m=max(radii[0], 1.0),
                               seed=master_seed + 2)
-    report.add_check("quasi-positivity", qp.passed == bool(quasi_positive),
+    report.add_check("quasi-positivity", qp.passed == quasi_positive,
                      f"audit margin {qp.audit_margin_min:.3e}" if qp.passed
                      else f"witness {qp.witness}")
     return report

@@ -67,7 +67,14 @@ def test_tracer_sees_the_positivity_suite(tmp_path):
         # each path drives its dt and dt/2 runs; the control samples one more
         assert s["calls"]["rng.sample_path"] == 2 + 1
         assert s["calls"]["solver.simulate"] == 2 * 2 + 1
-        assert s["counts"]["solver.member_steps"] == 2 * (20 + 40) + 20
+        steps = 2 * (20 + 40) + 20
+        assert s["counts"]["solver.member_steps"] == steps
+        # every member step runs the kernel, the reaction and the r = 2
+        # amplitudes through the patched names; g(0) is also checked once
+        # per component by the config and once by the experiment
+        assert s["calls"]["solver.step"] == steps
+        assert s["calls"]["reaction.evaluate"] == steps
+        assert s["calls"]["noise.g"] == 2 * steps + 2 * 2
     finally:
         tracer.restore()
 
@@ -89,6 +96,13 @@ def test_shared_work_is_done_once(tmp_path):
         assert s["calls"]["experiments"] == 1
         # each twin path is sampled once and shared by base, twin and eps runs
         assert s["calls"]["rng.sample_path"] == 3 + 2
+        # base, twin and one eps run of 20 steps per twin path; the Cauchy
+        # runs take 1 and 2 steps on each of their 2 paths
+        steps = 3 * 3 * 20 + 2 * (1 + 2)
+        assert s["counts"]["solver.member_steps"] == steps
+        assert s["calls"]["solver.step"] == steps
+        assert s["calls"]["reaction.evaluate"] == steps
+        assert s["calls"]["noise.g"] == 2 * steps
 
         tracer.clear()
         assert main(["ensemble", "--config", ensemble, "--paths", "2",

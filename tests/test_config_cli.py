@@ -616,6 +616,20 @@ BAD_VALUES = [
      "experiment", "'<' not supported between instances of 'str' and 'int'"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "slack": "0.1"},
      "experiment", "unsupported operand type(s) for +: 'float' and 'str'"),
+    # flags are JSON booleans and sequences JSON lists: a string is neither
+    # read by its truthiness nor iterated per character
+    ("verify positivity", ("experiment",), {"name": "positivity", "control": "false"},
+     "experiment", "control must be true or false"),
+    ("verify reaction", ("experiment",), {"name": "reaction", "quasi_positive": "false"},
+     "experiment", "quasi_positive must be true or false"),
+    ("verify moments", ("experiment",), {"name": "moments", "levels": "48"},
+     "experiment", "levels must be a list"),
+    ("verify uniqueness", ("experiment",), {"name": "uniqueness", "eps_list": "321"},
+     "experiment", "eps_list must be a list"),
+    ("verify reaction", ("experiment",), {"name": "reaction", "radii": "1"},
+     "experiment", "radii must be a list"),
+    ("verify reaction", ("experiment",), {"name": "reaction", "radii": []},
+     "experiment", "radii must be a nonempty list"),
 ]
 
 
@@ -638,6 +652,25 @@ def test_bad_value_exits_two(tmp_path, out_root, capsys, command, keys, value,
     err = capsys.readouterr().err
     assert err.count("srds-error:") == 1
     assert f"code=2 kind=config reason={reason} detail={detail}" in err
+
+
+@pytest.mark.parametrize("experiment", [
+    {"name": "positivity", "control": "false"},
+    {"name": "moments", "levels": "48"},
+    {"name": "uniqueness", "eps_list": "321"},
+])
+def test_bad_experiment_value_samples_no_path(tmp_path, out_root, monkeypatch,
+                                              experiment):
+    import srds.experiments
+
+    sampled = []
+    monkeypatch.setattr(srds.experiments, "sample_path",
+                        lambda *a, **k: sampled.append(a))
+    cfg = quick_preset()
+    cfg["experiment"] = experiment
+    command = ["verify", experiment["name"], "--config", write_config(tmp_path, cfg)]
+    assert main(command) == 2
+    assert sampled == []
 
 
 def test_negative_seed_flag_exits_two(tmp_path, out_root, capsys):

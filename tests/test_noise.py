@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srds import (HolderFunction, apply_noise, build_grid, build_noise,
                   cosine_neumann_basis, named_g, osgood_check,
@@ -201,3 +203,34 @@ def test_osgood_model_wrapper():
 def test_osgood_requires_decreasing_grid():
     with pytest.raises(ValueError):
         osgood_check(lambda s: np.asarray(s, dtype=float), [1e-3, 1e-2])
+
+
+# --- block modal fields -------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), modes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       n_steps=st.integers(1, 30), step_stride=st.integers(1, 3),
+       contiguous=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_block_modal_fields_match_per_step(n, modes, n_steps, step_stride, contiguous,
+                                           seed, data):
+    # a stacked matmul runs one matrix-vector product per step; a fixed-order
+    # sum over the K modes would differ in the last bit on most entries
+    rng = np.random.default_rng(seed)
+    grid = build_grid(1, [1.0], [n])
+    noise = build_noise([cosine_neumann_basis(grid, k) for k in modes],
+                        [rng.uniform(-2.0, 2.0, size=k) for k in modes],
+                        [named_g("sqrt-abs")] * len(modes), audit=False)
+    K = noise.modes
+    # (r, K', n_fine) increments as a path stores them, stepped with a stride
+    raw = rng.standard_normal((len(modes), K + 2, n_steps * step_stride))
+    inc = raw[:, :K, ::step_stride].transpose(2, 0, 1)  # (n_steps, r, K) view
+    if contiguous:
+        inc = np.ascontiguousarray(inc)
+    a = data.draw(st.integers(0, n_steps - 1), label="block start")
+    b = data.draw(st.integers(a + 1, n_steps), label="block end")
+    fields = noise.modal_fields(inc[a:b])
+    assert fields.shape == (b - a, len(modes), n)
+    for i in range(b - a):
+        for l, comp in enumerate(noise.components):
+            assert np.array_equal(fields[i, l], comp.modal_field(inc[a + i, l, :comp.modes]))

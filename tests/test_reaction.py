@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srds import (PolynomialDrift, ReactionSystem, check_f1_f2,
                   check_quasi_positive, coupling_linear, coupling_none,
@@ -309,11 +311,13 @@ def test_truncated_evaluate_subnormal_norms_do_not_warn():
     # level / norms overflows in cells whose l1 norm is subnormal; np.where
     # discards those quotients, inside the ball the state is read unchanged
     sys = fhn_system()
-    u = np.array([[1e-310, 0.0], [0.0, 2e-320]])
+    # the third cell is outside the ball, so the clipped path runs
+    u = np.array([[1e-310, 0.0, 9.0], [0.0, 2e-320, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = sys.evaluate(u, 4.0)
-    assert np.array_equal(out, sys.evaluate(u))
+    assert np.array_equal(out[:, :2], sys.evaluate(u)[:, :2])
+    assert out[0, 2] == 4.0 - 4.0**3
 
 
 _TINY_INTERIOR = [1.3302823026997865, -3.6445333157304613e-119, -1.2250470603341364]
@@ -331,3 +335,53 @@ def test_certificate_with_tiny_interior_coefficient():
     assert all(np.isfinite(values))
     # the t -> infinity limit of -h/(1+t^3) is the lead's magnitude
     assert cert.a_sym == -_TINY_INTERIOR[-1]
+
+
+# --- the inside-ball fast path of the truncated reaction -----------------------
+
+
+def _clipped_evaluate(sys, u, level):
+    """F^(n)(u) with the clip and the radial projection always applied."""
+    drift_at = np.clip(u, -level, level)
+    norms = np.sum(np.abs(u), axis=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coupling_at = u * np.where(norms > level, level / norms, 1.0)
+    out = np.empty_like(u)
+    for l, (h, k) in enumerate(zip(sys.drifts, sys.couplings)):
+        out[l] = (0.0 if h is None else h.evaluate(drift_at[l])) + k(coupling_at)
+    return out
+
+
+_EIGHTHS = st.integers(-64, 64).map(lambda k: k / 8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(r=st.integers(1, 3), n=st.integers(1, 12), degree=st.sampled_from([1, 3, 5]),
+       per_cell=st.booleans(), where=st.sampled_from(["below", "at", "above"]),
+       neg_zeros=st.booleans(), nan=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_truncated_evaluate_fast_path_matches_clipped(r, n, degree, per_cell, where,
+                                                      neg_zeros, nan, seed, data):
+    rng = np.random.default_rng(seed)
+    shape = (n, degree) if per_cell else (degree,)
+    coeffs = rng.uniform(-2.0, 2.0, size=shape)
+    coeffs[..., -1] = -rng.uniform(0.5, 2.0, size=shape[:-1])
+    sys = ReactionSystem(
+        [None if l == 1 else PolynomialDrift(coeffs) for l in range(r)],
+        [coupling_linear(rng.uniform(-1.0, 1.0, size=r)) for _ in range(r)], audit=False)
+    u = np.reshape(data.draw(st.lists(_EIGHTHS, min_size=r * n, max_size=r * n),
+                             label="state"), (r, n))
+    if neg_zeros:
+        u[u == 0.0] = -0.0
+    if not np.any(u):
+        u[0, 0] = 1.0
+    top = float(np.sum(np.abs(u), axis=0).max())
+    # the largest cell norm below the level, exactly at it or just above it
+    level = {"below": 2.0 * top, "at": top, "above": np.nextafter(top, 0.0)}[where]
+    if nan:
+        u[rng.integers(r), rng.integers(n)] = np.nan
+    got = sys.evaluate(u, level)
+    assert got.tobytes() == _clipped_evaluate(sys, u, level).tobytes()
+    if where != "above" and not nan:
+        # inside the ball F^(n) = F, bit for bit
+        assert got.tobytes() == sys.evaluate(u).tobytes()

@@ -96,25 +96,63 @@ def test_mode_stream_independence():
 
 
 def test_binary_roundtrip(tmp_path):
-    path = sample_path(123456789, 2, 5, 40, 0.0625, path_index=0)
+    path = sample_path(123456789, 2, 5, 40, 0.0625, path_index=(1 << 32) - 1)
     file = tmp_path / "path.bin"
     save_path(path, file)
     loaded = load_path(file)
     assert loaded.master_seed == path.master_seed
+    assert loaded.path_index == (1 << 32) - 1
     assert loaded.components == 2 and loaded.modes == 5
     assert loaded.n_fine == 40 and loaded.dt_fine == 0.0625
     assert np.array_equal(loaded.increments, path.increments)
+    assert not loaded.increments.flags.writeable
 
 
 def test_binary_header_layout(tmp_path):
-    path = sample_path(1, 1, 1, 2, 0.5)
+    path = sample_path(1, 1, 1, 2, 0.5, path_index=9)
     file = tmp_path / "p.bin"
     save_path(path, file)
     raw = file.read_bytes()
-    # header: seed, r, K, n_fine as <u8 then dt_fine as <f8
-    assert np.frombuffer(raw[:32], dtype="<u8").tolist() == [1, 1, 1, 2]
-    assert np.frombuffer(raw[32:40], dtype="<f8")[0] == 0.5
-    assert len(raw) == 40 + 2 * 8
+    # header: magic, then version, seed, path_index, r, K, n_fine as <u8,
+    # then dt_fine as <f8
+    assert raw[:8] == b"SRDSPATH"
+    assert np.frombuffer(raw[8:56], dtype="<u8").tolist() == [1, 1, 9, 1, 1, 2]
+    assert np.frombuffer(raw[56:64], dtype="<f8")[0] == 0.5
+    assert len(raw) == 64 + 2 * 8
+    assert raw[64:] == path.increments.astype("<f8").tobytes()
+
+
+def _corrupt(raw, cut=None, at=None, value=None):
+    if cut is not None:
+        raw = raw[:cut]
+    if at is not None:
+        raw = raw[:at] + value + raw[at + len(value):]
+    return raw
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"cut": -1}, "corrupt srds path file"),  # one increment byte short
+    ({"cut": 63}, "not an srds path file"),  # short of a header
+    ({"cut": 0}, "not an srds path file"),
+    ({"at": 0, "value": b"SRDSPAT_"}, "not an srds path file"),
+    ({"at": 8, "value": (2).to_bytes(8, "little")}, "version 2, expected 1"),
+    ({"at": 48, "value": (3).to_bytes(8, "little")}, "corrupt srds path file"),
+    ({"at": 24, "value": (1 << 32).to_bytes(8, "little")}, "corrupt srds path file"),
+    ({"at": 56, "value": np.float64(-0.5).tobytes()}, "corrupt srds path file"),
+])
+def test_load_path_rejects_short_or_foreign_files(tmp_path, edit, message):
+    file = tmp_path / "p.bin"
+    save_path(sample_path(3, 2, 2, 4, 0.25), file)
+    file.write_bytes(_corrupt(file.read_bytes(), **edit))
+    with pytest.raises(ValueError, match=message):
+        load_path(file)
+
+
+def test_load_path_rejects_a_foreign_five_byte_file(tmp_path):
+    file = tmp_path / "notes.txt"
+    file.write_bytes(b"hello")
+    with pytest.raises(ValueError, match=r"not an srds path file \(5 bytes"):
+        load_path(file)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, 2.0, "7", True, None])
@@ -132,8 +170,9 @@ def test_largest_master_seed_accepted():
 
 
 # --- bits of the sampler ----------------------------------------------------------
-# The reference evaluates AS241 branch by branch and calls it once per
-# (component, mode) stream; the sampler must reproduce it bit for bit.
+# The reference draws each (component, mode) stream from its own fresh
+# generator and evaluates AS241 branch by branch, once per stream; the
+# sampler must reproduce it bit for bit.
 
 
 def _reference_normal_inverse(p):
@@ -154,11 +193,21 @@ def _reference_normal_inverse(p):
     return out
 
 
+def _generator_uniforms(master_seed, path_index, component, mode, n):
+    """The stream's uniforms through numpy's ``Generator.integers`` on a fresh
+    Philox, a derivation independent of the sampler's raw words."""
+    key = np.array([master_seed, (path_index << 32) | (component << 16) | mode],
+                   dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    ints = gen.integers(0, 1 << 52, dtype=np.int64, size=n)
+    return (ints.astype(np.float64) + 0.5) * 2.0**-52
+
+
 def _reference_increments(master_seed, components, modes, n_fine, dt_fine, path_index):
     inc = np.empty((components, modes, n_fine))
     for l in range(components):
         for k in range(modes):
-            u = uniform_stream(master_seed, path_index, l, k, n_fine)
+            u = _generator_uniforms(master_seed, path_index, l, k, n_fine)
             inc[l, k] = _reference_normal_inverse(u) * np.sqrt(dt_fine)
     return inc
 
@@ -185,3 +234,21 @@ def test_sample_path_bits_match_per_stream_reference(shape):
     assert (path.increments.tobytes()
             == _reference_increments(11, r, K, n_fine, 1e-3, 4).tobytes())
     assert not path.increments.flags.writeable
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, (1 << 64) - 1), path_index=st.integers(0, (1 << 32) - 1),
+       r=st.integers(1, 3), K=st.integers(1, 6), n_fine=st.integers(1, 300),
+       data=st.data())
+def test_sample_path_matches_per_stream_build(seed, path_index, r, K, n_fine, data):
+    # one re-keyed generator per path draws what a fresh generator per
+    # (component, mode) stream draws, and so does uniform_stream
+    path = sample_path(seed, r, K, n_fine, 1e-3, path_index=path_index)
+    assert (path.increments.tobytes()
+            == _reference_increments(seed, r, K, n_fine, 1e-3, path_index).tobytes())
+    l = data.draw(st.integers(0, r - 1), label="component")
+    k = data.draw(st.integers(0, K - 1), label="mode")
+    i = data.draw(st.integers(0, n_fine - 1), label="step")
+    assert (uniform_stream(seed, path_index, l, k, n_fine).tobytes()
+            == _generator_uniforms(seed, path_index, l, k, n_fine).tobytes())
+    assert gaussian_entry(seed, path_index, l, k, i, 1e-3) == path.increments[l, k, i]

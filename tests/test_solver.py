@@ -11,13 +11,19 @@ from srds import (CoefficientField, SolverConfig, assemble_operator, build_grid,
                   glue_ladder, mild_residual, named_g, sample_path, simulate, step,
                   truncate_problem)
 from srds.errors import SolverFailure
-from srds.solver import Problem, _resolve_increments, dyadic_level
+from srds.solver import Problem, _resolve_increments, _solve_groups, dyadic_level
 
 from conftest import build_fhn_problem, build_scalar_heat_problem
 
 
 def zero_noise_fhn(n=32):
     return build_fhn_problem(scale=0.0, n=n)
+
+
+def _fields(problem, increments):
+    """The (r, n) modal fields ``step`` takes, from one step's (r, K)
+    increments."""
+    return problem.noise.modal_fields(increments[None])[0]
 
 
 def const_init(problem, *values):
@@ -70,7 +76,7 @@ def test_single_step_closed_form_with_noise():
     u0 = const_init(prob, 0.25, 0.5)
     path = sample_path(42, 2, 1, 1, dt)
     db = path.increments[:, 0, 0]
-    out = step(prob, cfg, u0, path.increments[:, :, 0])
+    out = step(prob, cfg, u0, _fields(prob, path.increments[:, :, 0]))
     f1 = 0.25 - 0.25**3 + 0.5
     f2 = 0.25 - 0.5
     assert np.allclose(out[0], 0.25 + dt * f1 + np.sqrt(0.25) * db[0], atol=1e-12)
@@ -81,10 +87,10 @@ def test_tamed_scheme_damps_large_drift():
     prob = zero_noise_fhn(n=8)
     big = const_init(prob, 5.0, 0.0)
     dt = 0.1
-    plain = step(prob, SolverConfig(dt=dt, t_end=dt), big,
-                 np.zeros((2, 8)))
+    still = _fields(prob, np.zeros((2, prob.noise.modes)))
+    plain = step(prob, SolverConfig(dt=dt, t_end=dt), big, still)
     tamed = step(prob, SolverConfig(dt=dt, t_end=dt, scheme="tamed-semi-implicit"),
-                 big, np.zeros((2, 8)))
+                 big, still)
     # drift at u=5 is strongly negative; taming shrinks the move
     assert abs(tamed[0, 0] - 5.0) < abs(plain[0, 0] - 5.0)
 
@@ -196,7 +202,7 @@ def _one_step(problem, u, dt=1e-3, seed=0):
     """One step of ``problem`` from state u on a fixed path."""
     cfg = SolverConfig(dt=dt, t_end=dt)
     path = sample_path(seed, problem.r, problem.noise.modes, 1, dt)
-    return step(problem, cfg, u, path.coarse(0)[:, :, 0])
+    return step(problem, cfg, u, _fields(problem, path.coarse(0)[:, :, 0]))
 
 
 def test_truncated_drift_freezes_beyond_level():
@@ -419,10 +425,11 @@ def test_loaded_path_replays_bitwise(tmp_path):
 
     prob = build_fhn_problem()
     cfg = SolverConfig(dt=1e-3, t_end=0.03)
-    path = sample_path(55, 2, 8, 30, 1e-3)
+    path = sample_path(55, 2, 8, 30, 1e-3, path_index=6)
     file = tmp_path / "w.bin"
     save_path(path, file)
     replay = load_path(file)
+    assert replay.path_index == 6
     init = const_init(prob, 0.2, 0.2)
     a = simulate(prob, cfg, path, init)
     b = simulate(prob, cfg, replay, init)
@@ -754,5 +761,6 @@ def test_block_step_matches_per_component_reference(case):
     inc = path.coarse(dyadic_level(config.dt, path.dt_fine))[:, :, 0]
     steppers = [op.stepper(config.dt) for op in problem.operators]
     assert np.array_equal(
-        step(problem, config, u, inc, steppers, drift_at=v, noise_at=w),
+        step(problem, config, u, _fields(problem, inc), _solve_groups(steppers),
+             drift_at=v, noise_at=w),
         _reference_step(problem, config, u, inc, steppers, drift_at=v, noise_at=w))
