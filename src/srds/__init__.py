@@ -17,13 +17,12 @@ from .operators import (CoefficientField, EllipticOperator, apply_resolvent,
 from .rng import (WienerPath, gaussian_entry, load_path, normal_inverse,
                   sample_path, save_path, uniform_stream)
 from .noise import (ComponentNoise, HolderFunction, LinearModulus, NoiseModel,
-                    SpectralBasis, apply_noise, build_noise,
-                    cosine_neumann_basis, named_g, osgood_check,
-                    osgood_check_model)
+                    SpectralBasis, build_noise, cosine_neumann_basis, named_g,
+                    osgood_check)
 from .reaction import (CouplingTerm, F1F2Certificate, PolynomialDrift,
                        ReactionSystem, check_f1_f2, check_quasi_positive,
                        coupling_linear, coupling_none, dissipativity_gap,
-                       evaluate_reaction, fhn_system)
+                       fhn_system)
 from .solver import (LadderReport, Problem, SolverConfig, StoppingRecord,
                      Trajectory, exit_index, glue_ladder, mild_residual,
                      save_trajectory, simulate, step, truncate_problem)

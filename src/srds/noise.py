@@ -100,7 +100,7 @@ class HolderFunction:
     with absolute tolerance 1e-9.
     """
 
-    fn: object  # vectorized callable
+    fn: object  # elementwise vectorized callable: one call may cover several rows
     growth_a: float
     growth_b: float
     holder_c: object  # callable m -> c_m
@@ -308,13 +308,6 @@ def build_noise(bases, lambdas, gs, audit: bool = True) -> NoiseModel:
     return NoiseModel(components=tuple(comps))
 
 
-def apply_noise(noise: NoiseModel, component: int, u: np.ndarray,
-                increments: np.ndarray) -> np.ndarray:
-    """Field x -> g(u(x)) * sum_k lambda_k e_k(x) db_k for one component."""
-    comp = noise.components[component]
-    return comp.g(u) * comp.modal_field(np.asarray(increments, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Osgood check
 
@@ -360,11 +353,3 @@ def osgood_check(rho, eps_grid) -> dict:
         "slope_ratio": ratio,
         "verdict": "diverges" if diverges else "converges",
     }
-
-
-def osgood_check_model(noise: NoiseModel, component: int, m: float,
-                       eps_grid) -> dict:
-    comp = noise.components[component]
-    if comp.is_zero() or comp.rho_constant(m) == 0.0:
-        raise ValueError("rho not positive: zero noise component")
-    return osgood_check(comp.rho(m), eps_grid)

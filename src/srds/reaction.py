@@ -351,10 +351,6 @@ class ReactionSystem:
         return b"|".join(parts)
 
 
-def evaluate_reaction(sys: ReactionSystem, u: np.ndarray) -> np.ndarray:
-    return sys.evaluate(u)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 

@@ -6,9 +6,18 @@ One step per component:
 
 with M_l the per-step modal field of the component's spectral noise
 (Ito left-endpoint evaluation).  Components that share an operator are
-solved together, as one block of right-hand-side rows.  The linear part is
-exact backward Euler, so sup-norm contraction and positivity of the
+solved together, as one block of right-hand-side rows, and adjacent
+components whose amplitudes share one function take one g call.  The linear
+part is exact backward Euler, so sup-norm contraction and positivity of the
 semigroup factor are inherited from the M-matrix structure of the operator.
+
+``step`` does not check the state it returns.  ``simulate`` runs the steps
+in blocks of at most STATE_BLOCK_FLOATS floats of state and checks a block
+at once: one reduction fills its sup norms and one its minima, and the
+first step whose largest norm is not <= the sup cap (the largest float
+without one) is either a non-finite state, raised at its step, component
+and cell, or the cap exit.  After a cap exit up to block - 1 more steps may
+have been computed; they are never reported.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,34 +189,88 @@ def _solve_groups(steppers) -> list:
             for stepper, rows in groups.values()]
 
 
-# modal fields are built for blocks of at most this many floats (512 KiB)
+# a block of steps holds at most this many floats of state (32 KiB), and so
+# does a run of components whose amplitude g is evaluated in one call
+STATE_BLOCK_FLOATS = 1 << 12
+# modal fields are built for whole blocks of steps, at most this many floats
+# (512 KiB) at a time when a block is smaller
 MODAL_BLOCK_FLOATS = 1 << 16
+# the cap of a run without one: every finite norm is <= it, +-inf and NaN not
+FINITE_CAP = sys.float_info.max
 
 
-def _step_fields(noise: NoiseModel, inc: np.ndarray):
-    """Yield the (r, n) modal fields of each step of an (n_steps, r, K)
-    increment array, built a block of steps at a time."""
+def _amplitude_runs(noise: NoiseModel) -> list:
+    """(g, rows) per run of adjacent components whose amplitudes share one
+    function ``g.fn``, at most STATE_BLOCK_FLOATS floats per run; rows is a
+    slice.  g is elementwise, so one call on the run's rows is bitwise one
+    call per row."""
     n_cells = noise.components[0].mode_fields.shape[0]
-    block = max(1, MODAL_BLOCK_FLOATS // (noise.r * n_cells))
-    for a in range(0, len(inc), block):
-        yield from noise.modal_fields(inc[a:a + block])
+    most = max(1, STATE_BLOCK_FLOATS // n_cells)
+    runs = []  # [g, first row, end row]
+    for l, comp in enumerate(noise.components):
+        if runs and comp.g.fn is runs[-1][0].fn and l - runs[-1][1] < most:
+            runs[-1][2] = l + 1
+        else:
+            runs.append([comp.g, l, l + 1])
+    return [(g, slice(a, b)) for g, a, b in runs]
+
+
+def _step_blocks(noise: NoiseModel, inc: np.ndarray, shape: tuple):
+    """Yield (first step, modal fields, state block) for an (n_steps, r, K)
+    increment array, a block of at most STATE_BLOCK_FLOATS floats of states
+    of ``shape`` at a time.  The fields are (m, r, n); the state block is an
+    (m, r, n) view of one buffer, reused by every block, for the caller to
+    fill with the block's m new states."""
+    size = math.prod(shape)
+    block = max(1, STATE_BLOCK_FLOATS // size)
+    chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * size))
+    buf = np.empty((min(block, len(inc)),) + shape)
+    for a in range(0, len(inc), chunk):
+        fields = noise.modal_fields(inc[a:a + chunk])
+        for b in range(0, len(fields), block):
+            m = min(block, len(fields) - b)
+            yield a + b, fields[b:b + m], buf[:m]
+
+
+def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
+                first: int) -> int:
+    """Write the per-component sup norms of a block of states (m, r, n) to
+    ``norms`` (m, r) and return the index of the first state whose largest
+    norm is not <= cap, m when there is none; cap is finite (FINITE_CAP
+    without a sup cap), so a state with an inf or NaN norm is never within
+    it.  If that state is not finite, raise the non-finite-state failure at
+    its step (``first`` is the block's first step), component and cell
+    instead."""
+    np.abs(states).max(axis=2, out=norms)
+    within = norms.max(axis=1) <= cap  # NaN compares false
+    k = int(within.argmin())
+    if within[k]:
+        return len(states)
+    if not math.isfinite(norms[k].max()):
+        l, cell = np.argwhere(~np.isfinite(states[k]))[0]
+        raise SolverFailure("non-finite-state", f"component {l} cell {cell}",
+                            step=first + k)
+    return k
 
 
 def step(problem: Problem, config: SolverConfig, u: np.ndarray,
-         fields: np.ndarray, groups=None, *, drift_at=None, noise_at=None,
-         norms=None) -> np.ndarray:
+         fields: np.ndarray, groups=None, runs=None, *, drift_at=None,
+         noise_at=None) -> np.ndarray:
     """Advance one step; ``fields`` has shape (r, n), one modal field per
-    component (a row of ``NoiseModel.modal_fields``), and ``groups`` is
-    ``_solve_groups`` of the steppers at ``config.dt``.
+    component (a row of ``NoiseModel.modal_fields``), ``groups`` is
+    ``_solve_groups`` of the steppers at ``config.dt`` and ``runs`` is
+    ``_amplitude_runs`` of the noise.
 
     The reaction is evaluated at ``drift_at`` and the noise amplitude g at
     ``noise_at``; both default to the state ``u`` (the scheme's left
     endpoint).  On a truncated problem the reaction is evaluated at its
     level and g reads ``noise_at`` clipped to [-level, level].  The new
-    state's per-component sup norms are written to ``norms`` when given.
+    state is not checked: it may hold inf or NaN (see ``_first_exit``).
     """
     if groups is None:
         groups = _solve_groups([op.stepper(config.dt) for op in problem.operators])
+    if runs is None:
+        runs = _amplitude_runs(problem.noise)
     if drift_at is None:
         drift_at = u
     if noise_at is None:
@@ -219,19 +283,14 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     if level is not None:
         noise_at = np.minimum(np.maximum(noise_at, -level), level)  # as in evaluate
     rhs = u + dt * F
-    for l, comp in enumerate(problem.noise.components):
-        rhs[l] += comp.g(noise_at[l]) * fields[l]
+    for g, rows in runs:
+        rhs[rows] += g(noise_at[rows]) * fields[rows]
     # components sharing a stepper object are solved as one block of rows
     if len(groups) == 1:
-        out = groups[0][0].solve(rhs)
-    else:
-        out = np.empty_like(u)
-        for stepper, rows in groups:
-            out[rows] = stepper.solve(rhs[rows])
-    norms = np.abs(out).max(axis=1, out=norms)
-    if not math.isfinite(norms.max()):
-        l, cell = np.argwhere(~np.isfinite(out))[0]
-        raise SolverFailure("non-finite-state", f"component {l} cell {cell}")
+        return groups[0][0].solve(rhs)
+    out = np.empty_like(u)
+    for stepper, rows in groups:
+        out[rows] = stepper.solve(rhs[rows])
     return out
 
 
@@ -240,7 +299,10 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     """Iterate the scheme, halting early if the sup cap is exceeded.
 
     States are stored every ``store_stride`` steps (the final state always);
-    per-step sup norms are recorded at full resolution regardless.
+    per-step sup norms are recorded at full resolution regardless.  Steps
+    run in blocks (``_step_blocks``) checked after the fact by
+    ``_first_exit``: a cap exit drops the block's later states, which are
+    computed but never reported.
     """
     u = np.array(initial, dtype=float)
     if u.shape != (problem.r, problem.grid.n_total):
@@ -254,44 +316,54 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
         _resolve_increments(config, path)[:, :, :n_steps].transpose(2, 0, 1))
     stride = config.store_stride
     groups = _solve_groups([op.stepper(config.dt) for op in problem.operators])
+    runs = _amplitude_runs(problem.noise)
     cap = config.sup_cap
 
     norms = np.empty((n_steps + 1, problem.r))
     mins = np.empty((n_steps + 1, problem.r))
     np.abs(u).max(axis=1, out=norms[0])
     u.min(axis=1, out=mins[0])
-    stored = [u]  # step returns a fresh array: no state is copied
-    stored_idx = [0]
     stopping = None
     if cap is not None and norms[0].max() > cap:
         stopping = StoppingRecord(True, cap, 0.0, 0, "component-max")
         n_steps = 0
+    # every stride-th state, then the last one if it is not among them
+    states = np.empty((n_steps // stride + 2,) + u.shape)
+    states[0] = u
+    n_stored = 1
 
+    # a finite limit, so that an inf norm is never within it; a cap that
+    # is None, inf or NaN halts no finite run, as FINITE_CAP
+    limit = cap if cap is not None and cap < FINITE_CAP else FINITE_CAP
     i = 0
-    try:
-        # an overflow surfaces as step's located non-finite-state failure
-        with np.errstate(over="ignore", invalid="ignore"):
-            for fields in _step_fields(problem.noise, inc[:n_steps]):
-                u = step(problem, config, u, fields, groups, norms=norms[i + 1])
-                i += 1
-                u.min(axis=1, out=mins[i])
-                if i % stride == 0:
-                    stored.append(u)
-                    stored_idx.append(i)
-                if cap is not None and norms[i].max() > cap:
-                    stopping = StoppingRecord(True, cap, i * config.dt, i, "component-max")
-                    break
-    except SolverFailure as exc:
-        raise SolverFailure(exc.reason, exc.detail, step=i + 1) from None
+    # an overflow surfaces as _first_exit's located non-finite-state failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, fields, block in _step_blocks(problem.noise, inc[:n_steps], u.shape):
+            for j, f in enumerate(fields):
+                u = block[j] = step(problem, config, u, f, groups, runs)
+            m = len(block)
+            k = _first_exit(block, norms[a + 1:a + 1 + m], limit, a + 1)
+            block = block[:k + 1]  # a cap exit drops the states after it
+            block.min(axis=2, out=mins[a + 1:a + 1 + len(block)])
+            # block[j] is step a + 1 + j
+            kept = block[-(a + 1) % stride::stride]
+            states[n_stored:n_stored + len(kept)] = kept
+            n_stored += len(kept)
+            i = a + len(block)
+            if k < m:
+                stopping = StoppingRecord(True, cap, i * config.dt, i, "component-max")
+                break
 
+    stored_idx = list(range(0, i + 1, stride))
     if stored_idx[-1] != i:
-        stored.append(u)
+        states[n_stored] = block[-1]
+        n_stored += 1
         stored_idx.append(i)
     if stopping is None:
-        stopping = StoppingRecord(False, cap if cap is not None else np.inf,
+        stopping = StoppingRecord(False, math.inf if cap is None else cap,
                                   n_steps * config.dt, n_steps, "component-max")
     return Trajectory(times=np.asarray(stored_idx, dtype=float) * config.dt,
-                      states=np.stack(stored), sup_norms=norms[:i + 1],
+                      states=states[:n_stored], sup_norms=norms[:i + 1],
                       min_values=mins[:i + 1], dt=config.dt,
                       store_stride=stride, stopping=stopping)
 
@@ -414,19 +486,25 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
             raise ValueError(f"probe time {t} beyond the stopping time")
 
     groups = _solve_groups([op.stepper(traj.dt) for op in problem.operators])
+    runs = _amplitude_runs(problem.noise)
     # the (n_steps, r, K) view keeps each step's increment strides
     per_step = inc[:, :, :max(probe_steps)].transpose(2, 0, 1)
-    recon = traj.states[0].copy()
+    recon = traj.states[0]
+    norms = np.empty((max(probe_steps), problem.r))
     residuals = {}
     if 0 in probe_steps:
         residuals[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # as in simulate
-        for i, fields in enumerate(_step_fields(problem.noise, per_step)):
-            recon = step(problem, config, recon, fields, groups,
-                         drift_at=traj.states[i + 1],
-                         noise_at=traj.states[max(i - 1, 0)])
-            if i + 1 in probe_steps:
-                residuals[i + 1] = float(np.max(np.abs(traj.states[i + 1] - recon)))
+        for a, fields, block in _step_blocks(problem.noise, per_step, recon.shape):
+            for j, f in enumerate(fields):
+                i = a + j
+                recon = block[j] = step(problem, config, recon, f, groups, runs,
+                                        drift_at=traj.states[i + 1],
+                                        noise_at=traj.states[max(i - 1, 0)])
+            _first_exit(block, norms[a:a + len(block)], FINITE_CAP, a + 1)
+            for j, state in enumerate(block, start=a + 1):
+                if j in probe_steps:
+                    residuals[j] = float(np.max(np.abs(traj.states[j] - state)))
     return np.asarray([residuals[ps] for ps in probe_steps])
 
 

@@ -47,10 +47,11 @@ def test_tracer_sees_every_path_and_step(tmp_path):
         assert s["calls"]["rng.sample_path"] == 2  # the levels share each path
         assert s["counts"]["solver.member_steps"] == 2 * 2 * 20
         assert s["calls"]["solver.step"] == 2 * 2 * 20
-        # a truncated step evaluates the reaction once and each of the r = 2
-        # amplitudes once, through the patched names
+        # a truncated step evaluates the reaction once and the amplitude
+        # once, through the patched names: the r = 2 components share one
+        # amplitude function, so one g call covers both rows
         assert s["calls"]["reaction.evaluate"] == 2 * 2 * 20
-        assert s["calls"]["noise.g"] == 2 * 2 * 2 * 20
+        assert s["calls"]["noise.g"] == 2 * 2 * 20
     finally:
         tracer.restore()
 
@@ -69,12 +70,13 @@ def test_tracer_sees_the_positivity_suite(tmp_path):
         assert s["calls"]["solver.simulate"] == 2 * 2 + 1
         steps = 2 * (20 + 40) + 20
         assert s["counts"]["solver.member_steps"] == steps
-        # every member step runs the kernel, the reaction and the r = 2
-        # amplitudes through the patched names; g(0) is also checked once
-        # per component by the config and once by the experiment
+        # every member step runs the kernel, the reaction and one amplitude
+        # call for the r = 2 components sharing it, through the patched
+        # names; g(0) is also checked once per component by the config and
+        # once by the experiment
         assert s["calls"]["solver.step"] == steps
         assert s["calls"]["reaction.evaluate"] == steps
-        assert s["calls"]["noise.g"] == 2 * steps + 2 * 2
+        assert s["calls"]["noise.g"] == steps + 2 * 2
     finally:
         tracer.restore()
 
@@ -102,7 +104,7 @@ def test_shared_work_is_done_once(tmp_path):
         assert s["counts"]["solver.member_steps"] == steps
         assert s["calls"]["solver.step"] == steps
         assert s["calls"]["reaction.evaluate"] == steps
-        assert s["calls"]["noise.g"] == 2 * steps
+        assert s["calls"]["noise.g"] == steps
 
         tracer.clear()
         assert main(["ensemble", "--config", ensemble, "--paths", "2",

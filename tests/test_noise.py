@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srds import (HolderFunction, apply_noise, build_grid, build_noise,
-                  cosine_neumann_basis, named_g, osgood_check,
-                  osgood_check_model, sample_path)
+from srds import (HolderFunction, build_grid, build_noise,
+                  cosine_neumann_basis, named_g, osgood_check, sample_path)
 from srds.errors import AuditError
 
 
@@ -60,35 +59,41 @@ def test_rho_adjustment_dominates_identity():
     assert np.all(adj(s) >= s)
 
 
+def noise_field(model, component, u, increments):
+    """x -> g(u(x)) * sum_k lambda_k e_k(x) db_k for one component."""
+    comp = model.components[component]
+    return comp.g(u) * comp.modal_field(np.asarray(increments, dtype=float))
+
+
 def test_zero_spectrum_is_zero_model():
     model = make_model(lam=np.zeros(8))
     assert model.components[0].is_zero()
-    field = apply_noise(model, 0, np.full(64, 2.0), np.ones(8))
+    field = noise_field(model, 0, np.full(64, 2.0), np.ones(8))
     assert np.array_equal(field, np.zeros(64))
 
 
-def test_apply_noise_vanishes_at_zero_state():
+def test_noise_field_vanishes_at_zero_state():
     model = make_model(g_name="sqrt-abs")
-    out = apply_noise(model, 0, np.zeros(64), np.full(8, 3.0))
+    out = noise_field(model, 0, np.zeros(64), np.full(8, 3.0))
     assert np.allclose(out, 0.0)
 
 
-def test_apply_noise_single_mode_arithmetic():
+def test_noise_field_single_mode_arithmetic():
     grid = build_grid(1, [1.0], [16])
     basis = cosine_neumann_basis(grid, 1)  # only the constant mode, e_0 = 1
     model = build_noise([basis], [np.array([1.0])], [named_g("sqrt-abs")])
-    out = apply_noise(model, 0, np.full(16, 4.0), np.array([0.5]))
+    out = noise_field(model, 0, np.full(16, 4.0), np.array([0.5]))
     assert np.allclose(out, 1.0, atol=1e-14)
 
 
-def test_apply_noise_linear_in_increments():
+def test_noise_field_linear_in_increments():
     model = make_model()
     rng = np.random.default_rng(0)
     u = rng.uniform(0.0, 2.0, size=64)
     d1 = rng.standard_normal(8)
     d2 = rng.standard_normal(8)
-    lhs = apply_noise(model, 0, u, 2.0 * d1 + 3.0 * d2)
-    rhs = 2.0 * apply_noise(model, 0, u, d1) + 3.0 * apply_noise(model, 0, u, d2)
+    lhs = noise_field(model, 0, u, 2.0 * d1 + 3.0 * d2)
+    rhs = 2.0 * noise_field(model, 0, u, d1) + 3.0 * noise_field(model, 0, u, d2)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -191,13 +196,13 @@ def test_osgood_sqrt_converges():
     assert table["verdict"] == "converges"
 
 
-def test_osgood_model_wrapper():
+def test_osgood_component_modulus():
     model = make_model()
-    table = osgood_check_model(model, 0, 1.0, EPS_GRID)
+    table = osgood_check(model.components[0].rho(1.0), EPS_GRID)
     assert table["verdict"] == "diverges"
     zero = make_model(lam=np.zeros(8))
     with pytest.raises(ValueError, match="positive"):
-        osgood_check_model(zero, 0, 1.0, EPS_GRID)
+        osgood_check(zero.components[0].rho(1.0), EPS_GRID)
 
 
 def test_osgood_requires_decreasing_grid():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from srds import (PolynomialDrift, ReactionSystem, check_f1_f2,
                   check_quasi_positive, coupling_linear, coupling_none,
-                  dissipativity_gap, evaluate_reaction, fhn_system)
+                  dissipativity_gap, fhn_system)
 from srds.errors import AuditError
 from srds.reaction import CouplingTerm
 
@@ -39,33 +39,33 @@ def golden_max(f, lo, hi, iters=200):
 def test_fhn_pointwise_values():
     sys = fhn_system(1.0, 1.0)
     u = np.array([[1.0], [0.0]])
-    out = evaluate_reaction(sys, u)
+    out = sys.evaluate(u)
     assert out[0, 0] == pytest.approx(0.0)  # 1 - 1 + 0
     u = np.array([[2.0], [1.0]])
-    out = evaluate_reaction(sys, u)
+    out = sys.evaluate(u)
     assert out[1, 0] == pytest.approx(1.0)  # 2 - 1
 
 
 def test_zero_field_maps_to_zero():
     sys = fhn_system(1.0, 1.0)
-    out = evaluate_reaction(sys, np.zeros((2, 16)))
+    out = sys.evaluate(np.zeros((2, 16)))
     assert np.array_equal(out, np.zeros((2, 16)))
 
 
 def test_component_count_mismatch():
     sys = fhn_system(1.0, 1.0)
     with pytest.raises(ValueError):
-        evaluate_reaction(sys, np.zeros((3, 16)))
+        sys.evaluate(np.zeros((3, 16)))
 
 
 def test_evaluation_is_local():
     sys = fhn_system(1.0, 1.0)
     rng = np.random.default_rng(0)
     u = rng.uniform(-1, 1, size=(2, 32))
-    base = evaluate_reaction(sys, u)
+    base = sys.evaluate(u)
     v = u.copy()
     v[0, 7] += 0.5
-    out = evaluate_reaction(sys, v)
+    out = sys.evaluate(v)
     changed = np.any(out != base, axis=0)
     assert changed[7] and not np.any(changed[np.arange(32) != 7])
 
@@ -266,7 +266,7 @@ def test_qpos_invariant_under_permutation_of_others():
 
 def test_fhn_origin_fixed_point():
     sys = fhn_system(1.0, 1.0)
-    assert np.array_equal(evaluate_reaction(sys, np.zeros((2, 4))),
+    assert np.array_equal(sys.evaluate(np.zeros((2, 4))),
                           np.zeros((2, 4)))
 
 
@@ -280,7 +280,7 @@ def test_fhn_rejects_nonpositive_parameters():
 def test_fhn_general_parameters():
     sys = fhn_system(2.0, 0.5)
     u = np.array([[3.0], [2.0]])
-    out = evaluate_reaction(sys, u)
+    out = sys.evaluate(u)
     assert out[0, 0] == pytest.approx(3.0 - 27.0 + 2.0)
     assert out[1, 0] == pytest.approx(2.0 * 3.0 - 0.5 * 2.0)
 

@@ -1,8 +1,10 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import srds.solver
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -452,7 +454,7 @@ def test_common_path_refinement_gap_shrinks():
 DT_FINE = st.floats(1e-6, 1e2)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(j=st.integers(0, 6), dt_fine=DT_FINE)
 def test_dyadic_level_matches_coarsening(j, dt_fine):
     dt = dt_fine * 2.0**j
@@ -462,7 +464,7 @@ def test_dyadic_level_matches_coarsening(j, dt_fine):
     assert np.array_equal(inc, path.coarse(j))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(ratio=st.floats(1e-3, 64.0), dt_fine=DT_FINE)
 def test_dyadic_level_rejects_other_ratios(ratio, dt_fine):
     near = 2.0 ** round(np.log2(ratio))
@@ -666,6 +668,14 @@ def _outcome(run, *args):
         return (exc.reason, exc.detail, exc.step)
 
 
+def _assert_same_trajectory(got, ref):
+    assert np.array_equal(got.times, ref.times)
+    assert np.array_equal(got.states, ref.states)
+    assert np.array_equal(got.sup_norms, ref.sup_norms)
+    assert np.array_equal(got.min_values, ref.min_values)
+    assert got.stopping == ref.stopping
+
+
 @st.composite
 def _block_cases(draw):
     """A random problem: r = 1-3 components on a 1D grid (LU) or a 2D grid
@@ -718,9 +728,7 @@ def _block_cases(draw):
     return problem, config, path, initial, cap_at, rng
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=_block_cases())
-def test_block_step_matches_per_component_reference(case):
+def _check_against_reference(case):
     problem, config, path, initial, cap_at, rng = case
     exit_at = None
     if cap_at is not None:
@@ -748,11 +756,7 @@ def test_block_step_matches_per_component_reference(case):
         assert got == ref  # same reason, detail and step
         return
     assert not isinstance(got, tuple), got
-    assert np.array_equal(got.times, ref.times)
-    assert np.array_equal(got.states, ref.states)
-    assert np.array_equal(got.sup_norms, ref.sup_norms)
-    assert np.array_equal(got.min_values, ref.min_values)
-    assert got.stopping == ref.stopping
+    _assert_same_trajectory(got, ref)
     if exit_at is not None:
         assert got.stopping.triggered and got.stopping.step_index == exit_at
     # one step at separate drift and noise evaluation points, as
@@ -764,3 +768,93 @@ def test_block_step_matches_per_component_reference(case):
         step(problem, config, u, _fields(problem, inc), _solve_groups(steppers),
              drift_at=v, noise_at=w),
         _reference_step(problem, config, u, inc, steppers, drift_at=v, noise_at=w))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_block_cases())
+def test_block_step_matches_per_component_reference(case):
+    _check_against_reference(case)
+
+
+@pytest.mark.parametrize("budget", ["1 row", "2 rows", "1 step", "2 steps", "5 steps"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_block_cases())
+def test_block_boundaries_match_per_component_reference(budget, case):
+    # float budgets that cut a run into blocks of 1, 2 or 5 steps, or split
+    # the amplitude runs into single rows or pairs of rows (one step a block)
+    problem = case[0]
+    count, unit = budget.split()
+    size = problem.grid.n_total * (1 if unit.startswith("row") else problem.r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(srds.solver, "STATE_BLOCK_FLOATS", int(count) * size)
+        _check_against_reference(case)
+
+
+def _growth_problem(n=8):
+    """du = u dt on a constant state: the sup norm grows every step."""
+    from srds.reaction import ReactionSystem, coupling_linear
+
+    grid = build_grid(1, [1.0], [n])
+    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    noise = build_noise([cosine_neumann_basis(grid, 2)], [np.zeros(2)],
+                        [named_g("sqrt-abs")], audit=False)
+    reaction = ReactionSystem([None], [coupling_linear([1.0])], audit=False)
+    return Problem(grid=grid, operators=(op,), reaction=reaction, noise=noise)
+
+
+@pytest.mark.parametrize("exit_at", [4, 5])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_cap_exit_at_a_block_boundary(monkeypatch, exit_at, stride):
+    # blocks of 4 steps: an exit on the last step of the first block, or on
+    # the first step of the second
+    prob = _growth_problem()
+    monkeypatch.setattr(srds.solver, "STATE_BLOCK_FLOATS", 4 * prob.grid.n_total)
+    cfg = SolverConfig(dt=1e-3, t_end=1e-2, store_stride=stride)
+    path = sample_path(0, 1, 2, 10, 1e-3)
+    init = np.full((1, prob.grid.n_total), 0.5)
+    m = simulate(prob, cfg, path, init).sup_norms[:, 0]
+    assert np.all(np.diff(m) > 0)
+    cfg = replace(cfg, sup_cap=float(0.5 * (m[exit_at - 1] + m[exit_at])))
+    traj = simulate(prob, cfg, path, init)
+    _assert_same_trajectory(traj, _reference_simulate(prob, cfg, path, init))
+    assert traj.stopping.triggered and traj.stopping.step_index == exit_at
+    assert len(traj.sup_norms) == exit_at + 1
+    assert traj.times[-1] == exit_at * cfg.dt
+
+
+def test_cap_exit_then_overflow_in_one_block_stops_without_raising(monkeypatch):
+    # from 1e100 the cubic drift reaches about -1e297 at step 1 and
+    # overflows at step 2, inside the same block of 4 steps
+    prob = zero_noise_fhn(n=8)
+    monkeypatch.setattr(srds.solver, "STATE_BLOCK_FLOATS", 4 * prob.r * prob.grid.n_total)
+    cfg = SolverConfig(dt=1e-3, t_end=8e-3)
+    path = sample_path(0, 2, 8, 8, 1e-3)
+    init = const_init(prob, 1e100, 0.0)
+    with pytest.raises(SolverFailure) as err:
+        simulate(prob, cfg, path, init)
+    assert _outcome(_reference_simulate, prob, cfg, path, init) == (
+        err.value.reason, err.value.detail, err.value.step)
+    assert err.value.step == 2
+    cfg = replace(cfg, sup_cap=1e200)
+    traj = simulate(prob, cfg, path, init)
+    _assert_same_trajectory(traj, _reference_simulate(prob, cfg, path, init))
+    assert traj.stopping.triggered and traj.stopping.step_index == 1
+    assert np.all(np.isfinite(traj.states)) and len(traj.sup_norms) == 2
+
+
+@pytest.mark.parametrize("n_cells", [2, 8])
+@pytest.mark.parametrize("n_steps", [1, 3])
+def test_overflow_to_inf_without_a_cap_raises_at_its_step(n_cells, n_steps):
+    # from 1.7e308 the growth u + dt u overflows to +inf at step 1; a state
+    # of inf with no NaN in it is a non-finite state too, also on the last step
+    prob = _growth_problem(n_cells)
+    cfg = SolverConfig(dt=0.1, t_end=0.1 * n_steps)
+    path = sample_path(0, 1, 2, n_steps, 0.1)
+    init = np.full((1, n_cells), 1.7e308)
+    for cap in (None, math.inf):
+        cfg = replace(cfg, sup_cap=cap)
+        with pytest.raises(SolverFailure) as err:
+            simulate(prob, cfg, path, init)
+        assert _outcome(_reference_simulate, prob, cfg, path, init) == (
+            err.value.reason, err.value.detail, err.value.step)
+        assert (err.value.reason, err.value.step) == ("non-finite-state", 1)
