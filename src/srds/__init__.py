@@ -23,14 +23,15 @@ from .reaction import (CouplingTerm, F1F2Certificate, PolynomialDrift,
                        ReactionSystem, check_f1_f2, check_quasi_positive,
                        coupling_linear, coupling_none, dissipativity_gap,
                        fhn_system)
-from .solver import (LadderReport, Problem, SolverConfig, StoppingRecord,
-                     Trajectory, exit_index, glue_ladder, mild_residual,
-                     save_trajectory, simulate, step, truncate_problem)
+from .solver import (Problem, SolverConfig, StoppingRecord, Trajectory,
+                     exit_index, mild_residual, save_trajectory, simulate, step,
+                     truncate_problem)
 from .mollifier import (MollifierFamily, MollifierRangeError, OneSidedMollifier,
                         build_mollifier, positivity_mollifier)
-from .experiments import (ExperimentReport, est2_bound_check, moment_experiment,
-                          negative_control_problem, positivity_experiment,
-                          residual_refinement, uniqueness_experiment)
+from .experiments import (ExperimentReport, est2_bound_check, glue_ladder,
+                          moment_experiment, negative_control_problem,
+                          positivity_experiment, residual_refinement, run_ladder,
+                          uniqueness_experiment)
 from .config import (build_problem, config_digest, load_config, preset,
                      preset_fhn, validate_config)
 

@@ -22,9 +22,9 @@ from ._version import __version__ as _version
 from .errors import AuditError, SolverFailure
 from .reaction import ReactionSystem, check_quasi_positive, coupling_linear, coupling_none
 from .noise import NoiseModel
-from .rng import sample_path
-from .solver import (Problem, SolverConfig, Trajectory, mild_residual,
-                     simulate, truncate_problem)
+from .rng import WienerPath, sample_path
+from .solver import (Problem, SolverConfig, StoppingRecord, Trajectory,
+                     exit_index, mild_residual, simulate, truncate_problem)
 
 Z95 = 1.959963984540054
 
@@ -386,7 +386,75 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# moment bounds along the truncation ladder
+# the truncation ladder and its moment bounds
+
+
+def _ladder_levels(levels) -> list[float]:
+    """The truncation levels as floats; raise ValueError unless they are a
+    nonempty increasing list."""
+    require_list(levels=levels)
+    levels = [float(n) for n in levels]
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be a nonempty increasing list")
+    return levels
+
+
+def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
+               initial: np.ndarray, levels) -> tuple[list[Trajectory], list[int]]:
+    """Simulate every truncation level on one path, without a sup cap, and
+    return the per-level trajectories and exit steps rho_n (``exit_index``).
+
+    Consecutive levels must agree bitwise, in sup norms and stored states,
+    up to (and including) min(rho_n, rho_{n+1}); otherwise raise
+    SolverFailure("ladder-inconsistency") naming the first differing step
+    (-1: equal norms, different stored states).
+    """
+    levels = _ladder_levels(levels)
+    run_cfg = replace(config, sup_cap=None)
+    # simulate through this module's name: patching srds.experiments.simulate
+    # sees every level
+    trajs = [simulate(truncate_problem(problem, n), run_cfg, path, initial)
+             for n in levels]
+    exits = [exit_index(t, n) for t, n in zip(trajs, levels)]
+
+    stride = run_cfg.store_stride
+    for (na, ta, ea), (nb, tb, eb) in zip(zip(levels, trajs, exits),
+                                          zip(levels[1:], trajs[1:], exits[1:])):
+        upto = min(ea, eb)
+        n_stored = upto // stride + 1
+        differs = np.nonzero(np.any(ta.sup_norms[:upto + 1] != tb.sup_norms[:upto + 1],
+                                    axis=1))[0]
+        if differs.size or not np.array_equal(ta.states[:n_stored], tb.states[:n_stored]):
+            at = int(differs[0]) if differs.size else -1
+            raise SolverFailure("ladder-inconsistency",
+                                f"levels {na}/{nb} disagree at step {at}")
+    return trajs, exits
+
+
+def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
+                initial: np.ndarray, levels) -> tuple[Trajectory, list[int]]:
+    """Run the truncation ladder on one path (``run_ladder``) and glue along
+    the exits: the glued maximal trajectory is the top level's, cut at its
+    own exit.  Returns it with the per-level exit steps rho_n.
+    """
+    trajs, exits = run_ladder(problem, config, path, initial, levels)
+    top, cut, level = trajs[-1], exits[-1], float(levels[-1])
+    stride = top.store_stride
+    # keep the appended final state when the run never exits and n_steps is
+    # not stride-aligned
+    n_stored = len(top.times) if cut == config.n_steps else cut // stride + 1
+    # an exit at the final step still triggers: rho_n = T either way
+    triggered = bool(top.e_norms()[cut] > level)
+    glued = Trajectory(
+        times=top.times[:n_stored],
+        states=top.states[:n_stored],
+        sup_norms=top.sup_norms[:cut + 1],
+        min_values=top.min_values[:cut + 1],
+        dt=top.dt, store_stride=stride,
+        stopping=StoppingRecord(triggered, level, cut * config.dt, cut,
+                                "e-norm-sum"),
+    )
+    return glued, exits
 
 
 def moment_experiment(problem: Problem, config: SolverConfig,
@@ -395,19 +463,17 @@ def moment_experiment(problem: Problem, config: SolverConfig,
                       master_seed: int = 0) -> ExperimentReport:
     """Estimate m_n = (E sup_t ||u^(n)||_E^p)^(1/p) across truncation levels.
 
-    Levels share common paths, so on the sub-ensemble of paths that never
-    leave the smallest level the per-path statistics must agree bitwise
-    across all levels; m_n must stabilize over the top half of the levels,
-    each within 5% of the top level's.
+    The levels of each path run through ``run_ladder``, so a path's levels
+    agree bitwise up to their exits, or SolverFailure("ladder-inconsistency")
+    is raised.  m_n must stabilize over the top half of the levels, each
+    within 5% of the top level's, and at least one path (a core path) must
+    never leave the smallest level: on it every level is bitwise the same run.
     """
     if not p > 2:
         raise ValueError("moment exponent must satisfy p > 2")
     require_positive(n_paths=n_paths)
-    require_list(levels=levels)
-    levels = [float(n) for n in levels]
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be a nonempty increasing list")
-    run_cfg = replace(config, sup_cap=None, store_stride=max(1, config.n_steps))
+    levels = _ladder_levels(levels)  # before any path is sampled
+    run_cfg = replace(config, store_stride=max(1, config.n_steps))
     n_steps = run_cfg.n_steps
 
     report = ExperimentReport(
@@ -418,14 +484,13 @@ def moment_experiment(problem: Problem, config: SolverConfig,
 
     sup_vals = np.empty((n_paths, len(levels)))
     exited = np.zeros((n_paths, len(levels)), dtype=bool)
-    problems = [truncate_problem(problem, n) for n in levels]
     for ip in range(n_paths):
         path = _make_path(problem, master_seed, ip, n_steps, run_cfg.dt)
-        for il, (n, prob_n) in enumerate(zip(levels, problems)):
-            traj = simulate(prob_n, run_cfg, path, initial)
+        trajs, exits = run_ladder(problem, run_cfg, path, initial, levels)
+        for il, (n, traj, rho) in enumerate(zip(levels, trajs, exits)):
             e_norms = traj.e_norms()
             sup_vals[ip, il] = float(e_norms.max())
-            exited[ip, il] = bool((e_norms > n).any())
+            exited[ip, il] = bool(e_norms[rho] > n)
 
     m_n = (np.mean(sup_vals**p, axis=0)) ** (1.0 / p)
     report.tables["moments"] = (
@@ -441,10 +506,12 @@ def moment_experiment(problem: Problem, config: SolverConfig,
                      ", ".join(f"{lv:g}:{m:.4g}" for lv, m in zip(levels, m_n)))
 
     never_exit = ~exited[:, 0]
-    rows = sup_vals[never_exit]
-    bitwise = bool(np.any(never_exit) and np.all(rows == rows[:, :1]))
     report.aggregates["never_exit_smallest"] = int(never_exit.sum())
-    report.add_check("common-path-bitwise-on-core", bitwise,
+    # run_ladder has raised unless every level equals the smallest one
+    # bitwise on every core path (a path that never leaves the smallest
+    # level never leaves a larger one either), so the check needs only a
+    # core path to compare on
+    report.add_check("common-path-bitwise-on-core", bool(never_exit.any()),
                      f"{int(never_exit.sum())}/{n_paths} paths never exit "
                      f"level {levels[0]:g}")
     report.aggregates["exit_fractions"] = {
@@ -489,11 +556,11 @@ def est2_bound_check(sys: ReactionSystem, component: int, operator,
 
 def residual_refinement(problem: Problem, config: SolverConfig,
                         initial: np.ndarray, master_seed: int = 0,
-                        n_paths: int = 1, refinements: int = 2) -> dict:
+                        n_paths: int = 1, refinements: int = 2) -> np.ndarray:
     """Mild residuals at t_end for dt, dt/2, ..., with common paths.
 
-    Returns per-level mean residuals and the mean ratio between consecutive
-    levels (0.5 for the deterministic part, 2^-1/2 for Lipschitz noise).
+    Returns the ratios of mean residuals between consecutive levels (0.5
+    for the deterministic part, 2^-1/2 for Lipschitz noise).
     """
     n_steps = config.n_steps
     fine_factor = 1 << refinements
@@ -509,10 +576,4 @@ def residual_refinement(problem: Problem, config: SolverConfig,
     # ratio of ensemble means: per-path residual magnitudes fluctuate like
     # |N(0, s)| so individual ratios are uninformative
     means = residuals.mean(axis=0)
-    ratios = means[1:] / means[:-1]
-    return {
-        "residuals": residuals,
-        "mean_residuals": means,
-        "mean_ratio": float(ratios.mean()),
-        "ratios_per_level": ratios,
-    }
+    return means[1:] / means[:-1]

@@ -393,63 +393,6 @@ def exit_index(traj: Trajectory, level: float) -> int:
     return int(above[0]) if above.size else len(e) - 1
 
 
-@dataclass
-class LadderReport:
-    levels: list[float]
-    exit_steps: list[int]
-    exit_times: list[float]
-
-
-def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
-                initial: np.ndarray, levels) -> tuple[Trajectory, LadderReport]:
-    """Simulate the truncation ladder on one path and glue along the exits.
-
-    Consecutive ladder trajectories must agree bitwise up to (and including)
-    min(rho_n, rho_{n+1}); the glued maximal trajectory is the top level's,
-    cut at its own exit.
-    """
-    levels = [float(n) for n in levels]
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be a nonempty increasing list")
-    run_cfg = replace(config, sup_cap=None)
-    trajs = [simulate(truncate_problem(problem, n), run_cfg, path, initial)
-             for n in levels]
-    exits = [exit_index(t, n) for t, n in zip(trajs, levels)]
-
-    stride = run_cfg.store_stride
-    for (na, ta, ea), (nb, tb, eb) in zip(zip(levels, trajs, exits),
-                                          zip(levels[1:], trajs[1:], exits[1:])):
-        upto = min(ea, eb)
-        n_stored = upto // stride + 1
-        differs = np.nonzero(np.any(ta.sup_norms[:upto + 1] != tb.sup_norms[:upto + 1],
-                                    axis=1))[0]
-        if differs.size or not np.array_equal(ta.states[:n_stored], tb.states[:n_stored]):
-            # step -1: equal norms, different stored states
-            at = int(differs[0]) if differs.size else -1
-            raise SolverFailure("ladder-inconsistency",
-                                f"levels {na}/{nb} disagree at step {at}")
-
-    top = trajs[-1]
-    cut = exits[-1]
-    # keep the appended final state when the run never exits and n_steps is
-    # not stride-aligned
-    n_stored = len(top.times) if cut == config.n_steps else cut // stride + 1
-    # an exit at the final step still triggers: rho_n = T either way
-    triggered = bool(top.e_norms()[cut] > levels[-1])
-    glued = Trajectory(
-        times=top.times[:n_stored],
-        states=top.states[:n_stored],
-        sup_norms=top.sup_norms[:cut + 1],
-        min_values=top.min_values[:cut + 1],
-        dt=top.dt, store_stride=stride,
-        stopping=StoppingRecord(triggered, levels[-1], cut * config.dt, cut,
-                                "e-norm-sum"),
-    )
-    report = LadderReport(levels=levels, exit_steps=exits,
-                          exit_times=[e * config.dt for e in exits])
-    return glued, report
-
-
 # ---------------------------------------------------------------------------
 # discrete mild-form audit
 

@@ -244,19 +244,19 @@ def suite_residual(problem: Problem, config: SolverConfig, initial,
 
     det = residual_refinement(_zero_noise(problem), cfg, initial,
                               master_seed=master_seed, n_paths=1, refinements=2)
-    det_ok = bool(np.all(np.abs(det["ratios_per_level"] - 0.5) <= 0.15))
+    det_ok = bool(np.all(np.abs(det - 0.5) <= 0.15))
     report.add_check("deterministic-ratio", det_ok,
-                     "ratios " + ", ".join(f"{r:.3f}" for r in det["ratios_per_level"]))
+                     "ratios " + ", ".join(f"{r:.3f}" for r in det))
 
     lip = residual_refinement(_with_named_g(problem, "lipschitz:1"), cfg, initial,
                               master_seed=master_seed, n_paths=n_paths,
                               refinements=2)
     target = 2.0 ** -0.5
-    lip_ok = bool(np.all(np.abs(lip["ratios_per_level"] - target) <= 0.2))
+    lip_ok = bool(np.all(np.abs(lip - target) <= 0.2))
     report.add_check("lipschitz-noise-ratio", lip_ok,
-                     "ratios " + ", ".join(f"{r:.3f}" for r in lip["ratios_per_level"]))
-    report.aggregates["deterministic_ratios"] = [float(r) for r in det["ratios_per_level"]]
-    report.aggregates["lipschitz_ratios"] = [float(r) for r in lip["ratios_per_level"]]
+                     "ratios " + ", ".join(f"{r:.3f}" for r in lip))
+    report.aggregates["deterministic_ratios"] = [float(r) for r in det]
+    report.aggregates["lipschitz_ratios"] = [float(r) for r in lip]
     return report
 
 

@@ -17,6 +17,11 @@ def build_fhn_problem(g_name="sqrt-abs", scale=1.0, n=32, modes=8,
                         reaction=srds.fhn_system(a, b), noise=noise)
 
 
+def const_init(problem, *values):
+    return np.outer(np.asarray(values, dtype=float),
+                    np.ones(problem.grid.n_total))
+
+
 def build_scalar_heat_problem(n=64, a=1.0, c=0.0, modes=4, lam=None,
                               g_name="lipschitz:0"):
     """Single-component problem with zero reaction (heat equation when

@@ -19,18 +19,13 @@ from srds.cli import main
 from srds.experiments import residual_refinement
 from srds.verify import _with_named_g, _zero_noise
 
-from conftest import build_fhn_problem, build_scalar_heat_problem
+from conftest import build_fhn_problem, build_scalar_heat_problem, const_init
 
 
 def criterion(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num:>2}] {status}: {name} {detail}".rstrip())
     assert ok, f"criterion {num} failed: {name} {detail}"
-
-
-def const_init(problem, *values):
-    return np.outer(np.asarray(values, dtype=float),
-                    np.ones(problem.grid.n_total))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +222,8 @@ def test_criterion_8_truncation_gluing():
         path = sample_path(33, 2, 8, 250, 1e-3, path_index=p)
         # raises ladder-inconsistency unless the levels agree bitwise up to
         # min(rho_n, rho_n+1)
-        glued, report = glue_ladder(prob, cfg, path, init, [1.0, 2.0, 4.0, 8.0])
-        mono += report.exit_steps == sorted(report.exit_steps)
+        glued, exits = glue_ladder(prob, cfg, path, init, [1.0, 2.0, 4.0, 8.0])
+        mono += exits == sorted(exits)
     ok = mono == 32
     criterion(8, "ladder bitwise-consistent, rho_n nondecreasing", ok,
               f"(monotone on {mono}/32 paths)")
@@ -246,13 +241,12 @@ def test_criterion_9_mild_residual():
     cfg = SolverConfig(dt=1.0 / 256, t_end=0.25, store_stride=1)
     det = residual_refinement(_zero_noise(prob), cfg, init, master_seed=3,
                               n_paths=1, refinements=2)
-    det_ok = bool(np.all(np.abs(det["ratios_per_level"] - 0.5) <= 0.15))
+    det_ok = bool(np.all(np.abs(det - 0.5) <= 0.15))
     lip = residual_refinement(_with_named_g(prob, "lipschitz:1"), cfg, init,
                               master_seed=3, n_paths=32, refinements=2)
-    lip_ok = bool(np.all(np.abs(lip["ratios_per_level"] - 2.0**-0.5) <= 0.2))
+    lip_ok = bool(np.all(np.abs(lip - 2.0**-0.5) <= 0.2))
     criterion(9, "mild-residual refinement ratios", det_ok and lip_ok,
-              f"(det {np.round(det['ratios_per_level'], 3)}, "
-              f"noise {np.round(lip['ratios_per_level'], 3)})")
+              f"(det {np.round(det, 3)}, noise {np.round(lip, 3)})")
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,31 @@ def test_verify_moments_quick(tmp_path, out_root):
     assert main(["verify", "moments", "--config", cfg_path]) == 0
 
 
+def test_verify_moments_ladder_inconsistency_exits_four(tmp_path, out_root, capsys,
+                                                       monkeypatch):
+    # a one-ulp disagreement at step 5 of level 8, on a path that never leaves
+    # level 4, is a ladder inconsistency: a runtime failure, not a verdict
+    import srds.experiments
+
+    simulate_level = srds.experiments.simulate
+
+    def perturbed(problem, *args):
+        traj = simulate_level(problem, *args)
+        if problem.level == 8.0:
+            traj.sup_norms[5, 0] = np.nextafter(traj.sup_norms[5, 0], np.inf)
+        return traj
+
+    monkeypatch.setattr(srds.experiments, "simulate", perturbed)
+    cfg = quick_preset(dt=2e-3, t_end=0.05)
+    cfg["experiment"] = {"name": "moments", "n_paths": 2, "levels": [4, 8]}
+    assert main(["verify", "moments", "--config", write_config(tmp_path, cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert ("srds-error: code=4 kind=runtime reason=ladder-inconsistency "
+            "detail=levels 4.0/8.0 disagree at step 5\n") in err
+    assert "Traceback" not in err
+
+
 def test_verify_residual_quick(tmp_path, out_root):
     cfg = quick_preset()
     cfg["noise"]["g"] = "sqrt-abs"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,11 @@ from srds import (SolverConfig, est2_bound_check, moment_experiment,
                   negative_control_problem, positivity_experiment,
                   residual_refinement, uniqueness_experiment)
 from srds.errors import AuditError
+from srds.reaction import CouplingTerm, ReactionSystem
 from srds.experiments import mean_upper_ci
 from srds.verify import _with_named_g, _zero_noise
 
-from conftest import build_fhn_problem
-
-
-def const_init(problem, *values):
-    return np.outer(np.asarray(values, dtype=float),
-                    np.ones(problem.grid.n_total))
+from conftest import build_fhn_problem, const_init
 
 
 # --- uniqueness ---------------------------------------------------------------
@@ -173,6 +171,25 @@ def test_moment_immediate_exit_reported():
                      "detail": "0/4 paths never exit level 1"}]
 
 
+def test_moment_negative_control_trips():
+    # the anti-dissipative coupling k1 = v + 2u^3 turns f1 = u - u^3 + v into
+    # u + u^3 + v, so m_n grows with the level instead of stabilizing (the
+    # declared constants are fhn-k1's and false; the audit is off)
+    prob = build_fhn_problem(g_name="sqrt-abs", scale=0.5)
+    k1 = CouplingTerm(lambda s: s[1] + 2.0 * s[0] ** 3, 0.0, 1.0, 1.0,
+                      name="anti-dissipative")
+    reaction = ReactionSystem(prob.reaction.drifts,
+                              [k1, prob.reaction.couplings[1]], audit=False)
+    prob = replace(prob, reaction=reaction)
+    cfg = SolverConfig(dt=2e-3, t_end=0.5)
+    rep = moment_experiment(prob, cfg, const_init(prob, 1.0, 1.0), 4.0,
+                            [2.0, 4.0, 8.0, 16.0], 4, master_seed=21)
+    stab = [c for c in rep.checks if c["name"] == "moment-stabilization"]
+    assert len(stab) == 1 and not stab[0]["passed"], rep.checks
+    m = list(rep.aggregates["m_n"].values())
+    assert m == sorted(m)
+
+
 def test_moment_requires_p_above_two():
     prob = build_fhn_problem()
     cfg = SolverConfig(dt=2e-3, t_end=0.05)
@@ -244,10 +261,10 @@ def test_residual_refinement_orders_small():
     cfg = SolverConfig(dt=1.0 / 128, t_end=0.25, store_stride=1)
     det = residual_refinement(_zero_noise(prob), cfg, init, master_seed=1,
                               n_paths=1, refinements=2)
-    assert np.all(np.abs(det["ratios_per_level"] - 0.5) <= 0.15)
+    assert np.all(np.abs(det - 0.5) <= 0.15)
     lip = residual_refinement(_with_named_g(prob, "lipschitz:1"), cfg, init,
                               master_seed=1, n_paths=8, refinements=1)
-    assert np.all(np.abs(lip["ratios_per_level"] - 2.0**-0.5) <= 0.25)
+    assert np.all(np.abs(lip - 2.0**-0.5) <= 0.25)
 
 
 # --- report plumbing ----------------------------------------------------------------

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from srds import (CoefficientField, SolverConfig, assemble_operator, build_grid,
                   cosine_neumann_basis, build_noise, exit_index, fhn_system,
-                  glue_ladder, mild_residual, named_g, sample_path, simulate, step,
-                  truncate_problem)
+                  glue_ladder, mild_residual, named_g, run_ladder, sample_path,
+                  simulate, step, truncate_problem)
 from srds.errors import SolverFailure
 from srds.solver import Problem, _resolve_increments, _solve_groups, dyadic_level
 
-from conftest import build_fhn_problem, build_scalar_heat_problem
+from conftest import build_fhn_problem, build_scalar_heat_problem, const_init
 
 
 def zero_noise_fhn(n=32):
@@ -26,11 +26,6 @@ def _fields(problem, increments):
     """The (r, n) modal fields ``step`` takes, from one step's (r, K)
     increments."""
     return problem.noise.modal_fields(increments[None])[0]
-
-
-def const_init(problem, *values):
-    return np.outer(np.asarray(values, dtype=float),
-                    np.ones(problem.grid.n_total))
 
 
 # --- single steps -------------------------------------------------------------
@@ -271,15 +266,15 @@ def test_inactive_truncation_matches_plain_run():
     path = sample_path(23, 2, 8, 100, 1e-3)
     init = const_init(prob, 0.2, 0.2)
     plain = simulate(prob, cfg, path, init)
-    glued, report = glue_ladder(prob, cfg, path, init, [64.0])
+    glued, exits = glue_ladder(prob, cfg, path, init, [64.0])
     assert np.array_equal(glued.states, plain.states)
 
 
 def test_ladder_disagreement_raises(monkeypatch):
-    import srds.solver
+    import srds.experiments
 
     k = 5
-    simulate_level = srds.solver.simulate
+    simulate_level = srds.experiments.simulate
 
     def perturbed(problem, *args):
         traj = simulate_level(problem, *args)
@@ -287,7 +282,7 @@ def test_ladder_disagreement_raises(monkeypatch):
             traj.sup_norms[k, 0] = np.nextafter(traj.sup_norms[k, 0], np.inf)
         return traj
 
-    monkeypatch.setattr(srds.solver, "simulate", perturbed)
+    monkeypatch.setattr(srds.experiments, "simulate", perturbed)
     prob = build_fhn_problem(scale=0.5)
     cfg = SolverConfig(dt=1e-3, t_end=0.1)
     path = sample_path(23, 2, 8, 100, 1e-3)
@@ -303,8 +298,8 @@ def test_ladder_exit_times_nondecreasing():
     init = const_init(prob, 0.5, 0.5)
     for p in range(4):
         path = sample_path(29, 2, 8, 250, 1e-3, path_index=p)
-        glued, report = glue_ladder(prob, cfg, path, init, [1.0, 2.0, 4.0, 8.0])
-        assert report.exit_steps == sorted(report.exit_steps)
+        glued, exits = glue_ladder(prob, cfg, path, init, [1.0, 2.0, 4.0, 8.0])
+        assert exits == sorted(exits)
 
 
 def test_glued_trajectory_keeps_final_state_at_coarse_stride():
@@ -312,7 +307,7 @@ def test_glued_trajectory_keeps_final_state_at_coarse_stride():
     cfg = SolverConfig(dt=1e-3, t_end=0.05, store_stride=7)
     path = sample_path(23, 2, 8, 50, 1e-3)
     init = const_init(prob, 0.2, 0.2)
-    glued, report = glue_ladder(prob, cfg, path, init, [64.0])
+    glued, exits = glue_ladder(prob, cfg, path, init, [64.0])
     assert glued.times[-1] == pytest.approx(0.05)
     assert not glued.stopping.triggered
 
@@ -321,8 +316,8 @@ def test_ladder_immediate_exit():
     prob = build_fhn_problem()
     cfg = SolverConfig(dt=1e-3, t_end=0.05)
     path = sample_path(31, 2, 8, 50, 1e-3)
-    glued, report = glue_ladder(prob, cfg, path, const_init(prob, 2.0, 2.0), [1.0])
-    assert report.exit_steps == [0]
+    glued, exits = glue_ladder(prob, cfg, path, const_init(prob, 2.0, 2.0), [1.0])
+    assert exits == [0]
     assert len(glued.times) == 1
     assert glued.stopping.triggered
     assert glued.stopping.criterion == "e-norm-sum"
@@ -334,11 +329,40 @@ def test_ladder_exit_at_final_step_triggers():
     prob = build_fhn_problem(scale=1.0)
     cfg = SolverConfig(dt=1e-3, t_end=2e-3)
     path = sample_path(29, 2, 8, 250, 1e-3)
-    glued, report = glue_ladder(prob, cfg, path, const_init(prob, 0.5, 0.5), [1.0])
-    assert report.exit_steps == [2]
+    glued, exits = glue_ladder(prob, cfg, path, const_init(prob, 0.5, 0.5), [1.0])
+    assert exits == [2]
     assert glued.e_norms()[-1] > 1.0
     assert glued.stopping.triggered
     assert glued.stopping.step_index == 2
+
+
+_LADDER = build_fhn_problem(n=8, modes=4, scale=2.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), start=st.floats(0.0, 1.5),
+       gaps=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_ladder_glues_a_prefix_of_each_run(seed, start, gaps):
+    # inside the truncation ball every level steps bitwise like the
+    # untruncated problem, so run_ladder never raises, rho_n is nondecreasing
+    # in n and the glued trajectory is a prefix of the top level's run and of
+    # the untruncated one
+    prob = _LADDER
+    levels = [0.75 + q / 4.0 for q in itertools.accumulate(gaps)]
+    cfg = SolverConfig(dt=2e-2, t_end=0.8)
+    path = sample_path(seed, 2, 4, 40, 2e-2)
+    init = const_init(prob, start, start)
+    trajs, exits = run_ladder(prob, cfg, path, init, levels)
+    glued, glued_exits = glue_ladder(prob, cfg, path, init, levels)
+    assert glued_exits == exits == sorted(exits)
+    cut = exits[-1]
+    event(f"{sum(0 < e < cfg.n_steps for e in exits)} of {len(exits)} "
+          "levels exit mid-run")
+    top = simulate(truncate_problem(prob, levels[-1]), cfg, path, init)
+    plain = simulate(prob, cfg, path, init)
+    for run in (trajs[-1], top, plain):
+        assert np.array_equal(glued.states, run.states[:cut + 1])
+        assert np.array_equal(glued.sup_norms, run.sup_norms[:cut + 1])
 
 
 def test_exit_index_sum_criterion():
