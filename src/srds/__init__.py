@@ -17,8 +17,8 @@ from .operators import (CoefficientField, EllipticOperator, apply_resolvent,
 from .rng import (WienerPath, gaussian_entry, load_path, normal_inverse,
                   sample_path, save_path, uniform_stream)
 from .noise import (ComponentNoise, HolderFunction, LinearModulus, NoiseModel,
-                    SpectralBasis, build_noise, cosine_neumann_basis, named_g,
-                    osgood_check)
+                    PowerModulus, SpectralBasis, build_noise, cosine_neumann_basis,
+                    named_g, osgood_check)
 from .reaction import (CouplingTerm, F1F2Certificate, PolynomialDrift,
                        ReactionSystem, check_f1_f2, check_quasi_positive,
                        coupling_linear, coupling_none, dissipativity_gap,

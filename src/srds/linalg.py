@@ -88,9 +88,13 @@ class SpectralSolve:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for ``b`` of shape (n,) or a block of right-hand-side rows
-        (m, n): one transform pair over the grid axes of the whole block."""
+        (m, n): one transform pair over the grid axes of the whole block.
+        ``b`` is never written; the division and the inverse transform work
+        in place on the forward transform's new array, bitwise
+        ``idctn(dctn(b) / denom)``."""
         axes = tuple(range(-len(self._shape), 0))
         coef = fft.dctn(b.reshape(b.shape[:-1] + self._shape), type=2,
                         norm="ortho", axes=axes)
-        return fft.idctn(coef / self._denom, type=2, norm="ortho",
-                         axes=axes).reshape(b.shape)
+        coef /= self._denom
+        return fft.idctn(coef, type=2, norm="ortho", axes=axes,
+                         overwrite_x=True).reshape(b.shape)

@@ -2,13 +2,14 @@
 
 Each component carries its own orthonormal mode family e_k, spectral weights
 lambda_k and scalar amplitude g.  The per-mode moduli sigma_k,m(s) =
-c_m ||lambda_k e_k||_inf sqrt(s) square-sum to the linear modulus
-rho_m(s) = C_m s whose Osgood divergence underpins the uniqueness
-machinery.
+c_m ||lambda_k e_k||_inf s^alpha of an alpha-Hölder g square-sum to
+rho_m(s) = C_m s^(2 alpha): at alpha = 1/2 the linear modulus whose Osgood
+divergence underpins the uniqueness machinery, convergent below it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -134,21 +135,32 @@ class HolderFunction:
                               f"c_m|ds|^{self.exponent} with c_{m}={cm:.6g}")
 
 
+def _sqrt_own(t):
+    """sqrt of a temporary its caller made, in place when it is a float
+    array."""
+    try:
+        return np.sqrt(t, t)
+    except TypeError:  # a scalar, or an int array
+        return np.sqrt(t)
+
+
 def _sqrt_abs(s):
-    return np.sqrt(np.abs(s))
+    return _sqrt_own(np.abs(s))
 
 
 def _sqrt_pos(s):
-    return np.sqrt(np.maximum(s, 0.0))
+    return _sqrt_own(np.maximum(s, 0.0))
 
 
 def _sqrt_clipped_01(s):
     t = np.clip(s, 0.0, 1.0)
-    return np.sqrt(t * (1.0 - t))
+    p = 1.0 - t
+    p *= t  # (1 - t) * t, bitwise t * (1 - t)
+    return _sqrt_own(p)
 
 
 def _sqrt_abs_shifted(s):
-    return np.sqrt(np.abs(s) + 0.01)
+    return _sqrt_own(np.abs(s) + 0.01)
 
 
 class _Linear:
@@ -203,8 +215,41 @@ class LinearModulus:
         return LinearModulus(self.constant + 1.0)
 
 
+class PowerModulus:
+    """rho(s) = C*s^power, the squared-sum modulus of an alpha-Hölder
+    amplitude (power = 2*alpha): Osgood-divergent exactly when power >= 1."""
+
+    def __init__(self, constant: float, power: float):
+        self.constant = float(constant)
+        self.power = float(power)
+
+    def __call__(self, s):
+        return self.constant * np.asarray(s, dtype=float) ** self.power
+
+
 # ---------------------------------------------------------------------------
 # the noise model
+
+
+# modal fields are built for whole blocks of steps, at most this many floats
+# (512 KiB) at a time when a block is smaller
+MODAL_BLOCK_FLOATS = 1 << 16
+# a mode table is read in chunks of rows of at most this many floats
+# (256 KiB), so that a chunk stays in cache while it serves every step and
+# component of a block
+MODAL_CHUNK_FLOATS = 1 << 15
+
+
+def _row_chunks(n: int, K: int) -> list:
+    """Row slices of an (n, K) mode table, about MODAL_CHUNK_FLOATS floats
+    each: every chunk starts at a multiple of 64 rows (the matrix-vector
+    kernel then groups rows as it does for the whole table, bit for bit),
+    and a one-row tail joins the chunk before it."""
+    step = max(64, MODAL_CHUNK_FLOATS // K // 64 * 64)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 @dataclass(frozen=True)
@@ -242,8 +287,12 @@ class ComponentNoise:
         cm = float(self.g.holder_c(m))
         return cm**2 * float(np.sum(self.sup_lambda_e**2))
 
-    def rho(self, m: float) -> LinearModulus:
-        return LinearModulus(self.rho_constant(m))
+    def rho(self, m: float) -> LinearModulus | PowerModulus:
+        """The modulus C_m s^(2 alpha) on [-m, m], alpha = ``g.exponent``:
+        the LinearModulus C_m s at alpha = 1/2."""
+        if self.g.exponent == 0.5:
+            return LinearModulus(self.rho_constant(m))
+        return PowerModulus(self.rho_constant(m), 2.0 * self.g.exponent)
 
     def is_zero(self) -> bool:
         return bool(np.all(self.lambdas == 0.0))
@@ -258,6 +307,13 @@ class ComponentNoise:
         return (self.basis.descriptor() + self.lambdas.tobytes()
                 + self.g.name.encode()
                 + repr((self.g.growth_a, self.g.growth_b)).encode())
+
+    def _with_amplitude(self, g: HolderFunction) -> "ComponentNoise":
+        """This component with amplitude g; basis, lambdas and the mode
+        table are shared, not rebuilt."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "g", g)
+        return twin
 
 
 @dataclass(frozen=True)
@@ -276,16 +332,38 @@ class NoiseModel:
 
     def modal_fields(self, increments: np.ndarray) -> np.ndarray:
         """The modal fields of a block of m steps: ``increments`` is
-        (m, r, K), the result (m, r, n_total).  Each component is one stacked
-        matmul, which numpy runs as one matrix-vector product per step, so
-        entry [i, l] is bitwise ``components[l].modal_field(increments[i, l,
-        :K_l])`` for any strides of ``increments``."""
-        out = np.empty((increments.shape[0], self.r,
-                        self.components[0].mode_fields.shape[0]))
-        for l, c in enumerate(self.components):
-            np.matmul(c.mode_fields, increments[:, l, :c.modes, None],
-                      out=out[:, l, :, None])
+        (m, r, K), the result (m, r, n_total), a new array.
+
+        Adjacent components that share one ``mode_fields`` table (as
+        ``build_noise`` builds them from one basis object and bitwise-equal
+        lambdas) form a run, and the table is read in chunks of rows
+        (``_row_chunks``): one stacked matmul per chunk and run, which numpy
+        runs as one matrix-vector product per step and component while the
+        chunk stays in cache.  Chunks start at multiples of 64 rows and none
+        is a single row (numpy would run it as a dot), so entry [i, l] is
+        bitwise ``components[l].mode_fields @ increments[i, l, :K_l]`` for
+        any strides of ``increments``, on one BLAS thread.  (On several,
+        OpenBLAS splits a large product among them, and a split that starts
+        a thread off a row group changes the kernel's grouping; then neither
+        product is bitwise its one-thread self.)"""
+        m = increments.shape[0]
+        out = np.empty((m, self.r, self.components[0].mode_fields.shape[0]))
+        for table, rows in self._table_runs():
+            stacked = increments[:, rows, :table.shape[1], None]
+            for cells in _row_chunks(*table.shape):
+                np.matmul(table[cells], stacked, out=out[:, rows, cells, None])
         return out
+
+    def _table_runs(self) -> list:
+        """(mode table, component slice) per run of adjacent components
+        sharing one table object."""
+        runs = []  # [table, first component, end component]
+        for l, c in enumerate(self.components):
+            if runs and c.mode_fields is runs[-1][0]:
+                runs[-1][2] = l + 1
+            else:
+                runs.append([c.mode_fields, l, l + 1])
+        return [(table, slice(a, b)) for table, a, b in runs]
 
     def descriptor(self) -> bytes:
         return b"|".join(c.descriptor() for c in self.components)
@@ -304,7 +382,13 @@ def build_noise(bases, lambdas, gs, audit: bool = True) -> NoiseModel:
     for b, lam, gg in zip(bases, lambdas, gs):
         if audit:
             gg.audit()
-        comps.append(ComponentNoise(basis=b, lambdas=np.asarray(lam, dtype=float), g=gg))
+        lam = np.asarray(lam, dtype=float)
+        # an earlier component on the same basis object with bitwise-equal
+        # lambdas has this component's mode table: share it
+        twin = next((c for c in comps if c.basis is b and c.lambdas.shape == lam.shape
+                     and c.lambdas.tobytes() == lam.tobytes()), None)
+        comps.append(ComponentNoise(basis=b, lambdas=lam, g=gg) if twin is None
+                     else twin._with_amplitude(gg))
     return NoiseModel(components=tuple(comps))
 
 

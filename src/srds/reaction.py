@@ -24,10 +24,10 @@ from .errors import AuditError
 # polynomial helpers (coefficients ascending, constant term omitted: j = 1..q)
 
 
-def _horner(cols, s: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j cols[j-1] * s^j; cols[j - 1] is w_j, a float or one
-    value per cell."""
-    r = s * cols[-1]
+def _horner(cols, s: np.ndarray, out=None) -> np.ndarray:
+    """Evaluate sum_j cols[j-1] * s^j, into ``out`` when given; cols[j - 1]
+    is w_j, a float or one value per cell."""
+    r = np.multiply(s, cols[-1], out)
     for c in cols[-2::-1]:
         r += c
         r *= s
@@ -128,12 +128,14 @@ class PolynomialDrift:
     def per_cell(self) -> bool:
         return self.coeffs.ndim == 2
 
-    def evaluate(self, s: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+    def evaluate(self, s: np.ndarray, cells: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """h(s), written into ``out`` when given (it must not alias s)."""
         s = np.asarray(s, dtype=float)
         if self._floats is not None:
-            return _horner(self._floats, s)
+            return _horner(self._floats, s, out)
         c = self.coeffs if cells is None else self.coeffs[cells]
-        return _horner(c.T, s)
+        return _horner(c.T, s, out)
 
     def lipschitz_bound(self, m: float) -> float:
         """sup_{|s|<=m} |h'| bounded by sum_j j |w_j| m^{j-1}."""
@@ -224,7 +226,8 @@ def check_f1_f2(drift: PolynomialDrift) -> F1F2Certificate:
 class CouplingTerm:
     """k_l(x, s_1..s_r) with declared growth and local Lipschitz constants.
 
-    ``fn`` is vectorized: it maps a state block of shape (r, n) to (n,).
+    ``fn`` is vectorized: it maps a state block of shape (r, n) to (n,),
+    which may be a view of the block; callers only read it.
     ``audit`` checks the declared constants on 2048 seeded sample pairs in
     each of the boxes [-m, m]^r, m = 1, 10, 100, to absolute tolerance 1e-9.
     """
@@ -302,7 +305,8 @@ class ReactionSystem:
         the couplings the radial projection of each cell's state onto the
         l1-ball of radius n, so inside the ball F^(n)(u) = F(u) bitwise.
         When every cell is inside the ball both are skipped: they are then
-        the identity, bit for bit."""
+        the identity, bit for bit.  The result is a new array, which the
+        caller may write; ``u`` is never written."""
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[0] != self.r:
             raise ValueError(f"state must have shape ({self.r}, n), got {u.shape}")
@@ -320,9 +324,12 @@ class ReactionSystem:
         out = np.empty_like(u)
         for l in range(self.r):
             drift = self.drifts[l]
-            h = 0.0 if drift is None else drift.evaluate(drift_at[l])
-            # h + k, so a missing drift gives 0.0 + k (no negative zeros)
-            np.add(h, self.couplings[l](coupling_at), out=out[l])
+            k = self.couplings[l](coupling_at)
+            if drift is None:
+                np.add(0.0, k, out=out[l])  # 0.0 + k: no negative zeros
+            else:
+                drift.evaluate(drift_at[l], out=out[l])
+                out[l] += k  # h + k
         return out
 
     def evaluate_samples(self, component: int, samples: np.ndarray,
@@ -440,7 +447,7 @@ def check_quasi_positive(sys: ReactionSystem, grid_samples: int = 10_000,
 
 
 def _fhn_k1(s):
-    return s[1].copy()
+    return s[1]  # a view: callers of a coupling only read its result
 
 
 class _FhnK2:
@@ -449,7 +456,9 @@ class _FhnK2:
         self.b = b
 
     def __call__(self, s):
-        return self.a * s[0] - self.b * s[1]
+        k = self.a * s[0]
+        k -= self.b * s[1]  # bitwise a*u - b*v
+        return k
 
 
 def fhn_couplings(a: float, b: float) -> list[CouplingTerm]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import SolverFailure
 from .grid import DomainGrid
-from .noise import NoiseModel
+from .noise import MODAL_BLOCK_FLOATS, NoiseModel
 from .operators import EllipticOperator
 from .reaction import ReactionSystem
 from .rng import WienerPath
@@ -192,9 +192,6 @@ def _solve_groups(steppers) -> list:
 # a block of steps holds at most this many floats of state (32 KiB), and so
 # does a run of components whose amplitude g is evaluated in one call
 STATE_BLOCK_FLOATS = 1 << 12
-# modal fields are built for whole blocks of steps, at most this many floats
-# (512 KiB) at a time when a block is smaller
-MODAL_BLOCK_FLOATS = 1 << 16
 # the cap of a run without one: every finite norm is <= it, +-inf and NaN not
 FINITE_CAP = sys.float_info.max
 
@@ -277,12 +274,16 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
         noise_at = u
     dt = config.dt
     level = problem.level
-    F = problem.reaction.evaluate(drift_at, level)
+    # the step writes only arrays it allocated: evaluate returns a new F,
+    # which becomes the right-hand side; g's result may be its input (a
+    # view of the state), so it is never written
+    rhs = problem.reaction.evaluate(drift_at, level)
     if config.scheme == "tamed-semi-implicit":
-        F = F / (1.0 + dt * np.abs(F).max(axis=1, keepdims=True))
+        rhs /= 1.0 + dt * np.abs(rhs).max(axis=1, keepdims=True)
     if level is not None:
         noise_at = np.minimum(np.maximum(noise_at, -level), level)  # as in evaluate
-    rhs = u + dt * F
+    rhs *= dt
+    rhs += u  # bitwise u + dt*F
     for g, rows in runs:
         rhs[rows] += g(noise_at[rows]) * fields[rows]
     # components sharing a stepper object are solved as one block of rows

@@ -19,7 +19,7 @@ from .experiments import (ExperimentReport, _provenance, _zero_noise,
                           residual_refinement, uniqueness_experiment)
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
-from .noise import NoiseModel, named_g, osgood_check
+from .noise import LinearModulus, NoiseModel, named_g, osgood_check
 from .operators import apply_resolvent, cosine_spectrum, smoothing_profile
 from .reaction import check_quasi_positive, dissipativity_gap
 from .rng import gaussian_entry, sample_path
@@ -198,9 +198,15 @@ def suite_mollifier(problem: Problem, config: SolverConfig, initial,
         constants = [C]
     else:
         seen = []
-        for comp in problem.noise.components:
+        for idx, comp in enumerate(problem.noise.components):
             if not comp.is_zero():
-                c = comp.rho(1.0).adjusted().constant
+                rho = comp.rho(1.0)
+                if not isinstance(rho, LinearModulus):
+                    raise ValueError(
+                        f"component {idx}: the mollifier constant C is derived only "
+                        f"from a linear modulus (amplitude exponent 1/2), not "
+                        f"{comp.g.exponent!r}; pass C")
+                c = rho.adjusted().constant
                 if c not in seen:
                     seen.append(c)
         constants = seen or [1.0]

@@ -134,5 +134,10 @@ def test_tracer_counts_spectral_steps(tmp_path):
         assert s["counts"]["solver.member_steps"] == 2 * 20
         assert s["calls"]["linalg.factor"] == 0
         assert s["counts"]["linalg.lu_nnz_total"] == 0
+        # every member step runs the kernel, the reaction and one amplitude
+        # call: the r = 2 rows of 384 cells form one run sharing sqrt-pos
+        assert s["calls"]["solver.step"] == 2 * 20
+        assert s["calls"]["reaction.evaluate"] == 2 * 20
+        assert s["calls"]["noise.g"] == 2 * 20
     finally:
         tracer.restore()

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srds import (HolderFunction, build_grid, build_noise,
+from srds import (HolderFunction, LinearModulus, build_grid, build_noise,
                   cosine_neumann_basis, named_g, osgood_check, sample_path)
 from srds.errors import AuditError
+from srds.noise import MODAL_CHUNK_FLOATS, _row_chunks
 
 
 def make_model(n=64, modes=8, lam=None, g_name="sqrt-abs", r=1):
@@ -239,3 +242,183 @@ def test_block_modal_fields_match_per_step(n, modes, n_steps, step_stride, conti
     for i in range(b - a):
         for l, comp in enumerate(noise.components):
             assert np.array_equal(fields[i, l], comp.modal_field(inc[a + i, l, :comp.modes]))
+
+
+# --- shared mode tables, read in row chunks -------------------------------------
+# OpenBLAS splits a large matrix-vector product among its threads, and where a
+# thread's share of the rows starts moves the kernel's row groups: the whole
+# table's product is then not bitwise its one-thread self (n = 32769, K = 15
+# differs in one entry at 2 threads).  The chunked products are compared with
+# it in a child process on one BLAS thread.
+
+
+def _chunk_rows(K):
+    # the rows of a full chunk of an (n, K) table: a chunk holds at most
+    # MODAL_CHUNK_FLOATS floats, so at most that many rows
+    return _row_chunks(2 * MODAL_CHUNK_FLOATS, K)[0].stop
+
+
+def _layout_model(layout, n, K, K_b, rng):
+    """Components A and B on one 1D grid of n cells: every A shares one
+    basis object and bitwise-equal lambdas, so one mode table; B has its own
+    basis and lambdas."""
+    grid = build_grid(1, [1.0], [n])
+    spec = {"A": (cosine_neumann_basis(grid, K), rng.uniform(-2.0, 2.0, size=K)),
+            "B": (cosine_neumann_basis(grid, K_b), rng.uniform(-2.0, 2.0, size=K_b))}
+    # each A gets its own copy of the lambdas: they are compared by value
+    noise = build_noise([spec[c][0] for c in layout],
+                        [spec[c][1].copy() for c in layout],
+                        [named_g("sqrt-abs")] * len(layout), audit=False)
+    tables = {id(comp.mode_fields) for comp, c in zip(noise.components, layout)
+              if c == "A"}
+    assert len(tables) == 1  # one table, built once
+    return noise
+
+
+def _assert_per_component_products(noise, inc):
+    fields = noise.modal_fields(inc)
+    for i in range(len(inc)):
+        for l, comp in enumerate(noise.components):
+            assert np.array_equal(fields[i, l], comp.mode_fields @ inc[i, l, :comp.modes])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(K=st.integers(1, 40), chunks=st.integers(1, 3), tail=st.sampled_from([0, 1, 2, 65]),
+       K_b=st.integers(1, 40), layout=st.sampled_from(["AAB", "ABA"]),
+       n_steps=st.integers(1, 5), step_stride=st.integers(1, 3),
+       contiguous=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def _chunked_fields_match_per_component_product(K, chunks, tail, K_b, layout, n_steps,
+                                                 step_stride, contiguous, seed):
+    # n spans one to three full chunks of the A table plus a tail; a run of
+    # adjacent components sharing a table (A-A) is one stacked matmul per
+    # chunk, a table shared apart (A-B-A) is read once per run
+    rng = np.random.default_rng(seed)
+    noise = _layout_model(layout, chunks * _chunk_rows(K) + tail, K, K_b, rng)
+    raw = rng.standard_normal((3, noise.modes + 2, n_steps * step_stride))
+    inc = raw[:, :noise.modes, ::step_stride].transpose(2, 0, 1)  # (n_steps, r, K) view
+    if contiguous:
+        inc = np.ascontiguousarray(inc)
+    _assert_per_component_products(noise, inc)
+
+
+def _one_row_tails_match_per_component_product():
+    # numpy runs a one-row matmul as a dot, whose bits differ from the
+    # matrix-vector product's, so a one-row tail joins the chunk before it
+    for K, n in [(16, 2 * 2048 + 1), (40, 768 + 1), (16, 2049), (1, 32769), (7, 65)]:
+        rng = np.random.default_rng(n)
+        noise = _layout_model("AAB", n, K, 2, rng)
+        _assert_per_component_products(noise, rng.standard_normal((3, 3, noise.modes)))
+
+
+def test_chunked_modal_fields_match_per_component_product():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import srds
+
+    # the child imports this file and the srds the tests run on
+    paths = [str(Path(__file__).parent), str(Path(srds.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = ("import test_noise as t; t._chunked_fields_match_per_component_product(); "
+            "t._one_row_tails_match_per_component_product()")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr[-4000:]
+
+
+@pytest.mark.parametrize("K, n", [(16, 2 * 2048 + 1), (40, 768 + 1), (16, 2049),
+                                  (7, 65), (3, 2), (3, 1), (1, 32769)])
+def test_chunks_start_at_64_row_multiples_and_none_is_one_row(K, n):
+    chunks = _row_chunks(n, K)
+    assert chunks[0].start == 0 and chunks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+    assert all(c.start % 64 == 0 for c in chunks)
+    assert n == 1 or all(c.stop - c.start > 1 for c in chunks)
+    assert _chunk_rows(K) % 64 == 0 and _chunk_rows(K) * K <= MODAL_CHUNK_FLOATS
+
+
+def test_tables_are_shared_by_basis_identity_and_lambda_bits():
+    grid = build_grid(1, [1.0], [16])
+    basis = cosine_neumann_basis(grid, 4)
+    twin = cosine_neumann_basis(grid, 4)  # equal values, another object
+    lam = np.array([1.0, 0.5, 0.0, 0.25])
+    signed = np.array([1.0, 0.5, -0.0, 0.25])  # equal, other bits
+    gs = [named_g("sqrt-abs"), named_g("sqrt-pos"), named_g("sqrt-abs"),
+          named_g("sqrt-abs")]
+    noise = build_noise([basis, basis, twin, basis], [lam, lam.copy(), lam, signed],
+                        gs, audit=False)
+    c = noise.components
+    assert c[1].mode_fields is c[0].mode_fields
+    assert c[2].mode_fields is not c[0].mode_fields
+    assert c[3].mode_fields is not c[0].mode_fields
+    assert [comp.g for comp in c] == gs  # each keeps its own amplitude
+    for comp in c:
+        assert np.array_equal(comp.mode_fields, (comp.basis.values * comp.lambdas[:, None]).T)
+
+
+# --- the modulus follows the amplitude's Hölder exponent --------------------------
+
+
+def _power_problem(alpha):
+    """The FitzHugh-Nagumo preset with g(s) = |s|^alpha (Hölder constant 1 at
+    exponent alpha) on both components, built through the API."""
+    from srds import preset_fhn
+    from srds.config import build_problem
+
+    problem, initial, config = build_problem(preset_fhn(3))
+    comp = problem.noise.components[0]
+    g = HolderFunction(lambda s: np.abs(s) ** alpha, 1.0, 1.0, lambda m: 1.0,
+                       name=f"power:{alpha}", exponent=alpha)
+    noise = build_noise([comp.basis] * 2, [comp.lambdas] * 2, [g] * 2)
+    return replace(problem, noise=noise), initial, config
+
+
+@pytest.mark.parametrize("alpha, verdict, slope", [(0.25, "converges", 0.0016),
+                                                   (0.5, "diverges", 0.86),
+                                                   (0.75, "diverges", 510.0)])
+def test_modulus_follows_the_holder_exponent(alpha, verdict, slope):
+    # rho(s) = C s^(2 alpha) with C = c_1^2 sum (lambda ||e||)^2 = 1.164;
+    # int_0 ds/rho diverges exactly when 2 alpha >= 1.  No sharp flip is
+    # asserted: alpha = 0.4 still reads as diverging on six decades
+    problem, _, _ = _power_problem(alpha)
+    rho = problem.noise.components[0].rho(1.0)
+    assert rho.constant == pytest.approx(1.1636, abs=1e-4)
+    assert rho(np.array([0.25]))[0] == pytest.approx(rho.constant * 0.25 ** (2 * alpha))
+    table = osgood_check(rho, 10.0 ** -np.arange(1, 7))
+    assert table["verdict"] == verdict
+    assert table["tail_slope"] == pytest.approx(slope, rel=0.05)
+
+
+def test_half_exponent_keeps_the_linear_modulus():
+    # the named amplitudes are all 1/2-Hölder: presets keep LinearModulus
+    for name in ("sqrt-abs", "sqrt-pos", "lipschitz:2"):
+        rho = make_model(g_name=name).components[0].rho(1.0)
+        assert type(rho) is LinearModulus
+    assert type(_power_problem(0.5)[0].noise.components[0].rho(1.0)) is LinearModulus
+
+
+def test_noise_suite_osgood_check_trips_below_one_half():
+    from srds.verify import suite_noise
+
+    checks = {}
+    for alpha in (0.25, 0.5):
+        problem, initial, config = _power_problem(alpha)
+        report = suite_noise(problem, config, initial, 3)
+        checks[alpha] = {c["name"]: c["passed"] for c in report.checks}
+    assert not checks[0.25]["comp0-osgood-diverges"]
+    assert checks[0.5]["comp0-osgood-diverges"]
+
+
+def test_mollifier_suite_derives_c_only_from_a_linear_modulus():
+    from srds.verify import suite_mollifier
+
+    problem, initial, config = _power_problem(0.25)
+    with pytest.raises(ValueError, match="component 0: the mollifier constant C is "
+                                         "derived only from a linear modulus"):
+        suite_mollifier(problem, config, initial, 3)
+    report = suite_mollifier(problem, config, initial, 3, C=1.5)  # a stated C runs
+    assert report.checks

@@ -298,6 +298,40 @@ def test_block_solve_matches_row_solves_bitwise(case, dt, m, scale):
     assert np.array_equal(out, np.stack([solver.solve(row) for row in block]))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=random_operators(), dt=st.floats(1e-4, 1.0), m=st.integers(1, 4))
+def test_solves_leave_the_right_hand_side_unchanged(case, dt, m):
+    # LU and DCT alike write only arrays they allocated
+    op, rng = case
+    solver = op.solver(dt)
+    block = rng.normal(size=(m, op.grid.n_total))
+    keep = block.copy()
+    solver.solve(block)
+    solver.solve(block[-1])
+    assert block.tobytes() == keep.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+       dt=st.floats(1e-4, 1.0), m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_spectral_solve_is_one_plain_transform_pair(shape, dt, m, seed):
+    # the in-place division and inverse transform are bitwise the plain
+    # idctn(dctn(b) / denom); m = 0 is a single (n,) right-hand side
+    import scipy.fft
+
+    rng = np.random.default_rng(seed)
+    spectrum = -rng.uniform(0.0, 1e3, size=shape)
+    b = rng.normal(size=(m, int(np.prod(shape))) if m else int(np.prod(shape)))
+    keep = b.copy()
+    axes = tuple(range(-len(shape), 0))
+    coef = scipy.fft.dctn(b.reshape(b.shape[:-1] + tuple(shape)), type=2,
+                          norm="ortho", axes=axes)
+    ref = scipy.fft.idctn(coef / (1.0 - dt * spectrum), type=2, norm="ortho",
+                          axes=axes).reshape(b.shape)
+    assert np.array_equal(SpectralSolve(spectrum, dt).solve(b), ref)
+    assert b.tobytes() == keep.tobytes()
+
+
 def test_stepper_selection(tmp_path):
     g1 = build_grid(1, [1.0], [32])
     g2 = build_grid(2, [1.0, 2.0], [12, 10])

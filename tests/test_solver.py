@@ -814,6 +814,52 @@ def test_block_boundaries_match_per_component_reference(budget, case):
         _check_against_reference(case)
 
 
+# --- what a step may write ----------------------------------------------------
+
+
+def _aliasing_problem(dim, level):
+    """r = 2 on a 1D (LU) or constant-coefficient 2D (DCT) grid, sharing one
+    mode table, with an amplitude that returns its input and couplings that
+    return a view of the state: an in-place write to either would write the
+    caller's arrays."""
+    from srds import HolderFunction
+    from srds.reaction import CouplingTerm, PolynomialDrift, ReactionSystem
+
+    grid = build_grid(dim, [1.0] * dim, [12] if dim == 1 else [6, 5])
+    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    identity = HolderFunction(lambda s: np.asarray(s, dtype=float), 0.0, 1.0,
+                              lambda m: math.sqrt(2.0 * m), name="identity")
+    basis = cosine_neumann_basis(grid, 3)
+    noise = build_noise([basis] * 2, [np.array([0.5, 0.25, 0.125])] * 2,
+                        [identity] * 2, audit=False)
+    views = [CouplingTerm(lambda s, j=j: s[j], 0.0, 1.0, 1.0, name=f"view{j}")
+             for j in (1, 0)]
+    reaction = ReactionSystem([PolynomialDrift([1.0, 0.0, -1.0], epsilon_lead=1.0), None],
+                              views, audit=False)
+    return Problem(grid=grid, operators=(op, op), reaction=reaction, noise=noise,
+                   level=level)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("level", [None, 1.5])
+@pytest.mark.parametrize("scheme", ["semi-implicit", "tamed-semi-implicit"])
+@pytest.mark.parametrize("points", ["u", "separate"])
+def test_step_writes_no_array_it_was_given(dim, level, scheme, points):
+    problem = _aliasing_problem(dim, level)
+    config = SolverConfig(dt=1e-3, t_end=1e-3, scheme=scheme)
+    rng = np.random.default_rng(dim)
+    u, v, w = rng.uniform(-2.0, 2.0, size=(3, 2, problem.grid.n_total))
+    inc = rng.standard_normal((2, 3))
+    fields = _fields(problem, inc)
+    at = {"drift_at": v, "noise_at": w} if points == "separate" else {}
+    given = (u, fields) + tuple(at.values())
+    kept = [a.tobytes() for a in given]
+    steppers = [op.stepper(config.dt) for op in problem.operators]
+    out = step(problem, config, u, fields, _solve_groups(steppers), **at)
+    assert [a.tobytes() for a in given] == kept
+    assert np.array_equal(out, _reference_step(problem, config, u, inc, steppers, **at))
+
+
 def _growth_problem(n=8):
     """du = u dt on a constant state: the sup norm grows every step."""
     from srds.reaction import ReactionSystem, coupling_linear
