@@ -22,7 +22,7 @@ from .operators import (CoefficientField, assemble_operator,
                         coefficient_field_from_csv)
 from .reaction import (PolynomialDrift, ReactionSystem, coupling_linear,
                        coupling_none, fhn_couplings, fhn_system)
-from .rng import valid_seed
+from .rng import MAX_MODE, valid_seed
 from .solver import Problem, SolverConfig
 
 CONFIG_VERSION = 1
@@ -88,7 +88,10 @@ def _build_operator(grid: DomainGrid, block: dict):
     if "csv" in block:
         if eta is None or m_bound is None:
             raise ConfigError("operator", "csv coefficients need eta and m_bound")
-        coeffs = coefficient_field_from_csv(grid, block["csv"], eta, m_bound)
+        try:
+            coeffs = coefficient_field_from_csv(grid, block["csv"], eta, m_bound)
+        except OSError as exc:  # a coefficient file that cannot be read
+            raise ConfigError("operators", str(exc)) from None
     else:
         a = float(block.get("a", 1.0))
         c = float(block.get("c", 0.0))
@@ -144,6 +147,8 @@ def _lambda_sequence(rule, modes: int) -> np.ndarray:
 
 def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
     modes = int(block.get("modes", 8))
+    if not 1 <= modes <= MAX_MODE:  # one Philox stream lane per mode
+        raise ConfigError("noise", f"modes must be in [1, {MAX_MODE}], got {modes}")
     basis_kind = block.get("basis", "cosine-neumann")
     if basis_kind != "cosine-neumann":
         raise ConfigError("noise", f"unknown basis {basis_kind!r} (API-only bases "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from ._version import __version__ as _version
 from .errors import AuditError, SolverFailure
 from .reaction import ReactionSystem, check_quasi_positive, coupling_linear, coupling_none
-from .noise import NoiseModel
+from .noise import NoiseModel, build_noise
 from .rng import WienerPath, sample_path
 from .solver import (Problem, SolverConfig, StoppingRecord, Trajectory,
                      exit_index, mild_residual, simulate, truncate_problem)
@@ -163,8 +164,12 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be nonempty and strictly decreasing")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise ValueError("eps_list entries must be finite and > 0")
     # first used after the twin runs: a wrong type must fail before any path
     slack_factor = 1.0 + slack
+    if not 0 <= slack < math.inf:
+        raise ValueError("slack must be finite and >= 0")
     cauchy_paths = operator.index(cauchy_paths)
     n_ref = operator.index(cauchy_refinements)
     cap = config.sup_cap if config.sup_cap is not None else 8.0
@@ -280,9 +285,11 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
 
 
 def _zero_noise(problem: Problem) -> Problem:
-    """The problem with every noise coefficient lambda_k set to zero."""
-    noise = NoiseModel(tuple(replace(c, lambdas=np.zeros(c.modes))
-                             for c in problem.noise.components))
+    """The problem with every noise coefficient lambda_k set to zero; bases,
+    amplitudes and shared mode tables are kept."""
+    comps = problem.noise.components
+    noise = build_noise([c.basis for c in comps], [np.zeros(c.modes) for c in comps],
+                        [c.g for c in comps], audit=False)
     return replace(problem, noise=noise)
 
 
@@ -327,6 +334,8 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     """
     require_positive(n_paths=n_paths)
     require_flag(control=control)
+    if c_tol is not None and not 0 < c_tol < math.inf:
+        raise ValueError("c_tol must be finite and > 0")
     qp = check_quasi_positive(problem.reaction, grid_samples=2000, range_m=5.0)
     if not qp.passed:
         raise AuditError("quasi-positivity", f"witness {qp.witness}")
@@ -417,14 +426,11 @@ def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
              for n in levels]
     exits = [exit_index(t, n) for t, n in zip(trajs, levels)]
 
-    stride = run_cfg.store_stride
     for (na, ta, ea), (nb, tb, eb) in zip(zip(levels, trajs, exits),
                                           zip(levels[1:], trajs[1:], exits[1:])):
-        upto = min(ea, eb)
-        n_stored = upto // stride + 1
-        differs = np.nonzero(np.any(ta.sup_norms[:upto + 1] != tb.sup_norms[:upto + 1],
-                                    axis=1))[0]
-        if differs.size or not np.array_equal(ta.states[:n_stored], tb.states[:n_stored]):
+        ta, tb = ta.until(min(ea, eb)), tb.until(min(ea, eb))
+        differs = np.nonzero(np.any(ta.sup_norms != tb.sup_norms, axis=1))[0]
+        if differs.size or not np.array_equal(ta.states, tb.states):
             at = int(differs[0]) if differs.size else -1
             raise SolverFailure("ladder-inconsistency",
                                 f"levels {na}/{nb} disagree at step {at}")
@@ -439,21 +445,10 @@ def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
     """
     trajs, exits = run_ladder(problem, config, path, initial, levels)
     top, cut, level = trajs[-1], exits[-1], float(levels[-1])
-    stride = top.store_stride
-    # keep the appended final state when the run never exits and n_steps is
-    # not stride-aligned
-    n_stored = len(top.times) if cut == config.n_steps else cut // stride + 1
     # an exit at the final step still triggers: rho_n = T either way
     triggered = bool(top.e_norms()[cut] > level)
-    glued = Trajectory(
-        times=top.times[:n_stored],
-        states=top.states[:n_stored],
-        sup_norms=top.sup_norms[:cut + 1],
-        min_values=top.min_values[:cut + 1],
-        dt=top.dt, store_stride=stride,
-        stopping=StoppingRecord(triggered, level, cut * config.dt, cut,
-                                "e-norm-sum"),
-    )
+    glued = replace(top.until(cut), stopping=StoppingRecord(
+        triggered, level, cut * config.dt, cut, "e-norm-sum"))
     return glued, exits
 
 

@@ -240,6 +240,19 @@ MODAL_BLOCK_FLOATS = 1 << 16
 MODAL_CHUNK_FLOATS = 1 << 15
 
 
+def adjacent_runs(items, key, most=None) -> list:
+    """(first item, slice) per run of adjacent items whose ``key`` is one
+    object, at most ``most`` items a run (None: no limit)."""
+    runs = []
+    start = 0
+    for i in range(1, len(items) + 1):
+        if (i == len(items) or key(items[i]) is not key(items[start])
+                or i - start == most):
+            runs.append((items[start], slice(start, i)))
+            start = i
+    return runs
+
+
 def _row_chunks(n: int, K: int) -> list:
     """Row slices of an (n, K) mode table, about MODAL_CHUNK_FLOATS floats
     each: every chunk starts at a multiple of 64 rows (the matrix-vector
@@ -348,22 +361,11 @@ class NoiseModel:
         product is bitwise its one-thread self.)"""
         m = increments.shape[0]
         out = np.empty((m, self.r, self.components[0].mode_fields.shape[0]))
-        for table, rows in self._table_runs():
-            stacked = increments[:, rows, :table.shape[1], None]
-            for cells in _row_chunks(*table.shape):
-                np.matmul(table[cells], stacked, out=out[:, rows, cells, None])
+        for comp, rows in adjacent_runs(self.components, lambda c: c.mode_fields):
+            stacked = increments[:, rows, :comp.modes, None]
+            for cells in _row_chunks(*comp.mode_fields.shape):
+                np.matmul(comp.mode_fields[cells], stacked, out=out[:, rows, cells, None])
         return out
-
-    def _table_runs(self) -> list:
-        """(mode table, component slice) per run of adjacent components
-        sharing one table object."""
-        runs = []  # [table, first component, end component]
-        for l, c in enumerate(self.components):
-            if runs and c.mode_fields is runs[-1][0]:
-                runs[-1][2] = l + 1
-            else:
-                runs.append([c.mode_fields, l, l + 1])
-        return [(table, slice(a, b)) for table, a, b in runs]
 
     def descriptor(self) -> bytes:
         return b"|".join(c.descriptor() for c in self.components)

@@ -71,7 +71,7 @@ def normal_inverse(p: np.ndarray) -> np.ndarray:
     return out[0] if scalar else out
 
 
-_MAX_MODE = 1 << 16
+MAX_MODE = 1 << 16
 MAX_PATH = 1 << 32
 
 
@@ -84,10 +84,10 @@ def valid_seed(master_seed) -> bool:
 def _stream_key(master_seed: int, path_index: int, component: int, mode: int) -> np.ndarray:
     if not valid_seed(master_seed):
         raise ValueError(f"master_seed {master_seed!r} is not an integer in [0, 2^64)")
-    if not 0 <= component < _MAX_MODE:
-        raise ValueError(f"component {component} outside [0, {_MAX_MODE})")
-    if not 0 <= mode < _MAX_MODE:
-        raise ValueError(f"mode {mode} outside [0, {_MAX_MODE})")
+    if not 0 <= component < MAX_MODE:
+        raise ValueError(f"component {component} outside [0, {MAX_MODE})")
+    if not 0 <= mode < MAX_MODE:
+        raise ValueError(f"mode {mode} outside [0, {MAX_MODE})")
     if not 0 <= path_index < MAX_PATH:
         raise ValueError(f"path_index {path_index} outside [0, {MAX_PATH})")
     lane = (path_index << 32) | (component << 16) | mode

@@ -11,9 +11,10 @@ components whose amplitudes share one function take one g call.  The linear
 part is exact backward Euler, so sup-norm contraction and positivity of the
 semigroup factor are inherited from the M-matrix structure of the operator.
 
-``step`` does not check the state it returns.  ``simulate`` runs the steps
-in blocks of at most STATE_BLOCK_FLOATS floats of state and checks a block
-at once: one reduction fills its sup norms and one its minima, and the
+``step`` does not check the state it returns.  One block driver,
+``_advance``, steps ``simulate`` and ``mild_residual`` alike: it runs the
+steps in blocks of at most STATE_BLOCK_FLOATS floats of state and checks a
+block at once: one reduction fills its sup norms and one its minima, and the
 first step whose largest norm is not <= the sup cap (the largest float
 without one) is either a non-finite state, raised at its step, component
 and cell, or the cap exit.  After a cap exit up to block - 1 more steps may
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import SolverFailure
 from .grid import DomainGrid
-from .noise import MODAL_BLOCK_FLOATS, NoiseModel
+from .noise import MODAL_BLOCK_FLOATS, NoiseModel, adjacent_runs
 from .operators import EllipticOperator
 from .reaction import ReactionSystem
 from .rng import WienerPath
@@ -156,6 +157,18 @@ class Trajectory:
         """Full-resolution E-norm history sum_l ||u_l||_inf."""
         return self.sup_norms.sum(axis=1)
 
+    def until(self, step: int) -> "Trajectory":
+        """This trajectory through ``step``, a step it reached: the states
+        stored up to it (the last reached step's always) and its norms and
+        minima; the stopping record is kept."""
+        reached = len(self.sup_norms) - 1
+        n_stored = step // self.store_stride + 1 + (
+            step == reached and step % self.store_stride != 0)
+        return replace(self, times=self.times[:n_stored],
+                       states=self.states[:n_stored],
+                       sup_norms=self.sup_norms[:step + 1],
+                       min_values=self.min_values[:step + 1])
+
 
 def dyadic_level(dt: float, dt_fine: float) -> int:
     """The j >= 0 with dt = 2^j * dt_fine (to a relative 1e-9); raises
@@ -177,18 +190,6 @@ def _resolve_increments(config: SolverConfig, path: WienerPath) -> np.ndarray:
     return inc
 
 
-def _solve_groups(steppers) -> list:
-    """(stepper, rows) per distinct stepper object, in order of first use;
-    rows are the components it solves, a slice when they are contiguous,
-    else a list."""
-    groups = {}
-    for l, stepper in enumerate(steppers):
-        groups.setdefault(id(stepper), (stepper, []))[1].append(l)
-    return [(stepper, slice(rows[0], rows[-1] + 1)
-             if rows[-1] - rows[0] == len(rows) - 1 else rows)
-            for stepper, rows in groups.values()]
-
-
 # a block of steps holds at most this many floats of state (32 KiB), and so
 # does a run of components whose amplitude g is evaluated in one call
 STATE_BLOCK_FLOATS = 1 << 12
@@ -196,37 +197,16 @@ STATE_BLOCK_FLOATS = 1 << 12
 FINITE_CAP = sys.float_info.max
 
 
-def _amplitude_runs(noise: NoiseModel) -> list:
-    """(g, rows) per run of adjacent components whose amplitudes share one
-    function ``g.fn``, at most STATE_BLOCK_FLOATS floats per run; rows is a
-    slice.  g is elementwise, so one call on the run's rows is bitwise one
-    call per row."""
-    n_cells = noise.components[0].mode_fields.shape[0]
-    most = max(1, STATE_BLOCK_FLOATS // n_cells)
-    runs = []  # [g, first row, end row]
-    for l, comp in enumerate(noise.components):
-        if runs and comp.g.fn is runs[-1][0].fn and l - runs[-1][1] < most:
-            runs[-1][2] = l + 1
-        else:
-            runs.append([comp.g, l, l + 1])
-    return [(g, slice(a, b)) for g, a, b in runs]
-
-
-def _step_blocks(noise: NoiseModel, inc: np.ndarray, shape: tuple):
-    """Yield (first step, modal fields, state block) for an (n_steps, r, K)
-    increment array, a block of at most STATE_BLOCK_FLOATS floats of states
-    of ``shape`` at a time.  The fields are (m, r, n); the state block is an
-    (m, r, n) view of one buffer, reused by every block, for the caller to
-    fill with the block's m new states."""
-    size = math.prod(shape)
-    block = max(1, STATE_BLOCK_FLOATS // size)
-    chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * size))
-    buf = np.empty((min(block, len(inc)),) + shape)
-    for a in range(0, len(inc), chunk):
-        fields = noise.modal_fields(inc[a:a + chunk])
-        for b in range(0, len(fields), block):
-            m = min(block, len(fields) - b)
-            yield a + b, fields[b:b + m], buf[:m]
+def _step_runs(problem: Problem, dt: float) -> tuple[list, list]:
+    """(groups, runs) of a step at dt: (stepper, rows) per run of components
+    sharing one (I - dt A) stepper, and (g, rows) per run sharing one ``g.fn``
+    of at most STATE_BLOCK_FLOATS floats.  A row's solve is bitwise its own
+    and g is elementwise, so a run's one call is bitwise one call per row."""
+    most = max(1, STATE_BLOCK_FLOATS // problem.grid.n_total)
+    groups = adjacent_runs([op.stepper(dt) for op in problem.operators],
+                           lambda stepper: stepper)
+    runs = adjacent_runs(problem.noise.components, lambda c: c.g.fn, most)
+    return groups, [(c.g, rows) for c, rows in runs]
 
 
 def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
@@ -254,9 +234,8 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
          fields: np.ndarray, groups=None, runs=None, *, drift_at=None,
          noise_at=None) -> np.ndarray:
     """Advance one step; ``fields`` has shape (r, n), one modal field per
-    component (a row of ``NoiseModel.modal_fields``), ``groups`` is
-    ``_solve_groups`` of the steppers at ``config.dt`` and ``runs`` is
-    ``_amplitude_runs`` of the noise.
+    component (a row of ``NoiseModel.modal_fields``), and ``groups`` and
+    ``runs`` are ``_step_runs`` of the problem at ``config.dt``.
 
     The reaction is evaluated at ``drift_at`` and the noise amplitude g at
     ``noise_at``; both default to the state ``u`` (the scheme's left
@@ -264,10 +243,8 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     level and g reads ``noise_at`` clipped to [-level, level].  The new
     state is not checked: it may hold inf or NaN (see ``_first_exit``).
     """
-    if groups is None:
-        groups = _solve_groups([op.stepper(config.dt) for op in problem.operators])
-    if runs is None:
-        runs = _amplitude_runs(problem.noise)
+    if groups is None or runs is None:
+        groups, runs = _step_runs(problem, config.dt)
     if drift_at is None:
         drift_at = u
     if noise_at is None:
@@ -295,15 +272,47 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     return out
 
 
+def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
+             inc: np.ndarray, norms: np.ndarray, points=None):
+    """Step from the state u over (n_steps, r, K) increments; yield
+    (a, states, exited) per block of at most STATE_BLOCK_FLOATS floats of
+    states, an (m, r, n) view of one reused buffer whose row j is step
+    a + 1 + j, with its sup norms written to ``norms[a:a + m]``.  Modal
+    fields are built MODAL_BLOCK_FLOATS at a time; each step goes through
+    ``step`` at ``points(i)``, the (drift_at, noise_at) of the step from
+    state i, if given.  ``_first_exit`` checks a block: the first state
+    whose largest norm exceeds the sup cap ends the run, its block cut
+    after it and yielded with ``exited`` true."""
+    # a finite cap, so that an inf norm is never within it; a sup cap that
+    # is None, inf or NaN halts no finite run, as FINITE_CAP
+    cap = config.sup_cap
+    cap = cap if cap is not None and cap < FINITE_CAP else FINITE_CAP
+    groups, runs = _step_runs(problem, config.dt)
+    block = max(1, STATE_BLOCK_FLOATS // u.size)
+    chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
+    buf = np.empty((min(block, len(inc)),) + u.shape)
+    for c in range(0, len(inc), chunk):
+        fields = problem.noise.modal_fields(inc[c:c + chunk])
+        for a in range(c, c + len(fields), block):
+            states = buf[:min(block, c + len(fields) - a)]
+            for j, f in enumerate(fields[a - c:a - c + len(states)]):
+                drift_at, noise_at = (u, u) if points is None else points(a + j)
+                u = states[j] = step(problem, config, u, f, groups, runs,
+                                     drift_at=drift_at, noise_at=noise_at)
+            k = _first_exit(states, norms[a:a + len(states)], cap, a + 1)
+            yield a, states[:k + 1], k < len(states)
+            if k < len(states):
+                return
+
+
 def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
              initial: np.ndarray) -> Trajectory:
     """Iterate the scheme, halting early if the sup cap is exceeded.
 
     States are stored every ``store_stride`` steps (the final state always);
     per-step sup norms are recorded at full resolution regardless.  Steps
-    run in blocks (``_step_blocks``) checked after the fact by
-    ``_first_exit``: a cap exit drops the block's later states, which are
-    computed but never reported.
+    run in blocks (``_advance``) checked after the fact: a cap exit drops
+    the block's later states, which are computed but never reported.
     """
     u = np.array(initial, dtype=float)
     if u.shape != (problem.r, problem.grid.n_total):
@@ -316,8 +325,6 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     inc = np.ascontiguousarray(
         _resolve_increments(config, path)[:, :, :n_steps].transpose(2, 0, 1))
     stride = config.store_stride
-    groups = _solve_groups([op.stepper(config.dt) for op in problem.operators])
-    runs = _amplitude_runs(problem.noise)
     cap = config.sup_cap
 
     norms = np.empty((n_steps + 1, problem.r))
@@ -333,27 +340,19 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     states[0] = u
     n_stored = 1
 
-    # a finite limit, so that an inf norm is never within it; a cap that
-    # is None, inf or NaN halts no finite run, as FINITE_CAP
-    limit = cap if cap is not None and cap < FINITE_CAP else FINITE_CAP
     i = 0
     # an overflow surfaces as _first_exit's located non-finite-state failure
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, fields, block in _step_blocks(problem.noise, inc[:n_steps], u.shape):
-            for j, f in enumerate(fields):
-                u = block[j] = step(problem, config, u, f, groups, runs)
-            m = len(block)
-            k = _first_exit(block, norms[a + 1:a + 1 + m], limit, a + 1)
-            block = block[:k + 1]  # a cap exit drops the states after it
+        for a, block, exited in _advance(problem, config, u, inc[:n_steps],
+                                         norms[1:]):
             block.min(axis=2, out=mins[a + 1:a + 1 + len(block)])
             # block[j] is step a + 1 + j
             kept = block[-(a + 1) % stride::stride]
             states[n_stored:n_stored + len(kept)] = kept
             n_stored += len(kept)
             i = a + len(block)
-            if k < m:
+            if exited:
                 stopping = StoppingRecord(True, cap, i * config.dt, i, "component-max")
-                break
 
     stored_idx = list(range(0, i + 1, stride))
     if stored_idx[-1] != i:
@@ -429,23 +428,17 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
         if ps > reached:
             raise ValueError(f"probe time {t} beyond the stopping time")
 
-    groups = _solve_groups([op.stepper(traj.dt) for op in problem.operators])
-    runs = _amplitude_runs(problem.noise)
     # the (n_steps, r, K) view keeps each step's increment strides
     per_step = inc[:, :, :max(probe_steps)].transpose(2, 0, 1)
-    recon = traj.states[0]
-    norms = np.empty((max(probe_steps), problem.r))
-    residuals = {}
-    if 0 in probe_steps:
-        residuals[0] = 0.0
+
+    def points(i):  # the drift at the right endpoint, the noise lagged
+        return traj.states[i + 1], traj.states[max(i - 1, 0)]
+
+    residuals = {0: 0.0}
     with np.errstate(over="ignore", invalid="ignore"):  # as in simulate
-        for a, fields, block in _step_blocks(problem.noise, per_step, recon.shape):
-            for j, f in enumerate(fields):
-                i = a + j
-                recon = block[j] = step(problem, config, recon, f, groups, runs,
-                                        drift_at=traj.states[i + 1],
-                                        noise_at=traj.states[max(i - 1, 0)])
-            _first_exit(block, norms[a:a + len(block)], FINITE_CAP, a + 1)
+        for a, block, _ in _advance(problem, config, traj.states[0], per_step,
+                                    np.empty((len(per_step), problem.r)),
+                                    points=points):
             for j, state in enumerate(block, start=a + 1):
                 if j in probe_steps:
                     residuals[j] = float(np.max(np.abs(traj.states[j] - state)))

@@ -19,7 +19,7 @@ from .experiments import (ExperimentReport, _provenance, _zero_noise,
                           residual_refinement, uniqueness_experiment)
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
-from .noise import LinearModulus, NoiseModel, named_g, osgood_check
+from .noise import LinearModulus, build_noise, named_g, osgood_check
 from .operators import apply_resolvent, cosine_spectrum, smoothing_profile
 from .reaction import check_quasi_positive, dissipativity_gap
 from .rng import gaussian_entry, sample_path
@@ -233,8 +233,11 @@ def suite_mollifier(problem: Problem, config: SolverConfig, initial,
 
 
 def _with_named_g(problem: Problem, name: str) -> Problem:
-    noise = NoiseModel(tuple(replace(c, g=named_g(name))
-                             for c in problem.noise.components))
+    """The problem with the named amplitude, one object, on every component;
+    bases and lambdas are kept, and so are the shared mode tables."""
+    comps = problem.noise.components
+    noise = build_noise([c.basis for c in comps], [c.lambdas for c in comps],
+                        [named_g(name)] * len(comps), audit=False)
     return replace(problem, noise=noise)
 
 

@@ -655,6 +655,23 @@ BAD_VALUES = [
      "experiment", "radii must be a list"),
     ("verify reaction", ("experiment",), {"name": "reaction", "radii": []},
      "experiment", "radii must be a nonempty list"),
+    # values of the right type that mean nothing
+    ("verify uniqueness", ("experiment",),
+     {"name": "uniqueness", "eps_list": [-1e-3, -1e-2]}, "experiment",
+     "eps_list entries must be finite and > 0"),
+    ("verify uniqueness", ("experiment",), {"name": "uniqueness", "slack": float("nan")},
+     "experiment", "slack must be finite and >= 0"),
+    ("verify positivity", ("experiment",), {"name": "positivity", "c_tol": -1},
+     "experiment", "c_tol must be finite and > 0"),
+    # a coefficient file that cannot be read, and more modes than the Philox
+    # stream lanes hold, are config errors, not tracebacks
+    *[(command, ("operators", 0), {"csv": "missing-coefficients.csv", "eta": 0.5,
+                                   "m_bound": 2.0},
+       "operators", "[Errno 2] No such file or directory")
+      for command in ("simulate", "ensemble", "verify noise")],
+    *[(command, ("noise", "modes"), modes, "noise", "modes must be in [1, 65536]")
+      for command in ("simulate", "ensemble", "verify positivity")
+      for modes in (0, (1 << 16) + 1)],
 ]
 
 
@@ -683,6 +700,9 @@ def test_bad_value_exits_two(tmp_path, out_root, capsys, command, keys, value,
     {"name": "positivity", "control": "false"},
     {"name": "moments", "levels": "48"},
     {"name": "uniqueness", "eps_list": "321"},
+    {"name": "uniqueness", "eps_list": [-1e-3, -1e-2]},
+    {"name": "uniqueness", "slack": float("nan")},
+    {"name": "positivity", "c_tol": -1},
 ])
 def test_bad_experiment_value_samples_no_path(tmp_path, out_root, monkeypatch,
                                               experiment):

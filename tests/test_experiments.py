@@ -9,6 +9,7 @@ from srds import (SolverConfig, est2_bound_check, moment_experiment,
 from srds.errors import AuditError
 from srds.reaction import CouplingTerm, ReactionSystem
 from srds.experiments import mean_upper_ci
+from srds.solver import _step_runs
 from srds.verify import _with_named_g, _zero_noise
 
 from conftest import build_fhn_problem, const_init
@@ -265,6 +266,17 @@ def test_residual_refinement_orders_small():
     lip = residual_refinement(_with_named_g(prob, "lipschitz:1"), cfg, init,
                               master_seed=1, n_paths=8, refinements=1)
     assert np.all(np.abs(lip - 2.0**-0.5) <= 0.25)
+
+
+@pytest.mark.parametrize("derive", [_zero_noise, negative_control_problem,
+                                    lambda p: _with_named_g(p, "lipschitz:1")],
+                         ids=["zero-noise", "negative-control", "lipschitz-g"])
+def test_derived_problems_keep_one_table_and_one_amplitude_run(derive):
+    prob = derive(build_fhn_problem())
+    first, second = prob.noise.components
+    assert first.mode_fields is second.mode_fields
+    runs = _step_runs(prob, 1e-3)[1]
+    assert [rows for _, rows in runs] == [slice(0, 2)]
 
 
 # --- report plumbing ----------------------------------------------------------------

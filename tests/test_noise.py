@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from srds import (HolderFunction, LinearModulus, build_grid, build_noise,
                   cosine_neumann_basis, named_g, osgood_check, sample_path)
 from srds.errors import AuditError
-from srds.noise import MODAL_CHUNK_FLOATS, _row_chunks
+from srds.noise import MODAL_CHUNK_FLOATS, _row_chunks, adjacent_runs
 
 
 def make_model(n=64, modes=8, lam=None, g_name="sqrt-abs", r=1):
@@ -339,6 +339,33 @@ def test_chunks_start_at_64_row_multiples_and_none_is_one_row(K, n):
     assert all(c.start % 64 == 0 for c in chunks)
     assert n == 1 or all(c.stop - c.start > 1 for c in chunks)
     assert _chunk_rows(K) % 64 == 0 and _chunk_rows(K) * K <= MODAL_CHUNK_FLOATS
+
+
+# keys compared by identity: the first two are equal lists, yet distinct keys
+_RUN_KEYS = ([0], [0], [1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(picks=st.lists(st.integers(0, 2), max_size=16),
+       most=st.one_of(st.none(), st.integers(1, 5)))
+def test_adjacent_runs_split_only_at_key_changes_or_full_runs(picks, most):
+    items = [(i, _RUN_KEYS[p]) for i, p in enumerate(picks)]
+
+    def key(item):
+        return item[1]
+
+    runs = adjacent_runs(items, key, most)
+    # the runs partition the items in order, each led by its first item
+    assert [x for _, rows in runs for x in items[rows]] == items
+    assert all(rows.stop > rows.start and first is items[rows.start]
+               for first, rows in runs)
+    # every item of a run has the run's key object
+    assert all(key(x) is key(first) for first, rows in runs for x in items[rows])
+    assert most is None or all(rows.stop - rows.start <= most for _, rows in runs)
+    # a run ends only where the key changes or the run is full
+    for (_, done), (_, rows) in zip(runs, runs[1:]):
+        assert (key(items[rows.start]) is not key(items[done.stop - 1])
+                or done.stop - done.start == most)
 
 
 def test_tables_are_shared_by_basis_identity_and_lambda_bits():

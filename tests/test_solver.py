@@ -13,7 +13,7 @@ from srds import (CoefficientField, SolverConfig, assemble_operator, build_grid,
                   glue_ladder, mild_residual, named_g, run_ladder, sample_path,
                   simulate, step, truncate_problem)
 from srds.errors import SolverFailure
-from srds.solver import Problem, _resolve_increments, _solve_groups, dyadic_level
+from srds.solver import Problem, _resolve_increments, _step_runs, dyadic_level
 
 from conftest import build_fhn_problem, build_scalar_heat_problem, const_init
 
@@ -290,6 +290,33 @@ def test_ladder_disagreement_raises(monkeypatch):
         glue_ladder(prob, cfg, path, const_init(prob, 0.2, 0.2), [1.0, 2.0])
     assert err.value.reason == "ladder-inconsistency"
     assert err.value.detail == f"levels 1.0/2.0 disagree at step {k}"
+
+
+def test_ladder_compares_the_off_stride_final_state(monkeypatch):
+    # 10 steps at stride 3 store steps 0, 3, 6, 9 and the final step 10;
+    # one ulp in a non-maximal cell of level 8's final state leaves every
+    # norm equal, so only the state comparison can see it
+    import srds.experiments
+
+    simulate_level = srds.experiments.simulate
+
+    def perturbed(problem, *args):
+        traj = simulate_level(problem, *args)
+        if problem.level == 8.0:
+            final = traj.states[-1, 0]
+            cell = int(np.argmin(np.abs(final)))
+            final[cell] = np.nextafter(final[cell], np.inf)
+            assert np.abs(final).max() == traj.sup_norms[-1, 0]
+        return traj
+
+    monkeypatch.setattr(srds.experiments, "simulate", perturbed)
+    prob = build_fhn_problem(scale=0.5)
+    cfg = SolverConfig(dt=1e-3, t_end=1e-2, store_stride=3)
+    path = sample_path(23, 2, 8, 10, 1e-3)
+    with pytest.raises(SolverFailure) as err:
+        run_ladder(prob, cfg, path, const_init(prob, 0.2, 0.2), [4.0, 8.0])
+    assert err.value.reason == "ladder-inconsistency"
+    assert err.value.detail == "levels 4.0/8.0 disagree at step -1"
 
 
 def test_ladder_exit_times_nondecreasing():
@@ -789,7 +816,7 @@ def _check_against_reference(case):
     inc = path.coarse(dyadic_level(config.dt, path.dt_fine))[:, :, 0]
     steppers = [op.stepper(config.dt) for op in problem.operators]
     assert np.array_equal(
-        step(problem, config, u, _fields(problem, inc), _solve_groups(steppers),
+        step(problem, config, u, _fields(problem, inc), *_step_runs(problem, config.dt),
              drift_at=v, noise_at=w),
         _reference_step(problem, config, u, inc, steppers, drift_at=v, noise_at=w))
 
@@ -855,7 +882,7 @@ def test_step_writes_no_array_it_was_given(dim, level, scheme, points):
     given = (u, fields) + tuple(at.values())
     kept = [a.tobytes() for a in given]
     steppers = [op.stepper(config.dt) for op in problem.operators]
-    out = step(problem, config, u, fields, _solve_groups(steppers), **at)
+    out = step(problem, config, u, fields, *_step_runs(problem, config.dt), **at)
     assert [a.tobytes() for a in given] == kept
     assert np.array_equal(out, _reference_step(problem, config, u, inc, steppers, **at))
 
