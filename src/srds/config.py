@@ -82,12 +82,21 @@ def config_block(name: str):
 # block builders
 
 
+def _integer(block: dict, key: str, default: int) -> int:
+    """block[key], a JSON integer: int() would truncate a float such as 8.7
+    and read true as 1."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _build_operator(grid: DomainGrid, block: dict):
     eta = block.get("eta")
     m_bound = block.get("m_bound")
     if "csv" in block:
         if eta is None or m_bound is None:
-            raise ConfigError("operator", "csv coefficients need eta and m_bound")
+            raise ConfigError("operators", "csv coefficients need eta and m_bound")
         try:
             coeffs = coefficient_field_from_csv(grid, block["csv"], eta, m_bound)
         except OSError as exc:  # a coefficient file that cannot be read
@@ -146,7 +155,7 @@ def _lambda_sequence(rule, modes: int) -> np.ndarray:
 
 
 def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
-    modes = int(block.get("modes", 8))
+    modes = _integer(block, "modes", 8)
     if not 1 <= modes <= MAX_MODE:  # one Philox stream lane per mode
         raise ConfigError("noise", f"modes must be in [1, {MAX_MODE}], got {modes}")
     basis_kind = block.get("basis", "cosine-neumann")
@@ -192,7 +201,7 @@ def _build_solver_config(block: dict) -> SolverConfig:
     return SolverConfig(
         dt=float(block["dt"]), t_end=float(block["t_end"]),
         scheme=block.get("scheme", "semi-implicit"), sup_cap=sup_cap,
-        store_stride=int(block.get("store_stride", 1)),
+        store_stride=_integer(block, "store_stride", 1),
     )
 
 

@@ -135,6 +135,12 @@ class HolderFunction:
                               f"c_m|ds|^{self.exponent} with c_{m}={cm:.6g}")
 
 
+# the amplitudes' constants, 0-d float64 arrays built once (see reaction._ZERO)
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+_SHIFT = np.array(0.01)
+
+
 def _sqrt_own(t):
     """sqrt of a temporary its caller made, in place when it is a float
     array."""
@@ -149,26 +155,40 @@ def _sqrt_abs(s):
 
 
 def _sqrt_pos(s):
-    return _sqrt_own(np.maximum(s, 0.0))
+    return _sqrt_own(np.maximum(s, _ZERO))
 
 
 def _sqrt_clipped_01(s):
-    t = np.clip(s, 0.0, 1.0)
-    p = 1.0 - t
+    t = np.clip(s, _ZERO, _ONE)
+    p = _ONE - t
     p *= t  # (1 - t) * t, bitwise t * (1 - t)
     return _sqrt_own(p)
 
 
 def _sqrt_abs_shifted(s):
-    return _sqrt_own(np.abs(s) + 0.01)
+    return _sqrt_own(np.abs(s) + _SHIFT)
 
 
 class _Linear:
     def __init__(self, slope: float):
-        self.slope = slope
+        self.slope = np.array(slope, dtype=float)  # 0-d, see _ZERO
 
     def __call__(self, s):
         return self.slope * np.asarray(s, dtype=float)
+
+
+class _Power:
+    """g(s) = |s|^alpha."""
+
+    def __init__(self, alpha: float):
+        self.alpha = np.array(alpha, dtype=float)  # 0-d, see _ZERO
+
+    def __call__(self, s):
+        t = np.abs(s)
+        try:  # in place on the temporary when it is a float array
+            return np.power(t, self.alpha, t)
+        except TypeError:  # a scalar, or an int array
+            return np.power(t, self.alpha)
 
 
 def named_g(name: str) -> HolderFunction:
@@ -179,6 +199,7 @@ def named_g(name: str) -> HolderFunction:
     "sqrt-clipped-01": g(s) = sqrt(s(1-s)) on [0,1], clipped outside
     "sqrt-abs-shifted": g(s) = sqrt(|s| + 0.01)    (g(0) != 0 control)
     "lipschitz:L":     g(s) = L*s
+    "power:alpha":     g(s) = |s|^alpha, 0 < alpha <= 1 (alpha-Hölder, g(0) = 0)
     """
     if name == "sqrt-abs":
         return HolderFunction(_sqrt_abs, 1.0, 1.0, lambda m: 1.0, name=name)
@@ -192,6 +213,13 @@ def named_g(name: str) -> HolderFunction:
         L = float(name.split(":", 1)[1])
         return HolderFunction(_Linear(L), 0.0, abs(L),
                               lambda m, L=L: abs(L) * math.sqrt(2.0 * m), name=name)
+    if name.startswith("power:"):
+        alpha = float(name.split(":", 1)[1])
+        if not 0.0 < alpha <= 1.0:  # NaN fails too; inf is above 1
+            raise ValueError(f"power exponent must be finite and in (0, 1], "
+                             f"got {alpha!r}")
+        return HolderFunction(_Power(alpha), 1.0, 1.0, lambda m: 1.0, name=name,
+                              exponent=alpha)
     raise AuditError("noise-g", f"unknown amplitude name {name!r}")
 
 

@@ -24,9 +24,15 @@ from .errors import AuditError
 # polynomial helpers (coefficients ascending, constant term omitted: j = 1..q)
 
 
+# constants on the per-step path are 0-d float64 arrays, built once: a ufunc
+# takes one without the scalar discovery it runs on a Python float operand
+# at every call, and the value, so every bit of the result, is the same
+_ZERO = np.array(0.0)
+
+
 def _horner(cols, s: np.ndarray, out=None) -> np.ndarray:
     """Evaluate sum_j cols[j-1] * s^j, into ``out`` when given; cols[j - 1]
-    is w_j, a float or one value per cell."""
+    is w_j, a constant or one value per cell."""
     r = np.multiply(s, cols[-1], out)
     for c in cols[-2::-1]:
         r += c
@@ -120,9 +126,11 @@ class PolynomialDrift:
         self.coeffs = coeffs
         self.degree = q
         self.epsilon_lead = float(epsilon_lead)
-        # constant coefficients as Python floats: the same products and
-        # sums, without a numpy scalar per operation
-        self._floats = None if self.per_cell else tuple(map(float, coeffs))
+        # the Horner columns w_1..w_q, built once: constant coefficients as
+        # 0-d arrays (not Python floats or numpy scalars, see _ZERO), per-cell
+        # ones as contiguous columns
+        self.columns = tuple(np.ascontiguousarray(coeffs.T) if self.per_cell
+                             else [np.array(w) for w in coeffs])
 
     @property
     def per_cell(self) -> bool:
@@ -132,10 +140,9 @@ class PolynomialDrift:
                  out: np.ndarray | None = None) -> np.ndarray:
         """h(s), written into ``out`` when given (it must not alias s)."""
         s = np.asarray(s, dtype=float)
-        if self._floats is not None:
-            return _horner(self._floats, s, out)
-        c = self.coeffs if cells is None else self.coeffs[cells]
-        return _horner(c.T, s, out)
+        if cells is None or not self.per_cell:
+            return _horner(self.columns, s, out)
+        return _horner(self.coeffs[cells].T, s, out)
 
     def lipschitz_bound(self, m: float) -> float:
         """sup_{|s|<=m} |h'| bounded by sum_j j |w_j| m^{j-1}."""
@@ -296,6 +303,10 @@ class ReactionSystem:
         self.couplings = list(couplings)
         self.certificates = [ZERO_CERTIFICATE if h is None else check_f1_f2(h)
                              for h in self.drifts]
+        # what ``evaluate`` runs per component: the drift's Horner columns
+        # (None without a drift) and the coupling's function
+        self._plan = [(None if h is None else h.columns, k.fn)
+                      for h, k in zip(self.drifts, self.couplings)]
         if audit:
             for k in self.couplings:
                 k.audit(self.r)
@@ -322,14 +333,14 @@ class ReactionSystem:
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     coupling_at = u * np.where(norms > level, level / norms, 1.0)
         out = np.empty_like(u)
-        for l in range(self.r):
-            drift = self.drifts[l]
-            k = self.couplings[l](coupling_at)
-            if drift is None:
-                np.add(0.0, k, out=out[l])  # 0.0 + k: no negative zeros
+        for l, (columns, fn) in enumerate(self._plan):
+            k = fn(coupling_at)
+            row = out[l]
+            if columns is None:
+                np.add(_ZERO, k, row)  # 0.0 + k: no negative zeros
             else:
-                drift.evaluate(drift_at[l], out=out[l])
-                out[l] += k  # h + k
+                _horner(columns, drift_at[l], row)
+                row += k  # h + k
         return out
 
     def evaluate_samples(self, component: int, samples: np.ndarray,
@@ -452,8 +463,8 @@ def _fhn_k1(s):
 
 class _FhnK2:
     def __init__(self, a: float, b: float):
-        self.a = a
-        self.b = b
+        self.a = np.array(a, dtype=float)  # 0-d, see _ZERO
+        self.b = np.array(b, dtype=float)
 
     def __call__(self, s):
         k = self.a * s[0]

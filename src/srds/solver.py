@@ -197,16 +197,25 @@ STATE_BLOCK_FLOATS = 1 << 12
 FINITE_CAP = sys.float_info.max
 
 
-def _step_runs(problem: Problem, dt: float) -> tuple[list, list]:
-    """(groups, runs) of a step at dt: (stepper, rows) per run of components
-    sharing one (I - dt A) stepper, and (g, rows) per run sharing one ``g.fn``
-    of at most STATE_BLOCK_FLOATS floats.  A row's solve is bitwise its own
-    and g is elementwise, so a run's one call is bitwise one call per row."""
+# constants on the per-step path are 0-d float64 arrays built once (see
+# reaction._ZERO); dt and the truncation bounds are built per run
+_ONE = np.array(1.0)
+
+
+def _step_runs(problem: Problem, dt: float) -> tuple[list, list, tuple]:
+    """(groups, runs, constants) of a step at dt: (stepper, rows) per run of
+    components sharing one (I - dt A) stepper, (g, rows) per run sharing one
+    ``g.fn`` of at most STATE_BLOCK_FLOATS floats, and (dt, bounds) as 0-d
+    arrays, bounds the (-level, level) of a truncated problem or None.  A
+    row's solve is bitwise its own and g is elementwise, so a run's one call
+    is bitwise one call per row."""
     most = max(1, STATE_BLOCK_FLOATS // problem.grid.n_total)
     groups = adjacent_runs([op.stepper(dt) for op in problem.operators],
                            lambda stepper: stepper)
     runs = adjacent_runs(problem.noise.components, lambda c: c.g.fn, most)
-    return groups, [(c.g, rows) for c, rows in runs]
+    level = problem.level
+    bounds = None if level is None else (np.array(-level), np.array(level))
+    return groups, [(c.g, rows) for c, rows in runs], (np.array(float(dt)), bounds)
 
 
 def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
@@ -231,11 +240,12 @@ def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
 
 
 def step(problem: Problem, config: SolverConfig, u: np.ndarray,
-         fields: np.ndarray, groups=None, runs=None, *, drift_at=None,
-         noise_at=None) -> np.ndarray:
+         fields: np.ndarray, groups=None, runs=None, constants=None, *,
+         drift_at=None, noise_at=None) -> np.ndarray:
     """Advance one step; ``fields`` has shape (r, n), one modal field per
-    component (a row of ``NoiseModel.modal_fields``), and ``groups`` and
-    ``runs`` are ``_step_runs`` of the problem at ``config.dt``.
+    component (a row of ``NoiseModel.modal_fields``), and ``groups``,
+    ``runs`` and ``constants`` are ``_step_runs`` of the problem at
+    ``config.dt``.
 
     The reaction is evaluated at ``drift_at`` and the noise amplitude g at
     ``noise_at``; both default to the state ``u`` (the scheme's left
@@ -243,26 +253,28 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     level and g reads ``noise_at`` clipped to [-level, level].  The new
     state is not checked: it may hold inf or NaN (see ``_first_exit``).
     """
-    if groups is None or runs is None:
-        groups, runs = _step_runs(problem, config.dt)
-    if drift_at is None:
-        drift_at = u
-    if noise_at is None:
-        noise_at = u
-    dt = config.dt
-    level = problem.level
+    if groups is None or runs is None or constants is None:
+        groups, runs, constants = _step_runs(problem, config.dt)
+    dt, bounds = constants
     # the step writes only arrays it allocated: evaluate returns a new F,
     # which becomes the right-hand side; g's result may be its input (a
     # view of the state), so it is never written
-    rhs = problem.reaction.evaluate(drift_at, level)
+    rhs = problem.reaction.evaluate(u if drift_at is None else drift_at,
+                                    problem.level)
     if config.scheme == "tamed-semi-implicit":
-        rhs /= 1.0 + dt * np.abs(rhs).max(axis=1, keepdims=True)
-    if level is not None:
-        noise_at = np.minimum(np.maximum(noise_at, -level), level)  # as in evaluate
+        rhs /= _ONE + dt * np.abs(rhs).max(axis=1, keepdims=True)
+    if noise_at is None:
+        noise_at = u
+    if bounds is not None:  # as in evaluate
+        noise_at = np.minimum(np.maximum(noise_at, bounds[0]), bounds[1])
     rhs *= dt
     rhs += u  # bitwise u + dt*F
-    for g, rows in runs:
-        rhs[rows] += g(noise_at[rows]) * fields[rows]
+    if len(runs) == 1:  # the runs cover every row: one run needs no slices
+        rhs += runs[0][0](noise_at) * fields
+    else:
+        for g, rows in runs:
+            part = rhs[rows]
+            part += g(noise_at[rows]) * fields[rows]
     # components sharing a stepper object are solved as one block of rows
     if len(groups) == 1:
         return groups[0][0].solve(rhs)
@@ -287,7 +299,7 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     # is None, inf or NaN halts no finite run, as FINITE_CAP
     cap = config.sup_cap
     cap = cap if cap is not None and cap < FINITE_CAP else FINITE_CAP
-    groups, runs = _step_runs(problem, config.dt)
+    plan = _step_runs(problem, config.dt)
     block = max(1, STATE_BLOCK_FLOATS // u.size)
     chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
     buf = np.empty((min(block, len(inc)),) + u.shape)
@@ -296,9 +308,12 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
         for a in range(c, c + len(fields), block):
             states = buf[:min(block, c + len(fields) - a)]
             for j, f in enumerate(fields[a - c:a - c + len(states)]):
-                drift_at, noise_at = (u, u) if points is None else points(a + j)
-                u = states[j] = step(problem, config, u, f, groups, runs,
-                                     drift_at=drift_at, noise_at=noise_at)
+                if points is None:
+                    u = states[j] = step(problem, config, u, f, *plan)
+                else:
+                    drift_at, noise_at = points(a + j)
+                    u = states[j] = step(problem, config, u, f, *plan,
+                                         drift_at=drift_at, noise_at=noise_at)
             k = _first_exit(states, norms[a:a + len(states)], cap, a + 1)
             yield a, states[:k + 1], k < len(states)
             if k < len(states):

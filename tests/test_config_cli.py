@@ -316,6 +316,23 @@ def test_verify_noise_pass(tmp_path, out_root):
     assert main(["verify", "noise", "--config", cfg_path]) == 0
 
 
+@pytest.mark.parametrize("alpha, diverges", [("0.25", False), ("0.5", True),
+                                             ("0.75", True)])
+def test_verify_noise_reads_the_power_exponent(tmp_path, out_root, capsys, alpha,
+                                               diverges):
+    # g(s) = |s|^alpha gives the modulus C s^(2 alpha): Osgood-divergent
+    # exactly from alpha = 1/2 on
+    cfg = preset_fhn()
+    cfg["noise"]["g"] = f"power:{alpha}"
+    cfg["experiment"] = {"name": "noise"}
+    assert main(["verify", "noise", "--config", write_config(tmp_path, cfg)]) == (
+        0 if diverges else 1)
+    out = capsys.readouterr().out
+    for comp in ("comp0", "comp1"):
+        assert f"[{'PASS' if diverges else 'FAIL'}] noise: {comp}-osgood-diverges" in out
+        assert f"[PASS] noise: {comp}-amplitude-audit" in out
+
+
 def test_verify_reaction_pass(tmp_path, out_root):
     cfg = quick_preset()
     cfg["experiment"] = {"name": "reaction", "samples": 2000,
@@ -672,6 +689,18 @@ BAD_VALUES = [
     *[(command, ("noise", "modes"), modes, "noise", "modes must be in [1, 65536]")
       for command in ("simulate", "ensemble", "verify positivity")
       for modes in (0, (1 << 16) + 1)],
+    # counts are JSON integers: int() would run 8 modes for 8.7, 1 for true
+    # and stride 2 for 2.9
+    ("simulate", ("noise", "modes"), 8.7, "noise", "modes must be an integer, got 8.7"),
+    ("simulate", ("noise", "modes"), True, "noise", "modes must be an integer, got True"),
+    ("simulate", ("noise", "modes"), "8", "noise", "modes must be an integer, got '8'"),
+    ("simulate", ("solver", "store_stride"), 2.9, "solver",
+     "store_stride must be an integer, got 2.9"),
+    ("simulate", ("operators", 0), {"csv": "coefficients.csv"}, "operators",
+     "csv coefficients need eta and m_bound"),
+    *[("simulate", ("noise", "g"), f"power:{alpha}", "noise",
+       "could not convert" if alpha == "x" else "power exponent must be finite and in (0, 1]")
+      for alpha in ("0", "-0.5", "1.5", "nan", "inf", "x")],
 ]
 
 

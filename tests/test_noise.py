@@ -131,7 +131,7 @@ def test_holder_audit_failure():
 
 def test_named_amplitudes_pass_their_audits():
     for name in ("sqrt-abs", "sqrt-pos", "sqrt-clipped-01", "sqrt-abs-shifted",
-                 "lipschitz:1", "lipschitz:0.5"):
+                 "lipschitz:1", "lipschitz:0.5", "power:0.25", "power:1"):
         named_g(name).audit()
 
 
@@ -398,8 +398,8 @@ def _power_problem(alpha):
 
     problem, initial, config = build_problem(preset_fhn(3))
     comp = problem.noise.components[0]
-    g = HolderFunction(lambda s: np.abs(s) ** alpha, 1.0, 1.0, lambda m: 1.0,
-                       name=f"power:{alpha}", exponent=alpha)
+    g = named_g(f"power:{alpha}")
+    assert (g.growth_a, g.growth_b, g.holder_c(10.0), g.exponent) == (1.0, 1.0, 1.0, alpha)
     noise = build_noise([comp.basis] * 2, [comp.lambdas] * 2, [g] * 2)
     return replace(problem, noise=noise), initial, config
 
