@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import (build_problem, config_block, config_digest, load_config,
-                     preset, validate_config)
+from .config import (_integer, build_problem, config_block, config_digest,
+                     load_config, preset, validate_config)
 from .errors import AuditError, ConfigError, SolverFailure
 from .rng import MAX_PATH, sample_path
 from .solver import TRAJECTORY_FORMATS, dyadic_level, save_trajectory, simulate
@@ -86,12 +86,13 @@ def cmd_simulate(args) -> int:
         raise ConfigError("flags", f"--path-index must be in [0, {MAX_PATH})")
     problem, initial, solver_cfg = build_problem(cfg)
     with config_block("output"):
+        output = cfg.get("output", {})
         # snapshot stride: about 64 stored samples per run unless configured
-        out_stride = cfg.get("output", {}).get("stride")
-        if out_stride is None:
-            out_stride = max(1, solver_cfg.n_steps // 64)
-        solver_cfg = replace(solver_cfg, store_stride=int(out_stride))
-        formats = cfg.get("output", {}).get("formats")
+        stride = max(1, solver_cfg.n_steps // 64)
+        if output.get("stride") is not None:
+            stride = _integer(output, "stride", stride)
+        solver_cfg = replace(solver_cfg, store_stride=stride)
+        formats = output.get("formats")
         if formats is None:
             formats = ["auto"]
         if not (isinstance(formats, list) and formats
@@ -178,6 +179,8 @@ def cmd_ensemble(args) -> int:
     cfg = _load(args)
     if args.paths < 1:
         raise ConfigError("flags", "--paths must be >= 1")
+    if args.workers < 1:
+        raise ConfigError("flags", "--workers must be >= 1")
     # audit the config and resolve the paths once, before any worker starts;
     # the problem stays cached for the paths run here and in forked workers
     blob = json.dumps(cfg, sort_keys=True)

@@ -122,10 +122,13 @@ def _provenance(problem: Problem, config: SolverConfig, master_seed: int) -> dic
     }
 
 
-def _make_path(problem: Problem, master_seed: int, path_index: int,
-               n_fine: int, dt_fine: float):
-    return sample_path(master_seed, problem.r, problem.noise.modes, n_fine,
-                       dt_fine, path_index=path_index)
+def _make_path(problem: Problem, config: SolverConfig, master_seed: int,
+               path_index: int, refinements: int = 0) -> WienerPath:
+    """The study path ``path_index`` at dt/2^refinements over the config's
+    steps: it drives the config at every level of ``_refine``."""
+    return sample_path(master_seed, problem.r, problem.noise.modes,
+                       config.n_steps << refinements, config.dt / (1 << refinements),
+                       path_index=path_index)
 
 
 def _l1_gap(a: Trajectory, b: Trajectory, cell_volume: float) -> np.ndarray:
@@ -172,13 +175,14 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         raise ValueError("slack must be finite and >= 0")
     cauchy_paths = operator.index(cauchy_paths)
     n_ref = operator.index(cauchy_refinements)
+    if n_ref < 0:
+        raise ValueError("cauchy_refinements must be >= 0")
     cap = config.sup_cap if config.sup_cap is not None else 8.0
     run_cfg = replace(config, sup_cap=cap)
     m_radius = cap
     L_m = problem.reaction.coupling_lipschitz(m_radius)
     rate = problem.r * L_m
     cell_vol = problem.grid.cell_volume
-    n_steps = run_cfg.n_steps
 
     report = ExperimentReport(
         name="uniqueness",
@@ -196,7 +200,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     exits = 0
     bitwise_ok = True
     for p in range(n_paths):
-        path = _make_path(problem, master_seed, p, n_steps, run_cfg.dt)
+        path = _make_path(problem, run_cfg, master_seed, p)
         base = simulate(problem, run_cfg, path, initial)
         if p < BITWISE_PATHS:
             twin = simulate(problem, run_cfg, path, initial)
@@ -249,19 +253,14 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     # deliberately coarse: pathwise monotonicity of the gaps is only
     # observable while the systematic refinement error dominates the
     # per-path noise of the strong error.
-    dt0 = max(run_cfg.dt, 1.0 / 16)
-    base_steps = max(1, round(run_cfg.t_end / dt0))
-    dt0 = run_cfg.t_end / base_steps
-    fine_steps = base_steps * (1 << n_ref)
-    dt_fine = dt0 / (1 << n_ref)
+    base_steps = max(1, round(run_cfg.t_end / max(run_cfg.dt, 1.0 / 16)))
+    cauchy_cfg = replace(run_cfg, dt=run_cfg.t_end / base_steps, sup_cap=None,
+                         store_stride=1)
     mono_count = 0
     cauchy_rows = []
     for p in range(cauchy_paths):
-        path = _make_path(problem, master_seed, CAUCHY_OFFSET + p, fine_steps, dt_fine)
-        trajs = []
-        for j in range(n_ref + 1):
-            cfg_j = replace(run_cfg, dt=dt0 / (1 << j), sup_cap=None, store_stride=1)
-            trajs.append(simulate(problem, cfg_j, path, initial))
+        path = _make_path(problem, cauchy_cfg, master_seed, CAUCHY_OFFSET + p, n_ref)
+        trajs = list(_refine(problem, cauchy_cfg, path, initial, n_ref))
         gaps = []
         for a, b in zip(trajs, trajs[1:]):
             coarse_on_fine = b.states[::2][:len(a.states)]
@@ -354,16 +353,13 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
         provenance=_provenance(problem, config, master_seed),
     )
 
-    dt_fine = config.dt / 2.0
-    n_fine = config.n_steps * 2
-    cfg_coarse = replace(config, store_stride=max(1, config.n_steps))
-    cfg_fine = replace(cfg_coarse, dt=dt_fine)
-    min_coarse = np.empty(n_paths)
-    min_fine = np.empty(n_paths)
+    run_cfg = replace(config, store_stride=max(1, config.n_steps))
+    minima = np.empty((n_paths, 2))  # at dt and dt/2
     for p in range(n_paths):
-        path = _make_path(problem, master_seed, p, n_fine, dt_fine)
-        min_coarse[p] = simulate(problem, cfg_coarse, path, initial).min_values.min()
-        min_fine[p] = simulate(problem, cfg_fine, path, initial).min_values.min()
+        path = _make_path(problem, run_cfg, master_seed, p, refinements=1)
+        minima[p] = [t.min_values.min()
+                     for t in _refine(problem, run_cfg, path, initial, 1)]
+    min_coarse, min_fine = minima.T
     global_min = float(min_coarse.min())
     report.aggregates["global_min"] = global_min
     report.add_check("minimum-above-tolerance", global_min >= -tol,
@@ -385,8 +381,8 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
         ctrl_problem = negative_control_problem(problem)
         ctrl_init = np.zeros_like(initial)
         ctrl_init[1] = 1.0
-        path = _make_path(ctrl_problem, master_seed, 0, n_fine, dt_fine)
-        ctrl_min = float(simulate(ctrl_problem, cfg_coarse, path, ctrl_init)
+        path = _make_path(ctrl_problem, run_cfg, master_seed, 0, refinements=1)
+        ctrl_min = float(simulate(ctrl_problem, run_cfg, path, ctrl_init)
                          .min_values.min())
         report.aggregates["control_min"] = ctrl_min
         report.add_check("negative-control-trips", ctrl_min < -tol,
@@ -395,7 +391,18 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# the truncation ladder and its moment bounds
+# common-path runners (dt refinement, the truncation ladder) and the
+# ladder's moment bounds
+
+
+def _refine(problem: Problem, config: SolverConfig, path: WienerPath,
+            initial: np.ndarray, refinements: int):
+    """Yield the trajectory of ``config`` at dt/2^j on one path, for j = 0,
+    ..., refinements in turn; ``_make_path`` with the same refinements
+    samples a path that covers every level.  Like ``run_ladder``, it
+    simulates through this module's name."""
+    for j in range(refinements + 1):
+        yield simulate(problem, replace(config, dt=config.dt / (1 << j)), path, initial)
 
 
 def _ladder_levels(levels) -> list[float]:
@@ -469,7 +476,6 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     require_positive(n_paths=n_paths)
     levels = _ladder_levels(levels)  # before any path is sampled
     run_cfg = replace(config, store_stride=max(1, config.n_steps))
-    n_steps = run_cfg.n_steps
 
     report = ExperimentReport(
         name="moments",
@@ -480,7 +486,7 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     sup_vals = np.empty((n_paths, len(levels)))
     exited = np.zeros((n_paths, len(levels)), dtype=bool)
     for ip in range(n_paths):
-        path = _make_path(problem, master_seed, ip, n_steps, run_cfg.dt)
+        path = _make_path(problem, run_cfg, master_seed, ip)
         trajs, exits = run_ladder(problem, run_cfg, path, initial, levels)
         for il, (n, traj, rho) in enumerate(zip(levels, trajs, exits)):
             e_norms = traj.e_norms()
@@ -557,17 +563,12 @@ def residual_refinement(problem: Problem, config: SolverConfig,
     Returns the ratios of mean residuals between consecutive levels (0.5
     for the deterministic part, 2^-1/2 for Lipschitz noise).
     """
-    n_steps = config.n_steps
-    fine_factor = 1 << refinements
-    dt_fine = config.dt / fine_factor
+    run_cfg = replace(config, sup_cap=None, store_stride=1)
     residuals = np.empty((n_paths, refinements + 1))
     for p in range(n_paths):
-        path = _make_path(problem, master_seed, p, n_steps * fine_factor, dt_fine)
-        for j in range(refinements + 1):
-            cfg = replace(config, dt=config.dt / (1 << j), sup_cap=None,
-                          store_stride=1)
-            traj = simulate(problem, cfg, path, initial)
-            residuals[p, j] = mild_residual(problem, traj, path, [config.t_end])[0]
+        path = _make_path(problem, run_cfg, master_seed, p, refinements)
+        residuals[p] = [mild_residual(problem, traj, path, [config.t_end])[0]
+                        for traj in _refine(problem, run_cfg, path, initial, refinements)]
     # ratio of ensemble means: per-path residual magnitudes fluctuate like
     # |N(0, s)| so individual ratios are uninformative
     means = residuals.mean(axis=0)

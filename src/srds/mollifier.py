@@ -87,11 +87,6 @@ class MollifierFamily:
         tab = self._table(level)
         return _osgood_integral(self.rho, tab.a_lo, tab.a_hi) / level
 
-    def psi_envelope_margin(self, level: int) -> float:
-        """min over the table of 2/(n rho) - psi_n (headroom, >= psi itself)."""
-        tab = self._table(level)
-        return float(np.min(2.0 / (level * self.rho(tab.s)) - tab.psi))
-
     def big_psi(self, level: int, t) -> np.ndarray:
         """int_0^t psi_n for t >= 0 (0 below a_n, 1 above a_{n-1})."""
         tab = self._table(level)

@@ -96,9 +96,9 @@ class HolderFunction:
     """Scalar amplitude g with declared linear growth and 1/2-Hölder moduli.
 
     ``holder_c`` maps a radius m to the constant c_m valid on [-m, m].  The
-    declared constants are trusted but audited on seeded samples at build
-    time: 4096 sample pairs on each of [-1, 1], [-10, 10] and [-100, 100],
-    with absolute tolerance 1e-9.
+    declared constants are trusted but audited at build time: they must be
+    finite, and they are checked on seeded samples, 4096 sample pairs on
+    each of [-1, 1], [-10, 10] and [-100, 100], with absolute tolerance 1e-9.
     """
 
     fn: object  # elementwise vectorized callable: one call may cover several rows
@@ -112,8 +112,15 @@ class HolderFunction:
         return self.fn(s)
 
     def audit(self) -> None:
+        radii = (1.0, 10.0, 100.0)
+        # a NaN bound is never exceeded: check the constants before sampling
+        constants = [("growth_a", self.growth_a), ("growth_b", self.growth_b)]
+        constants += [(f"c_{m:g}", self.holder_c(m)) for m in radii]
+        for key, value in constants:
+            if not math.isfinite(value):
+                raise AuditError("non-finite-constant", f"{key} = {value!r}")
         rng = np.random.default_rng(1234)
-        for m in (1.0, 10.0, 100.0):
+        for m in radii:
             s = rng.uniform(-m, m, size=4096)
             g = self.fn(s)
             bound = self.growth_a + self.growth_b * np.abs(s)
@@ -211,6 +218,8 @@ def named_g(name: str) -> HolderFunction:
         return HolderFunction(_sqrt_abs_shifted, 1.0, 1.0, lambda m: 1.0, name=name)
     if name.startswith("lipschitz:"):
         L = float(name.split(":", 1)[1])
+        if not math.isfinite(L):
+            raise ValueError(f"lipschitz constant must be finite, got {L!r}")
         return HolderFunction(_Linear(L), 0.0, abs(L),
                               lambda m, L=L: abs(L) * math.sqrt(2.0 * m), name=name)
     if name.startswith("power:"):
@@ -315,14 +324,6 @@ class ComponentNoise:
         object.__setattr__(self, "mode_fields",
                            (self.basis.values * lam[:, None]).T.copy())
         object.__setattr__(self, "sup_lambda_e", np.abs(lam) * self.basis.sup_norms)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.g.growth_a * self.sup_lambda_e
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.g.growth_b * self.sup_lambda_e
 
     def rho_constant(self, m: float) -> float:
         cm = float(self.g.holder_c(m))

@@ -120,9 +120,6 @@ class EllipticOperator:
         self.matrix = matrix
         self._steppers: dict[float, ShiftedSolve | SpectralSolve] = {}
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
     def solver(self, dt: float) -> ShiftedSolve | SpectralSolve:
         """A new, uncached solver for (I - dt*A): the DCT-II diagonal solve
         when `cosine_spectrum` diagonalizes A, else a SuperLU factor."""
@@ -276,14 +273,3 @@ def smoothing_profile(op: EllipticOperator) -> dict:
     ref = max(float(scaled.min()), float(times.max()) ** (d / 2.0) / grid.volume)
     bounded = bool(scaled.max() <= 10.0 * ref)
     return {"times": times, "scaled_sup": scaled, "bounded": bounded}
-
-
-def dump_spectrum_csv(op: EllipticOperator, path) -> np.ndarray:
-    """Write the dense spectrum (ascending) to CSV for oracle comparison."""
-    ev = op.dense_spectrum()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "eigenvalue"])
-        for k, lam in enumerate(ev):
-            w.writerow([k, repr(float(lam))])
-    return ev

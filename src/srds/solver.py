@@ -240,7 +240,7 @@ def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
 
 
 def step(problem: Problem, config: SolverConfig, u: np.ndarray,
-         fields: np.ndarray, groups=None, runs=None, constants=None, *,
+         fields: np.ndarray, groups: list, runs: list, constants: tuple, *,
          drift_at=None, noise_at=None) -> np.ndarray:
     """Advance one step; ``fields`` has shape (r, n), one modal field per
     component (a row of ``NoiseModel.modal_fields``), and ``groups``,
@@ -253,8 +253,6 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     level and g reads ``noise_at`` clipped to [-level, level].  The new
     state is not checked: it may hold inf or NaN (see ``_first_exit``).
     """
-    if groups is None or runs is None or constants is None:
-        groups, runs, constants = _step_runs(problem, config.dt)
     dt, bounds = constants
     # the step writes only arrays it allocated: evaluate returns a new F,
     # which becomes the right-hand side; g's result may be its input (a

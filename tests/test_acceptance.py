@@ -43,7 +43,7 @@ def test_criterion_1_operator():
     ok = rel <= 1e-10
 
     ones = np.ones(n)
-    ok &= float(np.max(np.abs(op.apply(ones)))) <= 1e-12 * n**2
+    ok &= float(np.max(np.abs(op.matrix @ ones))) <= 1e-12 * n**2
     A = op.matrix
     ok &= float(np.abs(A - A.T).max()) <= 1e-12 * float(np.abs(A).max())
 

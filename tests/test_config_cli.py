@@ -680,6 +680,9 @@ BAD_VALUES = [
      "experiment", "slack must be finite and >= 0"),
     ("verify positivity", ("experiment",), {"name": "positivity", "c_tol": -1},
      "experiment", "c_tol must be finite and > 0"),
+    ("verify uniqueness", ("experiment",),
+     {"name": "uniqueness", "cauchy_refinements": -1}, "experiment",
+     "cauchy_refinements must be >= 0"),
     # a coefficient file that cannot be read, and more modes than the Philox
     # stream lanes hold, are config errors, not tracebacks
     *[(command, ("operators", 0), {"csv": "missing-coefficients.csv", "eta": 0.5,
@@ -696,11 +699,18 @@ BAD_VALUES = [
     ("simulate", ("noise", "modes"), "8", "noise", "modes must be an integer, got '8'"),
     ("simulate", ("solver", "store_stride"), 2.9, "solver",
      "store_stride must be an integer, got 2.9"),
+    *[("simulate", ("output", "stride"), stride, "output",
+       f"stride must be an integer, got {stride!r}") for stride in (2.9, True, "2")],
     ("simulate", ("operators", 0), {"csv": "coefficients.csv"}, "operators",
      "csv coefficients need eta and m_bound"),
     *[("simulate", ("noise", "g"), f"power:{alpha}", "noise",
        "could not convert" if alpha == "x" else "power exponent must be finite and in (0, 1]")
       for alpha in ("0", "-0.5", "1.5", "nan", "inf", "x")],
+    # a non-finite Lipschitz constant bounds nothing; the preset's positivity
+    # block would read it as g(0) != 0
+    *[(command, ("noise", "g"), f"lipschitz:{L}", "noise",
+       f"lipschitz constant must be finite, got {float(L)!r}")
+      for command in ("simulate", "verify positivity") for L in ("nan", "inf", "-inf")],
 ]
 
 
@@ -732,6 +742,7 @@ def test_bad_value_exits_two(tmp_path, out_root, capsys, command, keys, value,
     {"name": "uniqueness", "eps_list": [-1e-3, -1e-2]},
     {"name": "uniqueness", "slack": float("nan")},
     {"name": "positivity", "c_tol": -1},
+    {"name": "uniqueness", "cauchy_refinements": -1},
 ])
 def test_bad_experiment_value_samples_no_path(tmp_path, out_root, monkeypatch,
                                               experiment):
@@ -745,6 +756,16 @@ def test_bad_experiment_value_samples_no_path(tmp_path, out_root, monkeypatch,
     command = ["verify", experiment["name"], "--config", write_config(tmp_path, cfg)]
     assert main(command) == 2
     assert sampled == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_flag_below_one_exits_two(tmp_path, out_root, capsys, workers):
+    cfg_path = write_config(tmp_path, quick_preset())
+    assert main(["ensemble", "--config", cfg_path, "--paths", "2",
+                 "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert "code=2 kind=config reason=flags detail=--workers must be >= 1" in err
 
 
 def test_negative_seed_flag_exits_two(tmp_path, out_root, capsys):

@@ -8,8 +8,9 @@ from srds import (SolverConfig, est2_bound_check, moment_experiment,
                   residual_refinement, uniqueness_experiment)
 from srds.errors import AuditError
 from srds.reaction import CouplingTerm, ReactionSystem
-from srds.experiments import mean_upper_ci
-from srds.solver import _step_runs
+from srds.experiments import _make_path, _refine, mean_upper_ci
+from srds.rng import sample_path
+from srds.solver import _step_runs, simulate
 from srds.verify import _with_named_g, _zero_noise
 
 from conftest import build_fhn_problem, const_init
@@ -251,7 +252,61 @@ def test_est2_needs_polynomial_drift():
         est2_bound_check(prob.reaction, 1, prob.operators[1], v, dt=1e-2)
 
 
+# --- the dt-refinement runner ------------------------------------------------------
+
+
+@pytest.mark.parametrize("sup_cap", [None, 0.3], ids=["uncapped", "capped"])
+def test_refine_levels_match_simulate_on_a_hand_sized_path(sup_cap):
+    # the cap of 0.3 stops every level, at different steps
+    prob = build_fhn_problem(scale=0.5)
+    cfg = SolverConfig(dt=1.0 / 32, t_end=0.25, sup_cap=sup_cap, store_stride=3)
+    init = const_init(prob, 0.2, 0.2)
+    n = 3
+    path = _make_path(prob, cfg, 7, 5, refinements=n)
+    hand = sample_path(7, prob.r, prob.noise.modes, cfg.n_steps * 2**n,
+                       cfg.dt / 2**n, path_index=5)
+    assert path.dt_fine == hand.dt_fine
+    assert path.increments.tobytes() == hand.increments.tobytes()
+    trajs = list(_refine(prob, cfg, path, init, n))
+    assert len(trajs) == n + 1
+    for j, traj in enumerate(trajs):
+        ref = simulate(prob, replace(cfg, dt=cfg.dt / 2**j), hand, init)
+        assert traj.dt == ref.dt == cfg.dt / 2**j
+        assert traj.stopping == ref.stopping
+        for name in ("times", "states", "sup_norms", "min_values"):
+            assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes()
+    assert all(t.stopping.triggered for t in trajs) == (sup_cap is not None)
+
+
 # --- residual refinement -----------------------------------------------------------
+
+
+def test_residual_refinement_samples_one_path_per_study_path(monkeypatch):
+    import srds.experiments
+
+    sampled, simulated = [], []
+    sample, run = srds.experiments.sample_path, srds.experiments.simulate
+
+    def counting_sample(*args, **kwargs):
+        sampled.append(sample(*args, **kwargs))
+        return sampled[-1]
+
+    def counting_simulate(problem, config, path, initial):
+        simulated.append((config.dt, path))
+        return run(problem, config, path, initial)
+
+    monkeypatch.setattr(srds.experiments, "sample_path", counting_sample)
+    monkeypatch.setattr(srds.experiments, "simulate", counting_simulate)
+    prob = build_fhn_problem(g_name="lipschitz:1")
+    cfg = SolverConfig(dt=1.0 / 32, t_end=0.125, store_stride=2)
+    refinements = 2
+    residual_refinement(prob, cfg, const_init(prob, 0.2, 0.2), master_seed=1,
+                        n_paths=3, refinements=refinements)
+    assert [p.path_index for p in sampled] == [0, 1, 2]
+    assert all(p.n_fine == cfg.n_steps << refinements for p in sampled)
+    assert all(p.dt_fine == cfg.dt / 2**refinements for p in sampled)
+    assert [dt for dt, _ in simulated] == [cfg.dt, cfg.dt / 2, cfg.dt / 4] * 3
+    assert [id(path) for _, path in simulated] == [id(p) for p in sampled for _ in range(3)]
 
 
 def test_residual_refinement_orders_small():

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,8 +42,8 @@ def test_alpha_beta_sequences():
     model = make_model(g_name="sqrt-abs")
     comp = model.components[0]
     # Example amplitude sqrt|s| declares growth (1, 1): alpha_k = ||lam_k e_k||
-    assert np.allclose(comp.alpha, comp.sup_lambda_e)
-    assert np.allclose(comp.beta, comp.sup_lambda_e)
+    assert np.allclose(comp.g.growth_a * comp.sup_lambda_e, comp.sup_lambda_e)
+    assert np.allclose(comp.g.growth_b * comp.sup_lambda_e, comp.sup_lambda_e)
 
 
 def test_rho_constant_direct_sum():
@@ -127,6 +129,20 @@ def test_holder_audit_failure():
                          growth_b=1.0, holder_c=lambda m: 0.01, name="bad")
     with pytest.raises(AuditError, match="holder"):
         bad.audit()
+
+
+@pytest.mark.parametrize("growth_a,growth_b,c_100", [
+    (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0),
+    (1.0, -math.inf, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)])
+def test_audit_rejects_non_finite_constants(growth_a, growth_b, c_100):
+    # a NaN bound is never exceeded and an inf one warns: the audit must
+    # reject both before it samples, for amplitudes built past the parser
+    g = HolderFunction(lambda s: np.sqrt(np.abs(s)), growth_a, growth_b,
+                       lambda m: c_100 if m == 100.0 else 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AuditError, match="non-finite-constant"):
+            g.audit()
 
 
 def test_named_amplitudes_pass_their_audits():
@@ -310,7 +326,9 @@ def _one_row_tails_match_per_component_product():
         _assert_per_component_products(noise, rng.standard_normal((3, 3, noise.modes)))
 
 
-def test_chunked_modal_fields_match_per_component_product():
+def _run_in_child(code: str, threads: int) -> str:
+    """Run ``code`` after ``import test_noise as t`` in a child process on
+    ``threads`` BLAS threads; return its stdout."""
     import os
     import subprocess
     import sys
@@ -321,13 +339,43 @@ def test_chunked_modal_fields_match_per_component_product():
     # the child imports this file and the srds the tests run on
     paths = [str(Path(__file__).parent), str(Path(srds.__file__).parents[1]),
              os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    code = ("import test_noise as t; t._chunked_fields_match_per_component_product(); "
-            "t._one_row_tails_match_per_component_product()")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
+    done = subprocess.run([sys.executable, "-c", "import test_noise as t; " + code],
+                          env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr[-4000:]
+    return done.stdout
+
+
+def test_chunked_modal_fields_match_per_component_product():
+    _run_in_child("t._chunked_fields_match_per_component_product(); "
+                  "t._one_row_tails_match_per_component_product()", threads=1)
+
+
+# (K, rows) of mode tables read in several chunks, with one-row (joined to
+# the chunk before) and 65-row tails
+BLAS_THREAD_SHAPES = [(1, 65537), (3, 4097), (7, 16449), (15, 32769), (16, 4161),
+                      (17, 8193), (31, 12353), (40, 20481)]
+
+
+def _print_modal_field_digests():
+    import hashlib
+
+    for K, n in BLAS_THREAD_SHAPES:
+        rng = np.random.default_rng(n)
+        noise = _layout_model("AAB", n, K, K, rng)
+        fields = noise.modal_fields(rng.standard_normal((3, 3, K)))
+        print(K, n, hashlib.sha256(fields.tobytes()).hexdigest())
+
+
+def test_modal_fields_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a large product among its threads; the chunked
+    # products of NoiseModel.modal_fields keep their bits on one or two
+    one, two = (_run_in_child("t._print_modal_field_digests()", threads)
+                for threads in (1, 2))
+    assert len(one.splitlines()) == len(BLAS_THREAD_SHAPES)
+    assert one == two
 
 
 @pytest.mark.parametrize("K, n", [(16, 2 * 2048 + 1), (40, 768 + 1), (16, 2049),

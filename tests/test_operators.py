@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srds import (CoefficientField, apply_resolvent, assemble_operator,
-                  build_grid, coefficient_field_from_csv, dump_spectrum_csv,
-                  evolve_semigroup, semigroup_step, smoothing_profile)
+                  build_grid, coefficient_field_from_csv, evolve_semigroup,
+                  semigroup_step, smoothing_profile)
 from srds.errors import AuditError
 from srds.linalg import ShiftedSolve, SpectralSolve, jacobi_cg
 
@@ -34,7 +34,7 @@ def test_interior_and_boundary_stencil():
 def test_constants_in_kernel_and_top_eigenvalue():
     op = poisson_1d(16)
     ones = np.ones(16)
-    assert np.max(np.abs(op.apply(ones))) <= 1e-12 * 16**2
+    assert np.max(np.abs(op.matrix @ ones)) <= 1e-12 * 16**2
     ev = op.dense_spectrum()
     assert ev.max() == pytest.approx(0.0, abs=1e-10 * 16**2)
 
@@ -211,20 +211,11 @@ def test_coefficient_csv_roundtrip(tmp_path):
     assert np.array_equal(cf.c, c)
 
 
-def test_spectrum_dump(tmp_path):
-    op = poisson_1d(16)
-    path = tmp_path / "spec.csv"
-    ev = dump_spectrum_csv(op, path)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == 17
-    assert float(rows[1].split(",")[1]) == pytest.approx(ev[0])
-
-
 def test_2d_operator_kernel_and_contraction():
     g = build_grid(2, [1.0, 2.0], [8, 8])
     op = assemble_operator(g, CoefficientField.constant(g, a=1.0, c=0.0))
     ones = np.ones(g.n_total)
-    assert np.max(np.abs(op.apply(ones))) <= 1e-10 * 64**2
+    assert np.max(np.abs(op.matrix @ ones)) <= 1e-10 * 64**2
     rng = np.random.default_rng(13)
     u = rng.uniform(-1, 1, size=g.n_total)
     v = op.stepper(0.05).solve(u)

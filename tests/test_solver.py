@@ -73,7 +73,8 @@ def test_single_step_closed_form_with_noise():
     u0 = const_init(prob, 0.25, 0.5)
     path = sample_path(42, 2, 1, 1, dt)
     db = path.increments[:, 0, 0]
-    out = step(prob, cfg, u0, _fields(prob, path.increments[:, :, 0]))
+    out = step(prob, cfg, u0, _fields(prob, path.increments[:, :, 0]),
+               *_step_runs(prob, dt))
     f1 = 0.25 - 0.25**3 + 0.5
     f2 = 0.25 - 0.5
     assert np.allclose(out[0], 0.25 + dt * f1 + np.sqrt(0.25) * db[0], atol=1e-12)
@@ -85,9 +86,9 @@ def test_tamed_scheme_damps_large_drift():
     big = const_init(prob, 5.0, 0.0)
     dt = 0.1
     still = _fields(prob, np.zeros((2, prob.noise.modes)))
-    plain = step(prob, SolverConfig(dt=dt, t_end=dt), big, still)
+    plain = step(prob, SolverConfig(dt=dt, t_end=dt), big, still, *_step_runs(prob, dt))
     tamed = step(prob, SolverConfig(dt=dt, t_end=dt, scheme="tamed-semi-implicit"),
-                 big, still)
+                 big, still, *_step_runs(prob, dt))
     # drift at u=5 is strongly negative; taming shrinks the move
     assert abs(tamed[0, 0] - 5.0) < abs(plain[0, 0] - 5.0)
 
@@ -199,7 +200,8 @@ def _one_step(problem, u, dt=1e-3, seed=0):
     """One step of ``problem`` from state u on a fixed path."""
     cfg = SolverConfig(dt=dt, t_end=dt)
     path = sample_path(seed, problem.r, problem.noise.modes, 1, dt)
-    return step(problem, cfg, u, _fields(problem, path.coarse(0)[:, :, 0]))
+    return step(problem, cfg, u, _fields(problem, path.coarse(0)[:, :, 0]),
+                *_step_runs(problem, dt))
 
 
 def test_truncated_drift_freezes_beyond_level():
