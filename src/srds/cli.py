@@ -10,7 +10,6 @@ failure prints one machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -23,11 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import (_integer, build_problem, config_block, config_digest,
+from .config import (_integer, _number, build_problem, config_block, config_digest,
                      load_config, preset, validate_config)
 from .errors import AuditError, ConfigError, SolverFailure
 from .rng import MAX_PATH, sample_path
-from .solver import TRAJECTORY_FORMATS, dyadic_level, save_trajectory, simulate
+from .solver import (TRAJECTORY_FORMATS, dyadic_level, save_trajectory, simulate,
+                     write_csv, write_json)
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -58,24 +58,23 @@ def _load(args) -> dict:
 
 
 def _out_dir(args, cfg: dict, command: str) -> Path:
+    """The run's artifact directory, created with a copy of the config."""
     with config_block("output"):
         root = Path(args.out or cfg.get("output", {}).get("dir")
                     or os.environ.get("SRDS_OUT") or "srds-out")
     digest = config_digest(cfg)
     d = root / f"{command}-{digest[:12]}-seed{cfg['master_seed']}"
     d.mkdir(parents=True, exist_ok=True)
+    write_json(d / "config.json", cfg)
     return d
-
-
-def _write_config_copy(out: Path, cfg: dict) -> None:
-    with open(out / "config.json", "w") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=1)
 
 
 def _path_resolution(cfg: dict, solver_cfg) -> tuple[int, float]:
     """(n_fine, dt_fine) of the Wiener paths that drive the configured run."""
-    dt_fine = cfg["noise"].get("dt_fine") or solver_cfg.dt
+    noise = cfg["noise"]
     with config_block("noise"):
+        dt_fine = (solver_cfg.dt if noise.get("dt_fine") is None
+                   else _number(noise, "dt_fine", None))
         j = dyadic_level(solver_cfg.dt, dt_fine)
     return solver_cfg.n_steps * (1 << j), dt_fine
 
@@ -105,7 +104,6 @@ def cmd_simulate(args) -> int:
                        n_fine, dt_fine, path_index=args.path_index)
     traj = simulate(problem, solver_cfg, path, initial)
     out = _out_dir(args, cfg, "simulate")
-    _write_config_copy(out, cfg)
     run_descriptor = solver_cfg.descriptor()
     provenance = {
         "master_seed": path.master_seed,
@@ -115,13 +113,9 @@ def cmd_simulate(args) -> int:
         "problem_digest": problem.digest(),
     }
     save_trajectory(traj, out, problem.grid, provenance, fmt=fmt)
-    manifest_extra = {
-        "config_digest": config_digest(cfg),
-        "master_seed": cfg["master_seed"],
-        "tool_version": __version__,
-    }
-    with open(out / "run.json", "w") as fh:
-        json.dump(manifest_extra, fh, sort_keys=True, indent=1)
+    write_json(out / "run.json", {"config_digest": config_digest(cfg),
+                                  "master_seed": cfg["master_seed"],
+                                  "tool_version": __version__})
     stop = traj.stopping
     if stop.triggered:
         print(f"stopped: level {stop.level:g} exceeded at t={stop.time:g} "
@@ -142,7 +136,6 @@ def cmd_verify(args) -> int:
     report = run_suite(args.suite, problem, solver_cfg, initial, params,
                        cfg["master_seed"])
     out = _out_dir(args, cfg, f"verify-{args.suite}")
-    _write_config_copy(out, cfg)
     report.provenance["config_digest"] = config_digest(cfg)
     report.write(out)
     report.print_summary()
@@ -197,30 +190,21 @@ def cmd_ensemble(args) -> int:
     stats.sort(key=lambda s: s["path"])  # order-independent aggregation
 
     out = _out_dir(args, cfg, "ensemble")
-    _write_config_copy(out, cfg)
     keys = ["final_e_norm", "sup_e_norm", "global_min"]
-    with open(out / "paths.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path"] + keys + ["stopped", "stop_time"])
-        for s in stats:
-            w.writerow([s["path"]] + [repr(s[k]) for k in keys]
-                       + [s["stopped"], repr(s["stop_time"])])
-    with open(out / "aggregate.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["statistic"] + keys + ["stopped_fraction"])
-        arr = {k: np.array([s[k] for s in stats]) for k in keys}
-        stopped = np.array([s["stopped"] for s in stats], dtype=float)
-        w.writerow(["mean"] + [repr(float(arr[k].mean())) for k in keys]
-                   + [repr(float(stopped.mean()))])
-        w.writerow(["std"] + [repr(float(arr[k].std(ddof=1)) if args.paths > 1 else 0.0)
-                              for k in keys] + [""])
-        w.writerow(["min"] + [repr(float(arr[k].min())) for k in keys] + [""])
-        w.writerow(["max"] + [repr(float(arr[k].max())) for k in keys] + [""])
-    with open(out / "run.json", "w") as fh:
-        json.dump({"config_digest": config_digest(cfg),
-                   "master_seed": cfg["master_seed"],
-                   "n_paths": args.paths,
-                   "tool_version": __version__}, fh, sort_keys=True, indent=1)
+    write_csv(out / "paths.csv", ["path"] + keys + ["stopped", "stop_time"],
+              [[s["path"]] + [s[k] for k in keys] + [s["stopped"], s["stop_time"]]
+               for s in stats])
+    arr = {k: np.array([s[k] for s in stats]) for k in keys}
+    stopped = np.array([s["stopped"] for s in stats], dtype=float)
+    write_csv(out / "aggregate.csv", ["statistic"] + keys + ["stopped_fraction"], [
+        ["mean"] + [arr[k].mean() for k in keys] + [stopped.mean()],
+        ["std"] + [arr[k].std(ddof=1) if args.paths > 1 else 0.0 for k in keys] + [""],
+        ["min"] + [arr[k].min() for k in keys] + [""],
+        ["max"] + [arr[k].max() for k in keys] + [""]])
+    write_json(out / "run.json", {"config_digest": config_digest(cfg),
+                                  "master_seed": cfg["master_seed"],
+                                  "n_paths": args.paths,
+                                  "tool_version": __version__})
     print(f"ensemble: {args.paths} paths, stopped fraction "
           f"{float(stopped.mean()):.3g}")
     print(f"artifacts: {out}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -91,9 +92,28 @@ def _integer(block: dict, key: str, default: int) -> int:
     return value
 
 
+def _number(block: dict, key: str, default) -> int | float:
+    """block[key], a finite JSON number, returned as given: float() would
+    read the string "2" and true."""
+    value = block.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _entries(block: dict, key: str, read) -> list:
+    """block[key], a JSON list each of whose entries ``read`` (``_integer``
+    or ``_number``) accepts."""
+    values = block.get(key)
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list, got {values!r}")
+    return [read({f"{key}[{i}]": v}, f"{key}[{i}]", None) for i, v in enumerate(values)]
+
+
 def _build_operator(grid: DomainGrid, block: dict):
-    eta = block.get("eta")
-    m_bound = block.get("m_bound")
+    eta, m_bound = (None if block.get(k) is None else _number(block, k, None)
+                    for k in ("eta", "m_bound"))
     if "csv" in block:
         if eta is None or m_bound is None:
             raise ConfigError("operators", "csv coefficients need eta and m_bound")
@@ -102,8 +122,8 @@ def _build_operator(grid: DomainGrid, block: dict):
         except OSError as exc:  # a coefficient file that cannot be read
             raise ConfigError("operators", str(exc)) from None
     else:
-        a = float(block.get("a", 1.0))
-        c = float(block.get("c", 0.0))
+        a = float(_number(block, "a", 1.0))
+        c = float(_number(block, "c", 0.0))
         coeffs = CoefficientField.constant(grid, a=a, c=c, eta=eta, m_bound=m_bound)
     return assemble_operator(grid, coeffs)
 
@@ -111,7 +131,8 @@ def _build_operator(grid: DomainGrid, block: dict):
 def _build_reaction(block: dict, r: int) -> ReactionSystem:
     kind = block.get("kind")
     if kind == "fhn":
-        return fhn_system(a=float(block.get("a", 1.0)), b=float(block.get("b", 1.0)))
+        return fhn_system(a=float(_number(block, "a", 1.0)),
+                          b=float(_number(block, "b", 1.0)))
     drifts_cfg = block.get("drifts")
     coupling_cfg = block.get("coupling", {"name": "none"})
     if drifts_cfg is None or len(drifts_cfg) != r:
@@ -133,8 +154,8 @@ def _build_reaction(block: dict, r: int) -> ReactionSystem:
     elif name == "fhn":
         if r != 2:
             raise ConfigError("reaction", "fhn coupling needs exactly 2 components")
-        couplings = fhn_couplings(float(coupling_cfg.get("a", 1.0)),
-                                  float(coupling_cfg.get("b", 1.0)))
+        couplings = fhn_couplings(float(_number(coupling_cfg, "a", 1.0)),
+                                  float(_number(coupling_cfg, "b", 1.0)))
     else:
         raise ConfigError("reaction", f"unknown coupling {name!r}")
     return ReactionSystem(drifts, couplings)
@@ -164,7 +185,7 @@ def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
                                    "cannot be configured from file)")
     basis = cosine_neumann_basis(grid, modes)
     lam = _lambda_sequence(block.get("lambdas", "power:2"), modes)
-    lam = lam * float(block.get("scale", 1.0))
+    lam = lam * float(_number(block, "scale", 1.0))
     g_cfg = block.get("g", "sqrt-abs")
     names = g_cfg if isinstance(g_cfg, list) else [g_cfg] * r
     if len(names) != r:
@@ -176,8 +197,8 @@ def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
 def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
     kind = block.get("kind", "constant")
     if kind == "constant":
-        vals = block.get("values")
-        if vals is None or len(vals) != r:
+        vals = _entries(block, "values", _number)
+        if len(vals) != r:
             raise ConfigError("initial", f"need {r} constant values")
         return np.outer(np.asarray(vals, dtype=float), np.ones(grid.n_total))
     if kind == "cosine":
@@ -199,7 +220,8 @@ def _build_solver_config(block: dict) -> SolverConfig:
                                 or not isinstance(sup_cap, (int, float))):
         raise ConfigError("solver", f"sup_cap must be a number or null, got {sup_cap!r}")
     return SolverConfig(
-        dt=float(block["dt"]), t_end=float(block["t_end"]),
+        dt=float(_number(block, "dt", None)),
+        t_end=float(_number(block, "t_end", None)),
         scheme=block.get("scheme", "semi-implicit"), sup_cap=sup_cap,
         store_stride=_integer(block, "store_stride", 1),
     )
@@ -214,7 +236,9 @@ def build_problem(cfg: dict):
     """
     with config_block("grid"):
         block = cfg["grid"]
-        grid = build_grid(block["dim"], block["extents"], block["n_cells"])
+        grid = build_grid(_integer(block, "dim", None),
+                          _entries(block, "extents", _number),
+                          _entries(block, "n_cells", _integer))
     op_blocks = cfg["operators"]
     if not isinstance(op_blocks, list) or not op_blocks:
         raise ConfigError("operators", "need a nonempty per-component list")

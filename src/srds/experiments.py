@@ -10,8 +10,6 @@ confidence bounds of ensemble means against their envelopes.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -25,7 +23,8 @@ from .reaction import ReactionSystem, check_quasi_positive, coupling_linear, cou
 from .noise import NoiseModel, build_noise
 from .rng import WienerPath, sample_path
 from .solver import (Problem, SolverConfig, StoppingRecord, Trajectory,
-                     exit_index, mild_residual, simulate, truncate_problem)
+                     exit_index, mild_residual, simulate, truncate_problem,
+                     write_csv, write_json)
 
 Z95 = 1.959963984540054
 
@@ -95,14 +94,9 @@ class ExperimentReport:
     def write(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{self.name}_report.json", "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
+        write_json(out / f"{self.name}_report.json", self.to_dict())
         for tname, (headers, rows) in self.tables.items():
-            with open(out / f"{self.name}_{tname}.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(headers)
-                for row in rows:
-                    w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            write_csv(out / f"{self.name}_{tname}.csv", headers, rows)
 
     def print_summary(self) -> None:
         for c in self.checks:
@@ -174,6 +168,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     if not 0 <= slack < math.inf:
         raise ValueError("slack must be finite and >= 0")
     cauchy_paths = operator.index(cauchy_paths)
+    require_positive(cauchy_paths=cauchy_paths)
     n_ref = operator.index(cauchy_refinements)
     if n_ref < 0:
         raise ValueError("cauchy_refinements must be >= 0")
@@ -269,7 +264,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         mono_path = len(gaps) >= 2 and all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
         mono_count += mono_path
         cauchy_rows.append([p] + [float(g) for g in gaps] + [int(mono_path)])
-    frac = mono_count / max(cauchy_paths, 1)  # no paths, no evidence: 0
+    frac = mono_count / cauchy_paths
     report.tables["cauchy_gaps"] = (
         ["path"] + [f"gap_dt/{1 << j}" for j in range(n_ref)] + ["monotone"],
         cauchy_rows)
@@ -407,11 +402,13 @@ def _refine(problem: Problem, config: SolverConfig, path: WienerPath,
 
 def _ladder_levels(levels) -> list[float]:
     """The truncation levels as floats; raise ValueError unless they are a
-    nonempty increasing list."""
+    nonempty increasing list of levels >= 1 (NaN is none)."""
     require_list(levels=levels)
     levels = [float(n) for n in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be a nonempty increasing list")
+    if not all(n >= 1 for n in levels):
+        raise ValueError("truncation level must be >= 1")
     return levels
 
 
@@ -471,8 +468,9 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     within 5% of the top level's, and at least one path (a core path) must
     never leave the smallest level: on it every level is bitwise the same run.
     """
-    if not p > 2:
-        raise ValueError("moment exponent must satisfy p > 2")
+    # at p = inf every m_n is 1: the levels would stabilize on no evidence
+    if not 2 < p < math.inf:
+        raise ValueError("moment exponent must be finite and > 2")
     require_positive(n_paths=n_paths)
     levels = _ladder_levels(levels)  # before any path is sampled
     run_cfg = replace(config, store_stride=max(1, config.n_steps))

@@ -239,6 +239,8 @@ def named_g(name: str) -> HolderFunction:
 class LinearModulus:
     """rho(s) = C*s, the squared-sum modulus of the separable noise family."""
 
+    osgood_diverges = True  # int_0+ ds/(C s) = infinity
+
     def __init__(self, constant: float):
         self.constant = float(constant)
 
@@ -262,6 +264,11 @@ class PowerModulus:
 
     def __call__(self, s):
         return self.constant * np.asarray(s, dtype=float) ** self.power
+
+    @property
+    def osgood_diverges(self) -> bool:
+        """int_0+ ds/(C s^power) = infinity exactly when power >= 1."""
+        return self.power >= 1.0
 
 
 # ---------------------------------------------------------------------------

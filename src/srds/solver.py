@@ -173,7 +173,7 @@ class Trajectory:
 def dyadic_level(dt: float, dt_fine: float) -> int:
     """The j >= 0 with dt = 2^j * dt_fine (to a relative 1e-9); raises
     ValueError when there is none."""
-    ratio = dt / dt_fine
+    ratio = dt / dt_fine if dt_fine > 0 else 0.0
     j = round(np.log2(ratio)) if ratio > 0 else -1
     if j < 0 or abs(ratio - 2.0**j) > 1e-9 * ratio:
         raise ValueError(
@@ -465,6 +465,23 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
 TRAJECTORY_FORMATS = ("auto", "csv", "raw")
 
 
+def write_json(path, obj) -> None:
+    """Write an artifact JSON file: sorted keys, one-space indent."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+
+
+def write_csv(path, headers, rows) -> None:
+    """Write an artifact CSV table in the default dialect: every float cell
+    (numpy floats included) as repr(float(v)), which round-trips, and every
+    other cell as given."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(headers)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                     for v in row] for row in rows)
+
+
 def save_trajectory(traj: Trajectory, out_dir, grid: DomainGrid,
                     provenance: dict, fmt: str = "auto") -> dict:
     """Write snapshots plus a JSON manifest sufficient to reproduce the run;
@@ -499,14 +516,9 @@ def save_trajectory(traj: Trajectory, out_dir, grid: DomainGrid,
         "provenance": provenance,
     }
     if fmt == "csv":
-        with open(out / "trajectory.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "component", "cell", "value"])
-            for ti, t in enumerate(traj.times):
-                for l in range(traj.r):
-                    for c in range(n_cells):
-                        w.writerow([repr(float(t)), l, c,
-                                    repr(float(traj.states[ti, l, c]))])
+        write_csv(out / "trajectory.csv", ["time", "component", "cell", "value"],
+                  ([t, l, c, traj.states[ti, l, c]] for ti, t in enumerate(traj.times)
+                   for l in range(traj.r) for c in range(n_cells)))
         manifest["files"] = ["trajectory.csv"]
     else:
         blob = np.ascontiguousarray(traj.states, dtype="<f8").tobytes()
@@ -514,6 +526,5 @@ def save_trajectory(traj: Trajectory, out_dir, grid: DomainGrid,
         manifest["files"] = ["trajectory.f64"]
         manifest["dtype"] = "<f8"
         manifest["order"] = "C (time, component, cell)"
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+    write_json(out / "manifest.json", manifest)
     return manifest

@@ -372,9 +372,10 @@ def test_verify_uniqueness_without_cauchy_paths_fails(tmp_path, out_root, capsys
     cfg["experiment"] = {"name": "uniqueness", "n_paths": 2,
                          "eps_list": [1e-1, 1e-2], "cauchy_paths": 0}
     cfg_path = write_config(tmp_path, cfg)
-    assert main(["verify", "uniqueness", "--config", cfg_path]) == 1
-    assert ("[FAIL] uniqueness: refinement-cauchy (monotone on 0/0 paths)"
-            in capsys.readouterr().out.splitlines())
+    # no Cauchy path is no evidence: a config error before any twin runs
+    assert main(["verify", "uniqueness", "--config", cfg_path]) == 2
+    assert ("srds-error: code=2 kind=config reason=experiment "
+            "detail=cauchy_paths must be >= 1" in capsys.readouterr().err.splitlines())
 
 
 @pytest.mark.parametrize("refinements", [0, 1])
@@ -683,6 +684,10 @@ BAD_VALUES = [
     ("verify uniqueness", ("experiment",),
      {"name": "uniqueness", "cauchy_refinements": -1}, "experiment",
      "cauchy_refinements must be >= 0"),
+    # a check run on no evidence: every sampled u is zero at radius 0, so no
+    # dissipativity margin is evaluated
+    ("verify reaction", ("experiment",), {"name": "reaction", "radii": [0]},
+     "experiment", "radii entries must be finite and > 0"),
     # a coefficient file that cannot be read, and more modes than the Philox
     # stream lanes hold, are config errors, not tracebacks
     *[(command, ("operators", 0), {"csv": "missing-coefficients.csv", "eta": 0.5,
@@ -701,6 +706,29 @@ BAD_VALUES = [
      "store_stride must be an integer, got 2.9"),
     *[("simulate", ("output", "stride"), stride, "output",
        f"stride must be an integer, got {stride!r}") for stride in (2.9, True, "2")],
+    # numbers are JSON numbers: float() would read "0.001" and true, int()
+    # would run 32 cells for 32.7, and a false dt_fine would mean dt
+    ("simulate", ("solver", "dt"), "0.001", "solver",
+     "dt must be a finite number, got '0.001'"),
+    ("simulate", ("solver", "t_end"), True, "solver",
+     "t_end must be a finite number, got True"),
+    ("simulate", ("noise", "scale"), "2", "noise", "scale must be a finite number, got '2'"),
+    ("simulate", ("reaction", "a"), "1", "reaction", "a must be a finite number, got '1'"),
+    ("simulate", ("operators", 0, "a"), True, "operators",
+     "a must be a finite number, got True"),
+    ("simulate", ("operators", 0, "eta"), True, "operators",
+     "eta must be a finite number, got True"),
+    ("simulate", ("grid", "extents"), ["1"], "grid",
+     "extents[0] must be a finite number, got '1'"),
+    ("simulate", ("grid", "n_cells"), [32.7], "grid",
+     "n_cells[0] must be an integer, got 32.7"),
+    ("simulate", ("grid", "dim"), True, "grid", "dim must be an integer, got True"),
+    ("simulate", ("initial", "values"), ["0.2", "0.2"], "initial",
+     "values[0] must be a finite number, got '0.2'"),
+    ("simulate", ("noise", "dt_fine"), 0, "noise",
+     "dt=0.001 must be a power-of-two multiple of dt_fine=0"),
+    ("simulate", ("noise", "dt_fine"), False, "noise",
+     "dt_fine must be a finite number, got False"),
     ("simulate", ("operators", 0), {"csv": "coefficients.csv"}, "operators",
      "csv coefficients need eta and m_bound"),
     *[("simulate", ("noise", "g"), f"power:{alpha}", "noise",
@@ -743,6 +771,12 @@ def test_bad_value_exits_two(tmp_path, out_root, capsys, command, keys, value,
     {"name": "uniqueness", "slack": float("nan")},
     {"name": "positivity", "c_tol": -1},
     {"name": "uniqueness", "cauchy_refinements": -1},
+    # values that would run a check on no evidence
+    {"name": "moments", "p": float("inf")},
+    {"name": "uniqueness", "cauchy_paths": 0},
+    {"name": "uniqueness", "cauchy_paths": -3},
+    {"name": "moments", "levels": [4, float("nan")]},
+    {"name": "moments", "levels": [0.5, 4]},
 ])
 def test_bad_experiment_value_samples_no_path(tmp_path, out_root, monkeypatch,
                                               experiment):

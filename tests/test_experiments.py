@@ -69,7 +69,7 @@ def test_lipschitz_noise_gap_scales_linearly():
     cfg = SolverConfig(dt=1.0 / 128, t_end=0.25, sup_cap=8.0, store_stride=8)
     rep = uniqueness_experiment(prob, cfg, const_init(prob, 0.2, 0.2),
                                 n_paths=16, eps_list=(1e-1, 1e-2, 1e-3),
-                                master_seed=3, cauchy_paths=0,
+                                master_seed=3, cauchy_paths=1,
                                 cauchy_refinements=2)
     means = [rep.aggregates["terminal_gap_means"][repr(e)]
              for e in (1e-1, 1e-2, 1e-3)]
