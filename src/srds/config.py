@@ -102,10 +102,10 @@ def _number(block: dict, key: str, default) -> int | float:
     return value
 
 
-def _entries(block: dict, key: str, read) -> list:
+def _entries(block: dict, key: str, read, default=None) -> list:
     """block[key], a JSON list each of whose entries ``read`` (``_integer``
     or ``_number``) accepts."""
-    values = block.get(key)
+    values = block.get(key, default)
     if not isinstance(values, list):
         raise ValueError(f"{key} must be a list, got {values!r}")
     return [read({f"{key}[{i}]": v}, f"{key}[{i}]", None) for i, v in enumerate(values)]
@@ -138,16 +138,18 @@ def _build_reaction(block: dict, r: int) -> ReactionSystem:
     if drifts_cfg is None or len(drifts_cfg) != r:
         raise ConfigError("reaction", f"need {r} drift coefficient lists")
     drifts = []
-    for coeffs in drifts_cfg:
-        if not coeffs:
-            drifts.append(None)
-        else:
-            drifts.append(PolynomialDrift(coeffs))
+    for l, coeffs in enumerate(drifts_cfg):
+        coeffs = _entries({f"drifts[{l}]": coeffs}, f"drifts[{l}]", _number)
+        drifts.append(PolynomialDrift(coeffs) if coeffs else None)  # []: no drift
     name = coupling_cfg.get("name", "none")
     if name == "none":
         couplings = [coupling_none(r) for _ in range(r)]
     elif name == "linear":
-        matrix = np.asarray(coupling_cfg["matrix"], dtype=float)
+        rows = coupling_cfg.get("matrix")
+        if not isinstance(rows, list):
+            raise ValueError(f"matrix must be a list, got {rows!r}")
+        matrix = np.asarray([_entries({f"matrix[{l}]": row}, f"matrix[{l}]", _number)
+                             for l, row in enumerate(rows)], dtype=float)
         if matrix.shape != (r, r):
             raise ConfigError("reaction", f"linear coupling matrix must be {r}x{r}")
         couplings = [coupling_linear(matrix[l]) for l in range(r)]
@@ -167,9 +169,11 @@ def _lambda_sequence(rule, modes: int) -> np.ndarray:
             return np.zeros(modes)
         if rule.startswith("power:"):
             p = float(rule.split(":", 1)[1])
+            if not math.isfinite(p):
+                raise ValueError(f"lambda power must be finite, got {p!r}")
             return (np.arange(modes) + 1.0) ** (-p)
         raise ConfigError("noise", f"unknown lambda rule {rule!r}")
-    seq = np.asarray(rule, dtype=float)
+    seq = np.asarray(_entries({"lambdas": rule}, "lambdas", _number), dtype=float)
     if seq.shape != (modes,):
         raise ConfigError("noise", f"{seq.size} lambdas for {modes} modes")
     return seq
@@ -202,9 +206,9 @@ def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
             raise ConfigError("initial", f"need {r} constant values")
         return np.outer(np.asarray(vals, dtype=float), np.ones(grid.n_total))
     if kind == "cosine":
-        means = block.get("means", [0.0] * r)
-        amps = block.get("amplitudes", [1.0] * r)
-        ks = block.get("modes", [1] * r)
+        means = _entries(block, "means", _number, [0.0] * r)
+        amps = _entries(block, "amplitudes", _number, [1.0] * r)
+        ks = _entries(block, "modes", _integer, [1] * r)
         x = grid.centers[:, 0]
         L = grid.extents[0]
         u = np.empty((r, grid.n_total))

@@ -370,6 +370,14 @@ class NoiseModel:
     """Diagonal noise: one independent ComponentNoise per equation."""
 
     components: tuple[ComponentNoise, ...]
+    # (component, rows, row chunks) per run of components sharing a mode
+    # table, as modal_fields reads them: built once
+    table_runs: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table_runs", [
+            (comp, rows, _row_chunks(*comp.mode_fields.shape))
+            for comp, rows in adjacent_runs(self.components, lambda c: c.mode_fields)])
 
     @property
     def r(self) -> int:
@@ -397,9 +405,9 @@ class NoiseModel:
         product is bitwise its one-thread self.)"""
         m = increments.shape[0]
         out = np.empty((m, self.r, self.components[0].mode_fields.shape[0]))
-        for comp, rows in adjacent_runs(self.components, lambda c: c.mode_fields):
+        for comp, rows, chunks in self.table_runs:
             stacked = increments[:, rows, :comp.modes, None]
-            for cells in _row_chunks(*comp.mode_fields.shape):
+            for cells in chunks:
                 np.matmul(comp.mode_fields[cells], stacked, out=out[:, rows, cells, None])
         return out
 

@@ -22,31 +22,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
+def _table(*coeffs) -> tuple:
+    """Coefficients as 0-d float64 arrays: a ufunc takes one without the
+    scalar discovery it runs on a Python float operand (see reaction._ZERO),
+    and the values, so every bit, are the same."""
+    return tuple(np.array(c) for c in coeffs)
+
+
 # AS241 (PPND16) coefficient tables.
-_A = (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-      1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-      3.3430575583588128105e4, 2.5090809287301226727e3)
-_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-      2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-      5.2264952788528545610e3)
-_C = (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-      3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-      2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-      1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-      1.05075007164441684324e-9)
-_E = (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-      2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-      2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-      2.04426310338993978564e-15)
+_A = _table(3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+            1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+            3.3430575583588128105e4, 2.5090809287301226727e3)
+_B = _table(1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+            2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+            5.2264952788528545610e3)
+_C = _table(1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+            3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+            2.27238449892691845833e-2, 7.74545014278341407640e-4)
+_D = _table(1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+            1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+            1.05075007164441684324e-9)
+_E = _table(6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+            2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+            2.71155556874348757815e-5, 2.01033439929228813265e-7)
+_F = _table(1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+            7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+            2.04426310338993978564e-15)
 
 
 def _poly(coeffs, x):
     r = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
-        r = r * x + c
+        r *= x
+        r += c  # bitwise r * x + c
     return r
 
 
@@ -55,18 +64,25 @@ def normal_inverse(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN is outside too
         raise ValueError("normal_inverse requires p strictly inside (0,1)")
     q = p - 0.5
     # the central rational function on every element (its denominator has
-    # no zero for |q| < 0.5), then the |q| > 0.425 tails overwritten
-    r = 0.180625 - q ** 2
-    out = q * _poly(_A, r) / _poly(_B, r)
+    # no zero for |q| < 0.5), then the |q| > 0.425 tails overwritten; each
+    # in-place step is bitwise its out-of-place form
+    r = np.square(q)  # q ** 2
+    np.subtract(0.180625, r, out=r)
+    out = _poly(_A, r)
+    out *= q
+    out /= _poly(_B, r)
     tail = np.abs(q) > 0.425
     qt = q[tail]
     r = np.sqrt(-np.log(np.where(qt < 0, p[tail], 1.0 - p[tail])))
-    x = np.where(r <= 5.0, _poly(_C, r - 1.6) / _poly(_D, r - 1.6),
-                 _poly(_E, r - 5.0) / _poly(_F, r - 5.0))
+    x = _poly(_C, r - 1.6)
+    x /= _poly(_D, r - 1.6)
+    far = r > 5.0
+    if far.any():  # p below about 1.4e-11 or above 1 - 1.4e-11
+        x[far] = _poly(_E, r[far] - 5.0) / _poly(_F, r[far] - 5.0)
     out[tail] = np.where(qt < 0, -x, x)
     return out[0] if scalar else out
 
@@ -81,39 +97,51 @@ def valid_seed(master_seed) -> bool:
             and not isinstance(master_seed, bool) and 0 <= master_seed < 1 << 64)
 
 
-def _stream_key(master_seed: int, path_index: int, component: int, mode: int) -> np.ndarray:
+def _check_key(master_seed: int, path_index: int, components: int, modes: int) -> None:
+    """Raise ValueError unless every (component, mode) stream below
+    (components, modes) of the path has a Philox key; the message names the
+    first value out of range."""
     if not valid_seed(master_seed):
         raise ValueError(f"master_seed {master_seed!r} is not an integer in [0, 2^64)")
-    if not 0 <= component < MAX_MODE:
-        raise ValueError(f"component {component} outside [0, {MAX_MODE})")
-    if not 0 <= mode < MAX_MODE:
-        raise ValueError(f"mode {mode} outside [0, {MAX_MODE})")
+    for name, count in (("component", components), ("mode", modes)):
+        if not 0 < count <= MAX_MODE:
+            raise ValueError(f"{name} {count - 1} outside [0, {MAX_MODE})")
     if not 0 <= path_index < MAX_PATH:
         raise ValueError(f"path_index {path_index} outside [0, {MAX_PATH})")
-    lane = (path_index << 32) | (component << 16) | mode
-    return np.array([master_seed, lane], dtype=np.uint64)
 
 
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 
-def _uniforms(bg: np.random.Philox, master_seed: int, path_index: int,
-              component: int, mode: int, n: int) -> np.ndarray:
-    """Re-key ``bg`` to the start of the (seed, path, component, mode) stream
-    (counter zero, empty buffer: a fresh ``Philox(key=...)``) and return its
-    first n uniforms."""
+def _raw_words(bg: np.random.Philox, master_seed: int, path_index: int,
+               component: int, mode: int, n: int) -> np.ndarray:
+    """Re-key ``bg`` to the start of the (seed, path, component, mode) stream,
+    a checked key (counter zero, empty buffer: a fresh ``Philox(key=...)``),
+    and return its first n raw 64-bit words."""
+    lane = (path_index << 32) | (component << 16) | mode
     bg.state = {"bit_generator": "Philox",
                 "state": {"counter": _ZERO_WORDS,
-                          "key": _stream_key(master_seed, path_index, component, mode)},
+                          "key": np.array([master_seed, lane], dtype=np.uint64)},
                 "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return ((bg.random_raw(n) >> 12).astype(np.float64) + 0.5) * 2.0**-52
+    return bg.random_raw(n)
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """(n + 0.5) * 2^-52 of the top 52 bits n of each raw word; ``raw`` is
+    overwritten."""
+    raw >>= 12
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return u
 
 
 def uniform_stream(master_seed: int, path_index: int, component: int, mode: int,
                    n: int) -> np.ndarray:
     """First n uniforms of the (seed, path, component, mode) stream, in (0,1)."""
-    return _uniforms(np.random.Philox(key=0), master_seed, path_index, component,
-                     mode, n)
+    _check_key(master_seed, path_index, component + 1, mode + 1)
+    return _uniforms(_raw_words(np.random.Philox(0), master_seed, path_index,
+                                component, mode, n))
 
 
 def gaussian_entry(master_seed: int, path_index: int, component: int, mode: int,
@@ -158,12 +186,15 @@ def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
         raise ValueError("n_fine must be >= 1")
     if not dt_fine > 0:
         raise ValueError("dt_fine must be positive")
-    bg = np.random.Philox(key=0)  # re-keyed per stream
-    u = np.empty((components, modes, n_fine))
+    _check_key(master_seed, path_index, components, modes)
+    # re-keyed per stream; a fixed seed spares the OS-entropy seeding
+    bg = np.random.Philox(0)
+    raw = np.empty((components, modes, n_fine), dtype=np.uint64)
     for l in range(components):
         for k in range(modes):
-            u[l, k] = _uniforms(bg, master_seed, path_index, l, k, n_fine)
-    inc = normal_inverse(u) * np.sqrt(dt_fine)
+            raw[l, k] = _raw_words(bg, master_seed, path_index, l, k, n_fine)
+    inc = normal_inverse(_uniforms(raw))
+    inc *= np.sqrt(dt_fine)
     inc.setflags(write=False)
     return WienerPath(master_seed=int(master_seed), path_index=int(path_index),
                       components=components, modes=modes, n_fine=n_fine,

@@ -18,7 +18,9 @@ block at once: one reduction fills its sup norms and one its minima, and the
 first step whose largest norm is not <= the sup cap (the largest float
 without one) is either a non-finite state, raised at its step, component
 and cell, or the cap exit.  After a cap exit up to block - 1 more steps may
-have been computed; they are never reported.
+have been computed; they are never reported.  A truncated run is checked
+against its level ball once per block too, and steps untruncated inside it
+(see ``_advance``).
 """
 
 from __future__ import annotations
@@ -228,10 +230,9 @@ def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
     its step (``first`` is the block's first step), component and cell
     instead."""
     np.abs(states).max(axis=2, out=norms)
-    within = norms.max(axis=1) <= cap  # NaN compares false
-    k = int(within.argmin())
-    if within[k]:
+    if norms.max() <= cap:  # NaN compares false
         return len(states)
+    k = int((norms.max(axis=1) <= cap).argmin())
     if not math.isfinite(norms[k].max()):
         l, cell = np.argwhere(~np.isfinite(states[k]))[0]
         raise SolverFailure("non-finite-state", f"component {l} cell {cell}",
@@ -282,6 +283,16 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     return out
 
 
+def _ball_exit(states: np.ndarray, level: float) -> int:
+    """The index of the first state of a block (m, r, n) outside the
+    truncation ball, where some cell's l1 norm sum_l |u_l| is not <= level
+    (the test ``ReactionSystem.evaluate`` makes; a NaN norm is outside); m
+    when every state is inside."""
+    inside = np.abs(states).sum(axis=1).max(axis=1) <= level
+    k = int(inside.argmin())
+    return len(states) if inside[k] else k
+
+
 def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
              inc: np.ndarray, norms: np.ndarray, points=None):
     """Step from the state u over (n_steps, r, K) increments; yield
@@ -292,30 +303,56 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     ``step`` at ``points(i)``, the (drift_at, noise_at) of the step from
     state i, if given.  ``_first_exit`` checks a block: the first state
     whose largest norm exceeds the sup cap ends the run, its block cut
-    after it and yielded with ``exited`` true."""
+    after it and yielded with ``exited`` true.
+
+    Without ``points``, a truncated problem is checked against its ball
+    once per block too.  Inside the ball its step is bitwise the
+    untruncated step, so a block from a state inside steps the problem
+    without its level and is cut after its first state outside (up to
+    block - 1 later steps are dropped, unchecked); the blocks from there on
+    step truncated until one ends inside the ball."""
     # a finite cap, so that an inf norm is never within it; a sup cap that
     # is None, inf or NaN halts no finite run, as FINITE_CAP
     cap = config.sup_cap
     cap = cap if cap is not None and cap < FINITE_CAP else FINITE_CAP
     plan = _step_runs(problem, config.dt)
+    level = problem.level if points is None else None
+    if level is not None:
+        groups, runs, (dt, _) = plan
+        plain = (replace(problem, level=None), (groups, runs, (dt, None)))
+        inside = _ball_exit(u[None], level) == 1
     block = max(1, STATE_BLOCK_FLOATS // u.size)
     chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
     buf = np.empty((min(block, len(inc)),) + u.shape)
-    for c in range(0, len(inc), chunk):
-        fields = problem.noise.modal_fields(inc[c:c + chunk])
-        for a in range(c, c + len(fields), block):
-            states = buf[:min(block, c + len(fields) - a)]
-            for j, f in enumerate(fields[a - c:a - c + len(states)]):
-                if points is None:
-                    u = states[j] = step(problem, config, u, f, *plan)
-                else:
-                    drift_at, noise_at = points(a + j)
-                    u = states[j] = step(problem, config, u, f, *plan,
-                                         drift_at=drift_at, noise_at=noise_at)
-            k = _first_exit(states, norms[a:a + len(states)], cap, a + 1)
-            yield a, states[:k + 1], k < len(states)
-            if k < len(states):
-                return
+    a = c = 0
+    fields = inc[:0]  # the modal fields of steps c + 1 ..., c a multiple of chunk
+    while a < len(inc):
+        if a == c + len(fields):
+            c = a
+            fields = problem.noise.modal_fields(inc[c:c + chunk])
+        states = buf[:min(block, c + len(fields) - a)]
+        free = level is not None and inside
+        prob, steps = plain if free else (problem, plan)
+        for j, f in enumerate(fields[a - c:a - c + len(states)]):
+            if points is None:
+                u = states[j] = step(prob, config, u, f, *steps)
+            else:
+                drift_at, noise_at = points(a + j)
+                u = states[j] = step(prob, config, u, f, *steps,
+                                     drift_at=drift_at, noise_at=noise_at)
+        if free:
+            out = _ball_exit(states, level)
+            inside = out == len(states)
+            if not inside:  # step from the state outside, not the dropped ones
+                states = states[:out + 1]
+                u = states[-1].copy()
+        elif level is not None:
+            inside = _ball_exit(states[-1:], level) == 1
+        k = _first_exit(states, norms[a:a + len(states)], cap, a + 1)
+        yield a, states[:k + 1], k < len(states)
+        if k < len(states):
+            return
+        a += len(states)
 
 
 def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
@@ -324,28 +361,30 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
 
     States are stored every ``store_stride`` steps (the final state always);
     per-step sup norms are recorded at full resolution regardless.  Steps
-    run in blocks (``_advance``) checked after the fact: a cap exit drops
-    the block's later states, which are computed but never reported.
+    run in blocks (``_advance``) checked after the fact: a cap exit, or a
+    truncated run's exit from its ball, drops the block's later states,
+    which are computed but never reported.
     """
     u = np.array(initial, dtype=float)
     if u.shape != (problem.r, problem.grid.n_total):
         raise ValueError(f"initial shape {u.shape}, expected "
                          f"{(problem.r, problem.grid.n_total)}")
-    if not np.all(np.isfinite(u)):
-        raise SolverFailure("non-finite-state", "initial field", step=0)
     n_steps = config.n_steps
+    norms = np.empty((n_steps + 1, problem.r))
+    np.abs(u).max(axis=1, out=norms[0])
+    top = norms[0].max()
+    if not math.isfinite(top):  # an inf or NaN in the initial field
+        raise SolverFailure("non-finite-state", "initial field", step=0)
     # one contiguous (r, K) block of increments per step
     inc = np.ascontiguousarray(
         _resolve_increments(config, path)[:, :, :n_steps].transpose(2, 0, 1))
     stride = config.store_stride
     cap = config.sup_cap
 
-    norms = np.empty((n_steps + 1, problem.r))
     mins = np.empty((n_steps + 1, problem.r))
-    np.abs(u).max(axis=1, out=norms[0])
     u.min(axis=1, out=mins[0])
     stopping = None
-    if cap is not None and norms[0].max() > cap:
+    if cap is not None and top > cap:
         stopping = StoppingRecord(True, cap, 0.0, 0, "component-max")
         n_steps = 0
     # every stride-th state, then the last one if it is not among them

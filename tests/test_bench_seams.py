@@ -141,3 +141,59 @@ def test_tracer_counts_spectral_steps(tmp_path):
         assert s["calls"]["noise.g"] == 2 * 20
     finally:
         tracer.restore()
+
+
+def test_ball_exit_drops_a_bounded_repeatable_count_of_steps(tmp_path, monkeypatch):
+    # inside its ball a truncated run steps untruncated and checks the ball
+    # once per block; after an exit the rest of that block is computed and
+    # dropped.  Initial states near the smallest level's ball make a path
+    # leave it mid-block.  Member steps still count the trajectories' steps,
+    # and the step counts the benchmark gates exactly must repeat.
+    from dataclasses import replace
+
+    import numpy as np
+    import srds.experiments
+    import srds.solver
+
+    cfg = preset_fhn(3)
+    cfg["solver"].update({"dt": 1e-3, "t_end": 0.1, "store_stride": 1})
+    cfg["initial"]["values"] = [0.45, 0.45]
+    cfg["experiment"] = {"name": "moments", "n_paths": 2, "levels": [1, 8]}
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(cfg))
+    runs = []
+
+    def recording(*args):
+        traj = srds.solver.simulate(*args)
+        runs.append((args, traj))
+        return traj
+
+    monkeypatch.setattr(srds.experiments, "simulate", recording)
+    tracer = _tracer.Tracer()
+    tracer.install()
+    try:
+        counts = []
+        for _ in range(2):
+            runs.clear()
+            tracer.clear()
+            assert main(["verify", "moments", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) in (0, 1)  # any verdict
+            s = tracer.summary()
+            counts.append((s["counts"]["solver.member_steps"], s["calls"]["solver.step"],
+                           s["calls"]["reaction.evaluate"]))
+    finally:
+        tracer.restore()
+    assert counts[0] == counts[1]
+    member, steps, evaluations = counts[0]
+    assert member == sum(len(traj.sup_norms) - 1 for _, traj in runs)
+    exits = 0
+    for (problem, config, wiener, initial), _ in runs:
+        # the run's states at stride 1, and each step from inside to outside
+        full = srds.solver.simulate(problem, replace(config, store_stride=1), wiener,
+                                    initial)
+        inside = np.abs(full.states).sum(axis=1).max(axis=1) <= problem.level
+        exits += int(np.sum(inside[:-1] & ~inside[1:]))
+    block = srds.solver.STATE_BLOCK_FLOATS // (2 * 32)
+    assert exits >= 1
+    assert member < steps <= member + (block - 1) * exits
+    assert evaluations == steps

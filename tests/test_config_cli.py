@@ -734,6 +734,31 @@ BAD_VALUES = [
     *[("simulate", ("noise", "g"), f"power:{alpha}", "noise",
        "could not convert" if alpha == "x" else "power exponent must be finite and in (0, 1]")
       for alpha in ("0", "-0.5", "1.5", "nan", "inf", "x")],
+    # entries of config lists are JSON numbers too: float() would read "1"
+    # and true, a NaN or infinite lambda power makes a NaN or a one-mode
+    # noise, and a cosine mode number is an integer
+    *[("simulate", ("noise", "lambdas"), [bad] + [1.0] * 7, "noise",
+       f"lambdas[0] must be a finite number, got {bad!r}") for bad in ("1", True)],
+    *[("simulate", ("noise", "lambdas"), f"power:{p}", "noise",
+       f"lambda power must be finite, got {float(p)!r}") for p in ("nan", "inf")],
+    ("simulate", ("reaction",), {"drifts": [["1", 0.0, -1.0], []],
+                                 "coupling": {"name": "fhn"}}, "reaction",
+     "drifts[0][0] must be a finite number, got '1'"),
+    # only an empty list is no drift: false and 0 ran with none
+    *[("simulate", ("reaction",), {"drifts": [[1.0, 0.0, -1.0], bad],
+                                   "coupling": {"name": "fhn"}}, "reaction",
+       f"drifts[1] must be a list, got {bad!r}") for bad in (False, 0)],
+    ("simulate", ("reaction",),
+     {"drifts": [[1.0, 0.0, -1.0], []],
+      "coupling": {"name": "linear", "matrix": [[0.0, 1.0], ["0", -1.0]]}},
+     "reaction", "matrix[1][0] must be a finite number, got '0'"),
+    *[("simulate", ("initial",), {"kind": "cosine", "means": [bad, 1.0]}, "initial",
+       f"means[0] must be a finite number, got {bad!r}") for bad in (True, float("nan"))],
+    ("simulate", ("initial",), {"kind": "cosine", "means": [1.0, 1.0],
+                                "amplitudes": [0.5, True]}, "initial",
+     "amplitudes[1] must be a finite number, got True"),
+    ("simulate", ("initial",), {"kind": "cosine", "means": [1.0, 1.0], "modes": [1.5, 1]},
+     "initial", "modes[0] must be an integer, got 1.5"),
     # a non-finite Lipschitz constant bounds nothing; the preset's positivity
     # block would read it as g(0) != 0
     *[(command, ("noise", "g"), f"lipschitz:{L}", "noise",

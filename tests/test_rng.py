@@ -8,7 +8,8 @@ from scipy.stats import norm
 
 from srds import (gaussian_entry, load_path, normal_inverse, sample_path,
                   save_path, uniform_stream)
-from srds.rng import _A, _B, _C, _D, _E, _F, _poly
+import srds.rng
+from srds.rng import MAX_MODE, MAX_PATH, _A, _B, _C, _D, _E, _F, _poly
 
 
 def test_normal_inverse_accuracy():
@@ -22,6 +23,8 @@ def test_normal_inverse_rejects_boundary():
         normal_inverse(np.array([0.0]))
     with pytest.raises(ValueError):
         normal_inverse(np.array([1.0]))
+    with pytest.raises(ValueError):
+        normal_inverse(np.array([0.5, np.nan]))
 
 
 def test_entry_determinism():
@@ -161,6 +164,27 @@ def test_master_seed_outside_key_range_rejected(seed):
         sample_path(seed, 1, 1, 4, 1e-2)
     with pytest.raises(ValueError, match="master_seed"):
         uniform_stream(seed, 0, 0, 0, 4)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((-5, 0, 8, 10, 1e-3), r"master_seed -5 is not an integer in \[0, 2\^64\)"),
+    ((1 << 64, 0, 3, 10, 1e-3), "master_seed 18446744073709551616 is not an integer"),
+    ((1, 0, 3, 10, 1e-3), r"component -1 outside \[0, 65536\)"),
+    ((1, 2, 0, 10, 1e-3), r"mode -1 outside \[0, 65536\)"),
+    ((1, MAX_MODE + 1, 1, 4, 1e-3), r"component 65536 outside \[0, 65536\)"),
+    ((1, 1, MAX_MODE + 1, 4, 1e-3), r"mode 65536 outside \[0, 65536\)"),
+    ((1, 2, 3, 4, 1e-3, -1), r"path_index -1 outside \[0, 4294967296\)"),
+    ((1, 2, 3, 4, 1e-3, MAX_PATH), r"path_index 4294967296 outside"),
+])
+def test_sample_path_checks_its_key_before_any_draw(monkeypatch, args, message):
+    # also when it would draw no stream (zero components or modes): a path
+    # save_path cannot write is never returned
+    def no_draw(*a, **k):
+        raise AssertionError("a stream was drawn before the key was checked")
+
+    monkeypatch.setattr(srds.rng.np.random, "Philox", no_draw)
+    with pytest.raises(ValueError, match=message):
+        sample_path(*args)
 
 
 def test_largest_master_seed_accepted():

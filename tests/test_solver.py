@@ -843,6 +843,92 @@ def test_block_boundaries_match_per_component_reference(budget, case):
         _check_against_reference(case)
 
 
+# --- the truncation ball, checked once per block ---------------------------------
+# Inside its ball a truncated run steps the untruncated problem and cuts the
+# block after its first state outside; the reference steps truncated, one
+# step at a time.
+
+
+def _ball_pattern(problem, config, path, initial):
+    """Per state of the truncated reference run at stride 1 without a cap:
+    True where every cell's l1 norm is <= the level; None if it fails."""
+    run = _outcome(_reference_simulate, problem,
+                   replace(config, store_stride=1, sup_cap=None), path, initial)
+    if isinstance(run, tuple):
+        return None
+    return list(np.abs(run.states).sum(axis=1).max(axis=1) <= problem.level)
+
+
+@st.composite
+def _ball_cases(draw):
+    """A truncated problem on a 1D (LU) or a constant-coefficient 2D (DCT)
+    grid whose state starts near the boundary of its ball, so that noise
+    carries it out and back in; or a path with one huge increment, which
+    throws the state far outside (where the untruncated step from it
+    overflows, the truncated one does not) or makes it NaN."""
+    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_linear
+    from srds.rng import WienerPath
+
+    r = draw(st.integers(1, 2))
+    dim = draw(st.sampled_from([1, 2]))
+    grid = build_grid(dim, [1.0] * dim, draw(st.lists(
+        st.integers(3, 10 if dim == 1 else 5), min_size=dim, max_size=dim)))
+    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kick = draw(st.sampled_from([None, None, 1e104, 1e308]))
+    # a cubic first drift: from far outside, its untruncated step overflows
+    drifts = [[1.0, 0.0, -1.0]] + draw(st.lists(st.one_of(st.none(), _DRIFT),
+                                                min_size=r - 1, max_size=r - 1))
+    rows = draw(st.lists(st.lists(_COEF, min_size=r, max_size=r), min_size=r,
+                         max_size=r))
+    reaction = ReactionSystem(
+        [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
+        [coupling_linear(row) for row in rows], audit=False)
+    modes = draw(st.integers(1, 4))
+    g_name = draw(st.sampled_from(["sqrt-abs-shifted", "sqrt-abs", "lipschitz:1"]))
+    noise = build_noise([cosine_neumann_basis(grid, modes)] * r,
+                        [rng.uniform(2.0, 8.0, size=modes)] * r,
+                        [named_g(g_name)] * r, audit=False)
+    level = draw(st.floats(1.0, 8.0))
+    problem = Problem(grid=grid, operators=(op,) * r, reaction=reaction, noise=noise,
+                      level=level)
+    n_steps = draw(st.integers(4, 24))
+    config = SolverConfig(
+        dt=1e-3, t_end=1e-3 * n_steps,
+        scheme=draw(st.sampled_from(["semi-implicit", "tamed-semi-implicit"])),
+        store_stride=draw(st.integers(1, 3)))
+    path = sample_path(draw(st.integers(0, 2**16)), r, modes, n_steps, 1e-3)
+    if kick is not None:
+        inc = path.increments.copy()
+        inc[:, :, draw(st.integers(1, n_steps - 1))] = kick
+        path = WienerPath(path.master_seed, path.path_index, r, modes, n_steps,
+                          1e-3, inc)
+    # every cell's l1 norm at most the level, the largest near it
+    initial = rng.uniform(-1.0, 1.0, size=(r, grid.n_total))
+    initial *= draw(st.floats(0.8, 1.0)) * level / np.abs(initial).sum(axis=0).max()
+    cap_at = draw(st.one_of(st.none(), st.integers(0, n_steps)))
+    return problem, config, path, initial, cap_at, rng, kick
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, None])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_ball_cases())
+def test_ball_cut_matches_per_step_truncated_reference(budget, case):
+    *case, kick = case
+    problem, config, path, initial = case[:4]
+    inside = _ball_pattern(problem, config, path, initial)
+    if kick is None:
+        # the runs that leave the ball and come back into it
+        assume(inside is not None and False in inside
+               and True in inside[inside.index(False):])
+    event(f"kick {kick}" if kick else "out and back in")
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:  # blocks of 1, 2 or 5 steps
+            mp.setattr(srds.solver, "STATE_BLOCK_FLOATS",
+                       budget * problem.r * problem.grid.n_total)
+        _check_against_reference(tuple(case))
+
+
 # --- what a step may write ----------------------------------------------------
 
 
