@@ -20,8 +20,6 @@ class DomainGrid:
     extents: tuple[float, ...]
     n_cells: tuple[int, ...]
     spacing: tuple[float, ...] = field(init=False)
-    # read on every run: the product is taken once
-    n_total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -37,7 +35,10 @@ class DomainGrid:
         object.__setattr__(
             self, "spacing", tuple(L / n for L, n in zip(self.extents, self.n_cells))
         )
-        object.__setattr__(self, "n_total", int(math.prod(self.n_cells)))
+
+    @property
+    def n_total(self) -> int:
+        return math.prod(self.n_cells)
 
     @property
     def cell_volume(self) -> float:

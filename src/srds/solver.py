@@ -308,9 +308,12 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     Without ``points``, a truncated problem is checked against its ball
     once per block too.  Inside the ball its step is bitwise the
     untruncated step, so a block from a state inside steps the problem
-    without its level and is cut after its first state outside (up to
-    block - 1 later steps are dropped, unchecked); the blocks from there on
-    step truncated until one ends inside the ball."""
+    without its level and is cut after its first state outside (its later
+    steps, at most block - 1, are dropped unchecked); the blocks from there
+    on step truncated until one ends inside the ball.  Untruncated blocks
+    start at one step and double while they stay inside, up to a full
+    block, and each exit halves them: a run that leaves its ball early or
+    crosses it often drops few steps."""
     # a finite cap, so that an inf norm is never within it; a sup cap that
     # is None, inf or NaN halts no finite run, as FINITE_CAP
     cap = config.sup_cap
@@ -324,14 +327,17 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     block = max(1, STATE_BLOCK_FLOATS // u.size)
     chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
     buf = np.empty((min(block, len(inc)),) + u.shape)
+    # the longest untruncated block: one step at first, doubled at each
+    # untruncated block that stays inside, halved at each ball exit
+    span = 1
     a = c = 0
     fields = inc[:0]  # the modal fields of steps c + 1 ..., c a multiple of chunk
     while a < len(inc):
         if a == c + len(fields):
             c = a
             fields = problem.noise.modal_fields(inc[c:c + chunk])
-        states = buf[:min(block, c + len(fields) - a)]
         free = level is not None and inside
+        states = buf[:min(span if free else block, c + len(fields) - a)]
         prob, steps = plain if free else (problem, plan)
         for j, f in enumerate(fields[a - c:a - c + len(states)]):
             if points is None:
@@ -343,9 +349,10 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
         if free:
             out = _ball_exit(states, level)
             inside = out == len(states)
+            span = min(block, 2 * span) if inside else max(1, span // 2)
             if not inside:  # step from the state outside, not the dropped ones
                 states = states[:out + 1]
-                u = states[-1].copy()
+                u = states[-1]
         elif level is not None:
             inside = _ball_exit(states[-1:], level) == 1
         k = _first_exit(states, norms[a:a + len(states)], cap, a + 1)

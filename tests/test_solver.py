@@ -929,6 +929,29 @@ def test_ball_cut_matches_per_step_truncated_reference(budget, case):
         _check_against_reference(tuple(case))
 
 
+def test_ball_exit_at_the_first_step_drops_no_step(monkeypatch):
+    # untruncated blocks start at one step: a run that leaves its ball at
+    # once computes no step it then drops.  Growth 50 u carries the state
+    # from just inside level 1 out at step 1, and the frozen coupling keeps
+    # it outside.
+    from srds.reaction import ReactionSystem, coupling_linear
+
+    problem = replace(build_scalar_heat_problem(n=32), level=1.0, reaction=ReactionSystem(
+        [None], [coupling_linear([50.0])], audit=False))
+    cfg = SolverConfig(dt=1e-3, t_end=0.1)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(srds.solver, "step", counting)
+    traj = simulate(problem, cfg, sample_path(0, 1, 4, 100, 1e-3), const_init(problem, 0.99))
+    e = traj.e_norms()
+    assert e[0] <= 1.0 < e[1] and (e[1:] > 1.0).all()
+    assert len(calls) == cfg.n_steps == len(e) - 1
+
+
 # --- what a step may write ----------------------------------------------------
 
 
