@@ -22,12 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import (_integer, _number, build_problem, config_block, config_digest,
-                     load_config, preset, validate_config)
+from .config import (_integer, _path_resolution, build_problem, config_block,
+                     config_digest, load_config, preset, validate_config)
 from .errors import AuditError, ConfigError, SolverFailure
 from .rng import MAX_PATH, sample_path
-from .solver import (TRAJECTORY_FORMATS, dyadic_level, save_trajectory, simulate,
-                     write_csv, write_json)
+from .solver import TRAJECTORY_FORMATS, save_trajectory, simulate, write_csv, write_json
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -67,16 +66,6 @@ def _out_dir(args, cfg: dict, command: str) -> Path:
     d.mkdir(parents=True, exist_ok=True)
     write_json(d / "config.json", cfg)
     return d
-
-
-def _path_resolution(cfg: dict, solver_cfg) -> tuple[int, float]:
-    """(n_fine, dt_fine) of the Wiener paths that drive the configured run."""
-    noise = cfg["noise"]
-    with config_block("noise"):
-        dt_fine = (solver_cfg.dt if noise.get("dt_fine") is None
-                   else _number(noise, "dt_fine", None))
-        j = dyadic_level(solver_cfg.dt, dt_fine)
-    return solver_cfg.n_steps * (1 << j), dt_fine
 
 
 def cmd_simulate(args) -> int:

@@ -24,7 +24,7 @@ from .operators import (CoefficientField, assemble_operator,
 from .reaction import (PolynomialDrift, ReactionSystem, coupling_linear,
                        coupling_none, fhn_couplings, fhn_system)
 from .rng import MAX_MODE, valid_seed
-from .solver import Problem, SolverConfig
+from .solver import Problem, SolverConfig, dyadic_level
 
 CONFIG_VERSION = 1
 
@@ -220,8 +220,10 @@ def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
 
 def _build_solver_config(block: dict) -> SolverConfig:
     sup_cap = block.get("sup_cap")
+    # an infinite cap is no cap; a NaN one would stop nothing and be recorded
     if sup_cap is not None and (isinstance(sup_cap, bool)
-                                or not isinstance(sup_cap, (int, float))):
+                                or not isinstance(sup_cap, (int, float))
+                                or math.isnan(sup_cap)):
         raise ConfigError("solver", f"sup_cap must be a number or null, got {sup_cap!r}")
     return SolverConfig(
         dt=float(_number(block, "dt", None)),
@@ -229,6 +231,18 @@ def _build_solver_config(block: dict) -> SolverConfig:
         scheme=block.get("scheme", "semi-implicit"), sup_cap=sup_cap,
         store_stride=_integer(block, "store_stride", 1),
     )
+
+
+def _path_resolution(cfg: dict, solver_cfg: SolverConfig) -> tuple[int, float]:
+    """(n_fine, dt_fine) of the Wiener paths that drive the configured run:
+    noise.dt_fine (dt when null), of which dt must be a power-of-two
+    multiple."""
+    noise = cfg["noise"]
+    with config_block("noise"):
+        dt_fine = (solver_cfg.dt if noise.get("dt_fine") is None
+                   else _number(noise, "dt_fine", None))
+        j = dyadic_level(solver_cfg.dt, dt_fine)
+    return solver_cfg.n_steps * (1 << j), dt_fine
 
 
 def build_problem(cfg: dict):
@@ -263,6 +277,7 @@ def build_problem(cfg: dict):
         noise = _build_noise(cfg["noise"], grid, r)
     with config_block("solver"):
         solver_cfg = _build_solver_config(cfg["solver"])
+    _path_resolution(cfg, solver_cfg)  # every command checks noise.dt_fine
     with config_block("initial"):
         initial = _build_initial(cfg["initial"], grid, r)
 

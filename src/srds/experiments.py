@@ -11,7 +11,6 @@ confidence bounds of ensemble means against their envelopes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -39,12 +38,15 @@ def mean_upper_ci(values: np.ndarray) -> tuple[float, float]:
     return m, m + Z95 * sem
 
 
-def require_positive(**counts) -> None:
-    """Raise ValueError for the first count below one: a check run on zero
+def require_count(least: int = 1, /, **counts) -> None:
+    """Raise ValueError for the first count that is not a JSON integer (true
+    would run one sample) or is below ``least``: a check run on zero
     samples would pass without evidence."""
     for key, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{key} must be >= 1")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{key} must be >= {least}")
 
 
 def require_flag(**flags) -> None:
@@ -156,7 +158,8 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     Cauchy at t_end.  More than half the base runs leaving the cap raise
     SolverFailure.
     """
-    require_positive(n_paths=n_paths)
+    require_count(n_paths=n_paths, cauchy_paths=cauchy_paths)
+    require_count(0, cauchy_refinements=cauchy_refinements)
     require_list(eps_list=eps_list)
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -167,11 +170,6 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     slack_factor = 1.0 + slack
     if not 0 <= slack < math.inf:
         raise ValueError("slack must be finite and >= 0")
-    cauchy_paths = operator.index(cauchy_paths)
-    require_positive(cauchy_paths=cauchy_paths)
-    n_ref = operator.index(cauchy_refinements)
-    if n_ref < 0:
-        raise ValueError("cauchy_refinements must be >= 0")
     cap = config.sup_cap if config.sup_cap is not None else 8.0
     run_cfg = replace(config, sup_cap=cap)
     m_radius = cap
@@ -254,8 +252,9 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     mono_count = 0
     cauchy_rows = []
     for p in range(cauchy_paths):
-        path = _make_path(problem, cauchy_cfg, master_seed, CAUCHY_OFFSET + p, n_ref)
-        trajs = list(_refine(problem, cauchy_cfg, path, initial, n_ref))
+        path = _make_path(problem, cauchy_cfg, master_seed, CAUCHY_OFFSET + p,
+                          cauchy_refinements)
+        trajs = list(_refine(problem, cauchy_cfg, path, initial, cauchy_refinements))
         gaps = []
         for a, b in zip(trajs, trajs[1:]):
             coarse_on_fine = b.states[::2][:len(a.states)]
@@ -266,7 +265,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         cauchy_rows.append([p] + [float(g) for g in gaps] + [int(mono_path)])
     frac = mono_count / cauchy_paths
     report.tables["cauchy_gaps"] = (
-        ["path"] + [f"gap_dt/{1 << j}" for j in range(n_ref)] + ["monotone"],
+        ["path"] + [f"gap_dt/{1 << j}" for j in range(cauchy_refinements)] + ["monotone"],
         cauchy_rows)
     report.add_check("refinement-cauchy", frac >= 0.9,
                      f"monotone on {mono_count}/{cauchy_paths} paths")
@@ -326,7 +325,7 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     non-quasi-positive control must go genuinely
     negative for the verdict to have power.
     """
-    require_positive(n_paths=n_paths)
+    require_count(n_paths=n_paths)
     require_flag(control=control)
     if c_tol is not None and not 0 < c_tol < math.inf:
         raise ValueError("c_tol must be finite and > 0")
@@ -471,7 +470,7 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     # at p = inf every m_n is 1: the levels would stabilize on no evidence
     if not 2 < p < math.inf:
         raise ValueError("moment exponent must be finite and > 2")
-    require_positive(n_paths=n_paths)
+    require_count(n_paths=n_paths)
     levels = _ladder_levels(levels)  # before any path is sampled
     run_cfg = replace(config, store_stride=max(1, config.n_steps))
 

@@ -22,8 +22,10 @@ from scipy.optimize import brentq
 from .errors import AuditError
 
 
-class MollifierRangeError(RuntimeError):
-    """Raised when a_n underflows before reaching the requested level."""
+class MollifierRangeError(ValueError):
+    """Raised when a_n underflows before reaching the requested level: a
+    value the family cannot be built at, so a config error where one asks
+    for it."""
 
     def __init__(self, requested: int, max_feasible: int):
         self.requested = requested

@@ -311,27 +311,14 @@ class ReactionSystem:
             for k in self.couplings:
                 k.audit(self.r)
 
-    def evaluate(self, u: np.ndarray, level: float | None = None) -> np.ndarray:
-        """F(u); at a truncation level n the drifts read clip(u, -n, n) and
-        the couplings the radial projection of each cell's state onto the
-        l1-ball of radius n, so inside the ball F^(n)(u) = F(u) bitwise.
-        When every cell is inside the ball both are skipped: they are then
-        the identity, bit for bit.  The result is a new array, which the
-        caller may write; ``u`` is never written."""
+    def evaluate(self, u: np.ndarray, coupling_at: np.ndarray | None = None) -> np.ndarray:
+        """F(u): each drift h_l reads u_l and the couplings read the state
+        ``coupling_at`` of the same shape, u when None.  The result is a new
+        array, which the caller may write; neither state is written."""
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[0] != self.r:
             raise ValueError(f"state must have shape ({self.r}, n), got {u.shape}")
-        drift_at = coupling_at = u
-        if level is not None:
-            norms = np.abs(u).sum(axis=0)
-            # a NaN norm compares false and takes the clipped path
-            if not norms.max() <= level:
-                # np.clip's bits, NaN and signed zeros included, at half its cost
-                drift_at = np.minimum(np.maximum(u, -level), level)
-                # level / norms may overflow or divide by zero where np.where
-                # discards it (norms <= level)
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    coupling_at = u * np.where(norms > level, level / norms, 1.0)
+        coupling_at = u if coupling_at is None else coupling_at
         out = np.empty_like(u)
         for l, (columns, fn) in enumerate(self._plan):
             k = fn(coupling_at)
@@ -339,7 +326,7 @@ class ReactionSystem:
             if columns is None:
                 np.add(_ZERO, k, row)  # 0.0 + k: no negative zeros
             else:
-                _horner(columns, drift_at[l], row)
+                _horner(columns, u[l], row)
                 row += k  # h + k
         return out
 

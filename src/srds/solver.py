@@ -18,9 +18,10 @@ block at once: one reduction fills its sup norms and one its minima, and the
 first step whose largest norm is not <= the sup cap (the largest float
 without one) is either a non-finite state, raised at its step, component
 and cell, or the cap exit.  After a cap exit up to block - 1 more steps may
-have been computed; they are never reported.  A truncated run is checked
-against its level ball once per block too, and steps untruncated inside it
-(see ``_advance``).
+have been computed; they are never reported.  A truncated step maps its
+state once (``_truncate``); a truncated run is checked against its level
+ball once per block too, and steps untruncated inside it (see
+``_advance``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class Problem:
     """A full system: shared grid, per-component operators, reaction, noise.
 
     ``level`` is the truncation level n of the ladder (None: untruncated);
-    ``step`` applies it to the reaction and the noise amplitudes.
+    ``step`` applies it, as the bounds of ``_step_runs``, through
+    ``_truncate``.
     """
 
     grid: DomainGrid
@@ -204,20 +206,36 @@ FINITE_CAP = sys.float_info.max
 _ONE = np.array(1.0)
 
 
-def _step_runs(problem: Problem, dt: float) -> tuple[list, list, tuple]:
-    """(groups, runs, constants) of a step at dt: (stepper, rows) per run of
-    components sharing one (I - dt A) stepper, (g, rows) per run sharing one
-    ``g.fn`` of at most STATE_BLOCK_FLOATS floats, and (dt, bounds) as 0-d
-    arrays, bounds the (-level, level) of a truncated problem or None.  A
-    row's solve is bitwise its own and g is elementwise, so a run's one call
-    is bitwise one call per row."""
+def _step_runs(problem: Problem, dt: float) -> tuple[list, list, np.ndarray, tuple]:
+    """(groups, runs, dt, bounds) of a step at dt: (stepper, rows) per run
+    of components sharing one (I - dt A) stepper, (g, rows) per run sharing
+    one ``g.fn`` of at most STATE_BLOCK_FLOATS floats, dt as a 0-d array and
+    bounds the 0-d (-level, level) of a truncated problem or None.  A row's
+    solve is bitwise its own and g is elementwise, so a run's one call is
+    bitwise one call per row."""
     most = max(1, STATE_BLOCK_FLOATS // problem.grid.n_total)
     groups = adjacent_runs([op.stepper(dt) for op in problem.operators],
                            lambda stepper: stepper)
     runs = adjacent_runs(problem.noise.components, lambda c: c.g.fn, most)
     level = problem.level
     bounds = None if level is None else (np.array(-level), np.array(level))
-    return groups, [(c.g, rows) for c, rows in runs], (np.array(float(dt)), bounds)
+    return groups, [(c.g, rows) for c, rows in runs], np.array(float(dt)), bounds
+
+
+def _truncate(u: np.ndarray, bounds: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The truncation map at level n, ``bounds`` = (-n, n): the drift and
+    amplitude point clip(u, -n, n) and the coupling point, each cell's state
+    u[:, x] projected radially onto the l1 ball of radius n.  Inside the ball
+    both are u bit for bit (the projection multiplies by 1.0), so there a
+    truncated step is the untruncated step."""
+    lo, hi = bounds
+    # n / max(norm, n): exactly 1.0 for a norm <= n and for a NaN norm (fmax
+    # skips NaN), n / norm beyond, 0 for an inf norm, never a division by 0
+    scale = hi / np.fmax(np.abs(u).sum(axis=0), hi)
+    # the clip: np.clip's bits, NaN and signed zeros included, at half its
+    # cost; the projection makes inf * 0 = NaN in a cell holding inf
+    with np.errstate(invalid="ignore"):
+        return np.minimum(np.maximum(u, lo), hi), u * scale
 
 
 def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
@@ -241,31 +259,34 @@ def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
 
 
 def step(problem: Problem, config: SolverConfig, u: np.ndarray,
-         fields: np.ndarray, groups: list, runs: list, constants: tuple, *,
-         drift_at=None, noise_at=None) -> np.ndarray:
+         fields: np.ndarray, groups: list, runs: list, dt: np.ndarray,
+         bounds: tuple | None, *, drift_at=None, noise_at=None) -> np.ndarray:
     """Advance one step; ``fields`` has shape (r, n), one modal field per
     component (a row of ``NoiseModel.modal_fields``), and ``groups``,
-    ``runs`` and ``constants`` are ``_step_runs`` of the problem at
-    ``config.dt``.
+    ``runs``, ``dt`` and ``bounds`` are ``_step_runs`` of the problem at
+    ``config.dt``, or the same with ``bounds`` None for an untruncated step.
 
     The reaction is evaluated at ``drift_at`` and the noise amplitude g at
     ``noise_at``; both default to the state ``u`` (the scheme's left
-    endpoint).  On a truncated problem the reaction is evaluated at its
-    level and g reads ``noise_at`` clipped to [-level, level].  The new
-    state is not checked: it may hold inf or NaN (see ``_first_exit``).
+    endpoint).  With bounds (-n, n) the step is truncated at level n: the
+    drifts and g read their points clipped to [-n, n] and the couplings the
+    drift point's radial projection, one ``_truncate`` of u when both points
+    are u.  The new state is not checked: it may hold inf or NaN (see
+    ``_first_exit``).
     """
-    dt, bounds = constants
+    drift_at = u if drift_at is None else drift_at
+    noise_at = u if noise_at is None else noise_at
+    coupling_at = None
+    if bounds is not None:
+        shared = noise_at is drift_at
+        drift_at, coupling_at = _truncate(drift_at, bounds)
+        noise_at = drift_at if shared else _truncate(noise_at, bounds)[0]
     # the step writes only arrays it allocated: evaluate returns a new F,
     # which becomes the right-hand side; g's result may be its input (a
     # view of the state), so it is never written
-    rhs = problem.reaction.evaluate(u if drift_at is None else drift_at,
-                                    problem.level)
+    rhs = problem.reaction.evaluate(drift_at, coupling_at)
     if config.scheme == "tamed-semi-implicit":
         rhs /= _ONE + dt * np.abs(rhs).max(axis=1, keepdims=True)
-    if noise_at is None:
-        noise_at = u
-    if bounds is not None:  # as in evaluate
-        noise_at = np.minimum(np.maximum(noise_at, bounds[0]), bounds[1])
     rhs *= dt
     rhs += u  # bitwise u + dt*F
     if len(runs) == 1:  # the runs cover every row: one run needs no slices
@@ -286,8 +307,8 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
 def _ball_exit(states: np.ndarray, level: float) -> int:
     """The index of the first state of a block (m, r, n) outside the
     truncation ball, where some cell's l1 norm sum_l |u_l| is not <= level
-    (the test ``ReactionSystem.evaluate`` makes; a NaN norm is outside); m
-    when every state is inside."""
+    (a NaN norm is outside); m when every state is inside.  ``_truncate``
+    maps a state inside to itself, bit for bit."""
     inside = np.abs(states).sum(axis=1).max(axis=1) <= level
     k = int(inside.argmin())
     return len(states) if inside[k] else k
@@ -306,14 +327,14 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     after it and yielded with ``exited`` true.
 
     Without ``points``, a truncated problem is checked against its ball
-    once per block too.  Inside the ball its step is bitwise the
-    untruncated step, so a block from a state inside steps the problem
-    without its level and is cut after its first state outside (its later
-    steps, at most block - 1, are dropped unchecked); the blocks from there
-    on step truncated until one ends inside the ball.  Untruncated blocks
-    start at one step and double while they stay inside, up to a full
-    block, and each exit halves them: a run that leaves its ball early or
-    crosses it often drops few steps."""
+    once per block too, the one place truncation is skipped.  Inside the
+    ball its step is bitwise the untruncated step, so a block from a state
+    inside steps without bounds and is cut after its first state outside
+    (its later steps, at most block - 1, are dropped unchecked); the
+    blocks from there on step truncated until one ends inside the ball.
+    Untruncated blocks start at one step and double while they stay
+    inside, up to a full block, and each exit halves them: a run that
+    leaves its ball early or crosses it often drops few steps."""
     # a finite cap, so that an inf norm is never within it; a sup cap that
     # is None, inf or NaN halts no finite run, as FINITE_CAP
     cap = config.sup_cap
@@ -321,8 +342,7 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     plan = _step_runs(problem, config.dt)
     level = problem.level if points is None else None
     if level is not None:
-        groups, runs, (dt, _) = plan
-        plain = (replace(problem, level=None), (groups, runs, (dt, None)))
+        plain = plan[:3] + (None,)
         inside = _ball_exit(u[None], level) == 1
     block = max(1, STATE_BLOCK_FLOATS // u.size)
     chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
@@ -338,13 +358,13 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
             fields = problem.noise.modal_fields(inc[c:c + chunk])
         free = level is not None and inside
         states = buf[:min(span if free else block, c + len(fields) - a)]
-        prob, steps = plain if free else (problem, plan)
+        steps = plain if free else plan
         for j, f in enumerate(fields[a - c:a - c + len(states)]):
             if points is None:
-                u = states[j] = step(prob, config, u, f, *steps)
+                u = states[j] = step(problem, config, u, f, *steps)
             else:
                 drift_at, noise_at = points(a + j)
-                u = states[j] = step(prob, config, u, f, *steps,
+                u = states[j] = step(problem, config, u, f, *steps,
                                      drift_at=drift_at, noise_at=noise_at)
         if free:
             out = _ball_exit(states, level)
@@ -437,9 +457,9 @@ def truncate_problem(problem: Problem, level: float) -> Problem:
     each cell's state), each noise amplitude g_l frozen beyond |s| = n.
 
     The truncated problem shares the untruncated ``reaction`` and ``noise``
-    objects; only ``step`` applies the level, so inside the ball every term
-    evaluates bitwise identically to the original.  Truncating a truncated
-    problem replaces its level.
+    objects; only ``step`` applies the level (``_truncate``), so inside the
+    ball every term evaluates bitwise identically to the original.
+    Truncating a truncated problem replaces its level.
     """
     return replace(problem, level=float(level))
 

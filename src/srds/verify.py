@@ -16,7 +16,7 @@ from .config import config_block
 from .errors import AuditError
 from .experiments import (ExperimentReport, _provenance, _zero_noise,
                           moment_experiment, positivity_experiment,
-                          require_flag, require_list, require_positive,
+                          require_count, require_flag, require_list,
                           residual_refinement, uniqueness_experiment)
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
@@ -34,7 +34,7 @@ SPECTRAL_LU_TRIALS = 5
 
 def suite_operator(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, trials: int = 1000) -> ExperimentReport:
-    require_positive(trials=trials)
+    require_count(trials=trials)
     report = ExperimentReport(name="operator", parameters={"trials": trials},
                               provenance=_provenance(problem, config, master_seed))
     rng = np.random.default_rng(master_seed)
@@ -107,7 +107,7 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, radii=(1.0, 10.0, 100.0),
                    samples: int = 10_000, dissipativity_trials: int = 300,
                    quasi_positive: bool = True) -> ExperimentReport:
-    require_positive(samples=samples, dissipativity_trials=dissipativity_trials)
+    require_count(samples=samples, dissipativity_trials=dissipativity_trials)
     require_flag(quasi_positive=quasi_positive)
     require_list(radii=radii)
     if not radii:
@@ -195,7 +195,9 @@ def suite_noise(problem: Problem, config: SolverConfig, initial,
 def suite_mollifier(problem: Problem, config: SolverConfig, initial,
                     master_seed: int, n_max: int = 5, C: float | None = None,
                     probe_points: int = 10_001) -> ExperimentReport:
-    require_positive(probe_points=probe_points)
+    require_count(probe_points=probe_points, n_max=n_max)
+    if C is not None and (isinstance(C, bool) or not isinstance(C, (int, float))):
+        raise ValueError(f"C must be a number or null, got {C!r}")
     report = ExperimentReport(
         name="mollifier",
         parameters={"n_max": n_max, "C": C, "probe_points": probe_points},
@@ -250,7 +252,7 @@ def _with_named_g(problem: Problem, name: str) -> Problem:
 def suite_residual(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, t_end: float = 0.25, dt: float = 1.0 / 256,
                    n_paths: int = 32) -> ExperimentReport:
-    require_positive(n_paths=n_paths)
+    require_count(n_paths=n_paths)
     report = ExperimentReport(
         name="residual",
         parameters={"t_end": t_end, "dt": dt, "n_paths": n_paths},

@@ -656,7 +656,7 @@ BAD_VALUES = [
      "experiment",
      "positivity_experiment() got an unexpected keyword argument 'dt_halving'"),
     ("verify operator", ("experiment",), {"name": "operator", "trials": "50"},
-     "experiment", "'<' not supported between instances of 'str' and 'int'"),
+     "experiment", "trials must be an integer, got '50'"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "slack": "0.1"},
      "experiment", "unsupported operand type(s) for +: 'float' and 'str'"),
     # flags are JSON booleans and sequences JSON lists: a string is neither
@@ -688,6 +688,28 @@ BAD_VALUES = [
     # dissipativity margin is evaluated
     ("verify reaction", ("experiment",), {"name": "reaction", "radii": [0]},
      "experiment", "radii entries must be finite and > 0"),
+    # experiment counts are JSON integers too: true ran one path, one
+    # refinement, one trial, a 1-point probe or one mollifier level
+    *[(f"verify {suite}", ("experiment",), {"name": suite, key: True}, "experiment",
+       f"{key} must be an integer, got True")
+      for suite, key in (("uniqueness", "n_paths"), ("uniqueness", "cauchy_paths"),
+                         ("uniqueness", "cauchy_refinements"), ("operator", "trials"),
+                         ("mollifier", "probe_points"), ("mollifier", "n_max"))],
+    ("verify mollifier", ("experiment",), {"name": "mollifier", "C": True},
+     "experiment", "C must be a number or null, got True"),
+    # a level whose a_n underflows is a value the family cannot be built at
+    ("verify mollifier", ("experiment",), {"name": "mollifier", "n_max": 60},
+     "experiment", "level 60 not representable; largest feasible level is 32"),
+    # verify checks noise.dt_fine as simulate and ensemble do, and a NaN cap
+    # would stop nothing and be recorded as the stopping level
+    *[("verify positivity", ("noise", "dt_fine"), dt_fine, "noise", detail)
+      for dt_fine, detail in (
+          (0, "dt=0.001 must be a power-of-two multiple of dt_fine=0"),
+          ("x", "dt_fine must be a finite number, got 'x'"),
+          (1e-3 / 3, "dt=0.001 must be a power-of-two multiple of "
+                     "dt_fine=0.0003333333333333333"))],
+    ("simulate", ("solver", "sup_cap"), float("nan"), "solver",
+     "sup_cap must be a number or null, got nan"),
     # a coefficient file that cannot be read, and more modes than the Philox
     # stream lanes hold, are config errors, not tracebacks
     *[(command, ("operators", 0), {"csv": "missing-coefficients.csv", "eta": 0.5,

@@ -10,6 +10,12 @@ from srds import (PolynomialDrift, ReactionSystem, check_f1_f2,
                   dissipativity_gap, fhn_system)
 from srds.errors import AuditError
 from srds.reaction import CouplingTerm
+from srds.solver import _truncate
+
+
+def _bounds(level):
+    """The 0-d (-n, n) that ``solver._step_runs`` builds at level n."""
+    return np.array(-level), np.array(level)
 
 
 def golden_max(f, lo, hi, iters=200):
@@ -308,14 +314,14 @@ def test_coupling_audit_catches_bad_constants():
 
 
 def test_truncated_evaluate_subnormal_norms_do_not_warn():
-    # level / norms overflows in cells whose l1 norm is subnormal; np.where
-    # discards those quotients, inside the ball the state is read unchanged
+    # level / norm would overflow in cells whose l1 norm is subnormal; those
+    # cells are inside the ball, where the state is read unchanged
     sys = fhn_system()
-    # the third cell is outside the ball, so the clipped path runs
+    # the third cell is outside the ball, so the clip moves it
     u = np.array([[1e-310, 0.0, 9.0], [0.0, 2e-320, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = sys.evaluate(u, 4.0)
+        out = sys.evaluate(*_truncate(u, _bounds(4.0)))
     assert np.array_equal(out[:, :2], sys.evaluate(u)[:, :2])
     assert out[0, 2] == 4.0 - 4.0**3
 
@@ -337,7 +343,7 @@ def test_certificate_with_tiny_interior_coefficient():
     assert cert.a_sym == -_TINY_INTERIOR[-1]
 
 
-# --- the inside-ball fast path of the truncated reaction -----------------------
+# --- the truncated reaction: F at the two points of solver._truncate ------------
 
 
 def _clipped_evaluate(sys, u, level):
@@ -380,7 +386,7 @@ def test_truncated_evaluate_fast_path_matches_clipped(r, n, degree, per_cell, wh
     level = {"below": 2.0 * top, "at": top, "above": np.nextafter(top, 0.0)}[where]
     if nan:
         u[rng.integers(r), rng.integers(n)] = np.nan
-    got = sys.evaluate(u, level)
+    got = sys.evaluate(*_truncate(u, _bounds(level)))
     assert got.tobytes() == _clipped_evaluate(sys, u, level).tobytes()
     if where != "above" and not nan:
         # inside the ball F^(n) = F, bit for bit

@@ -1,6 +1,9 @@
+import ast
 import itertools
 import math
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from srds import (CoefficientField, SolverConfig, assemble_operator, build_grid,
                   glue_ladder, mild_residual, named_g, run_ladder, sample_path,
                   simulate, step, truncate_problem)
 from srds.errors import SolverFailure
-from srds.solver import Problem, _resolve_increments, _step_runs, dyadic_level
+from srds.solver import (Problem, _resolve_increments, _step_runs, _truncate,
+                         dyadic_level)
 
 from conftest import build_fhn_problem, build_scalar_heat_problem, const_init
+from test_writers import _calls
 
 
 def zero_noise_fhn(n=32):
@@ -196,6 +201,12 @@ def test_apriori_sup_bound_zero_noise_zero_coupling():
 # --- truncation -----------------------------------------------------------------
 
 
+def _truncated_reaction(reaction, u, level):
+    """F^(n)(u): the reaction at the two points ``step`` takes from the
+    truncation map at the bounds ``_step_runs`` builds."""
+    return reaction.evaluate(*_truncate(u, (np.array(-level), np.array(level))))
+
+
 def _one_step(problem, u, dt=1e-3, seed=0):
     """One step of ``problem`` from state u on a fixed path."""
     cfg = SolverConfig(dt=dt, t_end=dt)
@@ -209,7 +220,7 @@ def test_truncated_drift_freezes_beyond_level():
     # base drift s - s^3 frozen at |s| = 2: h(3) = h(2) = 2 - 8 = -6; the
     # coupling k1 = v reads the radial projection (2, 0) of (3, 0), so 0
     u = const_init(prob, 3.0, 0.0)
-    assert np.all(prob.reaction.evaluate(u, 2.0)[0] == 2.0 - 8.0)
+    assert np.all(_truncated_reaction(prob.reaction, u, 2.0)[0] == 2.0 - 8.0)
     # constants are fixed by the implicit solve, so one step is explicit Euler
     trunc = _one_step(truncate_problem(prob, 2.0), u)
     plain = _one_step(prob, u)
@@ -220,7 +231,7 @@ def test_truncated_drift_freezes_beyond_level():
 
     cubic = ReactionSystem([PolynomialDrift([0.0, 0.0, -1.0], epsilon_lead=1.0)],
                            [coupling_none(1)])
-    assert cubic.evaluate(np.array([[3.0]]), 2.0)[0, 0] == pytest.approx(-8.0)
+    assert _truncated_reaction(cubic, np.array([[3.0]]), 2.0)[0, 0] == pytest.approx(-8.0)
 
 
 def test_truncation_identity_inside_ball_bitwise():
@@ -229,7 +240,7 @@ def test_truncation_identity_inside_ball_bitwise():
     assert trunc.reaction is prob.reaction and trunc.noise is prob.noise
     rng = np.random.default_rng(0)
     u = rng.uniform(-1.9, 1.9, size=(2, 32))  # l1 column norms < 4
-    assert np.array_equal(prob.reaction.evaluate(u), prob.reaction.evaluate(u, 4.0))
+    assert np.array_equal(prob.reaction.evaluate(u), _truncated_reaction(prob.reaction, u, 4.0))
     assert np.array_equal(_one_step(prob, u), _one_step(trunc, u))
     # the level is live: just outside the ball the step differs
     assert not np.array_equal(_one_step(prob, 2.2 * u), _one_step(trunc, 2.2 * u))
@@ -239,13 +250,92 @@ def test_truncated_coupling_radial_projection():
     prob = build_fhn_problem()
     s = np.array([[0.0], [3.0]])
     # k1(u, v) = v frozen on the l1-ball: ||s||_1 = 3 -> evaluate at (0, 1)
-    assert prob.reaction.evaluate(s, 1.0)[0, 0] == pytest.approx(1.0)
+    assert _truncated_reaction(prob.reaction, s, 1.0)[0, 0] == pytest.approx(1.0)
     # through step: h1(0) = 0, so u+ = dt * k1 on constants without noise
     zero = zero_noise_fhn()
     u = const_init(zero, 0.0, 3.0)
     assert _one_step(truncate_problem(zero, 1.0), u)[0] == pytest.approx(
         np.full(32, 1e-3 * 1.0), abs=1e-12)
     assert _one_step(zero, u)[0] == pytest.approx(np.full(32, 1e-3 * 3.0), abs=1e-12)
+
+
+def _evaluate_points_before_truncate(u, level):
+    """A copy of the truncated path ``ReactionSystem.evaluate(u, level)``
+    took before ``_truncate`` owned it, inside-ball shortcut included: the
+    (drift, coupling) points its drifts and couplings read."""
+    u = np.asarray(u, dtype=float)
+    drift_at = coupling_at = u
+    norms = np.abs(u).sum(axis=0)
+    if not norms.max() <= level:
+        drift_at = np.minimum(np.maximum(u, -level), level)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            coupling_at = u * np.where(norms > level, level / norms, 1.0)
+    return drift_at, coupling_at
+
+
+# NaN and +-inf put a cell outside any ball; signed zeros and subnormals
+# give zero or subnormal norms, whose level / norms overflows
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+            2.2250738585072014e-308]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(r=st.integers(1, 3), n=st.integers(1, 8), level=st.floats(1.0, 64.0),
+       where=st.sampled_from(["inside", "on", "outside"]), data=st.data())
+def test_truncate_matches_the_evaluate_it_replaced(r, n, level, where, data):
+    # entries of at most level / r keep a cell inside or on the ball; one
+    # cell is put exactly on it or just outside; far-out entries, NaN and inf
+    # put cells outside
+    entry = st.one_of(st.sampled_from(_SPECIAL), st.floats(-level / r, level / r),
+                      st.floats(-1e300, 1e300))
+    u = np.reshape(data.draw(st.lists(entry, min_size=r * n, max_size=r * n),
+                             label="state"), (r, n))
+    cell = data.draw(st.integers(0, n - 1), label="cell")
+    if where != "inside":
+        u[:, cell] = 0.0
+        u[0, cell] = level if where == "on" else np.nextafter(level, math.inf)
+    event(f"{where}, every cell inside" if np.abs(u).sum(axis=0).max() <= level
+          else f"{where}, a cell outside")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped, projected = _truncate(u, (np.array(-level), np.array(level)))
+        drift_at, coupling_at = _evaluate_points_before_truncate(u, level)
+    assert clipped.tobytes() == drift_at.tobytes()
+    assert projected.tobytes() == coupling_at.tobytes()
+
+
+_CLIP_AND_PROJECTION = {"np.minimum", "np.maximum", "np.clip", "np.where", "np.fmax"}
+
+
+def test_truncation_has_one_owner(monkeypatch):
+    src = Path(srds.solver.__file__).parent
+    reaction = ast.parse((src / "reaction.py").read_text())
+    # the reaction takes no truncation level and reads none
+    assert not [node for node in ast.walk(reaction)
+                if isinstance(node, ast.arg) and node.arg == "level"
+                or isinstance(node, ast.Name) and node.id == "level"]
+    system = next(node for node in reaction.body
+                  if isinstance(node, ast.ClassDef) and node.name == "ReactionSystem")
+    evaluate = next(node for node in system.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "evaluate")
+    assert not [c for _, c in _calls(evaluate) if c in _CLIP_AND_PROJECTION]
+    assert not [node for node in ast.walk(evaluate)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)]
+    # the clip and the projection of a step live in _truncate alone, which
+    # has no inside-ball branch
+    solver = ast.parse((src / "solver.py").read_text())
+    assert sorted(site for site in _calls(solver) if site[1] in _CLIP_AND_PROJECTION) == [
+        ("_truncate", "np.fmax"), ("_truncate", "np.maximum"), ("_truncate", "np.minimum")]
+    truncate = next(node for node in solver.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_truncate")
+    assert not [node for node in ast.walk(truncate) if isinstance(node, (ast.If, ast.IfExp))]
+    # a truncated step maps its state once, for the drifts, couplings and g
+    calls = []
+    monkeypatch.setattr(srds.solver, "_truncate",
+                        lambda *args: calls.append(1) or _truncate(*args))
+    prob = build_fhn_problem()
+    _one_step(truncate_problem(prob, 1.0), const_init(prob, 0.6, 0.6))
+    assert len(calls) == 1
 
 
 def test_truncation_insensitivity_bitwise():
@@ -609,7 +699,7 @@ def test_truncation_property(drifts, rows, g_name, lam, level, unit, spread, see
     norms = np.sum(np.abs(u), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero columns
         radial = u * np.where(norms > level, level / norms, 1.0)
-    F = prob.reaction.evaluate(u, level)
+    F = _truncated_reaction(prob.reaction, u, level)
     for l in range(2):
         h = prob.reaction.drifts[l].evaluate(np.clip(u[l], -level, level))
         assert np.array_equal(F[l], h + prob.reaction.couplings[l](radial))

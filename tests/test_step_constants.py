@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from srds.noise import named_g
 from srds.reaction import PolynomialDrift, ReactionSystem, fhn_couplings
-from srds.solver import _ONE, _step_runs, truncate_problem
+from srds.solver import _ONE, _step_runs, _truncate, truncate_problem
 
 from conftest import build_scalar_heat_problem
 
@@ -107,7 +107,8 @@ def test_fhn_reaction_matches_python_floats(a, b, u, v, level):
         k = a * coupling_at[0]
         k -= b * coupling_at[1]
         want[1] = 0.0 + k
-        _same(reaction.evaluate(state, level), want)
+        _same(reaction.evaluate(state) if level is None else reaction.evaluate(
+            *_truncate(state, (np.array(-level), np.array(level)))), want)
 
 
 def _clipped_01(s):
@@ -145,12 +146,13 @@ HEAT = build_scalar_heat_problem(n=4)
 @given(x=arrays(), level=st.floats(min_value=1.0, max_value=1.7976931348623157e308),
        dt=st.floats(min_value=5e-324, max_value=1e6))
 def test_step_bounds_and_tamed_division_match_python_floats(x, level, dt):
-    constant, (lo, hi) = _step_runs(truncate_problem(HEAT, level), dt)[2]
-    assert _step_runs(HEAT, dt)[2][1] is None
+    constant, (lo, hi) = _step_runs(truncate_problem(HEAT, level), dt)[2:]
+    assert _step_runs(HEAT, dt)[3] is None
     rhs = x[None, :]
     peak = np.abs(rhs).max(axis=1, keepdims=True)
     with np.errstate(all="ignore"):
-        _same(np.minimum(np.maximum(x, lo), hi), np.minimum(np.maximum(x, -level), level))
+        _same(_truncate(x[None, :], (lo, hi))[0][0],
+              np.minimum(np.maximum(x, -level), level))
         tamed = rhs.copy()
         tamed /= _ONE + constant * peak
         _same(tamed, rhs / (1.0 + dt * peak))
