@@ -261,7 +261,7 @@ def build_problem(cfg: dict):
     if not isinstance(op_blocks, list) or not op_blocks:
         raise ConfigError("operators", "need a nonempty per-component list")
     with config_block("operators"):
-        # equal blocks share one operator: one assembly, one stepper cache
+        # equal blocks share one operator: one matrix, one stepper cache
         keys = [json.dumps(b, sort_keys=True) for b in op_blocks]
         built = {}
         for key, b in zip(keys, op_blocks):

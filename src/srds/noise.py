@@ -329,7 +329,7 @@ class ComponentNoise:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "modes", self.basis.modes)
         object.__setattr__(self, "mode_fields",
-                           (self.basis.values * lam[:, None]).T.copy())
+                           np.multiply(self.basis.values.T, lam, order="C"))
         object.__setattr__(self, "sup_lambda_e", np.abs(lam) * self.basis.sup_norms)
 
     def rho_constant(self, m: float) -> float:

@@ -12,7 +12,8 @@ nonpositive spectrum for c >= 0, and the M-matrix property of (I - dt*A).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +27,10 @@ from .linalg import ShiftedSolve, SpectralSolve
 class CoefficientField:
     """Per-cell diffusion tensor and zeroth-order coefficient.
 
-    ``a`` has shape (n_total, dim, dim) and must be symmetric with
-    eigenvalues in [eta, m_bound] at every cell; ``c`` has shape (n_total,).
+    ``a`` has shape (n_total, dim, dim) and must be finite and symmetric
+    with eigenvalues in [eta, m_bound] at every cell; ``c`` has shape
+    (n_total,).  When every cell's tensor is bitwise the first one
+    (``uniform``), the checks run on that one tensor.
     Only grid-aligned (diagonal) tensors are accepted by the assembler, see
     `assemble_operator`.
     """
@@ -37,6 +40,7 @@ class CoefficientField:
     c: np.ndarray
     eta: float
     m_bound: float
+    uniform: bool = field(init=False)  # every cell's tensor bitwise the first
 
     def __post_init__(self):
         n, d = self.grid.n_total, self.grid.dim
@@ -46,9 +50,16 @@ class CoefficientField:
             raise AuditError("shape", f"c has shape {self.c.shape}, expected {(n,)}")
         if not (self.eta > 0):
             raise AuditError("ellipticity", f"eta={self.eta} must be positive")
-        if not np.allclose(self.a, np.swapaxes(self.a, 1, 2), rtol=0, atol=1e-14):
+        bits = np.ascontiguousarray(self.a, dtype=float).reshape(n, d * d).view(np.int64)
+        object.__setattr__(self, "uniform", bool(np.all(bits == bits[0])))
+        # on a uniform field one tensor gives the verdict, reason and detail
+        # of checking every cell
+        a = self.a[:1] if self.uniform else self.a
+        if not np.all(np.isfinite(a)):
+            raise AuditError("bounded-a", "diffusion tensor has non-finite entries")
+        if not np.allclose(a, np.swapaxes(a, 1, 2), rtol=0, atol=1e-14):
             raise AuditError("symmetry", "diffusion tensor not symmetric")
-        eigs = np.linalg.eigvalsh(self.a)
+        eigs = np.linalg.eigvalsh(a)
         lo, hi = float(eigs.min()), float(eigs.max())
         if lo < self.eta - 1e-12 or hi > self.m_bound + 1e-12:
             raise AuditError(
@@ -89,6 +100,9 @@ def coefficient_field_from_csv(grid: DomainGrid, path, eta: float,
                                m_bound: float) -> CoefficientField:
     """Load a coefficient field from CSV: one row per cell with
     ``index, a_00, ..., a_{d-1,d-1} (row-major), c``.
+
+    An index that is not an integer in range or that names a cell twice,
+    and a row with more than ``2 + d*d`` entries, fail the ``shape`` audit.
     """
     d = grid.dim
     n = grid.n_total
@@ -100,9 +114,16 @@ def coefficient_field_from_csv(grid: DomainGrid, path, eta: float,
             if not row or row[0].strip().startswith("#"):
                 continue
             vals = [float(v) for v in row]
+            if len(vals) > 2 + d * d:
+                raise AuditError("shape", f"row for cell {row[0].strip()} has "
+                                          f"{len(vals)} entries, expected {2 + d * d}")
+            if not vals[0].is_integer():
+                raise AuditError("shape", f"cell index {row[0].strip()} is not an integer")
             idx = int(vals[0])
             if idx < 0 or idx >= n:
                 raise AuditError("shape", f"cell index {idx} out of range 0..{n-1}")
+            if seen[idx]:
+                raise AuditError("shape", f"cell index {idx} appears twice")
             a[idx] = np.array(vals[1:1 + d * d]).reshape(d, d)
             c[idx] = vals[1 + d * d]
             seen[idx] = True
@@ -112,20 +133,82 @@ def coefficient_field_from_csv(grid: DomainGrid, path, eta: float,
 
 
 class EllipticOperator:
-    """Assembled sparse divergence-form operator on cell-centered fields."""
+    """Divergence-form operator on cell-centered fields.
 
-    def __init__(self, grid: DomainGrid, coeffs: CoefficientField, matrix: sp.csr_matrix):
+    The sparse matrix is assembled on its first read (a SuperLU factor,
+    `dense_spectrum`, `apply_resolvent`, `verify operator`), so an operator
+    solved by the DCT never builds it.
+    """
+
+    def __init__(self, grid: DomainGrid, coeffs: CoefficientField):
         self.grid = grid
         self.coeffs = coeffs
-        self.matrix = matrix
         self._steppers: dict[float, ShiftedSolve | SpectralSolve] = {}
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """A = div(a grad .) - c with zero-flux boundary faces.
+
+        Face diffusivity along axis i between neighboring cells is the
+        harmonic mean of their a_ii entries.
+        """
+        grid, coeffs = self.grid, self.coeffs
+        d = grid.dim
+        shape = grid.n_cells
+        n = grid.n_total
+        ids = np.arange(n).reshape(shape)
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        vals: list[np.ndarray] = []
+        for axis in range(d):
+            h = grid.spacing[axis]
+            a_ax = coeffs.a[:, axis, axis].reshape(shape)
+            lo = [slice(None)] * d
+            hi = [slice(None)] * d
+            lo[axis] = slice(None, -1)
+            hi[axis] = slice(1, None)
+            a1 = a_ax[tuple(lo)].ravel()
+            a2 = a_ax[tuple(hi)].ravel()
+            t = 2.0 * a1 * a2 / (a1 + a2) / h**2  # harmonic face average
+            i1 = ids[tuple(lo)].ravel()
+            i2 = ids[tuple(hi)].ravel()
+            rows += [i1, i2, i1, i2]
+            cols += [i2, i1, i1, i2]
+            vals += [t, t, -t, -t]
+        rows.append(np.arange(n))
+        cols.append(np.arange(n))
+        vals.append(-coeffs.c)
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsr()
+
+    @functools.cached_property
+    def cosine_spectrum(self) -> np.ndarray | None:
+        """Eigenvalues of the assembled A per orthonormal DCT-II mode, shape
+        ``grid.n_cells``, when the grid is 2D, the coefficient field is
+        ``uniform`` and every cell has the same ``c``; otherwise None.
+
+        Each axis contributes -2 t (1 - cos(pi k / n)) with t the
+        assembler's face transmissibility.  1D grids return None: their
+        tridiagonal LU factor has no fill and solves faster than a
+        transform of the same length.
+        """
+        grid, coeffs = self.grid, self.coeffs
+        if grid.dim != 2 or not (coeffs.uniform and np.all(coeffs.c == coeffs.c[0])):
+            return None
+        axes = []
+        for axis, (n, h) in enumerate(zip(grid.n_cells, grid.spacing)):
+            a = coeffs.a[0, axis, axis]
+            t = 2.0 * a * a / (a + a) / h**2  # as the matrix's face average
+            axes.append(-2.0 * t * (1.0 - np.cos(np.pi * np.arange(n) / n)))
+        return axes[0][:, None] + axes[1][None, :] - coeffs.c[0]
 
     def solver(self, dt: float) -> ShiftedSolve | SpectralSolve:
         """A new, uncached solver for (I - dt*A): the DCT-II diagonal solve
         when `cosine_spectrum` diagonalizes A, else a SuperLU factor."""
-        spectrum = cosine_spectrum(self.grid, self.coeffs)
-        if spectrum is not None:
-            return SpectralSolve(spectrum, dt)
+        if self.cosine_spectrum is not None:
+            return SpectralSolve(self.cosine_spectrum, dt)
         return ShiftedSolve(self.matrix, dt)
 
     def stepper(self, dt: float) -> ShiftedSolve | SpectralSolve:
@@ -147,38 +230,17 @@ class EllipticOperator:
         return b"elliptic:" + self.coeffs.descriptor()
 
 
-def cosine_spectrum(grid: DomainGrid, coeffs: CoefficientField) -> np.ndarray | None:
-    """Eigenvalues of the assembled A per orthonormal DCT-II mode, shape
-    ``grid.n_cells``, when the grid is 2D and every cell has the same ``a``
-    and ``c``; otherwise None.
-
-    Each axis contributes -2 t (1 - cos(pi k / n)) with t the assembler's
-    face transmissibility.  1D grids return None: their tridiagonal LU
-    factor has no fill and solves faster than a transform of the same length.
-    """
-    if grid.dim != 2 or not (np.all(coeffs.a == coeffs.a[0])
-                             and np.all(coeffs.c == coeffs.c[0])):
-        return None
-    axes = []
-    for axis, (n, h) in enumerate(zip(grid.n_cells, grid.spacing)):
-        a = coeffs.a[0, axis, axis]
-        t = 2.0 * a * a / (a + a) / h**2  # as assemble_operator's face average
-        axes.append(-2.0 * t * (1.0 - np.cos(np.pi * np.arange(n) / n)))
-    return axes[0][:, None] + axes[1][None, :] - coeffs.c[0]
-
-
 def assemble_operator(grid: DomainGrid, coeffs: CoefficientField) -> EllipticOperator:
-    """Assemble A = div(a grad .) - c with zero-flux boundary faces.
+    """The operator A = div(a grad .) - c of ``coeffs`` on ``grid``, its
+    matrix assembled on first read (`EllipticOperator.matrix`).
 
-    Face diffusivity along axis i between neighboring cells is the harmonic
-    mean of their a_ii entries.  Off-diagonal tensor entries are rejected:
+    Off-diagonal tensor entries are rejected here, before any path runs:
     two-point fluxes cannot represent them and they would destroy the
     M-matrix property the positivity checks rest on.
     """
     if coeffs.grid is not grid and coeffs.grid != grid:
         raise AuditError("shape", "coefficient field built on a different grid")
-    d = grid.dim
-    if d == 2:
+    if grid.dim == 2:
         off = np.abs(coeffs.a[:, 0, 1])
         if off.max() > 0:
             raise AuditError(
@@ -186,36 +248,7 @@ def assemble_operator(grid: DomainGrid, coeffs: CoefficientField) -> EllipticOpe
                 "off-diagonal diffusion entries are not supported by the "
                 "two-point flux assembler",
             )
-
-    shape = grid.n_cells
-    n = grid.n_total
-    ids = np.arange(n).reshape(shape)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for axis in range(d):
-        h = grid.spacing[axis]
-        a_ax = coeffs.a[:, axis, axis].reshape(shape)
-        lo = [slice(None)] * d
-        hi = [slice(None)] * d
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        a1 = a_ax[tuple(lo)].ravel()
-        a2 = a_ax[tuple(hi)].ravel()
-        t = 2.0 * a1 * a2 / (a1 + a2) / h**2  # harmonic face average
-        i1 = ids[tuple(lo)].ravel()
-        i2 = ids[tuple(hi)].ravel()
-        rows += [i1, i2, i1, i2]
-        cols += [i2, i1, i1, i2]
-        vals += [t, t, -t, -t]
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(-coeffs.c)
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    return EllipticOperator(grid, coeffs, matrix)
+    return EllipticOperator(grid, coeffs)
 
 
 def apply_resolvent(op: EllipticOperator, lam: float, f: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .experiments import (ExperimentReport, _provenance, _zero_noise,
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
 from .noise import LinearModulus, build_noise, named_g, osgood_check
-from .operators import apply_resolvent, cosine_spectrum, smoothing_profile
+from .operators import apply_resolvent, smoothing_profile
 from .reaction import check_quasi_positive, dissipativity_gap
 from .rng import gaussian_entry, sample_path
 from .solver import Problem, SolverConfig
@@ -79,7 +79,7 @@ def suite_operator(problem: Problem, config: SolverConfig, initial,
         report.add_check(f"{tag}-sup-contraction", contract_ok, f"{trials} trials")
         report.add_check(f"{tag}-positivity", positive_ok, f"{trials} trials")
 
-        if cosine_spectrum(op.grid, op.coeffs) is not None:
+        if op.cosine_spectrum is not None:
             gap = 0.0
             for _ in range(SPECTRAL_LU_TRIALS):
                 dt = float(rng.uniform(1e-4, 1.0))

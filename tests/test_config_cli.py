@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from srds import build_problem, config_digest, preset, preset_fhn, validate_config
 from srds.cli import main
 from srds.errors import ConfigError
+from srds.operators import EllipticOperator
 from srds.rng import MAX_PATH
 from srds.solver import Problem
 from srds.verify import run_suite
@@ -471,6 +473,81 @@ def test_2d_config_builds_and_simulates(tmp_path, out_root):
     cfg["noise"]["modes"] = 4
     cfg_path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", cfg_path]) == 0
+
+
+def _2d_uniform_preset():
+    cfg = quick_preset()
+    cfg["grid"] = {"dim": 2, "extents": [1.0, 1.0], "n_cells": [8, 8]}
+    cfg["noise"]["modes"] = 4
+    return cfg
+
+
+@pytest.mark.parametrize("command,experiment", [
+    (["simulate"], None),
+    (["ensemble", "--paths", "2", "--workers", "1"], None),
+    (["verify", "positivity"], {"name": "positivity", "n_paths": 2}),
+])
+def test_dct_solved_run_assembles_no_matrix(tmp_path, out_root, monkeypatch,
+                                            command, experiment):
+    def no_assembly(op):
+        raise AssertionError("sparse matrix assembled")
+
+    monkeypatch.setattr(EllipticOperator, "matrix", property(no_assembly))
+    cfg = _2d_uniform_preset()
+    if experiment is not None:
+        cfg["experiment"] = experiment
+    assert main([*command, "--config", write_config(tmp_path, cfg)]) == 0
+
+
+def test_verify_operator_assembles_the_dct_solved_matrix(tmp_path, out_root,
+                                                         monkeypatch):
+    assemble = EllipticOperator.__dict__["matrix"].func
+    assembled = []
+
+    def counted(op):
+        assembled.append(op)
+        return assemble(op)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(EllipticOperator, "matrix")
+    monkeypatch.setattr(EllipticOperator, "matrix", prop)
+    cfg = _2d_uniform_preset()
+    cfg["experiment"] = {"name": "operator", "trials": 20}
+    assert main(["verify", "operator", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(assembled) == 1  # the two equal blocks share one operator
+    report = json.loads(next(out_root.rglob("operator_report.json")).read_text())
+    assert {"op0-symmetry", "op0-spectral-matches-lu"} <= {c["name"] for c in report["checks"]}
+
+
+# a coefficient row that would be silently repaired, and a tensor entry that
+# bounds nothing, fail the build-time audit (exit 3)
+BAD_CSV_ROWS = [
+    ("index", "1.7,1.0,0.0", "shape", "cell index 1.7 is not an integer"),
+    ("duplicate", "3,2.0,0.0", "shape", "cell index 3 appears twice"),
+    ("columns", "1,1.0,0.0,9.0", "shape", "row for cell 1 has 4 entries, expected 3"),
+    ("nan-a", "1,nan,0.0", "bounded-a", "diffusion tensor has non-finite entries"),
+    ("inf-a", "1,inf,0.0", "bounded-a", "diffusion tensor has non-finite entries"),
+]
+
+
+@pytest.mark.parametrize("row,reason,detail", [c[1:] for c in BAD_CSV_ROWS],
+                         ids=[c[0] for c in BAD_CSV_ROWS])
+def test_bad_coefficient_row_exits_three(tmp_path, out_root, capsys, row, reason,
+                                         detail):
+    rows = [f"{i},1.0,0.0" for i in range(32)]
+    index = row.split(",")[0]
+    if index in ("1", "1.7"):
+        rows[1] = row  # in place of cell 1's row
+    else:
+        rows.append(row)  # a second row for the cell
+    csv_path = tmp_path / "coeffs.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    cfg = quick_preset()
+    cfg["operators"][0] = {"csv": str(csv_path), "eta": 0.5, "m_bound": 2.0}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert f"code=3 kind=audit reason={reason} detail={detail}" in err
 
 
 def test_output_dir_from_config(tmp_path, monkeypatch):

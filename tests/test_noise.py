@@ -432,7 +432,10 @@ def test_tables_are_shared_by_basis_identity_and_lambda_bits():
     assert c[3].mode_fields is not c[0].mode_fields
     assert [comp.g for comp in c] == gs  # each keeps its own amplitude
     for comp in c:
-        assert np.array_equal(comp.mode_fields, (comp.basis.values * comp.lambdas[:, None]).T)
+        # C order: the bits of each field's matrix-vector product depend on it
+        assert comp.mode_fields.flags.c_contiguous
+        assert (comp.mode_fields.tobytes()
+                == (comp.basis.values * comp.lambdas[:, None]).T.tobytes())
 
 
 # --- the modulus follows the amplitude's Hölder exponent --------------------------

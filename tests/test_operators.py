@@ -74,6 +74,75 @@ def test_off_diagonal_tensor_rejected():
         assemble_operator(g, cf)
 
 
+# --- a uniform field's tensor checks run on one tensor ------------------------------
+
+ETA, M_BOUND = 0.5, 2.0
+# on, just inside and just outside [eta, M] (the audit allows 1e-12), signed
+# zeros, and entries that bound nothing
+DIAGONAL = [0.5, 0.5 - 5e-13, 0.5 - 2e-12, 1.0, 2.0, 2.0 + 5e-13, 2.0 + 2e-12,
+            0.0, -0.0, np.inf, -np.inf, np.nan]
+OFF_DIAGONAL = [0.0, -0.0, 1e-15, 1e-13, 0.25, np.inf, -np.inf, np.nan]
+
+
+def _per_cell_audit(a, c, eta, m_bound):
+    """(reason, detail) of the first tensor check that fails when every cell
+    is checked, as CoefficientField did before it checked a uniform field on
+    one tensor; None when all pass."""
+    if not np.all(np.isfinite(a)):
+        return "bounded-a", "diffusion tensor has non-finite entries"
+    if not np.allclose(a, np.swapaxes(a, 1, 2), rtol=0, atol=1e-14):
+        return "symmetry", "diffusion tensor not symmetric"
+    eigs = np.linalg.eigvalsh(a)
+    lo, hi = float(eigs.min()), float(eigs.max())
+    if lo < eta - 1e-12 or hi > m_bound + 1e-12:
+        return ("ellipticity", f"tensor eigenvalues in [{lo:.6g}, {hi:.6g}] "
+                               f"outside [eta={eta}, M={m_bound}]")
+    if not np.all(np.isfinite(c)):
+        return "bounded-c", "c has non-finite entries"
+    return None
+
+
+@st.composite
+def tensor_fields(draw):
+    """A 1D or 2D field of one drawn tensor, with one entry of one cell's
+    tensor drawn again or not, and c zero but for at most one cell."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = build_grid(dim, [1.0] * dim,
+                      draw(st.lists(st.integers(2, 5), min_size=dim, max_size=dim)))
+
+    def entry(i, j):
+        if i == j:
+            return draw(st.one_of(st.sampled_from(DIAGONAL), st.floats(0.4, 2.1)))
+        return draw(st.one_of(st.just(0.0), st.sampled_from(OFF_DIAGONAL)))
+
+    t = np.array([[entry(i, j) for j in range(dim)] for i in range(dim)])
+    if dim == 2 and draw(st.booleans()):
+        t[1, 0] = t[0, 1]  # symmetric, whatever the entry
+    a = np.tile(t, (grid.n_total, 1, 1))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        a[draw(st.integers(0, grid.n_total - 1)), i, j] = entry(i, j)
+    c = np.zeros(grid.n_total)
+    if draw(st.booleans()):
+        c[draw(st.integers(0, grid.n_total - 1))] = draw(st.sampled_from([0.5, np.nan, np.inf]))
+    return grid, a, c
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(field=tensor_fields())
+def test_uniform_field_audit_matches_the_per_cell_audit(field):
+    grid, a, c = field
+    bits = a.reshape(grid.n_total, -1).view(np.int64)
+    try:
+        cf = CoefficientField(grid, a, c, ETA, M_BOUND)
+    except AuditError as exc:
+        got = exc.reason, exc.detail
+    else:
+        got = None
+        assert cf.uniform == bool(np.all(bits == bits[0]))
+    assert got == _per_cell_audit(a, c, ETA, M_BOUND)
+
+
 def test_dissipative_with_nonnegative_c():
     rng = np.random.default_rng(1)
     for n in (16, 64):
@@ -345,5 +414,8 @@ def test_stepper_selection(tmp_path):
             a_ii = rng.uniform(0.6, 1.8)
             fh.write(f"{i},{a_ii!r},0.0,0.0,{a_ii!r},0.0\n")
     from_csv = coefficient_field_from_csv(g2, path, eta=0.5, m_bound=2.0)
-    for cf in (one_cell_a, one_cell_c, from_csv):
+    signed = np.tile(np.eye(2), (g2.n_total, 1, 1))
+    signed[37, 0, 1] = -0.0  # equal in value, not in bits: not uniform
+    signed_zero = CoefficientField(g2, signed, np.zeros(g2.n_total), 0.5, 2.0)
+    for cf in (one_cell_a, one_cell_c, from_csv, signed_zero):
         assert isinstance(assemble_operator(g2, cf).stepper(1e-3), ShiftedSolve)
