@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import (_integer, _path_resolution, build_problem, config_block,
-                     config_digest, load_config, preset, validate_config)
+from .config import (_path_resolution, build_problem, config_block, config_digest,
+                     load_config, preset, read_integer, validate_config)
 from .errors import AuditError, ConfigError, SolverFailure
 from .rng import MAX_PATH, sample_path
 from .solver import TRAJECTORY_FORMATS, save_trajectory, simulate, write_csv, write_json
@@ -78,7 +78,7 @@ def cmd_simulate(args) -> int:
         # snapshot stride: about 64 stored samples per run unless configured
         stride = max(1, solver_cfg.n_steps // 64)
         if output.get("stride") is not None:
-            stride = _integer(output, "stride", stride)
+            stride = read_integer("stride", output["stride"])
         solver_cfg = replace(solver_cfg, store_stride=stride)
         formats = output.get("formats")
         if formats is None:
@@ -119,11 +119,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load(args)
     problem, initial, solver_cfg = build_problem(cfg)
-    params = dict(cfg.get("experiment", {}))
-    if params.get("name") not in (None, args.suite):
-        params = {}  # the block configures a different experiment
-    report = run_suite(args.suite, problem, solver_cfg, initial, params,
-                       cfg["master_seed"])
+    report = run_suite(args.suite, problem, solver_cfg, initial,
+                       cfg.get("experiment", {}), cfg["master_seed"])
     out = _out_dir(args, cfg, f"verify-{args.suite}")
     report.provenance["config_digest"] = config_digest(cfg)
     report.write(out)

@@ -1,6 +1,8 @@
 """Versioned run configuration: parsing, digests, and problem assembly.
 
-One JSON format drives simulations, ensembles and verification suites.  The
+One JSON format drives simulations, ensembles and verification suites.  One
+set of readers (``read_integer``, ``read_number``, ``read_flag``,
+``read_list``) checks every config value and every experiment parameter.  The
 canonical digest (sha256 of the sorted-key dump) is recorded in every
 output manifest; two runs with equal digests and seeds produce identical
 artifacts.
@@ -16,7 +18,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import AuditError, ConfigError
-from .experiments import check_positivity_preconditions
 from .grid import DomainGrid, build_grid
 from .noise import (NoiseModel, build_noise, cosine_neumann_basis, named_g)
 from .operators import (CoefficientField, assemble_operator,
@@ -80,39 +81,57 @@ def config_block(name: str):
 
 
 # ---------------------------------------------------------------------------
-# block builders
+# readers: every config value and every experiment parameter passes one
 
 
-def _integer(block: dict, key: str, default: int) -> int:
-    """block[key], a JSON integer: int() would truncate a float such as 8.7
-    and read true as 1."""
-    value = block.get(key, default)
+def read_integer(key: str, value, least: int | None = None) -> int:
+    """``value``, a JSON integer of at least ``least``: int() would truncate
+    a float such as 8.7 and read true as 1, and a count of zero would let a
+    check pass on no samples."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be >= {least}")
     return value
 
 
-def _number(block: dict, key: str, default) -> int | float:
-    """block[key], a finite JSON number, returned as given: float() would
-    read the string "2" and true."""
-    value = block.get(key, default)
+def read_number(key: str, value, least=None, above=None) -> int | float:
+    """``value``, a finite JSON number of at least ``least`` and above
+    ``above``, returned as given: float() would read the string "2" and
+    true, and would turn an int recorded in a report into a float."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value)):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be >= {least}")
+    if above is not None and value <= above:
+        raise ValueError(f"{key} must be > {above}")
     return value
 
 
-def _entries(block: dict, key: str, read, default=None) -> list:
-    """block[key], a JSON list each of whose entries ``read`` (``_integer``
-    or ``_number``) accepts."""
-    values = block.get(key, default)
-    if not isinstance(values, list):
+def read_flag(key: str, value) -> bool:
+    """``value``, a JSON boolean: a string such as "false" would be read by
+    its truthiness."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def read_list(key: str, values, read, **bounds) -> list:
+    """``values``, a JSON list (or a Python default tuple) each of whose
+    entries ``read`` (``read_integer`` or ``read_number``) accepts within
+    ``bounds``: a string would be iterated per character."""
+    if not isinstance(values, (list, tuple)):
         raise ValueError(f"{key} must be a list, got {values!r}")
-    return [read({f"{key}[{i}]": v}, f"{key}[{i}]", None) for i, v in enumerate(values)]
+    return [read(f"{key}[{i}]", v, **bounds) for i, v in enumerate(values)]
+
+
+# ---------------------------------------------------------------------------
+# block builders
 
 
 def _build_operator(grid: DomainGrid, block: dict):
-    eta, m_bound = (None if block.get(k) is None else _number(block, k, None)
+    eta, m_bound = (None if block.get(k) is None else read_number(k, block[k])
                     for k in ("eta", "m_bound"))
     if "csv" in block:
         if eta is None or m_bound is None:
@@ -122,8 +141,8 @@ def _build_operator(grid: DomainGrid, block: dict):
         except OSError as exc:  # a coefficient file that cannot be read
             raise ConfigError("operators", str(exc)) from None
     else:
-        a = float(_number(block, "a", 1.0))
-        c = float(_number(block, "c", 0.0))
+        a = float(read_number("a", block.get("a", 1.0)))
+        c = float(read_number("c", block.get("c", 0.0)))
         coeffs = CoefficientField.constant(grid, a=a, c=c, eta=eta, m_bound=m_bound)
     return assemble_operator(grid, coeffs)
 
@@ -131,33 +150,31 @@ def _build_operator(grid: DomainGrid, block: dict):
 def _build_reaction(block: dict, r: int) -> ReactionSystem:
     kind = block.get("kind")
     if kind == "fhn":
-        return fhn_system(a=float(_number(block, "a", 1.0)),
-                          b=float(_number(block, "b", 1.0)))
+        return fhn_system(a=float(read_number("a", block.get("a", 1.0))),
+                          b=float(read_number("b", block.get("b", 1.0))))
     drifts_cfg = block.get("drifts")
     coupling_cfg = block.get("coupling", {"name": "none"})
     if drifts_cfg is None or len(drifts_cfg) != r:
         raise ConfigError("reaction", f"need {r} drift coefficient lists")
     drifts = []
     for l, coeffs in enumerate(drifts_cfg):
-        coeffs = _entries({f"drifts[{l}]": coeffs}, f"drifts[{l}]", _number)
+        coeffs = read_list(f"drifts[{l}]", coeffs, read_number)
         drifts.append(PolynomialDrift(coeffs) if coeffs else None)  # []: no drift
     name = coupling_cfg.get("name", "none")
     if name == "none":
         couplings = [coupling_none(r) for _ in range(r)]
     elif name == "linear":
-        rows = coupling_cfg.get("matrix")
-        if not isinstance(rows, list):
-            raise ValueError(f"matrix must be a list, got {rows!r}")
-        matrix = np.asarray([_entries({f"matrix[{l}]": row}, f"matrix[{l}]", _number)
-                             for l, row in enumerate(rows)], dtype=float)
+        rows = read_list("matrix", coupling_cfg.get("matrix"),
+                         lambda key, row: read_list(key, row, read_number))
+        matrix = np.asarray(rows, dtype=float)
         if matrix.shape != (r, r):
             raise ConfigError("reaction", f"linear coupling matrix must be {r}x{r}")
         couplings = [coupling_linear(matrix[l]) for l in range(r)]
     elif name == "fhn":
         if r != 2:
             raise ConfigError("reaction", "fhn coupling needs exactly 2 components")
-        couplings = fhn_couplings(float(_number(coupling_cfg, "a", 1.0)),
-                                  float(_number(coupling_cfg, "b", 1.0)))
+        couplings = fhn_couplings(float(read_number("a", coupling_cfg.get("a", 1.0))),
+                                  float(read_number("b", coupling_cfg.get("b", 1.0))))
     else:
         raise ConfigError("reaction", f"unknown coupling {name!r}")
     return ReactionSystem(drifts, couplings)
@@ -173,14 +190,14 @@ def _lambda_sequence(rule, modes: int) -> np.ndarray:
                 raise ValueError(f"lambda power must be finite, got {p!r}")
             return (np.arange(modes) + 1.0) ** (-p)
         raise ConfigError("noise", f"unknown lambda rule {rule!r}")
-    seq = np.asarray(_entries({"lambdas": rule}, "lambdas", _number), dtype=float)
+    seq = np.asarray(read_list("lambdas", rule, read_number), dtype=float)
     if seq.shape != (modes,):
         raise ConfigError("noise", f"{seq.size} lambdas for {modes} modes")
     return seq
 
 
 def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
-    modes = _integer(block, "modes", 8)
+    modes = read_integer("modes", block.get("modes", 8))
     if not 1 <= modes <= MAX_MODE:  # one Philox stream lane per mode
         raise ConfigError("noise", f"modes must be in [1, {MAX_MODE}], got {modes}")
     basis_kind = block.get("basis", "cosine-neumann")
@@ -189,26 +206,28 @@ def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
                                    "cannot be configured from file)")
     basis = cosine_neumann_basis(grid, modes)
     lam = _lambda_sequence(block.get("lambdas", "power:2"), modes)
-    lam = lam * float(_number(block, "scale", 1.0))
+    lam = lam * float(read_number("scale", block.get("scale", 1.0)))
     g_cfg = block.get("g", "sqrt-abs")
     names = g_cfg if isinstance(g_cfg, list) else [g_cfg] * r
     if len(names) != r:
         raise ConfigError("noise", f"need {r} amplitude names, got {len(names)}")
-    gs = [named_g(n) for n in names]
-    return build_noise([basis] * r, [lam] * r, gs)
+    # one amplitude object per name: one audit, and one amplitude run for
+    # the components that share it
+    by_name = {n: named_g(n) for n in names}
+    return build_noise([basis] * r, [lam] * r, [by_name[n] for n in names])
 
 
 def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
     kind = block.get("kind", "constant")
     if kind == "constant":
-        vals = _entries(block, "values", _number)
+        vals = read_list("values", block.get("values"), read_number)
         if len(vals) != r:
             raise ConfigError("initial", f"need {r} constant values")
         return np.outer(np.asarray(vals, dtype=float), np.ones(grid.n_total))
     if kind == "cosine":
-        means = _entries(block, "means", _number, [0.0] * r)
-        amps = _entries(block, "amplitudes", _number, [1.0] * r)
-        ks = _entries(block, "modes", _integer, [1] * r)
+        means = read_list("means", block.get("means", [0.0] * r), read_number)
+        amps = read_list("amplitudes", block.get("amplitudes", [1.0] * r), read_number)
+        ks = read_list("modes", block.get("modes", [1] * r), read_integer)
         x = grid.centers[:, 0]
         L = grid.extents[0]
         u = np.empty((r, grid.n_total))
@@ -226,10 +245,10 @@ def _build_solver_config(block: dict) -> SolverConfig:
                                 or math.isnan(sup_cap)):
         raise ConfigError("solver", f"sup_cap must be a number or null, got {sup_cap!r}")
     return SolverConfig(
-        dt=float(_number(block, "dt", None)),
-        t_end=float(_number(block, "t_end", None)),
+        dt=float(read_number("dt", block.get("dt"))),
+        t_end=float(read_number("t_end", block.get("t_end"))),
         scheme=block.get("scheme", "semi-implicit"), sup_cap=sup_cap,
-        store_stride=_integer(block, "store_stride", 1),
+        store_stride=read_integer("store_stride", block.get("store_stride", 1)),
     )
 
 
@@ -240,9 +259,22 @@ def _path_resolution(cfg: dict, solver_cfg: SolverConfig) -> tuple[int, float]:
     noise = cfg["noise"]
     with config_block("noise"):
         dt_fine = (solver_cfg.dt if noise.get("dt_fine") is None
-                   else _number(noise, "dt_fine", None))
+                   else read_number("dt_fine", noise["dt_fine"]))
         j = dyadic_level(solver_cfg.dt, dt_fine)
     return solver_cfg.n_steps * (1 << j), dt_fine
+
+
+def check_positivity_preconditions(noise: NoiseModel, initial: np.ndarray,
+                                   subject: str = "positivity") -> None:
+    """Raise AuditError unless every amplitude vanishes at zero and the
+    initial fields are nonnegative; ``subject`` names the caller in the
+    negative-initial message."""
+    for l, comp in enumerate(noise.components):
+        g0 = float(comp.g(np.asarray([0.0]))[0])
+        if g0 != 0.0:
+            raise AuditError("g(0)!=0", f"component {l}: g(0) = {g0:.6g}")
+    if np.any(initial < 0):
+        raise AuditError("negative-initial", f"{subject} needs nonnegative initials")
 
 
 def build_problem(cfg: dict):
@@ -254,9 +286,9 @@ def build_problem(cfg: dict):
     """
     with config_block("grid"):
         block = cfg["grid"]
-        grid = build_grid(_integer(block, "dim", None),
-                          _entries(block, "extents", _number),
-                          _entries(block, "n_cells", _integer))
+        grid = build_grid(read_integer("dim", block.get("dim")),
+                          read_list("extents", block.get("extents"), read_number),
+                          read_list("n_cells", block.get("n_cells"), read_integer))
     op_blocks = cfg["operators"]
     if not isinstance(op_blocks, list) or not op_blocks:
         raise ConfigError("operators", "need a nonempty per-component list")

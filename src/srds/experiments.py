@@ -10,16 +10,17 @@ confidence bounds of ensemble means against their envelopes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__ as _version
+from .config import (check_positivity_preconditions, read_flag, read_integer,
+                     read_list, read_number)
 from .errors import AuditError, SolverFailure
 from .reaction import ReactionSystem, check_quasi_positive, coupling_linear, coupling_none
-from .noise import NoiseModel, build_noise
+from .noise import build_noise
 from .rng import WienerPath, sample_path
 from .solver import (Problem, SolverConfig, StoppingRecord, Trajectory,
                      exit_index, mild_residual, simulate, truncate_problem,
@@ -36,33 +37,6 @@ def mean_upper_ci(values: np.ndarray) -> tuple[float, float]:
         return m, m
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
     return m, m + Z95 * sem
-
-
-def require_count(least: int = 1, /, **counts) -> None:
-    """Raise ValueError for the first count that is not a JSON integer (true
-    would run one sample) or is below ``least``: a check run on zero
-    samples would pass without evidence."""
-    for key, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{key} must be >= {least}")
-
-
-def require_flag(**flags) -> None:
-    """Raise ValueError for the first value that is not a boolean: a string
-    such as "false" would be read by its truthiness."""
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"{key} must be true or false")
-
-
-def require_list(**values) -> None:
-    """Raise ValueError for the first value that is not a list: a string
-    would be iterated per character."""
-    for key, value in values.items():
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{key} must be a list")
 
 
 @dataclass
@@ -158,18 +132,13 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     Cauchy at t_end.  More than half the base runs leaving the cap raise
     SolverFailure.
     """
-    require_count(n_paths=n_paths, cauchy_paths=cauchy_paths)
-    require_count(0, cauchy_refinements=cauchy_refinements)
-    require_list(eps_list=eps_list)
-    eps_list = [float(e) for e in eps_list]
+    read_integer("n_paths", n_paths, least=1)
+    read_integer("cauchy_paths", cauchy_paths, least=1)
+    read_integer("cauchy_refinements", cauchy_refinements, least=0)
+    eps_list = [float(e) for e in read_list("eps_list", eps_list, read_number, above=0)]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be nonempty and strictly decreasing")
-    if not all(0 < e < math.inf for e in eps_list):
-        raise ValueError("eps_list entries must be finite and > 0")
-    # first used after the twin runs: a wrong type must fail before any path
-    slack_factor = 1.0 + slack
-    if not 0 <= slack < math.inf:
-        raise ValueError("slack must be finite and >= 0")
+    read_number("slack", slack, least=0)
     cap = config.sup_cap if config.sup_cap is not None else 8.0
     run_cfg = replace(config, sup_cap=cap)
     m_radius = cap
@@ -223,7 +192,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
         times = stored_times[:n_common]
         means = gaps.mean(axis=0)
         uppers = np.array([mean_upper_ci(gaps[:, i])[1] for i in range(n_common)])
-        env = d0 * np.exp(rate * times) * slack_factor
+        env = d0 * np.exp(rate * times) * (1.0 + slack)
         ok = bool(np.all(uppers <= env + 1e-300))
         envelope_ok = envelope_ok and ok
         terminal[e] = mean_upper_ci(gaps[:, -1])
@@ -235,7 +204,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
                      f"rate r*L_m={rate:.4g}, slack {slack}")
 
     means_T = [terminal[e][0] for e in eps_list]
-    mono = all(means_T[i + 1] <= means_T[i] * slack_factor for i in range(len(eps_list) - 1))
+    mono = all(means_T[i + 1] <= means_T[i] * (1.0 + slack) for i in range(len(eps_list) - 1))
     vanishing = means_T[-1] < means_T[0]
     report.add_check("gap-monotone-in-eps", bool(mono and vanishing),
                      "mean D(T) = " + ", ".join(f"{e:g}:{m:.3e}"
@@ -286,19 +255,6 @@ def _zero_noise(problem: Problem) -> Problem:
     return replace(problem, noise=noise)
 
 
-def check_positivity_preconditions(noise: NoiseModel, initial: np.ndarray,
-                                   subject: str = "positivity") -> None:
-    """Raise AuditError unless every amplitude vanishes at zero and the
-    initial fields are nonnegative; ``subject`` names the caller in the
-    negative-initial message."""
-    for l, comp in enumerate(noise.components):
-        g0 = float(comp.g(np.asarray([0.0]))[0])
-        if g0 != 0.0:
-            raise AuditError("g(0)!=0", f"component {l}: g(0) = {g0:.6g}")
-    if np.any(initial < 0):
-        raise AuditError("negative-initial", f"{subject} needs nonnegative initials")
-
-
 def negative_control_problem(problem: Problem) -> Problem:
     """Same diffusion, reaction replaced by the non-quasi-positive
     f(u, v, ...) = (-u_2, 0, ..., 0), noise switched off."""
@@ -325,10 +281,10 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     non-quasi-positive control must go genuinely
     negative for the verdict to have power.
     """
-    require_count(n_paths=n_paths)
-    require_flag(control=control)
-    if c_tol is not None and not 0 < c_tol < math.inf:
-        raise ValueError("c_tol must be finite and > 0")
+    read_integer("n_paths", n_paths, least=1)
+    read_flag("control", control)
+    if c_tol is not None:
+        read_number("c_tol", c_tol, above=0)
     qp = check_quasi_positive(problem.reaction, grid_samples=2000, range_m=5.0)
     if not qp.passed:
         raise AuditError("quasi-positivity", f"witness {qp.witness}")
@@ -401,13 +357,10 @@ def _refine(problem: Problem, config: SolverConfig, path: WienerPath,
 
 def _ladder_levels(levels) -> list[float]:
     """The truncation levels as floats; raise ValueError unless they are a
-    nonempty increasing list of levels >= 1 (NaN is none)."""
-    require_list(levels=levels)
-    levels = [float(n) for n in levels]
+    nonempty increasing list of finite levels >= 1."""
+    levels = [float(n) for n in read_list("levels", levels, read_number, least=1)]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be a nonempty increasing list")
-    if not all(n >= 1 for n in levels):
-        raise ValueError("truncation level must be >= 1")
     return levels
 
 
@@ -468,9 +421,8 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     never leave the smallest level: on it every level is bitwise the same run.
     """
     # at p = inf every m_n is 1: the levels would stabilize on no evidence
-    if not 2 < p < math.inf:
-        raise ValueError("moment exponent must be finite and > 2")
-    require_count(n_paths=n_paths)
+    read_number("p", p, above=2)
+    read_integer("n_paths", n_paths, least=1)
     levels = _ladder_levels(levels)  # before any path is sampled
     run_cfg = replace(config, store_stride=max(1, config.n_steps))
 

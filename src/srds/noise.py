@@ -418,15 +418,15 @@ class NoiseModel:
 def build_noise(bases, lambdas, gs, audit: bool = True) -> NoiseModel:
     """Assemble a NoiseModel from per-component bases, lambdas and amplitudes.
 
-    The declared growth/Hölder constants of each amplitude are audited on
-    seeded samples unless ``audit=False``.
+    The declared growth/Hölder constants of each amplitude object are
+    audited once, on seeded samples, unless ``audit=False``.
     """
     if not len(bases) == len(lambdas) == len(gs):
         raise ValueError(f"need one basis, lambda vector and amplitude per component, "
                          f"got {len(bases)}, {len(lambdas)} and {len(gs)}")
     comps = []
     for b, lam, gg in zip(bases, lambdas, gs):
-        if audit:
+        if audit and all(c.g is not gg for c in comps):
             gg.audit()
         lam = np.asarray(lam, dtype=float)
         # an earlier component on the same basis object with bitwise-equal

@@ -7,16 +7,15 @@ returns an ExperimentReport whose verdict drives the process exit code.  The
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
-from .config import config_block
+from .config import (config_block, read_flag, read_integer, read_list,
+                     read_number)
 from .errors import AuditError
 from .experiments import (ExperimentReport, _provenance, _zero_noise,
                           moment_experiment, positivity_experiment,
-                          require_count, require_flag, require_list,
                           residual_refinement, uniqueness_experiment)
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
@@ -34,7 +33,7 @@ SPECTRAL_LU_TRIALS = 5
 
 def suite_operator(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, trials: int = 1000) -> ExperimentReport:
-    require_count(trials=trials)
+    read_integer("trials", trials, least=1)
     report = ExperimentReport(name="operator", parameters={"trials": trials},
                               provenance=_provenance(problem, config, master_seed))
     rng = np.random.default_rng(master_seed)
@@ -107,14 +106,12 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, radii=(1.0, 10.0, 100.0),
                    samples: int = 10_000, dissipativity_trials: int = 300,
                    quasi_positive: bool = True) -> ExperimentReport:
-    require_count(samples=samples, dissipativity_trials=dissipativity_trials)
-    require_flag(quasi_positive=quasi_positive)
-    require_list(radii=radii)
-    if not radii:
-        raise ValueError("radii must be a nonempty list")
+    read_integer("samples", samples, least=1)
+    read_integer("dissipativity_trials", dissipativity_trials, least=1)
+    read_flag("quasi_positive", quasi_positive)
     # at radius 0 every sampled u is zero and no margin is evaluated
-    if not all(0 < m < math.inf for m in radii):
-        raise ValueError("radii entries must be finite and > 0")
+    if not read_list("radii", radii, read_number, above=0):
+        raise ValueError("radii must be a nonempty list")
     sys = problem.reaction
     report = ExperimentReport(
         name="reaction",
@@ -195,9 +192,10 @@ def suite_noise(problem: Problem, config: SolverConfig, initial,
 def suite_mollifier(problem: Problem, config: SolverConfig, initial,
                     master_seed: int, n_max: int = 5, C: float | None = None,
                     probe_points: int = 10_001) -> ExperimentReport:
-    require_count(probe_points=probe_points, n_max=n_max)
-    if C is not None and (isinstance(C, bool) or not isinstance(C, (int, float))):
-        raise ValueError(f"C must be a number or null, got {C!r}")
+    read_integer("probe_points", probe_points, least=1)
+    read_integer("n_max", n_max, least=1)
+    if C is not None:
+        read_number("C", C)
     report = ExperimentReport(
         name="mollifier",
         parameters={"n_max": n_max, "C": C, "probe_points": probe_points},
@@ -252,7 +250,9 @@ def _with_named_g(problem: Problem, name: str) -> Problem:
 def suite_residual(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, t_end: float = 0.25, dt: float = 1.0 / 256,
                    n_paths: int = 32) -> ExperimentReport:
-    require_count(n_paths=n_paths)
+    read_number("t_end", t_end)
+    read_number("dt", dt)
+    read_integer("n_paths", n_paths, least=1)
     report = ExperimentReport(
         name="residual",
         parameters={"t_end": t_end, "dt": dt, "n_paths": n_paths},
@@ -306,9 +306,13 @@ SUITES = {
 
 
 def run_suite(name: str, problem: Problem, config: SolverConfig,
-              initial: np.ndarray, params: dict, master_seed: int) -> ExperimentReport:
+              initial: np.ndarray, block: dict, master_seed: int) -> ExperimentReport:
+    """Run suite ``name`` with the keys of ``block``, the config's
+    ``experiment`` block, other than its ``name`` as keyword arguments; a
+    block that names another suite configures nothing here."""
     if name not in SUITES:
         raise AuditError("suite", f"unknown suite {name!r}")
-    params = {k: v for k, v in params.items() if k != "name"}
+    params = ({k: v for k, v in block.items() if k != "name"}
+              if block.get("name") in (None, name) else {})
     with config_block("experiment"):
         return SUITES[name](problem, config, initial, master_seed, **params)

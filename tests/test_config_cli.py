@@ -735,36 +735,36 @@ BAD_VALUES = [
     ("verify operator", ("experiment",), {"name": "operator", "trials": "50"},
      "experiment", "trials must be an integer, got '50'"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "slack": "0.1"},
-     "experiment", "unsupported operand type(s) for +: 'float' and 'str'"),
+     "experiment", "slack must be a finite number, got '0.1'"),
     # flags are JSON booleans and sequences JSON lists: a string is neither
     # read by its truthiness nor iterated per character
     ("verify positivity", ("experiment",), {"name": "positivity", "control": "false"},
-     "experiment", "control must be true or false"),
+     "experiment", "control must be true or false, got 'false'"),
     ("verify reaction", ("experiment",), {"name": "reaction", "quasi_positive": "false"},
-     "experiment", "quasi_positive must be true or false"),
+     "experiment", "quasi_positive must be true or false, got 'false'"),
     ("verify moments", ("experiment",), {"name": "moments", "levels": "48"},
-     "experiment", "levels must be a list"),
+     "experiment", "levels must be a list, got '48'"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "eps_list": "321"},
-     "experiment", "eps_list must be a list"),
+     "experiment", "eps_list must be a list, got '321'"),
     ("verify reaction", ("experiment",), {"name": "reaction", "radii": "1"},
-     "experiment", "radii must be a list"),
+     "experiment", "radii must be a list, got '1'"),
     ("verify reaction", ("experiment",), {"name": "reaction", "radii": []},
      "experiment", "radii must be a nonempty list"),
     # values of the right type that mean nothing
     ("verify uniqueness", ("experiment",),
      {"name": "uniqueness", "eps_list": [-1e-3, -1e-2]}, "experiment",
-     "eps_list entries must be finite and > 0"),
+     "eps_list[0] must be > 0"),
     ("verify uniqueness", ("experiment",), {"name": "uniqueness", "slack": float("nan")},
-     "experiment", "slack must be finite and >= 0"),
+     "experiment", "slack must be a finite number, got nan"),
     ("verify positivity", ("experiment",), {"name": "positivity", "c_tol": -1},
-     "experiment", "c_tol must be finite and > 0"),
+     "experiment", "c_tol must be > 0"),
     ("verify uniqueness", ("experiment",),
      {"name": "uniqueness", "cauchy_refinements": -1}, "experiment",
      "cauchy_refinements must be >= 0"),
     # a check run on no evidence: every sampled u is zero at radius 0, so no
     # dissipativity margin is evaluated
     ("verify reaction", ("experiment",), {"name": "reaction", "radii": [0]},
-     "experiment", "radii entries must be finite and > 0"),
+     "experiment", "radii[0] must be > 0"),
     # experiment counts are JSON integers too: true ran one path, one
     # refinement, one trial, a 1-point probe or one mollifier level
     *[(f"verify {suite}", ("experiment",), {"name": suite, key: True}, "experiment",
@@ -772,8 +772,21 @@ BAD_VALUES = [
       for suite, key in (("uniqueness", "n_paths"), ("uniqueness", "cauchy_paths"),
                          ("uniqueness", "cauchy_refinements"), ("operator", "trials"),
                          ("mollifier", "probe_points"), ("mollifier", "n_max"))],
-    ("verify mollifier", ("experiment",), {"name": "mollifier", "C": True},
-     "experiment", "C must be a number or null, got True"),
+    # experiment numbers are finite JSON numbers as well: true was read as
+    # 1, and a NaN C failed inside the root finder
+    *[(f"verify {suite}", ("experiment",), {"name": suite, **params}, "experiment",
+       f"{key} must be a finite number, got {bad!r}")
+      for suite, params, key, bad in (
+          ("uniqueness", {"slack": True}, "slack", True),
+          ("uniqueness", {"eps_list": [True, 0.1]}, "eps_list[0]", True),
+          ("positivity", {"c_tol": True}, "c_tol", True),
+          ("moments", {"levels": [True, 4]}, "levels[0]", True),
+          ("reaction", {"radii": [True, 10.0]}, "radii[0]", True),
+          ("residual", {"t_end": True}, "t_end", True),
+          ("residual", {"dt": True}, "dt", True),
+          ("mollifier", {"C": True}, "C", True),
+          ("mollifier", {"C": float("nan")}, "C", float("nan")),
+          ("mollifier", {"C": float("inf")}, "C", float("inf")))],
     # a level whose a_n underflows is a value the family cannot be built at
     ("verify mollifier", ("experiment",), {"name": "mollifier", "n_max": 60},
      "experiment", "level 60 not representable; largest feasible level is 32"),

@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srds import (SolverConfig, est2_bound_check, moment_experiment,
-                  negative_control_problem, positivity_experiment,
+from srds import (SolverConfig, build_problem, est2_bound_check, moment_experiment,
+                  negative_control_problem, positivity_experiment, preset_fhn,
                   residual_refinement, uniqueness_experiment)
 from srds.errors import AuditError
+from srds.noise import HolderFunction
 from srds.reaction import CouplingTerm, ReactionSystem
 from srds.experiments import _make_path, _refine, mean_upper_ci
 from srds.rng import sample_path
@@ -323,15 +324,29 @@ def test_residual_refinement_orders_small():
     assert np.all(np.abs(lip - 2.0**-0.5) <= 0.25)
 
 
-@pytest.mark.parametrize("derive", [_zero_noise, negative_control_problem,
-                                    lambda p: _with_named_g(p, "lipschitz:1")],
-                         ids=["zero-noise", "negative-control", "lipschitz-g"])
-def test_derived_problems_keep_one_table_and_one_amplitude_run(derive):
-    prob = derive(build_fhn_problem())
+def _power_config_problem():
+    cfg = preset_fhn()
+    cfg["noise"]["g"] = "power:0.5"
+    return build_problem(cfg)[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _zero_noise(build_fhn_problem()),
+    lambda: negative_control_problem(build_fhn_problem()),
+    lambda: _with_named_g(build_fhn_problem(), "lipschitz:1"),
+    _power_config_problem,
+], ids=["zero-noise", "negative-control", "lipschitz-g", "power-config"])
+def test_derived_problems_keep_one_table_and_one_amplitude_run(build, monkeypatch):
+    audited = []
+    audit = HolderFunction.audit
+    monkeypatch.setattr(HolderFunction, "audit", lambda g: audited.append(g) or audit(g))
+    prob = build()
     first, second = prob.noise.components
     assert first.mode_fields is second.mode_fields
     runs = _step_runs(prob, 1e-3)[1]
     assert [rows for _, rows in runs] == [slice(0, 2)]
+    # one amplitude object, audited once; a derivation audits nothing
+    assert first.g is second.g and len(audited) == 1
 
 
 # --- report plumbing ----------------------------------------------------------------
