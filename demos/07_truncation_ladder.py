@@ -23,10 +23,10 @@ cfg = srds.SolverConfig(dt=1e-3, t_end=0.25, store_stride=1)
 print("gluing on 4 paths, levels {1, 2, 4, 8}:")
 for p in range(4):
     path = srds.sample_path(5, 2, 8, 250, 1e-3, path_index=p)
-    glued, exit_steps = srds.glue_ladder(problem, cfg, path, init,
-                                         [1.0, 2.0, 4.0, 8.0])
+    glued, exits = srds.glue_ladder(problem, cfg, path, init,
+                                    [1.0, 2.0, 4.0, 8.0])
     print(f"  path {p}: exit times rho_n = "
-          f"{[f'{e * cfg.dt:.3f}' for e in exit_steps]}")
+          f"{[f'{e.time:.3f}' for e in exits]}")
 
 cfg2 = srds.SolverConfig(dt=2e-3, t_end=0.5)
 report = srds.moment_experiment(problem, cfg2, init, 4.0, [4.0, 8.0, 16.0, 32.0],

@@ -231,8 +231,9 @@ def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
         x = grid.centers[:, 0]
         L = grid.extents[0]
         u = np.empty((r, grid.n_total))
-        for l in range(r):
-            u[l] = means[l] + amps[l] * np.cos(ks[l] * np.pi * x / L)
+        with np.errstate(over="raise"):  # a field beyond the largest float
+            for l in range(r):
+                u[l] = means[l] + amps[l] * np.cos(ks[l] * np.pi * x / L)
         return u
     raise ConfigError("initial", f"unknown initial kind {kind!r}")
 

@@ -365,9 +365,9 @@ def _ladder_levels(levels) -> list[float]:
 
 
 def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
-               initial: np.ndarray, levels) -> tuple[list[Trajectory], list[int]]:
+               initial: np.ndarray, levels) -> tuple[list[Trajectory], list[StoppingRecord]]:
     """Simulate every truncation level on one path, without a sup cap, and
-    return the per-level trajectories and exit steps rho_n (``exit_index``).
+    return the per-level trajectories and exits rho_n (``exit_index``).
 
     Consecutive levels must agree bitwise, in sup norms and stored states,
     up to (and including) min(rho_n, rho_{n+1}); otherwise raise
@@ -384,7 +384,8 @@ def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
 
     for (na, ta, ea), (nb, tb, eb) in zip(zip(levels, trajs, exits),
                                           zip(levels[1:], trajs[1:], exits[1:])):
-        ta, tb = ta.until(min(ea, eb)), tb.until(min(ea, eb))
+        cut = min(ea.step_index, eb.step_index)
+        ta, tb = ta.until(cut), tb.until(cut)
         differs = np.nonzero(np.any(ta.sup_norms != tb.sup_norms, axis=1))[0]
         if differs.size or not np.array_equal(ta.states, tb.states):
             at = int(differs[0]) if differs.size else -1
@@ -394,17 +395,14 @@ def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
 
 
 def glue_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
-                initial: np.ndarray, levels) -> tuple[Trajectory, list[int]]:
+                initial: np.ndarray, levels) -> tuple[Trajectory, list[StoppingRecord]]:
     """Run the truncation ladder on one path (``run_ladder``) and glue along
     the exits: the glued maximal trajectory is the top level's, cut at its
-    own exit.  Returns it with the per-level exit steps rho_n.
+    own exit, whose record it carries.  Returns it with the per-level
+    exits rho_n.
     """
     trajs, exits = run_ladder(problem, config, path, initial, levels)
-    top, cut, level = trajs[-1], exits[-1], float(levels[-1])
-    # an exit at the final step still triggers: rho_n = T either way
-    triggered = bool(top.e_norms()[cut] > level)
-    glued = replace(top.until(cut), stopping=StoppingRecord(
-        triggered, level, cut * config.dt, cut, "e-norm-sum"))
+    glued = replace(trajs[-1].until(exits[-1].step_index), stopping=exits[-1])
     return glued, exits
 
 
@@ -416,9 +414,11 @@ def moment_experiment(problem: Problem, config: SolverConfig,
 
     The levels of each path run through ``run_ladder``, so a path's levels
     agree bitwise up to their exits, or SolverFailure("ladder-inconsistency")
-    is raised.  m_n must stabilize over the top half of the levels, each
-    within 5% of the top level's, and at least one path (a core path) must
-    never leave the smallest level: on it every level is bitwise the same run.
+    is raised.  Every m_n must be positive and finite (one that underflowed
+    to 0 or overflowed is no evidence) and stabilize over the top half of
+    the levels, each within 5% of the top level's, and at least one path (a
+    core path) must never leave the smallest level: on it every level is
+    bitwise the same run.
     """
     # at p = inf every m_n is 1: the levels would stabilize on no evidence
     read_number("p", p, above=2)
@@ -437,12 +437,11 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     for ip in range(n_paths):
         path = _make_path(problem, run_cfg, master_seed, ip)
         trajs, exits = run_ladder(problem, run_cfg, path, initial, levels)
-        for il, (n, traj, rho) in enumerate(zip(levels, trajs, exits)):
-            e_norms = traj.e_norms()
-            sup_vals[ip, il] = float(e_norms.max())
-            exited[ip, il] = bool(e_norms[rho] > n)
+        sup_vals[ip] = [traj.e_norms().max() for traj in trajs]
+        exited[ip] = [rho.triggered for rho in exits]
 
-    m_n = (np.mean(sup_vals**p, axis=0)) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # an inf m_n fails the check below
+        m_n = (np.mean(sup_vals**p, axis=0)) ** (1.0 / p)
     report.tables["moments"] = (
         ["level", "m_n", "exit_fraction"],
         [[lv, float(m), float(ex)] for lv, m, ex in
@@ -451,7 +450,9 @@ def moment_experiment(problem: Problem, config: SolverConfig,
 
     top_half = m_n[len(levels) // 2:]
     last = m_n[-1]
-    stable = bool(np.all(np.abs(top_half - last) <= 0.05 * abs(last)))
+    # an m_n of 0 (every sup**p underflowed) or inf (overflowed) is no evidence
+    stable = bool(np.all((m_n > 0) & np.isfinite(m_n))
+                  and np.all(np.abs(top_half - last) <= 0.05 * abs(last)))
     report.add_check("moment-stabilization", stable,
                      ", ".join(f"{lv:g}:{m:.4g}" for lv, m in zip(levels, m_n)))
 

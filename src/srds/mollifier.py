@@ -23,9 +23,9 @@ from .errors import AuditError
 
 
 class MollifierRangeError(ValueError):
-    """Raised when a_n underflows before reaching the requested level: a
-    value the family cannot be built at, so a config error where one asks
-    for it."""
+    """Raised when a_n underflows, or rounds to a_{n-1}, before reaching the
+    requested level: a value the family cannot be built at, so a config
+    error where one asks for it."""
 
     def __init__(self, requested: int, max_feasible: int):
         self.requested = requested
@@ -137,7 +137,7 @@ def build_mollifier(rho, n_max: int) -> MollifierFamily:
     a_n solves int_{a_n}^{a_{n-1}} ds/rho(s) = n (adaptive quadrature plus
     bracketed root finding, relative tolerance well below 1e-10); each
     level's table has 4097 log-spaced nodes.  Raises MollifierRangeError
-    with the largest feasible level if a_n underflows.
+    with the largest feasible level if a_n underflows or rounds to a_{n-1}.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -158,6 +158,8 @@ def build_mollifier(rho, n_max: int) -> MollifierFamily:
             lo /= 16.0
             if lo < 1e-280:
                 raise MollifierRangeError(n_max, n - 1)
+        if gap_log(math.log(hi) - 1e-15) > 0.0:  # a_n rounds to a_{n-1}
+            raise MollifierRangeError(n_max, n - 1)
         # root finding in log space keeps the tolerance relative in a_n
         y_n = brentq(gap_log, math.log(lo), math.log(hi) - 1e-15,
                      xtol=1e-13, rtol=8.9e-16, maxiter=200)

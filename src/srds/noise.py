@@ -229,7 +229,7 @@ def named_g(name: str) -> HolderFunction:
                              f"got {alpha!r}")
         return HolderFunction(_Power(alpha), 1.0, 1.0, lambda m: 1.0, name=name,
                               exponent=alpha)
-    raise AuditError("noise-g", f"unknown amplitude name {name!r}")
+    raise ValueError(f"unknown amplitude name {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Reaction terms f_l = h_l + k_l: odd polynomial drifts with negative
 leading coefficients plus locally Lipschitz couplings of linear growth.
 
-Construction certifies the one-sided polynomial bounds
+``ReactionSystem.certificates`` certifies, on first read, the one-sided
+polynomial bounds
 
     h(s) <= a2 - b2 s^q   on s >= 0,      a1 - b1 s^q <= h(s)   on s <= 0,
 
@@ -13,6 +14,7 @@ constants which are trusted but audited on seeded samples.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,8 +303,6 @@ class ReactionSystem:
         self.r = len(drifts)
         self.drifts = list(drifts)
         self.couplings = list(couplings)
-        self.certificates = [ZERO_CERTIFICATE if h is None else check_f1_f2(h)
-                             for h in self.drifts]
         # what ``evaluate`` runs per component: the drift's Horner columns
         # (None without a drift) and the coupling's function
         self._plan = [(None if h is None else h.columns, k.fn)
@@ -310,6 +310,13 @@ class ReactionSystem:
         if audit:
             for k in self.couplings:
                 k.audit(self.r)
+
+    @functools.cached_property
+    def certificates(self) -> list[F1F2Certificate]:
+        """The (F1)/(F2) certificate of each drift, derived on first read:
+        only the dissipativity margins and the est2 bound read them."""
+        return [ZERO_CERTIFICATE if h is None else check_f1_f2(h)
+                for h in self.drifts]
 
     def evaluate(self, u: np.ndarray, coupling_at: np.ndarray | None = None) -> np.ndarray:
         """F(u): each drift h_l reads u_l and the couplings read the state

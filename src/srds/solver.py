@@ -14,10 +14,11 @@ semigroup factor are inherited from the M-matrix structure of the operator.
 ``step`` does not check the state it returns.  One block driver,
 ``_advance``, steps ``simulate`` and ``mild_residual`` alike: it runs the
 steps in blocks of at most STATE_BLOCK_FLOATS floats of state and checks a
-block at once: one reduction fills its sup norms and one its minima, and the
-first step whose largest norm is not <= the sup cap (the largest float
-without one) is either a non-finite state, raised at its step, component
-and cell, or the cap exit.  After a cap exit up to block - 1 more steps may
+block at once, the initial state as a block of its own (step 0): one
+reduction fills its sup norms and one its minima, and the first step whose
+largest norm is not <= the sup cap (the largest float without one) is
+either a non-finite state, raised at its step, component and cell, or the
+cap exit.  After a cap exit up to block - 1 more steps may
 have been computed; they are never reported.  A truncated step maps its
 state once (``_truncate``); a truncated run is checked against its level
 ball once per block too, and steps untruncated inside it (see
@@ -119,6 +120,11 @@ class SolverConfig:
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
 
+    @property
+    def cap_level(self) -> float:
+        """The sup cap as a stopping level: inf without one."""
+        return math.inf if self.sup_cap is None else self.sup_cap
+
     def descriptor(self) -> str:
         return json.dumps(
             {"dt": self.dt, "t_end": self.t_end, "scheme": self.scheme,
@@ -128,9 +134,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StoppingRecord:
-    """First exit above a level.  ``criterion`` records which norm was used:
-    "component-max" (max_l ||u_l||_inf, the cap rule) or "e-norm-sum"
-    (sum_l ||u_l||_inf, the truncation-ladder rule)."""
+    """First exit above a level, or, untriggered, the last step reached
+    within it.  ``criterion`` records which norm was used: "component-max"
+    (max_l ||u_l||_inf, the cap rule; ``simulate`` builds it) or
+    "e-norm-sum" (sum_l ||u_l||_inf, the truncation-ladder rule;
+    ``exit_index`` builds it)."""
 
     triggered: bool
     level: float
@@ -316,15 +324,17 @@ def _ball_exit(states: np.ndarray, level: float) -> int:
 
 def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
              inc: np.ndarray, norms: np.ndarray, points=None):
-    """Step from the state u over (n_steps, r, K) increments; yield
-    (a, states, exited) per block of at most STATE_BLOCK_FLOATS floats of
-    states, an (m, r, n) view of one reused buffer whose row j is step
-    a + 1 + j, with its sup norms written to ``norms[a:a + m]``.  Modal
-    fields are built MODAL_BLOCK_FLOATS at a time; each step goes through
-    ``step`` at ``points(i)``, the (drift_at, noise_at) of the step from
-    state i, if given.  ``_first_exit`` checks a block: the first state
-    whose largest norm exceeds the sup cap ends the run, its block cut
-    after it and yielded with ``exited`` true.
+    """Judge the state u, step 0, and step from it over (n_steps, r, K)
+    increments; yield (a, states, exited) per block, an (m, r, n) view whose
+    row j is step a + 1 + j, with its sup norms written to
+    ``norms[a + 1:a + 1 + m]`` (n_steps + 1 rows).  The first block is
+    u itself at a = -1; the later ones hold at most STATE_BLOCK_FLOATS
+    floats of states, in one reused buffer.  Modal fields are built
+    MODAL_BLOCK_FLOATS at a time; each step goes through ``step`` at
+    ``points(i)``, the (drift_at, noise_at) of the step from state i, if
+    given.  One ``_first_exit`` call judges every block, step 0's too: the
+    first state whose largest norm exceeds the sup cap ends the run, its
+    block cut after it and yielded with ``exited`` true.
 
     Without ``points``, a truncated problem is checked against its ball
     once per block too, the one place truncation is skipped.  Inside the
@@ -337,8 +347,8 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     leaves its ball early or crosses it often drops few steps."""
     # a finite cap, so that an inf norm is never within it; a sup cap that
     # is None, inf or NaN halts no finite run, as FINITE_CAP
-    cap = config.sup_cap
-    cap = cap if cap is not None and cap < FINITE_CAP else FINITE_CAP
+    cap = config.cap_level
+    cap = cap if cap < FINITE_CAP else FINITE_CAP
     plan = _step_runs(problem, config.dt)
     level = problem.level if points is None else None
     if level is not None:
@@ -350,9 +360,15 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     # the longest untruncated block: one step at first, doubled at each
     # untruncated block that stays inside, halved at each ball exit
     span = 1
-    a = c = 0
+    a, states = -1, u[None]
+    c = 0
     fields = inc[:0]  # the modal fields of steps c + 1 ..., c a multiple of chunk
-    while a < len(inc):
+    while True:
+        k = _first_exit(states, norms[a + 1:a + 1 + len(states)], cap, a + 1)
+        yield a, states[:k + 1], k < len(states)
+        a += len(states)
+        if k < len(states) or a == len(inc):
+            return
         if a == c + len(fields):
             c = a
             fields = problem.noise.modal_fields(inc[c:c + chunk])
@@ -375,11 +391,6 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
                 u = states[-1]
         elif level is not None:
             inside = _ball_exit(states[-1:], level) == 1
-        k = _first_exit(states, norms[a:a + len(states)], cap, a + 1)
-        yield a, states[:k + 1], k < len(states)
-        if k < len(states):
-            return
-        a += len(states)
 
 
 def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
@@ -388,59 +399,42 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
 
     States are stored every ``store_stride`` steps (the final state always);
     per-step sup norms are recorded at full resolution regardless.  Steps
-    run in blocks (``_advance``) checked after the fact: a cap exit, or a
-    truncated run's exit from its ball, drops the block's later states,
-    which are computed but never reported.
+    run in blocks (``_advance``) checked after the fact, the initial state
+    as step 0: a cap exit, or a truncated run's exit from its ball, drops
+    the block's later states, which are computed but never reported.
     """
     u = np.array(initial, dtype=float)
     if u.shape != (problem.r, problem.grid.n_total):
         raise ValueError(f"initial shape {u.shape}, expected "
                          f"{(problem.r, problem.grid.n_total)}")
     n_steps = config.n_steps
-    norms = np.empty((n_steps + 1, problem.r))
-    np.abs(u).max(axis=1, out=norms[0])
-    top = norms[0].max()
-    if not math.isfinite(top):  # an inf or NaN in the initial field
-        raise SolverFailure("non-finite-state", "initial field", step=0)
     # one contiguous (r, K) block of increments per step
     inc = np.ascontiguousarray(
         _resolve_increments(config, path)[:, :, :n_steps].transpose(2, 0, 1))
     stride = config.store_stride
-    cap = config.sup_cap
-
+    norms = np.empty((n_steps + 1, problem.r))
     mins = np.empty((n_steps + 1, problem.r))
-    u.min(axis=1, out=mins[0])
-    stopping = None
-    if cap is not None and top > cap:
-        stopping = StoppingRecord(True, cap, 0.0, 0, "component-max")
-        n_steps = 0
     # every stride-th state, then the last one if it is not among them
     states = np.empty((n_steps // stride + 2,) + u.shape)
-    states[0] = u
-    n_stored = 1
+    n_stored = 0
 
-    i = 0
     # an overflow surfaces as _first_exit's located non-finite-state failure
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, block, exited in _advance(problem, config, u, inc[:n_steps],
-                                         norms[1:]):
+        for a, block, exited in _advance(problem, config, u, inc, norms):
             block.min(axis=2, out=mins[a + 1:a + 1 + len(block)])
             # block[j] is step a + 1 + j
             kept = block[-(a + 1) % stride::stride]
             states[n_stored:n_stored + len(kept)] = kept
             n_stored += len(kept)
-            i = a + len(block)
-            if exited:
-                stopping = StoppingRecord(True, cap, i * config.dt, i, "component-max")
 
+    i = a + len(block)  # the last step reached
     stored_idx = list(range(0, i + 1, stride))
     if stored_idx[-1] != i:
         states[n_stored] = block[-1]
         n_stored += 1
         stored_idx.append(i)
-    if stopping is None:
-        stopping = StoppingRecord(False, math.inf if cap is None else cap,
-                                  n_steps * config.dt, n_steps, "component-max")
+    stopping = StoppingRecord(exited, config.cap_level, i * config.dt, i,
+                              "component-max")
     return Trajectory(times=np.asarray(stored_idx, dtype=float) * config.dt,
                       states=states[:n_stored], sup_norms=norms[:i + 1],
                       min_values=mins[:i + 1], dt=config.dt,
@@ -464,12 +458,16 @@ def truncate_problem(problem: Problem, level: float) -> Problem:
     return replace(problem, level=float(level))
 
 
-def exit_index(traj: Trajectory, level: float) -> int:
-    """First step index where the E-norm exceeds the level (rho_n); the
-    number of completed steps if it never does (inf-empty convention)."""
+def exit_index(traj: Trajectory, level: float) -> StoppingRecord:
+    """The exit of the run from level n (rho_n), an "e-norm-sum" record:
+    the first step where the E-norm exceeds the level, triggered (at the
+    last step too); the last step reached, untriggered, if it never does
+    (inf-empty convention)."""
     e = traj.e_norms()
     above = np.nonzero(e > level)[0]
-    return int(above[0]) if above.size else len(e) - 1
+    i = int(above[0]) if above.size else len(e) - 1
+    return StoppingRecord(bool(above.size), float(level), i * traj.dt, i,
+                          "e-norm-sum")
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +511,10 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
     def points(i):  # the drift at the right endpoint, the noise lagged
         return traj.states[i + 1], traj.states[max(i - 1, 0)]
 
-    residuals = {0: 0.0}
+    residuals = {}
     with np.errstate(over="ignore", invalid="ignore"):  # as in simulate
         for a, block, _ in _advance(problem, config, traj.states[0], per_step,
-                                    np.empty((len(per_step), problem.r)),
+                                    np.empty((len(per_step) + 1, problem.r)),
                                     points=points):
             for j, state in enumerate(block, start=a + 1):
                 if j in probe_steps:

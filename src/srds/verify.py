@@ -134,16 +134,20 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
 
     margin_min = np.inf
     n_cells = problem.grid.n_total
-    for m in radii:
+    for i, m in enumerate(radii):
         for _ in range(dissipativity_trials):
             u = rng.uniform(-m, m, size=n_cells)
             v = rng.uniform(-m, m, size=n_cells)
             if np.all(u == 0.0):
                 continue
-            for l in range(sys.r):
-                margin_min = min(margin_min,
-                                 dissipativity_gap(sys, l, u, v, mode=1),
-                                 dissipativity_gap(sys, l, u, v, mode=2))
+            try:
+                for l in range(sys.r):
+                    margin_min = min(margin_min,
+                                     dissipativity_gap(sys, l, u, v, mode=1),
+                                     dissipativity_gap(sys, l, u, v, mode=2))
+            except OverflowError:  # the Python float (1 + ||v||)^q, ||v|| <= m
+                raise ValueError(f"radii[{i}] = {m!r} overflows the margin "
+                                 "envelope (1 + ||v||)^q") from None
     report.add_check("dissipativity-margins", margin_min >= -1e-9,
                      f"min margin {margin_min:.3e}")
 
@@ -195,7 +199,7 @@ def suite_mollifier(problem: Problem, config: SolverConfig, initial,
     read_integer("probe_points", probe_points, least=1)
     read_integer("n_max", n_max, least=1)
     if C is not None:
-        read_number("C", C)
+        read_number("C", C, above=0)
     report = ExperimentReport(
         name="mollifier",
         parameters={"n_max": n_max, "C": C, "probe_points": probe_points},

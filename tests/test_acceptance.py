@@ -223,7 +223,8 @@ def test_criterion_8_truncation_gluing():
         # raises ladder-inconsistency unless the levels agree bitwise up to
         # min(rho_n, rho_n+1)
         glued, exits = glue_ladder(prob, cfg, path, init, [1.0, 2.0, 4.0, 8.0])
-        mono += exits == sorted(exits)
+        steps = [e.step_index for e in exits]
+        mono += steps == sorted(steps)
     ok = mono == 32
     criterion(8, "ladder bitwise-consistent, rho_n nondecreasing", ok,
               f"(monotone on {mono}/32 paths)")

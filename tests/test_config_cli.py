@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,27 @@ def test_verify_reaction_pass(tmp_path, out_root):
     assert main(["verify", "reaction", "--config", cfg_path]) == 0
 
 
+def test_certificates_are_derived_on_first_read(tmp_path, out_root, monkeypatch):
+    # building the problem certifies no drift; verify reaction, which reads
+    # the certificates, certifies each drift once
+    import srds.reaction
+
+    certified = []
+    check = srds.reaction.check_f1_f2
+    monkeypatch.setattr(srds.reaction, "check_f1_f2",
+                        lambda drift: certified.append(drift) or check(drift))
+    problem, initial, solver_cfg = build_problem(quick_preset())
+    assert certified == []
+    report = run_suite("reaction", problem, solver_cfg, initial,
+                       {"samples": 200, "dissipativity_trials": 5}, 42)
+    assert report.verdict
+    drifts = [h for h in problem.reaction.drifts if h is not None]
+    assert drifts and certified == drifts
+    assert problem.reaction.certificates == [
+        srds.reaction.ZERO_CERTIFICATE if h is None else check(h)
+        for h in problem.reaction.drifts]
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "bogus", "--preset", "fhn"])
@@ -412,6 +434,15 @@ def test_verify_moments_quick(tmp_path, out_root):
     cfg["experiment"] = {"name": "moments", "n_paths": 2, "levels": [4, 8]}
     cfg_path = write_config(tmp_path, cfg)
     assert main(["verify", "moments", "--config", cfg_path]) == 0
+
+
+def test_verify_moments_fails_on_underflowed_moments(tmp_path, out_root, capsys):
+    # at p = 1e300 every sup**p underflows: m_n reads 0 at every level, which
+    # is no evidence of stabilization
+    cfg = quick_preset()
+    cfg["experiment"] = {"name": "moments", "p": 1e300, "n_paths": 2, "levels": [4, 8]}
+    assert main(["verify", "moments", "--config", write_config(tmp_path, cfg)]) == 1
+    assert "[FAIL] moments: moment-stabilization (4:0, 8:0)" in capsys.readouterr().out
 
 
 def test_verify_moments_ladder_inconsistency_exits_four(tmp_path, out_root, capsys,
@@ -790,6 +821,22 @@ BAD_VALUES = [
     # a level whose a_n underflows is a value the family cannot be built at
     ("verify mollifier", ("experiment",), {"name": "mollifier", "n_max": 60},
      "experiment", "level 60 not representable; largest feasible level is 32"),
+    # and so is one whose a_n rounds to a_{n-1}; a modulus C s with C <= 0
+    # is the experiment block's value, not a failed audit
+    ("verify mollifier", ("experiment",), {"name": "mollifier", "C": 1e-300},
+     "experiment", "level 5 not representable; largest feasible level is 0"),
+    *[("verify mollifier", ("experiment",), {"name": "mollifier", "C": C},
+       "experiment", "C must be > 0") for C in (0, -1)],
+    # a radius m whose margin envelope (1 + ||v||)^q, ||v|| <= m, overflows
+    # has no margins
+    ("verify reaction", ("experiment",), {"name": "reaction", "radii": [10.0, 1e300]},
+     "experiment", "radii[1] = 1e+300 overflows the margin envelope (1 + ||v||)^q"),
+    # an unknown amplitude name is a config value, as an unknown lambda rule
+    ("simulate", ("noise", "g"), "sqrt-abz", "noise", "unknown amplitude name 'sqrt-abz'"),
+    # a cosine field beyond the largest float, refused before any step
+    ("simulate", ("initial",), {"kind": "cosine", "means": [1e308, 1e308],
+                                "amplitudes": [1e308, 1e308]}, "initial",
+     "overflow encountered in add"),
     # verify checks noise.dt_fine as simulate and ensemble do, and a NaN cap
     # would stop nothing and be recorded as the stopping level
     *[("verify positivity", ("noise", "dt_fine"), dt_fine, "noise", detail)
@@ -894,9 +941,13 @@ def test_bad_value_exits_two(tmp_path, out_root, capsys, command, keys, value,
                              reason, detail):
     cfg = quick_preset()
     _set(cfg, keys, value)
-    assert main([*command.split(), "--config", write_config(tmp_path, cfg)]) == 2
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        assert main([*command.split(), "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("srds-error:") == 1
+    # one line on stderr and no warning, which would print there outside pytest
+    assert err.startswith("srds-error:") and err.count("\n") == 1
+    assert [str(w.message) for w in warned] == []
     assert f"code=2 kind=config reason={reason} detail={detail}" in err
 
 

@@ -16,8 +16,8 @@ from srds import (CoefficientField, SolverConfig, assemble_operator, build_grid,
                   glue_ladder, mild_residual, named_g, run_ladder, sample_path,
                   simulate, step, truncate_problem)
 from srds.errors import SolverFailure
-from srds.solver import (Problem, _resolve_increments, _step_runs, _truncate,
-                         dyadic_level)
+from srds.solver import (Problem, StoppingRecord, _resolve_increments, _step_runs,
+                         _truncate, dyadic_level)
 
 from conftest import build_fhn_problem, build_scalar_heat_problem, const_init
 from test_writers import _calls
@@ -124,6 +124,42 @@ def test_heat_equation_decay_rate():
     decay = traj.sup_norms[-1][0]
     expected = np.exp(-mu1 * t_end)
     assert abs(decay - expected) / expected <= dt * mu1**2 * t_end
+
+
+@pytest.mark.parametrize("n_cells,n_paths", [([32], 20), ([32, 32], 5)])
+def test_additive_linear_run_follows_its_mode_recursion(n_cells, n_paths):
+    # g = 1, drift -c u, a uniform operator (1D: LU, 2D: DCT) and a zero
+    # start: the state stays in the span of the orthonormal cosine modes
+    # e_k, eigenvectors of A, and each coefficient a_k = <u, e_k> follows
+    # a_k <- ((1 - c dt) a_k + lambda_k dW_k) / (1 - dt mu_k) exactly, so
+    # one formula pins sampling, modal fields, g and the solve
+    from srds.noise import HolderFunction
+    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_none
+
+    c, dt, n_steps, modes = 0.5, 1e-3, 200, 8
+    grid = build_grid(len(n_cells), [1.0] * len(n_cells), n_cells)
+    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    basis = cosine_neumann_basis(grid, modes)
+    lam = (np.arange(modes) + 1.0) ** -1.0
+    one = HolderFunction(np.ones_like, 1.0, 0.0, lambda m: 0.0, name="one")
+    prob = Problem(grid=grid, operators=(op,),
+                   reaction=ReactionSystem([PolynomialDrift([-c])], [coupling_none(1)]),
+                   noise=build_noise([basis], [lam], [one]))
+    assert (op.cosine_spectrum is None) == (grid.dim == 1)
+    e = basis.values
+    mu = np.einsum("kx,xk->k", e, op.matrix @ e.T) * grid.cell_volume
+    cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
+    worst = 0.0
+    for p in range(n_paths):
+        path = sample_path(3, 1, modes, n_steps, dt, path_index=p)
+        traj = simulate(prob, cfg, path, np.zeros((1, grid.n_total)))
+        coeffs = traj.states[:, 0] @ e.T * grid.cell_volume  # (n_steps + 1, K)
+        oracle = np.zeros_like(coeffs)
+        for i in range(n_steps):
+            oracle[i + 1] = (((1.0 - c * dt) * oracle[i] + lam * path.increments[0, :, i])
+                             / (1.0 - dt * mu))
+        worst = max(worst, np.abs(coeffs - oracle).max() / np.abs(oracle).max())
+    assert worst <= 1e-12
 
 
 def test_immediate_cap_breach():
@@ -338,6 +374,42 @@ def test_truncation_has_one_owner(monkeypatch):
     assert len(calls) == 1
 
 
+def _compared_names(func):
+    """Every name and attribute read inside a comparison of ``func``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for c in ast.walk(func) if isinstance(c, ast.Compare)
+            for n in ast.walk(c) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_stopping_has_one_judge():
+    src = Path(srds.solver.__file__).parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    # one record per run, built after its loop, and one per ladder level
+    assert sorted(site for tree in trees.values() for site in _calls(tree)
+                  if site[1] == "StoppingRecord") == [
+        ("exit_index", "StoppingRecord"), ("simulate", "StoppingRecord")]
+    # simulate judges no state: _advance's _first_exit judges step 0 too
+    simulate_def = next(node for node in trees["solver.py"].body
+                        if isinstance(node, ast.FunctionDef) and node.name == "simulate")
+    assert not _compared_names(simulate_def) & {"cap", "sup_cap", "cap_level"}
+    assert not [c for _, c in _calls(simulate_def) if c in ("math.isfinite", "_first_exit")]
+    # the experiments read a level's exit from its record, not from E-norms
+    assert "e_norms" not in _compared_names(trees["experiments.py"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cap", [None, 8.0])
+def test_non_finite_initial_state_fails_at_step_zero(bad, cap):
+    prob = build_fhn_problem(n=8)
+    cfg = SolverConfig(dt=1e-3, t_end=4e-3, sup_cap=cap)
+    init = const_init(prob, 0.2, 0.2)
+    init[1, 3] = bad
+    with pytest.raises(SolverFailure) as err:
+        simulate(prob, cfg, sample_path(0, 2, 8, 4, 1e-3), init)
+    assert (err.value.reason, err.value.detail, err.value.step) == (
+        "non-finite-state", "component 1 cell 3", 0)
+
+
 def test_truncation_insensitivity_bitwise():
     prob = build_fhn_problem(scale=0.5)
     cfg = SolverConfig(dt=1e-3, t_end=0.1)
@@ -418,7 +490,8 @@ def test_ladder_exit_times_nondecreasing():
     for p in range(4):
         path = sample_path(29, 2, 8, 250, 1e-3, path_index=p)
         glued, exits = glue_ladder(prob, cfg, path, init, [1.0, 2.0, 4.0, 8.0])
-        assert exits == sorted(exits)
+        steps = [e.step_index for e in exits]
+        assert steps == sorted(steps)
 
 
 def test_glued_trajectory_keeps_final_state_at_coarse_stride():
@@ -436,7 +509,7 @@ def test_ladder_immediate_exit():
     cfg = SolverConfig(dt=1e-3, t_end=0.05)
     path = sample_path(31, 2, 8, 50, 1e-3)
     glued, exits = glue_ladder(prob, cfg, path, const_init(prob, 2.0, 2.0), [1.0])
-    assert exits == [0]
+    assert [e.step_index for e in exits] == [0]
     assert len(glued.times) == 1
     assert glued.stopping.triggered
     assert glued.stopping.criterion == "e-norm-sum"
@@ -449,7 +522,7 @@ def test_ladder_exit_at_final_step_triggers():
     cfg = SolverConfig(dt=1e-3, t_end=2e-3)
     path = sample_path(29, 2, 8, 250, 1e-3)
     glued, exits = glue_ladder(prob, cfg, path, const_init(prob, 0.5, 0.5), [1.0])
-    assert exits == [2]
+    assert [e.step_index for e in exits] == [2]
     assert glued.e_norms()[-1] > 1.0
     assert glued.stopping.triggered
     assert glued.stopping.step_index == 2
@@ -473,9 +546,11 @@ def test_ladder_glues_a_prefix_of_each_run(seed, start, gaps):
     init = const_init(prob, start, start)
     trajs, exits = run_ladder(prob, cfg, path, init, levels)
     glued, glued_exits = glue_ladder(prob, cfg, path, init, levels)
-    assert glued_exits == exits == sorted(exits)
-    cut = exits[-1]
-    event(f"{sum(0 < e < cfg.n_steps for e in exits)} of {len(exits)} "
+    steps = [e.step_index for e in exits]
+    assert glued_exits == exits and steps == sorted(steps)
+    assert glued.stopping == exits[-1]
+    cut = steps[-1]
+    event(f"{sum(0 < e < cfg.n_steps for e in steps)} of {len(exits)} "
           "levels exit mid-run")
     top = simulate(truncate_problem(prob, levels[-1]), cfg, path, init)
     plain = simulate(prob, cfg, path, init)
@@ -490,8 +565,10 @@ def test_exit_index_sum_criterion():
     path = sample_path(0, 2, 8, 20, 1e-3)
     traj = simulate(prob, cfg, path, const_init(prob, 0.6, 0.6))
     # E-norm is about 1.2 > 1 at t=0 for the sum criterion
-    assert exit_index(traj, 1.0) == 0
-    assert exit_index(traj, 64.0) == 20
+    early, never = exit_index(traj, 1.0), exit_index(traj, 64.0)
+    assert (early.step_index, early.triggered) == (0, True)
+    assert (never.step_index, never.triggered) == (20, False)
+    assert never == StoppingRecord(False, 64.0, 20 * cfg.dt, 20, "e-norm-sum")
 
 
 # --- mild residual ---------------------------------------------------------------
