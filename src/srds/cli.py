@@ -239,6 +239,8 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         where = "" if exc.step is None else f"step {exc.step} "
         return _fail(EXIT_RUNTIME, "runtime", exc.reason, (where + exc.detail).rstrip())
+    except MemoryError as exc:
+        return _fail(EXIT_RUNTIME, "runtime", "out-of-memory", str(exc))
 
 
 if __name__ == "__main__":

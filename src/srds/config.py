@@ -117,12 +117,16 @@ def read_flag(key: str, value) -> bool:
     return value
 
 
-def read_list(key: str, values, read, **bounds) -> list:
-    """``values``, a JSON list (or a Python default tuple) each of whose
-    entries ``read`` (``read_integer`` or ``read_number``) accepts within
-    ``bounds``: a string would be iterated per character."""
+def read_list(key: str, values, read, size: int | None = None, **bounds) -> list:
+    """``values``, a JSON list (or a Python default tuple) of ``size``
+    entries, if given, each of which ``read`` (``read_integer`` or
+    ``read_number``) accepts within ``bounds``: a string would be iterated
+    per character, and a list of another length read past its end or
+    ignored entries."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{key} must be a list, got {values!r}")
+    if size is not None and len(values) != size:
+        raise ValueError(f"{key} must hold {size} entries, got {len(values)}")
     return [read(f"{key}[{i}]", v, **bounds) for i, v in enumerate(values)]
 
 
@@ -152,24 +156,17 @@ def _build_reaction(block: dict, r: int) -> ReactionSystem:
     if kind == "fhn":
         return fhn_system(a=float(read_number("a", block.get("a", 1.0))),
                           b=float(read_number("b", block.get("b", 1.0))))
-    drifts_cfg = block.get("drifts")
+    coeff_lists = read_list("drifts", block.get("drifts"),
+                            lambda key, coeffs: read_list(key, coeffs, read_number), r)
+    drifts = [PolynomialDrift(c) if c else None for c in coeff_lists]  # []: no drift
     coupling_cfg = block.get("coupling", {"name": "none"})
-    if drifts_cfg is None or len(drifts_cfg) != r:
-        raise ConfigError("reaction", f"need {r} drift coefficient lists")
-    drifts = []
-    for l, coeffs in enumerate(drifts_cfg):
-        coeffs = read_list(f"drifts[{l}]", coeffs, read_number)
-        drifts.append(PolynomialDrift(coeffs) if coeffs else None)  # []: no drift
     name = coupling_cfg.get("name", "none")
     if name == "none":
         couplings = [coupling_none(r) for _ in range(r)]
     elif name == "linear":
         rows = read_list("matrix", coupling_cfg.get("matrix"),
-                         lambda key, row: read_list(key, row, read_number))
-        matrix = np.asarray(rows, dtype=float)
-        if matrix.shape != (r, r):
-            raise ConfigError("reaction", f"linear coupling matrix must be {r}x{r}")
-        couplings = [coupling_linear(matrix[l]) for l in range(r)]
+                         lambda key, row: read_list(key, row, read_number, r), r)
+        couplings = [coupling_linear(row) for row in rows]
     elif name == "fhn":
         if r != 2:
             raise ConfigError("reaction", "fhn coupling needs exactly 2 components")
@@ -190,10 +187,7 @@ def _lambda_sequence(rule, modes: int) -> np.ndarray:
                 raise ValueError(f"lambda power must be finite, got {p!r}")
             return (np.arange(modes) + 1.0) ** (-p)
         raise ConfigError("noise", f"unknown lambda rule {rule!r}")
-    seq = np.asarray(read_list("lambdas", rule, read_number), dtype=float)
-    if seq.shape != (modes,):
-        raise ConfigError("noise", f"{seq.size} lambdas for {modes} modes")
-    return seq
+    return np.asarray(read_list("lambdas", rule, read_number, modes), dtype=float)
 
 
 def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
@@ -220,14 +214,12 @@ def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
 def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
     kind = block.get("kind", "constant")
     if kind == "constant":
-        vals = read_list("values", block.get("values"), read_number)
-        if len(vals) != r:
-            raise ConfigError("initial", f"need {r} constant values")
+        vals = read_list("values", block.get("values"), read_number, r)
         return np.outer(np.asarray(vals, dtype=float), np.ones(grid.n_total))
     if kind == "cosine":
-        means = read_list("means", block.get("means", [0.0] * r), read_number)
-        amps = read_list("amplitudes", block.get("amplitudes", [1.0] * r), read_number)
-        ks = read_list("modes", block.get("modes", [1] * r), read_integer)
+        means = read_list("means", block.get("means", [0.0] * r), read_number, r)
+        amps = read_list("amplitudes", block.get("amplitudes", [1.0] * r), read_number, r)
+        ks = read_list("modes", block.get("modes", [1] * r), read_integer, r)
         x = grid.centers[:, 0]
         L = grid.extents[0]
         u = np.empty((r, grid.n_total))
@@ -310,7 +302,10 @@ def build_problem(cfg: dict):
         noise = _build_noise(cfg["noise"], grid, r)
     with config_block("solver"):
         solver_cfg = _build_solver_config(cfg["solver"])
-    _path_resolution(cfg, solver_cfg)  # every command checks noise.dt_fine
+    n_fine, _ = _path_resolution(cfg, solver_cfg)  # every command checks noise.dt_fine
+    if n_fine > np.iinfo(np.intp).max // (8 * r * noise.modes):  # one float64 array
+        raise ConfigError("solver", f"path increments of {r} x {noise.modes} x n_fine "
+                                    "floats exceed the largest array")
     with config_block("initial"):
         initial = _build_initial(cfg["initial"], grid, r)
 

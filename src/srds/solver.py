@@ -15,14 +15,15 @@ semigroup factor are inherited from the M-matrix structure of the operator.
 ``_advance``, steps ``simulate`` and ``mild_residual`` alike: it runs the
 steps in blocks of at most STATE_BLOCK_FLOATS floats of state and checks a
 block at once, the initial state as a block of its own (step 0): one
-reduction fills its sup norms and one its minima, and the first step whose
-largest norm is not <= the sup cap (the largest float without one) is
-either a non-finite state, raised at its step, component and cell, or the
-cap exit.  After a cap exit up to block - 1 more steps may
-have been computed; they are never reported.  A truncated step maps its
-state once (``_truncate``); a truncated run is checked against its level
-ball once per block too, and steps untruncated inside it (see
-``_advance``).
+reduction fills its sup norms, which judge both the sup cap and a
+truncated run's E-norm ball, and the first step whose largest norm is not
+<= the sup cap (the largest float without one) is either a non-finite
+state, raised at its step, component and cell, or the cap exit.  After a
+cap exit up to block - 1 more steps may have been computed; they are never
+reported.  A truncated step maps its state once (``_truncate``); a
+truncated run steps untruncated until its exit rho_n (see ``_advance``).
+``_advance`` owns the floating-point state of the loop: a direct ``step``
+leaves it to its caller.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class Trajectory:
 
     def e_norms(self) -> np.ndarray:
         """Full-resolution E-norm history sum_l ||u_l||_inf."""
-        return self.sup_norms.sum(axis=1)
+        return _e_norms(self.sup_norms)
 
     def until(self, step: int) -> "Trajectory":
         """This trajectory through ``step``, a step it reached: the states
@@ -238,24 +239,33 @@ def _truncate(u: np.ndarray, bounds: tuple) -> tuple[np.ndarray, np.ndarray]:
     truncated step is the untruncated step."""
     lo, hi = bounds
     # n / max(norm, n): exactly 1.0 for a norm <= n and for a NaN norm (fmax
-    # skips NaN), n / norm beyond, 0 for an inf norm, never a division by 0
+    # skips NaN), n / norm beyond, 0 for an inf norm, never a division by 0;
+    # a cell's norm adds its components in order (see _e_norms)
     scale = hi / np.fmax(np.abs(u).sum(axis=0), hi)
     # the clip: np.clip's bits, NaN and signed zeros included, at half its
-    # cost; the projection makes inf * 0 = NaN in a cell holding inf
-    with np.errstate(invalid="ignore"):
-        return np.minimum(np.maximum(u, lo), hi), u * scale
+    # cost; the projection makes inf * 0 = NaN (invalid) in a cell holding inf
+    return np.minimum(np.maximum(u, lo), hi), u * scale
+
+
+def _e_norms(norms: np.ndarray) -> np.ndarray:
+    """The E-norms sum_l ||u_l||_inf of (m, r) per-component sup norms,
+    added in component order (a running sum), as ``_truncate`` adds a
+    cell's l1 norm over the r rows of a state.  Rounding is monotone, so
+    every cell's l1 norm is then <= its state's E-norm in floating point
+    too, and a state whose E-norm is <= n is mapped to itself.  numpy's row
+    sum groups 8 or more terms pairwise and can round below a cell's norm
+    (below 8 it adds in order, so these are its bits there)."""
+    return np.cumsum(norms, axis=1)[:, -1]
 
 
 def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
                 first: int) -> int:
-    """Write the per-component sup norms of a block of states (m, r, n) to
-    ``norms`` (m, r) and return the index of the first state whose largest
-    norm is not <= cap, m when there is none; cap is finite (FINITE_CAP
-    without a sup cap), so a state with an inf or NaN norm is never within
-    it.  If that state is not finite, raise the non-finite-state failure at
-    its step (``first`` is the block's first step), component and cell
-    instead."""
-    np.abs(states).max(axis=2, out=norms)
+    """The index of the first state of a block (m, r, n) whose largest
+    per-component sup norm, read from its rows of ``norms`` (m, r), is not
+    <= cap, m when there is none; cap is finite (FINITE_CAP without a sup
+    cap), so a state with an inf or NaN norm is never within it.  If that
+    state is not finite, raise the non-finite-state failure at its step
+    (``first`` is the block's first step), component and cell instead."""
     if norms.max() <= cap:  # NaN compares false
         return len(states)
     k = int((norms.max(axis=1) <= cap).argmin())
@@ -312,16 +322,6 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
     return out
 
 
-def _ball_exit(states: np.ndarray, level: float) -> int:
-    """The index of the first state of a block (m, r, n) outside the
-    truncation ball, where some cell's l1 norm sum_l |u_l| is not <= level
-    (a NaN norm is outside); m when every state is inside.  ``_truncate``
-    maps a state inside to itself, bit for bit."""
-    inside = np.abs(states).sum(axis=1).max(axis=1) <= level
-    k = int(inside.argmin())
-    return len(states) if inside[k] else k
-
-
 def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
              inc: np.ndarray, norms: np.ndarray, points=None):
     """Judge the state u, step 0, and step from it over (n_steps, r, K)
@@ -332,65 +332,73 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     floats of states, in one reused buffer.  Modal fields are built
     MODAL_BLOCK_FLOATS at a time; each step goes through ``step`` at
     ``points(i)``, the (drift_at, noise_at) of the step from state i, if
-    given.  One ``_first_exit`` call judges every block, step 0's too: the
-    first state whose largest norm exceeds the sup cap ends the run, its
-    block cut after it and yielded with ``exited`` true.
+    given.  One reduction fills a block's sup norms, step 0's too, and
+    ``_first_exit`` reads them: the first state whose largest norm exceeds
+    the sup cap ends the run, its block cut after it and yielded with
+    ``exited`` true.
 
-    Without ``points``, a truncated problem is checked against its ball
-    once per block too, the one place truncation is skipped.  Inside the
-    ball its step is bitwise the untruncated step, so a block from a state
-    inside steps without bounds and is cut after its first state outside
-    (its later steps, at most block - 1, are dropped unchecked); the
+    Without ``points``, a truncated problem at level n reads the same rows
+    for its ball, the one place truncation is skipped: a state is inside
+    while its E-norm (``_e_norms``) is <= n, where every cell's l1 norm is
+    <= n too and its step is bitwise the untruncated step.  So a block from
+    a state inside steps without bounds and is cut after its first state
+    outside, the exit rho_n of ``exit_index``, before the cap judge reads
+    it (its later steps, at most block - 1, are dropped unchecked); the
     blocks from there on step truncated until one ends inside the ball.
     Untruncated blocks start at one step and double while they stay
     inside, up to a full block, and each exit halves them: a run that
-    leaves its ball early or crosses it often drops few steps."""
+    leaves its ball early or crosses it often drops few steps.
+
+    Overflow and invalid operations are silenced around each block's
+    steps and judgement (never across a ``yield``): an overflow surfaces
+    as ``_first_exit``'s located non-finite-state failure."""
     # a finite cap, so that an inf norm is never within it; a sup cap that
     # is None, inf or NaN halts no finite run, as FINITE_CAP
-    cap = config.cap_level
-    cap = cap if cap < FINITE_CAP else FINITE_CAP
+    cap = min(FINITE_CAP, config.cap_level)
     plan = _step_runs(problem, config.dt)
     level = problem.level if points is None else None
-    if level is not None:
-        plain = plan[:3] + (None,)
-        inside = _ball_exit(u[None], level) == 1
     block = max(1, STATE_BLOCK_FLOATS // u.size)
     chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
     buf = np.empty((min(block, len(inc)),) + u.shape)
     # the longest untruncated block: one step at first, doubled at each
     # untruncated block that stays inside, halved at each ball exit
     span = 1
+    free = False  # the state stepped from is inside the ball
     a, states = -1, u[None]
     c = 0
     fields = inc[:0]  # the modal fields of steps c + 1 ..., c a multiple of chunk
     while True:
-        k = _first_exit(states, norms[a + 1:a + 1 + len(states)], cap, a + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if a >= 0:  # step 0 is judged, not stepped
+                if a == c + len(fields):
+                    c = a
+                    fields = problem.noise.modal_fields(inc[c:c + chunk])
+                states = buf[:min(span if free else block, c + len(fields) - a)]
+                steps = plan[:3] + (None,) if free else plan
+                for j, f in enumerate(fields[a - c:a - c + len(states)]):
+                    if points is None:
+                        u = states[j] = step(problem, config, u, f, *steps)
+                    else:
+                        drift_at, noise_at = points(a + j)
+                        u = states[j] = step(problem, config, u, f, *steps,
+                                             drift_at=drift_at, noise_at=noise_at)
+            rows = norms[a + 1:a + 1 + len(states)]
+            np.abs(states).max(axis=2, out=rows)
+            if level is not None:
+                inside = _e_norms(rows) <= level  # NaN compares false
+                if free:  # cut after the first state outside, rho_n
+                    out = int(inside.argmin())
+                    if inside[out]:
+                        span = min(block, 2 * span)
+                    else:  # step from the state outside, not the dropped ones
+                        span = max(1, span // 2)
+                        states, rows, u = states[:out + 1], rows[:out + 1], states[out]
+                free = bool(inside[len(states) - 1])
+            k = _first_exit(states, rows, cap, a + 1)
         yield a, states[:k + 1], k < len(states)
         a += len(states)
         if k < len(states) or a == len(inc):
             return
-        if a == c + len(fields):
-            c = a
-            fields = problem.noise.modal_fields(inc[c:c + chunk])
-        free = level is not None and inside
-        states = buf[:min(span if free else block, c + len(fields) - a)]
-        steps = plain if free else plan
-        for j, f in enumerate(fields[a - c:a - c + len(states)]):
-            if points is None:
-                u = states[j] = step(problem, config, u, f, *steps)
-            else:
-                drift_at, noise_at = points(a + j)
-                u = states[j] = step(problem, config, u, f, *steps,
-                                     drift_at=drift_at, noise_at=noise_at)
-        if free:
-            out = _ball_exit(states, level)
-            inside = out == len(states)
-            span = min(block, 2 * span) if inside else max(1, span // 2)
-            if not inside:  # step from the state outside, not the dropped ones
-                states = states[:out + 1]
-                u = states[-1]
-        elif level is not None:
-            inside = _ball_exit(states[-1:], level) == 1
 
 
 def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
@@ -418,14 +426,12 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     states = np.empty((n_steps // stride + 2,) + u.shape)
     n_stored = 0
 
-    # an overflow surfaces as _first_exit's located non-finite-state failure
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, block, exited in _advance(problem, config, u, inc, norms):
-            block.min(axis=2, out=mins[a + 1:a + 1 + len(block)])
-            # block[j] is step a + 1 + j
-            kept = block[-(a + 1) % stride::stride]
-            states[n_stored:n_stored + len(kept)] = kept
-            n_stored += len(kept)
+    for a, block, exited in _advance(problem, config, u, inc, norms):
+        block.min(axis=2, out=mins[a + 1:a + 1 + len(block)])
+        # block[j] is step a + 1 + j
+        kept = block[-(a + 1) % stride::stride]
+        states[n_stored:n_stored + len(kept)] = kept
+        n_stored += len(kept)
 
     i = a + len(block)  # the last step reached
     stored_idx = list(range(0, i + 1, stride))
@@ -512,13 +518,12 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
         return traj.states[i + 1], traj.states[max(i - 1, 0)]
 
     residuals = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # as in simulate
-        for a, block, _ in _advance(problem, config, traj.states[0], per_step,
-                                    np.empty((len(per_step) + 1, problem.r)),
-                                    points=points):
-            for j, state in enumerate(block, start=a + 1):
-                if j in probe_steps:
-                    residuals[j] = float(np.max(np.abs(traj.states[j] - state)))
+    for a, block, _ in _advance(problem, config, traj.states[0], per_step,
+                                np.empty((len(per_step) + 1, problem.r)),
+                                points=points):
+        for j, state in enumerate(block, start=a + 1):
+            if j in probe_steps:
+                residuals[j] = float(np.max(np.abs(traj.states[j] - state)))
     return np.asarray([residuals[ps] for ps in probe_steps])
 
 

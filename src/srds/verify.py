@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import (config_block, read_flag, read_integer, read_list,
                      read_number)
-from .errors import AuditError
+from .errors import AuditError, ConfigError
 from .experiments import (ExperimentReport, _provenance, _zero_noise,
                           moment_experiment, positivity_experiment,
                           residual_refinement, uniqueness_experiment)
@@ -313,9 +313,12 @@ def run_suite(name: str, problem: Problem, config: SolverConfig,
               initial: np.ndarray, block: dict, master_seed: int) -> ExperimentReport:
     """Run suite ``name`` with the keys of ``block``, the config's
     ``experiment`` block, other than its ``name`` as keyword arguments; a
-    block that names another suite configures nothing here."""
+    block that names another suite configures nothing here, and one that
+    names no suite is refused."""
     if name not in SUITES:
         raise AuditError("suite", f"unknown suite {name!r}")
+    if block.get("name") not in (None, *SUITES):  # by ==: an unhashable name too
+        raise ConfigError("experiment", f"unknown suite name {block['name']!r}")
     params = ({k: v for k, v in block.items() if k != "name"}
               if block.get("name") in (None, name) else {})
     with config_block("experiment"):

@@ -240,6 +240,24 @@ def test_runtime_failure_names_step_component_and_cell(tmp_path, out_root, capsy
             f"detail=step 2 component {component} cell 0"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "verify positivity"])
+def test_out_of_memory_exits_four(tmp_path, out_root, capsys, monkeypatch, command):
+    # a run too large to hold ends in the taxonomy; no real allocation that
+    # could succeed is made
+    import srds.cli
+
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    monkeypatch.setattr(srds.cli, "build_problem", exhausted)
+    cfg_path = write_config(tmp_path, quick_preset())
+    assert main([*command.split(), "--config", cfg_path]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "srds-error: code=4 kind=runtime reason=out-of-memory detail=Unable to "
+        "allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "ensemble"])
 @pytest.mark.parametrize("dt_fine", [1e-3 / 3, 2e-3])  # dt is 1e-3
 def test_non_dyadic_dt_fine_exit_code(tmp_path, out_root, capsys, command, dt_fine):
@@ -918,6 +936,27 @@ BAD_VALUES = [
      "amplitudes[1] must be a finite number, got True"),
     ("simulate", ("initial",), {"kind": "cosine", "means": [1.0, 1.0], "modes": [1.5, 1]},
      "initial", "modes[0] must be an integer, got 1.5"),
+    # a cosine field takes one mean, amplitude and mode per component: a
+    # short list indexed past its end, a long one had entries ignored
+    *[("simulate", ("initial",), {"kind": "cosine", key: value}, "initial",
+       f"{key} must hold 2 entries, got {len(value)}")
+      for key, value in (("means", [1.0]), ("means", [1.0, 1.0, 1.0]),
+                         ("amplitudes", [0.5]), ("modes", [1]))],
+    # every per-component or per-mode list is read with its length
+    ("simulate", ("initial", "values"), [0.2], "initial", "values must hold 2 entries, got 1"),
+    ("simulate", ("noise", "lambdas"), [1.0] * 7, "noise", "lambdas must hold 8 entries, got 7"),
+    ("simulate", ("reaction",), {"drifts": [[1.0, 0.0, -1.0]], "coupling": {"name": "fhn"}},
+     "reaction", "drifts must hold 2 entries, got 1"),
+    ("simulate", ("reaction",),
+     {"drifts": [[1.0, 0.0, -1.0], []],
+      "coupling": {"name": "linear", "matrix": [[0.0, 1.0], [-1.0]]}},
+     "reaction", "matrix[1] must hold 2 entries, got 1"),
+    # a block that names no suite would run the suite on its defaults
+    *[("verify positivity", ("experiment",), {"name": name, "n_paths": 2}, "experiment",
+       f"unknown suite name {name!r}") for name in ("positivty", 5)],
+    # a path of 1e303 steps cannot be one array (it was a traceback)
+    ("simulate", ("solver", "t_end"), 1e300, "solver",
+     "path increments of 2 x 8 x n_fine floats exceed the largest array"),
     # a non-finite Lipschitz constant bounds nothing; the preset's positivity
     # block would read it as g(0) != 0
     *[(command, ("noise", "g"), f"lipschitz:{L}", "noise",

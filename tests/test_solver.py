@@ -334,7 +334,10 @@ def test_truncate_matches_the_evaluate_it_replaced(r, n, level, where, data):
           else f"{where}, a cell outside")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        clipped, projected = _truncate(u, (np.array(-level), np.array(level)))
+        # the floating-point state _advance, the map's caller, owns: a cell
+        # holding inf projects to inf * 0 = NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            clipped, projected = _truncate(u, (np.array(-level), np.array(level)))
         drift_at, coupling_at = _evaluate_points_before_truncate(u, level)
     assert clipped.tobytes() == drift_at.tobytes()
     assert projected.tobytes() == coupling_at.tobytes()
@@ -395,6 +398,24 @@ def test_stopping_has_one_judge():
     assert not [c for _, c in _calls(simulate_def) if c in ("math.isfinite", "_first_exit")]
     # the experiments read a level's exit from its record, not from E-norms
     assert "e_norms" not in _compared_names(trees["experiments.py"])
+
+
+def test_one_reduction_judges_each_block():
+    solver = ast.parse(Path(srds.solver.__file__).read_text())
+    functions = {node.name: node for node in solver.body
+                 if isinstance(node, ast.FunctionDef)}
+    # the ball is judged from the cap judge's rows, by no second norm
+    assert "_ball_exit" not in functions
+    # one np.abs of a block of states, in _advance; _first_exit reads rows
+    reduced = [(where, node.args[0].id) for where, tree in functions.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "np.abs"
+               and isinstance(node.args[0], ast.Name)]
+    assert [site for site in reduced if site[1] in ("states", "block")] == [
+        ("_advance", "states")]
+    assert not [c for _, c in _calls(functions["_first_exit"]) if c == "np.abs"]
+    # one owner of the stepping loop's floating-point state
+    assert [where for where, c in _calls(solver) if c == "np.errstate"] == ["_advance"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1117,6 +1138,108 @@ def test_ball_exit_at_the_first_step_drops_no_step(monkeypatch):
     e = traj.e_norms()
     assert e[0] <= 1.0 < e[1] and (e[1:] > 1.0).all()
     assert len(calls) == cfg.n_steps == len(e) - 1
+
+
+def _recording_steps(mp):
+    """Wrap ``srds.solver.step``; the returned list gets (bounded, u) per
+    call: whether the step is truncated, and a copy of its state."""
+    calls = []
+
+    def recording(problem, config, u, fields, groups, runs, dt, bounds, **points):
+        calls.append((bounds is not None, u.copy()))
+        return step(problem, config, u, fields, groups, runs, dt, bounds, **points)
+
+    mp.setattr(srds.solver, "step", recording)
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_ball_cases())
+def test_untruncated_steps_end_at_the_exit(case):
+    # the ball is the E-norm ball the ladder exits: no step from a state
+    # before rho_n carries bounds, and the first that does steps from the
+    # state at rho_n (none does when the run ends at or before rho_n)
+    problem, config, path, initial, _, _, kick = case
+    config = replace(config, store_stride=1)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording_steps(mp)
+        traj = _outcome(simulate, problem, config, path, initial)
+    event("failure" if isinstance(traj, tuple) else f"kick {kick}")
+    assume(not isinstance(traj, tuple))
+    rho = exit_index(traj, problem.level)
+    bounded = [i for i, (truncated, _) in enumerate(calls) if truncated]
+    for i in range(rho.step_index):
+        assert calls[i][1].tobytes() == traj.states[i].tobytes()
+    if rho.triggered and rho.step_index < len(traj.sup_norms) - 1:
+        event("exit, then truncated steps")
+        assert bounded and bounded[0] >= rho.step_index
+        assert calls[bounded[0]][1].tobytes() == traj.states[rho.step_index].tobytes()
+    else:
+        event("no step after an exit")
+        assert not bounded
+
+
+def test_truncated_run_through_an_overflow_does_not_warn():
+    # a kick of 1e308, as in _ball_cases, overflows the modal field of step
+    # 4 to inf, and its solve makes the state NaN; the block's later steps
+    # run on it unreported.  _advance owns the floating-point state, so no
+    # RuntimeWarning escapes, and the failure is located at its step.
+    from srds.rng import WienerPath
+
+    problem = truncate_problem(build_fhn_problem(n=8, scale=4.0), 1.0)
+    cfg = SolverConfig(dt=1e-3, t_end=0.02)
+    path = sample_path(0, 2, 8, 20, 1e-3)
+    inc = path.increments.copy()
+    inc[:, 0, 3] = 1e308
+    path = WienerPath(0, 0, 2, 8, 20, 1e-3, inc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure) as err:
+            simulate(problem, cfg, path, const_init(problem, 0.6, 0.6))
+    assert (err.value.reason, err.value.step) == ("non-finite-state", 4)
+
+
+def test_a_state_between_the_balls_steps_truncated(monkeypatch):
+    # every cell's l1 norm is at most 0.65, inside the l1 ball of radius 1,
+    # but the E-norm 0.6 + 0.6 = 1.2 is not <= 1: rho_1 = 0, and the run
+    # steps truncated from its first step
+    problem = build_fhn_problem()
+    initial = const_init(problem, 0.05, 0.05)
+    initial[0, 0] = initial[1, -1] = 0.6
+    cfg = SolverConfig(dt=1e-3, t_end=0.05)
+    path = sample_path(0, 2, 8, 50, 1e-3)
+    calls = _recording_steps(monkeypatch)
+    traj = simulate(truncate_problem(problem, 1.0), cfg, path, initial)
+    rho = exit_index(traj, 1.0)
+    assert (rho.triggered, rho.step_index) == (True, 0)
+    assert len(calls) == cfg.n_steps and calls[0][0]
+    # every state stays inside the l1 ball, where the map is the identity:
+    # the untruncated run's bits
+    assert np.abs(traj.states).sum(axis=1).max() <= 1.0
+    assert traj.final.tobytes() == simulate(problem, cfg, path, initial).final.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(r=st.integers(8, 12), n=st.integers(2, 6), data=st.data())
+def test_every_cell_norm_is_within_the_e_norm(r, n, data):
+    # numpy's row sum groups 8 or more terms pairwise, which puts a cell
+    # holding every component's largest entry beyond it about half the
+    # time; _e_norms adds the components in order, as _truncate sums a
+    # cell's l1 norm, so a state whose E-norm is <= n has no cell beyond
+    # the l1 ball of radius n
+    from srds.solver import _e_norms
+
+    tiny = 2.0**-53
+    entry = st.one_of(st.sampled_from([1.0, tiny, 3 * tiny, 0.5 + tiny, 0.0]),
+                      st.floats(0.0, 1.0))
+    largest = np.array(data.draw(st.lists(entry, min_size=r, max_size=r), label="largest"))
+    shrink = np.reshape(data.draw(st.lists(st.floats(0.0, 1.0), min_size=r * n,
+                                           max_size=r * n), label="shrink"), (r, n))
+    u = largest[:, None] * shrink
+    u[:, data.draw(st.integers(0, n - 1), label="cell")] = largest
+    u *= data.draw(st.sampled_from([1.0, -1.0, 1e300]), label="scale")
+    cells = np.abs(u).sum(axis=0)
+    assert (cells <= _e_norms(np.abs(u).max(axis=1)[None])[0]).all()
 
 
 # --- what a step may write ----------------------------------------------------
