@@ -369,6 +369,15 @@ def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
     """Simulate every truncation level on one path, without a sup cap, and
     return the per-level trajectories and exits rho_n (``exit_index``).
 
+    The smallest level steps truncated at every step and the next one from
+    step 0 untruncated inside its ball, so their comparison checks the
+    truncation map against untruncated steps.  Every state before a
+    level's exit lies inside its ball, so inside each larger ball too: each
+    level above those two resumes from the one below at that level's last
+    stored step at or before its exit (``simulate``'s ``prefix``); one that
+    never leaves its ball leaves nothing to step.  A one-level ladder
+    steps as ``simulate`` does.
+
     Consecutive levels must agree bitwise, in sup norms and stored states,
     up to (and including) min(rho_n, rho_{n+1}); otherwise raise
     SolverFailure("ladder-inconsistency") naming the first differing step
@@ -376,11 +385,21 @@ def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
     """
     levels = _ladder_levels(levels)
     run_cfg = replace(config, sup_cap=None)
-    # simulate through this module's name: patching srds.experiments.simulate
-    # sees every level
-    trajs = [simulate(truncate_problem(problem, n), run_cfg, path, initial)
-             for n in levels]
-    exits = [exit_index(t, n) for t, n in zip(trajs, levels)]
+    trajs, exits = [], []
+    for i, n in enumerate(levels):
+        # simulate through this module's name: patching
+        # srds.experiments.simulate sees every level
+        level = truncate_problem(problem, n)
+        if i < 2:
+            traj = simulate(level, run_cfg, path, initial,
+                            ball_test=(i == 1 or len(levels) == 1))
+        else:  # without a cap, every level reaches n_steps, which it stores
+            rho = exits[-1].step_index
+            fork = rho if rho == run_cfg.n_steps else rho - rho % run_cfg.store_stride
+            traj = simulate(level, run_cfg, path, initial,
+                            prefix=trajs[-1].until(fork))
+        trajs.append(traj)
+        exits.append(exit_index(traj, n))
 
     for (na, ta, ea), (nb, tb, eb) in zip(zip(levels, trajs, exits),
                                           zip(levels[1:], trajs[1:], exits[1:])):
@@ -458,10 +477,11 @@ def moment_experiment(problem: Problem, config: SolverConfig,
 
     never_exit = ~exited[:, 0]
     report.aggregates["never_exit_smallest"] = int(never_exit.sum())
-    # run_ladder has raised unless every level equals the smallest one
-    # bitwise on every core path (a path that never leaves the smallest
-    # level never leaves a larger one either), so the check needs only a
-    # core path to compare on
+    # a core path never leaves the smallest level, so never a larger one:
+    # on it run_ladder has compared the smallest level, truncated at every
+    # step, with the next one, stepped untruncated, over the whole run and
+    # raised unless they agree bitwise, and every larger level copies the
+    # next one whole; so the check needs only a core path to compare on
     report.add_check("common-path-bitwise-on-core", bool(never_exit.any()),
                      f"{int(never_exit.sum())}/{n_paths} paths never exit "
                      f"level {levels[0]:g}")

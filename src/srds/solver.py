@@ -21,7 +21,9 @@ truncated run's E-norm ball, and the first step whose largest norm is not
 state, raised at its step, component and cell, or the cap exit.  After a
 cap exit up to block - 1 more steps may have been computed; they are never
 reported.  A truncated step maps its state once (``_truncate``); a
-truncated run steps untruncated until its exit rho_n (see ``_advance``).
+truncated run steps untruncated until its exit rho_n (see ``_advance``)
+unless its ball test is off.  A run may resume from a stored step of a
+prefix trajectory (``simulate``'s ``prefix``), to the same bits.
 ``_advance`` owns the floating-point state of the loop: a direct ``step``
 leaves it to its caller.
 """
@@ -323,21 +325,26 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
 
 
 def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
-             inc: np.ndarray, norms: np.ndarray, points=None):
-    """Judge the state u, step 0, and step from it over (n_steps, r, K)
-    increments; yield (a, states, exited) per block, an (m, r, n) view whose
-    row j is step a + 1 + j, with its sup norms written to
-    ``norms[a + 1:a + 1 + m]`` (n_steps + 1 rows).  The first block is
-    u itself at a = -1; the later ones hold at most STATE_BLOCK_FLOATS
-    floats of states, in one reused buffer.  Modal fields are built
-    MODAL_BLOCK_FLOATS at a time; each step goes through ``step`` at
+             inc: np.ndarray, norms: np.ndarray, points=None, *, start: int = 0,
+             ball_test: bool = True):
+    """Judge the state u, step ``start``, and step from it over the
+    (n_steps, r, K) increments ``inc[start:]``; yield (a, states, exited)
+    per block, an (m, r, n) view whose row j is step a + 1 + j, with its
+    sup norms written to ``norms[a + 1:a + 1 + m]`` (n_steps + 1 rows).
+    The first block is u itself at a = start - 1; the later ones hold at
+    most STATE_BLOCK_FLOATS floats of states, in one reused buffer.  Modal
+    fields are built MODAL_BLOCK_FLOATS at a time, one matrix-vector
+    product per step, so a run's bits do not depend on where it starts;
+    each step goes through ``step`` at
     ``points(i)``, the (drift_at, noise_at) of the step from state i, if
     given.  One reduction fills a block's sup norms, step 0's too, and
     ``_first_exit`` reads them: the first state whose largest norm exceeds
     the sup cap ends the run, its block cut after it and yielded with
     ``exited`` true.
 
-    Without ``points``, a truncated problem at level n reads the same rows
+    Without ``points``, and unless ``ball_test`` is false (then a truncated
+    problem steps truncated throughout), a truncated problem at level n
+    reads the same rows
     for its ball, the one place truncation is skipped: a state is inside
     while its E-norm (``_e_norms``) is <= n, where every cell's l1 norm is
     <= n too and its step is bitwise the untruncated step.  So a block from
@@ -356,20 +363,20 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     # is None, inf or NaN halts no finite run, as FINITE_CAP
     cap = min(FINITE_CAP, config.cap_level)
     plan = _step_runs(problem, config.dt)
-    level = problem.level if points is None else None
+    level = problem.level if points is None and ball_test else None
     block = max(1, STATE_BLOCK_FLOATS // u.size)
     chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
-    buf = np.empty((min(block, len(inc)),) + u.shape)
+    buf = np.empty((min(block, len(inc) - start),) + u.shape)
     # the longest untruncated block: one step at first, doubled at each
     # untruncated block that stays inside, halved at each ball exit
     span = 1
     free = False  # the state stepped from is inside the ball
-    a, states = -1, u[None]
-    c = 0
-    fields = inc[:0]  # the modal fields of steps c + 1 ..., c a multiple of chunk
+    a, states = start - 1, u[None]
+    c = start
+    fields = inc[:0]  # the modal fields of steps c + 1 ..., c - start a multiple of chunk
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            if a >= 0:  # step 0 is judged, not stepped
+            if a >= start:  # the first state is judged, not stepped
                 if a == c + len(fields):
                     c = a
                     fields = problem.noise.modal_fields(inc[c:c + chunk])
@@ -402,7 +409,8 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
 
 
 def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
-             initial: np.ndarray) -> Trajectory:
+             initial: np.ndarray, *, ball_test: bool = True,
+             prefix: Trajectory | None = None) -> Trajectory:
     """Iterate the scheme, halting early if the sup cap is exceeded.
 
     States are stored every ``store_stride`` steps (the final state always);
@@ -410,6 +418,13 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     run in blocks (``_advance``) checked after the fact, the initial state
     as step 0: a cap exit, or a truncated run's exit from its ball, drops
     the block's later states, which are computed but never reported.
+    With ``ball_test`` false a truncated run steps truncated at every step.
+
+    ``prefix`` is this run through some step s, which it stores last (as
+    ``Trajectory.until(s)`` gives it when s is on the stride or the last
+    step it reached): its norms, minima and stored states are copied
+    through step s, and the run steps on from there, to the same bits as
+    from step 0.
     """
     u = np.array(initial, dtype=float)
     if u.shape != (problem.r, problem.grid.n_total):
@@ -424,9 +439,22 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     mins = np.empty((n_steps + 1, problem.r))
     # every stride-th state, then the last one if it is not among them
     states = np.empty((n_steps // stride + 2,) + u.shape)
-    n_stored = 0
+    start = n_stored = 0
+    if prefix is not None:
+        start = len(prefix.sup_norms) - 1
+        n_stored = -(-start // stride)  # the states stored before step start
+        if (prefix.dt != config.dt or prefix.store_stride != stride
+                or start > n_steps or len(prefix.states) != n_stored + 1
+                or prefix.states.shape[1:] != u.shape):
+            raise ValueError("prefix must be a run of this config that stores "
+                             "its last step")
+        norms[:start] = prefix.sup_norms[:start]
+        mins[:start] = prefix.min_values[:start]
+        states[:n_stored] = prefix.states[:n_stored]
+        u = prefix.states[-1]
 
-    for a, block, exited in _advance(problem, config, u, inc, norms):
+    for a, block, exited in _advance(problem, config, u, inc, norms, start=start,
+                                     ball_test=ball_test):
         block.min(axis=2, out=mins[a + 1:a + 1 + len(block)])
         # block[j] is step a + 1 + j
         kept = block[-(a + 1) % stride::stride]

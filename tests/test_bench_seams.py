@@ -56,6 +56,27 @@ def test_tracer_sees_every_path_and_step(tmp_path):
         tracer.restore()
 
 
+def test_ladder_reports_every_level_and_computes_two(tmp_path):
+    # on paths that never leave the smallest level, the two smallest levels
+    # are stepped and every larger one copies the next one whole: member
+    # steps count each returned trajectory in full, the step kernel runs
+    # for two levels only
+    moments = _config(tmp_path, "moments",
+                      {"name": "moments", "n_paths": 2, "levels": [4, 8, 16, 32]})
+    tracer = _tracer.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "moments", "--config", moments,
+                     "--out", str(tmp_path / "out")]) == 0
+        s = tracer.summary()
+    finally:
+        tracer.restore()
+    assert s["calls"]["rng.sample_path"] == 2
+    assert s["calls"]["solver.simulate"] == 4 * 2
+    assert s["counts"]["solver.member_steps"] == 4 * 2 * 20
+    assert s["calls"]["solver.step"] == s["calls"]["reaction.evaluate"] == 2 * 2 * 20
+
+
 def test_tracer_sees_the_positivity_suite(tmp_path):
     positivity = _config(tmp_path, "positivity", {"name": "positivity", "n_paths": 2})
     tracer = _tracer.Tracer()
@@ -144,56 +165,76 @@ def test_tracer_counts_spectral_steps(tmp_path):
 
 
 def test_ball_exit_drops_a_bounded_repeatable_count_of_steps(tmp_path, monkeypatch):
-    # inside its ball a truncated run steps untruncated and checks the ball
-    # once per block; after an exit the rest of that block is computed and
-    # dropped.  Initial states near the smallest level's ball make a path
-    # leave it mid-block.  Member steps still count the trajectories' steps,
-    # and the step counts the benchmark gates exactly must repeat.
-    from dataclasses import replace
+    # the ladder's computed steps per level: the smallest level steps
+    # truncated at every step and drops none; the next steps untruncated
+    # inside its E-norm ball, checks it once per block and drops the rest
+    # of the block after each exit; a larger level resumes from the one
+    # below at its last stored step at or before that level's exit and,
+    # never leaving its own ball, steps exactly the rest of the run.
+    # Member steps still count the trajectories' steps, and the step counts
+    # must repeat.
+    from collections import Counter
 
-    import numpy as np
     import srds.experiments
     import srds.solver
 
     cfg = preset_fhn(3)
     cfg["solver"].update({"dt": 1e-3, "t_end": 0.1, "store_stride": 1})
-    cfg["initial"]["values"] = [0.45, 0.45]
-    cfg["experiment"] = {"name": "moments", "n_paths": 2, "levels": [1, 8]}
+    # E-norm 1.7, near level 2's ball: one path never leaves it (level 8
+    # copies it whole), the other leaves it mid-block and comes back
+    cfg["initial"]["values"] = [0.85, 0.85]
+    cfg["experiment"] = {"name": "moments", "n_paths": 2, "levels": [1, 2, 8]}
     path = tmp_path / "moments.json"
     path.write_text(json.dumps(cfg))
-    runs = []
+    runs = []  # (level, keywords, trajectory) per simulate call
+    computed = Counter()  # step calls per level
+    simulate, step = srds.solver.simulate, srds.solver.step
 
-    def recording(*args):
-        traj = srds.solver.simulate(*args)
-        runs.append((args, traj))
+    def recording(problem, *args, **kwargs):
+        traj = simulate(problem, *args, **kwargs)
+        runs.append((problem.level, kwargs, traj))
         return traj
 
+    def counting(problem, *args, **kwargs):
+        computed[problem.level] += 1
+        return step(problem, *args, **kwargs)
+
     monkeypatch.setattr(srds.experiments, "simulate", recording)
+    monkeypatch.setattr(srds.solver, "step", counting)
     tracer = _tracer.Tracer()
     tracer.install()
     try:
         counts = []
         for _ in range(2):
             runs.clear()
+            computed.clear()
             tracer.clear()
             assert main(["verify", "moments", "--config", str(path),
                          "--out", str(tmp_path / "out")]) in (0, 1)  # any verdict
             s = tracer.summary()
             counts.append((s["counts"]["solver.member_steps"], s["calls"]["solver.step"],
-                           s["calls"]["reaction.evaluate"]))
+                           s["calls"]["reaction.evaluate"], dict(computed)))
     finally:
         tracer.restore()
     assert counts[0] == counts[1]
-    member, steps, evaluations = counts[0]
-    assert member == sum(len(traj.sup_norms) - 1 for _, traj in runs)
-    exits = 0
-    for (problem, config, wiener, initial), _ in runs:
-        # the run's states at stride 1, and each step from inside to outside
-        full = srds.solver.simulate(problem, replace(config, store_stride=1), wiener,
-                                    initial)
-        inside = np.abs(full.states).sum(axis=1).max(axis=1) <= problem.level
-        exits += int(np.sum(inside[:-1] & ~inside[1:]))
+    member, steps, evaluations, per_level = counts[0]
+    n_steps = 100
+    assert [level for level, _, _ in runs] == [1.0, 2.0, 8.0] * 2
+    assert member == sum(len(traj.sup_norms) - 1 for _, _, traj in runs) == 3 * 2 * n_steps
+    exits, resumes = 0, []
+    for (_, first, _), (_, second, below), (_, forked, top) in zip(*[iter(runs)] * 3):
+        assert first == {"ball_test": False} and second == {"ball_test": True}
+        inside = list(below.e_norms() <= 2.0)
+        # each step from inside the ball to outside it, as exit_index reads
+        exits += sum(a and not b for a, b in zip(inside, inside[1:]))
+        rho = srds.solver.exit_index(below, 2.0).step_index
+        assert not srds.solver.exit_index(top, 8.0).triggered
+        # moment_experiment stores steps 0 and n_steps only
+        resumes.append(len(forked["prefix"].sup_norms) - 1)
+        assert resumes[-1] == rho - rho % n_steps
+    assert resumes == [n_steps, 0]  # copied whole, then stepped from step 0
     block = srds.solver.STATE_BLOCK_FLOATS // (2 * 32)
-    assert exits >= 1
-    assert member < steps <= member + (block - 1) * exits
-    assert evaluations == steps
+    assert per_level[1.0] == 2 * n_steps
+    assert 0 < per_level[2.0] - 2 * n_steps <= (block - 1) * exits
+    assert per_level[8.0] == sum(n_steps - s for s in resumes)
+    assert steps == evaluations == sum(per_level.values())

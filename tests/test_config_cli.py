@@ -471,8 +471,8 @@ def test_verify_moments_ladder_inconsistency_exits_four(tmp_path, out_root, caps
 
     simulate_level = srds.experiments.simulate
 
-    def perturbed(problem, *args):
-        traj = simulate_level(problem, *args)
+    def perturbed(problem, *args, **kwargs):
+        traj = simulate_level(problem, *args, **kwargs)
         if problem.level == 8.0:
             traj.sup_norms[5, 0] = np.nextafter(traj.sup_norms[5, 0], np.inf)
         return traj

@@ -461,8 +461,8 @@ def test_ladder_disagreement_raises(monkeypatch):
     k = 5
     simulate_level = srds.experiments.simulate
 
-    def perturbed(problem, *args):
-        traj = simulate_level(problem, *args)
+    def perturbed(problem, *args, **kwargs):
+        traj = simulate_level(problem, *args, **kwargs)
         if problem.level == 2.0:
             traj.sup_norms[k, 0] = np.nextafter(traj.sup_norms[k, 0], np.inf)
         return traj
@@ -485,8 +485,8 @@ def test_ladder_compares_the_off_stride_final_state(monkeypatch):
 
     simulate_level = srds.experiments.simulate
 
-    def perturbed(problem, *args):
-        traj = simulate_level(problem, *args)
+    def perturbed(problem, *args, **kwargs):
+        traj = simulate_level(problem, *args, **kwargs)
         if problem.level == 8.0:
             final = traj.states[-1, 0]
             cell = int(np.argmin(np.abs(final)))
@@ -1037,14 +1037,16 @@ def test_block_boundaries_match_per_component_reference(budget, case):
 # step at a time.
 
 
-def _ball_pattern(problem, config, path, initial):
-    """Per state of the truncated reference run at stride 1 without a cap:
-    True where every cell's l1 norm is <= the level; None if it fails."""
-    run = _outcome(_reference_simulate, problem,
-                   replace(config, store_stride=1, sup_cap=None), path, initial)
+def _leaves_and_reenters(problem, config, path, initial):
+    """Whether the truncated reference run without a cap leaves its E-norm
+    ball (its exit rho_n, ``exit_index``) and later comes back into it;
+    False if it fails."""
+    run = _outcome(_reference_simulate, problem, replace(config, sup_cap=None),
+                   path, initial)
     if isinstance(run, tuple):
-        return None
-    return list(np.abs(run.states).sum(axis=1).max(axis=1) <= problem.level)
+        return False
+    rho = exit_index(run, problem.level)
+    return rho.triggered and bool((run.e_norms()[rho.step_index:] <= problem.level).any())
 
 
 @st.composite
@@ -1104,11 +1106,9 @@ def _ball_cases(draw):
 def test_ball_cut_matches_per_step_truncated_reference(budget, case):
     *case, kick = case
     problem, config, path, initial = case[:4]
-    inside = _ball_pattern(problem, config, path, initial)
     if kick is None:
         # the runs that leave the ball and come back into it
-        assume(inside is not None and False in inside
-               and True in inside[inside.index(False):])
+        assume(_leaves_and_reenters(problem, config, path, initial))
     event(f"kick {kick}" if kick else "out and back in")
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:  # blocks of 1, 2 or 5 steps
@@ -1240,6 +1240,127 @@ def test_every_cell_norm_is_within_the_e_norm(r, n, data):
     u *= data.draw(st.sampled_from([1.0, -1.0, 1e300]), label="scale")
     cells = np.abs(u).sum(axis=0)
     assert (cells <= _e_norms(np.abs(u).max(axis=1)[None])[0]).all()
+
+
+# --- the forked ladder -------------------------------------------------------------
+# run_ladder steps the smallest level truncated throughout, the next from step
+# 0, and each larger one from the level below it at that level's exit.
+
+
+def _ladder_from_scratch(problem, config, path, initial, levels):
+    """The ladder with every level stepped from step 0 by ``simulate``."""
+    config = replace(config, sup_cap=None)
+    trajs = [simulate(truncate_problem(problem, n), config, path, initial)
+             for n in levels]
+    return trajs, [exit_index(t, n) for t, n in zip(trajs, levels)]
+
+
+# nonnegative weights in quarters, one per component, adding up to 4
+_SPLITS = {1: [(4,)], 2: [(2, 2), (1, 3), (3, 1)], 3: [(1, 1, 2), (1, 2, 1), (2, 1, 1)]}
+
+
+@st.composite
+def _ladder_cases(draw):
+    """r = 1-3 components on a 1D grid, 2-4 levels (multiples of 1/4) and a
+    start near, on or beyond one of their balls, with noise strong enough to
+    carry the state across them: exits fall mid-block and off the stride."""
+    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_linear
+
+    r = draw(st.integers(1, 3))
+    grid = build_grid(1, [1.0], [draw(st.integers(3, 10))])
+    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drifts = draw(st.lists(st.one_of(st.none(), _DRIFT), min_size=r, max_size=r))
+    rows = draw(st.lists(st.lists(_COEF, min_size=r, max_size=r), min_size=r,
+                         max_size=r))
+    reaction = ReactionSystem(
+        [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
+        [coupling_linear(row) for row in rows], audit=False)
+    modes = draw(st.integers(1, 4))
+    g_name = draw(st.sampled_from(["sqrt-abs-shifted", "sqrt-abs", "lipschitz:1"]))
+    noise = build_noise([cosine_neumann_basis(grid, modes)] * r,
+                        [rng.uniform(4.0, 16.0, size=modes)] * r,
+                        [named_g(g_name)] * r, audit=False)
+    problem = Problem(grid=grid, operators=(op,) * r, reaction=reaction, noise=noise)
+    # the level count and n_steps are drawn largest first, since hypothesis
+    # leans to a strategy's simplest value, which forks and exits little
+    count = draw(st.sampled_from([4, 3, 2]))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+    levels = [0.75 + q / 4.0 for q in itertools.accumulate(gaps)]
+    n_steps = 64 - draw(st.integers(4, 60))
+    config = SolverConfig(
+        dt=1e-3, t_end=1e-3 * n_steps,
+        scheme=draw(st.sampled_from(["semi-implicit", "tamed-semi-implicit"])),
+        store_stride=draw(st.integers(1, 4)))
+    path = sample_path(draw(st.integers(0, 2**16)), r, modes, n_steps, 1e-3)
+    target = draw(st.sampled_from(levels))
+    where = draw(st.sampled_from(["near", "on", "beyond"]))
+    if where == "on":  # an E-norm of exactly the level
+        quarters = np.array(draw(st.sampled_from(_SPLITS[r])), dtype=float)
+        initial = rng.choice([-1.0, 1.0], size=(r, grid.n_total)) * (
+            target * quarters / 4.0)[:, None]
+    else:
+        initial = rng.uniform(-1.0, 1.0, size=(r, grid.n_total))
+        factor = draw(st.floats(0.85, 0.99) if where == "near" else st.floats(1.01, 1.2))
+        initial *= factor * target / np.abs(initial).max(axis=1).sum()
+    event(f"start {where} a ball")
+    return problem, config, path, initial, levels
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_ladder_cases())
+def test_forked_ladder_matches_the_ladder_stepped_from_scratch(case):
+    problem, config, path, initial, levels = case
+    ref = _outcome(_ladder_from_scratch, problem, config, path, initial, levels)
+    got = _outcome(run_ladder, problem, config, path, initial, levels)
+    if isinstance(ref[0], str):  # a failure's (reason, detail, step)
+        event("failure")
+        assert got == ref
+        return
+    (trajs, exits), (ref_trajs, ref_exits) = got, ref
+    assert exits == ref_exits
+    for traj, ref_traj in zip(trajs, ref_trajs):
+        _assert_same_trajectory(traj, ref_traj)
+    # the exits the levels above them resume at, strictly inside the run
+    mid = [rho.step_index for rho in exits[1:-1] if 0 < rho.step_index < config.n_steps]
+    event("a level resumes at an exit off the stride"
+          if any(i % config.store_stride for i in mid) else
+          "a level resumes at an exit on the stride" if mid else "no exit mid-run below the top")
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_a_run_resumed_at_a_stored_step_is_the_run(stride):
+    prob = build_fhn_problem(scale=1.0)
+    cfg = SolverConfig(dt=1e-3, t_end=0.02, store_stride=stride)
+    path = sample_path(7, 2, 8, 20, 1e-3)
+    init = const_init(prob, 0.5, 0.5)
+    full = simulate(prob, cfg, path, init)
+    for s in sorted(set(range(0, 21, stride)) | {20}):  # every stored step
+        _assert_same_trajectory(simulate(prob, cfg, path, init, prefix=full.until(s)),
+                                full)
+    if stride > 1:  # step 10 is not stored: until(10) ends at step 9
+        with pytest.raises(ValueError, match="stores its last step"):
+            simulate(prob, cfg, path, init, prefix=full.until(10))
+    with pytest.raises(ValueError, match="stores its last step"):
+        simulate(prob, replace(cfg, dt=2e-3), path, init, prefix=full.until(0))
+
+
+def test_a_broken_truncation_map_fails_the_ladder(monkeypatch):
+    # the smallest level steps truncated at every step and the next one
+    # untruncated inside its ball: a map that is not the identity inside
+    # the ball (both points halved) splits them at the first step
+    truncate = srds.solver._truncate
+    monkeypatch.setattr(srds.solver, "_truncate",
+                        lambda u, bounds: tuple(0.5 * x for x in truncate(u, bounds)))
+    prob = build_fhn_problem(g_name="sqrt-abs", scale=0.5)
+    cfg = SolverConfig(dt=2e-3, t_end=0.1)
+    path = sample_path(21, 2, 8, 50, 2e-3)
+    init = const_init(prob, 0.5, 0.5)
+    assert simulate(prob, cfg, path, init).e_norms().max() < 4.0  # no exit at all
+    with pytest.raises(SolverFailure) as err:
+        run_ladder(prob, cfg, path, init, [4.0, 8.0, 16.0])
+    assert err.value.reason == "ladder-inconsistency"
+    assert err.value.detail == "levels 4.0/8.0 disagree at step 1"
 
 
 # --- what a step may write ----------------------------------------------------
