@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import AuditError
 
@@ -37,6 +35,9 @@ class MollifierRangeError(ValueError):
 
 def _osgood_integral(rho, lo: float, hi: float) -> float:
     """int_lo^hi ds/rho(s), integrated in log space for stability near 0."""
+    # SciPy's quadrature and root finder load on first use: a run that
+    # integrates no modulus and builds no mollifier never holds them
+    from scipy.integrate import quad
 
     def integrand(y):
         s = math.exp(y)
@@ -144,6 +145,7 @@ def build_mollifier(rho, n_max: int) -> MollifierFamily:
     probe = rho(np.asarray([0.5, 1.0]))
     if np.any(probe <= 0) or probe[1] < probe[0]:
         raise AuditError("modulus", "rho must be positive and increasing on (0, 1]")
+    from scipy.optimize import brentq
 
     a = [1.0]
     tables: list[_LevelTable] = []

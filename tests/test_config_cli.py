@@ -918,6 +918,16 @@ BAD_VALUES = [
        f"lambdas[0] must be a finite number, got {bad!r}") for bad in ("1", True)],
     *[("simulate", ("noise", "lambdas"), f"power:{p}", "noise",
        f"lambda power must be finite, got {float(p)!r}") for p in ("nan", "inf")],
+    # a scaled lambda beyond the largest float, or inf * 0, is refused by
+    # mode before any path is sampled
+    ("simulate", ("noise", "lambdas"), "power:-400", "noise",
+     "lambdas[5] is inf after scaling; it must be finite"),
+    ("simulate", ("noise",), {"basis": "cosine-neumann", "modes": 8,
+                              "lambdas": "power:-400", "scale": 0, "g": "sqrt-pos"},
+     "noise", "lambdas[5] is nan after scaling; it must be finite"),
+    ("simulate", ("noise",), {"basis": "cosine-neumann", "modes": 8,
+                              "lambdas": [1e308] * 8, "scale": 10, "g": "sqrt-pos"},
+     "noise", "lambdas[0] is inf after scaling; it must be finite"),
     ("simulate", ("reaction",), {"drifts": [["1", 0.0, -1.0], []],
                                  "coupling": {"name": "fhn"}}, "reaction",
      "drifts[0][0] must be a finite number, got '1'"),

@@ -1,10 +1,18 @@
 """The library modules sit below the experiments, the suites and the command
-line: they import nothing from those, so the layering runs one way."""
+line: they import nothing from those, so the layering runs one way.  And
+``import srds`` leaves out the SciPy packages only a few checks use."""
 
 import ast
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import srds
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "srds"
 LOWER = ("grid", "linalg", "rng", "noise", "reaction", "operators", "solver", "config")
@@ -41,3 +49,34 @@ def test_the_layer_check_sees_relative_and_absolute_imports():
                      "import srds.cli\nfrom srds.experiments import y\n"
                      "def f():\n    from .solver import z\n")
     assert _imported_modules(tree) == {"experiments", "verify", "cli", "solver"}
+
+
+_FOOTPRINT = """
+import json, sys
+import srds, srds.cli
+lazy = ("scipy.integrate", "scipy.optimize")
+before = [m for m in lazy if m in sys.modules]
+table = srds.osgood_check(srds.LinearModulus(1.0), [0.1, 0.01])
+family = srds.build_mollifier(lambda s: s, 2)
+print(json.dumps({"before": before, "after": [m for m in lazy if m in sys.modules],
+                  "integral": table["integral"].tolist(), "verdict": table["verdict"],
+                  "a_seq": family.a_seq.tolist()}))
+"""
+
+
+def test_quadrature_and_root_finder_load_on_first_use():
+    # SciPy's quadrature and root finder (with scipy.spatial and
+    # scipy.constants behind them, about 9 MB) load only when an Osgood
+    # integral or a mollifier needs them; a fresh interpreter shows it
+    paths = [str(Path(srds.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-4000:]
+    seen = json.loads(done.stdout)
+    assert seen["before"] == []
+    assert seen["after"] == ["scipy.integrate", "scipy.optimize"]
+    # int_eps^1 ds/s = ln(1/eps), and int_{a_n}^{a_{n-1}} ds/s = n puts a_n at e^-n(n+1)/2
+    assert seen["integral"] == pytest.approx([math.log(10), math.log(100)], rel=1e-12)
+    assert seen["verdict"] == "diverges"
+    assert seen["a_seq"] == pytest.approx([1.0, math.exp(-1), math.exp(-3)], rel=1e-12)
