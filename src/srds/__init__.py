@@ -27,10 +27,10 @@ from .solver import (Problem, SolverConfig, StoppingRecord, Trajectory,
                      truncate_problem)
 from .mollifier import (MollifierFamily, MollifierRangeError, OneSidedMollifier,
                         build_mollifier, positivity_mollifier)
-from .experiments import (ExperimentReport, est2_bound_check, glue_ladder,
+from .experiments import (ExperimentReport, Member, est2_bound_check, glue_ladder,
                           moment_experiment, negative_control_problem,
                           positivity_experiment, residual_refinement, run_ladder,
-                          uniqueness_experiment)
+                          run_members, uniqueness_experiment)
 from .config import (build_problem, config_digest, load_config, preset,
                      preset_fhn, validate_config)
 

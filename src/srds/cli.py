@@ -25,6 +25,7 @@ from ._version import __version__
 from .config import (_path_resolution, build_problem, config_block, config_digest,
                      load_config, preset, read_integer, validate_config)
 from .errors import AuditError, ConfigError, SolverFailure
+from .experiments import Member, run_members
 from .rng import MAX_PATH, sample_path
 from .solver import TRAJECTORY_FORMATS, save_trajectory, simulate, write_csv, write_json
 from .verify import SUITES, run_suite
@@ -141,8 +142,8 @@ def _path_stats(cfg_blob: str, master_seed: int, n_fine: int, dt_fine: float,
     path = sample_path(master_seed, problem.r, problem.noise.modes, n_fine,
                        dt_fine, path_index=path_index)
     # the statistics read per-step norms and minima only: store no other states
-    traj = simulate(problem, replace(solver_cfg, store_stride=solver_cfg.n_steps),
-                    path, initial)
+    traj, = run_members(problem, replace(solver_cfg, store_stride=solver_cfg.n_steps),
+                        [Member(path, initial)])
     e = traj.e_norms()
     return {
         "path": path_index,

@@ -95,10 +95,53 @@ def _provenance(problem: Problem, config: SolverConfig, master_seed: int) -> dic
 def _make_path(problem: Problem, config: SolverConfig, master_seed: int,
                path_index: int, refinements: int = 0) -> WienerPath:
     """The study path ``path_index`` at dt/2^refinements over the config's
-    steps: it drives the config at every level of ``_refine``."""
+    steps: it drives members of up to ``refinements`` halvings."""
     return sample_path(master_seed, problem.r, problem.noise.modes,
                        config.n_steps << refinements, config.dt / (1 << refinements),
                        path_index=path_index)
+
+
+@dataclass(frozen=True)
+class Member:
+    """One run of ``run_members``: ``path`` drives it from ``initial`` at the
+    runner's dt/2^``halvings``, on ``problem`` when that is not the
+    runner's (a control, a truncation level), with ``simulate``'s
+    ``ball_test``.  ``fork`` is the index of an earlier member on a
+    truncation level, which this one resumes from at that member's exit."""
+
+    path: WienerPath
+    initial: np.ndarray
+    halvings: int = 0
+    problem: Problem | None = None
+    ball_test: bool = True
+    fork: int | None = None
+
+
+def run_members(problem: Problem, config: SolverConfig,
+                members: list[Member]) -> list[Trajectory]:
+    """The trajectories of ``members``, in order: one ``simulate`` call per
+    member, through this module's name, so patching
+    srds.experiments.simulate sees every run.
+
+    Every state of a run before its exit rho_n (``exit_index``) lies inside
+    its ball, so inside each larger ball too: a member forked from it
+    copies its norms, minima and stored states through its last stored
+    step at or before rho_n (``simulate``'s ``prefix``; the last step it
+    reached is always stored) and steps on from there, to the same bits as
+    from step 0.
+    """
+    trajs = []
+    for m in members:
+        cfg = replace(config, dt=config.dt / (1 << m.halvings))
+        prefix = None
+        if m.fork is not None:
+            src = trajs[m.fork]
+            rho = exit_index(src, (members[m.fork].problem or problem).level).step_index
+            last = len(src.sup_norms) - 1
+            prefix = src.until(rho if rho == last else rho - rho % cfg.store_stride)
+        trajs.append(simulate(m.problem or problem, cfg, m.path, m.initial,
+                              ball_test=m.ball_test, prefix=prefix))
+    return trajs
 
 
 def _l1_gap(a: Trajectory, b: Trajectory, cell_volume: float) -> np.ndarray:
@@ -141,15 +184,14 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     read_number("slack", slack, least=0)
     cap = config.sup_cap if config.sup_cap is not None else 8.0
     run_cfg = replace(config, sup_cap=cap)
-    m_radius = cap
-    L_m = problem.reaction.coupling_lipschitz(m_radius)
+    L_m = problem.reaction.coupling_lipschitz(cap)
     rate = problem.r * L_m
     cell_vol = problem.grid.cell_volume
 
     report = ExperimentReport(
         name="uniqueness",
         parameters={"n_paths": n_paths, "eps_list": eps_list, "slack": slack,
-                    "cap_radius": m_radius, "coupling_lipschitz": L_m,
+                    "cap_radius": cap, "coupling_lipschitz": L_m,
                     "gronwall_rate": rate, "cauchy_paths": cauchy_paths,
                     "cauchy_refinements": cauchy_refinements},
         provenance=_provenance(problem, config, master_seed),
@@ -163,17 +205,16 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     bitwise_ok = True
     for p in range(n_paths):
         path = _make_path(problem, run_cfg, master_seed, p)
-        base = simulate(problem, run_cfg, path, initial)
+        starts = [initial] * (1 + (p < BITWISE_PATHS)) + [initial + e for e in eps_list]
+        base, *runs = run_members(problem, run_cfg, [Member(path, x) for x in starts])
         if p < BITWISE_PATHS:
-            twin = simulate(problem, run_cfg, path, initial)
+            twin = runs.pop(0)
             bitwise_ok &= (np.array_equal(base.states, twin.states)
                            and np.array_equal(base.sup_norms, twin.sup_norms))
-        if base.stopping.triggered:
-            exits += 1
+        exits += base.stopping.triggered
         if stored_times is None or len(base.times) > len(stored_times):
             stored_times = base.times
-        for e in eps_list:
-            pert = simulate(problem, run_cfg, path, initial + e)
+        for e, pert in zip(eps_list, runs):
             gap_series[e].append(_l1_gap(base, pert, cell_vol))
     if exits > 0.5 * n_paths:
         raise SolverFailure("excessive-cap-exits",
@@ -223,7 +264,8 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     for p in range(cauchy_paths):
         path = _make_path(problem, cauchy_cfg, master_seed, CAUCHY_OFFSET + p,
                           cauchy_refinements)
-        trajs = list(_refine(problem, cauchy_cfg, path, initial, cauchy_refinements))
+        trajs = run_members(problem, cauchy_cfg, [Member(path, initial, j)
+                                                  for j in range(cauchy_refinements + 1)])
         gaps = []
         for a, b in zip(trajs, trajs[1:]):
             coarse_on_fine = b.states[::2][:len(a.states)]
@@ -307,8 +349,8 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     minima = np.empty((n_paths, 2))  # at dt and dt/2
     for p in range(n_paths):
         path = _make_path(problem, run_cfg, master_seed, p, refinements=1)
-        minima[p] = [t.min_values.min()
-                     for t in _refine(problem, run_cfg, path, initial, 1)]
+        minima[p] = [t.min_values.min() for t in run_members(
+            problem, run_cfg, [Member(path, initial), Member(path, initial, 1)])]
     min_coarse, min_fine = minima.T
     global_min = float(min_coarse.min())
     report.aggregates["global_min"] = global_min
@@ -332,8 +374,8 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
         ctrl_init = np.zeros_like(initial)
         ctrl_init[1] = 1.0
         path = _make_path(ctrl_problem, run_cfg, master_seed, 0, refinements=1)
-        ctrl_min = float(simulate(ctrl_problem, run_cfg, path, ctrl_init)
-                         .min_values.min())
+        ctrl, = run_members(ctrl_problem, run_cfg, [Member(path, ctrl_init)])
+        ctrl_min = float(ctrl.min_values.min())
         report.aggregates["control_min"] = ctrl_min
         report.add_check("negative-control-trips", ctrl_min < -tol,
                          f"control min {ctrl_min:.3e}")
@@ -341,18 +383,7 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# common-path runners (dt refinement, the truncation ladder) and the
-# ladder's moment bounds
-
-
-def _refine(problem: Problem, config: SolverConfig, path: WienerPath,
-            initial: np.ndarray, refinements: int):
-    """Yield the trajectory of ``config`` at dt/2^j on one path, for j = 0,
-    ..., refinements in turn; ``_make_path`` with the same refinements
-    samples a path that covers every level.  Like ``run_ladder``, it
-    simulates through this module's name."""
-    for j in range(refinements + 1):
-        yield simulate(problem, replace(config, dt=config.dt / (1 << j)), path, initial)
+# the truncation ladder and its moment bounds
 
 
 def _ladder_levels(levels) -> list[float]:
@@ -371,11 +402,9 @@ def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
 
     The smallest level steps truncated at every step and the next one from
     step 0 untruncated inside its ball, so their comparison checks the
-    truncation map against untruncated steps.  Every state before a
-    level's exit lies inside its ball, so inside each larger ball too: each
-    level above those two resumes from the one below at that level's last
-    stored step at or before its exit (``simulate``'s ``prefix``); one that
-    never leaves its ball leaves nothing to step.  A one-level ladder
+    truncation map against untruncated steps.  Each level above those two
+    is a ``run_members`` member forked from the one below at its exit; one
+    that never leaves its ball leaves nothing to step.  A one-level ladder
     steps as ``simulate`` does.
 
     Consecutive levels must agree bitwise, in sup norms and stored states,
@@ -384,22 +413,11 @@ def run_ladder(problem: Problem, config: SolverConfig, path: WienerPath,
     (-1: equal norms, different stored states).
     """
     levels = _ladder_levels(levels)
-    run_cfg = replace(config, sup_cap=None)
-    trajs, exits = [], []
-    for i, n in enumerate(levels):
-        # simulate through this module's name: patching
-        # srds.experiments.simulate sees every level
-        level = truncate_problem(problem, n)
-        if i < 2:
-            traj = simulate(level, run_cfg, path, initial,
-                            ball_test=(i == 1 or len(levels) == 1))
-        else:  # without a cap, every level reaches n_steps, which it stores
-            rho = exits[-1].step_index
-            fork = rho if rho == run_cfg.n_steps else rho - rho % run_cfg.store_stride
-            traj = simulate(level, run_cfg, path, initial,
-                            prefix=trajs[-1].until(fork))
-        trajs.append(traj)
-        exits.append(exit_index(traj, n))
+    trajs = run_members(problem, replace(config, sup_cap=None), [
+        Member(path, initial, problem=truncate_problem(problem, n),
+               ball_test=(i > 0 or len(levels) == 1), fork=(i - 1 if i > 1 else None))
+        for i, n in enumerate(levels)])
+    exits = [exit_index(traj, n) for traj, n in zip(trajs, levels)]
 
     for (na, ta, ea), (nb, tb, eb) in zip(zip(levels, trajs, exits),
                                           zip(levels[1:], trajs[1:], exits[1:])):
@@ -537,8 +555,9 @@ def residual_refinement(problem: Problem, config: SolverConfig,
     residuals = np.empty((n_paths, refinements + 1))
     for p in range(n_paths):
         path = _make_path(problem, run_cfg, master_seed, p, refinements)
+        members = [Member(path, initial, j) for j in range(refinements + 1)]
         residuals[p] = [mild_residual(problem, traj, path, [config.t_end])[0]
-                        for traj in _refine(problem, run_cfg, path, initial, refinements)]
+                        for traj in run_members(problem, run_cfg, members)]
     # ratio of ensemble means: per-path residual magnitudes fluctuate like
     # |N(0, s)| so individual ratios are uninformative
     means = residuals.mean(axis=0)

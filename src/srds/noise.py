@@ -326,6 +326,9 @@ class ComponentNoise:
             raise AuditError("noise-shape",
                              f"{lam.shape[0] if lam.ndim else 0} lambdas for "
                              f"{self.basis.modes} modes")
+        bad = np.flatnonzero(~np.isfinite(lam))
+        if bad.size:  # it would first show as a non-finite state at step 1
+            raise ValueError(f"lambdas[{bad[0]}] is {lam[bad[0]]}; it must be finite")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "modes", self.basis.modes)
         object.__setattr__(self, "mode_fields",

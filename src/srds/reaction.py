@@ -47,19 +47,20 @@ def _with_constant(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], coeffs))
 
 
+def _nonneg_candidates(stationary: np.polynomial.Polynomial) -> list[float]:
+    """0 and the positive real roots of ``stationary``, in numpy's order:
+    where a function stationary at those roots can peak on s >= 0."""
+    return [0.0] + [float(z.real) for z in stationary.roots()
+                    if abs(z.imag) < 1e-9 and z.real > 0]
+
+
 def _poly_max_nonneg(asc: np.ndarray) -> float:
     """max over s >= 0 of the polynomial with ascending coefficients ``asc``.
 
     Requires a negative leading coefficient so the max is attained.
     """
     p = np.polynomial.Polynomial(asc)
-    dp = p.deriv()
-    cands = [0.0]
-    roots = dp.roots()
-    for z in roots:
-        if abs(z.imag) < 1e-9 and z.real > 0:
-            cands.append(float(z.real))
-    return float(max(p(c) for c in cands))
+    return float(max(p(c) for c in _nonneg_candidates(p.deriv())))
 
 
 def _ratio_sup_nonneg(asc: np.ndarray, q: int) -> float:
@@ -73,11 +74,7 @@ def _ratio_sup_nonneg(asc: np.ndarray, q: int) -> float:
     tq = np.polynomial.Polynomial([1.0] + [0.0] * (q - 1) + [1.0])  # 1 + t^q
     dtq = tq.deriv()
     num = dP * tq - dtq * P
-    cands = [0.0]
-    for z in num.roots():
-        if abs(z.imag) < 1e-9 and z.real > 0:
-            cands.append(float(z.real))
-    best = max(_ratio_at(P, q, c) for c in cands)
+    best = max(_ratio_at(P, q, c) for c in _nonneg_candidates(num))
     return max(best, float(asc[-1]))
 
 
@@ -115,6 +112,9 @@ class PolynomialDrift:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim not in (1, 2) or coeffs.shape[-1] < 1:
             raise AuditError("drift-shape", f"bad coefficient shape {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise AuditError("drift-coefficients", "coefficients must be finite, "
+                                                   f"got {coeffs[~np.isfinite(coeffs)][0]}")
         q = coeffs.shape[-1]
         if q % 2 == 0:
             raise AuditError("even-degree", f"drift degree {q} must be odd")
@@ -245,6 +245,9 @@ class CouplingTerm:
         self.fn = fn
         self.c1 = float(c1)
         self.c2 = float(c2)
+        if not np.isfinite([self.c1, self.c2]).all():  # coupling_linear's max |row|
+            raise ValueError(f"coupling {name!r} growth constants must be finite, "
+                             f"got c1={self.c1!r}, c2={self.c2!r}")
         self._lipschitz = lipschitz if callable(lipschitz) else (lambda m, L=lipschitz: L)
         self.name = name
 

@@ -109,12 +109,12 @@ class SolverConfig:
     store_stride: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0 or not self.t_end > 0:
-            raise ValueError("dt and t_end must be positive")
+        if not 0 < self.dt < math.inf or not 0 < self.t_end < math.inf:
+            raise ValueError("dt and t_end must be positive and finite")
         if self.scheme not in ("semi-implicit", "tamed-semi-implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.store_stride < 1:
-            raise ValueError("store_stride must be >= 1")
+        if not 1 <= self.store_stride < math.inf:
+            raise ValueError("store_stride must be a finite count >= 1")
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > self.dt * 1e-9:
             raise ValueError(f"dt={self.dt} does not divide t_end={self.t_end}")

@@ -223,7 +223,9 @@ def test_ball_exit_drops_a_bounded_repeatable_count_of_steps(tmp_path, monkeypat
     assert member == sum(len(traj.sup_norms) - 1 for _, _, traj in runs) == 3 * 2 * n_steps
     exits, resumes = 0, []
     for (_, first, _), (_, second, below), (_, forked, top) in zip(*[iter(runs)] * 3):
-        assert first == {"ball_test": False} and second == {"ball_test": True}
+        assert first == {"ball_test": False, "prefix": None}
+        assert second == {"ball_test": True, "prefix": None}
+        assert forked["ball_test"] is True
         inside = list(below.e_norms() <= 2.0)
         # each step from inside the ball to outside it, as exit_index reads
         exits += sum(a and not b for a, b in zip(inside, inside[1:]))

@@ -707,12 +707,12 @@ def test_ensemble_seed_recorded(tmp_path, out_root):
 
 
 def test_ensemble_stores_no_intermediate_states(tmp_path, monkeypatch):
-    import srds.cli
+    import srds.experiments
 
     strides = []
-    simulate = srds.cli.simulate
-    monkeypatch.setattr(srds.cli, "simulate", lambda problem, config, *args: (
-        strides.append(config.store_stride) or simulate(problem, config, *args)))
+    simulate = srds.experiments.simulate
+    monkeypatch.setattr(srds.experiments, "simulate", lambda problem, config, *args, **kw: (
+        strides.append(config.store_stride) or simulate(problem, config, *args, **kw)))
     csvs = {}
     for stride in (1, 5):
         cfg = quick_preset(store_stride=stride)
@@ -919,15 +919,15 @@ BAD_VALUES = [
     *[("simulate", ("noise", "lambdas"), f"power:{p}", "noise",
        f"lambda power must be finite, got {float(p)!r}") for p in ("nan", "inf")],
     # a scaled lambda beyond the largest float, or inf * 0, is refused by
-    # mode before any path is sampled
+    # mode (ComponentNoise's check) before any path is sampled
     ("simulate", ("noise", "lambdas"), "power:-400", "noise",
-     "lambdas[5] is inf after scaling; it must be finite"),
+     "lambdas[5] is inf; it must be finite"),
     ("simulate", ("noise",), {"basis": "cosine-neumann", "modes": 8,
                               "lambdas": "power:-400", "scale": 0, "g": "sqrt-pos"},
-     "noise", "lambdas[5] is nan after scaling; it must be finite"),
+     "noise", "lambdas[5] is nan; it must be finite"),
     ("simulate", ("noise",), {"basis": "cosine-neumann", "modes": 8,
                               "lambdas": [1e308] * 8, "scale": 10, "g": "sqrt-pos"},
-     "noise", "lambdas[0] is inf after scaling; it must be finite"),
+     "noise", "lambdas[0] is inf; it must be finite"),
     ("simulate", ("reaction",), {"drifts": [["1", 0.0, -1.0], []],
                                  "coupling": {"name": "fhn"}}, "reaction",
      "drifts[0][0] must be a finite number, got '1'"),

@@ -9,9 +9,9 @@ from srds import (SolverConfig, build_problem, est2_bound_check, moment_experime
 from srds.errors import AuditError
 from srds.noise import HolderFunction
 from srds.reaction import CouplingTerm, ReactionSystem
-from srds.experiments import _make_path, _refine, mean_upper_ci
+from srds.experiments import Member, _make_path, mean_upper_ci, run_members
 from srds.rng import sample_path
-from srds.solver import _step_runs, simulate
+from srds.solver import _step_runs, exit_index, simulate, truncate_problem
 from srds.verify import _with_named_g, _zero_noise
 
 from conftest import build_fhn_problem, const_init
@@ -253,30 +253,69 @@ def test_est2_needs_polynomial_drift():
         est2_bound_check(prob.reaction, 1, prob.operators[1], v, dt=1e-2)
 
 
-# --- the dt-refinement runner ------------------------------------------------------
+# --- the member runner -------------------------------------------------------------
+
+
+def _assert_same_run(traj, ref):
+    assert traj.dt == ref.dt and traj.store_stride == ref.store_stride
+    assert traj.stopping == ref.stopping
+    for name in ("times", "states", "sup_norms", "min_values"):
+        assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes()
 
 
 @pytest.mark.parametrize("sup_cap", [None, 0.3], ids=["uncapped", "capped"])
-def test_refine_levels_match_simulate_on_a_hand_sized_path(sup_cap):
-    # the cap of 0.3 stops every level, at different steps
+def test_run_members_match_simulate_on_a_hand_sized_path(sup_cap):
+    # the cap of 0.3 stops every dt level, at different steps
     prob = build_fhn_problem(scale=0.5)
     cfg = SolverConfig(dt=1.0 / 32, t_end=0.25, sup_cap=sup_cap, store_stride=3)
     init = const_init(prob, 0.2, 0.2)
+    control = negative_control_problem(prob)
     n = 3
     path = _make_path(prob, cfg, 7, 5, refinements=n)
     hand = sample_path(7, prob.r, prob.noise.modes, cfg.n_steps * 2**n,
                        cfg.dt / 2**n, path_index=5)
     assert path.dt_fine == hand.dt_fine
     assert path.increments.tobytes() == hand.increments.tobytes()
-    trajs = list(_refine(prob, cfg, path, init, n))
-    assert len(trajs) == n + 1
-    for j, traj in enumerate(trajs):
-        ref = simulate(prob, replace(cfg, dt=cfg.dt / 2**j), hand, init)
+    # halvings 0..n, then a member on another problem at dt/2
+    runs = [(prob, j) for j in range(n + 1)] + [(control, 1)]
+    trajs = run_members(prob, cfg, [Member(path, init, j, problem=(None if p is prob else p))
+                                    for p, j in runs])
+    assert len(trajs) == len(runs)
+    for traj, (p, j) in zip(trajs, runs):
+        ref = simulate(p, replace(cfg, dt=cfg.dt / 2**j), hand, init)
         assert traj.dt == ref.dt == cfg.dt / 2**j
-        assert traj.stopping == ref.stopping
-        for name in ("times", "states", "sup_norms", "min_values"):
-            assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes()
-    assert all(t.stopping.triggered for t in trajs) == (sup_cap is not None)
+        _assert_same_run(traj, ref)
+    assert all(t.stopping.triggered for t in trajs[:n + 1]) == (sup_cap is not None)
+
+
+def test_run_members_fork_a_ladder_to_the_bits_of_runs_from_step_0(monkeypatch):
+    # E-norm 0.9 at step 0: level 1 is left at step 4 and level 1.25 at
+    # step 7, off the stride of 3, so level 4 resumes from it at step 6
+    import srds.experiments
+
+    prob = build_fhn_problem(scale=0.5)
+    cfg = SolverConfig(dt=1.0 / 32, t_end=0.25, store_stride=3)
+    init = const_init(prob, 0.45, 0.45)
+    path = _make_path(prob, cfg, 7, 5)
+    levels = [truncate_problem(prob, n) for n in (1.0, 1.25, 4.0)]
+    prefixes = []
+    run = srds.experiments.simulate
+
+    def recording(problem, config, path, initial, **kwargs):
+        prefixes.append(kwargs["prefix"])
+        return run(problem, config, path, initial, **kwargs)
+
+    monkeypatch.setattr(srds.experiments, "simulate", recording)
+    trajs = run_members(prob, cfg, [Member(path, init, problem=levels[0], ball_test=False),
+                                    Member(path, init, problem=levels[1]),
+                                    Member(path, init, problem=levels[2], fork=1)])
+    assert prefixes[:2] == [None, None]
+    assert len(prefixes[2].sup_norms) - 1 == 6
+    assert [exit_index(t, lv.level).step_index for t, lv in zip(trajs, levels)][:2] == [4, 7]
+    refs = [simulate(levels[0], cfg, path, init, ball_test=False),
+            simulate(levels[1], cfg, path, init), simulate(levels[2], cfg, path, init)]
+    for traj, ref in zip(trajs, refs):
+        _assert_same_run(traj, ref)
 
 
 # --- residual refinement -----------------------------------------------------------
@@ -292,9 +331,9 @@ def test_residual_refinement_samples_one_path_per_study_path(monkeypatch):
         sampled.append(sample(*args, **kwargs))
         return sampled[-1]
 
-    def counting_simulate(problem, config, path, initial):
+    def counting_simulate(problem, config, path, initial, **kwargs):
         simulated.append((config.dt, path))
-        return run(problem, config, path, initial)
+        return run(problem, config, path, initial, **kwargs)
 
     monkeypatch.setattr(srds.experiments, "sample_path", counting_sample)
     monkeypatch.setattr(srds.experiments, "simulate", counting_simulate)

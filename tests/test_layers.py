@@ -1,6 +1,8 @@
 """The library modules sit below the experiments, the suites and the command
-line: they import nothing from those, so the layering runs one way.  And
-``import srds`` leaves out the SciPy packages only a few checks use."""
+line: they import nothing from those, so the layering runs one way.  Runs
+are simulated in two places only: the experiments' member runner and the
+``simulate`` command.  And ``import srds`` leaves out the SciPy packages
+only a few checks use."""
 
 import ast
 import json
@@ -49,6 +51,43 @@ def test_the_layer_check_sees_relative_and_absolute_imports():
                      "import srds.cli\nfrom srds.experiments import y\n"
                      "def f():\n    from .solver import z\n")
     assert _imported_modules(tree) == {"experiments", "verify", "cli", "solver"}
+
+
+def _simulate_callers(tree, module: str) -> set:
+    """(module, innermost enclosing function) of each call to ``simulate``,
+    by bare name or as an attribute; "<module>" outside any function."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name == "simulate":
+                found.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_simulate_check_sees_every_call_site():
+    tree = ast.parse("simulate(a)\ndef f():\n    def g():\n        return solver.simulate(b)\n"
+                     "    return [simulate(c)]\nclass C:\n    def h(self):\n"
+                     "        self.simulate = 1\n")
+    assert _simulate_callers(tree, "m") == {("m", "<module>"), ("m", "g"), ("m", "f")}
+
+
+def test_only_the_member_runner_and_the_simulate_command_simulate():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _simulate_callers(ast.parse(path.read_text()), path.stem)
+    assert found == {("experiments", "run_members"), ("cli", "cmd_simulate")}
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    assert "_refine" not in {node.name for node in ast.walk(tree)
+                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 _FOOTPRINT = """

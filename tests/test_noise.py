@@ -166,6 +166,18 @@ def test_mode_count_mismatch():
         build_noise([basis], [np.ones(5)], [named_g("sqrt-abs")])
 
 
+@pytest.mark.parametrize("k, bad", [(0, math.inf), (3, math.nan), (7, -math.inf)])
+def test_a_non_finite_lambda_is_refused_by_mode(k, bad):
+    # it would first show as a non-finite state at step 1
+    basis = cosine_neumann_basis(build_grid(1, [1.0], [32]), 8)
+    lam = np.ones(8)
+    lam[k] = bad
+    with pytest.raises(ValueError, match=rf"^lambdas\[{k}\] is {bad!r}; it must be finite$"):
+        build_noise([basis], [lam], [named_g("sqrt-abs")])
+    lam[k] = 1e308  # finite, however large
+    assert build_noise([basis], [lam], [named_g("sqrt-abs")]).components[0].modes == 8
+
+
 def test_component_count_mismatch_rejected():
     grid = build_grid(1, [1.0], [16])
     basis = cosine_neumann_basis(grid, 4)

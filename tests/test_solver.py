@@ -11,11 +11,11 @@ import srds.solver
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from srds import (CoefficientField, SolverConfig, assemble_operator, build_grid,
-                  cosine_neumann_basis, build_noise, exit_index, fhn_system,
-                  glue_ladder, mild_residual, named_g, run_ladder, sample_path,
-                  simulate, step, truncate_problem)
-from srds.errors import SolverFailure
+from srds import (CoefficientField, PolynomialDrift, SolverConfig, assemble_operator,
+                  build_grid, cosine_neumann_basis, build_noise, coupling_linear,
+                  exit_index, fhn_system, glue_ladder, mild_residual, named_g, run_ladder,
+                  sample_path, simulate, step, truncate_problem)
+from srds.errors import AuditError, SolverFailure
 from srds.solver import (Problem, StoppingRecord, _resolve_increments, _step_runs,
                          _truncate, dyadic_level)
 
@@ -739,6 +739,45 @@ def test_truncation_level_is_checked():
         with pytest.raises(ValueError, match="truncation level must be >= 1"):
             truncate_problem(prob, bad)
     assert truncate_problem(prob, 1).level == 1.0
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+_TIMES = "dt and t_end must be positive and finite"
+_DRIFT = "coefficients must be finite, got (nan|inf|-inf)$"
+_COUPLING = "growth constants must be finite"
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, reason", [
+    (lambda x: SolverConfig(dt=x, t_end=1.0), _TIMES),
+    (lambda x: SolverConfig(dt=1e-3, t_end=x), _TIMES),
+    (lambda x: SolverConfig(dt=x, t_end=x), _TIMES),
+    (lambda x: SolverConfig(dt=0.1, t_end=1.0, store_stride=x), "finite count >= 1"),
+    (lambda x: PolynomialDrift([x, -1.0, -1.0]), _DRIFT),
+    (lambda x: PolynomialDrift([1.0, x, -1.0]), _DRIFT),
+    (lambda x: PolynomialDrift([[1.0, 0.0, -1.0], [1.0, 0.0, x]]), _DRIFT),
+    (lambda x: coupling_linear([x, 1.0]), _COUPLING),
+    (lambda x: coupling_linear([1.0, x]), _COUPLING),
+], ids=["dt", "t_end", "dt-and-t_end", "store_stride", "drift-w1", "drift-w2",
+        "drift-per-cell-lead", "coupling-row-0", "coupling-row-1"])
+def test_constructors_refuse_non_finite_numbers(build, reason, bad):
+    # each raised its own way before: a NaN-to-integer or OverflowError from
+    # n_steps, or nothing until a run met NaN at step 1
+    with pytest.raises((ValueError, AuditError), match=reason):
+        build(bad)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_documented_non_finite_values_are_accepted(bad):
+    # a NaN, inf or -inf sup cap is no cap (see _advance); an infinite
+    # truncation level is the untruncated map; a NaN or -inf level is refused
+    assert SolverConfig(dt=0.1, t_end=1.0, sup_cap=bad).n_steps == 10
+    prob = zero_noise_fhn()
+    if bad == math.inf:
+        assert replace(prob, level=bad).level == math.inf
+    else:
+        with pytest.raises(ValueError, match="truncation level must be >= 1"):
+            replace(prob, level=bad)
 
 
 # random odd-degree drifts with a negative lead, linear coupling rows, a
