@@ -50,6 +50,19 @@ class ExperimentReport:
     tables: dict = field(default_factory=dict)  # name -> (headers, rows)
     provenance: dict = field(default_factory=dict)
 
+    @classmethod
+    def start(cls, name: str, problem: Problem, config: SolverConfig,
+              master_seed: int, /, **parameters) -> "ExperimentReport":
+        """An empty report ``name`` with ``parameters``, whose provenance
+        (problem digest, solver config, master seed, tool version) every
+        report shares: each one is built here."""
+        return cls(name, parameters, provenance={
+            "problem_digest": problem.digest(),
+            "solver_config": config.descriptor(),
+            "master_seed": master_seed,
+            "tool_version": _version,
+        })
+
     @property
     def verdict(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -81,15 +94,6 @@ class ExperimentReport:
             if c["detail"]:
                 line += f" ({c['detail']})"
             print(line)
-
-
-def _provenance(problem: Problem, config: SolverConfig, master_seed: int) -> dict:
-    return {
-        "problem_digest": problem.digest(),
-        "solver_config": config.descriptor(),
-        "master_seed": master_seed,
-        "tool_version": _version,
-    }
 
 
 def _make_path(problem: Problem, config: SolverConfig, master_seed: int,
@@ -188,14 +192,10 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     rate = problem.r * L_m
     cell_vol = problem.grid.cell_volume
 
-    report = ExperimentReport(
-        name="uniqueness",
-        parameters={"n_paths": n_paths, "eps_list": eps_list, "slack": slack,
-                    "cap_radius": cap, "coupling_lipschitz": L_m,
-                    "gronwall_rate": rate, "cauchy_paths": cauchy_paths,
-                    "cauchy_refinements": cauchy_refinements},
-        provenance=_provenance(problem, config, master_seed),
-    )
+    report = ExperimentReport.start(
+        "uniqueness", problem, config, master_seed, n_paths=n_paths, eps_list=eps_list,
+        slack=slack, cap_radius=cap, coupling_lipschitz=L_m, gronwall_rate=rate,
+        cauchy_paths=cauchy_paths, cauchy_refinements=cauchy_refinements)
 
     # (i) zero-perturbation twins on the first BITWISE_PATHS paths, (ii)+(iii)
     # perturbation decay and envelope, all on common random numbers
@@ -338,12 +338,8 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
                           for c in problem.noise.components)
     tol = c_tol * config.dt
 
-    report = ExperimentReport(
-        name="positivity",
-        parameters={"n_paths": n_paths, "c_tol": c_tol, "tolerance": tol,
-                    "dt": config.dt},
-        provenance=_provenance(problem, config, master_seed),
-    )
+    report = ExperimentReport.start("positivity", problem, config, master_seed,
+                                    n_paths=n_paths, c_tol=c_tol, tolerance=tol, dt=config.dt)
 
     run_cfg = replace(config, store_stride=max(1, config.n_steps))
     minima = np.empty((n_paths, 2))  # at dt and dt/2
@@ -463,11 +459,8 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     levels = _ladder_levels(levels)  # before any path is sampled
     run_cfg = replace(config, store_stride=max(1, config.n_steps))
 
-    report = ExperimentReport(
-        name="moments",
-        parameters={"p": p, "levels": levels, "n_paths": n_paths},
-        provenance=_provenance(problem, config, master_seed),
-    )
+    report = ExperimentReport.start("moments", problem, config, master_seed,
+                                    p=p, levels=levels, n_paths=n_paths)
 
     sup_vals = np.empty((n_paths, len(levels)))
     exited = np.zeros((n_paths, len(levels)), dtype=bool)

@@ -236,13 +236,20 @@ def named_g(name: str) -> HolderFunction:
 # moduli
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"modulus {name} must be finite, got {value!r}")
+    return float(value)
+
+
 class LinearModulus:
     """rho(s) = C*s, the squared-sum modulus of the separable noise family."""
 
     osgood_diverges = True  # int_0+ ds/(C s) = infinity
 
     def __init__(self, constant: float):
-        self.constant = float(constant)
+        self.constant = _finite("constant", constant)
 
     def __call__(self, s):
         return self.constant * np.asarray(s, dtype=float)
@@ -259,8 +266,8 @@ class PowerModulus:
     amplitude (power = 2*alpha): Osgood-divergent exactly when power >= 1."""
 
     def __init__(self, constant: float, power: float):
-        self.constant = float(constant)
-        self.power = float(power)
+        self.constant = _finite("constant", constant)
+        self.power = _finite("power", power)
 
     def __call__(self, s):
         return self.constant * np.asarray(s, dtype=float) ** self.power

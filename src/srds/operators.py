@@ -31,8 +31,8 @@ class CoefficientField:
     with eigenvalues in [eta, m_bound] at every cell; ``c`` has shape
     (n_total,).  When every cell's tensor is bitwise the first one
     (``uniform``), the checks run on that one tensor.
-    Only grid-aligned (diagonal) tensors are accepted by the assembler, see
-    `assemble_operator`.
+    Only grid-aligned (diagonal) tensors are accepted by the operator, see
+    `EllipticOperator`.
     """
 
     grid: DomainGrid
@@ -138,9 +138,20 @@ class EllipticOperator:
     The sparse matrix is assembled on its first read (a SuperLU factor,
     `dense_spectrum`, `apply_resolvent`, `verify operator`), so an operator
     solved by the DCT never builds it.
+
+    A field built on another grid, and off-diagonal tensor entries, are
+    rejected here, before any path runs: two-point fluxes cannot represent
+    the latter and they would destroy the M-matrix property the positivity
+    checks rest on.
     """
 
     def __init__(self, grid: DomainGrid, coeffs: CoefficientField):
+        if coeffs.grid is not grid and coeffs.grid != grid:
+            raise AuditError("shape", "coefficient field built on a different grid")
+        if grid.dim == 2 and np.abs(coeffs.a[:, 0, 1]).max() > 0:
+            raise AuditError("diagonal-tensor",
+                             "off-diagonal diffusion entries are not supported by "
+                             "the two-point flux assembler")
         self.grid = grid
         self.coeffs = coeffs
         self._steppers: dict[float, ShiftedSolve | SpectralSolve] = {}
@@ -232,22 +243,8 @@ class EllipticOperator:
 
 def assemble_operator(grid: DomainGrid, coeffs: CoefficientField) -> EllipticOperator:
     """The operator A = div(a grad .) - c of ``coeffs`` on ``grid``, its
-    matrix assembled on first read (`EllipticOperator.matrix`).
-
-    Off-diagonal tensor entries are rejected here, before any path runs:
-    two-point fluxes cannot represent them and they would destroy the
-    M-matrix property the positivity checks rest on.
-    """
-    if coeffs.grid is not grid and coeffs.grid != grid:
-        raise AuditError("shape", "coefficient field built on a different grid")
-    if grid.dim == 2:
-        off = np.abs(coeffs.a[:, 0, 1])
-        if off.max() > 0:
-            raise AuditError(
-                "diagonal-tensor",
-                "off-diagonal diffusion entries are not supported by the "
-                "two-point flux assembler",
-            )
+    matrix assembled on first read (`EllipticOperator.matrix`); the
+    constructor checks the field (`EllipticOperator`)."""
     return EllipticOperator(grid, coeffs)
 
 

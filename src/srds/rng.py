@@ -110,6 +110,11 @@ def _check_key(master_seed: int, path_index: int, components: int, modes: int) -
         raise ValueError(f"path_index {path_index} outside [0, {MAX_PATH})")
 
 
+def _valid_dt(dt_fine) -> bool:
+    """True for a fine step in (0, inf); NaN is outside too."""
+    return 0 < dt_fine < np.inf
+
+
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 
@@ -147,6 +152,8 @@ def uniform_stream(master_seed: int, path_index: int, component: int, mode: int,
 def gaussian_entry(master_seed: int, path_index: int, component: int, mode: int,
                    step: int, dt_fine: float) -> float:
     """Regenerate the single increment at (component, mode, step)."""
+    if not _valid_dt(dt_fine):
+        raise ValueError("dt_fine must be positive and finite")
     u = uniform_stream(master_seed, path_index, component, mode, step + 1)[step]
     return float(normal_inverse(u)) * float(np.sqrt(dt_fine))
 
@@ -184,8 +191,8 @@ def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
     """Sample the full increment array for one path."""
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
-    if not dt_fine > 0:
-        raise ValueError("dt_fine must be positive")
+    if not _valid_dt(dt_fine):
+        raise ValueError("dt_fine must be positive and finite")
     _check_key(master_seed, path_index, components, modes)
     # re-keyed per stream; a fixed seed spares the OS-entropy seeding
     bg = np.random.Philox(0)
@@ -231,7 +238,7 @@ def load_path(file) -> WienerPath:
         raise ValueError(f"{file}: path file version {version}, expected {_VERSION}")
     body = len(raw) - _HEADER.size
     if (min(r, K, n_fine) < 1 or body != 8 * r * K * n_fine
-            or path_index >= MAX_PATH or not dt_fine > 0):
+            or path_index >= MAX_PATH or not _valid_dt(dt_fine)):
         raise ValueError(f"{file}: corrupt srds path file (r={r}, K={K}, "
                          f"n_fine={n_fine}, path_index={path_index}, dt_fine={dt_fine}, "
                          f"{body} bytes of increments)")

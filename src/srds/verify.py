@@ -14,9 +14,8 @@ import numpy as np
 from .config import (config_block, read_flag, read_integer, read_list,
                      read_number)
 from .errors import AuditError, ConfigError
-from .experiments import (ExperimentReport, _provenance, _zero_noise,
-                          moment_experiment, positivity_experiment,
-                          residual_refinement, uniqueness_experiment)
+from .experiments import (ExperimentReport, _zero_noise, moment_experiment,
+                          positivity_experiment, residual_refinement, uniqueness_experiment)
 from .linalg import ShiftedSolve
 from .mollifier import build_mollifier
 from .noise import LinearModulus, build_noise, named_g, osgood_check
@@ -34,8 +33,7 @@ SPECTRAL_LU_TRIALS = 5
 def suite_operator(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, trials: int = 1000) -> ExperimentReport:
     read_integer("trials", trials, least=1)
-    report = ExperimentReport(name="operator", parameters={"trials": trials},
-                              provenance=_provenance(problem, config, master_seed))
+    report = ExperimentReport.start("operator", problem, config, master_seed, trials=trials)
     rng = np.random.default_rng(master_seed)
     for idx, op in enumerate(problem.operators):
         sharing = [j for j, other in enumerate(problem.operators) if other is op]
@@ -113,12 +111,9 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
     if not read_list("radii", radii, read_number, above=0):
         raise ValueError("radii must be a nonempty list")
     sys = problem.reaction
-    report = ExperimentReport(
-        name="reaction",
-        parameters={"radii": radii, "samples": samples,
-                    "dissipativity_trials": dissipativity_trials,
-                    "quasi_positive": quasi_positive},
-        provenance=_provenance(problem, config, master_seed))
+    report = ExperimentReport.start(
+        "reaction", problem, config, master_seed, radii=radii, samples=samples,
+        dissipativity_trials=dissipativity_trials, quasi_positive=quasi_positive)
     rng = np.random.default_rng(master_seed + 1)
 
     lip_ok = True
@@ -161,8 +156,7 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
 
 def suite_noise(problem: Problem, config: SolverConfig, initial,
                 master_seed: int) -> ExperimentReport:
-    report = ExperimentReport(name="noise", parameters={},
-                              provenance=_provenance(problem, config, master_seed))
+    report = ExperimentReport.start("noise", problem, config, master_seed)
     for idx, comp in enumerate(problem.noise.components):
         tag = f"comp{idx}"
         defect = comp.basis.orthonormality_defect()
@@ -200,10 +194,8 @@ def suite_mollifier(problem: Problem, config: SolverConfig, initial,
     read_integer("n_max", n_max, least=1)
     if C is not None:
         read_number("C", C, above=0)
-    report = ExperimentReport(
-        name="mollifier",
-        parameters={"n_max": n_max, "C": C, "probe_points": probe_points},
-        provenance=_provenance(problem, config, master_seed))
+    report = ExperimentReport.start("mollifier", problem, config, master_seed,
+                                    n_max=n_max, C=C, probe_points=probe_points)
     if C is not None:
         constants = [C]
     else:
@@ -222,8 +214,7 @@ def suite_mollifier(problem: Problem, config: SolverConfig, initial,
         constants = seen or [1.0]
     probe = np.linspace(-2.0, 2.0, probe_points)
     for C in constants:
-        rho = lambda s, C=C: C * np.asarray(s, dtype=float)
-        fam = build_mollifier(rho, n_max)
+        fam = build_mollifier(LinearModulus(C), n_max)
         n_idx = np.arange(n_max + 1)
         analytic = np.exp(-C * n_idx * (n_idx + 1) / 2.0)
         rel = float(np.max(np.abs(fam.a_seq - analytic) / analytic))
@@ -257,10 +248,8 @@ def suite_residual(problem: Problem, config: SolverConfig, initial,
     read_number("t_end", t_end)
     read_number("dt", dt)
     read_integer("n_paths", n_paths, least=1)
-    report = ExperimentReport(
-        name="residual",
-        parameters={"t_end": t_end, "dt": dt, "n_paths": n_paths},
-        provenance=_provenance(problem, config, master_seed))
+    report = ExperimentReport.start("residual", problem, config, master_seed,
+                                    t_end=t_end, dt=dt, n_paths=n_paths)
     cfg = SolverConfig(dt=dt, t_end=t_end, store_stride=1)
 
     det = residual_refinement(_zero_noise(problem), cfg, initial,

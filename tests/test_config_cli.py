@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srds
 from srds import build_problem, config_digest, preset, preset_fhn, validate_config
 from srds.cli import main
 from srds.errors import ConfigError
 from srds.operators import EllipticOperator
 from srds.rng import MAX_PATH
 from srds.solver import Problem
-from srds.verify import run_suite
+from srds.verify import SUITES, run_suite
 
 
 @pytest.fixture()
@@ -328,6 +329,33 @@ def test_native_suite_report_records_effective_parameters():
     report = run_suite("mollifier", problem, solver_cfg, initial, {"n_max": 2}, 42)
     assert report.to_dict()["parameters"] == {"n_max": 2, "C": None,
                                               "probe_points": 10001}
+
+
+# small blocks: the verdicts do not matter here, only what each report records
+_SMALL_BLOCKS = {
+    "operator": {"trials": 5},
+    "reaction": {"samples": 50, "dissipativity_trials": 2},
+    "noise": {},
+    "mollifier": {"n_max": 1, "probe_points": 11},
+    "uniqueness": {"n_paths": 2, "cauchy_paths": 1, "cauchy_refinements": 1},
+    "positivity": {"n_paths": 1, "control": False},
+    "moments": {"n_paths": 1, "levels": [4.0, 8.0]},
+    "residual": {"t_end": 1.0 / 64, "dt": 1.0 / 256, "n_paths": 1},
+}
+
+
+@pytest.mark.parametrize("suite", list(_SMALL_BLOCKS))
+def test_every_suite_report_records_the_same_provenance(suite):
+    assert set(_SMALL_BLOCKS) == set(SUITES)
+    problem, initial, solver_cfg = build_problem(quick_preset())
+    report = run_suite(suite, problem, solver_cfg, initial, _SMALL_BLOCKS[suite], 42)
+    assert report.name == suite
+    provenance = report.to_dict()["provenance"]
+    assert provenance.pop("problem_digest") == problem.digest()
+    assert provenance.pop("solver_config") == solver_cfg.descriptor()
+    assert provenance.pop("master_seed") == 42
+    assert provenance.pop("tool_version") == srds.__version__
+    assert provenance == {}
 
 
 def test_verify_noise_pass(tmp_path, out_root):

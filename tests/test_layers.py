@@ -1,7 +1,7 @@
 """The library modules sit below the experiments, the suites and the command
 line: they import nothing from those, so the layering runs one way.  Runs
 are simulated in two places only: the experiments' member runner and the
-``simulate`` command.  And ``import srds`` leaves out the SciPy packages
+``simulate`` command; every report is built by ``ExperimentReport.start``.  And ``import srds`` leaves out the SciPy packages
 only a few checks use."""
 
 import ast
@@ -53,8 +53,8 @@ def test_the_layer_check_sees_relative_and_absolute_imports():
     assert _imported_modules(tree) == {"experiments", "verify", "cli", "solver"}
 
 
-def _simulate_callers(tree, module: str) -> set:
-    """(module, innermost enclosing function) of each call to ``simulate``,
+def _callers(tree, module: str, callee: str = "simulate") -> set:
+    """(module, innermost enclosing function) of each call to ``callee``,
     by bare name or as an attribute; "<module>" outside any function."""
     found = set()
 
@@ -64,7 +64,7 @@ def _simulate_callers(tree, module: str) -> set:
         if isinstance(node, ast.Call):
             fn = node.func
             name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-            if name == "simulate":
+            if name == callee:
                 found.add((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -77,17 +77,33 @@ def test_the_simulate_check_sees_every_call_site():
     tree = ast.parse("simulate(a)\ndef f():\n    def g():\n        return solver.simulate(b)\n"
                      "    return [simulate(c)]\nclass C:\n    def h(self):\n"
                      "        self.simulate = 1\n")
-    assert _simulate_callers(tree, "m") == {("m", "<module>"), ("m", "g"), ("m", "f")}
+    assert _callers(tree, "m") == {("m", "<module>"), ("m", "g"), ("m", "f")}
 
 
 def test_only_the_member_runner_and_the_simulate_command_simulate():
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        found |= _simulate_callers(ast.parse(path.read_text()), path.stem)
+        found |= _callers(ast.parse(path.read_text()), path.stem)
     assert found == {("experiments", "run_members"), ("cli", "cmd_simulate")}
     tree = ast.parse((SRC / "experiments.py").read_text())
     assert "_refine" not in {node.name for node in ast.walk(tree)
                              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_only_report_start_builds_a_report():
+    # a report-wide field (its name, parameters, provenance) goes in one place
+    callers, names = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers |= _callers(tree, path.stem, "ExperimentReport")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+    assert callers <= {("experiments", "start")}
+    assert "_provenance" not in names
+    assert "start" in names
 
 
 _FOOTPRINT = """

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srds import (CoefficientField, apply_resolvent, assemble_operator,
+from srds import (CoefficientField, EllipticOperator, apply_resolvent, assemble_operator,
                   build_grid, coefficient_field_from_csv, evolve_semigroup,
                   semigroup_step, smoothing_profile)
 from srds.errors import AuditError
@@ -72,6 +72,25 @@ def test_off_diagonal_tensor_rejected():
     cf = CoefficientField(g, a, np.zeros(g.n_total), eta=0.5, m_bound=2.0)
     with pytest.raises(AuditError, match="diagonal"):
         assemble_operator(g, cf)
+
+
+def test_the_operator_constructor_checks_its_field():
+    # the exported constructor owns both checks: an off-diagonal tensor
+    # would build a matrix and a DCT spectrum without its off-diagonal
+    # entries, and a field on another grid would fail at a later reshape
+    g = build_grid(2, [1.0, 1.0], [4, 4])
+    a = np.tile(np.array([[1.0, 0.3], [0.3, 1.0]]), (g.n_total, 1, 1))
+    skew = CoefficientField(g, a, np.zeros(g.n_total), eta=0.5, m_bound=2.0)
+    with pytest.raises(AuditError) as err:
+        EllipticOperator(g, skew)
+    assert (err.value.reason, err.value.detail) == (
+        "diagonal-tensor",
+        "off-diagonal diffusion entries are not supported by the two-point flux assembler")
+    other = build_grid(2, [1.0, 1.0], [8, 8])
+    with pytest.raises(AuditError) as err:
+        EllipticOperator(other, CoefficientField.constant(g))
+    assert (err.value.reason, err.value.detail) == (
+        "shape", "coefficient field built on a different grid")
 
 
 # --- a uniform field's tensor checks run on one tensor ------------------------------

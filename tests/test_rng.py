@@ -151,6 +151,20 @@ def test_load_path_rejects_short_or_foreign_files(tmp_path, edit, message):
         load_path(file)
 
 
+@pytest.mark.parametrize("dt_fine", [0.0, -0.0, -1.0])
+def test_every_reader_of_dt_fine_refuses_a_step_outside_0_inf(tmp_path, dt_fine):
+    # the non-finite steps are rows of test_solver's non-finite table
+    with pytest.raises(ValueError, match="dt_fine must be positive and finite"):
+        sample_path(0, 2, 8, 10, dt_fine)
+    with pytest.raises(ValueError, match="dt_fine must be positive and finite"):
+        gaussian_entry(0, 0, 0, 0, 5, dt_fine)
+    file = tmp_path / "p.bin"
+    save_path(sample_path(3, 2, 2, 4, 0.25), file)
+    file.write_bytes(_corrupt(file.read_bytes(), at=56, value=np.float64(dt_fine).tobytes()))
+    with pytest.raises(ValueError, match="corrupt srds path file"):
+        load_path(file)
+
+
 def test_load_path_rejects_a_foreign_five_byte_file(tmp_path):
     file = tmp_path / "notes.txt"
     file.write_bytes(b"hello")

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,10 +12,11 @@ import srds.solver
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from srds import (CoefficientField, PolynomialDrift, SolverConfig, assemble_operator,
-                  build_grid, cosine_neumann_basis, build_noise, coupling_linear,
-                  exit_index, fhn_system, glue_ladder, mild_residual, named_g, run_ladder,
-                  sample_path, simulate, step, truncate_problem)
+from srds import (CoefficientField, LinearModulus, PolynomialDrift, PowerModulus,
+                  SolverConfig, assemble_operator, build_grid, cosine_neumann_basis,
+                  build_noise, coupling_linear, exit_index, fhn_system, gaussian_entry,
+                  glue_ladder, load_path, mild_residual, named_g, run_ladder, sample_path,
+                  save_path, simulate, step, truncate_problem)
 from srds.errors import AuditError, SolverFailure
 from srds.solver import (Problem, StoppingRecord, _resolve_increments, _step_runs,
                          _truncate, dyadic_level)
@@ -745,6 +747,16 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 _TIMES = "dt and t_end must be positive and finite"
 _DRIFT = "coefficients must be finite, got (nan|inf|-inf)$"
 _COUPLING = "growth constants must be finite"
+_DT_FINE = "dt_fine must be positive and finite"
+_MODULUS = "modulus (constant|power) must be finite"
+
+
+def _load_path_with_dt(dt_fine):
+    """``load_path`` of a saved path whose header records ``dt_fine``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "path.bin"
+        save_path(replace(sample_path(0, 1, 1, 2, 0.5), dt_fine=dt_fine), file)
+        return load_path(file)
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
@@ -758,8 +770,16 @@ _COUPLING = "growth constants must be finite"
     (lambda x: PolynomialDrift([[1.0, 0.0, -1.0], [1.0, 0.0, x]]), _DRIFT),
     (lambda x: coupling_linear([x, 1.0]), _COUPLING),
     (lambda x: coupling_linear([1.0, x]), _COUPLING),
+    (lambda x: sample_path(0, 2, 8, 10, x), _DT_FINE),
+    (lambda x: gaussian_entry(0, 0, 0, 0, 5, x), _DT_FINE),
+    (_load_path_with_dt, "corrupt srds path file"),
+    (lambda x: LinearModulus(x), _MODULUS),
+    (lambda x: PowerModulus(x, 1.0), _MODULUS),
+    (lambda x: PowerModulus(1.0, x), _MODULUS),
 ], ids=["dt", "t_end", "dt-and-t_end", "store_stride", "drift-w1", "drift-w2",
-        "drift-per-cell-lead", "coupling-row-0", "coupling-row-1"])
+        "drift-per-cell-lead", "coupling-row-0", "coupling-row-1", "sample_path-dt_fine",
+        "gaussian_entry-dt_fine", "load_path-dt_fine", "linear-modulus-constant",
+        "power-modulus-constant", "power-modulus-power"])
 def test_constructors_refuse_non_finite_numbers(build, reason, bad):
     # each raised its own way before: a NaN-to-integer or OverflowError from
     # n_steps, or nothing until a run met NaN at step 1
