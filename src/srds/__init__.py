@@ -15,9 +15,8 @@ from .operators import (CoefficientField, EllipticOperator, apply_resolvent,
                         evolve_semigroup, semigroup_step, smoothing_profile)
 from .rng import (WienerPath, gaussian_entry, load_path, normal_inverse,
                   sample_path, save_path, uniform_stream)
-from .noise import (ComponentNoise, HolderFunction, LinearModulus, NoiseModel,
-                    PowerModulus, SpectralBasis, build_noise, cosine_neumann_basis,
-                    named_g, osgood_check)
+from .noise import (ComponentNoise, HolderFunction, NoiseModel, SpectralBasis,
+                    build_noise, cosine_neumann_basis, named_g)
 from .reaction import (CouplingTerm, F1F2Certificate, PolynomialDrift,
                        ReactionSystem, check_f1_f2, check_quasi_positive,
                        coupling_linear, coupling_none, dissipativity_gap,
@@ -26,7 +25,7 @@ from .solver import (Problem, SolverConfig, StoppingRecord, Trajectory,
                      exit_index, mild_residual, save_trajectory, simulate, step,
                      truncate_problem)
 from .mollifier import (MollifierFamily, MollifierRangeError, OneSidedMollifier,
-                        build_mollifier, positivity_mollifier)
+                        PowerModulus, build_mollifier, osgood_check, positivity_mollifier)
 from .experiments import (ExperimentReport, Member, est2_bound_check, glue_ladder,
                           moment_experiment, negative_control_problem,
                           positivity_experiment, residual_refinement, run_ladder,

@@ -27,8 +27,8 @@ class DomainGrid:
         if len(self.extents) != self.dim or len(self.n_cells) != self.dim:
             raise ValueError("extents/n_cells length must equal dim")
         for L in self.extents:
-            if not L > 0:
-                raise ValueError(f"nonpositive extent {L}")
+            if not 0 < L < math.inf:
+                raise ValueError(f"extent {L} must be positive and finite")
         for n in self.n_cells:
             if n < 2:
                 raise ValueError(f"cell count {n} < 2")

@@ -1,4 +1,9 @@
-"""Numeric Yamada-Watanabe mollifier families.
+"""The Osgood modulus and its numeric Yamada-Watanabe mollifier families.
+
+The modulus of the uniqueness argument is rho(s) = C s^power
+(`PowerModulus`): an alpha-Hölder amplitude square-sums to power = 2 alpha,
+and int_0+ ds/rho diverges exactly when power >= 1 (`osgood_check` tabulates
+the integral).
 
 Given an increasing modulus rho with divergent Osgood integral, the levels
 a_0 = 1 > a_1 > ... are fixed by int_{a_n}^{a_{n-1}} ds/rho(s) = n, the
@@ -33,6 +38,23 @@ class MollifierRangeError(ValueError):
             f"{max_feasible}")
 
 
+class PowerModulus:
+    """rho(s) = C*s^power, the squared-sum modulus of an alpha-Hölder
+    amplitude (power = 2*alpha); the default power 1 is the linear modulus
+    C*s of a 1/2-Hölder one, and C*s^1.0 is bitwise C*s."""
+
+    def __init__(self, constant: float, power: float = 1.0):
+        for name, value in (("constant", constant), ("power", power)):
+            if not math.isfinite(value):
+                raise ValueError(f"modulus {name} must be finite, got {value!r}")
+        self.constant, self.power = float(constant), float(power)
+        # int_0+ ds/(C s^power) = infinity exactly when power >= 1
+        self.osgood_diverges = self.power >= 1.0
+
+    def __call__(self, s):
+        return self.constant * np.asarray(s, dtype=float) ** self.power
+
+
 def _osgood_integral(rho, lo: float, hi: float) -> float:
     """int_lo^hi ds/rho(s), integrated in log space for stability near 0."""
     # SciPy's quadrature and root finder load on first use: a run that
@@ -46,6 +68,44 @@ def _osgood_integral(rho, lo: float, hi: float) -> float:
     val, _ = quad(integrand, math.log(lo), math.log(hi), limit=400,
                   epsabs=1e-13, epsrel=1e-13)
     return val
+
+
+def osgood_check(rho, eps_grid) -> dict:
+    """Tabulate I(eps) = int_eps^1 ds/rho(s) and classify the divergence.
+
+    ``rho`` may be any callable modulus, a `PowerModulus` among them.
+    The slope of I against ln(1/eps) is eps/rho(eps): constant for the
+    linear modulus, growing for stronger singularities, and decaying to
+    zero exactly when the integral converges.  Verdict "diverges" when I is
+    increasing and the tail slope either fails to decay (last/previous >=
+    0.9) or still exceeds 0.05.
+    """
+    eps = np.asarray(list(eps_grid), dtype=float)
+    if np.any(np.diff(eps) >= 0):
+        raise ValueError("eps_grid must be strictly decreasing")
+    if eps[-1] <= 0:
+        raise ValueError("eps values must be positive")
+
+    probe = rho(np.minimum(eps, 1.0))
+    if np.any(~np.isfinite(probe)) or np.any(probe <= 0):
+        raise ValueError("rho must be positive and finite on (0, 1]")
+
+    values = np.asarray([_osgood_integral(rho, e, 1.0) for e in eps])
+    x = np.log(1.0 / eps)
+    increasing = bool(np.all(np.diff(values) > -1e-12))
+    slopes = np.diff(values) / np.diff(x)
+    # one slope has no trend (ratio 1); no slope, no decay either
+    tail_slope = float(slopes[-1]) if slopes.size else math.inf
+    ratio = 1.0 if slopes.size < 2 else (
+        tail_slope / float(slopes[-2]) if slopes[-2] > 0 else math.inf)
+    diverges = increasing and (ratio >= 0.9 or tail_slope >= 0.05)
+    return {
+        "eps": eps,
+        "integral": values,
+        "tail_slope": tail_slope,
+        "slope_ratio": ratio,
+        "verdict": "diverges" if diverges else "converges",
+    }
 
 
 @dataclass

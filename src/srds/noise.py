@@ -3,8 +3,10 @@
 Each component carries its own orthonormal mode family e_k, spectral weights
 lambda_k and scalar amplitude g.  The per-mode moduli sigma_k,m(s) =
 c_m ||lambda_k e_k||_inf s^alpha of an alpha-Hölder g square-sum to
-rho_m(s) = C_m s^(2 alpha): at alpha = 1/2 the linear modulus whose Osgood
-divergence underpins the uniqueness machinery, convergent below it.
+rho_m(s) = C_m s^(2 alpha) (`ComponentNoise.rho`): at alpha = 1/2 the linear
+modulus whose Osgood divergence underpins the uniqueness machinery,
+convergent below it.  The modulus type and its Osgood integral live in
+`mollifier`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import AuditError
 from .grid import DomainGrid
-from .mollifier import _osgood_integral
+from .mollifier import PowerModulus
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +95,14 @@ def cosine_neumann_basis(grid: DomainGrid, modes: int) -> SpectralBasis:
 
 @dataclass(frozen=True)
 class HolderFunction:
-    """Scalar amplitude g with declared linear growth and 1/2-Hölder moduli.
+    """Scalar amplitude g with declared linear growth and alpha-Hölder moduli,
+    alpha = ``exponent`` (1/2 unless given).
 
     ``holder_c`` maps a radius m to the constant c_m valid on [-m, m].  The
     declared constants are trusted but audited at build time: they must be
-    finite, and they are checked on seeded samples, 4096 sample pairs on
-    each of [-1, 1], [-10, 10] and [-100, 100], with absolute tolerance 1e-9.
+    finite, the exponent in (0, 1], and they are checked on seeded samples,
+    4096 sample pairs on each of [-1, 1], [-10, 10] and [-100, 100], with
+    absolute tolerance 1e-9.
     """
 
     fn: object  # elementwise vectorized callable: one call may cover several rows
@@ -114,11 +118,14 @@ class HolderFunction:
     def audit(self) -> None:
         radii = (1.0, 10.0, 100.0)
         # a NaN bound is never exceeded: check the constants before sampling
-        constants = [("growth_a", self.growth_a), ("growth_b", self.growth_b)]
+        constants = [("growth_a", self.growth_a), ("growth_b", self.growth_b),
+                     ("exponent", self.exponent)]
         constants += [(f"c_{m:g}", self.holder_c(m)) for m in radii]
         for key, value in constants:
             if not math.isfinite(value):
                 raise AuditError("non-finite-constant", f"{key} = {value!r}")
+        if not 0.0 < self.exponent <= 1.0:  # the modulus power 2 alpha
+            raise AuditError("exponent", f"exponent = {self.exponent!r} outside (0, 1]")
         rng = np.random.default_rng(1234)
         for m in radii:
             s = rng.uniform(-m, m, size=4096)
@@ -233,52 +240,6 @@ def named_g(name: str) -> HolderFunction:
 
 
 # ---------------------------------------------------------------------------
-# moduli
-
-
-def _finite(name: str, value) -> float:
-    """``value`` as a float; ValueError unless it is finite."""
-    if not math.isfinite(value):
-        raise ValueError(f"modulus {name} must be finite, got {value!r}")
-    return float(value)
-
-
-class LinearModulus:
-    """rho(s) = C*s, the squared-sum modulus of the separable noise family."""
-
-    osgood_diverges = True  # int_0+ ds/(C s) = infinity
-
-    def __init__(self, constant: float):
-        self.constant = _finite("constant", constant)
-
-    def __call__(self, s):
-        return self.constant * np.asarray(s, dtype=float)
-
-    def adjusted(self) -> "LinearModulus":
-        """Ensure rho(s) >= s by adding the identity when needed."""
-        if self.constant >= 1.0:
-            return self
-        return LinearModulus(self.constant + 1.0)
-
-
-class PowerModulus:
-    """rho(s) = C*s^power, the squared-sum modulus of an alpha-Hölder
-    amplitude (power = 2*alpha): Osgood-divergent exactly when power >= 1."""
-
-    def __init__(self, constant: float, power: float):
-        self.constant = _finite("constant", constant)
-        self.power = _finite("power", power)
-
-    def __call__(self, s):
-        return self.constant * np.asarray(s, dtype=float) ** self.power
-
-    @property
-    def osgood_diverges(self) -> bool:
-        """int_0+ ds/(C s^power) = infinity exactly when power >= 1."""
-        return self.power >= 1.0
-
-
-# ---------------------------------------------------------------------------
 # the noise model
 
 
@@ -346,11 +307,9 @@ class ComponentNoise:
         cm = float(self.g.holder_c(m))
         return cm**2 * float(np.sum(self.sup_lambda_e**2))
 
-    def rho(self, m: float) -> LinearModulus | PowerModulus:
+    def rho(self, m: float) -> PowerModulus:
         """The modulus C_m s^(2 alpha) on [-m, m], alpha = ``g.exponent``:
-        the LinearModulus C_m s at alpha = 1/2."""
-        if self.g.exponent == 0.5:
-            return LinearModulus(self.rho_constant(m))
+        the linear C_m s at alpha = 1/2."""
         return PowerModulus(self.rho_constant(m), 2.0 * self.g.exponent)
 
     def is_zero(self) -> bool:
@@ -446,50 +405,3 @@ def build_noise(bases, lambdas, gs, audit: bool = True) -> NoiseModel:
         comps.append(ComponentNoise(basis=b, lambdas=lam, g=gg) if twin is None
                      else twin._with_amplitude(gg))
     return NoiseModel(components=tuple(comps))
-
-
-# ---------------------------------------------------------------------------
-# Osgood check
-
-
-def osgood_check(rho, eps_grid) -> dict:
-    """Tabulate I(eps) = int_eps^1 ds/rho(s) and classify the divergence.
-
-    ``rho`` may be a callable modulus or a NoiseModel component modulus.
-    The slope of I against ln(1/eps) is eps/rho(eps): constant for the
-    linear modulus, growing for stronger singularities, and decaying to
-    zero exactly when the integral converges.  Verdict "diverges" when I is
-    increasing and the tail slope either fails to decay (last/previous >=
-    0.9) or still exceeds 0.05.
-    """
-    eps = np.asarray(list(eps_grid), dtype=float)
-    if np.any(np.diff(eps) >= 0):
-        raise ValueError("eps_grid must be strictly decreasing")
-    if eps[-1] <= 0:
-        raise ValueError("eps values must be positive")
-
-    probe = rho(np.minimum(eps, 1.0))
-    if np.any(~np.isfinite(probe)) or np.any(probe <= 0):
-        raise ValueError("rho must be positive and finite on (0, 1]")
-
-    values = np.asarray([_osgood_integral(rho, e, 1.0) for e in eps])
-    x = np.log(1.0 / eps)
-    increasing = bool(np.all(np.diff(values) > -1e-12))
-    slopes = np.diff(values) / np.diff(x)
-    if len(slopes) >= 2:
-        tail_slope = float(slopes[-1])
-        prev = float(slopes[-2])
-        ratio = tail_slope / prev if prev > 0 else float("inf")
-    elif len(slopes) == 1:
-        tail_slope = float(slopes[-1])
-        ratio = 1.0
-    else:
-        tail_slope, ratio = float("inf"), 1.0
-    diverges = increasing and (ratio >= 0.9 or tail_slope >= 0.05)
-    return {
-        "eps": eps,
-        "integral": values,
-        "tail_slope": tail_slope,
-        "slope_ratio": ratio,
-        "verdict": "diverges" if diverges else "converges",
-    }

@@ -48,8 +48,9 @@ class CoefficientField:
             raise AuditError("shape", f"a has shape {self.a.shape}, expected {(n, d, d)}")
         if self.c.shape != (n,):
             raise AuditError("shape", f"c has shape {self.c.shape}, expected {(n,)}")
-        if not (self.eta > 0):
-            raise AuditError("ellipticity", f"eta={self.eta} must be positive")
+        if not (self.eta > 0 and np.isfinite(self.m_bound)):  # NaN bounds nothing
+            raise AuditError("ellipticity", f"need eta > 0 and a finite M, got "
+                                            f"eta={self.eta}, M={self.m_bound}")
         bits = np.ascontiguousarray(self.a, dtype=float).reshape(n, d * d).view(np.int64)
         object.__setattr__(self, "uniform", bool(np.all(bits == bits[0])))
         # on a uniform field one tensor gives the verdict, reason and detail
@@ -261,19 +262,20 @@ def apply_resolvent(op: EllipticOperator, lam: float, f: np.ndarray) -> np.ndarr
 
 def semigroup_step(op: EllipticOperator, dt: float, u: np.ndarray) -> np.ndarray:
     """One backward-Euler semigroup step: (I - dt*A)^{-1} u."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:  # an infinite step factors a singular -A
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     return op.stepper(dt).solve(np.asarray(u, dtype=float))
 
 
 def evolve_semigroup(op: EllipticOperator, t: float, u: np.ndarray,
                      n_substeps: int = 32) -> np.ndarray:
     """Approximate S(t) u by n_substeps backward-Euler steps of size t/n."""
-    dt = t / n_substeps
-    st = op.stepper(dt)
-    v = np.asarray(u, dtype=float)
+    if not 0 < t < np.inf or type(n_substeps) is not int or n_substeps < 1:
+        raise ValueError(f"t must be positive and finite and n_substeps an integer "
+                         f">= 1, got t={t}, n_substeps={n_substeps!r}")
+    v = u
     for _ in range(n_substeps):
-        v = st.solve(v)
+        v = semigroup_step(op, t / n_substeps, v)
     return v
 
 

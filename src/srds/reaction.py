@@ -237,8 +237,9 @@ class CouplingTerm:
 
     ``fn`` is vectorized: it maps a state block of shape (r, n) to (n,),
     which may be a view of the block; callers only read it.
-    ``audit`` checks the declared constants on 2048 seeded sample pairs in
-    each of the boxes [-m, m]^r, m = 1, 10, 100, to absolute tolerance 1e-9.
+    ``audit`` requires each L_m to be finite and checks the declared
+    constants on 2048 seeded sample pairs in each of the boxes [-m, m]^r,
+    m = 1, 10, 100, to absolute tolerance 1e-9.
     """
 
     def __init__(self, fn, c1: float, c2: float, lipschitz, name: str = "custom"):
@@ -260,6 +261,9 @@ class CouplingTerm:
     def audit(self, r: int) -> None:
         rng = np.random.default_rng(99)
         for m in (1.0, 10.0, 100.0):
+            L = self.lipschitz(m)
+            if not np.isfinite(L):  # a NaN bound is never exceeded
+                raise AuditError("non-finite-constant", f"L_{m:g} = {L!r}")
             s = rng.uniform(-m, m, size=(r, 2048))
             t = rng.uniform(-m, m, size=(r, 2048))
             ks, kt = self.fn(s), self.fn(t)
@@ -269,7 +273,6 @@ class CouplingTerm:
                 raise AuditError("growth",
                                  f"coupling |k|={abs(ks[i]):.6g} exceeds "
                                  f"{self.c1}+{self.c2}*sum|s| at sample {i}")
-            L = self.lipschitz(m)
             lip = L * np.sum(np.abs(s - t), axis=0)
             if np.any(np.abs(ks - kt) > lip + 1e-9):
                 i = int(np.argmax(np.abs(ks - kt) - lip))
@@ -422,10 +425,12 @@ def check_quasi_positive(sys: ReactionSystem, grid_samples: int = 10_000,
     F_l >= 0 (witness returned on failure).  Phase 2 samples s_l <= 0 in
     [-m, m]^r and audits -F_l <= L_m * sum_j s_j^- + 1e-9.
     """
-    if not range_m > 0:
-        raise ValueError("range_m must be positive")
-    rng = np.random.default_rng(seed)
+    if not 0 < range_m < np.inf:
+        raise ValueError(f"range_m must be positive and finite, got {range_m!r}")
     L = sys.lipschitz(range_m) if lipschitz_m is None else float(lipschitz_m)
+    if not np.isfinite(L):  # a NaN margin is never negative
+        raise ValueError(f"Lipschitz constant must be finite, got {L!r}")
+    rng = np.random.default_rng(seed)
     # per-cell drift coefficients are sampled through random cell indices
     n_cells = max((h.coeffs.shape[0] for h in sys.drifts
                    if h is not None and getattr(h, "per_cell", False)),

@@ -113,7 +113,8 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive and finite")
         if self.scheme not in ("semi-implicit", "tamed-semi-implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not 1 <= self.store_stride < math.inf:
+        # a float stride fails at the first store, and True would read as 1
+        if type(self.store_stride) is not int or self.store_stride < 1:
             raise ValueError("store_stride must be a finite count >= 1")
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > self.dt * 1e-9:

@@ -17,8 +17,8 @@ from .errors import AuditError, ConfigError
 from .experiments import (ExperimentReport, _zero_noise, moment_experiment,
                           positivity_experiment, residual_refinement, uniqueness_experiment)
 from .linalg import ShiftedSolve
-from .mollifier import build_mollifier
-from .noise import LinearModulus, build_noise, named_g, osgood_check
+from .mollifier import PowerModulus, build_mollifier, osgood_check
+from .noise import build_noise, named_g
 from .operators import apply_resolvent, smoothing_profile
 from .reaction import check_quasi_positive, dissipativity_gap
 from .rng import gaussian_entry, sample_path
@@ -203,18 +203,19 @@ def suite_mollifier(problem: Problem, config: SolverConfig, initial,
         for idx, comp in enumerate(problem.noise.components):
             if not comp.is_zero():
                 rho = comp.rho(1.0)
-                if not isinstance(rho, LinearModulus):
+                if rho.power != 1.0:
                     raise ValueError(
                         f"component {idx}: the mollifier constant C is derived only "
                         f"from a linear modulus (amplitude exponent 1/2), not "
                         f"{comp.g.exponent!r}; pass C")
-                c = rho.adjusted().constant
+                # C < 1 gains the identity, so that rho(s) = C s >= s
+                c = rho.constant if rho.constant >= 1.0 else rho.constant + 1.0
                 if c not in seen:
                     seen.append(c)
         constants = seen or [1.0]
     probe = np.linspace(-2.0, 2.0, probe_points)
     for C in constants:
-        fam = build_mollifier(LinearModulus(C), n_max)
+        fam = build_mollifier(PowerModulus(C), n_max)
         n_idx = np.arange(n_max + 1)
         analytic = np.exp(-C * n_idx * (n_idx + 1) / 2.0)
         rel = float(np.max(np.abs(fam.a_seq - analytic) / analytic))

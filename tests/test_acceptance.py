@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import srds
-from srds import (LinearModulus, SolverConfig, build_mollifier, est2_bound_check,
+from srds import (PowerModulus, SolverConfig, build_mollifier, est2_bound_check,
                   glue_ladder, moment_experiment, osgood_check,
                   positivity_experiment, sample_path, simulate,
                   uniqueness_experiment)
@@ -69,7 +69,7 @@ def test_criterion_2_mollifier():
     ok = True
     worst = 0.0
     for C in (0.5, 1.0, 2.0):
-        fam = build_mollifier(LinearModulus(C), 5)
+        fam = build_mollifier(PowerModulus(C), 5)
         idx = np.arange(6)
         analytic = np.exp(-C * idx * (idx + 1) / 2.0)
         rel = float(np.max(np.abs(fam.a_seq - analytic) / analytic))

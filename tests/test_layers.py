@@ -1,8 +1,10 @@
 """The library modules sit below the experiments, the suites and the command
-line: they import nothing from those, so the layering runs one way.  Runs
-are simulated in two places only: the experiments' member runner and the
-``simulate`` command; every report is built by ``ExperimentReport.start``.  And ``import srds`` leaves out the SciPy packages
-only a few checks use."""
+line: they import nothing from those, so the layering runs one way, and a
+module's private names stay its own but for two imports.  Runs are
+simulated in two places only: the experiments' member runner and the
+``simulate`` command; every report is built by ``ExperimentReport.start``;
+the modulus and its Osgood integral live in ``mollifier`` alone.  And
+``import srds`` leaves out the SciPy packages only a few checks use."""
 
 import ast
 import json
@@ -17,7 +19,8 @@ import pytest
 import srds
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "srds"
-LOWER = ("grid", "linalg", "rng", "noise", "reaction", "operators", "solver", "config")
+LOWER = ("grid", "linalg", "rng", "mollifier", "noise", "reaction", "operators", "solver",
+         "config")
 UPPER = {"experiments", "verify", "cli"}
 
 
@@ -106,12 +109,42 @@ def test_only_report_start_builds_a_report():
     assert "start" in names
 
 
+def test_private_names_cross_modules_in_two_places_only():
+    # (importer, module, name) of each private name one srds module takes
+    # from another; dunders such as __version__ are public
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("srds")):
+                found.update((path.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_")
+                             and not alias.name.endswith("__"))
+    assert found == {("cli", "config", "_path_resolution"),
+                     ("verify", "experiments", "_zero_noise")}
+
+
+def test_only_mollifier_defines_the_modulus():
+    # one modulus type, PowerModulus (power 1 is the linear modulus), next to
+    # its Osgood integral and the numeric table
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.ClassDef) and "Modulus" in node.name)
+                    or (isinstance(node, ast.FunctionDef)
+                        and node.name in ("osgood_check", "_osgood_integral"))):
+                found.add((path.stem, node.name))
+    assert found == {("mollifier", "PowerModulus"), ("mollifier", "osgood_check"),
+                     ("mollifier", "_osgood_integral")}
+    assert not hasattr(srds, "LinearModulus")
+
+
 _FOOTPRINT = """
 import json, sys
 import srds, srds.cli
 lazy = ("scipy.integrate", "scipy.optimize")
 before = [m for m in lazy if m in sys.modules]
-table = srds.osgood_check(srds.LinearModulus(1.0), [0.1, 0.01])
+table = srds.osgood_check(srds.PowerModulus(1.0), [0.1, 0.01])
 family = srds.build_mollifier(lambda s: s, 2)
 print(json.dumps({"before": before, "after": [m for m in lazy if m in sys.modules],
                   "integral": table["integral"].tolist(), "verdict": table["verdict"],

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from srds import LinearModulus, build_mollifier, positivity_mollifier
+from srds import PowerModulus, build_mollifier, positivity_mollifier
 from srds.errors import AuditError
 from srds.mollifier import MollifierRangeError
 
 
 def linear(C=1.0):
-    return LinearModulus(C)
+    return PowerModulus(C)
 
 
 def test_levels_match_analytic_chain():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srds import (HolderFunction, LinearModulus, build_grid, build_noise,
+from srds import (HolderFunction, PowerModulus, build_grid, build_noise,
                   cosine_neumann_basis, named_g, osgood_check, sample_path)
 from srds.errors import AuditError
 from srds.noise import MODAL_CHUNK_FLOATS, _row_chunks, adjacent_runs
@@ -56,12 +56,22 @@ def test_rho_constant_direct_sum():
 
 
 def test_rho_adjustment_dominates_identity():
-    model = make_model(lam=np.full(8, 1e-3))
-    rho = model.components[0].rho(1.0)
-    assert rho.constant < 1.0
-    adj = rho.adjusted()
+    # `verify mollifier` derives C from the modulus and adds the identity
+    # when C < 1, so that C s >= s; its check names carry the C it built
+    from srds.verify import suite_mollifier
+
+    problem, initial, config = _power_problem(0.5)
+    comps = problem.noise.components
+    noise = build_noise([c.basis for c in comps], [0.5 * c.lambdas for c in comps],
+                        [c.g for c in comps])
+    rho = noise.components[0].rho(1.0)
+    assert 0.0 < rho.constant < 1.0
+    report = suite_mollifier(replace(problem, noise=noise), config, initial, 3,
+                             n_max=2, probe_points=11)
+    assert {c["name"].split("-")[0] for c in report.checks} == {
+        f"C={rho.constant + 1.0:g}"}
     s = np.linspace(1e-6, 1.0, 100)
-    assert np.all(adj(s) >= s)
+    assert np.all(PowerModulus(rho.constant + 1.0)(s) >= s)
 
 
 def noise_field(model, component, u, increments):
@@ -485,11 +495,17 @@ def test_modulus_follows_the_holder_exponent(alpha, verdict, slope):
 
 
 def test_half_exponent_keeps_the_linear_modulus():
-    # the named amplitudes are all 1/2-Hölder: presets keep LinearModulus
-    for name in ("sqrt-abs", "sqrt-pos", "lipschitz:2"):
-        rho = make_model(g_name=name).components[0].rho(1.0)
-        assert type(rho) is LinearModulus
-    assert type(_power_problem(0.5)[0].noise.components[0].rho(1.0)) is LinearModulus
+    # the named amplitudes are all 1/2-Hölder: presets keep the linear
+    # modulus C s, bit for bit, as power 1
+    s = np.random.default_rng(5).uniform(0.0, 1.0, 1000)
+    s = np.concatenate([s, [0.0, -0.0, 5e-324, 1.0]])
+    moduli = [make_model(g_name=name).components[0].rho(1.0)
+              for name in ("sqrt-abs", "sqrt-pos", "lipschitz:2")]
+    moduli.append(_power_problem(0.5)[0].noise.components[0].rho(1.0))
+    for rho in moduli:
+        assert rho.power == 1.0 and rho.osgood_diverges
+        assert rho(s).tobytes() == (rho.constant * s).tobytes()
+        assert rho(np.asarray(0.25)).tobytes() == (rho.constant * np.asarray(0.25)).tobytes()
 
 
 def test_noise_suite_osgood_check_trips_below_one_half():

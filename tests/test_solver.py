@@ -12,11 +12,13 @@ import srds.solver
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from srds import (CoefficientField, LinearModulus, PolynomialDrift, PowerModulus,
-                  SolverConfig, assemble_operator, build_grid, cosine_neumann_basis,
-                  build_noise, coupling_linear, exit_index, fhn_system, gaussian_entry,
-                  glue_ladder, load_path, mild_residual, named_g, run_ladder, sample_path,
-                  save_path, simulate, step, truncate_problem)
+from srds import (CoefficientField, CouplingTerm, HolderFunction, PolynomialDrift,
+                  PowerModulus, ReactionSystem, SolverConfig, apply_resolvent,
+                  assemble_operator, build_grid, check_quasi_positive, cosine_neumann_basis,
+                  build_noise, coupling_linear, evolve_semigroup, exit_index, fhn_system,
+                  gaussian_entry, glue_ladder, load_path, mild_residual, named_g,
+                  run_ladder, sample_path, save_path, semigroup_step, simulate, step,
+                  truncate_problem)
 from srds.errors import AuditError, SolverFailure
 from srds.solver import (Problem, StoppingRecord, _resolve_increments, _step_runs,
                          _truncate, dyadic_level)
@@ -749,6 +751,13 @@ _DRIFT = "coefficients must be finite, got (nan|inf|-inf)$"
 _COUPLING = "growth constants must be finite"
 _DT_FINE = "dt_fine must be positive and finite"
 _MODULUS = "modulus (constant|power) must be finite"
+_SEMIGROUP = "t must be positive and finite and n_substeps an integer >= 1"
+
+
+def _noise_with_exponent(alpha):
+    """``build_noise``, which audits, of an amplitude declaring exponent alpha."""
+    g = HolderFunction(np.abs, 1.0, 1.0, lambda m: 1.0, exponent=alpha)
+    return build_noise([cosine_neumann_basis(_PROP_GRID, 2)], [np.ones(2)], [g])
 
 
 def _load_path_with_dt(dt_fine):
@@ -773,25 +782,63 @@ def _load_path_with_dt(dt_fine):
     (lambda x: sample_path(0, 2, 8, 10, x), _DT_FINE),
     (lambda x: gaussian_entry(0, 0, 0, 0, 5, x), _DT_FINE),
     (_load_path_with_dt, "corrupt srds path file"),
-    (lambda x: LinearModulus(x), _MODULUS),
-    (lambda x: PowerModulus(x, 1.0), _MODULUS),
+    (lambda x: PowerModulus(x), _MODULUS),
     (lambda x: PowerModulus(1.0, x), _MODULUS),
+    (_noise_with_exponent, "non-finite-constant: exponent = "),
+    (lambda x: ReactionSystem([None], [CouplingTerm(lambda s: s[0], 0.0, 1.0, x)]),
+     "non-finite-constant: L_1 = "),
+    (lambda x: check_quasi_positive(fhn_system(), lipschitz_m=x),
+     "Lipschitz constant must be finite"),
+    (lambda x: check_quasi_positive(fhn_system(), range_m=x),
+     "range_m must be positive and finite"),
+    (lambda x: build_grid(1, [x], [32]), "must be positive and finite"),
+    (lambda x: CoefficientField.constant(_PROP_GRID, m_bound=x), "ellipticity: .*finite M"),
+    (lambda x: semigroup_step(_PROP_OP, x, np.ones(8)), "dt must be positive and finite"),
+    (lambda x: evolve_semigroup(_PROP_OP, x, np.ones(8)), _SEMIGROUP),
 ], ids=["dt", "t_end", "dt-and-t_end", "store_stride", "drift-w1", "drift-w2",
         "drift-per-cell-lead", "coupling-row-0", "coupling-row-1", "sample_path-dt_fine",
-        "gaussian_entry-dt_fine", "load_path-dt_fine", "linear-modulus-constant",
-        "power-modulus-constant", "power-modulus-power"])
+        "gaussian_entry-dt_fine", "load_path-dt_fine", "power-modulus-constant",
+        "power-modulus-power", "holder-exponent", "coupling-lipschitz",
+        "quasi-positive-lipschitz", "quasi-positive-range", "grid-extent",
+        "coefficient-m_bound", "semigroup_step-dt", "evolve_semigroup-t"])
 def test_constructors_refuse_non_finite_numbers(build, reason, bad):
     # each raised its own way before: a NaN-to-integer or OverflowError from
-    # n_steps, or nothing until a run met NaN at step 1
+    # n_steps, a singular factor, a check that NaN passed, or nothing until a
+    # run met NaN at step 1
     with pytest.raises((ValueError, AuditError), match=reason):
         build(bad)
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: SolverConfig(dt=0.1, t_end=1.0, store_stride=2.5), "finite count >= 1"),
+    (lambda: SolverConfig(dt=0.1, t_end=1.0, store_stride=True), "finite count >= 1"),
+    (lambda: evolve_semigroup(_PROP_OP, -1.0, np.ones(8)), _SEMIGROUP),
+    (lambda: evolve_semigroup(_PROP_OP, 1.0, np.ones(8), n_substeps=0), _SEMIGROUP),
+    (lambda: evolve_semigroup(_PROP_OP, 1.0, np.ones(8), n_substeps=2.5), _SEMIGROUP),
+    (lambda: _noise_with_exponent(1.5), r"exponent: exponent = 1.5 outside \(0, 1\]"),
+    (lambda: _noise_with_exponent(0.0), r"exponent: exponent = 0.0 outside \(0, 1\]"),
+], ids=["store_stride-float", "store_stride-bool", "evolve_semigroup-negative-t",
+        "evolve_semigroup-no-substeps", "evolve_semigroup-float-substeps",
+        "holder-exponent-above-1", "holder-exponent-0"])
+def test_constructors_refuse_out_of_range_numbers(build, reason):
+    # a float or bool stride failed at the first store or read as 1, a
+    # negative t ran the semigroup backwards and no substeps divided by zero
+    with pytest.raises((ValueError, AuditError), match=reason):
+        build()
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
 def test_documented_non_finite_values_are_accepted(bad):
     # a NaN, inf or -inf sup cap is no cap (see _advance); an infinite
-    # truncation level is the untruncated map; a NaN or -inf level is refused
+    # truncation level is the untruncated map; a NaN or -inf level is
+    # refused; an infinite resolvent parameter is the exact limit, the identity
     assert SolverConfig(dt=0.1, t_end=1.0, sup_cap=bad).n_steps == 10
+    f = np.linspace(-1.0, 2.0, 8)
+    if bad == math.inf:
+        assert apply_resolvent(_PROP_OP, bad, f).tobytes() == f.tobytes()
+    else:
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            apply_resolvent(_PROP_OP, bad, f)
     prob = zero_noise_fhn()
     if bad == math.inf:
         assert replace(prob, level=bad).level == math.inf
