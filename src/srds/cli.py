@@ -169,8 +169,11 @@ def cmd_ensemble(args) -> int:
     path_stats = functools.partial(_path_stats, blob, cfg["master_seed"],
                                    n_fine, dt_fine)
     indices = list(range(args.paths))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a forked pool starts all its workers at the first submit: no more
+    # than there are paths (the bits do not depend on the count)
+    workers = min(args.workers, args.paths)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(path_stats, indices))
     else:
         stats = [path_stats(i) for i in indices]

@@ -200,8 +200,8 @@ def build_mollifier(rho, n_max: int) -> MollifierFamily:
     level's table has 4097 log-spaced nodes.  Raises MollifierRangeError
     with the largest feasible level if a_n underflows or rounds to a_{n-1}.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     probe = rho(np.asarray([0.5, 1.0]))
     if np.any(probe <= 0) or probe[1] < probe[0]:
         raise AuditError("modulus", "rho must be positive and increasing on (0, 1]")

@@ -63,24 +63,38 @@ def cosine_neumann_basis(grid: DomainGrid, modes: int) -> SpectralBasis:
     The sup norms are the exact function norms (1/sqrt(L) for the constant
     mode, sqrt(2/L) otherwise), not the cell-center sample maxima.  In 2D
     the modes are tensor products ordered by total frequency (k0 + k1, then
-    k0), starting from the constant mode.
+    k0), starting from the constant mode.  A frequency k >= n on an axis of
+    n cells is sampled as zero or as a lower mode (aliased), so the family
+    would not be orthonormal on the grid: such a mode raises ValueError.
     """
+    if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)) or modes < 1:
+        raise ValueError(f"modes must be an integer >= 1, got {modes!r}")
 
     def axis_sup(axis: int, k: int) -> float:
         L = grid.extents[axis]
         return 1.0 / math.sqrt(L) if k == 0 else math.sqrt(2.0 / L)
 
+    def refuse(mode: str, axis: int):
+        raise ValueError(f"noise mode {mode} aliases on axis {axis} of "
+                         f"{grid.n_cells[axis]} cells: a frequency must be below "
+                         "its axis's cell count")
+
     if grid.dim == 1:
+        if modes > grid.n_cells[0]:
+            refuse(str(grid.n_cells[0]), 0)
         vals = _cosine_modes_1d(grid, 0, modes)
         sup = np.array([axis_sup(0, k) for k in range(modes)])
     else:
-        # enough per-axis frequencies to fill `modes` tensor products
-        per_axis = modes
-        rows0 = _cosine_modes_1d(grid, 0, per_axis)
-        rows1 = _cosine_modes_1d(grid, 1, per_axis)
-        pairs = sorted(
-            ((k0 + k1, k0, k1) for k0 in range(per_axis) for k1 in range(per_axis))
-        )[:modes]
+        n0, n1 = grid.n_cells
+        pairs = sorted((k0 + k1, k0, k1) for k0 in range(min(modes, n0))
+                       for k1 in range(min(modes, n1)))[:modes]
+        # the first aliased pair in that order, (n0, 0) or (0, n1), is
+        # selected when fewer pairs than modes precede it
+        first = min((n0, n0, 0), (n1, 0, n1))
+        if len(pairs) < modes or pairs[-1] > first:
+            refuse(str(first[1:]), 0 if first[1] == n0 else 1)
+        rows0 = _cosine_modes_1d(grid, 0, min(modes, n0))
+        rows1 = _cosine_modes_1d(grid, 1, min(modes, n1))
         vals = np.empty((modes, grid.n_total))
         sup = np.empty(modes)
         for i, (_, k0, k1) in enumerate(pairs):
@@ -356,9 +370,16 @@ class NoiseModel:
     def modes(self) -> int:
         return max(c.modes for c in self.components)
 
-    def modal_fields(self, increments: np.ndarray) -> np.ndarray:
+    def modal_fields(self, increments: np.ndarray, out: np.ndarray | None = None
+                     ) -> np.ndarray:
         """The modal fields of a block of m steps: ``increments`` is
-        (m, r, K), the result (m, r, n_total), a new array.
+        (m, r, K), the result (m, r, n_total), written into ``out`` if it is
+        given and into a new array otherwise.  ``solver._advance`` builds a
+        run's first chunk of steps here on the stepping thread, and each
+        later chunk on the run's helper thread into an array the stepping
+        thread allocated; that thread is the run's own and ends with it, so
+        no thread is alive when ``ensemble`` forks its workers (see
+        ``_advance``).
 
         Adjacent components that share one ``mode_fields`` table (as
         ``build_noise`` builds them from one basis object and bitwise-equal
@@ -368,12 +389,14 @@ class NoiseModel:
         chunk stays in cache.  Chunks start at multiples of 64 rows and none
         is a single row (numpy would run it as a dot), so entry [i, l] is
         bitwise ``components[l].mode_fields @ increments[i, l, :K_l]`` for
-        any strides of ``increments``, on one BLAS thread.  (On several,
-        OpenBLAS splits a large product among them, and a split that starts
-        a thread off a row group changes the kernel's grouping; then neither
-        product is bitwise its one-thread self.)"""
-        m = increments.shape[0]
-        out = np.empty((m, self.r, self.components[0].mode_fields.shape[0]))
+        any strides of ``increments``, on one BLAS thread, whichever thread
+        calls it.  (On several, OpenBLAS splits a large product among them,
+        and a split that starts a thread off a row group changes the
+        kernel's grouping; then neither product is bitwise its one-thread
+        self.)"""
+        if out is None:
+            out = np.empty((increments.shape[0], self.r,
+                            self.components[0].mode_fields.shape[0]))
         for comp, rows, chunks in self.table_runs:
             stacked = increments[:, rows, :comp.modes, None]
             for cells in chunks:

@@ -427,6 +427,9 @@ def check_quasi_positive(sys: ReactionSystem, grid_samples: int = 10_000,
     """
     if not 0 < range_m < np.inf:
         raise ValueError(f"range_m must be positive and finite, got {range_m!r}")
+    if (isinstance(grid_samples, bool) or not isinstance(grid_samples, (int, np.integer))
+            or grid_samples < 1):
+        raise ValueError(f"grid_samples must be an integer >= 1, got {grid_samples!r}")
     L = sys.lipschitz(range_m) if lipschitz_m is None else float(lipschitz_m)
     if not np.isfinite(L):  # a NaN margin is never negative
         raise ValueError(f"Lipschitz constant must be finite, got {L!r}")

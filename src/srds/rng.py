@@ -189,6 +189,9 @@ class WienerPath:
 def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
                 dt_fine: float, path_index: int = 0) -> WienerPath:
     """Sample the full increment array for one path."""
+    for name, count in (("components", components), ("modes", modes), ("n_fine", n_fine)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
     if not _valid_dt(dt_fine):

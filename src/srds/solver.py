@@ -35,6 +35,7 @@ import hashlib
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -334,14 +335,21 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     sup norms written to ``norms[a + 1:a + 1 + m]`` (n_steps + 1 rows).
     The first block is u itself at a = start - 1; the later ones hold at
     most STATE_BLOCK_FLOATS floats of states, in one reused buffer.  Modal
-    fields are built MODAL_BLOCK_FLOATS at a time, one matrix-vector
-    product per step, so a run's bits do not depend on where it starts;
-    each step goes through ``step`` at
-    ``points(i)``, the (drift_at, noise_at) of the step from state i, if
-    given.  One reduction fills a block's sup norms, step 0's too, and
-    ``_first_exit`` reads them: the first state whose largest norm exceeds
-    the sup cap ends the run, its block cut after it and yielded with
-    ``exited`` true.
+    fields are built in chunks of MODAL_BLOCK_FLOATS floats, starting at
+    ``start``, one matrix-vector product per step, so a run's bits do not
+    depend on where it starts.  This thread builds the first chunk; a run
+    of more than two chunks starts one helper thread, which builds chunk
+    c + 1 into an array allocated here while chunk c steps.  Each field is
+    the same BLAS call on the same inputs on either thread, so its bits do
+    not depend on which thread built it.  The helper is the run's own and is
+    joined when the run returns, raises or is closed: a pool that outlived
+    a run would reach the workers ``ensemble`` forks without its thread,
+    and their first prefetch would never finish.  Each step goes through
+    ``step`` at ``points(i)``, the (drift_at, noise_at) of the step from
+    state i, if given.  One reduction fills a block's sup norms, step 0's
+    too, and ``_first_exit`` reads them: the first state whose largest norm
+    exceeds the sup cap ends the run, its block cut after it and yielded
+    with ``exited`` true.
 
     Without ``points``, and unless ``ball_test`` is false (then a truncated
     problem steps truncated throughout), a truncated problem at level n
@@ -358,8 +366,9 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     leaves its ball early or crosses it often drops few steps.
 
     Overflow and invalid operations are silenced around each block's
-    steps and judgement (never across a ``yield``): an overflow surfaces
-    as ``_first_exit``'s located non-finite-state failure."""
+    steps and judgement (never across a ``yield``), and on the helper
+    thread, whose floating-point state is its own: an overflow surfaces as
+    ``_first_exit``'s located non-finite-state failure."""
     # a finite cap, so that an inf norm is never within it; a sup cap that
     # is None, inf or NaN halts no finite run, as FINITE_CAP
     cap = min(FINITE_CAP, config.cap_level)
@@ -375,38 +384,57 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     a, states = start - 1, u[None]
     c = start
     fields = inc[:0]  # the modal fields of steps c + 1 ..., c - start a multiple of chunk
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if a >= start:  # the first state is judged, not stepped
-                if a == c + len(fields):
-                    c = a
-                    fields = problem.noise.modal_fields(inc[c:c + chunk])
-                states = buf[:min(span if free else block, c + len(fields) - a)]
-                steps = plan[:3] + (None,) if free else plan
-                for j, f in enumerate(fields[a - c:a - c + len(states)]):
-                    if points is None:
-                        u = states[j] = step(problem, config, u, f, *steps)
-                    else:
-                        drift_at, noise_at = points(a + j)
-                        u = states[j] = step(problem, config, u, f, *steps,
-                                             drift_at=drift_at, noise_at=noise_at)
-            rows = norms[a + 1:a + 1 + len(states)]
-            np.abs(states).max(axis=2, out=rows)
-            if level is not None:
-                inside = _e_norms(rows) <= level  # NaN compares false
-                if free:  # cut after the first state outside, rho_n
-                    out = int(inside.argmin())
-                    if inside[out]:
-                        span = min(block, 2 * span)
-                    else:  # step from the state outside, not the dropped ones
-                        span = max(1, span // 2)
-                        states, rows, u = states[:out + 1], rows[:out + 1], states[out]
-                free = bool(inside[len(states) - 1])
-            k = _first_exit(states, rows, cap, a + 1)
-        yield a, states[:k + 1], k < len(states)
-        a += len(states)
-        if k < len(states) or a == len(inc):
-            return
+    noise = problem.noise
+    # starting and joining a thread costs about what building one chunk
+    # does (0.3 against 0.4 ms for a 1D chunk on a 2-vCPU x86 host), so a
+    # run builds ahead only when at least two chunks follow its first
+    helper = ThreadPoolExecutor(1) if len(inc) - start > 2 * chunk else None
+    ahead = None  # the helper's fields of steps c + chunk + 1 ...
+    try:
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if a >= start:  # the first state is judged, not stepped
+                    if a == c + len(fields):
+                        c = a
+                        fields = (noise.modal_fields(inc[c:c + chunk]) if ahead is None
+                                  else ahead.result())
+                        ahead = None
+                        if helper is not None and c + chunk < len(inc):
+                            nxt = inc[c + chunk:c + 2 * chunk]
+                            # numpy's errstate is per thread: the helper's call
+                            # enters the blocks' settings itself
+                            quiet = np.errstate(over="ignore", invalid="ignore")
+                            ahead = helper.submit(quiet(noise.modal_fields), nxt,
+                                                  np.empty(nxt.shape[:2] + u.shape[1:]))
+                    states = buf[:min(span if free else block, c + len(fields) - a)]
+                    steps = plan[:3] + (None,) if free else plan
+                    for j, f in enumerate(fields[a - c:a - c + len(states)]):
+                        if points is None:
+                            u = states[j] = step(problem, config, u, f, *steps)
+                        else:
+                            drift_at, noise_at = points(a + j)
+                            u = states[j] = step(problem, config, u, f, *steps,
+                                                 drift_at=drift_at, noise_at=noise_at)
+                rows = norms[a + 1:a + 1 + len(states)]
+                np.abs(states).max(axis=2, out=rows)
+                if level is not None:
+                    inside = _e_norms(rows) <= level  # NaN compares false
+                    if free:  # cut after the first state outside, rho_n
+                        out = int(inside.argmin())
+                        if inside[out]:
+                            span = min(block, 2 * span)
+                        else:  # step from the state outside, not the dropped ones
+                            span = max(1, span // 2)
+                            states, rows, u = states[:out + 1], rows[:out + 1], states[out]
+                    free = bool(inside[len(states) - 1])
+                k = _first_exit(states, rows, cap, a + 1)
+            yield a, states[:k + 1], k < len(states)
+            a += len(states)
+            if k < len(states) or a == len(inc):
+                return
+    finally:
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
 
 
 def simulate(problem: Problem, config: SolverConfig, path: WienerPath,

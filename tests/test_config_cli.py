@@ -712,6 +712,84 @@ def test_2d_spectral_ensemble_reproducible(tmp_path):
     assert artifacts["w1"] == artifacts["w2"] == artifacts["rerun"]
 
 
+def test_ensemble_starts_no_more_workers_than_paths(tmp_path, monkeypatch):
+    # a forked pool starts every worker at its first submit, so a pool is
+    # at most as wide as the paths, and one path runs in-process; a stand-in
+    # that starts no process records the widths asked for
+    import srds.cli
+
+    widths = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(srds.cli, "ProcessPoolExecutor", Recording)
+    cfg_path = write_config(tmp_path, quick_preset())
+    trees = {}
+    for paths, workers in (("2", "64"), ("2", "1"), ("1", "64")):
+        root = tmp_path / f"p{paths}w{workers}"
+        assert main(["ensemble", "--config", cfg_path, "--paths", paths,
+                     "--workers", workers, "--out", str(root)]) == 0
+        trees[paths, workers] = {str(p.relative_to(root)): p.read_bytes()
+                                 for p in sorted(root.rglob("*")) if p.is_file()}
+    assert widths == [2]
+    assert trees["2", "64"] == trees["2", "1"]
+
+
+# forks a worker pool right after an in-process run whose modal fields were
+# built ahead on a helper thread; a thread still alive at the fork (a
+# module-level pool's, say) hung the forked workers
+_FORK_AFTER_RUN = """
+import sys
+from srds.cli import main
+cfg, out = sys.argv[1:]
+for workers in ("1", "2"):
+    code = main(["ensemble", "--config", cfg, "--paths", "2", "--workers", workers,
+                 "--out", out + "/w" + workers])
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_ensemble_forks_workers_after_a_multi_chunk_run(tmp_path):
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    # 2 x 64 x 64 cells: modal chunks of 8 steps, 20 steps a path
+    cfg = quick_preset()
+    cfg["grid"] = {"dim": 2, "extents": [1.0, 1.0], "n_cells": [64, 64]}
+    cfg.pop("experiment")
+    paths = [str(Path(srds.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    # its own session, so that a hang ends with the workers it forked too
+    child = subprocess.Popen([sys.executable, "-c", _FORK_AFTER_RUN,
+                              write_config(tmp_path, cfg), str(tmp_path)],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, start_new_session=True)
+    try:
+        _, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("ensemble --workers 2 hung after an in-process multi-chunk run")
+    assert child.returncode == 0, err[-4000:]
+    one, two = (sorted((tmp_path / w).rglob("paths.csv"))[0].read_bytes()
+                for w in ("w1", "w2"))
+    assert one == two and len(one.splitlines()) == 3
+
+
 def test_ensemble_single_path_matches_simulation(tmp_path, out_root):
     cfg = quick_preset()
     cfg_path = write_config(tmp_path, cfg)
@@ -907,6 +985,9 @@ BAD_VALUES = [
     ("simulate", ("noise", "modes"), 8.7, "noise", "modes must be an integer, got 8.7"),
     ("simulate", ("noise", "modes"), True, "noise", "modes must be an integer, got True"),
     ("simulate", ("noise", "modes"), "8", "noise", "modes must be an integer, got '8'"),
+    # a frequency of 32 or more is aliased on the preset's 32 cells
+    ("simulate", ("noise", "modes"), 128, "noise",
+     "noise mode 32 aliases on axis 0 of 32 cells"),
     ("simulate", ("solver", "store_stride"), 2.9, "solver",
      "store_stride must be an integer, got 2.9"),
     *[("simulate", ("output", "stride"), stride, "output",

@@ -3,8 +3,9 @@ line: they import nothing from those, so the layering runs one way, and a
 module's private names stay its own but for two imports.  Runs are
 simulated in two places only: the experiments' member runner and the
 ``simulate`` command; every report is built by ``ExperimentReport.start``;
-the modulus and its Osgood integral live in ``mollifier`` alone.  And
-``import srds`` leaves out the SciPy packages only a few checks use."""
+the modulus and its Osgood integral live in ``mollifier`` alone.  Only the
+block driver starts a thread.  And ``import srds`` leaves out the SciPy
+packages only a few checks use, and starts no thread."""
 
 import ast
 import json
@@ -137,6 +138,30 @@ def test_only_mollifier_defines_the_modulus():
     assert found == {("mollifier", "PowerModulus"), ("mollifier", "osgood_check"),
                      ("mollifier", "_osgood_integral")}
     assert not hasattr(srds, "LinearModulus")
+
+
+def test_only_the_block_driver_starts_a_thread():
+    # one helper thread per run, joined when the run ends: a thread made
+    # anywhere else (a module-level pool, say) could outlive it into a fork
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for maker in ("Thread", "ThreadPoolExecutor", "Timer", "start_new_thread"):
+            found |= _callers(tree, path.stem, maker)
+    assert found == {("solver", "_advance")}
+
+
+def test_import_starts_no_thread():
+    # the benchmark's sample server and `ensemble --workers N` fork after
+    # importing srds, and a fork copies no thread but the caller
+    paths = [str(Path(srds.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", "import threading, srds, srds.cli; "
+                               "print(threading.active_count())"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert done.stdout.strip() == "1"
 
 
 _FOOTPRINT = """

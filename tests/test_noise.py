@@ -38,6 +38,24 @@ def test_discrete_orthonormality(dim, n_cells, modes):
     assert basis.orthonormality_defect() <= 1e-8
 
 
+@pytest.mark.parametrize("n_cells, modes, aliased", [
+    ([32], 33, "32 aliases on axis 0 of 32"), ([32], 128, "32 aliases on axis 0 of 32"),
+    ([8, 4], 11, r"\(0, 4\) aliases on axis 1 of 4"),
+    ([8, 4], 32, r"\(0, 4\) aliases on axis 1 of 4"),
+    ([4, 8], 15, r"\(4, 0\) aliases on axis 0 of 4"),
+])
+def test_aliased_modes_are_refused(n_cells, modes, aliased):
+    # a frequency k >= n samples n cell centers as zero or as a lower mode:
+    # 32 cells with 128 modes built a family with an orthonormality defect
+    # of 1.41, an 8 x 4 grid with 32 modes one of 1.0.  The most modes each
+    # grid resolves are orthonormal.
+    grid = build_grid(len(n_cells), [1.0] * len(n_cells), n_cells)
+    with pytest.raises(ValueError, match=f"noise mode {aliased} cells"):
+        cosine_neumann_basis(grid, modes)
+    most = {32: 32, 8: 10, 4: 14}[n_cells[0]]
+    assert cosine_neumann_basis(grid, most).orthonormality_defect() <= 1e-8
+
+
 def test_alpha_beta_sequences():
     model = make_model(g_name="sqrt-abs")
     comp = model.components[0]
@@ -264,6 +282,7 @@ def test_block_modal_fields_match_per_step(n, modes, n_steps, step_stride, conti
     # sum over the K modes would differ in the last bit on most entries
     rng = np.random.default_rng(seed)
     grid = build_grid(1, [1.0], [n])
+    modes = [min(k, n) for k in modes]  # n cells resolve n modes
     noise = build_noise([cosine_neumann_basis(grid, k) for k in modes],
                         [rng.uniform(-2.0, 2.0, size=k) for k in modes],
                         [named_g("sqrt-abs")] * len(modes), audit=False)

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from srds import (CoefficientField, CouplingTerm, HolderFunction, PolynomialDrift,
                   PowerModulus, ReactionSystem, SolverConfig, apply_resolvent,
-                  assemble_operator, build_grid, check_quasi_positive, cosine_neumann_basis,
-                  build_noise, coupling_linear, evolve_semigroup, exit_index, fhn_system,
-                  gaussian_entry, glue_ladder, load_path, mild_residual, named_g,
-                  run_ladder, sample_path, save_path, semigroup_step, simulate, step,
-                  truncate_problem)
+                  assemble_operator, build_grid, build_mollifier, check_quasi_positive,
+                  cosine_neumann_basis, build_noise, coupling_linear, evolve_semigroup,
+                  exit_index, fhn_system, gaussian_entry, glue_ladder, load_path,
+                  mild_residual, named_g, run_ladder, sample_path, save_path,
+                  semigroup_step, simulate, step, truncate_problem)
 from srds.errors import AuditError, SolverFailure
 from srds.solver import (Problem, StoppingRecord, _resolve_increments, _step_runs,
                          _truncate, dyadic_level)
@@ -418,8 +418,9 @@ def test_one_reduction_judges_each_block():
     assert [site for site in reduced if site[1] in ("states", "block")] == [
         ("_advance", "states")]
     assert not [c for _, c in _calls(functions["_first_exit"]) if c == "np.abs"]
-    # one owner of the stepping loop's floating-point state
-    assert [where for where, c in _calls(solver) if c == "np.errstate"] == ["_advance"]
+    # one owner of the stepping loop's floating-point state: its blocks'
+    # errstate, and the same settings on the helper thread's modal fields
+    assert [where for where, c in _calls(solver) if c == "np.errstate"] == ["_advance"] * 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -817,12 +818,26 @@ def test_constructors_refuse_non_finite_numbers(build, reason, bad):
     (lambda: evolve_semigroup(_PROP_OP, 1.0, np.ones(8), n_substeps=2.5), _SEMIGROUP),
     (lambda: _noise_with_exponent(1.5), r"exponent: exponent = 1.5 outside \(0, 1\]"),
     (lambda: _noise_with_exponent(0.0), r"exponent: exponent = 0.0 outside \(0, 1\]"),
+    (lambda: cosine_neumann_basis(_PROP_GRID, 0), "modes must be an integer >= 1, got 0"),
+    (lambda: check_quasi_positive(fhn_system(), grid_samples=0),
+     "grid_samples must be an integer >= 1, got 0"),
+    (lambda: build_mollifier(PowerModulus(1.0), 2.5), "n_max must be an integer >= 1, got 2.5"),
+    (lambda: sample_path(0, 2.0, 8, 10, 1e-3), "components must be an integer, got 2.0"),
+    (lambda: sample_path(0, True, 8, 10, 1e-3), "components must be an integer, got True"),
+    (lambda: sample_path(0, 2, 8.0, 10, 1e-3), "modes must be an integer, got 8.0"),
+    (lambda: sample_path(0, 2, 8, 10.0, 1e-3), "n_fine must be an integer, got 10.0"),
+    (lambda: sample_path(0, 2, 8, True, 1e-3), "n_fine must be an integer, got True"),
 ], ids=["store_stride-float", "store_stride-bool", "evolve_semigroup-negative-t",
         "evolve_semigroup-no-substeps", "evolve_semigroup-float-substeps",
-        "holder-exponent-above-1", "holder-exponent-0"])
+        "holder-exponent-above-1", "holder-exponent-0", "basis-no-modes",
+        "quasi-positive-no-samples", "mollifier-float-n_max", "sample_path-float-components",
+        "sample_path-bool-components", "sample_path-float-modes", "sample_path-float-n_fine",
+        "sample_path-bool-n_fine"])
 def test_constructors_refuse_out_of_range_numbers(build, reason):
     # a float or bool stride failed at the first store or read as 1, a
-    # negative t ran the semigroup backwards and no substeps divided by zero
+    # negative t ran the semigroup backwards and no substeps divided by zero;
+    # a count of zero, a float or a bool failed with an IndexError, numpy's
+    # zero-size reduction error or a TypeError
     with pytest.raises((ValueError, AuditError), match=reason):
         build()
 
@@ -1052,6 +1067,7 @@ def _block_cases(draw):
         [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
         [coupling_linear(row) for row in rows], audit=False)
     modes = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    modes = [min(k, grid.n_total) for k in modes]  # no aliased mode
     g_names = draw(st.lists(st.sampled_from(["sqrt-abs", "sqrt-pos", "lipschitz:1"]),
                             min_size=r, max_size=r))
     noise = build_noise([cosine_neumann_basis(grid, k) for k in modes],
@@ -1180,7 +1196,7 @@ def _ball_cases(draw):
     reaction = ReactionSystem(
         [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
         [coupling_linear(row) for row in rows], audit=False)
-    modes = draw(st.integers(1, 4))
+    modes = min(draw(st.integers(1, 4)), grid.n_total)  # no aliased mode
     g_name = draw(st.sampled_from(["sqrt-abs-shifted", "sqrt-abs", "lipschitz:1"]))
     noise = build_noise([cosine_neumann_basis(grid, modes)] * r,
                         [rng.uniform(2.0, 8.0, size=modes)] * r,
@@ -1382,7 +1398,7 @@ def _ladder_cases(draw):
     reaction = ReactionSystem(
         [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
         [coupling_linear(row) for row in rows], audit=False)
-    modes = draw(st.integers(1, 4))
+    modes = min(draw(st.integers(1, 4)), grid.n_total)  # no aliased mode
     g_name = draw(st.sampled_from(["sqrt-abs-shifted", "sqrt-abs", "lipschitz:1"]))
     noise = build_noise([cosine_neumann_basis(grid, modes)] * r,
                         [rng.uniform(4.0, 16.0, size=modes)] * r,
@@ -1583,3 +1599,228 @@ def test_overflow_to_inf_without_a_cap_raises_at_its_step(n_cells, n_steps):
         assert _outcome(_reference_simulate, prob, cfg, path, init) == (
             err.value.reason, err.value.detail, err.value.step)
         assert (err.value.reason, err.value.step) == ("non-finite-state", 1)
+
+
+# --- modal chunks built ahead on a helper thread ---------------------------------
+# A run of more than two modal chunks builds each later chunk on one helper
+# thread while the chunk before it steps.  At r = 2 a 2D grid of 64 x 64
+# cells steps in blocks of one step and chunks of 8, and a 1D grid of 32
+# cells in blocks of 64 steps and chunks of 1024.
+
+
+def _chunk_grid(dim):
+    """(grid, steps per modal chunk) of the runs below."""
+    if dim == 2:
+        return build_grid(2, [1.0, 1.0], [64, 64]), 8
+    return build_grid(1, [1.0], [32]), 1024
+
+
+def _kicked(path, component, i, size):
+    """``path`` with mode 0's increments zero but ``size`` at coarse index
+    i of ``component`` (the step from state i to i + 1)."""
+    from srds.rng import WienerPath
+
+    inc = path.increments.copy()
+    inc[:, 0] = 0.0
+    inc[component, 0, i] = size
+    return WienerPath(path.master_seed, path.path_index, path.components, path.modes,
+                      path.n_fine, path.dt_fine, inc)
+
+
+@st.composite
+def _chunk_cases(draw, kind):
+    """r = 2 components sharing one operator and one mode table on a grid of
+    ``_chunk_grid``, run over more than two modal chunks.  ``kind`` "ball"
+    truncates the problem and kicks the state out of its ball at a chunk's
+    last or first step; "cap" kicks it above a cap inside a later chunk;
+    "overflow" gives mode 0 a lambda near the largest float and kicks its
+    increment so that the modal field of a step in a later chunk overflows."""
+    from srds.reaction import PolynomialDrift, ReactionSystem
+
+    dim = draw(st.sampled_from([2, 1]))
+    grid, chunk = _chunk_grid(dim)
+    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drifts = draw(st.lists(st.one_of(st.none(), _DRIFT), min_size=2, max_size=2))
+    rows = draw(st.lists(st.lists(_COEF, min_size=2, max_size=2), min_size=2,
+                         max_size=2))
+    reaction = ReactionSystem(
+        [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
+        [coupling_linear(row) for row in rows], audit=False)
+    modes = draw(st.integers(1, 8))
+    lam = rng.uniform(0.5, 4.0, size=modes)
+    if kind == "overflow":
+        lam[0] = 1e308  # e_0 = 1: the table holds it, a product of it overflows
+    g_name = draw(st.sampled_from(["sqrt-abs", "sqrt-abs-shifted", "lipschitz:1"]))
+    noise = build_noise([cosine_neumann_basis(grid, modes)] * 2, [lam] * 2,
+                        [named_g(g_name)] * 2, audit=False)
+    problem = Problem(grid=grid, operators=(op, op), reaction=reaction, noise=noise)
+    n_steps = 2 * chunk + draw(st.integers(5, 2 * chunk if dim == 2 else 512))
+    config = SolverConfig(
+        dt=1e-3, t_end=1e-3 * n_steps,
+        scheme=draw(st.sampled_from(["semi-implicit", "tamed-semi-implicit"])),
+        store_stride=1 if kind == "residual" else draw(st.integers(1, 4)))
+    path = sample_path(draw(st.integers(0, 2**16)), 2, modes, n_steps, 1e-3)
+    initial = rng.uniform(-1.0, 1.0, size=(2, grid.n_total))
+    kick = None
+    if kind == "ball":  # the exit: the last step of a chunk or the first of the next
+        kick = draw(st.sampled_from([m * chunk + d for m in range(1, n_steps // chunk + 1)
+                                     for d in (0, 1) if m * chunk + d <= n_steps]))
+    elif kind in ("cap", "overflow"):
+        kick = draw(st.integers(chunk + 1, n_steps))
+    if kick is not None:
+        size = 4.0 if kind == "overflow" else draw(st.sampled_from([-1e4, 1e4]))
+        path = _kicked(path, draw(st.integers(0, 1)), kick - 1, size)
+    return problem, config, path, initial, kick
+
+
+def _threads_kept(run, *args, **kwargs):
+    """``_outcome`` of ``run``, asserting that no thread outlives it."""
+    import threading
+
+    before = threading.active_count()
+    out = _outcome(lambda: run(*args, **kwargs))
+    assert threading.active_count() == before
+    return out
+
+
+@pytest.mark.parametrize("kind", ["run", "cap", "prefix", "ball", "residual", "overflow"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_chunks_built_ahead_match_the_per_step_reference(kind, data):
+    problem, config, path, initial, kick = data.draw(_chunk_cases(kind), label="case")
+    chunk = _chunk_grid(problem.grid.dim)[1]
+    event(f"dim {problem.grid.dim}")
+    if kind == "ball":
+        # a level between the E-norms before the kicked step and at it
+        e = _reference_simulate(problem, replace(config, t_end=kick * config.dt,
+                                                 store_stride=1), path, initial).e_norms()
+        level = max(1.0, 0.5 * (e[:kick].max() + e[kick]))
+        assume(e[kick] > level)  # the kick carries the state out
+        problem = truncate_problem(problem, level)
+    elif kind == "cap":
+        m = _reference_simulate(problem, replace(config, t_end=kick * config.dt),
+                                path, initial).sup_norms.max(axis=1)
+        assume(m[kick] > m[:kick].max())
+        config = replace(config, sup_cap=float(0.5 * (m[:kick].max() + m[kick])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _threads_kept(simulate, problem, config, path, initial)
+        ref = _outcome(_reference_simulate, problem, config, path, initial)
+        if kind == "overflow":  # mode 0's field is inf at the kicked step
+            event("failure at the kicked step" if isinstance(got, tuple)
+                  and got[2] == kick else "failure before it")
+            assert isinstance(got, tuple) and got == ref
+            return
+        assume(not isinstance(ref, tuple))
+        assert not isinstance(got, tuple), got
+        _assert_same_trajectory(got, ref)
+        if kind == "cap":
+            assert got.stopping.triggered and got.stopping.step_index == kick
+        elif kind == "ball":
+            assert exit_index(got, problem.level).step_index == kick
+        elif kind == "prefix":  # resumed off a chunk boundary, still over three chunks
+            stride = config.store_stride
+            s = data.draw(st.sampled_from([
+                s for s in range(stride, config.n_steps - 2 * chunk, stride) if s % chunk]),
+                label="resume step")
+            _assert_same_trajectory(_threads_kept(simulate, problem, config, path,
+                                                  initial, prefix=got.until(s)), got)
+        elif kind == "residual":
+            probes = sorted({1, chunk, chunk + 1, config.n_steps})
+            res = _threads_kept(mild_residual, problem, got, path,
+                                [s * config.dt for s in probes])
+            assert res.tolist() == _reference_residuals(problem, got, path, probes)
+
+
+def _reference_residuals(problem, traj, path, probes):
+    """``mild_residual`` at the probe steps, one ``_reference_step`` a step."""
+    config = SolverConfig(dt=traj.dt, t_end=max(probes) * traj.dt)
+    inc = _resolve_increments(config, path)
+    steppers = [op.stepper(config.dt) for op in problem.operators]
+    u, out = traj.states[0], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(max(probes)):
+            u = _reference_step(problem, config, u, inc[:, :, i], steppers,
+                                drift_at=traj.states[i + 1],
+                                noise_at=traj.states[max(i - 1, 0)])
+            if i + 1 in probes:
+                out.append(float(np.max(np.abs(traj.states[i + 1] - u))))
+    return out
+
+
+def test_later_chunks_are_built_on_one_helper_thread(monkeypatch):
+    # a 2D run of 20 steps in chunks of 8: the stepping thread builds the
+    # first chunk, one helper thread the other two, and it is gone after;
+    # a run of two chunks builds both itself (a thread costs about a chunk)
+    import threading
+
+    from srds.noise import NoiseModel
+
+    grid, chunk = _chunk_grid(2)
+    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    noise = build_noise([cosine_neumann_basis(grid, 4)] * 2, [np.ones(4)] * 2,
+                        [named_g("sqrt-abs")] * 2, audit=False)
+    prob = Problem(grid=grid, operators=(op, op), reaction=fhn_system(1.0, 1.0),
+                   noise=noise)
+    cfg = SolverConfig(dt=1e-3, t_end=0.02)
+    path = sample_path(3, 2, 4, 20, 1e-3)
+    init = np.full((2, grid.n_total), 0.2)
+    ref = simulate(prob, cfg, path, init)
+    built = []
+    modal_fields = NoiseModel.modal_fields
+
+    def recording(self, increments, out=None):
+        built.append((threading.get_ident(), len(increments), out is not None))
+        return modal_fields(self, increments, out)
+
+    monkeypatch.setattr(NoiseModel, "modal_fields", recording)
+    before = threading.active_count()
+    _assert_same_trajectory(simulate(prob, cfg, path, init), ref)
+    assert threading.active_count() == before
+    me = threading.get_ident()
+    assert [(t == me, m, out) for t, m, out in built] == [
+        (True, chunk, False), (False, chunk, True), (False, 20 - 2 * chunk, True)]
+    assert built[1][0] == built[2][0]
+    built.clear()
+    cfg = replace(cfg, t_end=0.016)
+    assert np.array_equal(simulate(prob, cfg, path, init).states, ref.states[:17])
+    assert [(t == me, m, out) for t, m, out in built] == [(True, chunk, False)] * 2
+
+
+def test_concurrent_runs_with_helpers_keep_their_bits():
+    # four runs at once, each with its own helper (eight threads on a
+    # smaller machine), switching threads every microsecond: a field read
+    # before its helper wrote it, or written into another run's array,
+    # would change a run's bits
+    import sys
+    import threading
+
+    grid, chunk = _chunk_grid(2)
+    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    noise = build_noise([cosine_neumann_basis(grid, 4)] * 2, [np.ones(4)] * 2,
+                        [named_g("sqrt-abs")] * 2, audit=False)
+    prob = Problem(grid=grid, operators=(op, op), reaction=fhn_system(1.0, 1.0),
+                   noise=noise)
+    cfg = SolverConfig(dt=1e-3, t_end=1e-3 * 5 * chunk)
+    paths = [sample_path(11, 2, 4, 5 * chunk, 1e-3, path_index=i) for i in range(4)]
+    init = np.full((2, grid.n_total), 0.2)
+    refs = [simulate(prob, cfg, p, init) for p in paths]
+    got = [None] * len(paths)
+
+    def run(i):
+        got[i] = simulate(prob, cfg, paths[i], init)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(paths))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for traj, ref in zip(got, refs):
+        _assert_same_trajectory(traj, ref)
