@@ -12,7 +12,7 @@ import srds
 
 n = 64
 grid = srds.build_grid(1, [1.0], [n])
-op = srds.assemble_operator(grid, srds.CoefficientField.constant(grid, a=1.0, c=0.0))
+op = srds.EllipticOperator(grid, srds.CoefficientField.constant(grid, a=1.0, c=0.0))
 
 ev = np.sort(op.dense_spectrum())
 closed = np.sort(-(2.0 * n**2) * (1.0 - np.cos(np.arange(n) * np.pi / n)))

@@ -17,7 +17,7 @@ print(f"  dissipativity margins use a' = {cert.a_prime:.4f}, "
       f"a'' = {cert.a_dd:.4f}, b'' = {cert.b_dd:.4f}")
 
 grid = srds.build_grid(1, [1.0], [32])
-op = srds.assemble_operator(grid, srds.CoefficientField.constant(grid, a=1.0))
+op = srds.EllipticOperator(grid, srds.CoefficientField.constant(grid, a=1.0))
 basis = srds.cosine_neumann_basis(grid, 4)
 noise = srds.build_noise([basis] * 2, [np.zeros(4)] * 2,
                          [srds.named_g("sqrt-abs")] * 2)

@@ -10,7 +10,7 @@ import numpy as np
 import srds
 
 grid = srds.build_grid(1, [1.0], [32])
-op = srds.assemble_operator(grid, srds.CoefficientField.constant(grid, a=1.0))
+op = srds.EllipticOperator(grid, srds.CoefficientField.constant(grid, a=1.0))
 basis = srds.cosine_neumann_basis(grid, 8)
 lam = 0.1 * (np.arange(8) + 1.0) ** -2.0
 noise = srds.build_noise([basis] * 2, [lam] * 2, [srds.named_g("sqrt-abs")] * 2)

@@ -11,8 +11,8 @@ from ._version import __version__
 from .errors import AuditError, ConfigError, SolverFailure
 from .grid import DomainGrid, build_grid
 from .operators import (CoefficientField, EllipticOperator, apply_resolvent,
-                        assemble_operator, coefficient_field_from_csv,
-                        evolve_semigroup, semigroup_step, smoothing_profile)
+                        coefficient_field_from_csv, evolve_semigroup,
+                        smoothing_profile)
 from .rng import (WienerPath, gaussian_entry, load_path, normal_inverse,
                   sample_path, save_path, uniform_stream)
 from .noise import (ComponentNoise, HolderFunction, NoiseModel, SpectralBasis,

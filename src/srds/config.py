@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AuditError, ConfigError
 from .grid import DomainGrid, build_grid
 from .noise import (NoiseModel, build_noise, cosine_neumann_basis, named_g)
-from .operators import (CoefficientField, assemble_operator,
+from .operators import (CoefficientField, EllipticOperator,
                         coefficient_field_from_csv)
 from .reaction import (PolynomialDrift, ReactionSystem, coupling_linear,
                        coupling_none, fhn_couplings, fhn_system)
@@ -148,7 +148,7 @@ def _build_operator(grid: DomainGrid, block: dict):
         a = float(read_number("a", block.get("a", 1.0)))
         c = float(read_number("c", block.get("c", 0.0)))
         coeffs = CoefficientField.constant(grid, a=a, c=c, eta=eta, m_bound=m_bound)
-    return assemble_operator(grid, coeffs)
+    return EllipticOperator(grid, coeffs)
 
 
 def _build_reaction(block: dict, r: int) -> ReactionSystem:

@@ -305,9 +305,8 @@ class ComponentNoise:
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.shape != (self.basis.modes,):
-            raise AuditError("noise-shape",
-                             f"{lam.shape[0] if lam.ndim else 0} lambdas for "
-                             f"{self.basis.modes} modes")
+            raise AuditError("noise-shape", f"lambdas of shape {lam.shape} for "
+                                            f"{self.basis.modes} modes")
         bad = np.flatnonzero(~np.isfinite(lam))
         if bad.size:  # it would first show as a non-finite state at step 1
             raise ValueError(f"lambdas[{bad[0]}] is {lam[bad[0]]}; it must be finite")

@@ -218,13 +218,21 @@ class EllipticOperator:
 
     def solver(self, dt: float) -> ShiftedSolve | SpectralSolve:
         """A new, uncached solver for (I - dt*A): the DCT-II diagonal solve
-        when `cosine_spectrum` diagonalizes A, else a SuperLU factor."""
+        when `cosine_spectrum` diagonalizes A, else a SuperLU factor.
+
+        The one dt rule of every step solve: only 0 < dt < inf makes
+        (I - dt*A) an M-matrix, so its inverse a positive sup contraction
+        (a negative dt gives the indefinite I + |dt| A, an infinite one the
+        singular -A, a NaN one nothing)."""
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         if self.cosine_spectrum is not None:
             return SpectralSolve(self.cosine_spectrum, dt)
         return ShiftedSolve(self.matrix, dt)
 
     def stepper(self, dt: float) -> ShiftedSolve | SpectralSolve:
-        """Cached `solver` for (I - dt*A), one per dt."""
+        """Cached `solver` for (I - dt*A), one per dt; a dt that `solver`
+        refuses is never cached."""
         key = float(dt)
         st = self._steppers.get(key)
         if st is None:
@@ -242,13 +250,6 @@ class EllipticOperator:
         return b"elliptic:" + self.coeffs.descriptor()
 
 
-def assemble_operator(grid: DomainGrid, coeffs: CoefficientField) -> EllipticOperator:
-    """The operator A = div(a grad .) - c of ``coeffs`` on ``grid``, its
-    matrix assembled on first read (`EllipticOperator.matrix`); the
-    constructor checks the field (`EllipticOperator`)."""
-    return EllipticOperator(grid, coeffs)
-
-
 def apply_resolvent(op: EllipticOperator, lam: float, f: np.ndarray) -> np.ndarray:
     """Return lam*(lam*I - A)^{-1} f = (I - A/lam)^{-1} f.
 
@@ -260,22 +261,19 @@ def apply_resolvent(op: EllipticOperator, lam: float, f: np.ndarray) -> np.ndarr
     return ShiftedSolve(op.matrix, 1.0 / lam).solve(np.asarray(f, dtype=float))
 
 
-def semigroup_step(op: EllipticOperator, dt: float, u: np.ndarray) -> np.ndarray:
-    """One backward-Euler semigroup step: (I - dt*A)^{-1} u."""
-    if not 0 < dt < np.inf:  # an infinite step factors a singular -A
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    return op.stepper(dt).solve(np.asarray(u, dtype=float))
-
-
 def evolve_semigroup(op: EllipticOperator, t: float, u: np.ndarray,
                      n_substeps: int = 32) -> np.ndarray:
-    """Approximate S(t) u by n_substeps backward-Euler steps of size t/n."""
+    """Approximate S(t) u by n_substeps backward-Euler steps of size t/n.
+
+    The steps share one uncached `op.solver`, so a sweep over t (as in
+    `smoothing_profile`) leaves no factor in the operator's cache."""
     if not 0 < t < np.inf or type(n_substeps) is not int or n_substeps < 1:
         raise ValueError(f"t must be positive and finite and n_substeps an integer "
                          f">= 1, got t={t}, n_substeps={n_substeps!r}")
-    v = u
+    st = op.solver(t / n_substeps)
+    v = np.asarray(u, dtype=float)
     for _ in range(n_substeps):
-        v = semigroup_step(op, t / n_substeps, v)
+        v = st.solve(v)
     return v
 
 

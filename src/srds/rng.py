@@ -91,10 +91,14 @@ MAX_MODE = 1 << 16
 MAX_PATH = 1 << 32
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def valid_seed(master_seed) -> bool:
     """True for an integer (not a bool) in [0, 2^64), the Philox key range."""
-    return (isinstance(master_seed, (int, np.integer))
-            and not isinstance(master_seed, bool) and 0 <= master_seed < 1 << 64)
+    return _is_integer(master_seed) and 0 <= master_seed < 1 << 64
 
 
 def _check_key(master_seed: int, path_index: int, components: int, modes: int) -> None:
@@ -144,6 +148,8 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
 def uniform_stream(master_seed: int, path_index: int, component: int, mode: int,
                    n: int) -> np.ndarray:
     """First n uniforms of the (seed, path, component, mode) stream, in (0,1)."""
+    if not (_is_integer(n) and n >= 0):
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     _check_key(master_seed, path_index, component + 1, mode + 1)
     return _uniforms(_raw_words(np.random.Philox(0), master_seed, path_index,
                                 component, mode, n))
@@ -154,6 +160,8 @@ def gaussian_entry(master_seed: int, path_index: int, component: int, mode: int,
     """Regenerate the single increment at (component, mode, step)."""
     if not _valid_dt(dt_fine):
         raise ValueError("dt_fine must be positive and finite")
+    if not (_is_integer(step) and step >= 0):
+        raise ValueError(f"step must be an integer >= 0, got {step!r}")
     u = uniform_stream(master_seed, path_index, component, mode, step + 1)[step]
     return float(normal_inverse(u)) * float(np.sqrt(dt_fine))
 
@@ -189,8 +197,9 @@ class WienerPath:
 def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
                 dt_fine: float, path_index: int = 0) -> WienerPath:
     """Sample the full increment array for one path."""
-    for name, count in (("components", components), ("modes", modes), ("n_fine", n_fine)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+    for name, count in (("components", components), ("modes", modes), ("n_fine", n_fine),
+                        ("path_index", path_index)):
+        if not _is_integer(count):
             raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")

@@ -8,7 +8,7 @@ def build_fhn_problem(g_name="sqrt-abs", scale=1.0, n=32, modes=8,
                       a=1.0, b=1.0, lam_power=2.0):
     grid = srds.build_grid(1, [1.0], [n])
     coeffs = srds.CoefficientField.constant(grid, a=1.0, c=0.0)
-    op = srds.assemble_operator(grid, coeffs)
+    op = srds.EllipticOperator(grid, coeffs)
     basis = srds.cosine_neumann_basis(grid, modes)
     lam = (np.arange(modes) + 1.0) ** (-lam_power) * scale
     noise = srds.build_noise([basis] * 2, [lam] * 2,
@@ -29,7 +29,7 @@ def build_scalar_heat_problem(n=64, a=1.0, c=0.0, modes=4, lam=None,
     from srds.reaction import ReactionSystem, coupling_none
 
     grid = srds.build_grid(1, [1.0], [n])
-    op = srds.assemble_operator(grid, srds.CoefficientField.constant(grid, a=a, c=c))
+    op = srds.EllipticOperator(grid, srds.CoefficientField.constant(grid, a=a, c=c))
     basis = srds.cosine_neumann_basis(grid, modes)
     lam = np.zeros(modes) if lam is None else np.asarray(lam, dtype=float)
     noise = srds.build_noise([basis], [lam], [srds.named_g(g_name)], audit=False)

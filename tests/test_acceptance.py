@@ -35,7 +35,7 @@ def criterion(num, name, ok, detail=""):
 def test_criterion_1_operator():
     n = 64
     grid = srds.build_grid(1, [1.0], [n])
-    op = srds.assemble_operator(grid, srds.CoefficientField.constant(grid, a=1.0))
+    op = srds.EllipticOperator(grid, srds.CoefficientField.constant(grid, a=1.0))
     ev = np.sort(op.dense_spectrum())
     k = np.arange(n)
     expected = np.sort(-(2.0 * n**2) * (1.0 - np.cos(k * np.pi / n)))

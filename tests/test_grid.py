@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srds import build_grid
+from srds import DomainGrid, build_grid
 
 
 def test_1d_uniform_partition():
@@ -43,3 +43,15 @@ def test_centers_tile_the_domain():
     assert edges[0] == 0.0
     assert edges[-1] == pytest.approx(2.0, rel=1e-14)
     assert np.allclose(np.diff(edges), g.spacing[0])
+
+
+def test_equal_grids_hash_compare_and_describe_alike():
+    # lists, numpy integers and int extents are stored as the same tuples of
+    # ints and floats, so the problem digest does not depend on how a grid
+    # was given
+    ref = build_grid(1, [1.0], [32])
+    for g in (DomainGrid(1, [1.0], [32]), build_grid(np.int64(1), 1, np.int32(32)),
+              build_grid(1, np.array([1.0]), np.array([32]))):
+        assert g == ref and hash(g) == hash(ref)
+        assert g.descriptor() == ref.descriptor() == b"(1, (1.0,), (32,))"
+        assert type(g.dim) is int and type(g.n_cells[0]) is int

@@ -3,9 +3,10 @@ line: they import nothing from those, so the layering runs one way, and a
 module's private names stay its own but for two imports.  Runs are
 simulated in two places only: the experiments' member runner and the
 ``simulate`` command; every report is built by ``ExperimentReport.start``;
-the modulus and its Osgood integral live in ``mollifier`` alone.  Only the
-block driver starts a thread.  And ``import srds`` leaves out the SciPy
-packages only a few checks use, and starts no thread."""
+the modulus and its Osgood integral live in ``mollifier`` alone; the
+operator's ``solver`` builds every step solve.  Only the block driver starts
+a thread.  And ``import srds`` leaves out the SciPy packages only a few
+checks use, and starts no thread."""
 
 import ast
 import json
@@ -138,6 +139,21 @@ def test_only_mollifier_defines_the_modulus():
     assert found == {("mollifier", "PowerModulus"), ("mollifier", "osgood_check"),
                      ("mollifier", "_osgood_integral")}
     assert not hasattr(srds, "LinearModulus")
+
+
+def test_step_solves_are_built_in_three_places_only():
+    # EllipticOperator.solver holds the dt rule of every (I - dt A) solve; the
+    # resolvent (lam = inf is dt = 0) and verify operator's LU reference
+    # build their own uncached factor
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "linalg":
+            tree = ast.parse(path.read_text())
+            for cls in ("ShiftedSolve", "SpectralSolve"):
+                found |= _callers(tree, path.stem, cls)
+    assert found == {("operators", "solver"), ("operators", "apply_resolvent"),
+                     ("verify", "suite_operator")}
+    assert not hasattr(srds, "assemble_operator") and not hasattr(srds, "semigroup_step")
 
 
 def test_only_the_block_driver_starts_a_thread():

@@ -4,16 +4,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srds import (CoefficientField, EllipticOperator, apply_resolvent, assemble_operator,
-                  build_grid, coefficient_field_from_csv, evolve_semigroup,
-                  semigroup_step, smoothing_profile)
+from srds import (CoefficientField, EllipticOperator, apply_resolvent, build_grid,
+                  coefficient_field_from_csv, evolve_semigroup, smoothing_profile)
 from srds.errors import AuditError
 from srds.linalg import ShiftedSolve, SpectralSolve, jacobi_cg
 
 
 def poisson_1d(n, a=1.0, c=0.0):
     g = build_grid(1, [1.0], [n])
-    return assemble_operator(g, CoefficientField.constant(g, a=a, c=c))
+    return EllipticOperator(g, CoefficientField.constant(g, a=a, c=c))
 
 
 def neumann_spectrum(n, h):
@@ -54,7 +53,7 @@ def test_symmetry_for_random_coefficients():
         a_diag = rng.uniform(0.5, 2.0, size=(g.n_total, 2))
         c = rng.uniform(0.0, 1.0, size=g.n_total)
         cf = CoefficientField.from_arrays(g, a_diag, c, eta=0.5, m_bound=2.0)
-        A = assemble_operator(g, cf).matrix
+        A = EllipticOperator(g, cf).matrix
         defect = np.abs(A - A.T).max() / np.abs(A).max()
         assert defect <= 1e-12
 
@@ -71,7 +70,7 @@ def test_off_diagonal_tensor_rejected():
     a = np.tile(np.array([[1.0, 0.3], [0.3, 1.0]]), (g.n_total, 1, 1))
     cf = CoefficientField(g, a, np.zeros(g.n_total), eta=0.5, m_bound=2.0)
     with pytest.raises(AuditError, match="diagonal"):
-        assemble_operator(g, cf)
+        EllipticOperator(g, cf)
 
 
 def test_the_operator_constructor_checks_its_field():
@@ -168,7 +167,7 @@ def test_dissipative_with_nonnegative_c():
         g = build_grid(1, [1.0], [n])
         a_diag = rng.uniform(0.5, 2.0, size=(n, 1))
         c = rng.uniform(0.0, 0.5, size=n)
-        op = assemble_operator(g, CoefficientField.from_arrays(g, a_diag, c, 0.5, 2.0))
+        op = EllipticOperator(g, CoefficientField.from_arrays(g, a_diag, c, 0.5, 2.0))
         assert op.dense_spectrum().max() <= 1e-10 * n**2
 
 
@@ -231,7 +230,7 @@ def test_resolvent_requires_positive_lambda():
 def test_semigroup_preserves_constants():
     op = poisson_1d(16)
     for dt in (1e-3, 0.1, 10.0):
-        out = semigroup_step(op, dt, np.ones(16))
+        out = op.stepper(dt).solve(np.ones(16))
         assert np.allclose(out, 1.0, atol=1e-9)
 
 
@@ -240,7 +239,7 @@ def test_semigroup_spike_mass_and_sign():
     g = op.grid
     u = np.zeros(32)
     u[10] = 1.0
-    out = semigroup_step(op, 0.01, u)
+    out = op.stepper(0.01).solve(u)
     assert out.min() >= -1e-12
     assert np.sum(out) * g.cell_volume == pytest.approx(
         np.sum(u) * g.cell_volume, rel=1e-9)
@@ -251,7 +250,7 @@ def test_semigroup_maximum_principle():
     rng = np.random.default_rng(3)
     for _ in range(100):
         u = rng.uniform(0.0, 1.0, size=32)
-        out = semigroup_step(op, rng.uniform(1e-3, 1.0), u)
+        out = op.stepper(rng.uniform(1e-3, 1.0)).solve(u)
         assert out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12
 
 
@@ -261,7 +260,7 @@ def test_cg_and_direct_agree():
     rng = np.random.default_rng(5)
     u = rng.standard_normal(48)
     a = jacobi_cg((eye - 0.05 * op.matrix).tocsr(), u)
-    b = semigroup_step(op, 0.05, u)
+    b = op.stepper(0.05).solve(u)
     assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(b)))
     f = rng.standard_normal(48)
     rc = 7.0 * jacobi_cg((7.0 * eye - op.matrix).tocsr(), f)
@@ -274,6 +273,51 @@ def test_smoothing_scaled_sup_bounded():
     prof = smoothing_profile(op)
     assert prof["bounded"]
     assert np.all(np.isfinite(prof["scaled_sup"]))
+
+
+def _operator_of_kind(kind):
+    if kind == "lu-1d":
+        return poisson_1d(32)
+    g = build_grid(2, [1.0, 1.0], [16, 16])
+    if kind == "dct-2d":
+        return EllipticOperator(g, CoefficientField.constant(g, a=1.0))
+    rng = np.random.default_rng(3)
+    return EllipticOperator(g, CoefficientField.from_arrays(
+        g, rng.uniform(0.6, 1.8, (g.n_total, 2)), rng.uniform(0.0, 1.0, g.n_total), 0.5, 2.0))
+
+
+@pytest.mark.parametrize("kind", ["lu-1d", "dct-2d", "lu-2d-varying"])
+def test_smoothing_profile_keeps_no_factor_and_matches_cached_steps(kind):
+    # evolve_semigroup steps with one uncached solver per time: bitwise the
+    # profile that stepping through the per-dt cache gave, with the cache left
+    # empty (it kept one factor per swept time)
+    op, twin = _operator_of_kind(kind), _operator_of_kind(kind)
+    prof = smoothing_profile(op)
+    assert not op._steppers
+    spike = np.zeros(twin.grid.n_total)
+    spike[twin.grid.n_total // 2] = 1.0 / twin.grid.cell_volume
+    scaled = []
+    for t in prof["times"]:
+        v = spike
+        for _ in range(32):
+            v = twin.stepper(float(t) / 32).solve(v)
+        scaled.append(float(np.max(np.abs(v))) * float(t) ** (twin.grid.dim / 2.0))
+    assert prof["scaled_sup"].tobytes() == np.asarray(scaled).tobytes()
+    assert len(twin._steppers) == len(prof["times"])
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+@pytest.mark.parametrize("kind", ["lu-1d", "dct-2d"])
+@pytest.mark.parametrize("method", ["solver", "stepper"])
+def test_step_solves_refuse_a_dt_outside_the_m_matrix_range(method, kind, dt):
+    # NaN and +-inf raised SuperLU's "Factor is exactly singular" or built a
+    # DCT solve that returns NaN, and a negative dt solved the indefinite
+    # I + |dt| A
+    op = _operator_of_kind(kind)
+    with pytest.raises(ValueError, match="dt must be positive and finite, got "):
+        getattr(op, method)(dt)
+    assert not op._steppers
 
 
 def test_semigroup_evolution_decays():
@@ -301,7 +345,7 @@ def test_coefficient_csv_roundtrip(tmp_path):
 
 def test_2d_operator_kernel_and_contraction():
     g = build_grid(2, [1.0, 2.0], [8, 8])
-    op = assemble_operator(g, CoefficientField.constant(g, a=1.0, c=0.0))
+    op = EllipticOperator(g, CoefficientField.constant(g, a=1.0, c=0.0))
     ones = np.ones(g.n_total)
     assert np.max(np.abs(op.matrix @ ones)) <= 1e-10 * 64**2
     rng = np.random.default_rng(13)
@@ -329,7 +373,7 @@ def random_operators(draw):
     n_drawn = 1 if constant else grid.n_total
     a = rng.uniform(eta, m_bound, size=(n_drawn, dim)).repeat(grid.n_total // n_drawn, 0)
     c = rng.uniform(0.0, c_max, size=n_drawn).repeat(grid.n_total // n_drawn)
-    op = assemble_operator(grid, CoefficientField.from_arrays(grid, a, c, eta, m_bound))
+    op = EllipticOperator(grid, CoefficientField.from_arrays(grid, a, c, eta, m_bound))
     return op, rng
 
 
@@ -338,9 +382,9 @@ def random_operators(draw):
 def test_semigroup_step_is_sup_contractive_and_positive(case, dt):
     op, rng = case
     u = rng.uniform(-1.0, 1.0, size=op.grid.n_total)
-    v = semigroup_step(op, dt, u)
+    v = op.stepper(dt).solve(u)
     assert np.max(np.abs(v)) <= np.max(np.abs(u)) * (1 + 1e-12)
-    w = semigroup_step(op, dt, np.abs(u))
+    w = op.stepper(dt).solve(np.abs(u))
     assert w.min() >= -1e-13
 
 
@@ -414,8 +458,8 @@ def test_spectral_solve_is_one_plain_transform_pair(shape, dt, m, seed):
 def test_stepper_selection(tmp_path):
     g1 = build_grid(1, [1.0], [32])
     g2 = build_grid(2, [1.0, 2.0], [12, 10])
-    const_1d = assemble_operator(g1, CoefficientField.constant(g1, a=1.5, c=0.5))
-    anisotropic = assemble_operator(g2, CoefficientField.from_arrays(
+    const_1d = EllipticOperator(g1, CoefficientField.constant(g1, a=1.5, c=0.5))
+    anisotropic = EllipticOperator(g2, CoefficientField.from_arrays(
         g2, np.tile([0.7, 1.9], (g2.n_total, 1)), np.full(g2.n_total, 0.3), 0.5, 2.0))
     assert isinstance(anisotropic.stepper(1e-3), SpectralSolve)
     assert isinstance(const_1d.stepper(1e-3), ShiftedSolve)
@@ -437,4 +481,4 @@ def test_stepper_selection(tmp_path):
     signed[37, 0, 1] = -0.0  # equal in value, not in bits: not uniform
     signed_zero = CoefficientField(g2, signed, np.zeros(g2.n_total), 0.5, 2.0)
     for cf in (one_cell_a, one_cell_c, from_csv, signed_zero):
-        assert isinstance(assemble_operator(g2, cf).stepper(1e-3), ShiftedSolve)
+        assert isinstance(EllipticOperator(g2, cf).stepper(1e-3), ShiftedSolve)

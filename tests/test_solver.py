@@ -12,13 +12,13 @@ import srds.solver
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from srds import (CoefficientField, CouplingTerm, HolderFunction, PolynomialDrift,
-                  PowerModulus, ReactionSystem, SolverConfig, apply_resolvent,
-                  assemble_operator, build_grid, build_mollifier, check_quasi_positive,
+from srds import (CoefficientField, CouplingTerm, EllipticOperator, HolderFunction,
+                  PolynomialDrift, PowerModulus, ReactionSystem, SolverConfig,
+                  apply_resolvent, build_grid, build_mollifier, check_quasi_positive,
                   cosine_neumann_basis, build_noise, coupling_linear, evolve_semigroup,
                   exit_index, fhn_system, gaussian_entry, glue_ladder, load_path,
                   mild_residual, named_g, run_ladder, sample_path, save_path,
-                  semigroup_step, simulate, step, truncate_problem)
+                  simulate, step, truncate_problem, uniform_stream)
 from srds.errors import AuditError, SolverFailure
 from srds.solver import (Problem, StoppingRecord, _resolve_increments, _step_runs,
                          _truncate, dyadic_level)
@@ -71,7 +71,7 @@ def test_single_step_closed_form_with_noise():
     grid = build_grid(1, [1.0], [8])
     import srds
 
-    op = srds.assemble_operator(grid, srds.CoefficientField.constant(grid, a=1.0))
+    op = srds.EllipticOperator(grid, srds.CoefficientField.constant(grid, a=1.0))
     basis = cosine_neumann_basis(grid, 1)
     noise = build_noise([basis] * 2, [np.array([1.0])] * 2,
                         [named_g("sqrt-abs")] * 2)
@@ -142,7 +142,7 @@ def test_additive_linear_run_follows_its_mode_recursion(n_cells, n_paths):
 
     c, dt, n_steps, modes = 0.5, 1e-3, 200, 8
     grid = build_grid(len(n_cells), [1.0] * len(n_cells), n_cells)
-    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     basis = cosine_neumann_basis(grid, modes)
     lam = (np.arange(modes) + 1.0) ** -1.0
     one = HolderFunction(np.ones_like, 1.0, 0.0, lambda m: 0.0, name="one")
@@ -222,7 +222,7 @@ def test_apriori_sup_bound_zero_noise_zero_coupling():
     import srds
 
     grid = build_grid(1, [1.0], [16])
-    op = srds.assemble_operator(grid, srds.CoefficientField.constant(grid, a=1.0))
+    op = srds.EllipticOperator(grid, srds.CoefficientField.constant(grid, a=1.0))
     reaction = ReactionSystem([PolynomialDrift([1.0, 0.0, -1.0], epsilon_lead=1.0)],
                               [coupling_none(1)])
     basis = cosine_neumann_basis(grid, 2)
@@ -654,7 +654,7 @@ def test_2d_simulation_runs_and_contracts():
     from srds.reaction import ReactionSystem, coupling_none
 
     grid = build_grid(2, [1.0, 1.0], [8, 8])
-    op = srds.assemble_operator(grid, srds.CoefficientField.constant(grid, a=1.0))
+    op = srds.EllipticOperator(grid, srds.CoefficientField.constant(grid, a=1.0))
     basis = cosine_neumann_basis(grid, 4)
     noise = build_noise([basis], [np.zeros(4)], [named_g("sqrt-abs")], audit=False)
     prob = Problem(grid=grid, operators=(op,),
@@ -753,6 +753,7 @@ _COUPLING = "growth constants must be finite"
 _DT_FINE = "dt_fine must be positive and finite"
 _MODULUS = "modulus (constant|power) must be finite"
 _SEMIGROUP = "t must be positive and finite and n_substeps an integer >= 1"
+_STEP_DT = "dt must be positive and finite, got "
 
 
 def _noise_with_exponent(alpha):
@@ -794,14 +795,14 @@ def _load_path_with_dt(dt_fine):
      "range_m must be positive and finite"),
     (lambda x: build_grid(1, [x], [32]), "must be positive and finite"),
     (lambda x: CoefficientField.constant(_PROP_GRID, m_bound=x), "ellipticity: .*finite M"),
-    (lambda x: semigroup_step(_PROP_OP, x, np.ones(8)), "dt must be positive and finite"),
+    (lambda x: _PROP_OP.stepper(x), _STEP_DT),
     (lambda x: evolve_semigroup(_PROP_OP, x, np.ones(8)), _SEMIGROUP),
 ], ids=["dt", "t_end", "dt-and-t_end", "store_stride", "drift-w1", "drift-w2",
         "drift-per-cell-lead", "coupling-row-0", "coupling-row-1", "sample_path-dt_fine",
         "gaussian_entry-dt_fine", "load_path-dt_fine", "power-modulus-constant",
         "power-modulus-power", "holder-exponent", "coupling-lipschitz",
         "quasi-positive-lipschitz", "quasi-positive-range", "grid-extent",
-        "coefficient-m_bound", "semigroup_step-dt", "evolve_semigroup-t"])
+        "coefficient-m_bound", "stepper-dt", "evolve_semigroup-t"])
 def test_constructors_refuse_non_finite_numbers(build, reason, bad):
     # each raised its own way before: a NaN-to-integer or OverflowError from
     # n_steps, a singular factor, a check that NaN passed, or nothing until a
@@ -827,17 +828,38 @@ def test_constructors_refuse_non_finite_numbers(build, reason, bad):
     (lambda: sample_path(0, 2, 8.0, 10, 1e-3), "modes must be an integer, got 8.0"),
     (lambda: sample_path(0, 2, 8, 10.0, 1e-3), "n_fine must be an integer, got 10.0"),
     (lambda: sample_path(0, 2, 8, True, 1e-3), "n_fine must be an integer, got True"),
+    (lambda: sample_path(0, 2, 8, 10, 1e-3, path_index=1.5),
+     "path_index must be an integer, got 1.5"),
+    (lambda: gaussian_entry(0, 0, 0, 0, -1, 1e-3), "step must be an integer >= 0, got -1"),
+    (lambda: gaussian_entry(0, 0, 0, 0, 1.5, 1e-3), "step must be an integer >= 0, got 1.5"),
+    (lambda: uniform_stream(0, 0, 0, 0, -1), "n must be an integer >= 0, got -1"),
+    (lambda: uniform_stream(0, 0, 0, 0, 4.0), "n must be an integer >= 0, got 4.0"),
+    (lambda: build_grid(1, [1.0], [32.7]), r"n_cells\[0\] must be an integer, got 32.7"),
+    (lambda: build_grid(2, [1.0, 1.0], [8, True]), r"n_cells\[1\] must be an integer, got True"),
+    (lambda: build_grid(1.0, [1.0], [32]), "dim must be an integer, got 1.0"),
+    (lambda: build_grid(True, [1.0], [32]), "dim must be an integer, got True"),
+    (lambda: build_noise([cosine_neumann_basis(_PROP_GRID, 4)], [np.ones((4, 1))],
+                         [named_g("sqrt-abs")]),
+     r"noise-shape: lambdas of shape \(4, 1\) for 4 modes"),
+    (lambda: build_noise([cosine_neumann_basis(_PROP_GRID, 4)], [np.ones((2, 2))],
+                         [named_g("sqrt-abs")]),
+     r"noise-shape: lambdas of shape \(2, 2\) for 4 modes"),
 ], ids=["store_stride-float", "store_stride-bool", "evolve_semigroup-negative-t",
         "evolve_semigroup-no-substeps", "evolve_semigroup-float-substeps",
         "holder-exponent-above-1", "holder-exponent-0", "basis-no-modes",
         "quasi-positive-no-samples", "mollifier-float-n_max", "sample_path-float-components",
         "sample_path-bool-components", "sample_path-float-modes", "sample_path-float-n_fine",
-        "sample_path-bool-n_fine"])
+        "sample_path-bool-n_fine", "sample_path-float-path_index",
+        "gaussian_entry-negative-step", "gaussian_entry-float-step",
+        "uniform_stream-negative-n", "uniform_stream-float-n", "grid-float-count",
+        "grid-bool-count", "grid-float-dim", "grid-bool-dim", "lambdas-column",
+        "lambdas-square"])
 def test_constructors_refuse_out_of_range_numbers(build, reason):
     # a float or bool stride failed at the first store or read as 1, a
     # negative t ran the semigroup backwards and no substeps divided by zero;
     # a count of zero, a float or a bool failed with an IndexError, numpy's
-    # zero-size reduction error or a TypeError
+    # zero-size reduction error or a TypeError, a grid built 32 cells from
+    # 32.7 and kept a float dim, and a (4, 1) lambda array read as 4 lambdas
     with pytest.raises((ValueError, AuditError), match=reason):
         build()
 
@@ -865,7 +887,7 @@ def test_documented_non_finite_values_are_accepted(bad):
 # random odd-degree drifts with a negative lead, linear coupling rows, a
 # named amplitude, a level and states on a fixed grid and noise basis
 _PROP_GRID = build_grid(1, [1.0], [8])
-_PROP_OP = assemble_operator(_PROP_GRID, CoefficientField.constant(_PROP_GRID, a=1.0))
+_PROP_OP = EllipticOperator(_PROP_GRID, CoefficientField.constant(_PROP_GRID, a=1.0))
 
 
 def _prop_problem(drifts, rows, g_name, lam):
@@ -1054,8 +1076,8 @@ def _block_cases(draw):
                             min_size=dim, max_size=dim))
     grid = build_grid(dim, [1.0] * dim, n_cells)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = [assemble_operator(grid, CoefficientField.constant(grid, a=1.0)),
-            assemble_operator(grid, CoefficientField.from_arrays(
+    pool = [EllipticOperator(grid, CoefficientField.constant(grid, a=1.0)),
+            EllipticOperator(grid, CoefficientField.from_arrays(
                 grid, rng.uniform(0.6, 1.8, size=(grid.n_total, dim)),
                 rng.uniform(0.0, 1.0, size=grid.n_total), 0.5, 2.0))]
     ops = tuple(pool[i] for i in draw(st.sampled_from(
@@ -1185,7 +1207,7 @@ def _ball_cases(draw):
     dim = draw(st.sampled_from([1, 2]))
     grid = build_grid(dim, [1.0] * dim, draw(st.lists(
         st.integers(3, 10 if dim == 1 else 5), min_size=dim, max_size=dim)))
-    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kick = draw(st.sampled_from([None, None, 1e104, 1e308]))
     # a cubic first drift: from far outside, its untruncated step overflows
@@ -1390,7 +1412,7 @@ def _ladder_cases(draw):
 
     r = draw(st.integers(1, 3))
     grid = build_grid(1, [1.0], [draw(st.integers(3, 10))])
-    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     drifts = draw(st.lists(st.one_of(st.none(), _DRIFT), min_size=r, max_size=r))
     rows = draw(st.lists(st.lists(_COEF, min_size=r, max_size=r), min_size=r,
@@ -1497,7 +1519,7 @@ def _aliasing_problem(dim, level):
     from srds.reaction import CouplingTerm, PolynomialDrift, ReactionSystem
 
     grid = build_grid(dim, [1.0] * dim, [12] if dim == 1 else [6, 5])
-    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     identity = HolderFunction(lambda s: np.asarray(s, dtype=float), 0.0, 1.0,
                               lambda m: math.sqrt(2.0 * m), name="identity")
     basis = cosine_neumann_basis(grid, 3)
@@ -1536,7 +1558,7 @@ def _growth_problem(n=8):
     from srds.reaction import ReactionSystem, coupling_linear
 
     grid = build_grid(1, [1.0], [n])
-    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     noise = build_noise([cosine_neumann_basis(grid, 2)], [np.zeros(2)],
                         [named_g("sqrt-abs")], audit=False)
     reaction = ReactionSystem([None], [coupling_linear([1.0])], audit=False)
@@ -1639,7 +1661,7 @@ def _chunk_cases(draw, kind):
 
     dim = draw(st.sampled_from([2, 1]))
     grid, chunk = _chunk_grid(dim)
-    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     drifts = draw(st.lists(st.one_of(st.none(), _DRIFT), min_size=2, max_size=2))
     rows = draw(st.lists(st.lists(_COEF, min_size=2, max_size=2), min_size=2,
@@ -1758,7 +1780,7 @@ def test_later_chunks_are_built_on_one_helper_thread(monkeypatch):
     from srds.noise import NoiseModel
 
     grid, chunk = _chunk_grid(2)
-    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     noise = build_noise([cosine_neumann_basis(grid, 4)] * 2, [np.ones(4)] * 2,
                         [named_g("sqrt-abs")] * 2, audit=False)
     prob = Problem(grid=grid, operators=(op, op), reaction=fhn_system(1.0, 1.0),
@@ -1797,7 +1819,7 @@ def test_concurrent_runs_with_helpers_keep_their_bits():
     import threading
 
     grid, chunk = _chunk_grid(2)
-    op = assemble_operator(grid, CoefficientField.constant(grid, a=1.0))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     noise = build_noise([cosine_neumann_basis(grid, 4)] * 2, [np.ones(4)] * 2,
                         [named_g("sqrt-abs")] * 2, audit=False)
     prob = Problem(grid=grid, operators=(op, op), reaction=fhn_system(1.0, 1.0),
