@@ -378,7 +378,8 @@ class NoiseModel:
         later chunk on the run's helper thread into an array the stepping
         thread allocated; that thread is the run's own and ends with it, so
         no thread is alive when ``ensemble`` forks its workers (see
-        ``_advance``).
+        ``_advance``).  ``solver.mild_residual`` builds each of its chunks
+        on the calling thread.
 
         Adjacent components that share one ``mode_fields`` table (as
         ``build_noise`` builds them from one basis object and bitwise-equal

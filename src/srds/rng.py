@@ -101,17 +101,18 @@ def valid_seed(master_seed) -> bool:
     return _is_integer(master_seed) and 0 <= master_seed < 1 << 64
 
 
-def _check_key(master_seed: int, path_index: int, components: int, modes: int) -> None:
-    """Raise ValueError unless every (component, mode) stream below
-    (components, modes) of the path has a Philox key; the message names the
-    first value out of range."""
+def _check_key(master_seed: int, path_index: int, component: int, mode: int) -> None:
+    """Raise ValueError unless the (component, mode) stream of the path, and
+    so every stream below it, has a Philox key; the message names the first
+    value that is not an integer (a bool is not) or is out of range."""
     if not valid_seed(master_seed):
         raise ValueError(f"master_seed {master_seed!r} is not an integer in [0, 2^64)")
-    for name, count in (("component", components), ("mode", modes)):
-        if not 0 < count <= MAX_MODE:
-            raise ValueError(f"{name} {count - 1} outside [0, {MAX_MODE})")
-    if not 0 <= path_index < MAX_PATH:
-        raise ValueError(f"path_index {path_index} outside [0, {MAX_PATH})")
+    for name, index, bound in (("component", component, MAX_MODE), ("mode", mode, MAX_MODE),
+                               ("path_index", path_index, MAX_PATH)):
+        if not _is_integer(index):
+            raise ValueError(f"{name} must be an integer, got {index!r}")
+        if not 0 <= index < bound:
+            raise ValueError(f"{name} {index} outside [0, {bound})")
 
 
 def _valid_dt(dt_fine) -> bool:
@@ -150,7 +151,7 @@ def uniform_stream(master_seed: int, path_index: int, component: int, mode: int,
     """First n uniforms of the (seed, path, component, mode) stream, in (0,1)."""
     if not (_is_integer(n) and n >= 0):
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    _check_key(master_seed, path_index, component + 1, mode + 1)
+    _check_key(master_seed, path_index, component, mode)
     return _uniforms(_raw_words(np.random.Philox(0), master_seed, path_index,
                                 component, mode, n))
 
@@ -205,7 +206,7 @@ def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
         raise ValueError("n_fine must be >= 1")
     if not _valid_dt(dt_fine):
         raise ValueError("dt_fine must be positive and finite")
-    _check_key(master_seed, path_index, components, modes)
+    _check_key(master_seed, path_index, components - 1, modes - 1)
     # re-keyed per stream; a fixed seed spares the OS-entropy seeding
     bg = np.random.Philox(0)
     raw = np.empty((components, modes, n_fine), dtype=np.uint64)

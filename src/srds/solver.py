@@ -12,20 +12,21 @@ part is exact backward Euler, so sup-norm contraction and positivity of the
 semigroup factor are inherited from the M-matrix structure of the operator.
 
 ``step`` does not check the state it returns.  One block driver,
-``_advance``, steps ``simulate`` and ``mild_residual`` alike: it runs the
-steps in blocks of at most STATE_BLOCK_FLOATS floats of state and checks a
-block at once, the initial state as a block of its own (step 0): one
-reduction fills its sup norms, which judge both the sup cap and a
-truncated run's E-norm ball, and the first step whose largest norm is not
-<= the sup cap (the largest float without one) is either a non-finite
-state, raised at its step, component and cell, or the cap exit.  After a
-cap exit up to block - 1 more steps may have been computed; they are never
-reported.  A truncated step maps its state once (``_truncate``); a
-truncated run steps untruncated until its exit rho_n (see ``_advance``)
-unless its ball test is off.  A run may resume from a stored step of a
-prefix trajectory (``simulate``'s ``prefix``), to the same bits.
-``_advance`` owns the floating-point state of the loop: a direct ``step``
-leaves it to its caller.
+``_advance``, steps ``simulate``: it runs the steps in blocks of at most
+STATE_BLOCK_FLOATS floats of state and checks a block at once, the initial
+state as a block of its own (step 0): one reduction fills its sup norms,
+which judge both the sup cap and a truncated run's E-norm ball, and the
+first step whose largest norm is not <= the sup cap (the largest float
+without one) is either a non-finite state, raised at its step, component
+and cell, or the cap exit.  After a cap exit up to block - 1 more steps may
+have been computed; they are never reported.  A truncated step maps its
+state once (``_truncate``); a truncated run steps untruncated until its
+exit rho_n (see ``_advance``) unless its ball test is off.  A run may
+resume from a stored step of a prefix trajectory (``simulate``'s
+``prefix``), to the same bits.  ``mild_residual`` steps its own short loop
+at shifted evaluation points, judged by the same ``_first_exit``.  Both
+loops run under ``_quiet``'s floating-point state: a direct ``step`` leaves
+it to its caller.
 """
 
 from __future__ import annotations
@@ -262,6 +263,14 @@ def _e_norms(norms: np.ndarray) -> np.ndarray:
     return np.cumsum(norms, axis=1)[:, -1]
 
 
+def _quiet() -> np.errstate:
+    """The floating-point state of the stepping loops: overflow and invalid
+    operations are silent, so that an overflow surfaces as ``_first_exit``'s
+    located non-finite-state failure.  numpy's state is per thread, so a
+    helper thread enters it itself."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _first_exit(states: np.ndarray, norms: np.ndarray, cap: float,
                 first: int) -> int:
     """The index of the first state of a block (m, r, n) whose largest
@@ -327,7 +336,7 @@ def step(problem: Problem, config: SolverConfig, u: np.ndarray,
 
 
 def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
-             inc: np.ndarray, norms: np.ndarray, points=None, *, start: int = 0,
+             inc: np.ndarray, norms: np.ndarray, *, start: int = 0,
              ball_test: bool = True):
     """Judge the state u, step ``start``, and step from it over the
     (n_steps, r, K) increments ``inc[start:]``; yield (a, states, exited)
@@ -344,17 +353,14 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     not depend on which thread built it.  The helper is the run's own and is
     joined when the run returns, raises or is closed: a pool that outlived
     a run would reach the workers ``ensemble`` forks without its thread,
-    and their first prefetch would never finish.  Each step goes through
-    ``step`` at ``points(i)``, the (drift_at, noise_at) of the step from
-    state i, if given.  One reduction fills a block's sup norms, step 0's
-    too, and ``_first_exit`` reads them: the first state whose largest norm
-    exceeds the sup cap ends the run, its block cut after it and yielded
-    with ``exited`` true.
+    and their first prefetch would never finish.  One reduction fills a
+    block's sup norms, step 0's too, and ``_first_exit`` reads them: the
+    first state whose largest norm exceeds the sup cap ends the run, its
+    block cut after it and yielded with ``exited`` true.
 
-    Without ``points``, and unless ``ball_test`` is false (then a truncated
-    problem steps truncated throughout), a truncated problem at level n
-    reads the same rows
-    for its ball, the one place truncation is skipped: a state is inside
+    Unless ``ball_test`` is false (then a truncated problem steps truncated
+    throughout), a truncated problem at level n reads the same rows for its
+    ball, the one place truncation is skipped: a state is inside
     while its E-norm (``_e_norms``) is <= n, where every cell's l1 norm is
     <= n too and its step is bitwise the untruncated step.  So a block from
     a state inside steps without bounds and is cut after its first state
@@ -365,15 +371,14 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     inside, up to a full block, and each exit halves them: a run that
     leaves its ball early or crosses it often drops few steps.
 
-    Overflow and invalid operations are silenced around each block's
-    steps and judgement (never across a ``yield``), and on the helper
-    thread, whose floating-point state is its own: an overflow surfaces as
-    ``_first_exit``'s located non-finite-state failure."""
+    ``_quiet`` holds around each block's steps and judgement (never across
+    a ``yield``), and on the helper thread, whose floating-point state is
+    its own."""
     # a finite cap, so that an inf norm is never within it; a sup cap that
     # is None, inf or NaN halts no finite run, as FINITE_CAP
     cap = min(FINITE_CAP, config.cap_level)
     plan = _step_runs(problem, config.dt)
-    level = problem.level if points is None and ball_test else None
+    level = problem.level if ball_test else None
     block = max(1, STATE_BLOCK_FLOATS // u.size)
     chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
     buf = np.empty((min(block, len(inc) - start),) + u.shape)
@@ -384,7 +389,6 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     a, states = start - 1, u[None]
     c = start
     fields = inc[:0]  # the modal fields of steps c + 1 ..., c - start a multiple of chunk
-    noise = problem.noise
     # starting and joining a thread costs about what building one chunk
     # does (0.3 against 0.4 ms for a 1D chunk on a 2-vCPU x86 host), so a
     # run builds ahead only when at least two chunks follow its first
@@ -392,29 +396,21 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     ahead = None  # the helper's fields of steps c + chunk + 1 ...
     try:
         while True:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with _quiet():
                 if a >= start:  # the first state is judged, not stepped
                     if a == c + len(fields):
                         c = a
-                        fields = (noise.modal_fields(inc[c:c + chunk]) if ahead is None
-                                  else ahead.result())
+                        fields = (problem.noise.modal_fields(inc[c:c + chunk])
+                                  if ahead is None else ahead.result())
                         ahead = None
                         if helper is not None and c + chunk < len(inc):
                             nxt = inc[c + chunk:c + 2 * chunk]
-                            # numpy's errstate is per thread: the helper's call
-                            # enters the blocks' settings itself
-                            quiet = np.errstate(over="ignore", invalid="ignore")
-                            ahead = helper.submit(quiet(noise.modal_fields), nxt,
+                            ahead = helper.submit(_quiet()(problem.noise.modal_fields), nxt,
                                                   np.empty(nxt.shape[:2] + u.shape[1:]))
                     states = buf[:min(span if free else block, c + len(fields) - a)]
                     steps = plan[:3] + (None,) if free else plan
                     for j, f in enumerate(fields[a - c:a - c + len(states)]):
-                        if points is None:
-                            u = states[j] = step(problem, config, u, f, *steps)
-                        else:
-                            drift_at, noise_at = points(a + j)
-                            u = states[j] = step(problem, config, u, f, *steps,
-                                                 drift_at=drift_at, noise_at=noise_at)
+                        u = states[j] = step(problem, config, u, f, *steps)
                 rows = norms[a + 1:a + 1 + len(states)]
                 np.abs(states).max(axis=2, out=rows)
                 if level is not None:
@@ -555,33 +551,41 @@ def mild_residual(problem: Problem, traj: Trajectory, path: WienerPath,
     measures the quadrature sensitivity of the discrete mild form: zero to
     round-off for F = 0, G = 0, first order in dt deterministically, order
     1/2 in the noise.
+
+    The reconstruction steps truncated throughout (a truncated problem has
+    no ball test here), builds its modal fields one chunk of at most
+    MODAL_BLOCK_FLOATS floats at a time, and judges each chunk's states, the
+    initial state first, by ``_first_exit`` without a cap: a non-finite
+    state raises the located non-finite-state failure at its step.
     """
     if traj.store_stride != 1:
         raise ValueError("mild_residual needs a trajectory stored at stride 1")
     config = SolverConfig(dt=traj.dt, t_end=max(probe_times), sup_cap=None)
     inc = _resolve_increments(config, path)
     probe_steps = [round(t / traj.dt) for t in probe_times]
-    reached = len(traj.sup_norms) - 1
     for ps, t in zip(probe_steps, probe_times):
         if abs(ps * traj.dt - t) > 1e-9 * traj.dt:
             raise ValueError(f"probe time {t} not on the step grid")
-        if ps > reached:
+        if ps >= len(traj.sup_norms):  # beyond the last step reached
             raise ValueError(f"probe time {t} beyond the stopping time")
 
-    # the (n_steps, r, K) view keeps each step's increment strides
-    per_step = inc[:, :, :max(probe_steps)].transpose(2, 0, 1)
-
-    def points(i):  # the drift at the right endpoint, the noise lagged
-        return traj.states[i + 1], traj.states[max(i - 1, 0)]
-
-    residuals = {}
-    for a, block, _ in _advance(problem, config, traj.states[0], per_step,
-                                np.empty((len(per_step) + 1, problem.r)),
-                                points=points):
-        for j, state in enumerate(block, start=a + 1):
-            if j in probe_steps:
-                residuals[j] = float(np.max(np.abs(traj.states[j] - state)))
-    return np.asarray([residuals[ps] for ps in probe_steps])
+    n = max(probe_steps)
+    # the (n, r, K) view keeps each step's increment strides
+    per_step = inc[:, :, :n].transpose(2, 0, 1)
+    plan, u = _step_runs(problem, config.dt), traj.states[0]
+    chunk = max(1, MODAL_BLOCK_FLOATS // u.size)
+    gaps = np.zeros(n + 1)  # the residual at each step; step 0's is 0
+    with _quiet():
+        _first_exit(u[None], np.abs(u).max(axis=1)[None], FINITE_CAP, 0)
+        for a in range(0, n, chunk):
+            # the chunk's fields, each overwritten by its step's state
+            out = problem.noise.modal_fields(per_step[a:a + chunk])
+            for i, f in enumerate(out, start=a):  # drift at the right end, noise lagged
+                u = out[i - a] = step(problem, config, u, f, *plan, drift_at=traj.states[i + 1],
+                                      noise_at=traj.states[max(i - 1, 0)])
+                gaps[i + 1] = np.abs(traj.states[i + 1] - u).max()
+            _first_exit(out, np.abs(out).max(axis=2), FINITE_CAP, a + 1)
+    return gaps[probe_steps]
 
 
 # ---------------------------------------------------------------------------

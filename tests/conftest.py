@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import srds
+
+# one reproducibility policy for every property test: each draws the same
+# examples on every run (derandomized), and none has a deadline, since a
+# shared host's timings vary
+settings.register_profile("srds", deadline=None, derandomize=True)
+settings.load_profile("srds")
 
 
 def build_fhn_problem(g_name="sqrt-abs", scale=1.0, n=32, modes=8,

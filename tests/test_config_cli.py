@@ -1185,7 +1185,7 @@ FUZZ_KEYS = [p for p in _key_paths(quick_preset(t_end=0.01)) if p]
 FUZZ_VALUES = [None, True, False, -1, 0, 0.5, 2, "", "x", [], {}, ["x"], [2, 2]]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(mutations=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
                                     st.sampled_from(FUZZ_VALUES)),
                           min_size=1, max_size=3))

@@ -272,7 +272,7 @@ def test_osgood_requires_decreasing_grid():
 # --- block modal fields -------------------------------------------------------
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(n=st.integers(2, 40), modes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
        n_steps=st.integers(1, 30), step_stride=st.integers(1, 3),
        contiguous=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -339,7 +339,7 @@ def _assert_per_component_products(noise, inc):
             assert np.array_equal(fields[i, l], comp.mode_fields @ inc[i, l, :comp.modes])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(K=st.integers(1, 40), chunks=st.integers(1, 3), tail=st.sampled_from([0, 1, 2, 65]),
        K_b=st.integers(1, 40), layout=st.sampled_from(["AAB", "ABA"]),
        n_steps=st.integers(1, 5), step_stride=st.integers(1, 3),
@@ -434,7 +434,7 @@ def test_chunks_start_at_64_row_multiples_and_none_is_one_row(K, n):
 _RUN_KEYS = ([0], [0], [1])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(picks=st.lists(st.integers(0, 2), max_size=16),
        most=st.one_of(st.none(), st.integers(1, 5)))
 def test_adjacent_runs_split_only_at_key_changes_or_full_runs(picks, most):

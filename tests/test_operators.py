@@ -146,7 +146,7 @@ def tensor_fields(draw):
     return grid, a, c
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(field=tensor_fields())
 def test_uniform_field_audit_matches_the_per_cell_audit(field):
     grid, a, c = field
@@ -377,7 +377,7 @@ def random_operators(draw):
     return op, rng
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(case=random_operators(), dt=st.floats(1e-4, 1.0))
 def test_semigroup_step_is_sup_contractive_and_positive(case, dt):
     op, rng = case
@@ -388,7 +388,7 @@ def test_semigroup_step_is_sup_contractive_and_positive(case, dt):
     assert w.min() >= -1e-13
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(case=random_operators(), lam=st.floats(1.0, 1e3))
 def test_resolvent_matches_cg_reference(case, lam):
     op, rng = case
@@ -399,7 +399,7 @@ def test_resolvent_matches_cg_reference(case, lam):
     assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(case=random_operators(), dt=st.floats(1e-4, 1.0))
 def test_stepper_matches_lu_factor(case, dt):
     op, rng = case
@@ -408,7 +408,7 @@ def test_stepper_matches_lu_factor(case, dt):
     assert np.max(np.abs(op.stepper(dt).solve(b) - ref)) <= 1e-12 * np.max(np.abs(b))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(case=random_operators(), dt=st.floats(1e-4, 1.0), m=st.integers(1, 5),
        scale=st.sampled_from([1e-5, 1.0, 1e4]))
 def test_block_solve_matches_row_solves_bitwise(case, dt, m, scale):
@@ -421,7 +421,7 @@ def test_block_solve_matches_row_solves_bitwise(case, dt, m, scale):
     assert np.array_equal(out, np.stack([solver.solve(row) for row in block]))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(case=random_operators(), dt=st.floats(1e-4, 1.0), m=st.integers(1, 4))
 def test_solves_leave_the_right_hand_side_unchanged(case, dt, m):
     # LU and DCT alike write only arrays they allocated
@@ -434,7 +434,7 @@ def test_solves_leave_the_right_hand_side_unchanged(case, dt, m):
     assert block.tobytes() == keep.tobytes()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(shape=st.lists(st.integers(1, 12), min_size=1, max_size=2),
        dt=st.floats(1e-4, 1.0), m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_spectral_solve_is_one_plain_transform_pair(shape, dt, m, seed):

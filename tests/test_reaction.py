@@ -361,7 +361,7 @@ def _clipped_evaluate(sys, u, level):
 _EIGHTHS = st.integers(-64, 64).map(lambda k: k / 8)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(r=st.integers(1, 3), n=st.integers(1, 12), degree=st.sampled_from([1, 3, 5]),
        per_cell=st.booleans(), where=st.sampled_from(["below", "at", "above"]),
        neg_zeros=st.booleans(), nan=st.booleans(), seed=st.integers(0, 2**32 - 1),

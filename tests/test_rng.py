@@ -62,7 +62,7 @@ def test_sample_moments():
     assert abs(x.var() - dt) <= 0.01 * dt
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(r=st.integers(1, 3), K=st.integers(1, 4), n_coarse=st.integers(1, 24),
        j=st.integers(0, 5), seed=st.integers(0, 2**16))
 def test_coarsening_consistency(r, K, n_coarse, j, seed):
@@ -274,7 +274,7 @@ def test_sample_path_bits_match_per_stream_reference(shape):
     assert not path.increments.flags.writeable
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(seed=st.integers(0, (1 << 64) - 1), path_index=st.integers(0, (1 << 32) - 1),
        r=st.integers(1, 3), K=st.integers(1, 6), n_fine=st.integers(1, 300),
        data=st.data())

@@ -20,9 +20,11 @@ from srds import (CoefficientField, CouplingTerm, EllipticOperator, HolderFuncti
                   mild_residual, named_g, run_ladder, sample_path, save_path,
                   simulate, step, truncate_problem, uniform_stream)
 from srds.errors import AuditError, SolverFailure
-from srds.solver import (Problem, StoppingRecord, _resolve_increments, _step_runs,
-                         _truncate, dyadic_level)
+from srds.noise import MODAL_BLOCK_FLOATS, NoiseModel
+from srds.solver import (Problem, StoppingRecord, Trajectory, _resolve_increments,
+                         _step_runs, _truncate, dyadic_level)
 
+import reference
 from conftest import build_fhn_problem, build_scalar_heat_problem, const_init
 from test_writers import _calls
 
@@ -319,7 +321,7 @@ _SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
             2.2250738585072014e-308]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(r=st.integers(1, 3), n=st.integers(1, 8), level=st.floats(1.0, 64.0),
        where=st.sampled_from(["inside", "on", "outside"]), data=st.data())
 def test_truncate_matches_the_evaluate_it_replaced(r, n, level, where, data):
@@ -418,9 +420,27 @@ def test_one_reduction_judges_each_block():
     assert [site for site in reduced if site[1] in ("states", "block")] == [
         ("_advance", "states")]
     assert not [c for _, c in _calls(functions["_first_exit"]) if c == "np.abs"]
-    # one owner of the stepping loop's floating-point state: its blocks'
-    # errstate, and the same settings on the helper thread's modal fields
-    assert [where for where, c in _calls(solver) if c == "np.errstate"] == ["_advance"] * 2
+    # one owner of the stepping loops' floating-point state: _quiet, entered
+    # by _advance's blocks, its helper thread's modal fields and
+    # mild_residual's loop
+    assert [where for where, c in _calls(solver) if c == "np.errstate"] == ["_quiet"]
+    assert sorted(where for where, c in _calls(solver) if c == "_quiet") == [
+        "_advance", "_advance", "mild_residual"]
+
+
+def test_one_driver_mode():
+    # _advance steps simulate's runs in one mode; mild_residual steps its own
+    # loop, and nothing else in the package calls step
+    src = Path(srds.solver.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    advance = next(node for node in trees["solver"].body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_advance")
+    args = advance.args
+    assert "points" not in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    sites = {(stem, where) for stem, tree in trees.items() for where, c in _calls(tree)
+             if c == "step"}
+    assert sites == {("solver", "_advance"), ("solver", "mild_residual")}
+    assert ("mild_residual", "_advance") not in _calls(trees["solver"])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -557,7 +577,7 @@ def test_ladder_exit_at_final_step_triggers():
 _LADDER = build_fhn_problem(n=8, modes=4, scale=2.0)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), start=st.floats(0.0, 1.5),
        gaps=st.lists(st.integers(1, 4), min_size=1, max_size=4))
 def test_ladder_glues_a_prefix_of_each_run(seed, start, gaps):
@@ -636,6 +656,62 @@ def test_mild_residual_requires_stride_one():
         mild_residual(prob, traj, path, [0.01])
 
 
+def _stored_run(states, dt):
+    """A trajectory stored at every step, untriggered, holding ``states``."""
+    n = len(states) - 1
+    return Trajectory(times=np.arange(n + 1) * dt, states=states,
+                      sup_norms=np.abs(states).max(axis=2), min_values=states.min(axis=2),
+                      dt=dt, store_stride=1,
+                      stopping=StoppingRecord(False, math.inf, n * dt, n))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 1050])
+def test_mild_residual_fails_at_the_first_non_finite_state(k):
+    # the reconstruction reads the drift at stored state k: an entry of 1e110
+    # there cubes beyond the largest float (1e100 would not: 1e300), so the
+    # state it builds at step k is not finite, in the first chunk or a later
+    # one (1024 steps of a 2 x 32 state); a NaN stored state 0 fails at once
+    prob = zero_noise_fhn()
+    dt, n = 1e-3, 1100
+    states = np.full((n + 1, 2, 32), 0.2)
+    if k == 0:
+        states[0, 1, 3] = math.nan
+    else:
+        states[k, 0, 7] = 1e110
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure) as err:
+            mild_residual(prob, _stored_run(states, dt), sample_path(0, 2, 8, n, dt), [n * dt])
+    assert (err.value.reason, err.value.detail, err.value.step) == (
+        "non-finite-state", "component 1 cell 3" if k == 0 else "component 0 cell 0", k)
+
+
+def test_mild_residual_builds_one_chunk_of_fields_at_a_time(monkeypatch):
+    # a 2D run of 20 steps in chunks of 8 (a 2 x 64 x 64 state): the fields
+    # come one chunk at a time, on the calling thread, never the whole run
+    grid, chunk, _ = _chunk_grid(2)
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
+    noise = build_noise([cosine_neumann_basis(grid, 4)] * 2, [np.ones(4)] * 2,
+                        [named_g("sqrt-abs")] * 2, audit=False)
+    prob = Problem(grid=grid, operators=(op, op), reaction=fhn_system(1.0, 1.0),
+                   noise=noise)
+    cfg = SolverConfig(dt=1e-3, t_end=0.02)
+    path = sample_path(3, 2, 4, 20, 1e-3)
+    traj = simulate(prob, cfg, path, np.full((2, grid.n_total), 0.2))
+    whole = mild_residual(prob, traj, path, [0.01, 0.02])
+    built = []
+    modal_fields = NoiseModel.modal_fields
+
+    def recording(self, increments, out=None):
+        built.append(len(increments))
+        return modal_fields(self, increments, out)
+
+    monkeypatch.setattr(NoiseModel, "modal_fields", recording)
+    assert _threads_kept(mild_residual, prob, traj, path, [0.01, 0.02]).tolist() == whole.tolist()
+    assert built == [chunk, chunk, 20 - 2 * chunk]
+    assert chunk == MODAL_BLOCK_FLOATS // (2 * grid.n_total)
+
+
 def test_mild_residual_probe_beyond_stop_rejected():
     prob = build_fhn_problem()
     cfg = SolverConfig(dt=1e-3, t_end=0.05, sup_cap=0.1, store_stride=1)
@@ -700,7 +776,7 @@ def test_common_path_refinement_gap_shrinks():
 DT_FINE = st.floats(1e-6, 1e2)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(j=st.integers(0, 6), dt_fine=DT_FINE)
 def test_dyadic_level_matches_coarsening(j, dt_fine):
     dt = dt_fine * 2.0**j
@@ -710,7 +786,7 @@ def test_dyadic_level_matches_coarsening(j, dt_fine):
     assert np.array_equal(inc, path.coarse(j))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(ratio=st.floats(1e-3, 64.0), dt_fine=DT_FINE)
 def test_dyadic_level_rejects_other_ratios(ratio, dt_fine):
     near = 2.0 ** round(np.log2(ratio))
@@ -834,6 +910,10 @@ def test_constructors_refuse_non_finite_numbers(build, reason, bad):
     (lambda: gaussian_entry(0, 0, 0, 0, 1.5, 1e-3), "step must be an integer >= 0, got 1.5"),
     (lambda: uniform_stream(0, 0, 0, 0, -1), "n must be an integer >= 0, got -1"),
     (lambda: uniform_stream(0, 0, 0, 0, 4.0), "n must be an integer >= 0, got 4.0"),
+    (lambda: uniform_stream(0, 0, 1.5, 0, 4), "component must be an integer, got 1.5"),
+    (lambda: uniform_stream(0, 0, True, 0, 4), "component must be an integer, got True"),
+    (lambda: uniform_stream(0, 1.0, 0, 0, 2), "path_index must be an integer, got 1.0"),
+    (lambda: gaussian_entry(0, 0, 0, True, 3, 1e-3), "mode must be an integer, got True"),
     (lambda: build_grid(1, [1.0], [32.7]), r"n_cells\[0\] must be an integer, got 32.7"),
     (lambda: build_grid(2, [1.0, 1.0], [8, True]), r"n_cells\[1\] must be an integer, got True"),
     (lambda: build_grid(1.0, [1.0], [32]), "dim must be an integer, got 1.0"),
@@ -851,7 +931,9 @@ def test_constructors_refuse_non_finite_numbers(build, reason, bad):
         "sample_path-bool-components", "sample_path-float-modes", "sample_path-float-n_fine",
         "sample_path-bool-n_fine", "sample_path-float-path_index",
         "gaussian_entry-negative-step", "gaussian_entry-float-step",
-        "uniform_stream-negative-n", "uniform_stream-float-n", "grid-float-count",
+        "uniform_stream-negative-n", "uniform_stream-float-n", "uniform_stream-float-component",
+        "uniform_stream-bool-component", "uniform_stream-float-path_index",
+        "gaussian_entry-bool-mode", "grid-float-count",
         "grid-bool-count", "grid-float-dim", "grid-bool-dim", "lambdas-column",
         "lambdas-square"])
 def test_constructors_refuse_out_of_range_numbers(build, reason):
@@ -915,7 +997,7 @@ _DRIFT = st.integers(0, 2).flatmap(
 ).map(lambda t: t[0] + [t[1]])
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(drifts=st.lists(_DRIFT, min_size=2, max_size=2),
        rows=st.lists(st.lists(_COEF, min_size=2, max_size=2), min_size=2, max_size=2),
        g_name=st.sampled_from(["sqrt-abs", "sqrt-pos", "sqrt-clipped-01",
@@ -934,115 +1016,18 @@ def test_truncation_property(drifts, rows, g_name, lam, level, unit, spread, see
     inside = unit * (0.499 * level)
     assert np.array_equal(_one_step(trunc, inside, seed=seed),
                           _one_step(prob, inside, seed=seed))
-    # anywhere: F^(n) is h(clip(u)) + k(radial projection of u), built from
-    # the untruncated pieces, and step uses F^(n) and g(clip(u))
+    # anywhere: the step is the scheme's statement, whose drifts and g read
+    # clip(u) and whose couplings read u's radial projection
     u = unit * (level * spread)
-    norms = np.sum(np.abs(u), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero columns
-        radial = u * np.where(norms > level, level / norms, 1.0)
-    F = _truncated_reaction(prob.reaction, u, level)
-    for l in range(2):
-        h = prob.reaction.drifts[l].evaluate(np.clip(u[l], -level, level))
-        assert np.array_equal(F[l], h + prob.reaction.couplings[l](radial))
-    out = _one_step(trunc, u, seed=seed)
     inc = sample_path(seed, 2, 4, 1, 1e-3).coarse(0)[:, :, 0]  # as _one_step's
-    clipped = np.clip(u, -level, level)
-    for l, comp in enumerate(prob.noise.components):
-        rhs = u[l] + 1e-3 * F[l] + comp.g(clipped[l]) * comp.modal_field(inc[l])
-        assert np.array_equal(out[l], prob.operators[l].stepper(1e-3).solve(rhs))
+    assert np.array_equal(_one_step(trunc, u, seed=seed),
+                          reference.step(trunc, SolverConfig(dt=1e-3, t_end=1e-3), u, inc))
 
 
-# --- block stepping against the per-component reference -----------------------
-# A test-local copy of the per-component scheme the block step replaced: one
-# reaction term, one right-hand side u_l + dt*F_l + g_l*M_l and one solve per
-# component, then a full isfinite pass, with norms and minima kept in lists.
-
-
-def _reference_reaction(reaction, u, level):
-    def horner(coeffs, s):
-        cols = coeffs.T
-        r = np.empty(np.shape(s))
-        r[...] = cols[-1]
-        for c in cols[-2::-1]:
-            r = r * s + c
-        return r * s
-
-    drift_at = coupling_at = u
-    if level is not None:
-        drift_at = np.clip(u, -level, level)
-        norms = np.sum(np.abs(u), axis=0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            coupling_at = u * np.where(norms > level, level / norms, 1.0)
-    out = np.empty_like(u)
-    for l, (drift, k) in enumerate(zip(reaction.drifts, reaction.couplings)):
-        out[l] = 0.0 if drift is None else horner(drift.coeffs, drift_at[l])
-        out[l] += k(coupling_at)
-    return out
-
-
-def _reference_step(problem, config, u, increments, steppers, drift_at=None,
-                    noise_at=None):
-    drift_at = u if drift_at is None else drift_at
-    noise_at = u if noise_at is None else noise_at
-    dt, level = config.dt, problem.level
-    F = _reference_reaction(problem.reaction, drift_at, level)
-    if level is not None:
-        noise_at = np.clip(noise_at, -level, level)
-    out = np.empty_like(u)
-    for l in range(problem.r):
-        Fl = F[l]
-        if config.scheme == "tamed-semi-implicit":
-            Fl = Fl / (1.0 + dt * np.max(np.abs(Fl)))
-        comp = problem.noise.components[l]
-        rhs = u[l] + dt * Fl + comp.g(noise_at[l]) * comp.modal_field(
-            increments[l][:comp.modes])
-        out[l] = steppers[l].solve(rhs)
-    if not np.all(np.isfinite(out)):
-        l, cell = np.argwhere(~np.isfinite(out))[0]
-        raise SolverFailure("non-finite-state", f"component {l} cell {cell}")
-    return out
-
-
-def _reference_simulate(problem, config, path, initial):
-    from srds.solver import StoppingRecord, Trajectory
-
-    u = np.array(initial, dtype=float)
-    inc = _resolve_increments(config, path)
-    n_steps, stride, cap = config.n_steps, config.store_stride, config.sup_cap
-    steppers = [op.stepper(config.dt) for op in problem.operators]
-    norms, mins = [np.max(np.abs(u), axis=1)], [np.min(u, axis=1)]
-    stored, stored_idx = [u.copy()], [0]
-    stopping = None
-    if cap is not None and float(norms[0].max()) > cap:
-        stopping = StoppingRecord(True, cap, 0.0, 0, "component-max")
-        n_steps = 0
-    i = 0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            while i < n_steps:
-                u = _reference_step(problem, config, u, inc[:, :, i], steppers)
-                i += 1
-                norms.append(np.max(np.abs(u), axis=1))
-                mins.append(np.min(u, axis=1))
-                if i % stride == 0:
-                    stored.append(u.copy())
-                    stored_idx.append(i)
-                if cap is not None and float(norms[-1].max()) > cap:
-                    stopping = StoppingRecord(True, cap, i * config.dt, i,
-                                              "component-max")
-                    break
-    except SolverFailure as exc:
-        raise SolverFailure(exc.reason, exc.detail, step=i + 1) from None
-    if stored_idx[-1] != i:
-        stored.append(u.copy())
-        stored_idx.append(i)
-    if stopping is None:
-        stopping = StoppingRecord(False, cap if cap is not None else np.inf,
-                                  n_steps * config.dt, n_steps, "component-max")
-    return Trajectory(times=np.asarray(stored_idx, dtype=float) * config.dt,
-                      states=np.stack(stored), sup_norms=np.asarray(norms),
-                      min_values=np.asarray(mins), dt=config.dt,
-                      store_stride=stride, stopping=stopping)
+# --- every run against the scheme's plain-loop statement ----------------------
+# tests/reference.py states the scheme as a per-step, per-component loop that
+# truncates at every step; simulate, run_ladder and mild_residual must match
+# it bit for bit, whatever their blocks, chunks, helper thread and ball test.
 
 
 def _outcome(run, *args):
@@ -1060,76 +1045,203 @@ def _assert_same_trajectory(got, ref):
     assert got.stopping == ref.stopping
 
 
-@st.composite
-def _block_cases(draw):
-    """A random problem: r = 1-3 components on a 1D grid (LU) or a 2D grid
-    (constant coefficients: DCT; per-cell: LU), each component picking one
-    of two operators (shared or distinct, contiguous or not), drifts,
-    linear couplings, amplitudes and per-component mode counts; both
-    schemes, a truncation level or none, a store stride, initial states up
-    to overflowing sizes and the step a sup cap is set at, or none."""
-    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_linear
+def _chunk_grid(dim):
+    """(grid, steps per modal chunk, modal budget) of the runs over several
+    chunks: at r = 2 a 2D grid of 64 x 64 cells steps in blocks of one step
+    and chunks of 8 (at the default MODAL_BLOCK_FLOATS), and a 1D grid of 32
+    cells in blocks of 64 steps and, at a budget of 2^13 floats, chunks of
+    128."""
+    if dim == 2:
+        return build_grid(2, [1.0, 1.0], [64, 64]), 8, MODAL_BLOCK_FLOATS
+    return build_grid(1, [1.0], [32]), 128, 1 << 13
 
-    r = draw(st.integers(1, 3))
-    dim = draw(st.sampled_from([1, 2]))
-    n_cells = draw(st.lists(st.integers(3, 12 if dim == 1 else 6),
-                            min_size=dim, max_size=dim))
-    grid = build_grid(dim, [1.0] * dim, n_cells)
+
+def _kicked(path, component, i, size):
+    """``path`` with mode 0's increments zero but ``size`` at coarse index
+    i of ``component`` (the step from state i to i + 1)."""
+    from srds.rng import WienerPath
+
+    inc = path.increments.copy()
+    inc[:, 0] = 0.0
+    inc[component, 0, i] = size
+    return WienerPath(path.master_seed, path.path_index, path.components, path.modes,
+                      path.n_fine, path.dt_fine, inc)
+
+
+# nonnegative weights in quarters, one per component, adding up to 4
+_SPLITS = {1: [(4,)], 2: [(2, 2), (1, 3), (3, 1)], 3: [(1, 1, 2), (1, 2, 1), (2, 1, 1)]}
+
+
+@st.composite
+def _cases(draw, shape, variant):
+    """(problem, config, path, initial, extra) of one shape.  Every shape
+    draws drifts (or none), linear couplings, a named amplitude, lambdas,
+    both schemes, a store stride and a path.
+
+    - "block": r = 1-3 on a 1D grid (LU) or a 2D grid (constant
+      coefficients: DCT; per-cell: LU), each component picking one of two
+      operators (shared or distinct, contiguous or not) and its own modes,
+      amplitude and lambdas; a truncation level or none, dt of 1, 2 or 4
+      fine steps and initial states up to overflowing sizes.
+    - "ball": a truncated problem, r = 1-2 with a cubic first drift, on a
+      1D or a constant-coefficient 2D grid, whose state starts near the
+      boundary of its ball, so that noise carries it out and back in; or a
+      path with one huge increment, which throws the state far outside
+      (where the untruncated step from it overflows, the truncated one does
+      not) or makes it NaN.
+    - "ladder": r = 1-3 on a 1D grid, 2-4 levels (multiples of 1/4) and a
+      start near, on or beyond one of their balls, with noise strong enough
+      to carry the state across them: exits fall mid-block and off the
+      stride.
+    - "chunks": r = 2 sharing one operator and one mode table on a grid of
+      ``_chunk_grid``, run over more than two modal chunks.  ``variant``
+      "ball" and "cap" kick the state at a chunk's last or first step or
+      inside a later chunk, "overflow" gives mode 0 a lambda near the
+      largest float and kicks its increment so that the field of a step in
+      a later chunk overflows, and "residual" stores every step.
+
+    ``extra`` holds an rng for the checks' own draws, "cap_at" (block and
+    ball: the record step a sup cap is set at, or None), "kick" (ball: the
+    huge increment or None; chunks: the kicked step) and "levels" (ladder).
+    """
+    from srds.reaction import PolynomialDrift, ReactionSystem
+    from srds.rng import WienerPath
+
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = [EllipticOperator(grid, CoefficientField.constant(grid, a=1.0)),
-            EllipticOperator(grid, CoefficientField.from_arrays(
-                grid, rng.uniform(0.6, 1.8, size=(grid.n_total, dim)),
-                rng.uniform(0.0, 1.0, size=grid.n_total), 0.5, 2.0))]
-    ops = tuple(pool[i] for i in draw(st.sampled_from(
-        list(itertools.product((0, 1), repeat=r)))))
+    extra = {"rng": rng, "cap_at": None, "kick": None}
+    if shape == "chunks":
+        r, dim = 2, draw(st.sampled_from([2, 1]))
+        grid = _chunk_grid(dim)[0]
+    else:
+        r = draw(st.integers(1, 2 if shape == "ball" else 3))
+        dim = 1 if shape == "ladder" else draw(st.sampled_from([1, 2]))
+        grid = build_grid(dim, [1.0] * dim, draw(st.lists(
+            st.integers(3, 10 if dim == 1 else 5), min_size=dim, max_size=dim)))
+    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
+    ops = (op,) * r
+    if shape == "block":
+        pool = [op, EllipticOperator(grid, CoefficientField.from_arrays(
+            grid, rng.uniform(0.6, 1.8, size=(grid.n_total, dim)),
+            rng.uniform(0.0, 1.0, size=grid.n_total), 0.5, 2.0))]
+        ops = tuple(pool[i] for i in draw(st.sampled_from(
+            list(itertools.product((0, 1), repeat=r)))))
     drifts = draw(st.lists(st.one_of(st.none(), _DRIFT), min_size=r, max_size=r))
+    if shape == "ball":  # from far outside, a cubic's untruncated step overflows
+        drifts[0] = [1.0, 0.0, -1.0]
     rows = draw(st.lists(st.lists(_COEF, min_size=r, max_size=r), min_size=r,
                          max_size=r))
     reaction = ReactionSystem(
         [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
         [coupling_linear(row) for row in rows], audit=False)
-    modes = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
-    modes = [min(k, grid.n_total) for k in modes]  # no aliased mode
-    g_names = draw(st.lists(st.sampled_from(["sqrt-abs", "sqrt-pos", "lipschitz:1"]),
-                            min_size=r, max_size=r))
-    noise = build_noise([cosine_neumann_basis(grid, k) for k in modes],
-                        [rng.uniform(0.0, 8.0, size=k) for k in modes],
-                        [named_g(name) for name in g_names], audit=False)
-    level = draw(st.one_of(st.none(), st.floats(1.0, 8.0)))
+    if shape == "block":  # per-component modes, amplitudes and lambdas
+        modes = [min(k, grid.n_total) for k in  # no aliased mode
+                 draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))]
+        g_names = draw(st.lists(st.sampled_from(["sqrt-abs", "sqrt-pos", "lipschitz:1"]),
+                                min_size=r, max_size=r))
+        noise = build_noise([cosine_neumann_basis(grid, k) for k in modes],
+                            [rng.uniform(0.0, 8.0, size=k) for k in modes],
+                            [named_g(name) for name in g_names], audit=False)
+    else:  # one mode table and one amplitude
+        modes = [min(draw(st.integers(1, 8 if shape == "chunks" else 4)), grid.n_total)] * r
+        lam = rng.uniform(*{"ball": (2.0, 8.0), "ladder": (4.0, 16.0),
+                            "chunks": (0.5, 4.0)}[shape], size=modes[0])
+        if variant == "overflow":
+            lam[0] = 1e308  # e_0 = 1: the table holds it, a product of it overflows
+        g = named_g(draw(st.sampled_from(["sqrt-abs-shifted", "sqrt-abs", "lipschitz:1"])))
+        noise = build_noise([cosine_neumann_basis(grid, modes[0])] * r, [lam] * r,
+                            [g] * r, audit=False)
+    level = {"block": st.one_of(st.none(), st.floats(1.0, 8.0)),
+             "ball": st.floats(1.0, 8.0)}.get(shape, st.none())
     problem = Problem(grid=grid, operators=ops, reaction=reaction, noise=noise,
-                      level=level)
-    n_steps = draw(st.integers(1, 12))
-    j = draw(st.integers(0, 2))
+                      level=draw(level))
+    j = draw(st.integers(0, 2)) if shape == "block" else 0
+    if shape == "chunks":
+        chunk = _chunk_grid(dim)[1]
+        n_steps = 2 * chunk + draw(st.integers(5, 2 * chunk))
+    elif shape == "ladder":  # drawn largest first: a long run forks and exits more
+        n_steps = 64 - draw(st.integers(4, 60))
+    else:
+        n_steps = draw(st.integers(1, 12) if shape == "block" else st.integers(4, 24))
     config = SolverConfig(
         dt=1e-3 * 2**j, t_end=1e-3 * 2**j * n_steps,
         scheme=draw(st.sampled_from(["semi-implicit", "tamed-semi-implicit"])),
-        store_stride=draw(st.integers(1, 4)))
+        store_stride=1 if variant == "residual" else draw(st.integers(1, 4)))
     path = sample_path(draw(st.integers(0, 2**16)), r, max(modes), n_steps * 2**j, 1e-3)
-    scale = draw(st.sampled_from([0.5, 1e120, 4.0]))  # 1e120: cubes overflow
-    # signed fields, or nearly flat ones whose sup norm the noise can raise
-    lo = draw(st.sampled_from([-1.0, 0.9]))
-    initial = rng.uniform(lo, 1.0, size=(r, grid.n_total)) * scale
-    cap_at = draw(st.one_of(st.none(), st.integers(0, n_steps)))
-    return problem, config, path, initial, cap_at, rng
+    if shape == "block":
+        scale = draw(st.sampled_from([0.5, 1e120, 4.0]))  # 1e120: cubes overflow
+        # signed fields, or nearly flat ones whose sup norm the noise can raise
+        lo = draw(st.sampled_from([-1.0, 0.9]))
+        initial = rng.uniform(lo, 1.0, size=(r, grid.n_total)) * scale
+    elif shape == "ball":
+        kick = extra["kick"] = draw(st.sampled_from([None, None, 1e104, 1e308]))
+        if kick is not None:
+            inc = path.increments.copy()
+            inc[:, :, draw(st.integers(1, n_steps - 1))] = kick
+            path = WienerPath(path.master_seed, path.path_index, r, max(modes), n_steps,
+                              1e-3, inc)
+        # every cell's l1 norm at most the level, the largest near it
+        initial = rng.uniform(-1.0, 1.0, size=(r, grid.n_total))
+        initial *= draw(st.floats(0.8, 1.0)) * problem.level / np.abs(initial).sum(axis=0).max()
+    elif shape == "ladder":
+        count = draw(st.sampled_from([4, 3, 2]))
+        gaps = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+        levels = extra["levels"] = [0.75 + q / 4.0 for q in itertools.accumulate(gaps)]
+        target = draw(st.sampled_from(levels))
+        where = draw(st.sampled_from(["near", "on", "beyond"]))
+        if where == "on":  # an E-norm of exactly the level
+            quarters = np.array(draw(st.sampled_from(_SPLITS[r])), dtype=float)
+            initial = rng.choice([-1.0, 1.0], size=(r, grid.n_total)) * (
+                target * quarters / 4.0)[:, None]
+        else:
+            initial = rng.uniform(-1.0, 1.0, size=(r, grid.n_total))
+            factor = draw(st.floats(0.85, 0.99) if where == "near" else st.floats(1.01, 1.2))
+            initial *= factor * target / np.abs(initial).max(axis=1).sum()
+        event(f"start {where} a ball")
+    else:
+        initial = rng.uniform(-1.0, 1.0, size=(2, grid.n_total))
+        if variant == "ball":  # the exit: the last step of a chunk or the first of the next
+            extra["kick"] = draw(st.sampled_from([
+                m * chunk + d for m in range(1, n_steps // chunk + 1) for d in (0, 1)
+                if m * chunk + d <= n_steps]))
+        elif variant in ("cap", "overflow"):
+            extra["kick"] = draw(st.integers(chunk + 1, n_steps))
+        if extra["kick"] is not None:
+            size = 4.0 if variant == "overflow" else draw(st.sampled_from([-1e4, 1e4]))
+            path = _kicked(path, draw(st.integers(0, 1)), extra["kick"] - 1, size)
+    if shape in ("block", "ball"):
+        extra["cap_at"] = draw(st.one_of(st.none(), st.integers(0, n_steps)))
+    return problem, config, path, initial, extra
 
 
-def _check_against_reference(case):
-    problem, config, path, initial, cap_at, rng = case
+def _check_run(shape, budget, case):
+    """``simulate`` at a state budget (None: STATE_BLOCK_FLOATS) against the
+    reference; with a "cap_at", under a sup cap between the uncapped run's
+    running maximum of the sup norm before a step where it sets a new record
+    and that record, so that the capped run exits there.  Then one step at
+    separate drift and noise points, as ``mild_residual`` takes them."""
+    problem, config, path, initial, extra = case
+    ref = _outcome(reference.simulate, problem, config, path, initial)
+    if shape == "ball":
+        event(f"kick {extra['kick']}" if extra["kick"] else "out and back in")
+        if extra["kick"] is None:  # the runs that leave the ball and come back into it
+            rho = None if isinstance(ref, tuple) else exit_index(ref, problem.level)
+            assume(rho is not None and rho.triggered and bool(
+                (ref.e_norms()[rho.step_index:] <= problem.level).any()))
     exit_at = None
-    if cap_at is not None:
-        # a cap between the uncapped run's running maximum of the sup norm
-        # before a step where it sets a new record and that record: the
-        # capped run exits at that step
-        free = _outcome(_reference_simulate, problem, config, path, initial)
-        if not isinstance(free, tuple):
-            m = free.sup_norms.max(axis=1)
-            running = np.maximum.accumulate(m)
-            records = [0] + [i for i in range(1, len(m)) if m[i] > running[i - 1]]
-            exit_at = records[-1 - cap_at % len(records)]
-            cap = 0.5 * m[0] if exit_at == 0 else 0.5 * (running[exit_at - 1] + m[exit_at])
-            config = replace(config, sup_cap=float(cap))
-    got = _outcome(simulate, problem, config, path, initial)
-    ref = _outcome(_reference_simulate, problem, config, path, initial)
+    if extra["cap_at"] is not None and not isinstance(ref, tuple):
+        m = ref.sup_norms.max(axis=1)
+        running = np.maximum.accumulate(m)
+        records = [0] + [i for i in range(1, len(m)) if m[i] > running[i - 1]]
+        exit_at = records[-1 - extra["cap_at"] % len(records)]
+        cap = 0.5 * m[0] if exit_at == 0 else 0.5 * (running[exit_at - 1] + m[exit_at])
+        config = replace(config, sup_cap=float(cap))
+        ref = reference.simulate(problem, config, path, initial)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:  # blocks of 1, 2 or 5 steps, or runs of 1 or 2 rows
+            count, unit = budget.split()
+            mp.setattr(srds.solver, "STATE_BLOCK_FLOATS", int(count) * problem.grid.n_total
+                       * (1 if unit.startswith("row") else problem.r))
+        got = _outcome(simulate, problem, config, path, initial)
     ids = [id(op) for op in problem.operators]
     event(f"dim {problem.grid.dim}, {type(problem.operators[0].stepper(config.dt)).__name__}")
     event(f"{len(set(ids))} of {len(ids)} operators distinct"
@@ -1139,126 +1251,134 @@ def _check_against_reference(case):
           if ref.stopping.triggered else "ran to t_end")
     if isinstance(ref, tuple):
         assert got == ref  # same reason, detail and step
-        return
-    assert not isinstance(got, tuple), got
-    _assert_same_trajectory(got, ref)
-    if exit_at is not None:
-        assert got.stopping.triggered and got.stopping.step_index == exit_at
-    # one step at separate drift and noise evaluation points, as
-    # mild_residual takes them
-    u, v, w = rng.uniform(-2.0, 2.0, size=(3,) + initial.shape)
+    else:
+        assert not isinstance(got, tuple), got
+        _assert_same_trajectory(got, ref)
+        if exit_at is not None:
+            assert got.stopping.triggered and got.stopping.step_index == exit_at
+    u, v, w = extra["rng"].uniform(-2.0, 2.0, size=(3,) + initial.shape)
     inc = path.coarse(dyadic_level(config.dt, path.dt_fine))[:, :, 0]
-    steppers = [op.stepper(config.dt) for op in problem.operators]
     assert np.array_equal(
         step(problem, config, u, _fields(problem, inc), *_step_runs(problem, config.dt),
              drift_at=v, noise_at=w),
-        _reference_step(problem, config, u, inc, steppers, drift_at=v, noise_at=w))
+        reference.step(problem, config, u, inc, drift_at=v, noise_at=w))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=_block_cases())
-def test_block_step_matches_per_component_reference(case):
-    _check_against_reference(case)
+def _check_ladder(case):
+    """``run_ladder``, whose levels above the second fork from the level
+    below at its exit, against every level stepped from step 0."""
+    problem, config, path, initial, extra = case
+    levels = extra["levels"]
+    ref = _outcome(reference.ladder, problem, config, path, initial, levels)
+    got = _outcome(run_ladder, problem, config, path, initial, levels)
+    if isinstance(ref[0], str):  # a failure's (reason, detail, step)
+        event("failure")
+        assert got == ref
+        return
+    (trajs, exits), (ref_trajs, ref_exits) = got, ref
+    assert exits == ref_exits
+    for traj, ref_traj in zip(trajs, ref_trajs):
+        _assert_same_trajectory(traj, ref_traj)
+    # the exits the levels above them resume at, strictly inside the run
+    mid = [rho.step_index for rho in exits[1:-1] if 0 < rho.step_index < config.n_steps]
+    event("a level resumes at an exit off the stride"
+          if any(i % config.store_stride for i in mid) else
+          "a level resumes at an exit on the stride" if mid else "no exit mid-run below the top")
 
 
-@pytest.mark.parametrize("budget", ["1 row", "2 rows", "1 step", "2 steps", "5 steps"])
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=_block_cases())
-def test_block_boundaries_match_per_component_reference(budget, case):
-    # float budgets that cut a run into blocks of 1, 2 or 5 steps, or split
-    # the amplitude runs into single rows or pairs of rows (one step a block)
-    problem = case[0]
-    count, unit = budget.split()
-    size = problem.grid.n_total * (1 if unit.startswith("row") else problem.r)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(srds.solver, "STATE_BLOCK_FLOATS", int(count) * size)
-        _check_against_reference(case)
+def _threads_kept(run, *args, **kwargs):
+    """``_outcome`` of ``run``, asserting that no thread outlives it."""
+    import threading
+
+    before = threading.active_count()
+    out = _outcome(lambda: run(*args, **kwargs))
+    assert threading.active_count() == before
+    return out
 
 
-# --- the truncation ball, checked once per block ---------------------------------
-# Inside its ball a truncated run steps the untruncated problem and cuts the
-# block after its first state outside; the reference steps truncated, one
-# step at a time.
+def _check_chunks(kind, case):
+    """A run over more than two modal chunks, each after the first built
+    ahead on the run's helper thread, against the reference: to its end, to
+    a cap exit, resumed off a chunk boundary, out of its ball, through an
+    overflowing field, or its mild residual."""
+    problem, config, path, initial, extra = case
+    kick = extra["kick"]
+    _, chunk, budget = _chunk_grid(problem.grid.dim)
+    event(f"dim {problem.grid.dim}")
+    if kind == "ball":
+        # a level between the E-norms before the kicked step and at it
+        e = reference.simulate(problem, replace(config, t_end=kick * config.dt,
+                                                store_stride=1), path, initial).e_norms()
+        level = max(1.0, 0.5 * (e[:kick].max() + e[kick]))
+        assume(e[kick] > level)  # the kick carries the state out
+        problem = truncate_problem(problem, level)
+    elif kind == "cap":
+        m = reference.simulate(problem, replace(config, t_end=kick * config.dt),
+                               path, initial).sup_norms.max(axis=1)
+        assume(m[kick] > m[:kick].max())
+        config = replace(config, sup_cap=float(0.5 * (m[:kick].max() + m[kick])))
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")
+        mp.setattr(srds.solver, "MODAL_BLOCK_FLOATS", budget)
+        got = _threads_kept(simulate, problem, config, path, initial)
+        ref = _outcome(reference.simulate, problem, config, path, initial)
+        if kind == "overflow":  # mode 0's field is inf at the kicked step
+            event("failure at the kicked step" if isinstance(got, tuple)
+                  and got[2] == kick else "failure before it")
+            assert isinstance(got, tuple) and got == ref
+            return
+        assume(not isinstance(ref, tuple))
+        assert not isinstance(got, tuple), got
+        _assert_same_trajectory(got, ref)
+        if kind == "cap":
+            assert got.stopping.triggered and got.stopping.step_index == kick
+        elif kind == "ball":
+            assert exit_index(got, problem.level).step_index == kick
+        elif kind == "prefix":  # resumed off a chunk boundary, still over three chunks
+            stride = config.store_stride
+            s = extra["rng"].choice([
+                s for s in range(stride, config.n_steps - 2 * chunk, stride) if s % chunk])
+            _assert_same_trajectory(_threads_kept(simulate, problem, config, path,
+                                                  initial, prefix=got.until(int(s))), got)
+        elif kind == "residual":
+            probes = sorted({1, chunk, chunk + 1, config.n_steps})
+            res = _threads_kept(mild_residual, problem, got, path,
+                                [s * config.dt for s in probes])
+            assert res.tolist() == reference.residuals(problem, got, path, probes)
 
 
-def _leaves_and_reenters(problem, config, path, initial):
-    """Whether the truncated reference run without a cap leaves its E-norm
-    ball (its exit rho_n, ``exit_index``) and later comes back into it;
-    False if it fails."""
-    run = _outcome(_reference_simulate, problem, replace(config, sup_cap=None),
-                   path, initial)
-    if isinstance(run, tuple):
-        return False
-    rho = exit_index(run, problem.level)
-    return rho.triggered and bool((run.e_norms()[rho.step_index:] <= problem.level).any())
+# examples per (shape, variant); a block or ball variant is a state budget
+_EXAMPLES = {
+    ("block", None): 300,
+    **{("block", budget): 40 for budget in ("1 row", "2 rows", "1 step", "2 steps",
+                                            "5 steps")},
+    **{("ball", budget): 60 for budget in (None, "1 step", "2 steps", "5 steps")},
+    ("ladder", None): 100,
+    **{("chunks", kind): 10 for kind in ("run", "cap", "prefix", "ball", "residual",
+                                         "overflow")},
+}
 
 
-@st.composite
-def _ball_cases(draw):
-    """A truncated problem on a 1D (LU) or a constant-coefficient 2D (DCT)
-    grid whose state starts near the boundary of its ball, so that noise
-    carries it out and back in; or a path with one huge increment, which
-    throws the state far outside (where the untruncated step from it
-    overflows, the truncated one does not) or makes it NaN."""
-    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_linear
-    from srds.rng import WienerPath
+@pytest.mark.parametrize("shape, variant", list(_EXAMPLES),
+                         ids=[f"{shape}-{variant or 'default'}" for shape, variant in _EXAMPLES])
+def test_runs_match_the_reference(shape, variant):
+    @settings(max_examples=_EXAMPLES[shape, variant])
+    @given(case=_cases(shape, variant))
+    def check(case):
+        if shape == "ladder":
+            _check_ladder(case)
+        elif shape == "chunks":
+            _check_chunks(variant, case)
+        else:
+            _check_run(shape, variant, case)
 
-    r = draw(st.integers(1, 2))
-    dim = draw(st.sampled_from([1, 2]))
-    grid = build_grid(dim, [1.0] * dim, draw(st.lists(
-        st.integers(3, 10 if dim == 1 else 5), min_size=dim, max_size=dim)))
-    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kick = draw(st.sampled_from([None, None, 1e104, 1e308]))
-    # a cubic first drift: from far outside, its untruncated step overflows
-    drifts = [[1.0, 0.0, -1.0]] + draw(st.lists(st.one_of(st.none(), _DRIFT),
-                                                min_size=r - 1, max_size=r - 1))
-    rows = draw(st.lists(st.lists(_COEF, min_size=r, max_size=r), min_size=r,
-                         max_size=r))
-    reaction = ReactionSystem(
-        [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
-        [coupling_linear(row) for row in rows], audit=False)
-    modes = min(draw(st.integers(1, 4)), grid.n_total)  # no aliased mode
-    g_name = draw(st.sampled_from(["sqrt-abs-shifted", "sqrt-abs", "lipschitz:1"]))
-    noise = build_noise([cosine_neumann_basis(grid, modes)] * r,
-                        [rng.uniform(2.0, 8.0, size=modes)] * r,
-                        [named_g(g_name)] * r, audit=False)
-    level = draw(st.floats(1.0, 8.0))
-    problem = Problem(grid=grid, operators=(op,) * r, reaction=reaction, noise=noise,
-                      level=level)
-    n_steps = draw(st.integers(4, 24))
-    config = SolverConfig(
-        dt=1e-3, t_end=1e-3 * n_steps,
-        scheme=draw(st.sampled_from(["semi-implicit", "tamed-semi-implicit"])),
-        store_stride=draw(st.integers(1, 3)))
-    path = sample_path(draw(st.integers(0, 2**16)), r, modes, n_steps, 1e-3)
-    if kick is not None:
-        inc = path.increments.copy()
-        inc[:, :, draw(st.integers(1, n_steps - 1))] = kick
-        path = WienerPath(path.master_seed, path.path_index, r, modes, n_steps,
-                          1e-3, inc)
-    # every cell's l1 norm at most the level, the largest near it
-    initial = rng.uniform(-1.0, 1.0, size=(r, grid.n_total))
-    initial *= draw(st.floats(0.8, 1.0)) * level / np.abs(initial).sum(axis=0).max()
-    cap_at = draw(st.one_of(st.none(), st.integers(0, n_steps)))
-    return problem, config, path, initial, cap_at, rng, kick
+    check()
 
 
-@pytest.mark.parametrize("budget", [1, 2, 5, None])
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=_ball_cases())
-def test_ball_cut_matches_per_step_truncated_reference(budget, case):
-    *case, kick = case
-    problem, config, path, initial = case[:4]
-    if kick is None:
-        # the runs that leave the ball and come back into it
-        assume(_leaves_and_reenters(problem, config, path, initial))
-    event(f"kick {kick}" if kick else "out and back in")
-    with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:  # blocks of 1, 2 or 5 steps
-            mp.setattr(srds.solver, "STATE_BLOCK_FLOATS",
-                       budget * problem.r * problem.grid.n_total)
-        _check_against_reference(tuple(case))
+def test_property_tests_are_derandomized():
+    # tests/conftest.py loads one profile for every property test: each runs
+    # the same examples on every run, with no deadline on a slow host
+    assert settings.default.derandomize and settings.default.deadline is None
 
 
 def test_ball_exit_at_the_first_step_drops_no_step(monkeypatch):
@@ -1297,13 +1417,14 @@ def _recording_steps(mp):
     return calls
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=_ball_cases())
+@settings(max_examples=60)
+@given(case=_cases("ball", None))
 def test_untruncated_steps_end_at_the_exit(case):
     # the ball is the E-norm ball the ladder exits: no step from a state
     # before rho_n carries bounds, and the first that does steps from the
     # state at rho_n (none does when the run ends at or before rho_n)
-    problem, config, path, initial, _, _, kick = case
+    problem, config, path, initial, extra = case
+    kick = extra["kick"]
     config = replace(config, store_stride=1)
     with pytest.MonkeyPatch.context() as mp:
         calls = _recording_steps(mp)
@@ -1324,7 +1445,7 @@ def test_untruncated_steps_end_at_the_exit(case):
 
 
 def test_truncated_run_through_an_overflow_does_not_warn():
-    # a kick of 1e308, as in _ball_cases, overflows the modal field of step
+    # a kick of 1e308, as in the ball cases, overflows the modal field of step
     # 4 to inf, and its solve makes the state NaN; the block's later steps
     # run on it unreported.  _advance owns the floating-point state, so no
     # RuntimeWarning escapes, and the failure is located at its step.
@@ -1363,7 +1484,7 @@ def test_a_state_between_the_balls_steps_truncated(monkeypatch):
     assert traj.final.tobytes() == simulate(problem, cfg, path, initial).final.tobytes()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(r=st.integers(8, 12), n=st.integers(2, 6), data=st.data())
 def test_every_cell_norm_is_within_the_e_norm(r, n, data):
     # numpy's row sum groups 8 or more terms pairwise, which puts a cell
@@ -1386,90 +1507,8 @@ def test_every_cell_norm_is_within_the_e_norm(r, n, data):
     assert (cells <= _e_norms(np.abs(u).max(axis=1)[None])[0]).all()
 
 
-# --- the forked ladder -------------------------------------------------------------
-# run_ladder steps the smallest level truncated throughout, the next from step
-# 0, and each larger one from the level below it at that level's exit.
 
-
-def _ladder_from_scratch(problem, config, path, initial, levels):
-    """The ladder with every level stepped from step 0 by ``simulate``."""
-    config = replace(config, sup_cap=None)
-    trajs = [simulate(truncate_problem(problem, n), config, path, initial)
-             for n in levels]
-    return trajs, [exit_index(t, n) for t, n in zip(trajs, levels)]
-
-
-# nonnegative weights in quarters, one per component, adding up to 4
-_SPLITS = {1: [(4,)], 2: [(2, 2), (1, 3), (3, 1)], 3: [(1, 1, 2), (1, 2, 1), (2, 1, 1)]}
-
-
-@st.composite
-def _ladder_cases(draw):
-    """r = 1-3 components on a 1D grid, 2-4 levels (multiples of 1/4) and a
-    start near, on or beyond one of their balls, with noise strong enough to
-    carry the state across them: exits fall mid-block and off the stride."""
-    from srds.reaction import PolynomialDrift, ReactionSystem, coupling_linear
-
-    r = draw(st.integers(1, 3))
-    grid = build_grid(1, [1.0], [draw(st.integers(3, 10))])
-    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    drifts = draw(st.lists(st.one_of(st.none(), _DRIFT), min_size=r, max_size=r))
-    rows = draw(st.lists(st.lists(_COEF, min_size=r, max_size=r), min_size=r,
-                         max_size=r))
-    reaction = ReactionSystem(
-        [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
-        [coupling_linear(row) for row in rows], audit=False)
-    modes = min(draw(st.integers(1, 4)), grid.n_total)  # no aliased mode
-    g_name = draw(st.sampled_from(["sqrt-abs-shifted", "sqrt-abs", "lipschitz:1"]))
-    noise = build_noise([cosine_neumann_basis(grid, modes)] * r,
-                        [rng.uniform(4.0, 16.0, size=modes)] * r,
-                        [named_g(g_name)] * r, audit=False)
-    problem = Problem(grid=grid, operators=(op,) * r, reaction=reaction, noise=noise)
-    # the level count and n_steps are drawn largest first, since hypothesis
-    # leans to a strategy's simplest value, which forks and exits little
-    count = draw(st.sampled_from([4, 3, 2]))
-    gaps = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
-    levels = [0.75 + q / 4.0 for q in itertools.accumulate(gaps)]
-    n_steps = 64 - draw(st.integers(4, 60))
-    config = SolverConfig(
-        dt=1e-3, t_end=1e-3 * n_steps,
-        scheme=draw(st.sampled_from(["semi-implicit", "tamed-semi-implicit"])),
-        store_stride=draw(st.integers(1, 4)))
-    path = sample_path(draw(st.integers(0, 2**16)), r, modes, n_steps, 1e-3)
-    target = draw(st.sampled_from(levels))
-    where = draw(st.sampled_from(["near", "on", "beyond"]))
-    if where == "on":  # an E-norm of exactly the level
-        quarters = np.array(draw(st.sampled_from(_SPLITS[r])), dtype=float)
-        initial = rng.choice([-1.0, 1.0], size=(r, grid.n_total)) * (
-            target * quarters / 4.0)[:, None]
-    else:
-        initial = rng.uniform(-1.0, 1.0, size=(r, grid.n_total))
-        factor = draw(st.floats(0.85, 0.99) if where == "near" else st.floats(1.01, 1.2))
-        initial *= factor * target / np.abs(initial).max(axis=1).sum()
-    event(f"start {where} a ball")
-    return problem, config, path, initial, levels
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=_ladder_cases())
-def test_forked_ladder_matches_the_ladder_stepped_from_scratch(case):
-    problem, config, path, initial, levels = case
-    ref = _outcome(_ladder_from_scratch, problem, config, path, initial, levels)
-    got = _outcome(run_ladder, problem, config, path, initial, levels)
-    if isinstance(ref[0], str):  # a failure's (reason, detail, step)
-        event("failure")
-        assert got == ref
-        return
-    (trajs, exits), (ref_trajs, ref_exits) = got, ref
-    assert exits == ref_exits
-    for traj, ref_traj in zip(trajs, ref_trajs):
-        _assert_same_trajectory(traj, ref_traj)
-    # the exits the levels above them resume at, strictly inside the run
-    mid = [rho.step_index for rho in exits[1:-1] if 0 < rho.step_index < config.n_steps]
-    event("a level resumes at an exit off the stride"
-          if any(i % config.store_stride for i in mid) else
-          "a level resumes at an exit on the stride" if mid else "no exit mid-run below the top")
+# --- the forked ladder and resumed runs --------------------------------------------
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -1505,7 +1544,6 @@ def test_a_broken_truncation_map_fails_the_ladder(monkeypatch):
         run_ladder(prob, cfg, path, init, [4.0, 8.0, 16.0])
     assert err.value.reason == "ladder-inconsistency"
     assert err.value.detail == "levels 4.0/8.0 disagree at step 1"
-
 
 # --- what a step may write ----------------------------------------------------
 
@@ -1547,10 +1585,9 @@ def test_step_writes_no_array_it_was_given(dim, level, scheme, points):
     at = {"drift_at": v, "noise_at": w} if points == "separate" else {}
     given = (u, fields) + tuple(at.values())
     kept = [a.tobytes() for a in given]
-    steppers = [op.stepper(config.dt) for op in problem.operators]
     out = step(problem, config, u, fields, *_step_runs(problem, config.dt), **at)
     assert [a.tobytes() for a in given] == kept
-    assert np.array_equal(out, _reference_step(problem, config, u, inc, steppers, **at))
+    assert np.array_equal(out, reference.step(problem, config, u, inc, **at))
 
 
 def _growth_problem(n=8):
@@ -1579,7 +1616,7 @@ def test_cap_exit_at_a_block_boundary(monkeypatch, exit_at, stride):
     assert np.all(np.diff(m) > 0)
     cfg = replace(cfg, sup_cap=float(0.5 * (m[exit_at - 1] + m[exit_at])))
     traj = simulate(prob, cfg, path, init)
-    _assert_same_trajectory(traj, _reference_simulate(prob, cfg, path, init))
+    _assert_same_trajectory(traj, reference.simulate(prob, cfg, path, init))
     assert traj.stopping.triggered and traj.stopping.step_index == exit_at
     assert len(traj.sup_norms) == exit_at + 1
     assert traj.times[-1] == exit_at * cfg.dt
@@ -1595,12 +1632,12 @@ def test_cap_exit_then_overflow_in_one_block_stops_without_raising(monkeypatch):
     init = const_init(prob, 1e100, 0.0)
     with pytest.raises(SolverFailure) as err:
         simulate(prob, cfg, path, init)
-    assert _outcome(_reference_simulate, prob, cfg, path, init) == (
+    assert _outcome(reference.simulate, prob, cfg, path, init) == (
         err.value.reason, err.value.detail, err.value.step)
     assert err.value.step == 2
     cfg = replace(cfg, sup_cap=1e200)
     traj = simulate(prob, cfg, path, init)
-    _assert_same_trajectory(traj, _reference_simulate(prob, cfg, path, init))
+    _assert_same_trajectory(traj, reference.simulate(prob, cfg, path, init))
     assert traj.stopping.triggered and traj.stopping.step_index == 1
     assert np.all(np.isfinite(traj.states)) and len(traj.sup_norms) == 2
 
@@ -1618,157 +1655,12 @@ def test_overflow_to_inf_without_a_cap_raises_at_its_step(n_cells, n_steps):
         cfg = replace(cfg, sup_cap=cap)
         with pytest.raises(SolverFailure) as err:
             simulate(prob, cfg, path, init)
-        assert _outcome(_reference_simulate, prob, cfg, path, init) == (
+        assert _outcome(reference.simulate, prob, cfg, path, init) == (
             err.value.reason, err.value.detail, err.value.step)
         assert (err.value.reason, err.value.step) == ("non-finite-state", 1)
 
 
 # --- modal chunks built ahead on a helper thread ---------------------------------
-# A run of more than two modal chunks builds each later chunk on one helper
-# thread while the chunk before it steps.  At r = 2 a 2D grid of 64 x 64
-# cells steps in blocks of one step and chunks of 8, and a 1D grid of 32
-# cells in blocks of 64 steps and chunks of 1024.
-
-
-def _chunk_grid(dim):
-    """(grid, steps per modal chunk) of the runs below."""
-    if dim == 2:
-        return build_grid(2, [1.0, 1.0], [64, 64]), 8
-    return build_grid(1, [1.0], [32]), 1024
-
-
-def _kicked(path, component, i, size):
-    """``path`` with mode 0's increments zero but ``size`` at coarse index
-    i of ``component`` (the step from state i to i + 1)."""
-    from srds.rng import WienerPath
-
-    inc = path.increments.copy()
-    inc[:, 0] = 0.0
-    inc[component, 0, i] = size
-    return WienerPath(path.master_seed, path.path_index, path.components, path.modes,
-                      path.n_fine, path.dt_fine, inc)
-
-
-@st.composite
-def _chunk_cases(draw, kind):
-    """r = 2 components sharing one operator and one mode table on a grid of
-    ``_chunk_grid``, run over more than two modal chunks.  ``kind`` "ball"
-    truncates the problem and kicks the state out of its ball at a chunk's
-    last or first step; "cap" kicks it above a cap inside a later chunk;
-    "overflow" gives mode 0 a lambda near the largest float and kicks its
-    increment so that the modal field of a step in a later chunk overflows."""
-    from srds.reaction import PolynomialDrift, ReactionSystem
-
-    dim = draw(st.sampled_from([2, 1]))
-    grid, chunk = _chunk_grid(dim)
-    op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    drifts = draw(st.lists(st.one_of(st.none(), _DRIFT), min_size=2, max_size=2))
-    rows = draw(st.lists(st.lists(_COEF, min_size=2, max_size=2), min_size=2,
-                         max_size=2))
-    reaction = ReactionSystem(
-        [None if c is None else PolynomialDrift(c, epsilon_lead=0.05) for c in drifts],
-        [coupling_linear(row) for row in rows], audit=False)
-    modes = draw(st.integers(1, 8))
-    lam = rng.uniform(0.5, 4.0, size=modes)
-    if kind == "overflow":
-        lam[0] = 1e308  # e_0 = 1: the table holds it, a product of it overflows
-    g_name = draw(st.sampled_from(["sqrt-abs", "sqrt-abs-shifted", "lipschitz:1"]))
-    noise = build_noise([cosine_neumann_basis(grid, modes)] * 2, [lam] * 2,
-                        [named_g(g_name)] * 2, audit=False)
-    problem = Problem(grid=grid, operators=(op, op), reaction=reaction, noise=noise)
-    n_steps = 2 * chunk + draw(st.integers(5, 2 * chunk if dim == 2 else 512))
-    config = SolverConfig(
-        dt=1e-3, t_end=1e-3 * n_steps,
-        scheme=draw(st.sampled_from(["semi-implicit", "tamed-semi-implicit"])),
-        store_stride=1 if kind == "residual" else draw(st.integers(1, 4)))
-    path = sample_path(draw(st.integers(0, 2**16)), 2, modes, n_steps, 1e-3)
-    initial = rng.uniform(-1.0, 1.0, size=(2, grid.n_total))
-    kick = None
-    if kind == "ball":  # the exit: the last step of a chunk or the first of the next
-        kick = draw(st.sampled_from([m * chunk + d for m in range(1, n_steps // chunk + 1)
-                                     for d in (0, 1) if m * chunk + d <= n_steps]))
-    elif kind in ("cap", "overflow"):
-        kick = draw(st.integers(chunk + 1, n_steps))
-    if kick is not None:
-        size = 4.0 if kind == "overflow" else draw(st.sampled_from([-1e4, 1e4]))
-        path = _kicked(path, draw(st.integers(0, 1)), kick - 1, size)
-    return problem, config, path, initial, kick
-
-
-def _threads_kept(run, *args, **kwargs):
-    """``_outcome`` of ``run``, asserting that no thread outlives it."""
-    import threading
-
-    before = threading.active_count()
-    out = _outcome(lambda: run(*args, **kwargs))
-    assert threading.active_count() == before
-    return out
-
-
-@pytest.mark.parametrize("kind", ["run", "cap", "prefix", "ball", "residual", "overflow"])
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_chunks_built_ahead_match_the_per_step_reference(kind, data):
-    problem, config, path, initial, kick = data.draw(_chunk_cases(kind), label="case")
-    chunk = _chunk_grid(problem.grid.dim)[1]
-    event(f"dim {problem.grid.dim}")
-    if kind == "ball":
-        # a level between the E-norms before the kicked step and at it
-        e = _reference_simulate(problem, replace(config, t_end=kick * config.dt,
-                                                 store_stride=1), path, initial).e_norms()
-        level = max(1.0, 0.5 * (e[:kick].max() + e[kick]))
-        assume(e[kick] > level)  # the kick carries the state out
-        problem = truncate_problem(problem, level)
-    elif kind == "cap":
-        m = _reference_simulate(problem, replace(config, t_end=kick * config.dt),
-                                path, initial).sup_norms.max(axis=1)
-        assume(m[kick] > m[:kick].max())
-        config = replace(config, sup_cap=float(0.5 * (m[:kick].max() + m[kick])))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _threads_kept(simulate, problem, config, path, initial)
-        ref = _outcome(_reference_simulate, problem, config, path, initial)
-        if kind == "overflow":  # mode 0's field is inf at the kicked step
-            event("failure at the kicked step" if isinstance(got, tuple)
-                  and got[2] == kick else "failure before it")
-            assert isinstance(got, tuple) and got == ref
-            return
-        assume(not isinstance(ref, tuple))
-        assert not isinstance(got, tuple), got
-        _assert_same_trajectory(got, ref)
-        if kind == "cap":
-            assert got.stopping.triggered and got.stopping.step_index == kick
-        elif kind == "ball":
-            assert exit_index(got, problem.level).step_index == kick
-        elif kind == "prefix":  # resumed off a chunk boundary, still over three chunks
-            stride = config.store_stride
-            s = data.draw(st.sampled_from([
-                s for s in range(stride, config.n_steps - 2 * chunk, stride) if s % chunk]),
-                label="resume step")
-            _assert_same_trajectory(_threads_kept(simulate, problem, config, path,
-                                                  initial, prefix=got.until(s)), got)
-        elif kind == "residual":
-            probes = sorted({1, chunk, chunk + 1, config.n_steps})
-            res = _threads_kept(mild_residual, problem, got, path,
-                                [s * config.dt for s in probes])
-            assert res.tolist() == _reference_residuals(problem, got, path, probes)
-
-
-def _reference_residuals(problem, traj, path, probes):
-    """``mild_residual`` at the probe steps, one ``_reference_step`` a step."""
-    config = SolverConfig(dt=traj.dt, t_end=max(probes) * traj.dt)
-    inc = _resolve_increments(config, path)
-    steppers = [op.stepper(config.dt) for op in problem.operators]
-    u, out = traj.states[0], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(max(probes)):
-            u = _reference_step(problem, config, u, inc[:, :, i], steppers,
-                                drift_at=traj.states[i + 1],
-                                noise_at=traj.states[max(i - 1, 0)])
-            if i + 1 in probes:
-                out.append(float(np.max(np.abs(traj.states[i + 1] - u))))
-    return out
 
 
 def test_later_chunks_are_built_on_one_helper_thread(monkeypatch):
@@ -1777,9 +1669,7 @@ def test_later_chunks_are_built_on_one_helper_thread(monkeypatch):
     # a run of two chunks builds both itself (a thread costs about a chunk)
     import threading
 
-    from srds.noise import NoiseModel
-
-    grid, chunk = _chunk_grid(2)
+    grid, chunk, _ = _chunk_grid(2)
     op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     noise = build_noise([cosine_neumann_basis(grid, 4)] * 2, [np.ones(4)] * 2,
                         [named_g("sqrt-abs")] * 2, audit=False)
@@ -1818,7 +1708,7 @@ def test_concurrent_runs_with_helpers_keep_their_bits():
     import sys
     import threading
 
-    grid, chunk = _chunk_grid(2)
+    grid, chunk, _ = _chunk_grid(2)
     op = EllipticOperator(grid, CoefficientField.constant(grid, a=1.0))
     noise = build_noise([cosine_neumann_basis(grid, 4)] * 2, [np.ones(4)] * 2,
                         [named_g("sqrt-abs")] * 2, audit=False)

@@ -58,7 +58,7 @@ def constant_drifts(draw):
     return lower + [lead]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(coeffs=constant_drifts(), s=arrays())
 def test_constant_horner_matches_python_floats(coeffs, s):
     with np.errstate(all="ignore"):
@@ -66,7 +66,7 @@ def test_constant_horner_matches_python_floats(coeffs, s):
               _horner_reference([float(c) for c in coeffs], s))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(data=st.data(), q=st.sampled_from([1, 3]), n=st.integers(1, 12))
 def test_per_cell_horner_matches_strided_columns(data, q, n):
     lower = data.draw(st.lists(arrays(n, finite), min_size=q - 1, max_size=q - 1))
@@ -83,7 +83,7 @@ def test_per_cell_horner_matches_strided_columns(data, q, n):
               _horner_reference(coeffs[cells].T, s[cells]))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(a=positive, b=positive, u=arrays(12), v=arrays(12),
        level=st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e300)))
 def test_fhn_reaction_matches_python_floats(a, b, u, v, level):
@@ -125,7 +125,7 @@ AMPLITUDES = {
 }
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(s=arrays(), slope=finite,
        alpha=st.one_of(st.sampled_from([1.0, 0.5, 0.25, 5e-324]),
                        st.floats(min_value=5e-324, max_value=1.0)))
@@ -143,7 +143,7 @@ HEAT = build_scalar_heat_problem(n=4)
 
 
 # dt is kept where (I - dt A) has a finite factor; each dt caches one
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(x=arrays(), level=st.floats(min_value=1.0, max_value=1.7976931348623157e308),
        dt=st.floats(min_value=5e-324, max_value=1e6))
 def test_step_bounds_and_tamed_division_match_python_floats(x, level, dt):
