@@ -23,9 +23,10 @@ import numpy as np
 
 from ._version import __version__
 from .config import (_path_resolution, build_problem, config_block, config_digest,
-                     load_config, preset, read_integer, validate_config)
+                     load_config, preset, validate_config)
 from .errors import AuditError, ConfigError, SolverFailure
 from .experiments import Member, run_members
+from .readers import read_integer
 from .rng import MAX_PATH, sample_path
 from .solver import TRAJECTORY_FORMATS, save_trajectory, simulate, write_csv, write_json
 from .verify import SUITES, run_suite
@@ -157,8 +158,8 @@ def _path_stats(cfg_blob: str, master_seed: int, n_fine: int, dt_fine: float,
 
 def cmd_ensemble(args) -> int:
     cfg = _load(args)
-    if args.paths < 1:
-        raise ConfigError("flags", "--paths must be >= 1")
+    if not 1 <= args.paths <= MAX_PATH:  # before the index list is built
+        raise ConfigError("flags", f"--paths must be in [1, {MAX_PATH}]")
     if args.workers < 1:
         raise ConfigError("flags", "--workers must be >= 1")
     # audit the config and resolve the paths once, before any worker starts;

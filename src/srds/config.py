@@ -1,11 +1,12 @@
 """Versioned run configuration: parsing, digests, and problem assembly.
 
-One JSON format drives simulations, ensembles and verification suites.  One
-set of readers (``read_integer``, ``read_number``, ``read_flag``,
-``read_list``) checks every config value and every experiment parameter.  The
-canonical digest (sha256 of the sorted-key dump) is recorded in every
-output manifest; two runs with equal digests and seeds produce identical
-artifacts.
+One JSON format drives simulations, ensembles and verification suites.  The
+readers of ``srds.readers`` check every config value, as they check every
+experiment parameter and library argument, and ``config_block`` reports a
+value they refuse as a ConfigError of its block, so a config is refused
+exactly where the library would refuse the value it holds.  The canonical
+digest (sha256 of the sorted-key dump) is recorded in every output manifest;
+two runs with equal digests and seeds produce identical artifacts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .operators import (CoefficientField, EllipticOperator,
                         coefficient_field_from_csv)
 from .reaction import (PolynomialDrift, ReactionSystem, coupling_linear,
                        coupling_none, fhn_couplings, fhn_system)
-from .rng import MAX_MODE, valid_seed
+from .readers import read_integer, read_list, read_number
+from .rng import MAX_MODE, MAX_SEED
 from .solver import Problem, SolverConfig, dyadic_level
 
 CONFIG_VERSION = 1
@@ -57,9 +59,8 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("schema", f"missing block {block!r}")
     if "master_seed" not in cfg:
         raise ConfigError("schema", "missing master_seed")
-    if not valid_seed(cfg["master_seed"]):
-        raise ConfigError("master_seed", "must be an integer in [0, 2^64), "
-                                         f"got {cfg['master_seed']!r}")
+    with config_block("master_seed"):
+        read_integer("master_seed", cfg["master_seed"], least=0, below=MAX_SEED)
     for block in ("experiment", "output"):
         if not isinstance(cfg.get(block, {}), dict):
             raise ConfigError(block, "must be a JSON object")
@@ -78,56 +79,6 @@ def config_block(name: str):
     except (ArithmeticError, AttributeError, LookupError, TypeError,
             ValueError) as exc:
         raise ConfigError(name, str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# readers: every config value and every experiment parameter passes one
-
-
-def read_integer(key: str, value, least: int | None = None) -> int:
-    """``value``, a JSON integer of at least ``least``: int() would truncate
-    a float such as 8.7 and read true as 1, and a count of zero would let a
-    check pass on no samples."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{key} must be >= {least}")
-    return value
-
-
-def read_number(key: str, value, least=None, above=None) -> int | float:
-    """``value``, a finite JSON number of at least ``least`` and above
-    ``above``, returned as given: float() would read the string "2" and
-    true, and would turn an int recorded in a report into a float."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{key} must be >= {least}")
-    if above is not None and value <= above:
-        raise ValueError(f"{key} must be > {above}")
-    return value
-
-
-def read_flag(key: str, value) -> bool:
-    """``value``, a JSON boolean: a string such as "false" would be read by
-    its truthiness."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def read_list(key: str, values, read, size: int | None = None, **bounds) -> list:
-    """``values``, a JSON list (or a Python default tuple) of ``size``
-    entries, if given, each of which ``read`` (``read_integer`` or
-    ``read_number``) accepts within ``bounds``: a string would be iterated
-    per character, and a list of another length read past its end or
-    ignored entries."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {values!r}")
-    if size is not None and len(values) != size:
-        raise ValueError(f"{key} must hold {size} entries, got {len(values)}")
-    return [read(f"{key}[{i}]", v, **bounds) for i, v in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +186,9 @@ def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
 
 def _build_solver_config(block: dict) -> SolverConfig:
     sup_cap = block.get("sup_cap")
-    # an infinite cap is no cap; a NaN one would stop nothing and be recorded
-    if sup_cap is not None and (isinstance(sup_cap, bool)
-                                or not isinstance(sup_cap, (int, float))
-                                or math.isnan(sup_cap)):
-        raise ConfigError("solver", f"sup_cap must be a number or null, got {sup_cap!r}")
+    # null and inf are no cap; a NaN one would stop nothing and be recorded
+    if sup_cap is not None and sup_cap != math.inf:
+        read_number("sup_cap", sup_cap, above=0)
     return SolverConfig(
         dt=float(read_number("dt", block.get("dt"))),
         t_end=float(read_number("t_end", block.get("t_end"))),

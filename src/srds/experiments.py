@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__ as _version
-from .config import (check_positivity_preconditions, read_flag, read_integer,
-                     read_list, read_number)
+from .config import check_positivity_preconditions
 from .errors import AuditError, SolverFailure
 from .reaction import ReactionSystem, check_quasi_positive, coupling_linear, coupling_none
 from .noise import build_noise
+from .readers import read_flag, read_integer, read_list, read_number
 from .rng import WienerPath, sample_path
 from .solver import (Problem, SolverConfig, StoppingRecord, Trajectory,
                      exit_index, mild_residual, simulate, truncate_problem,
@@ -179,13 +179,13 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     Cauchy at t_end.  More than half the base runs leaving the cap raise
     SolverFailure.
     """
-    read_integer("n_paths", n_paths, least=1)
-    read_integer("cauchy_paths", cauchy_paths, least=1)
-    read_integer("cauchy_refinements", cauchy_refinements, least=0)
+    n_paths = read_integer("n_paths", n_paths, least=1)
+    cauchy_paths = read_integer("cauchy_paths", cauchy_paths, least=1)
+    cauchy_refinements = read_integer("cauchy_refinements", cauchy_refinements, least=0)
     eps_list = [float(e) for e in read_list("eps_list", eps_list, read_number, above=0)]
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be nonempty and strictly decreasing")
-    read_number("slack", slack, least=0)
+    slack = read_number("slack", slack, least=0)
     cap = config.sup_cap if config.sup_cap is not None else 8.0
     run_cfg = replace(config, sup_cap=cap)
     L_m = problem.reaction.coupling_lipschitz(cap)
@@ -323,10 +323,10 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     non-quasi-positive control must go genuinely
     negative for the verdict to have power.
     """
-    read_integer("n_paths", n_paths, least=1)
-    read_flag("control", control)
+    n_paths = read_integer("n_paths", n_paths, least=1)
+    control = read_flag("control", control)
     if c_tol is not None:
-        read_number("c_tol", c_tol, above=0)
+        c_tol = read_number("c_tol", c_tol, above=0)
     qp = check_quasi_positive(problem.reaction, grid_samples=2000, range_m=5.0)
     if not qp.passed:
         raise AuditError("quasi-positivity", f"witness {qp.witness}")
@@ -454,8 +454,8 @@ def moment_experiment(problem: Problem, config: SolverConfig,
     bitwise the same run.
     """
     # at p = inf every m_n is 1: the levels would stabilize on no evidence
-    read_number("p", p, above=2)
-    read_integer("n_paths", n_paths, least=1)
+    p = read_number("p", p, above=2)
+    n_paths = read_integer("n_paths", n_paths, least=1)
     levels = _ladder_levels(levels)  # before any path is sampled
     run_cfg = replace(config, store_stride=max(1, config.n_steps))
 

@@ -7,12 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _check_integer(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an int or a numpy
-    integer: int() would read 32.7 as 32 and True as 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+from .readers import read_integer, read_list, read_number
 
 
 @dataclass(frozen=True)
@@ -21,9 +16,10 @@ class DomainGrid:
 
     Cells are indexed in C order (axis 0 slowest).  ``centers`` has shape
     (n_total, dim), one row per cell.  ``dim`` and each ``n_cells`` entry must
-    be an integer (numpy integers too, not a bool).  ``dim`` is stored as an
-    int, ``extents`` and ``n_cells`` as tuples of floats and ints, so equal
-    grids hash, compare and describe alike however they were given.
+    be an integer and each extent a positive number (see ``srds.readers``).
+    ``dim`` is stored as an int, ``extents`` and ``n_cells`` as tuples of
+    floats and ints, so equal grids hash, compare and describe alike however
+    they were given.
     """
 
     dim: int
@@ -32,21 +28,17 @@ class DomainGrid:
     spacing: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        _check_integer("dim", self.dim)
-        if self.dim not in (1, 2):
-            raise ValueError(f"unsupported dimension {self.dim} (expected 1 or 2)")
-        if len(self.extents) != self.dim or len(self.n_cells) != self.dim:
+        dim = read_integer("dim", self.dim)
+        if dim not in (1, 2):
+            raise ValueError(f"unsupported dimension {dim} (expected 1 or 2)")
+        if len(self.extents) != dim or len(self.n_cells) != dim:
             raise ValueError("extents/n_cells length must equal dim")
-        for L in self.extents:
-            if not 0 < L < math.inf:
-                raise ValueError(f"extent {L} must be positive and finite")
-        for i, n in enumerate(self.n_cells):
-            _check_integer(f"n_cells[{i}]", n)
-            if n < 2:
-                raise ValueError(f"cell count {n} < 2")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "extents", tuple(float(L) for L in self.extents))
-        object.__setattr__(self, "n_cells", tuple(int(n) for n in self.n_cells))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "extents", tuple(
+            float(L) for L in read_list("extents", tuple(self.extents), read_number,
+                                        above=0)))
+        object.__setattr__(self, "n_cells", tuple(
+            read_list("n_cells", tuple(self.n_cells), read_integer, least=2)))
         object.__setattr__(
             self, "spacing", tuple(L / n for L, n in zip(self.extents, self.n_cells))
         )

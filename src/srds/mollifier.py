@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError
+from .readers import read_integer, read_number
 
 
 class MollifierRangeError(ValueError):
@@ -44,10 +45,8 @@ class PowerModulus:
     C*s of a 1/2-Hölder one, and C*s^1.0 is bitwise C*s."""
 
     def __init__(self, constant: float, power: float = 1.0):
-        for name, value in (("constant", constant), ("power", power)):
-            if not math.isfinite(value):
-                raise ValueError(f"modulus {name} must be finite, got {value!r}")
-        self.constant, self.power = float(constant), float(power)
+        self.constant = float(read_number("modulus constant", constant))
+        self.power = float(read_number("modulus power", power))
         # int_0+ ds/(C s^power) = infinity exactly when power >= 1
         self.osgood_diverges = self.power >= 1.0
 
@@ -200,8 +199,7 @@ def build_mollifier(rho, n_max: int) -> MollifierFamily:
     level's table has 4097 log-spaced nodes.  Raises MollifierRangeError
     with the largest feasible level if a_n underflows or rounds to a_{n-1}.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    n_max = read_integer("n_max", n_max, least=1)
     probe = rho(np.asarray([0.5, 1.0]))
     if np.any(probe <= 0) or probe[1] < probe[0]:
         raise AuditError("modulus", "rho must be positive and increasing on (0, 1]")

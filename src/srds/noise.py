@@ -20,6 +20,7 @@ import numpy as np
 from .errors import AuditError
 from .grid import DomainGrid
 from .mollifier import PowerModulus
+from .readers import read_integer
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +68,7 @@ def cosine_neumann_basis(grid: DomainGrid, modes: int) -> SpectralBasis:
     n cells is sampled as zero or as a lower mode (aliased), so the family
     would not be orthonormal on the grid: such a mode raises ValueError.
     """
-    if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise ValueError(f"modes must be an integer >= 1, got {modes!r}")
+    modes = read_integer("modes", modes, least=1)
 
     def axis_sup(axis: int, k: int) -> float:
         L = grid.extents[axis]
@@ -266,14 +266,13 @@ MODAL_BLOCK_FLOATS = 1 << 16
 MODAL_CHUNK_FLOATS = 1 << 15
 
 
-def adjacent_runs(items, key, most=None) -> list:
+def adjacent_runs(items, key) -> list:
     """(first item, slice) per run of adjacent items whose ``key`` is one
-    object, at most ``most`` items a run (None: no limit)."""
+    object."""
     runs = []
     start = 0
     for i in range(1, len(items) + 1):
-        if (i == len(items) or key(items[i]) is not key(items[start])
-                or i - start == most):
+        if i == len(items) or key(items[i]) is not key(items[start]):
             runs.append((items[start], slice(start, i)))
             start = i
     return runs

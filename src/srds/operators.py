@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .errors import AuditError
 from .grid import DomainGrid
 from .linalg import ShiftedSolve, SpectralSolve
+from .readers import read_integer, read_number
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,7 @@ class EllipticOperator:
         (I - dt*A) an M-matrix, so its inverse a positive sup contraction
         (a negative dt gives the indefinite I + |dt| A, an infinite one the
         singular -A, a NaN one nothing)."""
-        if not 0 < dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+        dt = read_number("dt", dt, above=0)
         if self.cosine_spectrum is not None:
             return SpectralSolve(self.cosine_spectrum, dt)
         return ShiftedSolve(self.matrix, dt)
@@ -233,7 +233,7 @@ class EllipticOperator:
     def stepper(self, dt: float) -> ShiftedSolve | SpectralSolve:
         """Cached `solver` for (I - dt*A), one per dt; a dt that `solver`
         refuses is never cached."""
-        key = float(dt)
+        key = float(read_number("dt", dt, above=0))
         st = self._steppers.get(key)
         if st is None:
             st = self.solver(key)
@@ -267,9 +267,8 @@ def evolve_semigroup(op: EllipticOperator, t: float, u: np.ndarray,
 
     The steps share one uncached `op.solver`, so a sweep over t (as in
     `smoothing_profile`) leaves no factor in the operator's cache."""
-    if not 0 < t < np.inf or type(n_substeps) is not int or n_substeps < 1:
-        raise ValueError(f"t must be positive and finite and n_substeps an integer "
-                         f">= 1, got t={t}, n_substeps={n_substeps!r}")
+    t = read_number("t", t, above=0)
+    n_substeps = read_integer("n_substeps", n_substeps, least=1)
     st = op.solver(t / n_substeps)
     v = np.asarray(u, dtype=float)
     for _ in range(n_substeps):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError
+from .readers import read_integer, read_number
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +245,9 @@ class CouplingTerm:
 
     def __init__(self, fn, c1: float, c2: float, lipschitz, name: str = "custom"):
         self.fn = fn
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        if not np.isfinite([self.c1, self.c2]).all():  # coupling_linear's max |row|
-            raise ValueError(f"coupling {name!r} growth constants must be finite, "
-                             f"got c1={self.c1!r}, c2={self.c2!r}")
+        # coupling_linear's c2 is the max |row|: a NaN or inf entry shows there
+        self.c1 = float(read_number(f"coupling {name!r} growth constant c1", c1))
+        self.c2 = float(read_number(f"coupling {name!r} growth constant c2", c2))
         self._lipschitz = lipschitz if callable(lipschitz) else (lambda m, L=lipschitz: L)
         self.name = name
 
@@ -425,14 +424,11 @@ def check_quasi_positive(sys: ReactionSystem, grid_samples: int = 10_000,
     F_l >= 0 (witness returned on failure).  Phase 2 samples s_l <= 0 in
     [-m, m]^r and audits -F_l <= L_m * sum_j s_j^- + 1e-9.
     """
-    if not 0 < range_m < np.inf:
-        raise ValueError(f"range_m must be positive and finite, got {range_m!r}")
-    if (isinstance(grid_samples, bool) or not isinstance(grid_samples, (int, np.integer))
-            or grid_samples < 1):
-        raise ValueError(f"grid_samples must be an integer >= 1, got {grid_samples!r}")
-    L = sys.lipschitz(range_m) if lipschitz_m is None else float(lipschitz_m)
-    if not np.isfinite(L):  # a NaN margin is never negative
-        raise ValueError(f"Lipschitz constant must be finite, got {L!r}")
+    range_m = read_number("range_m", range_m, above=0)
+    grid_samples = read_integer("grid_samples", grid_samples, least=1)
+    # a NaN margin is never negative
+    L = float(read_number("Lipschitz constant",
+                          sys.lipschitz(range_m) if lipschitz_m is None else lipschitz_m))
     rng = np.random.default_rng(seed)
     # per-cell drift coefficients are sampled through random cell indices
     n_cells = max((h.coeffs.shape[0] for h in sys.drifts

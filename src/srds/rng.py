@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .readers import read_integer, read_number
+
 
 def _table(*coeffs) -> tuple:
     """Coefficients as 0-d float64 arrays: a ufunc takes one without the
@@ -89,35 +91,19 @@ def normal_inverse(p: np.ndarray) -> np.ndarray:
 
 MAX_MODE = 1 << 16
 MAX_PATH = 1 << 32
+MAX_SEED = 1 << 64
 
 
-def _is_integer(value) -> bool:
-    """True for an int or a numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def valid_seed(master_seed) -> bool:
-    """True for an integer (not a bool) in [0, 2^64), the Philox key range."""
-    return _is_integer(master_seed) and 0 <= master_seed < 1 << 64
-
-
-def _check_key(master_seed: int, path_index: int, component: int, mode: int) -> None:
-    """Raise ValueError unless the (component, mode) stream of the path, and
-    so every stream below it, has a Philox key; the message names the first
-    value that is not an integer (a bool is not) or is out of range."""
-    if not valid_seed(master_seed):
-        raise ValueError(f"master_seed {master_seed!r} is not an integer in [0, 2^64)")
-    for name, index, bound in (("component", component, MAX_MODE), ("mode", mode, MAX_MODE),
-                               ("path_index", path_index, MAX_PATH)):
-        if not _is_integer(index):
-            raise ValueError(f"{name} must be an integer, got {index!r}")
-        if not 0 <= index < bound:
-            raise ValueError(f"{name} {index} outside [0, {bound})")
-
-
-def _valid_dt(dt_fine) -> bool:
-    """True for a fine step in (0, inf); NaN is outside too."""
-    return 0 < dt_fine < np.inf
+def _read_key(master_seed: int, path_index: int, component: int, mode: int) -> tuple:
+    """(master_seed, path_index, component, mode) as ints, if the (component,
+    mode) stream of the path, and so every stream below it, has a Philox
+    key; else ValueError naming the first value that is not an integer or is
+    out of range."""
+    master_seed = read_integer("master_seed", master_seed, least=0, below=MAX_SEED)
+    component = read_integer("component", component, least=0, below=MAX_MODE)
+    mode = read_integer("mode", mode, least=0, below=MAX_MODE)
+    path_index = read_integer("path_index", path_index, least=0, below=MAX_PATH)
+    return master_seed, path_index, component, mode
 
 
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
@@ -126,8 +112,8 @@ _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 def _raw_words(bg: np.random.Philox, master_seed: int, path_index: int,
                component: int, mode: int, n: int) -> np.ndarray:
     """Re-key ``bg`` to the start of the (seed, path, component, mode) stream,
-    a checked key (counter zero, empty buffer: a fresh ``Philox(key=...)``),
-    and return its first n raw 64-bit words."""
+    a key ``_read_key`` returned (counter zero, empty buffer: a fresh
+    ``Philox(key=...)``), and return its first n raw 64-bit words."""
     lane = (path_index << 32) | (component << 16) | mode
     bg.state = {"bit_generator": "Philox",
                 "state": {"counter": _ZERO_WORDS,
@@ -149,9 +135,9 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
 def uniform_stream(master_seed: int, path_index: int, component: int, mode: int,
                    n: int) -> np.ndarray:
     """First n uniforms of the (seed, path, component, mode) stream, in (0,1)."""
-    if not (_is_integer(n) and n >= 0):
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    _check_key(master_seed, path_index, component, mode)
+    n = read_integer("n", n, least=0)
+    master_seed, path_index, component, mode = _read_key(master_seed, path_index,
+                                                         component, mode)
     return _uniforms(_raw_words(np.random.Philox(0), master_seed, path_index,
                                 component, mode, n))
 
@@ -159,10 +145,8 @@ def uniform_stream(master_seed: int, path_index: int, component: int, mode: int,
 def gaussian_entry(master_seed: int, path_index: int, component: int, mode: int,
                    step: int, dt_fine: float) -> float:
     """Regenerate the single increment at (component, mode, step)."""
-    if not _valid_dt(dt_fine):
-        raise ValueError("dt_fine must be positive and finite")
-    if not (_is_integer(step) and step >= 0):
-        raise ValueError(f"step must be an integer >= 0, got {step!r}")
+    dt_fine = read_number("dt_fine", dt_fine, above=0)
+    step = read_integer("step", step, least=0)
     u = uniform_stream(master_seed, path_index, component, mode, step + 1)[step]
     return float(normal_inverse(u)) * float(np.sqrt(dt_fine))
 
@@ -198,15 +182,11 @@ class WienerPath:
 def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
                 dt_fine: float, path_index: int = 0) -> WienerPath:
     """Sample the full increment array for one path."""
-    for name, count in (("components", components), ("modes", modes), ("n_fine", n_fine),
-                        ("path_index", path_index)):
-        if not _is_integer(count):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if n_fine < 1:
-        raise ValueError("n_fine must be >= 1")
-    if not _valid_dt(dt_fine):
-        raise ValueError("dt_fine must be positive and finite")
-    _check_key(master_seed, path_index, components - 1, modes - 1)
+    components, modes = read_integer("components", components), read_integer("modes", modes)
+    n_fine = read_integer("n_fine", n_fine, least=1)
+    dt_fine = read_number("dt_fine", dt_fine, above=0)
+    master_seed, path_index, _, _ = _read_key(master_seed, path_index, components - 1,
+                                              modes - 1)
     # re-keyed per stream; a fixed seed spares the OS-entropy seeding
     bg = np.random.Philox(0)
     raw = np.empty((components, modes, n_fine), dtype=np.uint64)
@@ -216,7 +196,7 @@ def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
     inc = normal_inverse(_uniforms(raw))
     inc *= np.sqrt(dt_fine)
     inc.setflags(write=False)
-    return WienerPath(master_seed=int(master_seed), path_index=int(path_index),
+    return WienerPath(master_seed=master_seed, path_index=path_index,
                       components=components, modes=modes, n_fine=n_fine,
                       dt_fine=float(dt_fine), increments=inc)
 
@@ -251,7 +231,7 @@ def load_path(file) -> WienerPath:
         raise ValueError(f"{file}: path file version {version}, expected {_VERSION}")
     body = len(raw) - _HEADER.size
     if (min(r, K, n_fine) < 1 or body != 8 * r * K * n_fine
-            or path_index >= MAX_PATH or not _valid_dt(dt_fine)):
+            or path_index >= MAX_PATH or not 0 < dt_fine < np.inf):
         raise ValueError(f"{file}: corrupt srds path file (r={r}, K={K}, "
                          f"n_fine={n_fine}, path_index={path_index}, dt_fine={dt_fine}, "
                          f"{body} bytes of increments)")

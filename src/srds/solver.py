@@ -32,6 +32,7 @@ it to its caller.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -46,6 +47,7 @@ from .grid import DomainGrid
 from .noise import MODAL_BLOCK_FLOATS, NoiseModel, adjacent_runs
 from .operators import EllipticOperator
 from .reaction import ReactionSystem
+from .readers import read_integer, read_number
 from .rng import WienerPath
 
 
@@ -101,7 +103,10 @@ class SolverConfig:
 
     ``dt`` must be a power-of-two multiple of the driving path's dt_fine so
     refinement studies share one underlying Brownian path exactly.
-    ``sup_cap`` halts the run once any component sup norm exceeds it.
+    ``sup_cap`` halts the run once any component sup norm exceeds it: a
+    number above 0, or None, +inf or NaN for no cap.  ``dt``, ``t_end``,
+    ``store_stride`` and a finite cap are stored as ``srds.readers`` reads
+    them.
     """
 
     dt: float
@@ -111,13 +116,15 @@ class SolverConfig:
     store_stride: int = 1
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf or not 0 < self.t_end < math.inf:
-            raise ValueError("dt and t_end must be positive and finite")
+        put = functools.partial(object.__setattr__, self)
+        put("dt", read_number("dt", self.dt, above=0))
+        put("t_end", read_number("t_end", self.t_end, above=0))
+        put("store_stride", read_integer("store_stride", self.store_stride, least=1))
+        cap = self.sup_cap
+        if cap is not None and cap == cap and cap != math.inf:  # NaN != NaN
+            put("sup_cap", read_number("sup_cap", cap, above=0))
         if self.scheme not in ("semi-implicit", "tamed-semi-implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # a float stride fails at the first store, and True would read as 1
-        if type(self.store_stride) is not int or self.store_stride < 1:
-            raise ValueError("store_stride must be a finite count >= 1")
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > self.dt * 1e-9:
             raise ValueError(f"dt={self.dt} does not divide t_end={self.t_end}")
@@ -208,8 +215,7 @@ def _resolve_increments(config: SolverConfig, path: WienerPath) -> np.ndarray:
     return inc
 
 
-# a block of steps holds at most this many floats of state (32 KiB), and so
-# does a run of components whose amplitude g is evaluated in one call
+# a block of steps holds at most this many floats of state (32 KiB)
 STATE_BLOCK_FLOATS = 1 << 12
 # the cap of a run without one: every finite norm is <= it, +-inf and NaN not
 FINITE_CAP = sys.float_info.max
@@ -223,14 +229,12 @@ _ONE = np.array(1.0)
 def _step_runs(problem: Problem, dt: float) -> tuple[list, list, np.ndarray, tuple]:
     """(groups, runs, dt, bounds) of a step at dt: (stepper, rows) per run
     of components sharing one (I - dt A) stepper, (g, rows) per run sharing
-    one ``g.fn`` of at most STATE_BLOCK_FLOATS floats, dt as a 0-d array and
-    bounds the 0-d (-level, level) of a truncated problem or None.  A row's
-    solve is bitwise its own and g is elementwise, so a run's one call is
-    bitwise one call per row."""
-    most = max(1, STATE_BLOCK_FLOATS // problem.grid.n_total)
+    one ``g.fn``, dt as a 0-d array and bounds the 0-d (-level, level) of a
+    truncated problem or None.  A row's solve is bitwise its own and g is
+    elementwise, so a run's one call is bitwise one call per row."""
     groups = adjacent_runs([op.stepper(dt) for op in problem.operators],
                            lambda stepper: stepper)
-    runs = adjacent_runs(problem.noise.components, lambda c: c.g.fn, most)
+    runs = adjacent_runs(problem.noise.components, lambda c: c.g.fn)
     level = problem.level
     bounds = None if level is None else (np.array(-level), np.array(level))
     return groups, [(c.g, rows) for c, rows in runs], np.array(float(dt)), bounds

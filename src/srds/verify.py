@@ -11,8 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (config_block, read_flag, read_integer, read_list,
-                     read_number)
+from .config import config_block
 from .errors import AuditError, ConfigError
 from .experiments import (ExperimentReport, _zero_noise, moment_experiment,
                           positivity_experiment, residual_refinement, uniqueness_experiment)
@@ -21,6 +20,7 @@ from .mollifier import PowerModulus, build_mollifier, osgood_check
 from .noise import build_noise, named_g
 from .operators import apply_resolvent, smoothing_profile
 from .reaction import check_quasi_positive, dissipativity_gap
+from .readers import read_flag, read_integer, read_list, read_number
 from .rng import gaussian_entry, sample_path
 from .solver import Problem, SolverConfig
 
@@ -32,7 +32,7 @@ SPECTRAL_LU_TRIALS = 5
 
 def suite_operator(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, trials: int = 1000) -> ExperimentReport:
-    read_integer("trials", trials, least=1)
+    trials = read_integer("trials", trials, least=1)
     report = ExperimentReport.start("operator", problem, config, master_seed, trials=trials)
     rng = np.random.default_rng(master_seed)
     for idx, op in enumerate(problem.operators):
@@ -104,9 +104,10 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, radii=(1.0, 10.0, 100.0),
                    samples: int = 10_000, dissipativity_trials: int = 300,
                    quasi_positive: bool = True) -> ExperimentReport:
-    read_integer("samples", samples, least=1)
-    read_integer("dissipativity_trials", dissipativity_trials, least=1)
-    read_flag("quasi_positive", quasi_positive)
+    samples = read_integer("samples", samples, least=1)
+    dissipativity_trials = read_integer("dissipativity_trials", dissipativity_trials,
+                                        least=1)
+    quasi_positive = read_flag("quasi_positive", quasi_positive)
     # at radius 0 every sampled u is zero and no margin is evaluated
     if not read_list("radii", radii, read_number, above=0):
         raise ValueError("radii must be a nonempty list")
@@ -190,10 +191,10 @@ def suite_noise(problem: Problem, config: SolverConfig, initial,
 def suite_mollifier(problem: Problem, config: SolverConfig, initial,
                     master_seed: int, n_max: int = 5, C: float | None = None,
                     probe_points: int = 10_001) -> ExperimentReport:
-    read_integer("probe_points", probe_points, least=1)
-    read_integer("n_max", n_max, least=1)
+    probe_points = read_integer("probe_points", probe_points, least=1)
+    n_max = read_integer("n_max", n_max, least=1)
     if C is not None:
-        read_number("C", C, above=0)
+        C = read_number("C", C, above=0)
     report = ExperimentReport.start("mollifier", problem, config, master_seed,
                                     n_max=n_max, C=C, probe_points=probe_points)
     if C is not None:
@@ -246,9 +247,9 @@ def _with_named_g(problem: Problem, name: str) -> Problem:
 def suite_residual(problem: Problem, config: SolverConfig, initial,
                    master_seed: int, t_end: float = 0.25, dt: float = 1.0 / 256,
                    n_paths: int = 32) -> ExperimentReport:
-    read_number("t_end", t_end)
-    read_number("dt", dt)
-    read_integer("n_paths", n_paths, least=1)
+    t_end = read_number("t_end", t_end)
+    dt = read_number("dt", dt)
+    n_paths = read_integer("n_paths", n_paths, least=1)
     report = ExperimentReport.start("residual", problem, config, master_seed,
                                     t_end=t_end, dt=dt, n_paths=n_paths)
     cfg = SolverConfig(dt=dt, t_end=t_end, store_stride=1)

@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -447,7 +448,7 @@ def test_verify_uniqueness_without_cauchy_paths_fails(tmp_path, out_root, capsys
     # no Cauchy path is no evidence: a config error before any twin runs
     assert main(["verify", "uniqueness", "--config", cfg_path]) == 2
     assert ("srds-error: code=2 kind=config reason=experiment "
-            "detail=cauchy_paths must be >= 1" in capsys.readouterr().err.splitlines())
+            "detail=cauchy_paths must be >= 1, got 0" in capsys.readouterr().err.splitlines())
 
 
 @pytest.mark.parametrize("refinements", [0, 1])
@@ -972,7 +973,13 @@ BAD_VALUES = [
           (1e-3 / 3, "dt=0.001 must be a power-of-two multiple of "
                      "dt_fine=0.0003333333333333333"))],
     ("simulate", ("solver", "sup_cap"), float("nan"), "solver",
-     "sup_cap must be a number or null, got nan"),
+     "sup_cap must be a finite number, got nan"),
+    # a cap of zero or less would stop every run at step 0; null and inf
+    # are no cap
+    ("simulate", ("solver", "sup_cap"), -1, "solver", "sup_cap must be > 0, got -1"),
+    ("simulate", ("solver", "sup_cap"), 0, "solver", "sup_cap must be > 0, got 0"),
+    ("simulate", ("solver", "sup_cap"), -math.inf, "solver",
+     "sup_cap must be a finite number, got -inf"),
     # a coefficient file that cannot be read, and more modes than the Philox
     # stream lanes hold, are config errors, not tracebacks
     *[(command, ("operators", 0), {"csv": "missing-coefficients.csv", "eta": 0.5,
@@ -1148,6 +1155,23 @@ def test_workers_flag_below_one_exits_two(tmp_path, out_root, capsys, workers):
     err = capsys.readouterr().err
     assert err.count("srds-error:") == 1
     assert "code=2 kind=config reason=flags detail=--workers must be >= 1" in err
+
+
+@pytest.mark.parametrize("paths", ["0", str(MAX_PATH + 1)])
+def test_paths_flag_beyond_the_path_indices_exits_two(tmp_path, out_root, capsys,
+                                                      monkeypatch, paths):
+    # refused before the problem is built and the index list made: a list of
+    # 2^32 + 1 indices would take tens of GB
+    import srds.cli
+
+    monkeypatch.setattr(srds.cli, "_cached_problem",
+                        lambda blob: pytest.fail("the count was not checked first"))
+    cfg_path = write_config(tmp_path, quick_preset())
+    assert main(["ensemble", "--config", cfg_path, "--paths", paths]) == 2
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert ("code=2 kind=config reason=flags "
+            f"detail=--paths must be in [1, {MAX_PATH}]") in err
 
 
 def test_negative_seed_flag_exits_two(tmp_path, out_root, capsys):

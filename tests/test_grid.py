@@ -27,7 +27,7 @@ def test_nonpositive_extent():
 
 
 def test_count_below_two():
-    with pytest.raises(ValueError, match="< 2"):
+    with pytest.raises(ValueError, match=r"n_cells\[0\] must be >= 2, got 1"):
         build_grid(1, [1.0], [1])
 
 

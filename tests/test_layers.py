@@ -1,5 +1,6 @@
 """The library modules sit below the experiments, the suites and the command
-line: they import nothing from those, so the layering runs one way, and a
+line: they import nothing from those, so the layering runs one way, and
+``readers``, the one rule for what a value is, imports nothing from srds; a
 module's private names stay its own but for two imports.  Runs are
 simulated in two places only: the experiments' member runner and the
 ``simulate`` command; every report is built by ``ExperimentReport.start``;
@@ -21,8 +22,8 @@ import pytest
 import srds
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "srds"
-LOWER = ("grid", "linalg", "rng", "mollifier", "noise", "reaction", "operators", "solver",
-         "config")
+LOWER = ("readers", "grid", "linalg", "rng", "mollifier", "noise", "reaction", "operators",
+         "solver", "config")
 UPPER = {"experiments", "verify", "cli"}
 
 
@@ -49,6 +50,60 @@ def _imported_modules(tree):
 def test_library_module_imports_no_upper_layer(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     assert not _imported_modules(tree) & UPPER
+
+
+def test_the_readers_import_nothing_from_srds():
+    # the leaf every layer reads its values through
+    assert not _imported_modules(ast.parse((SRC / "readers.py").read_text()))
+
+
+def _type_tests(tree) -> set:
+    """(function, test) of each ``isinstance(x, ... bool ...)`` and each
+    ``type(x) is int`` / ``is not int`` in ``tree``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2
+                and "bool" in {n.id for n in ast.walk(node.args[1])
+                               if isinstance(n, ast.Name)}):
+            found.add((scope, ast.unparse(node)))
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                and getattr(node.left.func, "id", None) == "type"
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(getattr(c, "id", None) == "int" for c in node.comparators)):
+            found.add((scope, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_type_check_sees_each_form():
+    tree = ast.parse("def f(x):\n    return isinstance(x, bool)\n"
+                     "def g(x):\n    return isinstance(x, (int, bool)) or type(x) is not int\n"
+                     "h = type(1) is int\nk = isinstance(1, float)\n")
+    assert _type_tests(tree) == {
+        ("f", "isinstance(x, bool)"), ("g", "isinstance(x, (int, bool))"),
+        ("g", "type(x) is not int"), ("<module>", "type(1) is int")}
+
+
+def test_only_the_readers_decide_what_a_value_is():
+    # one rule per kind of value: what is an integer or a number (never a
+    # bool) is decided in srds.readers, and the per-module copies are gone
+    found, names = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem != "readers":
+            found |= {(path.stem, *test) for test in _type_tests(tree)}
+        names |= {node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert found == set()
+    assert not names & {"_check_integer", "_is_integer", "_valid_dt", "valid_seed"}
+    assert _type_tests(ast.parse((SRC / "readers.py").read_text()))
 
 
 def test_the_layer_check_sees_relative_and_absolute_imports():

@@ -435,26 +435,23 @@ _RUN_KEYS = ([0], [0], [1])
 
 
 @settings(max_examples=300)
-@given(picks=st.lists(st.integers(0, 2), max_size=16),
-       most=st.one_of(st.none(), st.integers(1, 5)))
-def test_adjacent_runs_split_only_at_key_changes_or_full_runs(picks, most):
+@given(picks=st.lists(st.integers(0, 2), max_size=16))
+def test_adjacent_runs_split_only_at_key_changes(picks):
     items = [(i, _RUN_KEYS[p]) for i, p in enumerate(picks)]
 
     def key(item):
         return item[1]
 
-    runs = adjacent_runs(items, key, most)
+    runs = adjacent_runs(items, key)
     # the runs partition the items in order, each led by its first item
     assert [x for _, rows in runs for x in items[rows]] == items
     assert all(rows.stop > rows.start and first is items[rows.start]
                for first, rows in runs)
     # every item of a run has the run's key object
     assert all(key(x) is key(first) for first, rows in runs for x in items[rows])
-    assert most is None or all(rows.stop - rows.start <= most for _, rows in runs)
-    # a run ends only where the key changes or the run is full
+    # a run ends only where the key changes
     for (_, done), (_, rows) in zip(runs, runs[1:]):
-        assert (key(items[rows.start]) is not key(items[done.stop - 1])
-                or done.stop - done.start == most)
+        assert key(items[rows.start]) is not key(items[done.stop - 1])
 
 
 def test_tables_are_shared_by_basis_identity_and_lambda_bits():

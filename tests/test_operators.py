@@ -315,7 +315,7 @@ def test_step_solves_refuse_a_dt_outside_the_m_matrix_range(method, kind, dt):
     # DCT solve that returns NaN, and a negative dt solved the indefinite
     # I + |dt| A
     op = _operator_of_kind(kind)
-    with pytest.raises(ValueError, match="dt must be positive and finite, got "):
+    with pytest.raises(ValueError, match="^dt must be (a finite number|> 0), got "):
         getattr(op, method)(dt)
     assert not op._steppers
 

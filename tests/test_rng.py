@@ -154,9 +154,9 @@ def test_load_path_rejects_short_or_foreign_files(tmp_path, edit, message):
 @pytest.mark.parametrize("dt_fine", [0.0, -0.0, -1.0])
 def test_every_reader_of_dt_fine_refuses_a_step_outside_0_inf(tmp_path, dt_fine):
     # the non-finite steps are rows of test_solver's non-finite table
-    with pytest.raises(ValueError, match="dt_fine must be positive and finite"):
+    with pytest.raises(ValueError, match=f"dt_fine must be > 0, got {dt_fine!r}"):
         sample_path(0, 2, 8, 10, dt_fine)
-    with pytest.raises(ValueError, match="dt_fine must be positive and finite"):
+    with pytest.raises(ValueError, match=f"dt_fine must be > 0, got {dt_fine!r}"):
         gaussian_entry(0, 0, 0, 0, 5, dt_fine)
     file = tmp_path / "p.bin"
     save_path(sample_path(3, 2, 2, 4, 0.25), file)
@@ -181,14 +181,15 @@ def test_master_seed_outside_key_range_rejected(seed):
 
 
 @pytest.mark.parametrize("args,message", [
-    ((-5, 0, 8, 10, 1e-3), r"master_seed -5 is not an integer in \[0, 2\^64\)"),
-    ((1 << 64, 0, 3, 10, 1e-3), "master_seed 18446744073709551616 is not an integer"),
-    ((1, 0, 3, 10, 1e-3), r"component -1 outside \[0, 65536\)"),
-    ((1, 2, 0, 10, 1e-3), r"mode -1 outside \[0, 65536\)"),
-    ((1, MAX_MODE + 1, 1, 4, 1e-3), r"component 65536 outside \[0, 65536\)"),
-    ((1, 1, MAX_MODE + 1, 4, 1e-3), r"mode 65536 outside \[0, 65536\)"),
-    ((1, 2, 3, 4, 1e-3, -1), r"path_index -1 outside \[0, 4294967296\)"),
-    ((1, 2, 3, 4, 1e-3, MAX_PATH), r"path_index 4294967296 outside"),
+    ((-5, 0, 8, 10, 1e-3), "master_seed must be >= 0, got -5"),
+    ((1 << 64, 0, 3, 10, 1e-3),
+     "master_seed must be < 18446744073709551616, got 18446744073709551616"),
+    ((1, 0, 3, 10, 1e-3), "component must be >= 0, got -1"),
+    ((1, 2, 0, 10, 1e-3), "mode must be >= 0, got -1"),
+    ((1, MAX_MODE + 1, 1, 4, 1e-3), "component must be < 65536, got 65536"),
+    ((1, 1, MAX_MODE + 1, 4, 1e-3), "mode must be < 65536, got 65536"),
+    ((1, 2, 3, 4, 1e-3, -1), "path_index must be >= 0, got -1"),
+    ((1, 2, 3, 4, 1e-3, MAX_PATH), "path_index must be < 4294967296, got 4294967296"),
 ])
 def test_sample_path_checks_its_key_before_any_draw(monkeypatch, args, message):
     # also when it would draw no stream (zero components or modes): a path

@@ -823,13 +823,12 @@ def test_truncation_level_is_checked():
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
-_TIMES = "dt and t_end must be positive and finite"
+_FINITE = " must be a finite number, got (nan|inf|-inf)$"
+_TIMES = "^dt" + _FINITE
 _DRIFT = "coefficients must be finite, got (nan|inf|-inf)$"
-_COUPLING = "growth constants must be finite"
-_DT_FINE = "dt_fine must be positive and finite"
-_MODULUS = "modulus (constant|power) must be finite"
-_SEMIGROUP = "t must be positive and finite and n_substeps an integer >= 1"
-_STEP_DT = "dt must be positive and finite, got "
+_COUPLING = "growth constant c[12]" + _FINITE
+_DT_FINE = "dt_fine" + _FINITE
+_MODULUS = "modulus (constant|power)" + _FINITE
 
 
 def _noise_with_exponent(alpha):
@@ -849,9 +848,10 @@ def _load_path_with_dt(dt_fine):
 @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("build, reason", [
     (lambda x: SolverConfig(dt=x, t_end=1.0), _TIMES),
-    (lambda x: SolverConfig(dt=1e-3, t_end=x), _TIMES),
+    (lambda x: SolverConfig(dt=1e-3, t_end=x), "^t_end" + _FINITE),
     (lambda x: SolverConfig(dt=x, t_end=x), _TIMES),
-    (lambda x: SolverConfig(dt=0.1, t_end=1.0, store_stride=x), "finite count >= 1"),
+    (lambda x: SolverConfig(dt=0.1, t_end=1.0, store_stride=x),
+     "store_stride must be an integer, got (nan|inf|-inf)$"),
     (lambda x: PolynomialDrift([x, -1.0, -1.0]), _DRIFT),
     (lambda x: PolynomialDrift([1.0, x, -1.0]), _DRIFT),
     (lambda x: PolynomialDrift([[1.0, 0.0, -1.0], [1.0, 0.0, x]]), _DRIFT),
@@ -866,13 +866,13 @@ def _load_path_with_dt(dt_fine):
     (lambda x: ReactionSystem([None], [CouplingTerm(lambda s: s[0], 0.0, 1.0, x)]),
      "non-finite-constant: L_1 = "),
     (lambda x: check_quasi_positive(fhn_system(), lipschitz_m=x),
-     "Lipschitz constant must be finite"),
+     "Lipschitz constant" + _FINITE),
     (lambda x: check_quasi_positive(fhn_system(), range_m=x),
-     "range_m must be positive and finite"),
-    (lambda x: build_grid(1, [x], [32]), "must be positive and finite"),
+     "range_m" + _FINITE),
+    (lambda x: build_grid(1, [x], [32]), r"extents\[0\]" + _FINITE),
     (lambda x: CoefficientField.constant(_PROP_GRID, m_bound=x), "ellipticity: .*finite M"),
-    (lambda x: _PROP_OP.stepper(x), _STEP_DT),
-    (lambda x: evolve_semigroup(_PROP_OP, x, np.ones(8)), _SEMIGROUP),
+    (lambda x: _PROP_OP.stepper(x), "^dt" + _FINITE),
+    (lambda x: evolve_semigroup(_PROP_OP, x, np.ones(8)), "^t" + _FINITE),
 ], ids=["dt", "t_end", "dt-and-t_end", "store_stride", "drift-w1", "drift-w2",
         "drift-per-cell-lead", "coupling-row-0", "coupling-row-1", "sample_path-dt_fine",
         "gaussian_entry-dt_fine", "load_path-dt_fine", "power-modulus-constant",
@@ -888,17 +888,25 @@ def test_constructors_refuse_non_finite_numbers(build, reason, bad):
 
 
 @pytest.mark.parametrize("build, reason", [
-    (lambda: SolverConfig(dt=0.1, t_end=1.0, store_stride=2.5), "finite count >= 1"),
-    (lambda: SolverConfig(dt=0.1, t_end=1.0, store_stride=True), "finite count >= 1"),
-    (lambda: evolve_semigroup(_PROP_OP, -1.0, np.ones(8)), _SEMIGROUP),
-    (lambda: evolve_semigroup(_PROP_OP, 1.0, np.ones(8), n_substeps=0), _SEMIGROUP),
-    (lambda: evolve_semigroup(_PROP_OP, 1.0, np.ones(8), n_substeps=2.5), _SEMIGROUP),
+    (lambda: SolverConfig(dt=0.1, t_end=1.0, store_stride=2.5),
+     "store_stride must be an integer, got 2.5"),
+    (lambda: SolverConfig(dt=0.1, t_end=1.0, store_stride=True),
+     "store_stride must be an integer, got True"),
+    (lambda: SolverConfig(dt=0.1, t_end=1.0, sup_cap=0.0), "sup_cap must be > 0, got 0.0"),
+    (lambda: SolverConfig(dt=0.1, t_end=1.0, sup_cap=-1.0), "sup_cap must be > 0, got -1.0"),
+    (lambda: SolverConfig(dt=0.1, t_end=1.0, sup_cap=-math.inf),
+     "sup_cap must be a finite number, got -inf"),
+    (lambda: evolve_semigroup(_PROP_OP, -1.0, np.ones(8)), "t must be > 0, got -1.0"),
+    (lambda: evolve_semigroup(_PROP_OP, 1.0, np.ones(8), n_substeps=0),
+     "n_substeps must be >= 1, got 0"),
+    (lambda: evolve_semigroup(_PROP_OP, 1.0, np.ones(8), n_substeps=2.5),
+     "n_substeps must be an integer, got 2.5"),
     (lambda: _noise_with_exponent(1.5), r"exponent: exponent = 1.5 outside \(0, 1\]"),
     (lambda: _noise_with_exponent(0.0), r"exponent: exponent = 0.0 outside \(0, 1\]"),
-    (lambda: cosine_neumann_basis(_PROP_GRID, 0), "modes must be an integer >= 1, got 0"),
+    (lambda: cosine_neumann_basis(_PROP_GRID, 0), "modes must be >= 1, got 0"),
     (lambda: check_quasi_positive(fhn_system(), grid_samples=0),
-     "grid_samples must be an integer >= 1, got 0"),
-    (lambda: build_mollifier(PowerModulus(1.0), 2.5), "n_max must be an integer >= 1, got 2.5"),
+     "grid_samples must be >= 1, got 0"),
+    (lambda: build_mollifier(PowerModulus(1.0), 2.5), "n_max must be an integer, got 2.5"),
     (lambda: sample_path(0, 2.0, 8, 10, 1e-3), "components must be an integer, got 2.0"),
     (lambda: sample_path(0, True, 8, 10, 1e-3), "components must be an integer, got True"),
     (lambda: sample_path(0, 2, 8.0, 10, 1e-3), "modes must be an integer, got 8.0"),
@@ -906,10 +914,10 @@ def test_constructors_refuse_non_finite_numbers(build, reason, bad):
     (lambda: sample_path(0, 2, 8, True, 1e-3), "n_fine must be an integer, got True"),
     (lambda: sample_path(0, 2, 8, 10, 1e-3, path_index=1.5),
      "path_index must be an integer, got 1.5"),
-    (lambda: gaussian_entry(0, 0, 0, 0, -1, 1e-3), "step must be an integer >= 0, got -1"),
-    (lambda: gaussian_entry(0, 0, 0, 0, 1.5, 1e-3), "step must be an integer >= 0, got 1.5"),
-    (lambda: uniform_stream(0, 0, 0, 0, -1), "n must be an integer >= 0, got -1"),
-    (lambda: uniform_stream(0, 0, 0, 0, 4.0), "n must be an integer >= 0, got 4.0"),
+    (lambda: gaussian_entry(0, 0, 0, 0, -1, 1e-3), "step must be >= 0, got -1"),
+    (lambda: gaussian_entry(0, 0, 0, 0, 1.5, 1e-3), "step must be an integer, got 1.5"),
+    (lambda: uniform_stream(0, 0, 0, 0, -1), "n must be >= 0, got -1"),
+    (lambda: uniform_stream(0, 0, 0, 0, 4.0), "n must be an integer, got 4.0"),
     (lambda: uniform_stream(0, 0, 1.5, 0, 4), "component must be an integer, got 1.5"),
     (lambda: uniform_stream(0, 0, True, 0, 4), "component must be an integer, got True"),
     (lambda: uniform_stream(0, 1.0, 0, 0, 2), "path_index must be an integer, got 1.0"),
@@ -924,7 +932,8 @@ def test_constructors_refuse_non_finite_numbers(build, reason, bad):
     (lambda: build_noise([cosine_neumann_basis(_PROP_GRID, 4)], [np.ones((2, 2))],
                          [named_g("sqrt-abs")]),
      r"noise-shape: lambdas of shape \(2, 2\) for 4 modes"),
-], ids=["store_stride-float", "store_stride-bool", "evolve_semigroup-negative-t",
+], ids=["store_stride-float", "store_stride-bool", "sup_cap-zero", "sup_cap-negative",
+        "sup_cap--inf", "evolve_semigroup-negative-t",
         "evolve_semigroup-no-substeps", "evolve_semigroup-float-substeps",
         "holder-exponent-above-1", "holder-exponent-0", "basis-no-modes",
         "quasi-positive-no-samples", "mollifier-float-n_max", "sample_path-float-components",
@@ -948,10 +957,13 @@ def test_constructors_refuse_out_of_range_numbers(build, reason):
 
 @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
 def test_documented_non_finite_values_are_accepted(bad):
-    # a NaN, inf or -inf sup cap is no cap (see _advance); an infinite
-    # truncation level is the untruncated map; a NaN or -inf level is
-    # refused; an infinite resolvent parameter is the exact limit, the identity
-    assert SolverConfig(dt=0.1, t_end=1.0, sup_cap=bad).n_steps == 10
+    # a NaN or inf sup cap is no cap (see _advance), and a -inf one would
+    # stop every run at step 0: it is a row of the out-of-range table; an
+    # infinite truncation level is the untruncated map; a NaN or -inf level
+    # is refused; an infinite resolvent parameter is the exact limit, the
+    # identity
+    if bad != -math.inf:
+        assert SolverConfig(dt=0.1, t_end=1.0, sup_cap=bad).n_steps == 10
     f = np.linspace(-1.0, 2.0, 8)
     if bad == math.inf:
         assert apply_resolvent(_PROP_OP, bad, f).tobytes() == f.tobytes()
@@ -1082,7 +1094,9 @@ def _cases(draw, shape, variant):
       coefficients: DCT; per-cell: LU), each component picking one of two
       operators (shared or distinct, contiguous or not) and its own modes,
       amplitude and lambdas; a truncation level or none, dt of 1, 2 or 4
-      fine steps and initial states up to overflowing sizes.
+      fine steps and initial states up to overflowing sizes.  ``variant``
+      "mixed" draws r = 2-3 and shares amplitude objects from a pool of
+      three in a layout of two or more amplitude runs.
     - "ball": a truncated problem, r = 1-2 with a cubic first drift, on a
       1D or a constant-coefficient 2D grid, whose state starts near the
       boundary of its ball, so that noise carries it out and back in; or a
@@ -1113,7 +1127,7 @@ def _cases(draw, shape, variant):
         r, dim = 2, draw(st.sampled_from([2, 1]))
         grid = _chunk_grid(dim)[0]
     else:
-        r = draw(st.integers(1, 2 if shape == "ball" else 3))
+        r = draw(st.integers(2 if variant == "mixed" else 1, 2 if shape == "ball" else 3))
         dim = 1 if shape == "ladder" else draw(st.sampled_from([1, 2]))
         grid = build_grid(dim, [1.0] * dim, draw(st.lists(
             st.integers(3, 10 if dim == 1 else 5), min_size=dim, max_size=dim)))
@@ -1136,11 +1150,17 @@ def _cases(draw, shape, variant):
     if shape == "block":  # per-component modes, amplitudes and lambdas
         modes = [min(k, grid.n_total) for k in  # no aliased mode
                  draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))]
-        g_names = draw(st.lists(st.sampled_from(["sqrt-abs", "sqrt-pos", "lipschitz:1"]),
-                                min_size=r, max_size=r))
+        if variant == "mixed":  # amplitude objects shared in runs of any layout
+            pool = [named_g(name) for name in ("sqrt-abs", "lipschitz:1", "sqrt-pos")]
+            gs = [pool[i] for i in draw(st.sampled_from(
+                [p for p in itertools.product(range(r), repeat=r) if len(set(p)) > 1]))]
+        else:
+            gs = [named_g(name) for name in draw(st.lists(
+                st.sampled_from(["sqrt-abs", "sqrt-pos", "lipschitz:1"]),
+                min_size=r, max_size=r))]
         noise = build_noise([cosine_neumann_basis(grid, k) for k in modes],
-                            [rng.uniform(0.0, 8.0, size=k) for k in modes],
-                            [named_g(name) for name in g_names], audit=False)
+                            [rng.uniform(0.0, 8.0, size=k) for k in modes], gs,
+                            audit=False)
     else:  # one mode table and one amplitude
         modes = [min(draw(st.integers(1, 8 if shape == "chunks" else 4)), grid.n_total)] * r
         lam = rng.uniform(*{"ball": (2.0, 8.0), "ladder": (4.0, 16.0),
@@ -1237,10 +1257,11 @@ def _check_run(shape, budget, case):
         config = replace(config, sup_cap=float(cap))
         ref = reference.simulate(problem, config, path, initial)
     with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:  # blocks of 1, 2 or 5 steps, or runs of 1 or 2 rows
-            count, unit = budget.split()
-            mp.setattr(srds.solver, "STATE_BLOCK_FLOATS", int(count) * problem.grid.n_total
-                       * (1 if unit.startswith("row") else problem.r))
+        if budget == "mixed":  # the amplitude runs split
+            assert len(_step_runs(problem, config.dt)[1]) > 1
+        elif budget is not None:  # blocks of 1, 2 or 5 steps
+            mp.setattr(srds.solver, "STATE_BLOCK_FLOATS",
+                       int(budget.split()[0]) * problem.grid.n_total * problem.r)
         got = _outcome(simulate, problem, config, path, initial)
     ids = [id(op) for op in problem.operators]
     event(f"dim {problem.grid.dim}, {type(problem.operators[0].stepper(config.dt)).__name__}")
@@ -1347,11 +1368,13 @@ def _check_chunks(kind, case):
             assert res.tolist() == reference.residuals(problem, got, path, probes)
 
 
-# examples per (shape, variant); a block or ball variant is a state budget
+# examples per (shape, variant); a block or ball variant is a state budget,
+# or for a block "mixed": r = 2-3 components whose amplitude objects differ
+# between runs, so that the amplitude runs split
 _EXAMPLES = {
     ("block", None): 300,
-    **{("block", budget): 40 for budget in ("1 row", "2 rows", "1 step", "2 steps",
-                                            "5 steps")},
+    ("block", "mixed"): 80,
+    **{("block", budget): 40 for budget in ("1 step", "2 steps", "5 steps")},
     **{("ball", budget): 60 for budget in (None, "1 step", "2 steps", "5 steps")},
     ("ladder", None): 100,
     **{("chunks", kind): 10 for kind in ("run", "cap", "prefix", "ball", "residual",
