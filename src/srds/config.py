@@ -96,9 +96,8 @@ def _build_operator(grid: DomainGrid, block: dict):
         except OSError as exc:  # a coefficient file that cannot be read
             raise ConfigError("operators", str(exc)) from None
     else:
-        a = float(read_number("a", block.get("a", 1.0)))
-        c = float(read_number("c", block.get("c", 0.0)))
-        coeffs = CoefficientField.constant(grid, a=a, c=c, eta=eta, m_bound=m_bound)
+        coeffs = CoefficientField.constant(grid, a=block.get("a", 1.0), c=block.get("c", 0.0),
+                                           eta=eta, m_bound=m_bound)
     return EllipticOperator(grid, coeffs)
 
 
@@ -186,7 +185,9 @@ def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
 
 def _build_solver_config(block: dict) -> SolverConfig:
     sup_cap = block.get("sup_cap")
-    # null and inf are no cap; a NaN one would stop nothing and be recorded
+    # null and Infinity are no cap; the literal NaN, which Python's json
+    # reads but no JSON number is, is refused, though SolverConfig would
+    # store it as no cap too
     if sup_cap is not None and sup_cap != math.inf:
         read_number("sup_cap", sup_cap, above=0)
     return SolverConfig(

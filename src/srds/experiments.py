@@ -110,8 +110,9 @@ class Member:
     """One run of ``run_members``: ``path`` drives it from ``initial`` at the
     runner's dt/2^``halvings``, on ``problem`` when that is not the
     runner's (a control, a truncation level), with ``simulate``'s
-    ``ball_test``.  ``fork`` is the index of an earlier member on a
-    truncation level, which this one resumes from at that member's exit."""
+    ``ball_test``.  ``fork`` is the index of an earlier member, which this
+    one resumes from at that member's exit (``exit_index``: the last step
+    it reached if it is untruncated)."""
 
     path: WienerPath
     initial: np.ndarray
@@ -544,6 +545,8 @@ def residual_refinement(problem: Problem, config: SolverConfig,
     Returns the ratios of mean residuals between consecutive levels (0.5
     for the deterministic part, 2^-1/2 for Lipschitz noise).
     """
+    n_paths = read_integer("n_paths", n_paths, least=1)
+    refinements = read_integer("refinements", refinements, least=0)
     run_cfg = replace(config, sup_cap=None, store_stride=1)
     residuals = np.empty((n_paths, refinements + 1))
     for p in range(n_paths):

@@ -74,7 +74,9 @@ class CoefficientField:
     @classmethod
     def constant(cls, grid: DomainGrid, a: float = 1.0, c: float = 0.0,
                  eta: float | None = None, m_bound: float | None = None) -> "CoefficientField":
-        """Isotropic constant coefficients a*I and scalar c."""
+        """Isotropic constant coefficients a*I and scalar c, numbers as
+        ``srds.readers`` reads them."""
+        a, c = read_number("a", a), read_number("c", c)
         n, d = grid.n_total, grid.dim
         a_arr = np.tile(a * np.eye(d), (n, 1, 1))
         c_arr = np.full(n, float(c))
@@ -253,11 +255,13 @@ class EllipticOperator:
 def apply_resolvent(op: EllipticOperator, lam: float, f: np.ndarray) -> np.ndarray:
     """Return lam*(lam*I - A)^{-1} f = (I - A/lam)^{-1} f.
 
-    For c >= 0 and lam > 0 the output sup norm never exceeds that of f.  The
-    factor is not cached, so a sweep over lam leaves none behind.
+    ``lam`` is a number above 0 (``srds.readers``), or +inf, the exact
+    lam -> inf limit, which returns f.  For c >= 0 the output sup norm never
+    exceeds that of f.  The factor is not cached, so a sweep over lam leaves
+    none behind.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if lam != np.inf:
+        lam = read_number("lambda", lam, above=0)
     return ShiftedSolve(op.matrix, 1.0 / lam).solve(np.asarray(f, dtype=float))
 
 

@@ -381,6 +381,7 @@ def dissipativity_gap(sys: ReactionSystem, component: int, u: np.ndarray,
     a'(1+||v||)^q - <H(u+v), phi>; mode 2 returns
     a''(1+||v||)^q - b''||u||^q - <H(u+v) - H(v), phi>.
     """
+    mode = read_integer("mode", mode, least=1, below=3)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.all(u == 0.0):
@@ -401,11 +402,9 @@ def dissipativity_gap(sys: ReactionSystem, component: int, u: np.ndarray,
 
     if mode == 1:
         return cert.a_prime * envelope - sgn * h_at(u + v)
-    if mode == 2:
-        unorm = float(np.max(np.abs(u)))
-        pairing = sgn * (h_at(u + v) - h_at(v))
-        return cert.a_dd * envelope - cert.b_dd * unorm**q - pairing
-    raise ValueError(f"mode must be 1 or 2, got {mode}")
+    unorm = float(np.max(np.abs(u)))
+    pairing = sgn * (h_at(u + v) - h_at(v))
+    return cert.a_dd * envelope - cert.b_dd * unorm**q - pairing
 
 
 @dataclass

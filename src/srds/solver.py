@@ -55,9 +55,11 @@ from .rng import WienerPath
 class Problem:
     """A full system: shared grid, per-component operators, reaction, noise.
 
-    ``level`` is the truncation level n of the ladder (None: untruncated);
-    ``step`` applies it, as the bounds of ``_step_runs``, through
-    ``_truncate``.
+    ``level`` is the truncation level n of the ladder, a float >= 1, or
+    None for the untruncated problem, its n -> inf limit: a level of +inf
+    is stored as None, any other is read by ``srds.readers`` and stored as
+    a float, so equal levels run and hash alike.  ``step`` applies it, as
+    the bounds of ``_step_runs``, through ``_truncate``.
     """
 
     grid: DomainGrid
@@ -67,8 +69,10 @@ class Problem:
     level: float | None = None
 
     def __post_init__(self):
-        if self.level is not None and not self.level >= 1:
-            raise ValueError("truncation level must be >= 1")
+        if self.level is not None:
+            level = None if self.level == math.inf else float(
+                read_number("truncation level", self.level, least=1))
+            object.__setattr__(self, "level", level)
         r = len(self.operators)
         if self.reaction.r != r or self.noise.r != r:
             raise ValueError(
@@ -104,9 +108,9 @@ class SolverConfig:
     ``dt`` must be a power-of-two multiple of the driving path's dt_fine so
     refinement studies share one underlying Brownian path exactly.
     ``sup_cap`` halts the run once any component sup norm exceeds it: a
-    number above 0, or None, +inf or NaN for no cap.  ``dt``, ``t_end``,
-    ``store_stride`` and a finite cap are stored as ``srds.readers`` reads
-    them.
+    number above 0, or None for no cap, which is how a cap of +inf or NaN
+    is stored too.  ``dt``, ``t_end``, ``store_stride`` and a finite cap
+    are stored as ``srds.readers`` reads them.
     """
 
     dt: float
@@ -121,8 +125,9 @@ class SolverConfig:
         put("t_end", read_number("t_end", self.t_end, above=0))
         put("store_stride", read_integer("store_stride", self.store_stride, least=1))
         cap = self.sup_cap
-        if cap is not None and cap == cap and cap != math.inf:  # NaN != NaN
-            put("sup_cap", read_number("sup_cap", cap, above=0))
+        if cap is not None:  # NaN != NaN
+            put("sup_cap", None if cap == math.inf or cap != cap
+                else read_number("sup_cap", cap, above=0))
         if self.scheme not in ("semi-implicit", "tamed-semi-implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         n = round(self.t_end / self.dt)
@@ -378,8 +383,8 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     ``_quiet`` holds around each block's steps and judgement (never across
     a ``yield``), and on the helper thread, whose floating-point state is
     its own."""
-    # a finite cap, so that an inf norm is never within it; a sup cap that
-    # is None, inf or NaN halts no finite run, as FINITE_CAP
+    # a finite cap, so that an inf norm is never within it; a run without a
+    # sup cap halts at no finite norm, as FINITE_CAP
     cap = min(FINITE_CAP, config.cap_level)
     plan = _step_runs(problem, config.dt)
     level = problem.level if ball_test else None
@@ -509,7 +514,8 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
 
 
 def truncate_problem(problem: Problem, level: float) -> Problem:
-    """The problem at truncation level n = ``level``: drifts frozen beyond
+    """The problem at truncation level n = ``level`` (+inf: the untruncated
+    problem, level None; see ``Problem``): drifts frozen beyond
     |s| = n, couplings beyond the l1-ball of radius n (radial projection of
     each cell's state), each noise amplitude g_l frozen beyond |s| = n.
 
@@ -518,14 +524,16 @@ def truncate_problem(problem: Problem, level: float) -> Problem:
     ball every term evaluates bitwise identically to the original.
     Truncating a truncated problem replaces its level.
     """
-    return replace(problem, level=float(level))
+    return replace(problem, level=level)
 
 
-def exit_index(traj: Trajectory, level: float) -> StoppingRecord:
+def exit_index(traj: Trajectory, level: float | None) -> StoppingRecord:
     """The exit of the run from level n (rho_n), an "e-norm-sum" record:
     the first step where the E-norm exceeds the level, triggered (at the
     last step too); the last step reached, untriggered, if it never does
-    (inf-empty convention)."""
+    (inf-empty convention), as for level None, the untruncated run, which
+    never exits (its record's level is inf)."""
+    level = math.inf if level is None else level
     e = traj.e_norms()
     above = np.nonzero(e > level)[0]
     i = int(above[0]) if above.size else len(e) - 1

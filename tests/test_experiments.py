@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,30 @@ def test_lipschitz_noise_gap_scales_linearly():
              for e in (1e-1, 1e-2, 1e-3)]
     for a, b in zip(means, means[1:]):
         assert 0.08 <= b / a <= 0.12
+
+
+def test_no_limit_has_one_spelling(tmp_path):
+    # a sup cap of None, inf or NaN is no cap, stored as None: one
+    # descriptor, and uniqueness runs each at its default radius 8.0 and
+    # writes the same files, with no Infinity or NaN token in them; one
+    # truncation level is one digest, and a bool is no level
+    prob = build_fhn_problem(scale=0.1, n=8)
+    configs = [SolverConfig(dt=1.0 / 64, t_end=1.0 / 16, sup_cap=cap, store_stride=2)
+               for cap in (None, math.inf, math.nan)]
+    assert len({c.descriptor() for c in configs}) == 1
+    trees = []
+    for i, cfg in enumerate(configs):
+        rep = uniqueness_experiment(prob, cfg, const_init(prob, 0.2, 0.2), n_paths=2,
+                                    eps_list=(1e-1,), master_seed=3, cauchy_paths=1,
+                                    cauchy_refinements=1)
+        assert rep.parameters["cap_radius"] == 8.0
+        rep.write(tmp_path / str(i))
+        trees.append({f.name: f.read_bytes() for f in sorted((tmp_path / str(i)).iterdir())})
+    assert len(trees[0]) > 1 and trees[0] == trees[1] == trees[2]
+    assert not [name for name, blob in trees[0].items() if b"Infinity" in blob or b"NaN" in blob]
+    assert len({replace(prob, level=v).digest() for v in (1, 1.0, np.float64(1.0))}) == 1
+    with pytest.raises(ValueError, match="^truncation level must be a finite number, got True$"):
+        replace(prob, level=True)
 
 
 def test_eps_list_must_decrease():

@@ -3,10 +3,13 @@ numpy integer, a number a finite int, float or numpy float, and neither is
 ever a bool.  Every public number and count parameter of the library reads
 through it, so each refuses NaN, +-inf, a bool and a float where a count is
 due with a ValueError naming the parameter, and runs a numpy scalar to the
-same bits as the equal Python value."""
+same bits as the equal Python value.  The one exception is a limit: a sup
+cap of inf or NaN, a truncation level of inf and a resolvent parameter of
+inf mean "no limit" and run."""
 
 import math
 import warnings
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -14,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srds import (CoefficientField, CouplingTerm, EllipticOperator, PowerModulus,
-                  SolverConfig, build_grid, build_mollifier,
-                  check_quasi_positive, cosine_neumann_basis, evolve_semigroup, fhn_system,
-                  gaussian_entry, sample_path, uniform_stream)
+from srds import (CoefficientField, CouplingTerm, EllipticOperator, PowerModulus, Problem,
+                  SolverConfig, apply_resolvent, build_grid, build_mollifier, build_noise,
+                  check_quasi_positive, cosine_neumann_basis, dissipativity_gap,
+                  evolve_semigroup, fhn_system, gaussian_entry, named_g, residual_refinement,
+                  sample_path, uniform_stream)
 from srds.readers import read_flag, read_integer, read_list, read_number
 
 _INTEGER_TYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
@@ -94,6 +98,11 @@ def test_each_bound_names_the_argument_and_the_value():
 _GRID = build_grid(1, [1.0], [8])
 _OP = EllipticOperator(_GRID, CoefficientField.constant(_GRID, a=1.0))
 _U = np.linspace(-1.0, 2.0, 8)
+_PROBLEM = Problem(_GRID, (_OP, _OP), fhn_system(),
+                   build_noise([cosine_neumann_basis(_GRID, 2)] * 2, [np.array([0.1, 0.05])] * 2,
+                               [named_g("lipschitz:1")] * 2))
+# a study of residual_refinement short enough to run per drawn value
+_RESIDUAL = (_PROBLEM, SolverConfig(dt=0.125, t_end=0.25), np.full((2, 8), 0.2))
 
 
 def _path(p):
@@ -112,11 +121,14 @@ def _coupling(term):
 class Param(NamedTuple):
     """A parameter as its refusals name it, its site at one value of it (as
     comparable data: a repr shows a numpy scalar kept where an int or a
-    float belongs), whether it is a count, and the valid values drawn."""
+    float belongs), whether it is a count, the valid values drawn, the
+    non-finite values it reads as "no limit", and values below its range."""
     name: str
     call: Callable
     count: bool
     valid: st.SearchStrategy
+    limits: tuple = ()
+    below: tuple = ()
 
 
 PARAMS = {
@@ -206,7 +218,27 @@ PARAMS = {
         st.integers(1, 8)),
     "SolverConfig-sup_cap": Param(
         "sup_cap", lambda x: _config(SolverConfig(dt=0.125, t_end=1.0, sup_cap=x)), False,
+        st.floats(0.125, 8.0), limits=(math.inf, math.nan), below=(0.0, -1.0)),
+    "Problem-level": Param("truncation level", lambda x: replace(_PROBLEM, level=x).digest(),
+                           False, st.floats(1.0, 64.0), limits=(math.inf,), below=(0.5,)),
+    "apply_resolvent-lambda": Param("lambda", lambda x: apply_resolvent(_OP, x, _U).tobytes(),
+                                    False, st.floats(0.125, 8.0), limits=(math.inf,),
+                                    below=(0.0, -1.0)),
+    "CoefficientField.constant-a": Param(
+        "a", lambda x: CoefficientField.constant(_GRID, a=x).descriptor(), False,
         st.floats(0.125, 8.0)),
+    "CoefficientField.constant-c": Param(
+        "c", lambda x: CoefficientField.constant(_GRID, c=x).descriptor(), False,
+        st.floats(0.0, 8.0)),
+    "dissipativity_gap-mode": Param(
+        "mode", lambda x: repr(dissipativity_gap(_PROBLEM.reaction, 0, _U, _U[::-1], mode=x)),
+        True, st.sampled_from([1, 2]), below=(0,)),
+    "residual_refinement-n_paths": Param(
+        "n_paths", lambda x: residual_refinement(*_RESIDUAL, n_paths=x).tobytes(), True,
+        st.integers(1, 2), below=(0,)),
+    "residual_refinement-refinements": Param(
+        "refinements", lambda x: residual_refinement(*_RESIDUAL, refinements=x).tobytes(),
+        True, st.integers(0, 2), below=(-1,)),
 }
 
 
@@ -232,11 +264,10 @@ def _numpy_forms(value, count: bool) -> list:
 
 def _refusals(param, value) -> list:
     """The values of the kind ``param`` refuses, around its valid ``value``."""
-    bad = [-math.inf, True, False, np.True_]
-    if param.name == "sup_cap":  # a NaN or inf cap is no cap, one <= 0 is refused
-        bad += [0.0, -1.0]
-    else:
-        bad += [math.nan, math.inf, np.float64(math.nan), np.float32(math.inf)]
+    limits = {str(float(x)) for x in param.limits}
+    bad = [x for x in (-math.inf, math.nan, math.inf, np.float64(math.nan),
+                       np.float32(math.inf)) if str(float(x)) not in limits]
+    bad += [True, False, np.True_, *param.below]
     if param.count:  # a float where a count is due
         bad += [float(value), np.float64(value), 0.5]
     return bad
@@ -248,6 +279,8 @@ def test_every_public_number_and_count_refuses_what_the_cli_refuses(param):
     @given(value=param.valid)
     def check(value):
         assert _outcome(param.call, value)[0] == "returned"
+        for x in param.limits:  # no limit, as None is
+            assert _outcome(param.call, x)[0] == "returned", x
         for x in _refusals(param, value):
             got = _outcome(param.call, x)
             assert got[:2] == ("raised", ValueError), (x, got)

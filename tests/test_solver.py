@@ -816,9 +816,43 @@ def test_retruncation_relevels_every_term():
 
 def test_truncation_level_is_checked():
     prob = zero_noise_fhn()
-    for bad in (0.5, 0.0, -2.0, float("nan")):
-        with pytest.raises(ValueError, match="truncation level must be >= 1"):
+    for bad in (0.5, 0.0, -2.0):
+        with pytest.raises(ValueError, match=f"^truncation level must be >= 1, got {bad}$"):
             truncate_problem(prob, bad)
+    with pytest.raises(ValueError, match="^truncation level must be a finite number, got nan$"):
+        truncate_problem(prob, float("nan"))
+
+
+def _run_bits(traj):
+    return (traj.stopping, traj.dt, traj.store_stride, traj.times.tobytes(),
+            traj.states.tobytes(), traj.sup_norms.tobytes(), traj.min_values.tobytes())
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_infinite_level_is_the_untruncated_problem():
+    # level +inf is the n -> inf limit, stored as None: a run truncated at
+    # every step, one step with its plan and a member forked from an
+    # untruncated one are the untruncated run's bits (a truncation map at
+    # inf divides inf by inf, and exit_index could not read level None)
+    from srds.experiments import Member, run_members
+
+    prob = build_fhn_problem(scale=0.5)
+    at_inf = replace(prob, level=math.inf)
+    cfg = SolverConfig(dt=1.0 / 32, t_end=0.25, store_stride=3)
+    init = const_init(prob, 0.45, 0.45)
+    path = sample_path(7, prob.r, prob.noise.modes, cfg.n_steps, cfg.dt)
+    ref = simulate(prob, cfg, path, init)
+    assert _run_bits(simulate(at_inf, cfg, path, init, ball_test=False)) == _run_bits(ref)
+    fields = _fields(prob, path.coarse(0)[:, :, 0])
+    assert (step(at_inf, cfg, init, fields, *_step_runs(at_inf, cfg.dt)).tobytes()
+            == step(prob, cfg, init, fields, *_step_runs(prob, cfg.dt)).tobytes())
+    # the fork resumes at the last step of the member it forks from
+    trajs = run_members(prob, cfg, [Member(path, init), Member(path, init, fork=0)])
+    assert [_run_bits(t) for t in trajs] == [_run_bits(ref)] * 2
+    assert exit_index(ref, None) == exit_index(ref, math.inf) == StoppingRecord(
+        False, math.inf, ref.times[-1], cfg.n_steps, "e-norm-sum")
+    assert at_inf.level is None and at_inf.digest() == prob.digest()
+    assert truncate_problem(prob, math.inf) == at_inf
     assert truncate_problem(prob, 1).level == 1.0
 
 
@@ -957,24 +991,26 @@ def test_constructors_refuse_out_of_range_numbers(build, reason):
 
 @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
 def test_documented_non_finite_values_are_accepted(bad):
-    # a NaN or inf sup cap is no cap (see _advance), and a -inf one would
+    # a NaN or inf sup cap is no cap, stored as None, and a -inf one would
     # stop every run at step 0: it is a row of the out-of-range table; an
-    # infinite truncation level is the untruncated map; a NaN or -inf level
-    # is refused; an infinite resolvent parameter is the exact limit, the
-    # identity
+    # infinite truncation level is the untruncated problem, stored as None;
+    # a NaN or -inf level is refused; an infinite resolvent parameter is the
+    # exact limit, the identity
     if bad != -math.inf:
-        assert SolverConfig(dt=0.1, t_end=1.0, sup_cap=bad).n_steps == 10
+        cfg = SolverConfig(dt=0.1, t_end=1.0, sup_cap=bad)
+        assert cfg.n_steps == 10 and cfg.sup_cap is None
     f = np.linspace(-1.0, 2.0, 8)
     if bad == math.inf:
         assert apply_resolvent(_PROP_OP, bad, f).tobytes() == f.tobytes()
     else:
-        with pytest.raises(ValueError, match="lambda must be positive"):
+        with pytest.raises(ValueError, match=f"^lambda must be a finite number, got {bad}$"):
             apply_resolvent(_PROP_OP, bad, f)
     prob = zero_noise_fhn()
     if bad == math.inf:
-        assert replace(prob, level=bad).level == math.inf
+        assert replace(prob, level=bad).level is None
     else:
-        with pytest.raises(ValueError, match="truncation level must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=f"^truncation level must be a finite number, got {bad}$"):
             replace(prob, level=bad)
 
 
