@@ -80,7 +80,7 @@ def cmd_simulate(args) -> int:
         # snapshot stride: about 64 stored samples per run unless configured
         stride = max(1, solver_cfg.n_steps // 64)
         if output.get("stride") is not None:
-            stride = read_integer("stride", output["stride"])
+            stride = read_integer("stride", output["stride"], least=1)
         solver_cfg = replace(solver_cfg, store_stride=stride)
         formats = output.get("formats")
         if formats is None:

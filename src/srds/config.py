@@ -104,8 +104,8 @@ def _build_operator(grid: DomainGrid, block: dict):
 def _build_reaction(block: dict, r: int) -> ReactionSystem:
     kind = block.get("kind")
     if kind == "fhn":
-        return fhn_system(a=float(read_number("a", block.get("a", 1.0))),
-                          b=float(read_number("b", block.get("b", 1.0))))
+        return fhn_system(a=read_number("a", block.get("a", 1.0)),
+                          b=read_number("b", block.get("b", 1.0)))
     coeff_lists = read_list("drifts", block.get("drifts"),
                             lambda key, coeffs: read_list(key, coeffs, read_number), r)
     drifts = [PolynomialDrift(c) if c else None for c in coeff_lists]  # []: no drift
@@ -120,8 +120,8 @@ def _build_reaction(block: dict, r: int) -> ReactionSystem:
     elif name == "fhn":
         if r != 2:
             raise ConfigError("reaction", "fhn coupling needs exactly 2 components")
-        couplings = fhn_couplings(float(read_number("a", coupling_cfg.get("a", 1.0))),
-                                  float(read_number("b", coupling_cfg.get("b", 1.0))))
+        couplings = fhn_couplings(read_number("a", coupling_cfg.get("a", 1.0)),
+                                  read_number("b", coupling_cfg.get("b", 1.0)))
     else:
         raise ConfigError("reaction", f"unknown coupling {name!r}")
     return ReactionSystem(drifts, couplings)
@@ -137,7 +137,7 @@ def _lambda_sequence(rule, modes: int) -> np.ndarray:
                 raise ValueError(f"lambda power must be finite, got {p!r}")
             return (np.arange(modes) + 1.0) ** (-p)
         raise ConfigError("noise", f"unknown lambda rule {rule!r}")
-    return np.asarray(read_list("lambdas", rule, read_number, modes), dtype=float)
+    return np.asarray(read_list("lambdas", rule, read_number, modes))
 
 
 def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
@@ -153,7 +153,7 @@ def _build_noise(block: dict, grid: DomainGrid, r: int) -> NoiseModel:
     # here: ComponentNoise refuses it, naming its mode
     with np.errstate(over="ignore", invalid="ignore"):
         lam = _lambda_sequence(block.get("lambdas", "power:2"), modes)
-        lam = lam * float(read_number("scale", block.get("scale", 1.0)))
+        lam = lam * read_number("scale", block.get("scale", 1.0))
     g_cfg = block.get("g", "sqrt-abs")
     names = g_cfg if isinstance(g_cfg, list) else [g_cfg] * r
     if len(names) != r:
@@ -168,7 +168,7 @@ def _build_initial(block: dict, grid: DomainGrid, r: int) -> np.ndarray:
     kind = block.get("kind", "constant")
     if kind == "constant":
         vals = read_list("values", block.get("values"), read_number, r)
-        return np.outer(np.asarray(vals, dtype=float), np.ones(grid.n_total))
+        return np.outer(vals, np.ones(grid.n_total))
     if kind == "cosine":
         means = read_list("means", block.get("means", [0.0] * r), read_number, r)
         amps = read_list("amplitudes", block.get("amplitudes", [1.0] * r), read_number, r)
@@ -188,14 +188,11 @@ def _build_solver_config(block: dict) -> SolverConfig:
     # null and Infinity are no cap; the literal NaN, which Python's json
     # reads but no JSON number is, is refused, though SolverConfig would
     # store it as no cap too
-    if sup_cap is not None and sup_cap != math.inf:
-        read_number("sup_cap", sup_cap, above=0)
-    return SolverConfig(
-        dt=float(read_number("dt", block.get("dt"))),
-        t_end=float(read_number("t_end", block.get("t_end"))),
-        scheme=block.get("scheme", "semi-implicit"), sup_cap=sup_cap,
-        store_stride=read_integer("store_stride", block.get("store_stride", 1)),
-    )
+    if sup_cap != sup_cap:
+        raise ValueError(f"sup_cap must be a finite number, got {sup_cap!r}")
+    return SolverConfig(dt=block.get("dt"), t_end=block.get("t_end"),
+                        scheme=block.get("scheme", "semi-implicit"), sup_cap=sup_cap,
+                        store_stride=block.get("store_stride", 1))
 
 
 def _path_resolution(cfg: dict, solver_cfg: SolverConfig) -> tuple[int, float]:

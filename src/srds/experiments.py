@@ -183,7 +183,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     n_paths = read_integer("n_paths", n_paths, least=1)
     cauchy_paths = read_integer("cauchy_paths", cauchy_paths, least=1)
     cauchy_refinements = read_integer("cauchy_refinements", cauchy_refinements, least=0)
-    eps_list = [float(e) for e in read_list("eps_list", eps_list, read_number, above=0)]
+    eps_list = read_list("eps_list", eps_list, read_number, above=0)
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be nonempty and strictly decreasing")
     slack = read_number("slack", slack, least=0)
@@ -386,7 +386,7 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
 def _ladder_levels(levels) -> list[float]:
     """The truncation levels as floats; raise ValueError unless they are a
     nonempty increasing list of finite levels >= 1."""
-    levels = [float(n) for n in read_list("levels", levels, read_number, least=1)]
+    levels = read_list("levels", levels, read_number, least=1)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be a nonempty increasing list")
     return levels

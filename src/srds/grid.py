@@ -35,8 +35,7 @@ class DomainGrid:
             raise ValueError("extents/n_cells length must equal dim")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "extents", tuple(
-            float(L) for L in read_list("extents", tuple(self.extents), read_number,
-                                        above=0)))
+            read_list("extents", tuple(self.extents), read_number, above=0)))
         object.__setattr__(self, "n_cells", tuple(
             read_list("n_cells", tuple(self.n_cells), read_integer, least=2)))
         object.__setattr__(

@@ -45,8 +45,8 @@ class PowerModulus:
     C*s of a 1/2-Hölder one, and C*s^1.0 is bitwise C*s."""
 
     def __init__(self, constant: float, power: float = 1.0):
-        self.constant = float(read_number("modulus constant", constant))
-        self.power = float(read_number("modulus power", power))
+        self.constant = read_number("modulus constant", constant)
+        self.power = read_number("modulus power", power)
         # int_0+ ds/(C s^power) = infinity exactly when power >= 1
         self.osgood_diverges = self.power >= 1.0
 

@@ -30,8 +30,10 @@ class CoefficientField:
 
     ``a`` has shape (n_total, dim, dim) and must be finite and symmetric
     with eigenvalues in [eta, m_bound] at every cell; ``c`` has shape
-    (n_total,).  When every cell's tensor is bitwise the first one
-    (``uniform``), the checks run on that one tensor.
+    (n_total,).  ``eta`` and ``m_bound`` are stored as the floats
+    ``srds.readers`` reads, so an int bound describes as the equal float.
+    When every cell's tensor is bitwise the first one (``uniform``), the
+    checks run on that one tensor.
     Only grid-aligned (diagonal) tensors are accepted by the operator, see
     `EllipticOperator`.
     """
@@ -49,9 +51,10 @@ class CoefficientField:
             raise AuditError("shape", f"a has shape {self.a.shape}, expected {(n, d, d)}")
         if self.c.shape != (n,):
             raise AuditError("shape", f"c has shape {self.c.shape}, expected {(n,)}")
-        if not (self.eta > 0 and np.isfinite(self.m_bound)):  # NaN bounds nothing
-            raise AuditError("ellipticity", f"need eta > 0 and a finite M, got "
-                                            f"eta={self.eta}, M={self.m_bound}")
+        object.__setattr__(self, "eta", read_number("eta", self.eta, above=0))
+        if not np.isfinite(self.m_bound):  # NaN bounds nothing
+            raise AuditError("ellipticity", f"need a finite M, got M={self.m_bound}")
+        object.__setattr__(self, "m_bound", read_number("m_bound", self.m_bound))
         bits = np.ascontiguousarray(self.a, dtype=float).reshape(n, d * d).view(np.int64)
         object.__setattr__(self, "uniform", bool(np.all(bits == bits[0])))
         # on a uniform field one tensor gives the verdict, reason and detail
@@ -79,7 +82,7 @@ class CoefficientField:
         a, c = read_number("a", a), read_number("c", c)
         n, d = grid.n_total, grid.dim
         a_arr = np.tile(a * np.eye(d), (n, 1, 1))
-        c_arr = np.full(n, float(c))
+        c_arr = np.full(n, c)
         return cls(grid, a_arr, c_arr,
                    eta=0.5 * a if eta is None else eta,
                    m_bound=2.0 * a if m_bound is None else m_bound)
@@ -235,7 +238,7 @@ class EllipticOperator:
     def stepper(self, dt: float) -> ShiftedSolve | SpectralSolve:
         """Cached `solver` for (I - dt*A), one per dt; a dt that `solver`
         refuses is never cached."""
-        key = float(read_number("dt", dt, above=0))
+        key = read_number("dt", dt, above=0)
         st = self._steppers.get(key)
         if st is None:
             st = self.solver(key)

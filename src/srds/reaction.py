@@ -246,8 +246,8 @@ class CouplingTerm:
     def __init__(self, fn, c1: float, c2: float, lipschitz, name: str = "custom"):
         self.fn = fn
         # coupling_linear's c2 is the max |row|: a NaN or inf entry shows there
-        self.c1 = float(read_number(f"coupling {name!r} growth constant c1", c1))
-        self.c2 = float(read_number(f"coupling {name!r} growth constant c2", c2))
+        self.c1 = read_number(f"coupling {name!r} growth constant c1", c1)
+        self.c2 = read_number(f"coupling {name!r} growth constant c2", c2)
         self._lipschitz = lipschitz if callable(lipschitz) else (lambda m, L=lipschitz: L)
         self.name = name
 
@@ -426,8 +426,8 @@ def check_quasi_positive(sys: ReactionSystem, grid_samples: int = 10_000,
     range_m = read_number("range_m", range_m, above=0)
     grid_samples = read_integer("grid_samples", grid_samples, least=1)
     # a NaN margin is never negative
-    L = float(read_number("Lipschitz constant",
-                          sys.lipschitz(range_m) if lipschitz_m is None else lipschitz_m))
+    L = read_number("Lipschitz constant",
+                    sys.lipschitz(range_m) if lipschitz_m is None else lipschitz_m)
     rng = np.random.default_rng(seed)
     # per-cell drift coefficients are sampled through random cell indices
     n_cells = max((h.coeffs.shape[0] for h in sys.drifts

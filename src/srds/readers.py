@@ -8,9 +8,9 @@ numpy integer; a number is an int, a float or a numpy float no wider than
 float64, and finite; neither is ever a bool (int() and float() would read
 true as 1).  Bounds are ``least`` (inclusive), ``above`` (exclusive) and
 ``below`` (exclusive, the rng key ranges).  Each reader raises ValueError
-naming the argument and the value it got, and returns the value as a Python
-int or float, so that a numpy scalar is recorded, hashed and dumped as the
-equal Python one.
+naming the argument and the value it got.  An integer is returned as a
+Python int, and a number as a float, ints included, so that equal values
+(8, 8.0, a numpy 8) are stored, recorded, hashed and dumped alike.
 
 This module imports nothing from srds: every layer reads through it.
 """
@@ -54,10 +54,10 @@ def read_integer(key: str, value, least: int | None = None,
     return _bounded(key, value, least, None, below)
 
 
-def read_number(key: str, value, least=None, above=None) -> int | float:
+def read_number(key: str, value, least=None, above=None) -> float:
     """``value``, a finite number of at least ``least`` and above ``above``,
-    an int kept an int: float() would read the string "2", and would turn
-    an int recorded in a report into a float."""
+    as a float: float() alone would read the string "2" or true, and an int
+    kept an int would record and hash 8 unlike 8.0."""
     if type(value) is not float:  # the common case first, as above
         value = _python(value)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -65,7 +65,7 @@ def read_number(key: str, value, least=None, above=None) -> int | float:
     # NaN compares false, and so does an int beyond the largest float
     if not abs(value) <= _LARGEST:
         raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return _bounded(key, value, least, above, None)
+    return float(_bounded(key, value, least, above, None))
 
 
 def read_flag(key: str, value) -> bool:

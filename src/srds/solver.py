@@ -70,8 +70,8 @@ class Problem:
 
     def __post_init__(self):
         if self.level is not None:
-            level = None if self.level == math.inf else float(
-                read_number("truncation level", self.level, least=1))
+            level = None if self.level == math.inf else read_number(
+                "truncation level", self.level, least=1)
             object.__setattr__(self, "level", level)
         r = len(self.operators)
         if self.reaction.r != r or self.noise.r != r:
@@ -109,8 +109,9 @@ class SolverConfig:
     refinement studies share one underlying Brownian path exactly.
     ``sup_cap`` halts the run once any component sup norm exceeds it: a
     number above 0, or None for no cap, which is how a cap of +inf or NaN
-    is stored too.  ``dt``, ``t_end``, ``store_stride`` and a finite cap
-    are stored as ``srds.readers`` reads them.
+    is stored too.  ``dt``, ``t_end`` and a finite cap are stored as the
+    floats ``srds.readers`` reads, ``store_stride`` as the int, so equal
+    configs (a cap of 8 or 8.0) describe alike.
     """
 
     dt: float
@@ -357,15 +358,16 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     ``start``, one matrix-vector product per step, so a run's bits do not
     depend on where it starts.  This thread builds the first chunk; a run
     of more than two chunks starts one helper thread, which builds chunk
-    c + 1 into an array allocated here while chunk c steps.  Each field is
-    the same BLAS call on the same inputs on either thread, so its bits do
-    not depend on which thread built it.  The helper is the run's own and is
-    joined when the run returns, raises or is closed: a pool that outlived
-    a run would reach the workers ``ensemble`` forks without its thread,
-    and their first prefetch would never finish.  One reduction fills a
-    block's sup norms, step 0's too, and ``_first_exit`` reads them: the
-    first state whose largest norm exceeds the sup cap ends the run, its
-    block cut after it and yielded with ``exited`` true.
+    c + 1 while chunk c steps: the second chunk into the one array a run
+    allocates, each later one into the array of chunk c - 1, just stepped.
+    Each field is the same BLAS call on the same inputs on either thread, so
+    its bits do not depend on which thread built it.  The helper is the
+    run's own and is joined when the run returns, raises or is closed: a
+    pool that outlived a run would reach the workers ``ensemble`` forks
+    without its thread, and their first prefetch would never finish.  One
+    reduction fills a block's sup norms, step 0's too, and ``_first_exit``
+    reads them: the first state whose largest norm exceeds the sup cap ends
+    the run, its block cut after it and yielded with ``exited`` true.
 
     Unless ``ball_test`` is false (then a truncated problem steps truncated
     throughout), a truncated problem at level n reads the same rows for its
@@ -402,6 +404,8 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     # does (0.3 against 0.4 ms for a 1D chunk on a 2-vCPU x86 host), so a
     # run builds ahead only when at least two chunks follow its first
     helper = ThreadPoolExecutor(1) if len(inc) - start > 2 * chunk else None
+    if helper is not None:  # what it calls, and the array of the second chunk
+        build, spare = _quiet()(problem.noise.modal_fields), np.empty((chunk,) + u.shape)
     ahead = None  # the helper's fields of steps c + chunk + 1 ...
     try:
         while True:
@@ -409,13 +413,13 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
                 if a >= start:  # the first state is judged, not stepped
                     if a == c + len(fields):
                         c = a
-                        fields = (problem.noise.modal_fields(inc[c:c + chunk])
-                                  if ahead is None else ahead.result())
-                        ahead = None
+                        if ahead is None:
+                            fields = problem.noise.modal_fields(inc[c:c + chunk])
+                        else:  # the chunk just stepped is free for the next one
+                            fields, spare, ahead = ahead.result(), fields, None
                         if helper is not None and c + chunk < len(inc):
                             nxt = inc[c + chunk:c + 2 * chunk]
-                            ahead = helper.submit(_quiet()(problem.noise.modal_fields), nxt,
-                                                  np.empty(nxt.shape[:2] + u.shape[1:]))
+                            ahead = helper.submit(build, nxt, spare[:len(nxt)])
                     states = buf[:min(span if free else block, c + len(fields) - a)]
                     steps = plan[:3] + (None,) if free else plan
                     for j, f in enumerate(fields[a - c:a - c + len(states)]):

@@ -109,7 +109,8 @@ def suite_reaction(problem: Problem, config: SolverConfig, initial,
                                         least=1)
     quasi_positive = read_flag("quasi_positive", quasi_positive)
     # at radius 0 every sampled u is zero and no margin is evaluated
-    if not read_list("radii", radii, read_number, above=0):
+    radii = read_list("radii", radii, read_number, above=0)
+    if not radii:
         raise ValueError("radii must be a nonempty list")
     sys = problem.reaction
     report = ExperimentReport.start(

@@ -429,6 +429,29 @@ def test_verify_positivity_quick(tmp_path, out_root):
     assert report["verdict"] == "pass"
 
 
+def test_int_spelled_numbers_give_the_float_report(tmp_path, out_root):
+    # a number spelled 8 runs, hashes and records as 8.0: only the digest of
+    # the config text differs
+    texts = {}
+    for kind in (int, float):
+        cfg = quick_preset(sup_cap=kind(8))
+        for block in cfg["operators"]:
+            block.update(eta=kind(1), m_bound=kind(2))
+        cfg["experiment"] = {"name": "positivity", "n_paths": 2, "c_tol": kind(1)}
+        out = tmp_path / kind.__name__
+        assert main(["verify", "positivity", "--config",
+                     write_config(tmp_path, cfg, f"{kind.__name__}.json"),
+                     "--out", str(out)]) == 0
+        texts[kind] = next(out.rglob("positivity_report.json")).read_text()
+    digests = {kind: json.loads(text)["provenance"]["config_digest"]
+               for kind, text in texts.items()}
+    assert digests[int] != digests[float]
+    assert texts[int].replace(digests[int], digests[float]) == texts[float]
+    report = json.loads(texts[int])
+    assert json.loads(report["provenance"]["solver_config"])["sup_cap"] == 8.0
+    assert '"c_tol": 1.0' in texts[int]
+
+
 def test_verify_uniqueness_quick(tmp_path, out_root):
     cfg = quick_preset()
     cfg["noise"].update({"g": "sqrt-abs", "scale": 0.1})
@@ -1001,6 +1024,8 @@ BAD_VALUES = [
      "store_stride must be an integer, got 2.9"),
     *[("simulate", ("output", "stride"), stride, "output",
        f"stride must be an integer, got {stride!r}") for stride in (2.9, True, "2")],
+    # a stride is refused under its own name, not as store_stride
+    ("simulate", ("output", "stride"), 0, "output", "stride must be >= 1, got 0"),
     # numbers are JSON numbers: float() would read "0.001" and true, int()
     # would run 32 cells for 32.7, and a false dt_fine would mean dt
     ("simulate", ("solver", "dt"), "0.001", "solver",
@@ -1013,6 +1038,8 @@ BAD_VALUES = [
      "a must be a finite number, got True"),
     ("simulate", ("operators", 0, "eta"), True, "operators",
      "eta must be a finite number, got True"),
+    # an ellipticity bound of 0 is a bad parameter, not coefficients outside it
+    ("simulate", ("operators", 0, "eta"), 0, "operators", "eta must be > 0, got 0.0"),
     ("simulate", ("grid", "extents"), ["1"], "grid",
      "extents[0] must be a finite number, got '1'"),
     ("simulate", ("grid", "n_cells"), [32.7], "grid",

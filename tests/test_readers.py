@@ -37,12 +37,18 @@ def test_an_integer_reads_as_itself(value):
     assert type(read_integer("k", value)) is int and read_integer("k", value) == value
 
 
+@given(value=st.integers(-2**70, 2**70))
+def test_an_int_number_reads_as_the_equal_float(value):
+    # 8 and 8.0 are one number: stored, recorded and hashed alike
+    assert type(read_number("x", value)) is float and read_number("x", value) == float(value)
+
+
 @given(value=st.integers(-2**63, 2**64 - 1), kind=st.sampled_from(_INTEGER_TYPES))
 def test_a_numpy_integer_reads_as_the_equal_int(value, kind):
     info = np.iinfo(kind)
     x = kind(min(max(value, info.min), info.max))
     assert type(read_integer("k", x)) is int and read_integer("k", x) == int(x)
-    assert type(read_number("k", x)) is int and read_number("k", x) == int(x)
+    assert type(read_number("k", x)) is float and read_number("k", x) == float(int(x))
 
 
 @given(value=st.floats(allow_nan=False, allow_infinity=False),
@@ -230,6 +236,9 @@ PARAMS = {
     "CoefficientField.constant-c": Param(
         "c", lambda x: CoefficientField.constant(_GRID, c=x).descriptor(), False,
         st.floats(0.0, 8.0)),
+    "CoefficientField.constant-eta": Param(
+        "eta", lambda x: CoefficientField.constant(_GRID, eta=x).descriptor(), False,
+        st.floats(0.125, 1.0), below=(0.0, -1.0)),
     "dissipativity_gap-mode": Param(
         "mode", lambda x: repr(dissipativity_gap(_PROBLEM.reaction, 0, _U, _U[::-1], mode=x)),
         True, st.sampled_from([1, 2]), below=(0,)),
@@ -240,6 +249,17 @@ PARAMS = {
         "refinements", lambda x: residual_refinement(*_RESIDUAL, refinements=x).tobytes(),
         True, st.integers(0, 2), below=(-1,)),
 }
+
+
+def test_coefficient_bounds_are_stored_as_floats():
+    # a NaN or infinite m_bound stays an ellipticity audit, so it has no
+    # row above; an int bound describes as the equal float
+    ints = CoefficientField.constant(_GRID, eta=1, m_bound=np.int64(2))
+    assert (type(ints.eta), type(ints.m_bound)) == (float, float)
+    assert ints.descriptor() == CoefficientField.constant(_GRID, eta=1.0,
+                                                          m_bound=2.0).descriptor()
+    with pytest.raises(ValueError, match=r"^m_bound must be a finite number, got True$"):
+        CoefficientField.constant(_GRID, m_bound=True)
 
 
 def _outcome(call, x):

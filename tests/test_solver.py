@@ -1014,6 +1014,14 @@ def test_documented_non_finite_values_are_accepted(bad):
             replace(prob, level=bad)
 
 
+def test_an_int_spelled_config_is_the_float_config():
+    # 8 and 8.0 are one cap: one descriptor, so one provenance
+    cfg = SolverConfig(dt=0.125, t_end=1, sup_cap=8)
+    assert (cfg.t_end, cfg.sup_cap) == (1.0, 8.0)
+    assert type(cfg.t_end) is float and type(cfg.sup_cap) is float
+    assert cfg.descriptor() == SolverConfig(dt=0.125, t_end=1.0, sup_cap=8.0).descriptor()
+
+
 # random odd-degree drifts with a negative lead, linear coupling rows, a
 # named amplitude, a level and states on a fixed grid and noise basis
 _PROP_GRID = build_grid(1, [1.0], [8])
@@ -1724,8 +1732,9 @@ def test_overflow_to_inf_without_a_cap_raises_at_its_step(n_cells, n_steps):
 
 def test_later_chunks_are_built_on_one_helper_thread(monkeypatch):
     # a 2D run of 20 steps in chunks of 8: the stepping thread builds the
-    # first chunk, one helper thread the other two, and it is gone after;
-    # a run of two chunks builds both itself (a thread costs about a chunk)
+    # first chunk, one helper thread the other two, the third into the
+    # first's array, and it is gone after; a run of two chunks builds both
+    # itself (a thread costs about a chunk)
     import threading
 
     grid, chunk, _ = _chunk_grid(2)
@@ -1738,12 +1747,13 @@ def test_later_chunks_are_built_on_one_helper_thread(monkeypatch):
     path = sample_path(3, 2, 4, 20, 1e-3)
     init = np.full((2, grid.n_total), 0.2)
     ref = simulate(prob, cfg, path, init)
-    built = []
+    built, arrays = [], []
     modal_fields = NoiseModel.modal_fields
 
     def recording(self, increments, out=None):
         built.append((threading.get_ident(), len(increments), out is not None))
-        return modal_fields(self, increments, out)
+        arrays.append((out, modal_fields(self, increments, out)))
+        return arrays[-1][1]
 
     monkeypatch.setattr(NoiseModel, "modal_fields", recording)
     before = threading.active_count()
@@ -1753,6 +1763,8 @@ def test_later_chunks_are_built_on_one_helper_thread(monkeypatch):
     assert [(t == me, m, out) for t, m, out in built] == [
         (True, chunk, False), (False, chunk, True), (False, 20 - 2 * chunk, True)]
     assert built[1][0] == built[2][0]
+    first, third = arrays[0][1], arrays[2][0]
+    assert third.base is first and third.ctypes.data == first.ctypes.data
     built.clear()
     cfg = replace(cfg, t_end=0.016)
     assert np.array_equal(simulate(prob, cfg, path, init).states, ref.states[:17])
