@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,7 +24,7 @@ from .operators import (CoefficientField, EllipticOperator,
                         coefficient_field_from_csv)
 from .reaction import (PolynomialDrift, ReactionSystem, coupling_linear,
                        coupling_none, fhn_couplings, fhn_system)
-from .readers import read_integer, read_list, read_number
+from .readers import read_integer, read_list, read_number, read_numeral
 from .rng import MAX_MODE, MAX_SEED
 from .solver import Problem, SolverConfig, dyadic_level
 
@@ -132,9 +131,7 @@ def _lambda_sequence(rule, modes: int) -> np.ndarray:
         if rule == "zero":
             return np.zeros(modes)
         if rule.startswith("power:"):
-            p = float(rule.split(":", 1)[1])
-            if not math.isfinite(p):
-                raise ValueError(f"lambda power must be finite, got {p!r}")
+            p = read_numeral("lambda power", rule.split(":", 1)[1])
             return (np.arange(modes) + 1.0) ** (-p)
         raise ConfigError("noise", f"unknown lambda rule {rule!r}")
     return np.asarray(read_list("lambdas", rule, read_number, modes))

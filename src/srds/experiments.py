@@ -10,6 +10,7 @@ confidence bounds of ensemble means against their envelopes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -130,10 +131,9 @@ def run_members(problem: Problem, config: SolverConfig,
 
     Every state of a run before its exit rho_n (``exit_index``) lies inside
     its ball, so inside each larger ball too: a member forked from it
-    copies its norms, minima and stored states through its last stored
-    step at or before rho_n (``simulate``'s ``prefix``; the last step it
-    reached is always stored) and steps on from there, to the same bits as
-    from step 0.
+    copies its norms, minima and stored states through the last of its
+    ``Trajectory.steps`` at or before rho_n (``simulate``'s ``prefix``) and
+    steps on from there, to the same bits as from step 0.
     """
     trajs = []
     for m in members:
@@ -142,18 +142,20 @@ def run_members(problem: Problem, config: SolverConfig,
         if m.fork is not None:
             src = trajs[m.fork]
             rho = exit_index(src, (members[m.fork].problem or problem).level).step_index
-            last = len(src.sup_norms) - 1
-            prefix = src.until(rho if rho == last else rho - rho % cfg.store_stride)
+            steps = src.steps
+            prefix = src.until(int(steps[steps <= rho][-1]))
         trajs.append(simulate(m.problem or problem, cfg, m.path, m.initial,
                               ball_test=m.ball_test, prefix=prefix))
     return trajs
 
 
-def _l1_gap(a: Trajectory, b: Trajectory, cell_volume: float) -> np.ndarray:
-    """D(t_i) = sum_l int |u^1_l - u^2_l| dx at the common stored times."""
-    n = min(len(a.times), len(b.times))
-    diff = np.abs(a.states[:n] - b.states[:n])
-    return diff.sum(axis=(1, 2)) * cell_volume
+def _l1_gap(a: Trajectory, b: Trajectory, cell_volume: float) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, D): the steps both runs stored and D(t_i) = sum_l int
+    |u^1_l - u^2_l| dx at each of them."""
+    steps, ia, ib = np.intersect1d(a.steps, b.steps, assume_unique=True,
+                                   return_indices=True)
+    diff = np.abs(a.states[ia] - b.states[ib])
+    return steps, diff.sum(axis=(1, 2)) * cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,9 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     (iii) mean D_eps(t) stays below D_eps(0) exp(r L_m t) (1 + slack) up to
     the first cap exit; (iv) on a common path, dt-refined trajectories are
     Cauchy at t_end.  More than half the base runs leaving the cap raise
-    SolverFailure.
+    SolverFailure.  A pair is compared at the steps both its runs stored
+    (``_l1_gap``), the envelope and the terminal gap of each eps at the
+    steps every pair of it compared.
     """
     n_paths = read_integer("n_paths", n_paths, least=1)
     cauchy_paths = read_integer("cauchy_paths", cauchy_paths, least=1)
@@ -200,8 +204,7 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
 
     # (i) zero-perturbation twins on the first BITWISE_PATHS paths, (ii)+(iii)
     # perturbation decay and envelope, all on common random numbers
-    gap_series: dict[float, list[np.ndarray]] = {e: [] for e in eps_list}
-    stored_times = None
+    gap_series: dict[float, list[tuple]] = {e: [] for e in eps_list}  # (steps, D) per pair
     exits = 0
     bitwise_ok = True
     for p in range(n_paths):
@@ -213,8 +216,6 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
             bitwise_ok &= (np.array_equal(base.states, twin.states)
                            and np.array_equal(base.sup_norms, twin.sup_norms))
         exits += base.stopping.triggered
-        if stored_times is None or len(base.times) > len(stored_times):
-            stored_times = base.times
         for e, pert in zip(eps_list, runs):
             gap_series[e].append(_l1_gap(base, pert, cell_vol))
     if exits > 0.5 * n_paths:
@@ -228,12 +229,13 @@ def uniqueness_experiment(problem: Problem, config: SolverConfig,
     envelope_rows = []
     terminal = {}
     for e in eps_list:
-        n_common = min(len(g) for g in gap_series[e])
-        gaps = np.stack([g[:n_common] for g in gap_series[e]])  # (paths, times)
+        # the steps every pair compared
+        steps = functools.reduce(np.intersect1d, [s for s, _ in gap_series[e]])
+        gaps = np.stack([g[np.isin(s, steps)] for s, g in gap_series[e]])  # (paths, steps)
         d0 = float(e * problem.r * problem.grid.volume)
-        times = stored_times[:n_common]
+        times = steps * run_cfg.dt
         means = gaps.mean(axis=0)
-        uppers = np.array([mean_upper_ci(gaps[:, i])[1] for i in range(n_common)])
+        uppers = np.array([mean_upper_ci(col)[1] for col in gaps.T])
         env = d0 * np.exp(rate * times) * (1.0 + slack)
         ok = bool(np.all(uppers <= env + 1e-300))
         envelope_ok = envelope_ok and ok
@@ -511,6 +513,7 @@ def est2_bound_check(sys: ReactionSystem, component: int, operator,
     """Drive u(t) = int S(t-s) H(u(s)+v(s)) ds semi-implicitly from u(0)=0
     and compare sup_t ||u||_inf with (4a/b)^(1/(2N+1)) (1 + sup_t ||v||_inf)
     built from the certified sandwich constants (a2, b2)."""
+    component = read_integer("component", component, least=0, below=sys.r)
     cert = sys.certificates[component]
     drift = sys.drifts[component]
     if drift is None or not cert.b2 > 0:

@@ -112,8 +112,7 @@ class _LevelTable:
     a_lo: float  # a_n
     a_hi: float  # a_{n-1}
     s: np.ndarray  # log-spaced nodes on [a_n, a_{n-1}]
-    psi: np.ndarray  # exact density values 1/(n rho)
-    big_psi: np.ndarray  # cumulative int psi, clipped to [0, 1]
+    big_psi: np.ndarray  # cumulative int psi_n = 1/(n rho), clipped to [0, 1]
     phi_table: np.ndarray  # cumulative int big_psi from a_n
 
 
@@ -234,8 +233,8 @@ def build_mollifier(rho, n_max: int) -> MollifierFamily:
         big = np.concatenate(([0.0], np.cumsum(0.5 * (psi[1:] + psi[:-1]) * ds)))
         big = np.clip(big, 0.0, 1.0)
         phi_tab = np.concatenate(([0.0], np.cumsum(0.5 * (big[1:] + big[:-1]) * ds)))
-        tables.append(_LevelTable(a_lo=a_n, a_hi=hi, s=s, psi=psi,
-                                  big_psi=big, phi_table=phi_tab))
+        tables.append(_LevelTable(a_lo=a_n, a_hi=hi, s=s, big_psi=big,
+                                  phi_table=phi_tab))
     return MollifierFamily(rho, np.asarray(a), tables)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AuditError
 from .grid import DomainGrid
 from .mollifier import PowerModulus
-from .readers import read_integer
+from .readers import read_integer, read_numeral
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +238,13 @@ def named_g(name: str) -> HolderFunction:
     if name == "sqrt-abs-shifted":
         return HolderFunction(_sqrt_abs_shifted, 1.0, 1.0, lambda m: 1.0, name=name)
     if name.startswith("lipschitz:"):
-        L = float(name.split(":", 1)[1])
-        if not math.isfinite(L):
-            raise ValueError(f"lipschitz constant must be finite, got {L!r}")
+        L = read_numeral("lipschitz constant", name.split(":", 1)[1])
         return HolderFunction(_Linear(L), 0.0, abs(L),
                               lambda m, L=L: abs(L) * math.sqrt(2.0 * m), name=name)
     if name.startswith("power:"):
-        alpha = float(name.split(":", 1)[1])
-        if not 0.0 < alpha <= 1.0:  # NaN fails too; inf is above 1
-            raise ValueError(f"power exponent must be finite and in (0, 1], "
-                             f"got {alpha!r}")
+        alpha = read_numeral("power exponent", name.split(":", 1)[1], above=0)
+        if alpha > 1.0:
+            raise ValueError(f"power exponent must be <= 1, got {alpha!r}")
         return HolderFunction(_Power(alpha), 1.0, 1.0, lambda m: 1.0, name=name,
                               exponent=alpha)
     raise ValueError(f"unknown amplitude name {name!r}")

@@ -381,6 +381,7 @@ def dissipativity_gap(sys: ReactionSystem, component: int, u: np.ndarray,
     a'(1+||v||)^q - <H(u+v), phi>; mode 2 returns
     a''(1+||v||)^q - b''||u||^q - <H(u+v) - H(v), phi>.
     """
+    component = read_integer("component", component, least=0, below=sys.r)
     mode = read_integer("mode", mode, least=1, below=3)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

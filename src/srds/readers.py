@@ -10,18 +10,25 @@ true as 1).  Bounds are ``least`` (inclusive), ``above`` (exclusive) and
 ``below`` (exclusive, the rng key ranges).  Each reader raises ValueError
 naming the argument and the value it got.  An integer is returned as a
 Python int, and a number as a float, ints included, so that equal values
-(8, 8.0, a numpy 8) are stored, recorded, hashed and dumped alike.
+(8, 8.0, a numpy 8) are stored, recorded, hashed and dumped alike.  The
+number in a named rule ("power:2") is a bare JSON number literal, read by
+``read_numeral``.
 
 This module imports nothing from srds: every layer reads through it.
 """
 
 from __future__ import annotations
 
+import json
+import re
 import sys
 
 import numpy as np
 
 _LARGEST = sys.float_info.max
+# a JSON number literal: no sign +, spaces, digit-group underscores, nan or
+# inf, all of which float() reads
+_NUMERAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 def _bounded(key: str, value, least, above, below):
@@ -66,6 +73,15 @@ def read_number(key: str, value, least=None, above=None) -> float:
     if not abs(value) <= _LARGEST:
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(_bounded(key, value, least, above, None))
+
+
+def read_numeral(key: str, text: str, least=None, above=None) -> float:
+    """The number that ``text``, a bare JSON number literal, spells, as
+    ``read_number`` reads it: the number of a named rule ("power:2"), which
+    float() would read from "0_1" as 1 or from " 2 " as 2; other text is
+    refused as ``read_number`` refuses a string."""
+    return read_number(key, json.loads(text) if _NUMERAL.fullmatch(text) else text,
+                       least, above)
 
 
 def read_flag(key: str, value) -> bool:

@@ -182,7 +182,8 @@ class WienerPath:
 def sample_path(master_seed: int, components: int, modes: int, n_fine: int,
                 dt_fine: float, path_index: int = 0) -> WienerPath:
     """Sample the full increment array for one path."""
-    components, modes = read_integer("components", components), read_integer("modes", modes)
+    components = read_integer("components", components, least=1)
+    modes = read_integer("modes", modes, least=1)
     n_fine = read_integer("n_fine", n_fine, least=1)
     dt_fine = read_number("dt_fine", dt_fine, above=0)
     master_seed, path_index, _, _ = _read_key(master_seed, path_index, components - 1,

@@ -168,8 +168,7 @@ class StoppingRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray  # stored times, shape (n_stored,)
-    states: np.ndarray  # (n_stored, r, n_cells)
+    states: np.ndarray  # one per entry of ``steps``, (n_stored, r, n_cells)
     sup_norms: np.ndarray  # full-resolution per-step norms, (n_reached+1, r)
     min_values: np.ndarray  # full-resolution per-step minima, (n_reached+1, r)
     dt: float
@@ -184,19 +183,32 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
+    @property
+    def steps(self) -> np.ndarray:
+        """The steps whose states are stored, in order: every
+        ``store_stride``-th step from 0, and the last step reached when it
+        is off the stride, which a run always stores (``until`` cut at a
+        step the run did not store holds no state there)."""
+        last = len(self.sup_norms) - 1
+        steps = np.arange(0, last + 1, self.store_stride)
+        return steps if len(self.states) == len(steps) else np.append(steps, last)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The times of the stored states, ``steps * dt``."""
+        return self.steps * self.dt
+
     def e_norms(self) -> np.ndarray:
         """Full-resolution E-norm history sum_l ||u_l||_inf."""
         return _e_norms(self.sup_norms)
 
     def until(self, step: int) -> "Trajectory":
         """This trajectory through ``step``, a step it reached: the states
-        stored up to it (the last reached step's always) and its norms and
-        minima; the stopping record is kept."""
-        reached = len(self.sup_norms) - 1
-        n_stored = step // self.store_stride + 1 + (
-            step == reached and step % self.store_stride != 0)
-        return replace(self, times=self.times[:n_stored],
-                       states=self.states[:n_stored],
+        stored at the steps up to it and its norms and minima; the stopping
+        record is kept.  Cut at a step it did not store, it does not store
+        its last step, so ``simulate`` refuses it as a prefix."""
+        n_stored = np.searchsorted(self.steps, step, side="right")
+        return replace(self, states=self.states[:n_stored],
                        sup_norms=self.sup_norms[:step + 1],
                        min_values=self.min_values[:step + 1])
 
@@ -451,7 +463,7 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
              prefix: Trajectory | None = None) -> Trajectory:
     """Iterate the scheme, halting early if the sup cap is exceeded.
 
-    States are stored every ``store_stride`` steps (the final state always);
+    States are stored at ``Trajectory.steps`` (the final state always);
     per-step sup norms are recorded at full resolution regardless.  Steps
     run in blocks (``_advance``) checked after the fact, the initial state
     as step 0: a cap exit, or a truncated run's exit from its ball, drops
@@ -459,10 +471,9 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     With ``ball_test`` false a truncated run steps truncated at every step.
 
     ``prefix`` is this run through some step s, which it stores last (as
-    ``Trajectory.until(s)`` gives it when s is on the stride or the last
-    step it reached): its norms, minima and stored states are copied
-    through step s, and the run steps on from there, to the same bits as
-    from step 0.
+    ``Trajectory.until(s)`` gives it when s is one of the run's ``steps``):
+    its norms, minima and stored states are copied through step s, and the
+    run steps on from there, to the same bits as from step 0.
     """
     u = np.array(initial, dtype=float)
     if u.shape != (problem.r, problem.grid.n_total):
@@ -480,10 +491,10 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
     start = n_stored = 0
     if prefix is not None:
         start = len(prefix.sup_norms) - 1
-        n_stored = -(-start // stride)  # the states stored before step start
-        if (prefix.dt != config.dt or prefix.store_stride != stride
-                or start > n_steps or len(prefix.states) != n_stored + 1
-                or prefix.states.shape[1:] != u.shape):
+        n_stored = len(prefix.states) - 1  # the states stored before step start
+        if (prefix.dt != config.dt or prefix.store_stride != stride or start > n_steps
+                or prefix.states.shape[1:] != u.shape
+                or len(prefix.states) != len(prefix.steps) or prefix.steps[-1] != start):
             raise ValueError("prefix must be a run of this config that stores "
                              "its last step")
         norms[:start] = prefix.sup_norms[:start]
@@ -500,17 +511,12 @@ def simulate(problem: Problem, config: SolverConfig, path: WienerPath,
         n_stored += len(kept)
 
     i = a + len(block)  # the last step reached
-    stored_idx = list(range(0, i + 1, stride))
-    if stored_idx[-1] != i:
+    traj = Trajectory(states[:n_stored], norms[:i + 1], mins[:i + 1], config.dt, stride,
+                      StoppingRecord(exited, config.cap_level, i * config.dt, i))
+    if traj.steps[-1] != i:  # the last step reached, off the stride, is stored too
         states[n_stored] = block[-1]
-        n_stored += 1
-        stored_idx.append(i)
-    stopping = StoppingRecord(exited, config.cap_level, i * config.dt, i,
-                              "component-max")
-    return Trajectory(times=np.asarray(stored_idx, dtype=float) * config.dt,
-                      states=states[:n_stored], sup_norms=norms[:i + 1],
-                      min_values=mins[:i + 1], dt=config.dt,
-                      store_stride=stride, stopping=stopping)
+        traj = replace(traj, states=states[:n_stored + 1])
+    return traj
 
 
 # ---------------------------------------------------------------------------

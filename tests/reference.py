@@ -23,7 +23,7 @@ Nothing here shares the solver's stepping code: no blocks of steps, no
 chunks of fields, no helper thread, no ball test, no rows solved together.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,6 +85,18 @@ def _increments(dt, path):
     return path.coarse(dyadic_level(dt, path.dt_fine))
 
 
+@dataclass(frozen=True)
+class Run(Trajectory):
+    """A trajectory whose ``steps`` are the steps this loop stored, listed
+    as it stored them, not ``Trajectory.steps``'s rule."""
+
+    stored: tuple = ()
+
+    @property
+    def steps(self):
+        return np.array(self.stored)
+
+
 def simulate(problem, config, path, initial):
     """``solver.simulate``'s trajectory: every ``store_stride``-th state and
     the last one reached, the sup norms and minima of every step, and the
@@ -109,12 +121,11 @@ def simulate(problem, config, path, initial):
     if stored_idx[-1] != i:
         stored.append(u)
         stored_idx.append(i)
-    return Trajectory(times=np.asarray(stored_idx, dtype=float) * config.dt,
-                      states=np.stack(stored), sup_norms=np.asarray(norms),
-                      min_values=np.asarray(mins), dt=config.dt,
-                      store_stride=config.store_stride,
-                      stopping=StoppingRecord(exited, config.cap_level, i * config.dt, i,
-                                              "component-max"))
+    return Run(states=np.stack(stored), sup_norms=np.asarray(norms),
+               min_values=np.asarray(mins), dt=config.dt, store_stride=config.store_stride,
+               stopping=StoppingRecord(exited, config.cap_level, i * config.dt, i,
+                                       "component-max"),
+               stored=tuple(stored_idx))
 
 
 def ladder(problem, config, path, initial, levels):

@@ -1053,16 +1053,21 @@ BAD_VALUES = [
      "dt_fine must be a finite number, got False"),
     ("simulate", ("operators", 0), {"csv": "coefficients.csv"}, "operators",
      "csv coefficients need eta and m_bound"),
-    *[("simulate", ("noise", "g"), f"power:{alpha}", "noise",
-       "could not convert" if alpha == "x" else "power exponent must be finite and in (0, 1]")
-      for alpha in ("0", "-0.5", "1.5", "nan", "inf", "x")],
+    # the number of a named rule is a bare JSON number literal: float()
+    # read "0_1" as 1 and " 2 " as 2
+    *[("simulate", ("noise", "g"), f"power:{alpha}", "noise", f"power exponent {message}")
+      for alpha, message in (("0", "must be > 0, got 0"), ("-0.5", "must be > 0, got -0.5"),
+                             ("1.5", "must be <= 1, got 1.5"),
+                             ("1e400", "must be a finite number, got inf"),
+                             *[(bad, f"must be a finite number, got {bad!r}")
+                               for bad in ("nan", "inf", "x", "0_1", " 1", "+1")])],
     # entries of config lists are JSON numbers too: float() would read "1"
     # and true, a NaN or infinite lambda power makes a NaN or a one-mode
     # noise, and a cosine mode number is an integer
     *[("simulate", ("noise", "lambdas"), [bad] + [1.0] * 7, "noise",
        f"lambdas[0] must be a finite number, got {bad!r}") for bad in ("1", True)],
     *[("simulate", ("noise", "lambdas"), f"power:{p}", "noise",
-       f"lambda power must be finite, got {float(p)!r}") for p in ("nan", "inf")],
+       f"lambda power must be a finite number, got {p!r}") for p in ("nan", "inf", "2_0")],
     # a scaled lambda beyond the largest float, or inf * 0, is refused by
     # mode (ComponentNoise's check) before any path is sampled
     ("simulate", ("noise", "lambdas"), "power:-400", "noise",
@@ -1115,8 +1120,9 @@ BAD_VALUES = [
     # a non-finite Lipschitz constant bounds nothing; the preset's positivity
     # block would read it as g(0) != 0
     *[(command, ("noise", "g"), f"lipschitz:{L}", "noise",
-       f"lipschitz constant must be finite, got {float(L)!r}")
-      for command in ("simulate", "verify positivity") for L in ("nan", "inf", "-inf")],
+       f"lipschitz constant must be a finite number, got {L!r}")
+      for command in ("simulate", "verify positivity")
+      for L in ("nan", "inf", "-inf", "0_1", " 2 ")],
 ]
 
 

@@ -10,7 +10,7 @@ from srds import (SolverConfig, build_problem, est2_bound_check, moment_experime
 from srds.errors import AuditError
 from srds.noise import HolderFunction
 from srds.reaction import CouplingTerm, ReactionSystem
-from srds.experiments import Member, _make_path, mean_upper_ci, run_members
+from srds.experiments import Member, _l1_gap, _make_path, mean_upper_ci, run_members
 from srds.rng import sample_path
 from srds.solver import _step_runs, exit_index, simulate, truncate_problem
 from srds.verify import _with_named_g, _zero_noise
@@ -77,6 +77,38 @@ def test_lipschitz_noise_gap_scales_linearly():
              for e in (1e-1, 1e-2, 1e-3)]
     for a, b in zip(means, means[1:]):
         assert 0.08 <= b / a <= 0.12
+
+
+def test_twins_are_compared_at_the_steps_both_stored():
+    # strided twins that stop at different steps, off the stride: path 10's
+    # base run exits at step 119 and its eps = 0.1 twin at step 30, so a
+    # comparison by position would pair the base's step 32 with the twin's
+    # step 30.  Each gap compares both runs at one step, and each eps's
+    # table rows are at the steps every pair of it stored.
+    prob = build_fhn_problem()
+    cfg = SolverConfig(dt=1e-3, t_end=0.2, sup_cap=0.9, store_stride=8)
+    init = const_init(prob, 0.5, 0.5)
+    eps_list, n_paths, vol = (1e-1, 1e-2), 22, prob.grid.cell_volume
+    rep = uniqueness_experiment(prob, cfg, init, n_paths=n_paths, eps_list=eps_list,
+                                cauchy_paths=1, cauchy_refinements=0)
+    paths = [_make_path(prob, cfg, 0, p) for p in range(n_paths)]
+    base = [simulate(prob, cfg, path, init) for path in paths]
+    twin = simulate(prob, cfg, paths[10], init + 0.1)
+    assert (base[10].stopping.step_index, twin.stopping.step_index) == (119, 30)
+    _, rows = rep.tables["gap_series"]
+    for e in eps_list:
+        stored = [[{round(time / cfg.dt): u for time, u in zip(t.times, t.states)}
+                   for t in pair]
+                  for pair in zip(base, [simulate(prob, cfg, p, init + e) for p in paths])]
+        common = sorted(set.intersection(*(set(a) & set(b) for a, b in stored)))
+        means = [np.mean([np.abs(a[s] - b[s]).sum() * vol for a, b in stored])
+                 for s in common]
+        assert [r[2] for r in rows if r[0] == e] == pytest.approx(means, rel=1e-12)
+        assert [r[1] for r in rows if r[0] == e] == [s * cfg.dt for s in common]
+        assert rep.aggregates["terminal_gap_means"][repr(e)] == pytest.approx(means[-1])
+    steps, gaps = _l1_gap(base[10], twin, vol)
+    assert steps.tolist() == [0, 8, 16, 24]
+    assert gaps[-1] == pytest.approx(np.abs(base[10].states[3] - twin.states[3]).sum() * vol)
 
 
 def test_no_limit_has_one_spelling(tmp_path):

@@ -8,6 +8,7 @@ cap of inf or NaN, a truncation level of inf and a resolvent parameter of
 inf mean "no limit" and run."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -20,9 +21,9 @@ from hypothesis import strategies as st
 from srds import (CoefficientField, CouplingTerm, EllipticOperator, PowerModulus, Problem,
                   SolverConfig, apply_resolvent, build_grid, build_mollifier, build_noise,
                   check_quasi_positive, cosine_neumann_basis, dissipativity_gap,
-                  evolve_semigroup, fhn_system, gaussian_entry, named_g, residual_refinement,
-                  sample_path, uniform_stream)
-from srds.readers import read_flag, read_integer, read_list, read_number
+                  est2_bound_check, evolve_semigroup, fhn_system, gaussian_entry, named_g,
+                  residual_refinement, sample_path, uniform_stream)
+from srds.readers import read_flag, read_integer, read_list, read_number, read_numeral
 
 _INTEGER_TYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
                   np.uint64)
@@ -98,6 +99,20 @@ def test_each_bound_names_the_argument_and_the_value():
             call()
 
 
+def test_a_numeral_is_a_bare_json_number_literal():
+    # float() reads each refused spelling: "0_1" as 1, " 2 " as 2, nan, inf
+    assert [read_numeral("p", t) for t in ("2", "-0.5", "1e-3", "0")] == [2.0, -0.5, 1e-3, 0.0]
+    for text in ("0_1", " 2 ", "+1", "nan", "inf", "1.", ".5", "0x1", ""):
+        with pytest.raises(ValueError,
+                           match=f"^p must be a finite number, got {re.escape(repr(text))}$"):
+            read_numeral("p", text)
+    for text, message in [("1e400", "a finite number, got inf"), ("0", "> 0, got 0")]:
+        with pytest.raises(ValueError, match=f"^p must be {message}$"):
+            read_numeral("p", text, above=0)
+    with pytest.raises(ValueError, match="^power exponent must be a finite number, got '0_1'$"):
+        named_g("power:0_1")
+
+
 # --- every public number and count parameter ---------------------------------------
 
 
@@ -128,13 +143,13 @@ class Param(NamedTuple):
     """A parameter as its refusals name it, its site at one value of it (as
     comparable data: a repr shows a numpy scalar kept where an int or a
     float belongs), whether it is a count, the valid values drawn, the
-    non-finite values it reads as "no limit", and values below its range."""
+    non-finite values it reads as "no limit", and values outside its range."""
     name: str
     call: Callable
     count: bool
     valid: st.SearchStrategy
     limits: tuple = ()
-    below: tuple = ()
+    outside: tuple = ()
 
 
 PARAMS = {
@@ -167,9 +182,9 @@ PARAMS = {
                                      st.integers(0, 2**64 - 1)),
     "sample_path-components": Param("components",
                                     lambda x: _path(sample_path(0, x, 2, 4, 1e-3)), True,
-                                    st.integers(1, 3)),
+                                    st.integers(1, 3), outside=(0,)),
     "sample_path-modes": Param("modes", lambda x: _path(sample_path(0, 2, x, 4, 1e-3)), True,
-                               st.integers(1, 3)),
+                               st.integers(1, 3), outside=(0,)),
     "sample_path-n_fine": Param("n_fine", lambda x: _path(sample_path(0, 2, 2, x, 1e-3)),
                                 True, st.integers(1, 8)),
     "sample_path-dt_fine": Param("dt_fine", lambda x: _path(sample_path(0, 2, 2, 4, x)),
@@ -224,12 +239,12 @@ PARAMS = {
         st.integers(1, 8)),
     "SolverConfig-sup_cap": Param(
         "sup_cap", lambda x: _config(SolverConfig(dt=0.125, t_end=1.0, sup_cap=x)), False,
-        st.floats(0.125, 8.0), limits=(math.inf, math.nan), below=(0.0, -1.0)),
+        st.floats(0.125, 8.0), limits=(math.inf, math.nan), outside=(0.0, -1.0)),
     "Problem-level": Param("truncation level", lambda x: replace(_PROBLEM, level=x).digest(),
-                           False, st.floats(1.0, 64.0), limits=(math.inf,), below=(0.5,)),
+                           False, st.floats(1.0, 64.0), limits=(math.inf,), outside=(0.5,)),
     "apply_resolvent-lambda": Param("lambda", lambda x: apply_resolvent(_OP, x, _U).tobytes(),
                                     False, st.floats(0.125, 8.0), limits=(math.inf,),
-                                    below=(0.0, -1.0)),
+                                    outside=(0.0, -1.0)),
     "CoefficientField.constant-a": Param(
         "a", lambda x: CoefficientField.constant(_GRID, a=x).descriptor(), False,
         st.floats(0.125, 8.0)),
@@ -238,16 +253,23 @@ PARAMS = {
         st.floats(0.0, 8.0)),
     "CoefficientField.constant-eta": Param(
         "eta", lambda x: CoefficientField.constant(_GRID, eta=x).descriptor(), False,
-        st.floats(0.125, 1.0), below=(0.0, -1.0)),
+        st.floats(0.125, 1.0), outside=(0.0, -1.0)),
     "dissipativity_gap-mode": Param(
         "mode", lambda x: repr(dissipativity_gap(_PROBLEM.reaction, 0, _U, _U[::-1], mode=x)),
-        True, st.sampled_from([1, 2]), below=(0,)),
+        True, st.sampled_from([1, 2]), outside=(0,)),
+    "dissipativity_gap-component": Param(
+        "component", lambda x: repr(dissipativity_gap(_PROBLEM.reaction, x, _U, _U[::-1])),
+        True, st.sampled_from([0, 1]), outside=(-1, 2)),
+    "est2_bound_check-component": Param(
+        "component",
+        lambda x: repr(est2_bound_check(_PROBLEM.reaction, x, _OP, np.zeros((3, 8)), 0.125)),
+        True, st.just(0), outside=(-1, 2)),
     "residual_refinement-n_paths": Param(
         "n_paths", lambda x: residual_refinement(*_RESIDUAL, n_paths=x).tobytes(), True,
-        st.integers(1, 2), below=(0,)),
+        st.integers(1, 2), outside=(0,)),
     "residual_refinement-refinements": Param(
         "refinements", lambda x: residual_refinement(*_RESIDUAL, refinements=x).tobytes(),
-        True, st.integers(0, 2), below=(-1,)),
+        True, st.integers(0, 2), outside=(-1,)),
 }
 
 
@@ -287,7 +309,7 @@ def _refusals(param, value) -> list:
     limits = {str(float(x)) for x in param.limits}
     bad = [x for x in (-math.inf, math.nan, math.inf, np.float64(math.nan),
                        np.float32(math.inf)) if str(float(x)) not in limits]
-    bad += [True, False, np.True_, *param.below]
+    bad += [True, False, np.True_, *param.outside]
     if param.count:  # a float where a count is due
         bad += [float(value), np.float64(value), 0.5]
     return bad

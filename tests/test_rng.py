@@ -181,11 +181,12 @@ def test_master_seed_outside_key_range_rejected(seed):
 
 
 @pytest.mark.parametrize("args,message", [
-    ((-5, 0, 8, 10, 1e-3), "master_seed must be >= 0, got -5"),
-    ((1 << 64, 0, 3, 10, 1e-3),
+    ((-5, 1, 8, 10, 1e-3), "master_seed must be >= 0, got -5"),
+    ((1 << 64, 1, 3, 10, 1e-3),
      "master_seed must be < 18446744073709551616, got 18446744073709551616"),
-    ((1, 0, 3, 10, 1e-3), "component must be >= 0, got -1"),
-    ((1, 2, 0, 10, 1e-3), "mode must be >= 0, got -1"),
+    # counts of zero, named as given, not as the highest stream index -1
+    ((1, 0, 3, 10, 1e-3), "components must be >= 1, got 0"),
+    ((1, 2, 0, 10, 1e-3), "modes must be >= 1, got 0"),
     ((1, MAX_MODE + 1, 1, 4, 1e-3), "component must be < 65536, got 65536"),
     ((1, 1, MAX_MODE + 1, 4, 1e-3), "mode must be < 65536, got 65536"),
     ((1, 2, 3, 4, 1e-3, -1), "path_index must be >= 0, got -1"),

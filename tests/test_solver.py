@@ -659,9 +659,8 @@ def test_mild_residual_requires_stride_one():
 def _stored_run(states, dt):
     """A trajectory stored at every step, untriggered, holding ``states``."""
     n = len(states) - 1
-    return Trajectory(times=np.arange(n + 1) * dt, states=states,
-                      sup_norms=np.abs(states).max(axis=2), min_values=states.min(axis=2),
-                      dt=dt, store_stride=1,
+    return Trajectory(states=states, sup_norms=np.abs(states).max(axis=2),
+                      min_values=states.min(axis=2), dt=dt, store_stride=1,
                       stopping=StoppingRecord(False, math.inf, n * dt, n))
 
 
@@ -1094,7 +1093,8 @@ def _outcome(run, *args):
 
 
 def _assert_same_trajectory(got, ref):
-    assert np.array_equal(got.times, ref.times)
+    # a reference run's steps are the list its loop kept
+    assert got.steps.tolist() == ref.steps.tolist() and got.dt == ref.dt
     assert np.array_equal(got.states, ref.states)
     assert np.array_equal(got.sup_norms, ref.sup_norms)
     assert np.array_equal(got.min_values, ref.min_values)
@@ -1589,8 +1589,12 @@ def test_a_run_resumed_at_a_stored_step_is_the_run(stride):
         _assert_same_trajectory(simulate(prob, cfg, path, init, prefix=full.until(s)),
                                 full)
     if stride > 1:  # step 10 is not stored: until(10) ends at step 9
+        assert full.until(10).steps.tolist() == [0, 3, 6, 9]
         with pytest.raises(ValueError, match="stores its last step"):
             simulate(prob, cfg, path, init, prefix=full.until(10))
+    cut = full.until(9)  # a state short of the steps it reached
+    with pytest.raises(ValueError, match="stores its last step"):
+        simulate(prob, cfg, path, init, prefix=replace(cut, states=cut.states[1:]))
     with pytest.raises(ValueError, match="stores its last step"):
         simulate(prob, replace(cfg, dt=2e-3), path, init, prefix=full.until(0))
 
