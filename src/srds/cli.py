@@ -65,8 +65,11 @@ def _out_dir(args, cfg: dict, command: str) -> Path:
                     or os.environ.get("SRDS_OUT") or "srds-out")
     digest = config_digest(cfg)
     d = root / f"{command}-{digest[:12]}-seed{cfg['master_seed']}"
-    d.mkdir(parents=True, exist_ok=True)
-    write_json(d / "config.json", cfg)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+        write_json(d / "config.json", cfg)
+    except OSError as exc:  # a root that is a file, or one that cannot be written
+        raise ConfigError("output", str(exc)) from None
     return d
 
 

@@ -38,12 +38,12 @@ def config_digest(cfg: dict) -> str:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("missing-config", str(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("invalid-json", str(exc))
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError("missing-config", str(exc)) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError("invalid-json", str(exc)) from None
     return validate_config(cfg)
 
 
@@ -239,6 +239,9 @@ def build_problem(cfg: dict):
         for key, b in zip(keys, op_blocks):
             if key not in built:
                 built[key] = _build_operator(grid, b)
+        if len(built) > 1:  # distinct texts ("a": 1 and "a": 1.0) may build one operator
+            shared = {}
+            built = {key: shared.setdefault(op.descriptor(), op) for key, op in built.items()}
         operators = tuple(built[key] for key in keys)
     r = len(operators)
     with config_block("reaction"):

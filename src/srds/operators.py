@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +117,8 @@ def coefficient_field_from_csv(grid: DomainGrid, path, eta: float,
     a = np.zeros((n, d, d))
     c = np.zeros(n)
     seen = np.zeros(n, dtype=bool)
-    with open(path, newline="") as fh:
+    # a path, never a file descriptor: open(2) would read fd 2 and close it
+    with open(os.fspath(path), newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#"):
                 continue

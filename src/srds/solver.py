@@ -388,11 +388,10 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     <= n too and its step is bitwise the untruncated step.  So a block from
     a state inside steps without bounds and is cut after its first state
     outside, the exit rho_n of ``exit_index``, before the cap judge reads
-    it (its later steps, at most block - 1, are dropped unchecked); the
-    blocks from there on step truncated until one ends inside the ball.
-    Untruncated blocks start at one step and double while they stay
-    inside, up to a full block, and each exit halves them: a run that
-    leaves its ball early or crosses it often drops few steps.
+    it; the blocks from there on step truncated until one ends inside the
+    ball.  Every block, from a state inside or outside, holds a full block
+    of steps or the rest of its chunk, so a ball exit drops what a cap exit
+    does: the block's later steps, at most block - 1, computed unchecked.
 
     ``_quiet`` holds around each block's steps and judgement (never across
     a ``yield``), and on the helper thread, whose floating-point state is
@@ -405,9 +404,6 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
     block = max(1, STATE_BLOCK_FLOATS // u.size)
     chunk = block * max(1, MODAL_BLOCK_FLOATS // (block * u.size))
     buf = np.empty((min(block, len(inc) - start),) + u.shape)
-    # the longest untruncated block: one step at first, doubled at each
-    # untruncated block that stays inside, halved at each ball exit
-    span = 1
     free = False  # the state stepped from is inside the ball
     a, states = start - 1, u[None]
     c = start
@@ -432,7 +428,7 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
                         if helper is not None and c + chunk < len(inc):
                             nxt = inc[c + chunk:c + 2 * chunk]
                             ahead = helper.submit(build, nxt, spare[:len(nxt)])
-                    states = buf[:min(span if free else block, c + len(fields) - a)]
+                    states = buf[:min(block, c + len(fields) - a)]
                     steps = plan[:3] + (None,) if free else plan
                     for j, f in enumerate(fields[a - c:a - c + len(states)]):
                         u = states[j] = step(problem, config, u, f, *steps)
@@ -442,10 +438,7 @@ def _advance(problem: Problem, config: SolverConfig, u: np.ndarray,
                     inside = _e_norms(rows) <= level  # NaN compares false
                     if free:  # cut after the first state outside, rho_n
                         out = int(inside.argmin())
-                        if inside[out]:
-                            span = min(block, 2 * span)
-                        else:  # step from the state outside, not the dropped ones
-                            span = max(1, span // 2)
+                        if not inside[out]:  # step from it, not from the dropped ones
                             states, rows, u = states[:out + 1], rows[:out + 1], states[out]
                     free = bool(inside[len(states) - 1])
                 k = _first_exit(states, rows, cap, a + 1)

@@ -63,6 +63,11 @@ def test_equal_operator_blocks_share_one_operator():
     cfg["operators"][1] = dict(reversed(cfg["operators"][1].items()))
     problem, _, _ = build_problem(cfg)
     assert problem.operators[0] is problem.operators[1]  # key order does not matter
+    cfg["operators"][1] = {"a": 1, "c": 0, "eta": 0.5, "m_bound": 2}
+    problem, _, _ = build_problem(cfg)
+    assert problem.operators[0] is problem.operators[1]  # nor does 1 against 1.0
+    assert problem.digest() == ("586f7b2d500d980db1f516f1a05c29b1"
+                                "fb0983e3d337810d847fc1235fa2a87a")
     cfg["operators"][1]["a"] = 1.5
     problem, _, _ = build_problem(cfg)
     assert problem.operators[0] is not problem.operators[1]
@@ -1003,6 +1008,11 @@ BAD_VALUES = [
     ("simulate", ("solver", "sup_cap"), 0, "solver", "sup_cap must be > 0, got 0"),
     ("simulate", ("solver", "sup_cap"), -math.inf, "solver",
      "sup_cap must be a finite number, got -inf"),
+    # a coefficient path is a path: open() would take an int or a bool for a
+    # file descriptor, read stdin for 0 and close stdout or stderr for 1, 2, true
+    *[("simulate", ("operators", 0), {"csv": csv, "eta": 0.5, "m_bound": 2.0}, "operators",
+       f"expected str, bytes or os.PathLike object, not {type(csv).__name__}")
+      for csv in (0, 1, 2, True, None, [1], 3.5)],
     # a coefficient file that cannot be read, and more modes than the Philox
     # stream lanes hold, are config errors, not tracebacks
     *[(command, ("operators", 0), {"csv": "missing-coefficients.csv", "eta": 0.5,
@@ -1132,6 +1142,32 @@ def _set(cfg, keys, value):
     cfg[keys[-1]] = value
 
 
+_MAIN_IN_CHILD = """
+import os, sys
+from srds.cli import main
+code = main(sys.argv[1:])
+for fd in (0, 1, 2):
+    os.fstat(fd)  # raises if main closed a standard stream
+sys.exit(code)
+"""
+
+
+def _main_in_child(argv) -> str:
+    """Run ``main(argv)`` in a child with every warning printed; require
+    exit 2 with its standard streams still open, and return its stderr."""
+    import os
+    import subprocess
+    import sys
+
+    paths = [str(Path(srds.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-W", "always", "-c", _MAIN_IN_CHILD, *argv],
+                          env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2, done.stderr[-4000:]
+    return done.stderr
+
+
 # a row's optional fifth entry is the expected start of the detail
 @pytest.mark.parametrize("command,keys,value,reason,detail",
                          [(*c, "")[:5] for c in BAD_VALUES],
@@ -1141,13 +1177,19 @@ def test_bad_value_exits_two(tmp_path, out_root, capsys, command, keys, value,
                              reason, detail):
     cfg = quick_preset()
     _set(cfg, keys, value)
-    with warnings.catch_warnings(record=True) as warned:
-        warnings.simplefilter("always")
-        assert main([*command.split(), "--config", write_config(tmp_path, cfg)]) == 2
-    err = capsys.readouterr().err
+    argv = [*command.split(), "--config", write_config(tmp_path, cfg)]
+    if isinstance(value, dict) and isinstance(value.get("csv"), int):
+        # a file descriptor number: a fault here reads or closes the standard
+        # streams of the process that runs main, so a child runs it
+        err = _main_in_child(argv)
+    else:
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in warned] == []
     # one line on stderr and no warning, which would print there outside pytest
     assert err.startswith("srds-error:") and err.count("\n") == 1
-    assert [str(w.message) for w in warned] == []
     assert f"code=2 kind=config reason={reason} detail={detail}" in err
 
 
@@ -1178,6 +1220,42 @@ def test_bad_experiment_value_samples_no_path(tmp_path, out_root, monkeypatch,
     command = ["verify", experiment["name"], "--config", write_config(tmp_path, cfg)]
     assert main(command) == 2
     assert sampled == []
+
+
+@pytest.mark.parametrize("via", ["--out", "SRDS_OUT"])
+@pytest.mark.parametrize("command", ["simulate", "verify noise", "ensemble --paths 2"])
+def test_output_root_that_cannot_be_made_exits_two(tmp_path, monkeypatch, capsys,
+                                                   command, via):
+    # a root under a regular file: the run's directory is made after the
+    # run, and it fails as a config error, not a traceback that exits 1
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = [*command.split(), "--config", write_config(tmp_path, quick_preset())]
+    if via == "--out":
+        argv += ["--out", str(blocker)]
+    else:
+        monkeypatch.setenv("SRDS_OUT", str(blocker / "sub"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert "code=2 kind=config reason=output detail=[Errno 20] Not a directory" in err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("name,reason,detail", [
+    ("missing.json", "missing-config", "[Errno 2] No such file or directory"),
+    ("a-directory", "missing-config", "[Errno 21] Is a directory"),
+    ("utf16.json", "invalid-json", "'utf-8' codec can't decode byte 0xff in position 0"),
+])
+def test_config_that_is_not_a_readable_utf8_file_exits_two(tmp_path, out_root, capsys,
+                                                          name, reason, detail):
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "utf16.json").write_bytes(json.dumps(quick_preset()).encode("utf-16"))
+    assert main(["simulate", "--config", str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert f"code=2 kind=config reason={reason} detail={detail}" in err
+    assert not out_root.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

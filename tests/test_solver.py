@@ -1448,11 +1448,12 @@ def test_property_tests_are_derandomized():
     assert settings.default.derandomize and settings.default.deadline is None
 
 
-def test_ball_exit_at_the_first_step_drops_no_step(monkeypatch):
-    # untruncated blocks start at one step: a run that leaves its ball at
-    # once computes no step it then drops.  Growth 50 u carries the state
-    # from just inside level 1 out at step 1, and the frozen coupling keeps
-    # it outside.
+def test_ball_exit_at_the_first_step_drops_the_rest_of_its_block(monkeypatch):
+    # every block holds min(block, steps left) steps: a run that leaves its
+    # ball at step 1 drops the other min(block, n_steps) - 1 steps of its
+    # first block and steps truncated on from step 1.  Growth 50 u carries
+    # the state from just inside level 1 out at step 1, and the frozen
+    # coupling keeps it outside.
     from srds.reaction import ReactionSystem, coupling_linear
 
     problem = replace(build_scalar_heat_problem(n=32), level=1.0, reaction=ReactionSystem(
@@ -1468,7 +1469,9 @@ def test_ball_exit_at_the_first_step_drops_no_step(monkeypatch):
     traj = simulate(problem, cfg, sample_path(0, 1, 4, 100, 1e-3), const_init(problem, 0.99))
     e = traj.e_norms()
     assert e[0] <= 1.0 < e[1] and (e[1:] > 1.0).all()
-    assert len(calls) == cfg.n_steps == len(e) - 1
+    block = srds.solver.STATE_BLOCK_FLOATS // (problem.r * problem.grid.n_total)
+    assert len(e) - 1 == cfg.n_steps
+    assert len(calls) == cfg.n_steps + min(block, cfg.n_steps) - 1 == 199
 
 
 def _recording_steps(mp):

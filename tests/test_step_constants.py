@@ -3,7 +3,7 @@ expression that takes one must equal, byte for byte, the same expression
 written with Python floats, on any float64 input: signed zeros, infinities,
 NaN, subnormals and values near the largest float included.  How ``step``
 combines the pieces is pinned by
-``test_block_step_matches_per_component_reference``."""
+``test_runs_match_the_reference[block-default]``."""
 
 import math
 
