@@ -335,6 +335,8 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
         raise AuditError("quasi-positivity", f"witness {qp.witness}")
     initial = np.asarray(initial, dtype=float)
     check_positivity_preconditions(problem.noise, initial)
+    # a problem the control cannot be built on is refused before any path
+    ctrl_problem = negative_control_problem(problem) if control else None
 
     if c_tol is None:
         c_tol = 5.0 * max(c.g.growth_a + c.g.growth_b
@@ -369,7 +371,6 @@ def positivity_experiment(problem: Problem, config: SolverConfig,
     if control:
         # canonical control initial (u, v) = (0, 1): u' ~ -v drives the first
         # component to about -t_end, decisively below the tolerance
-        ctrl_problem = negative_control_problem(problem)
         ctrl_init = np.zeros_like(initial)
         ctrl_init[1] = 1.0
         path = _make_path(ctrl_problem, run_cfg, master_seed, 0, refinements=1)

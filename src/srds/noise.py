@@ -12,7 +12,6 @@ convergent below it.  The modulus type and its Osgood integral live in
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +32,7 @@ class SpectralBasis:
     """Orthonormal modes as per-axis factors: factors[i][k] is mode k's
     factor at the cell centers of axis i, so e_k at cell (x, y) is
     factors[0][k, x] * factors[1][k, y] (factors[0][k, x] in 1D).  No
-    (K, n_total) table is held until ``values`` is read."""
+    (K, n_total) table is held: ``table`` builds a new one on each call."""
 
     kind: str
     grid: DomainGrid
@@ -54,18 +53,13 @@ class SpectralBasis:
         np.multiply(f0.T[:, None, :], f1.T[None, :, :], out=out)
         return out.reshape(self.grid.n_total, self.modes)
 
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The (K, n_total) table, values[k, cell] = e_k at the cell center,
-        built on first read."""
-        return np.ascontiguousarray(self.table().T)
-
     def orthonormality_defect(self) -> float:
-        gram = self.values @ self.values.T * self.grid.cell_volume
+        table = self.table()
+        gram = table.T @ table * self.grid.cell_volume
         return float(np.max(np.abs(gram - np.eye(self.modes))))
 
     def descriptor(self) -> bytes:
-        return (self.kind.encode() + self.grid.descriptor() + self.values.tobytes())
+        return (self.kind.encode() + self.grid.descriptor() + self.table().T.tobytes())
 
 
 def _cosine_modes_1d(grid: DomainGrid, axis: int, kmax: int) -> np.ndarray:

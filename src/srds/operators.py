@@ -110,7 +110,7 @@ def coefficient_field_from_csv(grid: DomainGrid, path, eta: float,
     ``index, a_00, ..., a_{d-1,d-1} (row-major), c``.
 
     An index that is not an integer in range or that names a cell twice,
-    and a row with more than ``2 + d*d`` entries, fail the ``shape`` audit.
+    and a row with other than ``2 + d*d`` entries, fail the ``shape`` audit.
     """
     d = grid.dim
     n = grid.n_total
@@ -123,7 +123,7 @@ def coefficient_field_from_csv(grid: DomainGrid, path, eta: float,
             if not row or row[0].strip().startswith("#"):
                 continue
             vals = [float(v) for v in row]
-            if len(vals) > 2 + d * d:
+            if len(vals) != 2 + d * d:
                 raise AuditError("shape", f"row for cell {row[0].strip()} has "
                                           f"{len(vals)} entries, expected {2 + d * d}")
             if not vals[0].is_integer():
@@ -141,10 +141,23 @@ def coefficient_field_from_csv(grid: DomainGrid, path, eta: float,
     return CoefficientField(grid, a, c, eta, m_bound)
 
 
+def _face_cells(cells: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``cells`` (shaped like the grid) at the lower and the
+    upper cell of each face normal to ``axis``, faces ordered by their lower
+    cell."""
+    lo = [slice(None)] * cells.ndim
+    hi = list(lo)
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    return cells[tuple(lo)].ravel(), cells[tuple(hi)].ravel()
+
+
 class EllipticOperator:
     """Divergence-form operator on cell-centered fields.
 
-    The sparse matrix is assembled on its first read (a SuperLU factor,
+    Each axis's face transmissibilities are computed once, at build
+    (`transmissibilities`); `matrix` and `cosine_spectrum` read them.  The
+    sparse matrix is assembled on its first read (a SuperLU factor,
     `dense_spectrum`, `apply_resolvent`, `verify operator`), so an operator
     solved by the DCT never builds it.
 
@@ -162,25 +175,29 @@ class EllipticOperator:
             raise AuditError("diagonal-tensor",
                              "off-diagonal diffusion entries are not supported by "
                              "the two-point flux assembler")
-        # `matrix` and `cosine_spectrum` compute each face's transmissibility
-        # 2 a1 a2 / (a1 + a2) / h^2 later, where Python's h**2 may raise and
-        # an infinite entry leaves a singular solve: refuse it here (on a
-        # uniform field every face has the first cell's entries)
+        # per axis, each face's transmissibility 2 a1 a2 / (a1 + a2) / h^2,
+        # faces ordered by their lower cell (one value on a uniform field,
+        # whose faces all have the first cell's entries); Python's h**2 may
+        # raise and an infinite entry leaves a singular solve: refuse both
+        faces = []
         with np.errstate(all="ignore"):
             for axis, h in enumerate(grid.spacing):
                 a_ax = coeffs.a[:, axis, axis]
                 if coeffs.uniform:
                     a1 = a2 = a_ax[:1]
                 else:
-                    a_ax = np.moveaxis(a_ax.reshape(grid.n_cells), axis, 0)
-                    a1, a2 = a_ax[:-1], a_ax[1:]
-                h2 = np.square(np.float64(h))
-                t = 2.0 * a1 * a2 / (a1 + a2) / h2
-                if not (np.isfinite(h2) and np.all(np.isfinite(t))):
+                    a1, a2 = _face_cells(a_ax.reshape(grid.n_cells), axis)
+                try:
+                    t = 2.0 * a1 * a2 / (a1 + a2) / h**2
+                except OverflowError:  # from h**2
+                    t = np.array([np.inf])
+                if not np.all(np.isfinite(t)):
                     raise ValueError(f"axis {axis}: a face transmissibility "
                                      "2 a1 a2 / (a1 + a2) / h^2, or h^2 itself, is "
                                      f"not finite (h = {h!r}); scale the extents "
                                      "or the coefficients")
+                faces.append(t)
+        self.transmissibilities = tuple(faces)
         self.grid = grid
         self.coeffs = coeffs
         self._steppers: dict[float, ShiftedSolve | SpectralSolve] = {}
@@ -192,32 +209,21 @@ class EllipticOperator:
         Face diffusivity along axis i between neighboring cells is the
         harmonic mean of their a_ii entries.
         """
-        grid, coeffs = self.grid, self.coeffs
-        d = grid.dim
-        shape = grid.n_cells
+        grid = self.grid
         n = grid.n_total
-        ids = np.arange(n).reshape(shape)
+        ids = np.arange(n).reshape(grid.n_cells)
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
         vals: list[np.ndarray] = []
-        for axis in range(d):
-            h = grid.spacing[axis]
-            a_ax = coeffs.a[:, axis, axis].reshape(shape)
-            lo = [slice(None)] * d
-            hi = [slice(None)] * d
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
-            a1 = a_ax[tuple(lo)].ravel()
-            a2 = a_ax[tuple(hi)].ravel()
-            t = 2.0 * a1 * a2 / (a1 + a2) / h**2  # harmonic face average
-            i1 = ids[tuple(lo)].ravel()
-            i2 = ids[tuple(hi)].ravel()
+        for axis, t in enumerate(self.transmissibilities):
+            i1, i2 = _face_cells(ids, axis)
+            t = np.broadcast_to(t, i1.shape)
             rows += [i1, i2, i1, i2]
             cols += [i2, i1, i1, i2]
             vals += [t, t, -t, -t]
         rows.append(np.arange(n))
         cols.append(np.arange(n))
-        vals.append(-coeffs.c)
+        vals.append(-self.coeffs.c)
         return sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n),
@@ -237,11 +243,8 @@ class EllipticOperator:
         grid, coeffs = self.grid, self.coeffs
         if grid.dim != 2 or not (coeffs.uniform and np.all(coeffs.c == coeffs.c[0])):
             return None
-        axes = []
-        for axis, (n, h) in enumerate(zip(grid.n_cells, grid.spacing)):
-            a = coeffs.a[0, axis, axis]
-            t = 2.0 * a * a / (a + a) / h**2  # as the matrix's face average
-            axes.append(-2.0 * t * (1.0 - np.cos(np.pi * np.arange(n) / n)))
+        axes = [-2.0 * t[0] * (1.0 - np.cos(np.pi * np.arange(n) / n))
+                for n, t in zip(grid.n_cells, self.transmissibilities)]
         return axes[0][:, None] + axes[1][None, :] - coeffs.c[0]
 
     def solver(self, dt: float) -> ShiftedSolve | SpectralSolve:

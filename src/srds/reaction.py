@@ -139,13 +139,12 @@ class PolynomialDrift:
     def per_cell(self) -> bool:
         return self.coeffs.ndim == 2
 
-    def evaluate(self, s: np.ndarray, cells: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """h(s), written into ``out`` when given (it must not alias s)."""
+    def evaluate(self, s: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+        """h(s), a new array."""
         s = np.asarray(s, dtype=float)
         if cells is None or not self.per_cell:
-            return _horner(self.columns, s, out)
-        return _horner(self.coeffs[cells].T, s, out)
+            return _horner(self.columns, s)
+        return _horner(self.coeffs[cells].T, s)
 
     def lipschitz_bound(self, m: float) -> float:
         """sup_{|s|<=m} |h'| bounded by sum_j j |w_j| m^{j-1}."""

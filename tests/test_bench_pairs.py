@@ -7,6 +7,7 @@ no benchmark runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,3 +95,24 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
                                             "parent", "change"]
     assert all(rest == [["python3", "benchmarks/run.py"], "w", 36] for _, *rest in order)
     assert capsys.readouterr().out.splitlines()[-2].startswith("wall_ref_s")
+
+
+def test_each_run_compiles_into_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
+    tool = _tool()
+    checkouts = [tmp_path / "parent", tmp_path / "change"]
+    caches = []
+
+    def stub(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"]).resolve()
+        assert cache.is_dir() and not any(cache.iterdir())
+        assert all(root not in cache.parents for root in checkouts)
+        (cache / "left.pyc").write_bytes(b"")  # what the run's imports write
+        caches.append(cache)
+        return subprocess.CompletedProcess(argv, 0, json.dumps(_run(1.0, 10.0)) + "\n", "")
+
+    monkeypatch.setattr(tool.subprocess, "run", stub)
+    for checkout in checkouts * 2:
+        assert tool.run_once(checkout, ["python3", "benchmarks/run.py"], "w", 1) == _run(
+            1.0, 10.0)
+    assert len(set(caches)) == 4  # one per run
+    assert not any(cache.exists() for cache in caches)  # each removed after its run

@@ -434,6 +434,25 @@ def test_verify_positivity_quick(tmp_path, out_root):
     assert report["verdict"] == "pass"
 
 
+def test_positivity_control_refused_before_any_path(tmp_path, out_root, capsys,
+                                                    monkeypatch):
+    import srds.experiments
+
+    runs = []
+    simulate = srds.experiments.simulate
+    monkeypatch.setattr(srds.experiments, "simulate",
+                        lambda *args, **kwargs: runs.append(1) or simulate(*args, **kwargs))
+    cfg = quick_preset(t_end=0.01)
+    cfg["operators"] = cfg["operators"][:1]
+    cfg["reaction"] = {"drifts": [[1.0, 0.0, -1.0]], "coupling": {"name": "none"}}
+    cfg["initial"] = {"kind": "constant", "values": [0.2]}
+    cfg["experiment"] = {"name": "positivity", "n_paths": 16}
+    assert main(["verify", "positivity", "--config", write_config(tmp_path, cfg)]) == 2
+    assert ("reason=experiment detail=negative control needs at least two components"
+            in capsys.readouterr().err)
+    assert runs == []
+
+
 def test_int_spelled_numbers_give_the_float_report(tmp_path, out_root):
     # a number spelled 8 runs, hashes and records as 8.0: only the digest of
     # the config text differs
@@ -633,6 +652,8 @@ BAD_CSV_ROWS = [
     ("index", "1.7,1.0,0.0", "shape", "cell index 1.7 is not an integer"),
     ("duplicate", "3,2.0,0.0", "shape", "cell index 3 appears twice"),
     ("columns", "1,1.0,0.0,9.0", "shape", "row for cell 1 has 4 entries, expected 3"),
+    ("short", "1,1.0", "shape", "row for cell 1 has 2 entries, expected 3"),
+    ("index-only", "1", "shape", "row for cell 1 has 1 entries, expected 3"),
     ("nan-a", "1,nan,0.0", "bounded-a", "diffusion tensor has non-finite entries"),
     ("inf-a", "1,inf,0.0", "bounded-a", "diffusion tensor has non-finite entries"),
 ]
@@ -656,6 +677,24 @@ def test_bad_coefficient_row_exits_three(tmp_path, out_root, capsys, row, reason
     err = capsys.readouterr().err
     assert err.count("srds-error:") == 1
     assert f"code=3 kind=audit reason={reason} detail={detail}" in err
+
+
+@pytest.mark.parametrize("entries", [1, 2, 5, 7])
+def test_2d_coefficient_row_of_another_length_exits_three(tmp_path, out_root, capsys,
+                                                          entries):
+    cfg = quick_preset(t_end=0.01)
+    cfg["grid"] = {"dim": 2, "extents": [1.0, 1.0], "n_cells": [8, 8]}
+    cfg["noise"]["modes"] = 4
+    rows = [f"{i},1.0,0.0,0.0,1.0,0.0" for i in range(64)]
+    rows[1] = ",".join(["1"] + ["1.0"] * (entries - 1))
+    csv_path = tmp_path / "coeffs.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    cfg["operators"][0] = {"csv": str(csv_path), "eta": 0.5, "m_bound": 2.0}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("srds-error:") == 1
+    assert ("code=3 kind=audit reason=shape detail=row for cell 1 has "
+            f"{entries} entries, expected 6") in err
 
 
 def test_output_dir_from_config(tmp_path, monkeypatch):

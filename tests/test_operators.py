@@ -86,6 +86,67 @@ def test_a_face_transmissibility_beyond_the_float_range_is_refused():
     assert np.all(np.isfinite(op.matrix.data))
 
 
+def _face_by_face(grid, coeffs):
+    """(matrix, cosine spectrum) with each face's transmissibility
+    2 a1 a2 / (a1 + a2) / h**2 computed where it is used, Python's ``**``
+    for h^2: the assembly before the operator stored its transmissibilities."""
+    d, shape, n = grid.dim, grid.n_cells, grid.n_total
+    ids = np.arange(n).reshape(shape)
+    rows, cols, vals = [], [], []
+    for axis in range(d):
+        h = grid.spacing[axis]
+        a_ax = coeffs.a[:, axis, axis].reshape(shape)
+        lo, hi = [slice(None)] * d, [slice(None)] * d
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        a1, a2 = a_ax[tuple(lo)].ravel(), a_ax[tuple(hi)].ravel()
+        t = 2.0 * a1 * a2 / (a1 + a2) / h**2
+        i1, i2 = ids[tuple(lo)].ravel(), ids[tuple(hi)].ravel()
+        rows += [i1, i2, i1, i2]
+        cols += [i2, i1, i1, i2]
+        vals += [t, t, -t, -t]
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(-coeffs.c)
+    matrix = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                   np.concatenate(cols))),
+                           shape=(n, n)).tocsr()
+    if d != 2 or not (coeffs.uniform and np.all(coeffs.c == coeffs.c[0])):
+        return matrix, None
+    axes = []
+    for axis, (m, h) in enumerate(zip(shape, grid.spacing)):
+        a = coeffs.a[0, axis, axis]
+        t = 2.0 * a * a / (a + a) / h**2
+        axes.append(-2.0 * t * (1.0 - np.cos(np.pi * np.arange(m) / m)))
+    return matrix, axes[0][:, None] + axes[1][None, :] - coeffs.c[0]
+
+
+@pytest.mark.parametrize("extents,n_cells", [([3.0], [217]), ([1.0], [32]),
+                                             ([1.0, 0.7], [40, 23]),
+                                             ([3.0, 1.0], [217, 5])])
+@pytest.mark.parametrize("kind", ["uniform", "from_arrays"])
+def test_stored_transmissibilities_assemble_every_bit(extents, n_cells, kind):
+    grid = build_grid(len(n_cells), extents, n_cells)
+    if kind == "uniform":
+        coeffs = CoefficientField.constant(grid, a=1.3, c=0.25)
+    else:
+        rng = np.random.default_rng(3)
+        coeffs = CoefficientField.from_arrays(grid, rng.uniform(0.5, 2.0, (grid.n_total,
+                                                                           grid.dim)),
+                                              rng.uniform(0.0, 1.0, grid.n_total),
+                                              0.5, 2.0)
+    op = EllipticOperator(grid, coeffs)
+    faces = [1] * grid.dim if coeffs.uniform else [
+        grid.n_total // m * (m - 1) for m in n_cells]
+    assert [t.size for t in op.transmissibilities] == faces
+    matrix, spectrum = _face_by_face(grid, coeffs)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(op.matrix, name).tobytes() == getattr(matrix, name).tobytes()
+    assert (op.cosine_spectrum is None) == (spectrum is None) == (
+        kind == "from_arrays" or grid.dim == 1)
+    if spectrum is not None:
+        assert op.cosine_spectrum.tobytes() == spectrum.tobytes()
+
+
 def test_the_operator_constructor_checks_its_field():
     # the exported constructor owns both checks: an off-diagonal tensor
     # would build a matrix and a DCT spectrum without its off-diagonal
@@ -354,6 +415,21 @@ def test_coefficient_csv_roundtrip(tmp_path):
     cf = coefficient_field_from_csv(g, path, eta=0.5, m_bound=2.0)
     assert np.array_equal(cf.a[:, 0, 0], a)
     assert np.array_equal(cf.c, c)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("entries", [1, 2, 5, 7])
+def test_a_coefficient_row_of_another_length_names_its_cell(tmp_path, dim, entries):
+    g = build_grid(dim, [1.0] * dim, [4] * dim)
+    width = 2 + dim * dim  # index, the tensor, c: 3 or 6
+    rows = [",".join([str(i)] + ["1.0"] * (width - 1)) for i in range(g.n_total)]
+    rows[2] = ",".join(["2"] + ["1.0"] * (entries - 1))
+    path = tmp_path / "coeffs.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(AuditError) as err:
+        coefficient_field_from_csv(g, path, eta=0.5, m_bound=2.0)
+    assert (err.value.reason, err.value.detail) == (
+        "shape", f"row for cell 2 has {entries} entries, expected {width}")
 
 
 def test_2d_operator_kernel_and_contraction():

@@ -193,7 +193,7 @@ PARAMS = {
         "path_index", lambda x: _path(sample_path(0, 2, 2, 4, 1e-3, path_index=x)), True,
         st.integers(0, 2**32 - 1)),
     "cosine_neumann_basis-modes": Param(
-        "modes", lambda x: cosine_neumann_basis(_GRID, x).values.tobytes(), True,
+        "modes", lambda x: cosine_neumann_basis(_GRID, x).table().T.tobytes(), True,
         st.integers(1, 8)),
     "PowerModulus-constant": Param("modulus constant",
                                    lambda x: repr(vars(PowerModulus(x))), False,

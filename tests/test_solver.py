@@ -152,7 +152,7 @@ def test_additive_linear_run_follows_its_mode_recursion(n_cells, n_paths):
                    reaction=ReactionSystem([PolynomialDrift([-c])], [coupling_none(1)]),
                    noise=build_noise([basis], [lam], [one]))
     assert (op.cosine_spectrum is None) == (grid.dim == 1)
-    e = basis.values
+    e = basis.table().T
     mu = np.einsum("kx,xk->k", e, op.matrix @ e.T) * grid.cell_volume
     cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
     worst = 0.0

@@ -6,8 +6,11 @@ end-to-end metric, whether the change shows a gain that may be claimed.
 PARENT and CHANGE are the roots of two source checkouts.  Each of ten pairs
 runs the benchmark command of CHANGE's ``BENCHMARK.json`` once in each
 checkout for its ``run_seconds``, one process at a time: the parent first
-in even pairs, the change first in odd ones.  The last stdout line of a run
-is its JSON result.
+in even pairs, the change first in odd ones.  Each run compiles into its
+own fresh, empty bytecode cache (``PYTHONPYCACHEPREFIX``, removed after the
+run), so ``.pyc`` files left in either checkout's ``__pycache__`` are
+neither read nor written and cannot lower one side's ``peak_rss_mb``.  The
+last stdout line of a run is its JSON result.
 
 For each end-to-end metric of ``BENCHMARK.json`` it then prints each side's
 median and quartiles, the change's wins, ties and losses over the pairs,
@@ -25,9 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -38,8 +43,10 @@ CLAIM_SHARE = 0.9  # of the pairs, the change must win at least this share
 def run_once(checkout: Path, command: list, workload: str, seconds: float) -> dict | None:
     """The JSON result of one benchmark run in ``checkout``, or None (with
     the run's last stderr line printed) when it exits non-zero."""
-    proc = subprocess.run([*command, "--workload", workload, "--seconds", str(seconds)],
-                          cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run([*command, "--workload", workload, "--seconds", str(seconds)],
+                              cwd=checkout, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
     if proc.returncode != 0 or not proc.stdout.strip():
         tail = proc.stderr.strip().splitlines()[-1:] or [""]
         print(f"# {checkout}: exit {proc.returncode} {tail[0]}", flush=True)
